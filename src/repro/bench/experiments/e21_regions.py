@@ -8,16 +8,16 @@ sides.  Three deployments, identical client code:
   remote region pays the WAN on every call, but a single copy is never
   stale;
 * **regional-local** — a three-replica group (two east, one west) under
-  the ``regional`` policy in the legacy read-one contract: every read is
+  the ``regional`` policy in the unversioned read-one contract: every read is
   answered by the caller's own region (the locality win), writes fan out
   write-all with W=2 — so a write can commit against the east majority
   while the west replica is down, and west readers then see **stale**
   values until the next write of that key lands;
-* **regional-quorum** — the same placement in versioned W=2/R=2 quorum
-  mode: R+W > N means no read is ever stale, but a west read must reach
+* **regional-quorum** — the same placement under the W=2/R=2 quorum
+  protocol: R+W > N means no read is ever stale, but a west read must reach
   across the WAN for its second vote — the quorum price, paid exactly
-  where the legacy mode cashed its locality win.  The home region keeps
-  LAN reads either way, because its two replicas form a local read
+  where the unversioned contract cashed its locality win.  The home region
+  keeps LAN reads either way, because its two replicas form a local read
   quorum: region-aware placement decides *who* pays the WAN.
 
 The latency sweep runs fault-free and yields one row per

@@ -2,16 +2,17 @@
 
 Three sweeps share the table:
 
-* **Write-all sweep** (``mode="write-all"``, the legacy contract) over the
-  replica count: read latency *falls* (a nearby replica exists more often —
+* **Write-all sweep** (``mode="write-all"``, the unversioned contract) over
+  the replica count: read latency *falls* (a nearby replica exists more often —
   modelled with one slow "far" link to the primary), write latency *rises*
   linearly, and availability under a periodic crash plan *rises* (reads
   fail over; writes succeed while a majority remains).
 
 * **Quorum sweep** (``mode="quorum"``) over ``(write_quorum, read_quorum)``
-  at a fixed N=3: the versioned quorum mode of
-  :mod:`repro.core.policies.replicating`.  An overlapped configuration
-  (R + W > N, e.g. ``(2, 2)``) never serves a stale read; the under-quorumed
+  at a fixed N=3: the quorum protocol of
+  :mod:`repro.core.policies.replicating` under the static sequencer.  An
+  overlapped configuration (R + W > N, e.g. ``(2, 2)``) never serves a
+  stale read; the under-quorumed
   ``(1, 1)`` buys availability and latency with staleness; ``(3, 1)`` pins
   every copy fresh and pays for it in availability.
 
@@ -55,8 +56,8 @@ OPS = 120
 
 def _deploy(contexts, replicas: int, write_quorum: int,
             read_quorum: int | None):
-    """A replica group over the first ``replicas`` contexts; quorum mode
-    when ``read_quorum`` is given, legacy write-all otherwise."""
+    """A replica group over the first ``replicas`` contexts: the quorum
+    protocol when ``read_quorum`` is given, unversioned write-all otherwise."""
     if read_quorum is None:
         return replicate(contexts[:replicas], KVStore,
                          write_quorum=write_quorum)

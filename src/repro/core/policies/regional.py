@@ -18,8 +18,8 @@ The caller stays oblivious (the paper's point): the same client code binds
 a ``stub``, a ``replicated``, or a ``regional`` reference and only the
 latencies differ.  Quorum settings are orthogonal — a W=2/R=2 versioned
 regional group is linearizable and merely *prefers* the near replica for
-first contact, while a legacy read-one regional group trades staleness
-for fully local reads (E21 measures both sides of that trade).
+first contact, while an unversioned read-one regional group trades
+staleness for fully local reads (E21 measures both sides of that trade).
 """
 
 from __future__ import annotations

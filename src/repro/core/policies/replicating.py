@@ -1,54 +1,68 @@
 """The ``replicated`` policy: a proxy that binds to a replica group.
 
 The service is deployed as N copies in different contexts; the proxy the
-service ships routes each operation.  Two modes share the deployment:
+service ships routes each operation.  The module holds **one quorum
+protocol** run under **one of two sequencers**, plus the **unversioned
+write-all** contract; which of them a group speaks is the service's
+private choice, read once from the configuration it ships (``versioned``
+/ ``read_quorum`` / ``elect``) and invisible to the client.
 
-**Legacy write-all** (the 1986-era contract, still the default):
+**The quorum protocol** (``read_quorum`` set, or ``versioned=True``):
+Gifford-style weighted voting over per-key operation logs
+(:mod:`repro.wire.versions`).
 
-* **reads** go to one replica, chosen by the configured ``read_policy``
-  (``"nearest"`` by transit time, ``"roundrobin"``, or ``"primary"``),
-  failing over to the next candidate on a distribution error;
-* **writes** go to *all* replicas, synchronously, in a fixed order; the
-  write succeeds when at least ``write_quorum`` replicas acknowledged.
+* A **write** is executed first at the *sequencer*, which assigns the
+  key's next **version** and logs the operation; the proxy fans the write
+  out with that version attached, suffix-repairs any replica that reports
+  a missing prefix, and succeeds once ``write_quorum`` (W) copies hold the
+  version.  An application exception surfaces at the sequencer, before
+  any fan-out, so a raising write never diverges the group.
+* A **read** collects versioned answers from ``read_quorum`` (R) replicas
+  in ``read_policy`` order (``"nearest"`` by transit time,
+  ``"roundrobin"``, or ``"primary"``), returns the **newest**,
+  read-repairs the stale answerers, and — before returning — confirms the
+  winner on at least W copies (ABD-style promotion), so an overlapped
+  configuration (``R + W > N``) is linearizable under crashes, partitions
+  and message loss; the sim-chaos battery holds it to that.  An
+  under-quorumed one (``R + W <= N``) trades that consistency for
+  availability — measured in experiment E9.
+* **Repair** is one suffix transfer (pull from a holder, push to the
+  laggard), used by writes, reads, elections and the anti-entropy sweep
+  alike.
 
-With ``write_quorum < N`` this gives read-your-writes only when the read
-happens to land on a replica that acknowledged — a *probabilistic*
-freshness story, and the reason simtest's fault menu confines this mode
-to latency faults.
+**The sequencer** is the protocol's single variation point:
 
-**Versioned quorum mode** (``read_quorum`` set, or ``versioned=True``):
-Gifford-style weighted voting with a primary sequencer.  Every write is
-executed first at the primary (``replicas[0]``), which assigns the next
-per-key **version** and logs the operation; the proxy then fans the write
-out with that version attached (:mod:`repro.wire.versions`), repairs any
-replica that reports a missing prefix, and succeeds once ``write_quorum``
-(W) copies hold the version.  Reads collect versioned answers from
-``read_quorum`` (R) replicas, return the **newest**, read-repair the
-stale answerers, and — before returning — confirm the winning version on
-at least W copies (ABD-style promotion), so an overlapped configuration
-(``R + W > N``) is linearizable under crashes, partitions, and message
-loss; the sim-chaos battery holds it to that.  An under-quorumed
-configuration (``R + W <= N``) trades that consistency for availability —
-measured in experiment E9.
+* **static** (the default): replica 0, forever.  No envelope carries a
+  term, no reply is ever fenced, and an unreachable primary fails the
+  write with the error that reached the proxy.  On the wire this is the
+  elected protocol with the election state absent — every term-related
+  key is elided, so log entries are un-termed and ``(term, version)``
+  pairs order exactly as bare versions.
+* **elected** (``elect=True``): every replica carries an
+  :class:`~repro.failures.election.ElectionState` (term, leader belief,
+  lease), every envelope is stamped with the proxy's ``(term, leader)``
+  belief, and stale-term writes are fenced server-side with a redirect
+  the proxy follows like a migration forward.  When the leader stops
+  answering, the proxy — policy code shipped by the service — runs the
+  deterministic election of :mod:`repro.failures.election` and resumes
+  writes at the winner; the write unavailability window is bounded by the
+  lease TTL plus the election time (E9's failover panel measures it).
+  Log entries carry the term that assigned them, and a replica holding a
+  *different* entry at the same version (an old leader's uncommitted
+  tail) is detected as diverged and repaired by reset + full log replay.
+  Reads additionally land their winner in the leader's log before
+  exposing it, and :meth:`ReplicatedProxy.proxy_anti_entropy` sweeps the
+  leader's missing suffixes out to lagging replicas.
 
-**Election mode** (``elect=True`` on top of quorum mode): the primary is
-no longer a fixed single point of failure.  Every replica carries an
-:class:`~repro.failures.election.ElectionState` (a term number, a leader
-belief, and a lease), every envelope is stamped with the proxy's
-``(term, leader)`` belief, and stale-term writes are fenced server-side
-with a redirect the proxy follows like a migration forward.  When the
-leader stops answering, the proxy — policy code shipped by the service,
-so clients never see any of this — runs the deterministic election of
-:mod:`repro.failures.election` and resumes writes at the winner; the
-write unavailability window is bounded by the lease TTL plus the
-election time (experiment E9's failover panel measures it).  Log entries
-carry the term that assigned them, versions order lexicographically by
-``(term, version)``, and a replica holding a *different* entry at the
-same version (an old leader's uncommitted tail) is detected as diverged
-and repaired by reset + full log replay from the leader.  A periodic
-:meth:`ReplicatedProxy.proxy_anti_entropy` sweep pushes missing log
-suffixes from the leader to lagging replicas so restarted nodes catch up
-without waiting for read-repair.
+**Unversioned write-all** (neither key set — the 1986-era contract and
+the default): no log, no envelope, the wire image of plain ``stub``
+calls.  Reads go to one replica in ``read_policy`` order, failing over on
+a distribution error; writes go to *all* replicas, synchronously, and
+succeed when ``write_quorum`` acknowledged.  With ``write_quorum < N``
+read-your-writes holds only when the read lands on a replica that
+acknowledged — a *probabilistic* freshness story, and the reason
+simtest's fault menu confines this contract to latency faults.  It is a
+different wire contract, not a special case of the quorum protocol.
 
 Deployment helper: :func:`replicate` builds the group and returns the
 client-facing reference.
@@ -77,9 +91,27 @@ ASSIGN_ATTEMPTS = 4
 ELECTION_ROUNDS = 4
 
 
+def _protocol(config: dict) -> tuple[bool, bool]:
+    """``(versioned, elected)`` — the one place a group's protocol and
+    sequencer are chosen, for :func:`replicate` and the proxy alike."""
+    versioned = bool(config.get("versioned")) or "read_quorum" in config
+    elected = bool(config.get("elect"))
+    if elected and not versioned:
+        raise ConfigurationError(
+            "elect=True requires the versioned quorum protocol "
+            "(pass read_quorum or versioned=True)")
+    return versioned, elected
+
+
+def _digest_of(reply: dict) -> dict:
+    """``{key: (last_term, version)}`` from a digest-carrying reply."""
+    return {entry[0]: (int(entry[1]), int(entry[2]))
+            for entry in reply.get(versions.K_DIGEST, [])}
+
+
 @register_policy
 class ReplicatedProxy(Proxy):
-    """Route reads to R replicas and writes through the primary to all."""
+    """Route reads to R replicas and writes through the sequencer to all."""
 
     policy_name = "replicated"
 
@@ -88,8 +120,10 @@ class ReplicatedProxy(Proxy):
         self._replicas: list | None = None
         self._replica_refs: list[ObjectRef | None] = []
         self._rr_counter = 0
-        #: Cached leadership belief (election mode): stamped on every
-        #: envelope, corrected by fencing redirects and elections.
+        #: The group's protocol, chosen when the replica list resolves.
+        self._versioned = self._elected = False
+        #: The sequencer: replica 0 at term 1 for good (static), or the
+        #: cached leadership belief fencing redirects and elections correct.
         self._term = 1
         self._leader = 0
         self.proxy_stats.update(reads=0, writes=0, read_failovers=0,
@@ -129,8 +163,8 @@ class ReplicatedProxy(Proxy):
                 item = space.bind_ref(item, handshake=False)
             else:
                 # A co-located replica arrives as the raw object (home
-                # access); recover its export reference so the versioned
-                # path can reach its entry (and version log).
+                # access); recover its export reference so the quorum
+                # protocol can reach its entry (and version log).
                 ref = getattr(item, "proxy_ref", None)
                 if ref is None:
                     try:
@@ -141,6 +175,7 @@ class ReplicatedProxy(Proxy):
             replicas.append(item)
         if not replicas:
             return []
+        self._versioned, self._elected = _protocol(self.proxy_config)
         self._replicas = replicas
         self._replica_refs = refs
         return replicas
@@ -166,27 +201,13 @@ class ReplicatedProxy(Proxy):
 
         return sorted(indices, key=distance)
 
-    def _read_order(self, replicas: list) -> list:
-        return [replicas[i] for i in self._read_order_indices(len(replicas))]
-
     # -- configuration ------------------------------------------------------------
 
-    def _quorum_mode(self) -> bool:
-        """True when the group runs versioned quorum reads/writes."""
-        config = self.proxy_config
-        return bool(config.get("versioned")) or "read_quorum" in config
-
-    def _elect_mode(self) -> bool:
-        """True when the group additionally runs leader election."""
-        return bool(self.proxy_config.get("elect"))
-
-    def _adopt(self, term: int, leader: int) -> bool:
+    def _adopt(self, term: int, leader: int) -> None:
         """Fold a ``(term, leader)`` observed on the wire into the cache."""
         term, leader = int(term), int(leader)
         if term > self._term or (term == self._term and leader != self._leader):
             self._term, self._leader = term, leader
-            return True
-        return False
 
     def _quorum_params(self, count: int) -> tuple[int, int]:
         """Validated ``(write_quorum, read_quorum)`` for a ``count`` group.
@@ -194,7 +215,7 @@ class ReplicatedProxy(Proxy):
         ``write_quorum`` outside ``1..count`` is a configuration error, not
         a distribution outcome: zero (or negative) would let a write that
         reached *no* replica "succeed", and more than ``count`` can never
-        be met.  Same bounds for ``read_quorum`` (quorum mode only).
+        be met.  Same bounds for ``read_quorum`` (quorum protocol only).
         """
         write_quorum = int(self.proxy_config.get("write_quorum", count))
         if not 1 <= write_quorum <= count:
@@ -228,24 +249,19 @@ class ReplicatedProxy(Proxy):
         replicas = self._resolve_replicas()
         if not replicas:
             return self.proxy_remote(verb, args, kwargs)
-        op = self.proxy_interface.operation(verb)
-        if self._quorum_mode():
-            write_quorum, read_quorum = self._quorum_params(len(replicas))
-            key = self._version_key(args)
-            if self._elect_mode():
-                if op.readonly:
-                    return self._read_elected(replicas, verb, args, kwargs,
-                                              key, write_quorum, read_quorum)
-                return self._write_elected(replicas, verb, args, kwargs, key,
-                                           write_quorum)
-            if op.readonly:
-                return self._read_versioned(replicas, verb, args, kwargs,
-                                            key, write_quorum, read_quorum)
-            return self._write_versioned(replicas, verb, args, kwargs, key,
-                                         write_quorum)
-        if op.readonly:
-            return self._read(replicas, verb, args, kwargs)
-        return self._write(replicas, verb, args, kwargs)
+        readonly = self.proxy_interface.operation(verb).readonly
+        if not self._versioned:
+            serve = self._read if readonly else self._write
+            return serve(replicas, verb, args, kwargs)
+        write_quorum, read_quorum = self._quorum_params(len(replicas))
+        key = self._version_key(args)
+        if readonly:
+            return self._quorum_read(replicas, verb, args, kwargs, key,
+                                     write_quorum, read_quorum)
+        return self._quorum_write(replicas, verb, args, kwargs, key,
+                                  write_quorum)
+
+    # -- unversioned write-all ----------------------------------------------------
 
     def _call(self, replica, verb: str, args: tuple, kwargs: dict) -> Any:
         """Invoke on one replica: through its proxy, or directly when the
@@ -258,9 +274,9 @@ class ReplicatedProxy(Proxy):
     def _read(self, replicas: list, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["reads"] += 1
         last_error: Exception | None = None
-        for replica in self._read_order(replicas):
+        for index in self._read_order_indices(len(replicas)):
             try:
-                return self._call(replica, verb, args, kwargs)
+                return self._call(replicas[index], verb, args, kwargs)
             except DistributionError as exc:
                 self.proxy_stats["read_failovers"] += 1
                 last_error = exc
@@ -309,7 +325,7 @@ class ReplicatedProxy(Proxy):
                 f"replicas, quorum is {quorum}") from last_error
         return result
 
-    # -- versioned quorum mode ----------------------------------------------------
+    # -- the quorum protocol: envelopes -------------------------------------------
 
     def _versioned_call(self, index: int, verb: str, args: tuple,
                         kwargs: dict, headers: dict) -> dict:
@@ -345,145 +361,12 @@ class ReplicatedProxy(Proxy):
             headers.update(extra_headers)
         return self._versioned_call(index, "", tuple(body_args), {}, headers)
 
-    def _repair(self, target: int, source: int, key, since: int) -> int:
-        """Transfer ``key``'s log suffix after ``since`` from ``source`` to
-        ``target``; returns the target's resulting version (-1 on failure)."""
-        try:
-            pulled = self._control_call(source, ["pull", key, int(since)], ())
-            pushed = self._control_call(target, ["push", key],
-                                        (pulled.get(versions.K_LOG, []),))
-        except DistributionError:
-            self.proxy_stats["repair_failures"] += 1
-            return -1
-        return int(pushed.get(versions.K_VERSION, -1))
-
-    def _write_versioned(self, replicas: list, verb: str, args: tuple,
-                         kwargs: dict, key, write_quorum: int) -> Any:
-        """Primary-sequenced quorum write.
-
-        The primary executes first and assigns the version, so an
-        application exception surfaces before any fan-out — the group never
-        diverges on a raising write.  A replica that reports a missing
-        prefix is repaired (suffix pull from the primary) and then counts;
-        the write succeeds once ``write_quorum`` copies hold the version.
-        """
-        self.proxy_stats["writes"] += 1
-        try:
-            primary = self._versioned_call(0, verb, args, kwargs,
-                                           {versions.H_ASSIGN: [key]})
-        except RemoteError:
-            self.proxy_stats["app_errors"] += 1
-            raise
-        except DistributionError:
-            # The primary is unreachable: no version was assigned that we
-            # know of (a lost reply still makes this a "maybe").
-            self.proxy_stats["write_failures"] += 1
-            raise
-        except ReproError:
-            raise
-        except Exception:
-            self.proxy_stats["app_errors"] += 1
-            raise
-        version = int(primary[versions.K_VERSION])
-        acknowledged = 1
-        last_error: Exception | None = None
-        for index in range(1, len(replicas)):
-            try:
-                reply = self._versioned_call(
-                    index, verb, args, kwargs,
-                    {versions.H_APPLY: [key, version]})
-            except DistributionError as exc:
-                last_error = exc
-                continue
-            if int(reply[versions.K_VERSION]) >= version:
-                acknowledged += 1
-            elif versions.K_EXC not in reply:
-                # The replica is missing a prefix: pull it from the primary,
-                # which holds every assigned version of this key.
-                if self._repair(index, 0, key, since=reply[
-                        versions.K_VERSION]) >= version:
-                    self.proxy_stats["write_repairs"] += 1
-                    acknowledged += 1
-            # A K_EXC reply is a diverged replica (the primary executed this
-            # operation cleanly): never acknowledged, repair won't help.
-        if acknowledged < write_quorum:
-            self.proxy_stats["write_failures"] += 1
-            raise DistributionError(
-                f"write {verb!r} at version {version} of {key!r} reached "
-                f"{acknowledged}/{len(replicas)} replicas, quorum is "
-                f"{write_quorum}") from last_error
-        return primary.get(versions.K_VALUE)
-
-    def _read_versioned(self, replicas: list, verb: str, args: tuple,
-                        kwargs: dict, key, write_quorum: int,
-                        read_quorum: int) -> Any:
-        """Quorum read: collect R versioned answers, newest wins.
-
-        Before the winner is returned, its version must be **confirmed on
-        at least W replicas** (read-repairing stale answerers and, if still
-        short, unanswered replicas).  That promotion step is what makes a
-        barely-committed — or merely *maybe*-committed — write safe to
-        expose: any later R-read overlaps the confirmed set, so a value
-        shown once can never disappear again.  A read that cannot promote
-        its winner fails (and a failed read moves no state).
-        """
-        self.proxy_stats["reads"] += 1
-        order = self._read_order_indices(len(replicas))
-        answers: dict[int, dict] = {}
-        last_error: Exception | None = None
-        for index in order:
-            if len(answers) >= read_quorum:
-                break
-            try:
-                answers[index] = self._versioned_call(
-                    index, verb, args, kwargs, {versions.H_READ: [key]})
-            except DistributionError as exc:
-                self.proxy_stats["read_failovers"] += 1
-                last_error = exc
-        if len(answers) < read_quorum:
-            self.proxy_stats["read_failures"] += 1
-            raise DistributionError(
-                f"read {verb!r} of {key!r} reached {len(answers)}/"
-                f"{len(replicas)} replicas, read quorum is "
-                f"{read_quorum}") from last_error
-        newest = max(int(reply[versions.K_VERSION])
-                     for reply in answers.values())
-        winner_index = next(i for i in order if i in answers and
-                            int(answers[i][versions.K_VERSION]) >= newest)
-        confirmed = {i for i, reply in answers.items()
-                     if int(reply[versions.K_VERSION]) >= newest}
-        for index, reply in answers.items():
-            seen = int(reply[versions.K_VERSION])
-            if seen < newest:    # read-repair the stale answerer
-                if self._repair(index, winner_index, key,
-                                since=seen) >= newest:
-                    self.proxy_stats["read_repairs"] += 1
-                    confirmed.add(index)
-        if len(confirmed) < write_quorum:
-            for index in order:
-                if len(confirmed) >= write_quorum:
-                    break
-                if index in answers:
-                    continue
-                if self._repair(index, winner_index, key, since=0) >= newest:
-                    self.proxy_stats["read_repairs"] += 1
-                    confirmed.add(index)
-        if len(confirmed) < write_quorum:
-            self.proxy_stats["read_failures"] += 1
-            raise DistributionError(
-                f"read {verb!r} saw version {newest} of {key!r} on only "
-                f"{len(confirmed)} replicas, write quorum is {write_quorum}")
-        winner = answers[winner_index]
-        failure = winner.get(versions.K_EXC)
-        if failure is not None:
-            raise remote_exception(failure[0], failure[1])
-        return winner.get(versions.K_VALUE)
-
-    # -- election mode ------------------------------------------------------------
-
     def _term_header(self, term: int | None = None,
                      leader: int | None = None) -> dict:
-        """The :data:`~repro.wire.versions.H_TERM` stamp for one envelope."""
+        """The :data:`~repro.wire.versions.H_TERM` stamp for one envelope
+        (nothing under the static sequencer: there is no term to fence)."""
+        if not self._elected:
+            return {}
         return {versions.H_TERM: [
             self._term if term is None else int(term),
             self._leader if leader is None else int(leader)]}
@@ -494,100 +377,110 @@ class ReplicatedProxy(Proxy):
         if pair is not None and int(pair[0]) > self._term:
             self._adopt(pair[0], pair[1])
 
-    def _repair_elected(self, target: int, source: int, key, since: int,
-                        since_term: int, allow_resync: bool = True) -> int:
-        """Term-aware suffix repair of ``key`` from ``source`` to ``target``.
+    def _fenced(self, reply: dict) -> bool:
+        """True for a :data:`~repro.wire.versions.K_FENCED` redirect, after
+        counting it and adopting the leadership it names."""
+        pair = reply.get(versions.K_FENCED)
+        if pair is None:
+            return False
+        self.proxy_stats["fencing_rejects"] += 1
+        self._adopt(*pair)
+        return True
+
+    # -- the quorum protocol: repair ----------------------------------------------
+
+    def _transfer(self, source: int, target: int, key, have: tuple[int, int],
+                  header: dict) -> tuple[dict, list]:
+        """Ship ``key``'s log suffix from ``source`` to ``target``, which
+        holds ``have = (last_term, version)`` of it.
 
         The pull's boundary term must match the target's last-entry term
         (equal ``(version, term)`` pairs imply equal prefixes); a mismatch
-        — or a diverged push — falls back to reset + full resync.  Returns
-        the target's resulting version of ``key`` (-1 on failure, -2 for a
-        divergence ``allow_resync`` forbids repairing, e.g. the leader).
+        reads as the same :data:`~repro.wire.versions.K_DIVERGED` verdict a
+        push can return.  Returns ``(push reply, entries shipped)`` for the
+        caller to classify (fenced / diverged / version reached).
+        """
+        since_term, since = have
+        pulled = self._control_call(source, ["pull", key, since], ())
+        entries = pulled.get(versions.K_LOG, [])
+        if since and int(pulled.get(versions.K_VTERM, 0)) != since_term:
+            return {versions.K_DIVERGED: True}, entries
+        return self._control_call(target, ["push", key], (entries,),
+                                  header), entries
+
+    def _repair(self, target: int, source: int, key,
+                have: tuple[int, int] = (0, 0),
+                allow_resync: bool = True) -> int:
+        """Suffix repair of ``key`` from ``source`` to ``target``.
+
+        Returns the target's resulting version of ``key``: -1 on failure
+        (unreachable, fenced), and — divergence falling back to reset +
+        full resync — -2 where ``allow_resync`` forbids that (the leader).
         """
         try:
-            pulled = self._control_call(source, ["pull", key, int(since)], ())
-            if int(since) > 0 and \
-                    int(pulled.get(versions.K_VTERM, 0)) != int(since_term):
-                return self._diverged(target, source, key, allow_resync)
-            pushed = self._control_call(target, ["push", key],
-                                        (pulled.get(versions.K_LOG, []),),
-                                        self._term_header())
+            pushed, _ = self._transfer(source, target, key, have,
+                                       self._term_header())
         except DistributionError:
             self.proxy_stats["repair_failures"] += 1
             return -1
-        if versions.K_FENCED in pushed:
-            self.proxy_stats["fencing_rejects"] += 1
-            self._adopt(*pushed[versions.K_FENCED])
+        if self._fenced(pushed):
             return -1
         if versions.K_DIVERGED in pushed:
-            return self._diverged(target, source, key, allow_resync)
+            return self._resync(target, source, key) if allow_resync else -2
         return int(pushed.get(versions.K_VERSION, -1))
 
-    def _diverged(self, target: int, source: int, key,
-                  allow_resync: bool) -> int:
-        if not allow_resync:
-            return -2
-        synced = self._resync(target, source)
-        if synced is None:
-            return -1
-        return int(synced.get(key, -1))
-
-    def _resync(self, target: int, source: int) -> dict | None:
+    def _resync(self, target: int, source: int, key=None) -> int:
         """Divergence repair: reset ``target``, replay ``source``'s logs.
 
         A suffix push cannot un-apply a diverged entry (an old leader's
         uncommitted tail that a newer term overwrote), so the target's
         object is recreated and every key's full log replayed.  Returns
-        the per-key versions reached, or ``None`` on failure.
+        the version of ``key`` reached (-1 on failure).
         """
-        reached: dict = {}
+        reached = -1
+        header = self._term_header()
         try:
             digest = self._control_call(source, ["digest"], ())
-            reset = self._control_call(target, ["reset"], (),
-                                       self._term_header())
-            if versions.K_FENCED in reset:
-                self.proxy_stats["fencing_rejects"] += 1
-                self._adopt(*reset[versions.K_FENCED])
-                return None
-            for key, _term, _version in digest.get(versions.K_DIGEST, []):
-                pulled = self._control_call(source, ["pull", key, 0], ())
-                pushed = self._control_call(target, ["push", key],
-                                            (pulled.get(versions.K_LOG, []),),
-                                            self._term_header())
-                if versions.K_FENCED in pushed:
-                    self.proxy_stats["fencing_rejects"] += 1
-                    self._adopt(*pushed[versions.K_FENCED])
-                    return None
-                reached[key] = int(pushed.get(versions.K_VERSION, -1))
+            if self._fenced(self._control_call(target, ["reset"], (),
+                                               header)):
+                return -1
+            for each in _digest_of(digest):
+                pushed, _ = self._transfer(source, target, each, (0, 0),
+                                           header)
+                if self._fenced(pushed):
+                    return -1
+                if each == key:
+                    reached = int(pushed.get(versions.K_VERSION, -1))
         except DistributionError:
             self.proxy_stats["repair_failures"] += 1
-            return None
+            return -1
         self.proxy_stats["resyncs"] += 1
         return reached
 
-    def _write_elected(self, replicas: list, verb: str, args: tuple,
-                       kwargs: dict, key, write_quorum: int) -> Any:
-        """Leader-sequenced quorum write with fencing and failover.
+    # -- the quorum protocol: writes and reads ------------------------------------
 
-        The assign loop follows fencing redirects like the migration
-        chain, renews the leader's lease when it reports expiry, and runs
-        an election when the leader stops answering — so one invoke rides
-        out a leader change whenever a majority is reachable.  The fan-out
-        then carries the assign's ``(term, leader)``; a fenced apply never
-        acknowledges, a stale one is suffix-repaired from the leader, and
-        a diverged one is reset + fully resynced.  A proxy deposed *during*
-        the fan-out (its assign landed at a stale leader and the applies
-        came back fenced) adopts the newer term and retries the whole
-        write there — the stale assign was never quorum-committed, so
-        re-sequencing it under the new term is the designed outcome, and
-        the old leader's orphaned tail is erased by divergence repair.
+    def _quorum_write(self, replicas: list, verb: str, args: tuple,
+                      kwargs: dict, key, write_quorum: int) -> Any:
+        """Sequencer-assigned quorum write.
+
+        The sequencer executes first and assigns the version
+        (:meth:`_assign`); the fan-out then carries the assign's
+        ``(term, leader)``.  A fenced apply never acknowledges, a stale
+        one is suffix-repaired from the sequencer (which holds every
+        version it assigned), and a diverged one is reset + fully
+        resynced.  A proxy deposed *during* the fan-out (its assign
+        landed at a stale leader and the applies came back fenced) adopts
+        the newer term and retries the whole write there — the stale
+        assign was never quorum-committed, so re-sequencing it under the
+        new term is the designed outcome, and the old leader's orphaned
+        tail is erased by divergence repair.
         """
         self.proxy_stats["writes"] += 1
         last_error: Exception | None = None
         assigned = acknowledged = 0
         wterm = self._term
         for _ in range(ASSIGN_ATTEMPTS):
-            reply = self._assign_elected(replicas, verb, args, kwargs, key)
+            reply = self._assign(replicas, verb, args, kwargs, key)
             assigned = int(reply[versions.K_VERSION])
             wterm = int(reply.get(versions.K_VTERM, self._term))
             leader = self._leader
@@ -599,29 +492,23 @@ class ReplicatedProxy(Proxy):
                     ack = self._versioned_call(
                         index, verb, args, kwargs,
                         {versions.H_APPLY: [key, assigned],
-                         versions.H_TERM: [wterm, leader]})
+                         **self._term_header(wterm, leader)})
                 except DistributionError as exc:
                     last_error = exc
                     continue
-                if versions.K_FENCED in ack:
-                    self.proxy_stats["fencing_rejects"] += 1
-                    self._adopt(*ack[versions.K_FENCED])
-                    continue
+                if self._fenced(ack) or versions.K_EXC in ack:
+                    continue    # deposed, or a diverged execution: no ack
                 if versions.K_DIVERGED in ack:
-                    synced = self._resync(index, leader)
-                    if synced is not None and synced.get(key, -1) >= assigned:
-                        self.proxy_stats["write_repairs"] += 1
-                        acknowledged += 1
-                    continue
-                if versions.K_EXC in ack:
-                    continue    # diverged execution: never acknowledged
-                if int(ack[versions.K_VERSION]) >= assigned:
+                    repaired = self._resync(index, leader, key)
+                elif int(ack[versions.K_VERSION]) >= assigned:
                     acknowledged += 1
-                elif self._repair_elected(
+                    continue
+                else:
+                    repaired = self._repair(
                         index, leader, key,
-                        since=int(ack[versions.K_VERSION]),
-                        since_term=int(ack.get(versions.K_VTERM, 0))
-                        ) >= assigned:
+                        (int(ack.get(versions.K_VTERM, 0)),
+                         int(ack[versions.K_VERSION])))
+                if repaired >= assigned:
                     self.proxy_stats["write_repairs"] += 1
                     acknowledged += 1
             if acknowledged >= write_quorum:
@@ -635,10 +522,16 @@ class ReplicatedProxy(Proxy):
             f"{key!r} reached {acknowledged}/{len(replicas)} replicas, "
             f"quorum is {write_quorum}") from last_error
 
-    def _assign_elected(self, replicas: list, verb: str, args: tuple,
-                        kwargs: dict, key) -> dict:
-        """Leader assign: follow fencing redirects, renew an expired
-        lease, and elect when the leader stops answering."""
+    def _assign(self, replicas: list, verb: str, args: tuple,
+                kwargs: dict, key) -> dict:
+        """Execute at the sequencer and have it assign the next version.
+
+        Static: one attempt at replica 0; unreachable is the write's
+        outcome.  Elected: follow fencing redirects like the migration
+        chain, renew the leader's lease when it reports expiry, and elect
+        when it stops answering — so one invoke rides out a leader change
+        whenever a majority is reachable.
+        """
         last_error: Exception | None = None
         for _ in range(ASSIGN_ATTEMPTS):
             try:
@@ -649,29 +542,24 @@ class ReplicatedProxy(Proxy):
                 self.proxy_stats["app_errors"] += 1
                 raise
             except DistributionError as exc:
-                last_error = exc
-                try:
-                    self._run_election(replicas)
-                except DistributionError:
+                if not self._elected:
+                    # No version was assigned that we know of (a lost
+                    # reply still makes this a "maybe").
                     self.proxy_stats["write_failures"] += 1
                     raise
+                last_error = exc
+                self._failover(replicas)
                 continue
             except ReproError:
                 raise
             except Exception:
                 self.proxy_stats["app_errors"] += 1
                 raise
-            if versions.K_FENCED in reply:
-                self.proxy_stats["fencing_rejects"] += 1
-                self._adopt(*reply[versions.K_FENCED])
+            if self._fenced(reply):
                 continue
             if versions.K_EXPIRED in reply:
                 if not self._renew_lease(replicas):
-                    try:
-                        self._run_election(replicas)
-                    except DistributionError:
-                        self.proxy_stats["write_failures"] += 1
-                        raise
+                    self._failover(replicas)
                 continue
             return reply
         self.proxy_stats["write_failures"] += 1
@@ -679,22 +567,38 @@ class ReplicatedProxy(Proxy):
             f"write {verb!r} found no assignable leader in "
             f"{ASSIGN_ATTEMPTS} attempts") from last_error
 
-    def _read_elected(self, replicas: list, verb: str, args: tuple,
-                      kwargs: dict, key, write_quorum: int,
-                      read_quorum: int) -> Any:
-        """Quorum read under elections: newest ``(term, version)`` wins.
+    def _failover(self, replicas: list) -> None:
+        """Elect a new leader; no majority is the pending write's failure."""
+        try:
+            self._run_election(replicas)
+        except DistributionError:
+            self.proxy_stats["write_failures"] += 1
+            raise
+
+    def _quorum_read(self, replicas: list, verb: str, args: tuple,
+                     kwargs: dict, key, write_quorum: int,
+                     read_quorum: int) -> Any:
+        """Quorum read: collect R answers, newest ``(term, version)`` wins.
+
+        Before the winner is returned, its version must be **confirmed on
+        at least W replicas** (read-repairing stale answerers and, if
+        still short, unanswered replicas).  That promotion step is what
+        makes a barely-committed — or merely *maybe*-committed — write
+        safe to expose: any later R-read overlaps the confirmed set, so a
+        value shown once can never disappear again.  A read that cannot
+        promote its winner fails (and a failed read moves no state).
 
         Reads are never fenced (a replica answers during an election
         window — co-located reads keep working while writes wait), but
         replies advertise the group's leadership so the proxy adopts a
-        newer term opportunistically.  Promotion works as in the static
-        mode with one addition: the winner must also land in the
-        **leader's** log before it is exposed, otherwise the leader's
-        next assign would reuse the winner's version under a newer term
-        and silently supersede a value this read already showed.  An
-        unreachable leader is tolerated — the next election syncs its
-        winner from a vote majority, which always intersects the
-        confirmed write-quorum set.
+        newer term opportunistically.  Under the elected sequencer the
+        winner must also land in the **leader's** log before it is
+        exposed, otherwise the leader's next assign would reuse the
+        winner's version under a newer term and silently supersede a
+        value this read already showed.  An unreachable leader is
+        tolerated — the next election syncs its winner from a vote
+        majority, which always intersects the confirmed write-quorum
+        set.  (A static primary already holds every version it assigned.)
         """
         self.proxy_stats["reads"] += 1
         order = self._read_order_indices(len(replicas))
@@ -719,33 +623,30 @@ class ReplicatedProxy(Proxy):
                 f"read {verb!r} of {key!r} reached {len(answers)}/"
                 f"{len(replicas)} replicas, read quorum is "
                 f"{read_quorum}") from last_error
+        held = {index: (int(reply.get(versions.K_VTERM, 0)),
+                        int(reply[versions.K_VERSION]))
+                for index, reply in answers.items()}
+        newest = max(held.values())
+        winner_index = next(i for i in order if held.get(i) == newest)
+        confirmed = {i for i, pair in held.items() if pair == newest}
 
-        def pair_of(reply: dict) -> tuple[int, int]:
-            return (int(reply.get(versions.K_VTERM, 0)),
-                    int(reply[versions.K_VERSION]))
+        def promote(index: int, have=(0, 0), allow_resync=True) -> int:
+            """Repair ``index`` up to the winner; confirm it if it got there."""
+            reached = self._repair(index, winner_index, key, have,
+                                   allow_resync)
+            if reached >= newest[1]:
+                self.proxy_stats["read_repairs"] += 1
+                confirmed.add(index)
+            return reached
 
-        newest = max(pair_of(reply) for reply in answers.values())
-        winner_index = next(i for i in order if i in answers
-                            and pair_of(answers[i]) == newest)
-        confirmed = {i for i, reply in answers.items()
-                     if pair_of(reply) == newest}
-        for index, reply in answers.items():
-            seen_term, seen = pair_of(reply)
-            if (seen_term, seen) < newest:    # read-repair the stale answerer
-                if self._repair_elected(index, winner_index, key, seen,
-                                        seen_term) >= newest[1]:
-                    self.proxy_stats["read_repairs"] += 1
-                    confirmed.add(index)
-        if len(confirmed) < write_quorum:
-            for index in order:
-                if len(confirmed) >= write_quorum:
-                    break
-                if index in answers:
-                    continue
-                if self._repair_elected(index, winner_index, key, 0,
-                                        0) >= newest[1]:
-                    self.proxy_stats["read_repairs"] += 1
-                    confirmed.add(index)
+        for index in answers:
+            if held[index] < newest:    # read-repair the stale answerer
+                promote(index, held[index])
+        for index in order:
+            if len(confirmed) >= write_quorum:
+                break
+            if index not in answers:
+                promote(index)
         if len(confirmed) < write_quorum:
             self.proxy_stats["read_failures"] += 1
             raise DistributionError(
@@ -753,10 +654,9 @@ class ReplicatedProxy(Proxy):
                 f"of {key!r} on only {len(confirmed)} replicas, write "
                 f"quorum is {write_quorum}")
         leader = self._leader
-        if leader not in confirmed and leader < len(replicas):
-            promoted = self._repair_elected(leader, winner_index, key, 0, 0,
-                                            allow_resync=False)
-            if promoted == -2:
+        if self._elected and leader not in confirmed \
+                and leader < len(replicas):
+            if promote(leader, allow_resync=False) == -2:
                 # The leader holds different, newer-term entries at these
                 # versions: the winner is already superseded.  Fail — a
                 # failed read moves no state, and the anti-entropy sweep
@@ -765,14 +665,13 @@ class ReplicatedProxy(Proxy):
                 raise DistributionError(
                     f"read {verb!r} of {key!r}: winner at {newest} is "
                     f"superseded by the leader's log")
-            if promoted >= newest[1]:
-                self.proxy_stats["read_repairs"] += 1
-                confirmed.add(leader)
         winner = answers[winner_index]
         failure = winner.get(versions.K_EXC)
         if failure is not None:
             raise remote_exception(failure[0], failure[1])
         return winner.get(versions.K_VALUE)
+
+    # -- the elected sequencer ----------------------------------------------------
 
     def _renew_lease(self, replicas: list) -> bool:
         """One lease-renewal round: followers first, then the leader.
@@ -782,7 +681,6 @@ class ReplicatedProxy(Proxy):
         leader's valid self-lease implies outstanding follower promises.
         """
         count = len(replicas)
-        majority = count // 2 + 1
         leader = self._leader
         grants = 0
         for index in [i for i in range(count) if i != leader]:
@@ -795,7 +693,7 @@ class ReplicatedProxy(Proxy):
                 grants += 1
             else:
                 self._adopt_newer(reply)
-        if grants < majority - 1:
+        if grants < count // 2:    # a majority, counting the leader
             return False
         try:
             reply = self._control_call(
@@ -844,10 +742,9 @@ class ReplicatedProxy(Proxy):
                 self._adopt(top_term, int(best[versions.K_TERM][1]))
                 return
             target = top_term + 1
-            candidate = max(
-                statuses,
-                key=lambda i: (_digest_total(
-                    statuses[i].get(versions.K_DIGEST, [])), -i))
+            # Candidacy rank: total logged entries, ties to the lowest index.
+            candidate = max(statuses, key=lambda i: (
+                sum(v for _, v in _digest_of(statuses[i]).values()), -i))
             self.proxy_stats["terms_started"] += 1
             grants: dict[int, dict] = {}
             hints: list[float] = []
@@ -912,16 +809,13 @@ class ReplicatedProxy(Proxy):
         :class:`DistributionError` if the sync cannot complete; the
         election round is then abandoned (leaders are always synced).
         """
-        def unpack(reply: dict) -> dict:
-            return {entry[0]: (int(entry[1]), int(entry[2]))
-                    for entry in reply.get(versions.K_DIGEST, [])}
-
-        digests = {index: unpack(reply) for index, reply in grants.items()}
+        digests = {index: _digest_of(reply)
+                   for index, reply in grants.items()}
         if candidate in digests:
             cand = dict(digests[candidate])
         else:
-            cand = unpack(self._control_call(candidate, ["digest"], ()))
-        header = {versions.H_TERM: [int(target), int(candidate)]}
+            cand = _digest_of(self._control_call(candidate, ["digest"], ()))
+        header = self._term_header(target, candidate)
         keys = sorted({key for digest in digests.values() for key in digest},
                       key=repr)
         for _round in (0, 1):
@@ -933,16 +827,8 @@ class ReplicatedProxy(Proxy):
                 have = cand.get(key, (0, 0))
                 if have >= best:
                     continue
-                since_term, since = have
-                pulled = self._control_call(best_index,
-                                            ["pull", key, since], ())
-                if since and \
-                        int(pulled.get(versions.K_VTERM, 0)) != since_term:
-                    diverged = True
-                    break
-                pushed = self._control_call(
-                    candidate, ["push", key],
-                    (pulled.get(versions.K_LOG, []),), header)
+                pushed, _ = self._transfer(best_index, candidate, key, have,
+                                           header)
                 if versions.K_FENCED in pushed:
                     raise DistributionError(
                         "candidate sync fenced by a newer term")
@@ -973,7 +859,7 @@ class ReplicatedProxy(Proxy):
         driver, experiment E9, and the tests call it between operations;
         a deposed leader's sweep is fenced harmlessly.  Distribution
         errors are swallowed: a sweep is opportunistic repair, never an
-        outcome.
+        outcome.  Groups under the static sequencer do not sweep.
 
         Returns ``{"keys": …, "entries": …, "bytes": …}`` pushed (bytes
         are the marshallable entries' repr length — a stable proxy for
@@ -981,69 +867,53 @@ class ReplicatedProxy(Proxy):
         """
         swept = {"keys": 0, "entries": 0, "bytes": 0}
         replicas = self._resolve_replicas()
-        if not replicas or not self._quorum_mode() or not self._elect_mode():
+        if not replicas or not self._elected:
             return swept
         self.proxy_stats["anti_entropy_runs"] += 1
-        leader = self._leader
-        try:
-            reply = self._control_call(leader, ["digest"], ())
-        except DistributionError:
-            return swept
-        leader_digest = {entry[0]: (int(entry[1]), int(entry[2]))
-                         for entry in reply.get(versions.K_DIGEST, [])}
-        if not leader_digest:
-            return swept
-        for index in range(len(replicas)):
-            if index == leader:
-                continue
-            try:
-                reply = self._control_call(index, ["digest"], ())
-            except DistributionError:
-                continue
-            have = {entry[0]: (int(entry[1]), int(entry[2]))
-                    for entry in reply.get(versions.K_DIGEST, [])}
-            for key in sorted(leader_digest, key=repr):
-                best = leader_digest[key]
-                mine = have.get(key, (0, 0))
-                if mine >= best:
-                    continue
-                since_term, since = mine
-                try:
-                    pulled = self._control_call(leader,
-                                                ["pull", key, since], ())
-                    entries = pulled.get(versions.K_LOG, [])
-                    if since and int(pulled.get(versions.K_VTERM,
-                                                0)) != since_term:
-                        self._resync(index, leader)
-                        continue
-                    pushed = self._control_call(index, ["push", key],
-                                                (entries,),
-                                                self._term_header())
-                except DistributionError:
-                    self.proxy_stats["repair_failures"] += 1
-                    continue
-                if versions.K_FENCED in pushed:
-                    # This proxy's leader was deposed mid-sweep: adopt the
-                    # new term and stop — the new leader's sweeps take over.
-                    self.proxy_stats["fencing_rejects"] += 1
-                    self._adopt(*pushed[versions.K_FENCED])
-                    return swept
-                if versions.K_DIVERGED in pushed:
-                    self._resync(index, leader)
-                    continue
-                if int(pushed.get(versions.K_VERSION, -1)) >= best[1]:
-                    swept["keys"] += 1
-                    swept["entries"] += len(entries)
-                    swept["bytes"] += sum(len(repr(entry))
-                                          for entry in entries)
+        self._sweep(len(replicas), swept)
         self.proxy_stats["anti_entropy_keys"] += swept["keys"]
         self.proxy_stats["anti_entropy_bytes"] += swept["bytes"]
         return swept
 
-
-def _digest_total(digest: list) -> int:
-    """Total logged entries in a digest (the candidacy up-to-dateness rank)."""
-    return sum(int(entry[2]) for entry in digest)
+    def _sweep(self, count: int, swept: dict) -> None:
+        """The body of one sweep; tallies what it pushed into ``swept``."""
+        leader = self._leader
+        try:
+            leader_digest = _digest_of(
+                self._control_call(leader, ["digest"], ()))
+        except DistributionError:
+            return
+        if not leader_digest:
+            return
+        for index in range(count):
+            if index == leader:
+                continue
+            try:
+                have = _digest_of(self._control_call(index, ["digest"], ()))
+            except DistributionError:
+                continue
+            for key in sorted(leader_digest, key=repr):
+                best = leader_digest[key]
+                if have.get(key, (0, 0)) >= best:
+                    continue
+                try:
+                    pushed, entries = self._transfer(
+                        leader, index, key, have.get(key, (0, 0)),
+                        self._term_header())
+                except DistributionError:
+                    self.proxy_stats["repair_failures"] += 1
+                    continue
+                if self._fenced(pushed):
+                    # This proxy's leader was deposed mid-sweep: stop —
+                    # the new leader's sweeps take over.
+                    return
+                if versions.K_DIVERGED in pushed:
+                    self._resync(index, leader)
+                elif int(pushed.get(versions.K_VERSION, -1)) >= best[1]:
+                    swept["keys"] += 1
+                    swept["entries"] += len(entries)
+                    swept["bytes"] += sum(len(repr(entry))
+                                          for entry in entries)
 
 
 def replicate(contexts: list, factory: Callable[[], object],
@@ -1066,14 +936,15 @@ def replicate(contexts: list, factory: Callable[[], object],
     receive a :class:`ReplicatedProxy`.
 
     ``read_quorum`` (or ``versioned=True``) switches the group to the
-    versioned quorum mode (module docstring); ``version_key="arg0"``
+    quorum protocol (module docstring); ``version_key="arg0"``
     partitions the version log by the operations' first argument.  Quorum
     bounds are validated here as well as at call time, so a broken
     deployment fails at deploy.
 
-    ``elect=True`` (versioned mode only) removes the fixed primary: every
-    replica gets an :class:`~repro.failures.election.ElectionState` (term
-    1 bootstraps on replica 0 with a ``lease_ttl``-long lease) plus a
+    ``elect=True`` (quorum protocol only) swaps the static sequencer for
+    the elected one: every replica gets an
+    :class:`~repro.failures.election.ElectionState` (term 1 bootstraps on
+    replica 0 with a ``lease_ttl``-long lease) plus a
     :class:`~repro.failures.detector.FailureDetector` watching its peers,
     and proxies run the election protocol of the module docstring when
     the leader stops answering.
@@ -1119,13 +990,10 @@ def replicate(contexts: list, factory: Callable[[], object],
     if version_key is not None:
         config["version_key"] = version_key
     if elect:
-        if not (versioned or read_quorum is not None):
-            raise ConfigurationError(
-                "elect=True requires the versioned quorum mode "
-                "(pass read_quorum or versioned=True)")
         config["elect"] = True
     if extra_config:
         config.update(extra_config)
+    elected = _protocol(config)[1]
     if extra_layers:
         config["layers"] = list(extra_layers) + [policy]
         policy = "composite"
@@ -1148,7 +1016,7 @@ def replicate(contexts: list, factory: Callable[[], object],
         for ctx, ref in zip(contexts, replica_refs):
             get_space(ctx).entry(ref.oid).mutation_hooks = \
                 group_entry.mutation_hooks
-    if elect:
+    if elected:
         # Arm every replica stub entry with its election state (term
         # fencing switches on at the dispatcher the moment the entry
         # carries one) and a failure detector watching its peers, so a

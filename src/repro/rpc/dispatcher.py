@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from ..iface.interface import Interface
 from ..kernel.context import Context
-from ..kernel.errors import DanglingReference, InterfaceError, ReproError
+from ..kernel.errors import DanglingReference, InterfaceError
 from ..resilience.deadline import Deadline
 from ..wire import shards, versions
 from ..wire.frames import K_OVERLOAD, ONEWAY, REQUEST, Frame
@@ -268,16 +268,31 @@ class Dispatcher:
         headers = frame.headers
         if headers:
             if versions.has_envelope(headers):
-                # Quorum-enveloped request (replicated policy, versioned
-                # mode): the protocol steps in repro.wire.versions wrap the
-                # result and run the mutation hooks themselves.  Control
-                # frames (repair log transfers) are verb-less, so this must
-                # precede the interface check.
-                return self._dispatch_versioned(entry, frame)
+                # Quorum-enveloped request (replicated policy): the protocol
+                # steps in repro.wire.versions wrap the result and run the
+                # mutation hooks themselves.  Control frames are verb-less,
+                # so this must precede the interface check.  Terms and
+                # leases are fenced on the serving context's clock, read at
+                # dispatch time — as the migration redirect chain consults
+                # ``moved_to`` here.
+                now = self.context.clock.now
+                return self._dispatch_enveloped(
+                    entry, frame, versions.H_CONTROL,
+                    lambda control, args: versions.serve_control(
+                        entry, control, args, self._entry_invoke(entry),
+                        headers=headers, now=now),
+                    lambda op, args, kwargs: versions.serve_envelope(
+                        entry, frame.verb, args, kwargs, headers, now=now))
             if shards.has_envelope(headers):
                 # Shard-enveloped request (sharded policy): epoch fencing
                 # and ring controls, same shape as the quorum path above.
-                return self._dispatch_sharded(entry, frame)
+                return self._dispatch_enveloped(
+                    entry, frame, shards.H_CONTROL,
+                    lambda control, args: shards.serve_control(
+                        entry, control, args, call_shard=self._shard_call),
+                    lambda op, args, kwargs: shards.serve_verb(
+                        entry, frame.verb, args, kwargs, headers,
+                        readonly=op.readonly))
         if entry.sharding is not None and entry.sharding.epoch > 1:
             # A plain call on a shard whose ring has been rebalanced: the
             # caller routed without (or with a pre-rebalance) ring, so it
@@ -291,18 +306,13 @@ class Dispatcher:
                 detail=entry.sharding.map())
         op = entry.interface.operations.get(frame.verb)
         if op is None:
-            return frame.exception_to(
-                "InterfaceError",
-                f"interface {entry.interface.name!r} declares no operation "
-                f"{frame.verb!r}")
+            return frame.exception_to("InterfaceError",
+                                      _undeclared(entry, frame.verb))
         if op.compute > 0:
             self.context.charge(op.compute)
         try:
             result = self._call(entry, frame)
-        except ReproError as exc:
-            self.stats["exceptions"] += 1
-            return frame.exception_to(type(exc).__name__, str(exc))
-        except Exception as exc:  # application error: ship it, don't die
+        except Exception as exc:  # ours or the application's: ship it
             self.stats["exceptions"] += 1
             return frame.exception_to(type(exc).__name__, str(exc))
         if entry.mutation_hooks and not op.readonly:
@@ -310,73 +320,34 @@ class Dispatcher:
             entry.run_mutation_hooks(frame.verb, args, kwargs)
         return frame.reply_to(result)
 
-    def _dispatch_versioned(self, entry: ExportEntry, frame: Frame) -> Frame:
-        """Serve one quorum-enveloped request (see :mod:`repro.wire.versions`).
+    def _dispatch_enveloped(self, entry: ExportEntry, frame: Frame,
+                            control_key: str, serve_control,
+                            serve_verb) -> Frame:
+        """Serve one enveloped request through its module's protocol steps.
 
-        Versioned reads and replica applies fold application exceptions
-        into the reply wrapper (the caller needs the replica's version
-        either way); a primary write propagates them here so the usual
-        exception frame travels back and nothing is logged.
+        ``serve_control(control, args)`` takes the verb-less control frames
+        (log transfers and election rounds, ring reads and arc handoffs);
+        ``serve_verb(op, args, kwargs)`` takes enveloped operations, after
+        the usual interface check and compute accounting.  Application
+        exceptions a step lets through (a primary write's, a shard's)
+        travel back as the usual exception frame; versioned reads and
+        replica applies fold theirs into the reply wrapper instead (the
+        caller needs the replica's version either way).
         """
         args, kwargs = frame.body if frame.body else ((), {})
-        # Election mode fences on the serving context's clock: the term
-        # check and lease check happen at dispatch time, mirroring how the
-        # migration redirect chain consults ``moved_to`` here.
-        now = self.context.clock.now
         try:
-            if versions.H_CONTROL in frame.headers:
-                result = versions.serve_control(
-                    entry, frame.headers[versions.H_CONTROL], args,
-                    self._entry_invoke(entry), headers=frame.headers,
-                    now=now)
+            control = frame.headers.get(control_key)
+            if control is not None:
+                result = serve_control(control, args)
             else:
                 op = entry.interface.operations.get(frame.verb)
                 if op is None:
                     return frame.exception_to(
-                        "InterfaceError",
-                        f"interface {entry.interface.name!r} declares no "
-                        f"operation {frame.verb!r}")
+                        "InterfaceError", _undeclared(entry, frame.verb))
                 if op.compute > 0:
                     self.context.charge(op.compute)
-                result = versions.serve_envelope(
-                    entry, frame.verb, args, kwargs, frame.headers, now=now)
-        except ReproError as exc:
-            self.stats["exceptions"] += 1
-            return frame.exception_to(type(exc).__name__, str(exc))
-        except Exception as exc:  # a primary write's application error
-            self.stats["exceptions"] += 1
-            return frame.exception_to(type(exc).__name__, str(exc))
-        return frame.reply_to(result)
-
-    def _dispatch_sharded(self, entry: ExportEntry, frame: Frame) -> Frame:
-        """Serve one shard-enveloped request (see :mod:`repro.wire.shards`).
-
-        Ring controls (map reads, commits, arc installs, handoffs) are
-        verb-less; enveloped operations get the usual interface check and
-        compute accounting before the fencing step runs.
-        """
-        args, kwargs = frame.body if frame.body else ((), {})
-        try:
-            if shards.H_CONTROL in frame.headers:
-                result = shards.serve_control(
-                    entry, frame.headers[shards.H_CONTROL], args,
-                    call_shard=self._shard_call)
-            else:
-                op = entry.interface.operations.get(frame.verb)
-                if op is None:
-                    return frame.exception_to(
-                        "InterfaceError",
-                        f"interface {entry.interface.name!r} declares no "
-                        f"operation {frame.verb!r}")
-                if op.compute > 0:
-                    self.context.charge(op.compute)
-                result = shards.serve_verb(
-                    entry, frame.verb, args, kwargs, frame.headers,
-                    readonly=op.readonly)
-        except ReproError as exc:
-            self.stats["exceptions"] += 1
-            return frame.exception_to(type(exc).__name__, str(exc))
-        except Exception as exc:  # an application error inside the shard
+                result = serve_verb(op, args, kwargs)
+        except Exception as exc:  # ReproError or application error alike
             self.stats["exceptions"] += 1
             return frame.exception_to(type(exc).__name__, str(exc))
         return frame.reply_to(result)
@@ -408,9 +379,7 @@ class Dispatcher:
         def invoke(verb: str, args: tuple, kwargs: dict):
             op = entry.interface.operations.get(verb)
             if op is None:
-                raise InterfaceError(
-                    f"interface {entry.interface.name!r} declares no "
-                    f"operation {verb!r}")
+                raise InterfaceError(_undeclared(entry, verb))
             if op.compute > 0:
                 self.context.charge(op.compute)
             return getattr(entry.obj, verb)(*args, **kwargs)
@@ -445,6 +414,10 @@ class Dispatcher:
         for key in stale:
             del self._replay[key]
         return len(stale)
+
+
+def _undeclared(entry: ExportEntry, verb: str) -> str:
+    return f"interface {entry.interface.name!r} declares no operation {verb!r}"
 
 
 def ensure_dispatcher(context: Context, transport) -> Dispatcher:

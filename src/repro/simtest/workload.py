@@ -55,10 +55,10 @@ design*, and the menu documents each contract:
   *same term* accept writes concurrently.  Under loss or partition their
   logs silently diverge at equal ``(term, version)`` pairs — the exact
   anomaly one-vote-per-term forbids — and the checker must convict it.
-* ``composite`` (caching over replicated) still deploys its replication
-  layer in legacy write-all mode — quorum versioning is configuration
-  opt-in — so its menu stays the intersection of a coherent cache and
-  write-all replication: ``(latency,)``.
+* ``composite`` (caching over replicated) deploys its replication layer
+  under the unversioned write-all contract — quorum versioning is
+  configuration opt-in — so its menu stays the intersection of a coherent
+  cache and write-all replication: ``(latency,)``.
 * ``sharded`` partitions the service over three shard contexts behind a
   consistent-hash ring and tolerates the full menu: each key lives on
   exactly one shard, so a shard outage fails that key's calls cleanly

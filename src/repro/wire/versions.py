@@ -1,8 +1,8 @@
 """Versioned replica envelopes: quorum metadata threaded through the wire.
 
-The ``replicated`` policy's quorum mode attaches a per-key **version** (a
-logical timestamp assigned by the group's primary) to every replica write,
-and reads collect ``(version, answer)`` pairs so the newest copy wins.
+The ``replicated`` policy's quorum protocol attaches a per-key **version**
+(a logical timestamp assigned by the group's sequencer) to every replica
+write, and reads collect ``(version, answer)`` pairs so the newest copy wins.
 This module owns the wire representation and the server-side protocol
 steps, shared by two call paths:
 
@@ -18,14 +18,15 @@ Frames that carry no quorum envelope are untouched: the header dict stays
 empty and :meth:`Marshaller.encode_frame_fields` elides it, so non-
 replicated traffic is byte-identical to a build without this module.
 
-**Election mode** (the export entry carries an :class:`~repro.failures.
-election.ElectionState`): every write envelope additionally carries the
-caller's ``(term, leader)`` belief in :data:`H_TERM`, log entries are
-stamped with the term they were assigned under, and stale-term writes are
-**fenced** — refused with a :data:`K_FENCED` redirect naming the current
-``(term, leader)``, mirroring the migration chain's reject-with-forwarding.
-Every election-mode key is emitted *only* when the entry has election
-state, so legacy quorum traffic stays byte-identical too.
+**The elected sequencer** (the export entry carries an :class:`~repro.
+failures.election.ElectionState`): every write envelope additionally
+carries the caller's ``(term, leader)`` belief in :data:`H_TERM`, log
+entries are stamped with the term they were assigned under, and stale-term
+writes are **fenced** — refused with a :data:`K_FENCED` redirect naming the
+current ``(term, leader)``, mirroring the migration chain's
+reject-with-forwarding.  A static-primary group is the same protocol with
+``entry.election is None``: every step below skips the term check and emits
+no term key, so its traffic is byte-identical to a build without elections.
 
 Request header keys (values are small marshallable lists):
 
@@ -41,12 +42,12 @@ key        value                   meaning
 ``q.c``    ``["pull", key, since]`` log transfer for repair: return the
            / ``["push", key]``     suffix after ``since`` / apply pushed
                                    entries (ride the request body)
-``q.t``    ``[term, leader]``      election mode: the caller's leadership
+``q.t``    ``[term, leader]``      elected groups: the caller's leadership
                                    belief; stale terms are fenced, newer
                                    terms are adopted
 ========== ======================= ========================================
 
-Election-mode control verbs (also under ``q.c``): ``["status"]``,
+Election control verbs (also under ``q.c``): ``["status"]``,
 ``["vote", term, candidate]``, ``["announce", term, leader]``,
 ``["renew", term, leader]``, ``["digest"]``, and ``["reset"]`` (discard
 the object and its logs ahead of a full resync from the leader — the
@@ -90,7 +91,7 @@ H_APPLY = "q.a"
 H_READ = "q.r"
 #: Request header: log-transfer control ``["pull", key, since]``/``["push", key]``.
 H_CONTROL = "q.c"
-#: Request header: the caller's ``[term, leader]`` belief (election mode).
+#: Request header: the caller's ``[term, leader]`` belief (elected groups).
 H_TERM = "q.t"
 
 #: Reply key: the replica's version of the addressed key after the call.
@@ -185,9 +186,9 @@ class ReplicaLog:
     def suffix(self, key, since: int) -> list:
         """The marshallable entries after version ``since`` (for repair).
 
-        Un-termed entries (legacy quorum mode) keep the four-element wire
-        form, so repair traffic without elections is byte-identical to a
-        build without term stamping.
+        Un-termed entries (a static-primary group's) keep the
+        four-element wire form, so repair traffic without elections is
+        byte-identical to a build without term stamping.
         """
         log = self._logs.get(key)
         if not log:

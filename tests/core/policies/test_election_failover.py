@@ -121,6 +121,36 @@ class TestFencing:
         swept = proxy.proxy_anti_entropy()
         assert swept == {"keys": 0, "entries": 0, "bytes": 0}
 
+    def test_sweep_fenced_midway_still_accounts_what_it_pushed(self, elected):
+        # Regression: a fence on the second key's push returned before the
+        # first key's push reached anti_entropy_keys / anti_entropy_bytes.
+        system, server, clients = elected
+        proxy = repro.bind(clients[0], "ekv")
+        restore = begin_crash(system, clients[2].node.name)
+        proxy.put("j", 1)
+        proxy.put("k", 2)    # replica 2 now lags on both keys
+        restore()
+        control_call = proxy._control_call
+        pushes = []
+
+        def depose_after_first_push(index, control, body_args, extra=None):
+            reply = control_call(index, control, body_args, extra)
+            if control[0] == "push":
+                pushes.append(control[1])
+                if len(pushes) == 1:
+                    # A rival's election lands between the two keys.
+                    control_call(2, ["announce", 2, 1], ())
+            return reply
+
+        proxy._control_call = depose_after_first_push
+        swept = proxy.proxy_anti_entropy()
+        assert pushes == ["j", "k"]
+        assert swept["keys"] == 1 and swept["bytes"] > 0
+        assert proxy.proxy_stats["fencing_rejects"] == 1
+        assert (proxy._term, proxy._leader) == (2, 1)
+        assert proxy.proxy_stats["anti_entropy_keys"] == 1
+        assert proxy.proxy_stats["anti_entropy_bytes"] == swept["bytes"]
+
 
 class TestLeases:
     def test_lease_expiry_renews_without_an_election(self, elected):

@@ -1,15 +1,21 @@
 """Tests for the replicated proxy: routing, quorums, failover."""
 
+import random
+
 import pytest
 
 import repro
+from repro.apps.counter import Counter
 from repro.apps.kv import KVStore
 from repro.apps.locks import LockService
+from repro.core.export import get_space
 from repro.core.policies.replicating import ReplicatedProxy, replicate
 from repro.core.service import Service
+from repro.failures.injectors import begin_partition
 from repro.iface.interface import operation
 from repro.kernel.errors import ConfigurationError, DistributionError
 from repro.metrics.counters import MessageWindow
+from repro.wire import versions
 
 
 @pytest.fixture
@@ -153,6 +159,21 @@ class TestDeployment:
         proxy.put("k", 1)
         proxy.get("k")
         repro.assert_principle(system)
+
+    def test_directly_exported_group_cannot_elect_unversioned(self, star):
+        # Regression: only replicate() checked this; a group exported by
+        # hand silently ran unversioned write-all and never swept.
+        system, server, clients = star
+        replica = get_space(clients[1]).export(KVStore(), policy="stub")
+        ref = get_space(server).export(
+            KVStore(), policy="replicated",
+            config={"replicas": [replica], "elect": True})
+        repro.register(server, "unsequenced", ref)
+        proxy = repro.bind(clients[0], "unsequenced")
+        with pytest.raises(ConfigurationError):
+            proxy.put("k", 1)
+        with pytest.raises(ConfigurationError):
+            proxy.proxy_anti_entropy()
 
 
 class TestQuorumValidation:
@@ -344,3 +365,105 @@ class TestVersionedQuorum:
         proxy.put("k", 1)
         proxy.get("k")
         repro.assert_principle(system)
+
+
+_KV_VERBS = ("put", "get", "delete", "contains")
+_COUNTER_VERBS = ("incr", "decr", "read", "reset")
+
+
+def _op_stream(service, seed: int, count: int = 80) -> list:
+    rng = random.Random(f"differential:{service.__name__}:{seed}")
+    ops = []
+    for index in range(count):
+        if service is KVStore:
+            verb = rng.choice(_KV_VERBS)
+            key = rng.choice(("a", "b", "c"))
+            ops.append((verb, (key, index) if verb == "put" else (key,)))
+        else:
+            verb = rng.choice(_COUNTER_VERBS)
+            ops.append((verb, (rng.randrange(1, 4),)
+                        if verb in ("incr", "decr") else ()))
+    return ops
+
+
+def _run_stream(service, ops: list, **sequencer):
+    """Drive ``ops`` through a fresh W=2/R=2 group; returns the results and
+    every replica's logs as ``{key: [(n, verb, args, kwargs, term)]}``."""
+    system = repro.make_system(seed=99)
+    server = system.add_node("server").create_context("main")
+    clients = [system.add_node(f"client{i}").create_context("main")
+               for i in range(3)]
+    hosts = [server, clients[1], clients[2]]
+    version_key = "arg0" if service is KVStore else "object"
+    ref = replicate(hosts, service, write_quorum=2, read_quorum=2,
+                    version_key=version_key, **sequencer)
+    proxy = get_space(clients[0]).bind_ref(ref, handshake=True)
+    results = [proxy.invoke(verb, args, {}) for verb, args in ops]
+    replicas = get_space(server).entry(ref.oid).policy_config["replicas"]
+    logs = [get_space(ctx).entry(replica.oid).replica_log._logs
+            for ctx, replica in zip(hosts, replicas)]
+    return results, logs, proxy
+
+
+class TestOneProtocolTwoSequencers:
+    """The static primary is the elected protocol minus the election state."""
+
+    @pytest.mark.parametrize("service", [KVStore, Counter])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sequencers_agree_on_a_fault_free_stream(self, service, seed):
+        ops = _op_stream(service, seed)
+        static, static_logs, _ = _run_stream(service, ops)
+        elected, elected_logs, proxy = _run_stream(
+            service, ops, elect=True, lease_ttl=1e9)
+        assert proxy.proxy_stats["elections"] == 0
+        assert static == elected
+        for plain, termed in zip(static_logs, elected_logs):
+            assert plain.keys() == termed.keys()
+            for key in plain:
+                assert [entry[:4] for entry in plain[key]] == \
+                    [entry[:4] for entry in termed[key]]
+                assert {entry[4] for entry in plain[key]} == {0}
+                assert {entry[4] for entry in termed[key]} == {1}
+
+    def test_static_wire_image_has_no_election_keys(self, quorum_group):
+        # Pins the static contract: no request carries a term and no reply
+        # wrapper carries a term, fence, divergence or lease key — even
+        # while a partition forces a write-repair and a read-repair.
+        system, server, clients = quorum_group
+        proxy = repro.bind(clients[0], "qkv")
+        proxy.proxy_config["read_policy"] = "primary"
+        seen = []
+        call = system.rpc.call
+
+        def recording(src, ref, verb, args=(), kwargs=None, **options):
+            seen.append(options.get("headers") or {})
+            reply = call(src, ref, verb, args, kwargs, **options)
+            seen.append(reply)
+            return reply
+
+        system.rpc.call = recording
+        everyone = {ctx.node.name for ctx in [server, *clients]}
+
+        def cut_off(ctx):
+            lone = {ctx.node.name}
+            return begin_partition(system, [lone, everyone - lone])
+
+        proxy.put("k", 1)
+        heal = cut_off(clients[2])
+        proxy.put("k", 2)    # replica 2 misses version 2 ...
+        heal()
+        proxy.put("k", 3)    # ... and is suffix-repaired by this write
+        heal = cut_off(clients[1])
+        proxy.put("k", 4)    # replica 1 misses version 4 ...
+        heal()
+        assert proxy.get("k") == 4    # ... and is read-repaired here
+        assert proxy.proxy_stats["write_repairs"] == 1
+        assert proxy.proxy_stats["read_repairs"] == 1
+        enveloped = [item for item in seen if isinstance(item, dict)
+                     and any(key.startswith("q.") for key in item)]
+        assert len(enveloped) > 20
+        election_keys = {versions.H_TERM, versions.K_VTERM, versions.K_TERM,
+                         versions.K_FENCED, versions.K_DIVERGED,
+                         versions.K_EXPIRED}
+        for item in enveloped:
+            assert not election_keys & item.keys(), item

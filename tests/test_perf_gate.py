@@ -28,12 +28,17 @@ class TestPerfGate:
         assert "e18 (BENCH_e18.json): ok" in result.stdout
         assert "e19 (BENCH_e19.json): ok" in result.stdout
 
-    def test_legacy_single_pair_flags_still_work(self):
-        result = run_gate("--baseline", "BENCH_e18.json",
-                          "--current", "BENCH_e18.json",
+    def test_single_pair_takes_the_default_tolerance(self):
+        result = run_gate("--pair", "BENCH_e18.json:BENCH_e18.json",
                           "--tolerance", "0.25")
         assert result.returncode == 0
         assert "perf gate: ok" in result.stdout
+
+    def test_pair_is_the_only_spelling(self):
+        result = run_gate("--baseline", "BENCH_e18.json",
+                          "--current", "BENCH_e18.json")
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
 
     def test_missing_baseline_fails_loudly(self):
         result = run_gate("--pair", "BENCH_missing.json:BENCH_e19.json")

@@ -29,9 +29,6 @@ Usage::
     python tools/perf_gate.py \
         --pair BENCH_e18.json:/tmp/e18.json:0.25 \
         --pair BENCH_e19.json:/tmp/e19.json
-
-The single-pair spelling ``--baseline BENCH_e18.json --current
-/tmp/e18.json --tolerance 0.25`` is still accepted.
 """
 
 from __future__ import annotations
@@ -218,23 +215,13 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="BASELINE:CURRENT[:TOLERANCE]",
                         help="a baseline/current file pair to gate; "
                              "repeatable, one per experiment")
-    parser.add_argument("--baseline", default=None,
-                        help="committed baseline (single-pair form)")
-    parser.add_argument("--current", default=None,
-                        help="fresh bench record (single-pair form)")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="default max fractional throughput drop for "
                              "pairs without their own (default 0.25)")
     args = parser.parse_args(argv)
     pairs = [_parse_pair(text, args.tolerance) for text in args.pair]
-    if args.baseline or args.current:
-        if not (args.baseline and args.current):
-            raise SystemExit(
-                "perf gate: --baseline and --current go together")
-        pairs.append((args.baseline, args.current, args.tolerance))
     if not pairs:
-        raise SystemExit("perf gate: nothing to gate "
-                         "(give --pair or --baseline/--current)")
+        raise SystemExit("perf gate: nothing to gate (give --pair)")
     failed = False
     for baseline_path, current_path, tolerance in pairs:
         if check_pair(baseline_path, current_path, tolerance):
