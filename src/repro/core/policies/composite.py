@@ -37,17 +37,14 @@ def _layer_names(config: dict) -> list[str]:
 
 
 def _layer_config(config: dict, name: str) -> dict:
-    specific = dict((config.get("layer_configs") or {}).get(name, {}))
-    # Layer-relevant shared keys (shipped by on_export hooks) pass through.
-    for key in ("control", "batch_control", "replicas", "collector",
-                "read_policy", "write_quorum", "ttl", "invalidation",
-                "migrate_after", "batch_size", "batch_ops", "report_every",
-                "retry", "call_budget", "breaker", "stale_reads", "hedge",
-                "adaptive_budget", "shards", "ring", "ring_epoch",
-                "shard_key", "vnodes"):
-        if key in config and key not in specific:
-            specific[key] = config[key]
-    return specific
+    """One layer's configuration: every shared key — the deployment's
+    choices (quorums, ``elect``, rings) and what ``on_export`` hooks
+    shipped — with ``layer_configs[name]`` winning.  No whitelist: a key a
+    layer does not read is inert, a key dropped here silently changes the
+    protocol the layer speaks."""
+    shared = {key: value for key, value in config.items()
+              if key not in ("layers", "layer_configs")}
+    return {**shared, **(config.get("layer_configs") or {}).get(name, {})}
 
 
 @register_policy

@@ -74,7 +74,6 @@ from typing import Any, Callable
 
 from ...kernel.errors import (
     ConfigurationError,
-    DanglingReference,
     DistributionError,
     ReproError,
 )
@@ -331,27 +330,17 @@ class ReplicatedProxy(Proxy):
                         kwargs: dict, headers: dict) -> dict:
         """One enveloped replica call; returns the reply wrapper.
 
-        Remote replicas get the envelope in the frame headers; a replica
-        co-located with the caller bypasses the frame layer and runs the
-        same protocol step against the local export entry.
+        Where the replica lives is the protocol's business: one co-located
+        with the caller is served by the same dispatcher step, without
+        frames.
         """
-        replica = self._replicas[index]
-        context = self.proxy_context
-        if isinstance(replica, Proxy):
-            return context.system.rpc.call(context, replica.proxy_ref, verb,
-                                           args, kwargs, headers=headers)
         ref = self._replica_refs[index]
         if ref is None:
             raise ConfigurationError(
                 "versioned replication needs reference-addressed replicas")
-        entry = context.exports.get(ref.oid)
-        if entry is None or entry.revoked:
-            raise DanglingReference(
-                f"context {context.context_id!r} exports no object "
-                f"{ref.oid!r}")
-        context.charge(context.system.costs.local_call)
-        return versions.serve_envelope(entry, verb, args, kwargs, headers,
-                                       now=context.clock.now)
+        context = self.proxy_context
+        return context.system.rpc.call(context, ref, verb, args, kwargs,
+                                       headers=headers)
 
     def _control_call(self, index: int, control: list, body_args: tuple,
                       extra_headers: dict | None = None) -> dict:

@@ -53,7 +53,6 @@ from typing import Any, Callable
 
 from ...kernel.errors import (
     ConfigurationError,
-    DanglingReference,
     DistributionError,
     ObjectMoved,
     StaleShardRing,
@@ -65,6 +64,27 @@ from ..proxy import Proxy
 
 #: Re-route bound per call (fence redirects, migration forwards).
 ROUTE_ATTEMPTS = 4
+
+
+def _ring_params(count: int, ring: list | None, vnodes, ring_epoch,
+                 shard_key) -> tuple[int, list]:
+    """Validated ``(epoch, ring)`` of a ``count``-shard deployment.
+
+    The one validator behind :func:`shard` and the proxy's construction:
+    a duplicate ring point, a ring owner outside the shard range, a
+    non-positive epoch or vnode count, or a negative ``shard_key`` index
+    is a configuration error, not a distribution outcome.
+    """
+    if ring is None:
+        ring = shards.default_ring(count, int(vnodes))
+    else:
+        ring = shards.validate_ring(ring, count)
+    epoch = int(ring_epoch)
+    if epoch < 1:
+        raise ConfigurationError(f"ring_epoch {epoch} must be >= 1")
+    if shard_key is not None and int(shard_key) < 0:
+        raise ConfigurationError(f"shard_key index {shard_key} is negative")
+    return epoch, ring
 
 
 @register_policy
@@ -89,31 +109,18 @@ class ShardedProxy(Proxy):
     # -- configuration ------------------------------------------------------------
 
     def _shard_params(self) -> tuple[int, list, list]:
-        """Validated ``(epoch, ring, shard_specs)`` from the configuration.
-
-        A zero-shard map, a non-positive epoch, a negative ``shard_key``
-        index, a duplicate ring point, or a ring owner outside the shard
-        range is a configuration error, not a distribution outcome.
-        """
+        """Validated ``(epoch, ring, shard_specs)`` from the configuration
+        (a zero-shard map, or anything :func:`_ring_params` rejects, is a
+        configuration error)."""
         config = self.proxy_config
         specs = config.get("shards") or []
         if not specs:
             raise ConfigurationError("sharded policy configured with no "
                                      "shards")
-        ring = config.get("ring")
-        if ring is None:
-            ring = shards.default_ring(len(specs),
-                                       int(config.get("vnodes",
-                                                      shards.DEFAULT_VNODES)))
-        else:
-            ring = shards.validate_ring(ring, len(specs))
-        epoch = int(config.get("ring_epoch", 1))
-        if epoch < 1:
-            raise ConfigurationError(f"ring_epoch {epoch} must be >= 1")
-        key_index = config.get("shard_key", 0)
-        if key_index is not None and int(key_index) < 0:
-            raise ConfigurationError(
-                f"shard_key index {key_index} is negative")
+        epoch, ring = _ring_params(
+            len(specs), config.get("ring"),
+            config.get("vnodes", shards.DEFAULT_VNODES),
+            config.get("ring_epoch", 1), config.get("shard_key", 0))
         return epoch, ring, [list(spec) for spec in specs]
 
     def _shard_state(self) -> shards.ShardState | None:
@@ -176,7 +183,6 @@ class ShardedProxy(Proxy):
         state = self._shard_state()
         if state is None:
             return self.proxy_remote(verb, args, kwargs)
-        op = self.proxy_interface.operation(verb)
         h = shards.stable_hash(self._shard_key(args))
         for _ in range(ROUTE_ATTEMPTS):
             route = self._routing_state(state)
@@ -191,8 +197,7 @@ class ShardedProxy(Proxy):
                     reply = self._enveloped_call(
                         spec, verb, args, kwargs,
                         {shards.H_EPOCH: [self._route_epoch(route)],
-                         shards.H_KEY: h},
-                        readonly=op.readonly)
+                         shards.H_KEY: h})
                     if shards.K_FENCED in reply:
                         self.proxy_stats["shard_redirects"] += 1
                         self._adopt_map(reply[shards.K_FENCED])
@@ -229,16 +234,14 @@ class ShardedProxy(Proxy):
         self.proxy_stats["rebinds"] += 1
         old = route.shards[index]
         self._subs.pop(old[1], None)
-        route.shards[index] = [forward.context_id, forward.oid,
-                               forward.interface, forward.epoch,
-                               forward.policy]
+        route.shards[index] = list(forward.fields())
 
     def _sub(self, spec: list):
         """The bound sub-proxy for one shard (raw object when co-located)."""
         sub = self._subs.get(spec[1])
         if sub is None:
-            ref = ObjectRef(spec[0], spec[1], spec[2], spec[3], spec[4])
-            sub = self.proxy_context.space.bind_ref(ref, handshake=False)
+            sub = self.proxy_context.space.bind_ref(ObjectRef(*spec),
+                                                    handshake=False)
             self._subs[spec[1]] = sub
         return sub
 
@@ -255,36 +258,18 @@ class ShardedProxy(Proxy):
         return getattr(sub, verb)(*args, **kwargs)
 
     def _enveloped_call(self, spec: list, verb: str, args: tuple,
-                        kwargs: dict, headers: dict,
-                        readonly: bool = False) -> dict:
+                        kwargs: dict, headers: dict) -> dict:
         """One enveloped shard call; returns the reply wrapper.
 
-        Remote shards get the envelope in the frame headers; a shard
-        co-located with the caller bypasses the frame layer and runs the
-        same protocol step against the local export entry.
+        Where the shard lives is the protocol's business: a shard
+        co-located with the caller is served by the same dispatcher step
+        without frames (only the ``shard_local`` count knows).
         """
         context = self.proxy_context
-        if spec[0] != context.context_id:
-            ref = ObjectRef(spec[0], spec[1], spec[2], spec[3], spec[4])
-            return self.proxy_protocol.call(context, ref, verb, args,
-                                            kwargs, headers=headers)
-        entry = context.exports.get(spec[1])
-        if entry is None or entry.revoked:
-            raise DanglingReference(
-                f"context {context.context_id!r} exports no object "
-                f"{spec[1]!r}")
-        if entry.moved_to is not None:
-            fwd = entry.moved_to
-            raise ObjectMoved(
-                f"object {spec[1]!r} migrated to {fwd.context_id!r}",
-                forward=fwd)
-        self.proxy_stats["shard_local"] += 1
-        context.charge(context.system.costs.local_call)
-        from ...rpc.dispatcher import ensure_dispatcher
-        dispatcher = ensure_dispatcher(context, self.proxy_protocol.transport)
-        return shards.serve_envelope(entry, verb, args, kwargs, headers,
-                                     readonly=readonly,
-                                     call_shard=dispatcher._shard_call)
+        if spec[0] == context.context_id:
+            self.proxy_stats["shard_local"] += 1
+        return self.proxy_protocol.call(context, ObjectRef(*spec), verb,
+                                        args, kwargs, headers=headers)
 
     def _control_call(self, spec: list, control: list,
                       body_args: tuple = ()) -> dict:
@@ -295,9 +280,7 @@ class ShardedProxy(Proxy):
     # -- ring maintenance ---------------------------------------------------------
 
     def _group_spec(self) -> list:
-        ref = self.proxy_ref
-        return [ref.context_id, ref.oid, ref.interface, ref.epoch,
-                ref.policy]
+        return list(self.proxy_ref.fields())
 
     def _sync_targets(self, state: shards.ShardState) -> list:
         """Every map holder: the stub shards plus the group entry."""
@@ -379,19 +362,25 @@ class ShardedProxy(Proxy):
         if state.shards[source][4] != "stub" \
                 or state.shards[target][4] != "stub":
             return state.map()    # replicated shards keep a static ring
+        if self._handoff(state, source, point, target):
+            self.proxy_stats["rebalances"] += 1
+        return state.map()
+
+    def _handoff(self, state: shards.ShardState, source: int, point: int,
+                 target: int) -> bool:
+        """Ask ``source`` to hand ring point ``point``'s arc to ``target``
+        and adopt the map that comes back; true when the arc moved (a
+        fence or an unreachable source makes it a no-op)."""
         try:
             reply = self._control_call(
                 state.shards[source],
                 ["handoff", point, target, state.epoch])
         except DistributionError:
             self.proxy_stats["handoff_failures"] += 1
-            return state.map()
-        if shards.K_FENCED in reply:
-            self._adopt_map(reply[shards.K_FENCED])
-            return state.map()
-        self._adopt_map(reply[shards.K_MAP])
-        self.proxy_stats["rebalances"] += 1
-        return state.map()
+            return False
+        fenced = reply.get(shards.K_FENCED)
+        self._adopt_map(reply[shards.K_MAP] if fenced is None else fenced)
+        return fenced is None
 
     def proxy_split(self, source: int, target: int,
                     sync: bool = True) -> int:
@@ -418,22 +407,9 @@ class ShardedProxy(Proxy):
             self._sync_map(state)
         points = [i for i, entry in enumerate(state.ring)
                   if int(entry[1]) == source]
-        moved = 0
-        for j, point in enumerate(points):
-            if j % 2 == 0:
-                continue    # keep half the arcs at the source
-            try:
-                reply = self._control_call(
-                    state.shards[source],
-                    ["handoff", point, target, state.epoch])
-            except DistributionError:
-                self.proxy_stats["handoff_failures"] += 1
-                continue
-            if shards.K_FENCED in reply:
-                self._adopt_map(reply[shards.K_FENCED])
-                continue
-            self._adopt_map(reply[shards.K_MAP])
-            moved += 1
+        # Every other arc moves; the source keeps the rest.
+        moved = sum(self._handoff(state, source, point, target)
+                    for point in points[1::2])
         if moved:
             self.proxy_stats["splits"] += 1
         return moved
@@ -459,8 +435,8 @@ class ShardedProxy(Proxy):
             raise ConfigurationError(
                 "only stub shards are movable; a replicated shard migrates "
                 "through its own group machinery")
-        ref = ObjectRef(spec[0], spec[1], spec[2], spec[3], spec[4])
-        new_ref = migrate(self.proxy_context, ref, dst_context_id)
+        new_ref = migrate(self.proxy_context, ObjectRef(*spec),
+                          dst_context_id)
         if new_ref is None:
             raise DistributionError(
                 f"shard {index} could not be migrated to "
@@ -468,9 +444,7 @@ class ShardedProxy(Proxy):
         self._subs.pop(spec[1], None)
         new_map = state.map()
         new_map[0] = state.epoch + 1
-        new_map[2][index] = [new_ref.context_id, new_ref.oid,
-                             new_ref.interface, new_ref.epoch,
-                             new_ref.policy]
+        new_map[2][index] = list(new_ref.fields())
         self._adopt_map(new_map)
         # The freshly migrated entry has no shard state yet: its commit
         # installs one (index inferred from the map); then fan the map out.
@@ -538,15 +512,8 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
     from .replicating import replicate
     if not contexts:
         raise ConfigurationError("shard() needs at least one context")
-    count = len(contexts)
-    if ring is not None:
-        ring = shards.validate_ring(ring, count)
-    else:
-        ring = shards.default_ring(count, int(vnodes))
-    if int(ring_epoch) < 1:
-        raise ConfigurationError(f"ring_epoch {ring_epoch} must be >= 1")
-    if shard_key is not None and int(shard_key) < 0:
-        raise ConfigurationError(f"shard_key index {shard_key} is negative")
+    ring_epoch, ring = _ring_params(len(contexts), ring, vnodes, ring_epoch,
+                                    shard_key)
     specs: list[list] = []
     stub_entries: list[tuple[int, object, str]] = []  # (index, space, oid)
     first_obj = None
@@ -569,8 +536,7 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
             # registered so proxy_move_shard's migrate_in can rebuild it.
             ensure_mover(space)
             space.system.codebase.register_class(type(obj))
-        specs.append([ref.context_id, ref.oid, ref.interface, ref.epoch,
-                      ref.policy])
+        specs.append(list(ref.fields()))
     if first_obj is None:
         first_obj = factory()    # every shard replicated: delegate template
     config: dict = {

@@ -202,11 +202,6 @@ class ChaosSchedule:
         return cls(faults=_prune_overlaps(faults),
                    node_names=tuple(all_nodes))
 
-    def replace_faults(self, faults: list[Fault]) -> "ChaosSchedule":
-        """A fresh schedule with the same topology but different faults
-        (the minimizer's workhorse)."""
-        return ChaosSchedule(faults=tuple(faults), node_names=self.node_names)
-
     # -- marshalling ---------------------------------------------------------
 
     def to_json(self) -> list[dict]:

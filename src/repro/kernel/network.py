@@ -145,13 +145,6 @@ class Network:
 
     # -- transmission --------------------------------------------------------
 
-    def link_spec(self, src: str, dst: str) -> LinkSpec:
-        """The effective spec for one directed link (override or defaults)."""
-        spec = self._links.get((src, dst))
-        if spec is not None:
-            return spec
-        return self._default_spec
-
     def transit_time(self, src: str, dst: str, nbytes: int) -> float:
         """One-way transfer time for ``nbytes`` from ``src`` to ``dst``.
 

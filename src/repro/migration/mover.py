@@ -50,11 +50,9 @@ class MoverService:
         """
         entry = self._space.entry(oid)
         if entry.moved_to is not None:
-            fwd = entry.moved_to
-            return (fwd.context_id, fwd.oid, fwd.interface, fwd.epoch, fwd.policy)
+            return entry.moved_to.fields()
         if dst_context_id == self._space.context.context_id:
-            ref = entry.ref
-            return (ref.context_id, ref.oid, ref.interface, ref.epoch, ref.policy)
+            return entry.ref.fields()
         snapshot = getattr(entry.obj, "migrate_state", None)
         if snapshot is None:
             return None
@@ -69,8 +67,7 @@ class MoverService:
         self._space.system.trace.emit(
             self._space.context.clock.now, "migrate",
             self._space.context.context_id, dst_context_id, oid)
-        return (new_ref.context_id, new_ref.oid, new_ref.interface,
-                new_ref.epoch, new_ref.policy)
+        return new_ref.fields()
 
     @operation
     def migrate_in(self, class_name: str, state, oid: str, interface_name: str,
@@ -124,5 +121,4 @@ def migrate(context: Context, ref: ObjectRef,
         return None
     if fields is None:
         return None
-    context_id, oid, interface, epoch, policy = fields
-    return ObjectRef(context_id, oid, interface, epoch, policy)
+    return ObjectRef(*fields)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from ..iface.interface import Interface
 from ..kernel.context import Context
-from ..kernel.errors import DanglingReference, InterfaceError
+from ..kernel.errors import InterfaceError
 from ..resilience.deadline import Deadline
 from ..wire import shards, versions
 from ..wire.frames import K_OVERLOAD, ONEWAY, REQUEST, Frame
@@ -263,36 +263,24 @@ class Dispatcher:
             return frame.exception_to(
                 "ObjectMoved",
                 f"object {frame.target!r} migrated to {fwd.context_id!r}",
-                detail=(fwd.context_id, fwd.oid, fwd.interface, fwd.epoch,
-                        fwd.policy))
+                detail=fwd.fields())
         headers = frame.headers
-        if headers:
-            if versions.has_envelope(headers):
-                # Quorum-enveloped request (replicated policy): the protocol
-                # steps in repro.wire.versions wrap the result and run the
-                # mutation hooks themselves.  Control frames are verb-less,
-                # so this must precede the interface check.  Terms and
-                # leases are fenced on the serving context's clock, read at
-                # dispatch time — as the migration redirect chain consults
-                # ``moved_to`` here.
-                now = self.context.clock.now
-                return self._dispatch_enveloped(
-                    entry, frame, versions.H_CONTROL,
-                    lambda control, args: versions.serve_control(
-                        entry, control, args, self._entry_invoke(entry),
-                        headers=headers, now=now),
-                    lambda op, args, kwargs: versions.serve_envelope(
-                        entry, frame.verb, args, kwargs, headers, now=now))
-            if shards.has_envelope(headers):
-                # Shard-enveloped request (sharded policy): epoch fencing
-                # and ring controls, same shape as the quorum path above.
-                return self._dispatch_enveloped(
-                    entry, frame, shards.H_CONTROL,
-                    lambda control, args: shards.serve_control(
-                        entry, control, args, call_shard=self._shard_call),
-                    lambda op, args, kwargs: shards.serve_verb(
-                        entry, frame.verb, args, kwargs, headers,
-                        readonly=op.readonly))
+        if headers and (versions.has_envelope(headers)
+                        or shards.has_envelope(headers)):
+            # Enveloped request (replicated or sharded policy): the wire
+            # module's protocol steps wrap the result and run the mutation
+            # hooks themselves.  Application exceptions a step lets
+            # through (a primary write's, a shard's) travel back as the
+            # usual exception frame; versioned reads and replica applies
+            # fold theirs into the reply wrapper instead (the caller needs
+            # the replica's version either way).
+            args, kwargs = frame.body if frame.body else ((), {})
+            try:
+                return frame.reply_to(self.serve_enveloped(
+                    entry, frame.verb, args, kwargs, headers))
+            except Exception as exc:  # ReproError or application error alike
+                self.stats["exceptions"] += 1
+                return frame.exception_to(type(exc).__name__, str(exc))
         if entry.sharding is not None and entry.sharding.epoch > 1:
             # A plain call on a shard whose ring has been rebalanced: the
             # caller routed without (or with a pre-rebalance) ring, so it
@@ -320,70 +308,55 @@ class Dispatcher:
             entry.run_mutation_hooks(frame.verb, args, kwargs)
         return frame.reply_to(result)
 
-    def _dispatch_enveloped(self, entry: ExportEntry, frame: Frame,
-                            control_key: str, serve_control,
-                            serve_verb) -> Frame:
-        """Serve one enveloped request through its module's protocol steps.
+    def serve_enveloped(self, entry: ExportEntry, verb: str, args: tuple,
+                        kwargs: dict, headers: dict) -> dict:
+        """Serve one enveloped call; returns the reply wrapper or raises.
 
-        ``serve_control(control, args)`` takes the verb-less control frames
-        (log transfers and election rounds, ring reads and arc handoffs);
-        ``serve_verb(op, args, kwargs)`` takes enveloped operations, after
-        the usual interface check and compute accounting.  Application
-        exceptions a step lets through (a primary write's, a shard's)
-        travel back as the usual exception frame; versioned reads and
-        replica applies fold theirs into the reply wrapper instead (the
-        caller needs the replica's version either way).
+        The single step behind every ``q.*``/``s.*`` call, however it got
+        here: :meth:`_dispatch` feeds it inbound frames, and
+        :meth:`RpcProtocol.call <repro.rpc.protocol.RpcProtocol.call>`
+        its same-context arm — locality changes what a call costs, never
+        which protocol step serves it.  Control calls are verb-less (log
+        transfers and election rounds, ring reads and arc handoffs);
+        operations get the usual interface check and compute accounting
+        first.  The wire module is handed what its steps need from the
+        serving context: ``now`` (terms and leases are fenced on this
+        clock, read before the operation is charged — as the migration
+        redirect chain consults ``moved_to`` at dispatch time), the
+        checked ``invoke`` for replayed log entries, and ``call_peer``
+        for a handoff's nested calls.
         """
-        args, kwargs = frame.body if frame.body else ((), {})
-        try:
-            control = frame.headers.get(control_key)
-            if control is not None:
-                result = serve_control(control, args)
-            else:
-                op = entry.interface.operations.get(frame.verb)
-                if op is None:
-                    return frame.exception_to(
-                        "InterfaceError", _undeclared(entry, frame.verb))
-                if op.compute > 0:
-                    self.context.charge(op.compute)
-                result = serve_verb(op, args, kwargs)
-        except Exception as exc:  # ReproError or application error alike
-            self.stats["exceptions"] += 1
-            return frame.exception_to(type(exc).__name__, str(exc))
-        return frame.reply_to(result)
+        wire = versions if versions.has_envelope(headers) else shards
+        now = self.context.clock.now
+        if wire.H_CONTROL not in headers:
+            self._admit(entry, verb)
+        return wire.serve_envelope(entry, verb, args, kwargs, headers,
+                                   now=now, invoke=self._invoke_checked,
+                                   call_peer=self._call_peer)
 
-    def _shard_call(self, shard_spec: list, control: list,
-                    body_args: tuple) -> dict:
+    def _admit(self, entry: ExportEntry, verb: str) -> None:
+        """Interface check and compute accounting of one operation."""
+        op = entry.interface.operations.get(verb)
+        if op is None:
+            raise InterfaceError(_undeclared(entry, verb))
+        if op.compute > 0:
+            self.context.charge(op.compute)
+
+    def _invoke_checked(self, entry: ExportEntry, verb: str, args: tuple,
+                        kwargs: dict):
+        """Replayed log entries (repair pushes) get the same interface
+        check and compute accounting as a direct request."""
+        self._admit(entry, verb)
+        return getattr(entry.obj, verb)(*args, **kwargs)
+
+    def _call_peer(self, shard_spec: list, control: list,
+                   body_args: tuple) -> dict:
         """Nested ring-control call to a peer shard (handoff's install and
-        commit legs).  A co-located peer is served through its local entry;
-        a remote one gets an ordinary enveloped request — nested outbound
-        calls inside a handler are legal (migration's mover does the same).
-        """
-        ctx = self.context
-        context_id, oid = shard_spec[0], shard_spec[1]
-        if context_id == ctx.context_id:
-            peer = ctx.exports.get(oid)
-            if peer is None or peer.revoked:
-                raise DanglingReference(
-                    f"context {context_id!r} exports no object {oid!r}")
-            ctx.charge(ctx.system.costs.local_call)
-            return shards.serve_control(peer, control, tuple(body_args),
-                                        call_shard=self._shard_call)
-        ref = ObjectRef(*shard_spec)
-        return ctx.system.rpc.call(ctx, ref, "", tuple(body_args), {},
-                                   headers={shards.H_CONTROL: control})
-
-    def _entry_invoke(self, entry: ExportEntry):
-        """An invoke thunk for repair pushes: replayed log entries get the
-        same interface check and compute accounting as a direct request."""
-        def invoke(verb: str, args: tuple, kwargs: dict):
-            op = entry.interface.operations.get(verb)
-            if op is None:
-                raise InterfaceError(_undeclared(entry, verb))
-            if op.compute > 0:
-                self.context.charge(op.compute)
-            return getattr(entry.obj, verb)(*args, **kwargs)
-        return invoke
+        commit legs): an ordinary enveloped call — nested outbound calls
+        inside a handler are legal (migration's mover does the same)."""
+        return self._system.rpc.call(
+            self.context, ObjectRef(*shard_spec), "", tuple(body_args), {},
+            headers={shards.H_CONTROL: control})
 
     def _execute(self, frame: Frame) -> None:
         """Best-effort execution for one-way frames (errors are dropped)."""

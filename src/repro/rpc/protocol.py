@@ -44,6 +44,7 @@ from ..wire.frames import (
     MessageIdMinter,
 )
 from ..wire.refs import ObjectRef
+from .dispatcher import ensure_dispatcher
 from .transport import Transport
 
 
@@ -132,9 +133,14 @@ class RpcProtocol:
         call; ``deadline`` caps the call's total wait and travels in the
         request headers (merged with any deadline the serving context is
         itself under, so nested chains inherit the root caller's budget).
-        ``headers`` are extra request-header entries (protocol extensions,
-        e.g. the quorum envelopes of :mod:`repro.wire.versions`); they only
-        apply to remote frames — the same-context fast path carries none.
+        ``headers`` are extra request-header entries (protocol extensions:
+        the quorum envelopes of :mod:`repro.wire.versions`, the shard
+        envelopes of :mod:`repro.wire.shards`).  How the call travels is
+        decided here and nowhere above: a remote target gets them in the
+        request frame, a same-context target is served by the very
+        dispatcher step inbound frames take (:meth:`Dispatcher.
+        serve_enveloped <repro.rpc.dispatcher.Dispatcher.serve_enveloped>`)
+        — either way the caller receives the step's reply wrapper.
 
         Raises the remote exception locally; raises
         :class:`~repro.kernel.errors.RpcTimeout` when the retry budget is
@@ -153,7 +159,7 @@ class RpcProtocol:
         if deadline is not None or enclosing is not None:
             deadline = Deadline.merge(deadline, enclosing)
         if self.lrpc_enabled and ref.context_id == src.context_id:
-            return self._local_call(src, ref, verb, args, kwargs)
+            return self._local_call(src, ref, verb, args, kwargs, headers)
         if deadline is not None and deadline.expired(src.clock.now):
             self.stats["deadline_exceeded"] += 1
             raise DeadlineExceeded(
@@ -471,11 +477,8 @@ class RpcProtocol:
             self.stats["remote_exceptions"] += 1
             name, message, detail = reply.body
             if name == "ObjectMoved":
-                forward = None
-                if detail is not None:
-                    ctx_id, oid, iface, epoch, policy = detail
-                    forward = ObjectRef(ctx_id, oid, iface, epoch, policy)
-                raise ObjectMoved(message, forward=forward)
+                raise ObjectMoved(message, forward=None if detail is None
+                                  else ObjectRef(*detail))
             if name == "StaleShardRing":
                 raise StaleShardRing(message, ring_map=detail)
             if name == "Overloaded":
@@ -488,8 +491,15 @@ class RpcProtocol:
     # -- local fast path ---------------------------------------------------------
 
     def _local_call(self, src: Context, ref: ObjectRef, verb: str,
-                    args: tuple, kwargs: dict) -> Any:
-        """Same-context invocation: plain procedure call, no marshalling."""
+                    args: tuple, kwargs: dict,
+                    headers: dict | None = None) -> Any:
+        """Same-context invocation: plain procedure call, no marshalling.
+
+        An enveloped call (``headers``) is accounted the same way —
+        ``local_call`` plus the operation's compute, one ``invoke`` event
+        — but served by the context's dispatcher step, so the protocol a
+        replica or shard speaks does not depend on where its caller lives.
+        """
         self.stats["local_fast_path"] += 1
         entry = src.exports.get(ref.oid)
         if entry is None or entry.revoked:
@@ -497,6 +507,13 @@ class RpcProtocol:
                 f"context {src.context_id!r} exports no object {ref.oid!r}")
         if entry.moved_to is not None:
             raise ObjectMoved(f"object {ref.oid!r} migrated", forward=entry.moved_to)
+        if headers:
+            src.charge(self._costs.local_call)
+            result = ensure_dispatcher(src, self.transport).serve_enveloped(
+                entry, verb, args, kwargs, headers)
+            self.system.trace.emit(src.clock.now, "invoke", src.context_id,
+                                   src.context_id, verb)
+            return result
         if verb not in entry.interface:
             raise InterfaceError(
                 f"interface {entry.interface.name!r} declares no operation {verb!r}")

@@ -216,27 +216,6 @@ _IMMUTABLE_LEAVES = frozenset(
     {type(None), bool, int, float, str, bytes})
 
 
-def deeply_immutable(value) -> bool:
-    """Exact-type deep immutability: scalars/bytes/str and tuples thereof.
-
-    Deliberately strict — subclasses fail the test so hook-eligible
-    values never ride the carried-decode path, and mutable containers
-    fail it so no mutable object is ever shared between contexts.
-    """
-    cls = value.__class__
-    if cls in _IMMUTABLE_LEAVES:
-        return True
-    if cls is tuple:
-        for item in value:
-            icls = item.__class__
-            if icls in _IMMUTABLE_LEAVES:
-                continue
-            if icls is not tuple or not deeply_immutable(item):
-                return False
-        return True
-    return False
-
-
 def _typed_key(value):
     """Hashable exact-type memo key for a deeply-immutable value, or
     ``None`` when the value is not deeply immutable.
@@ -280,14 +259,9 @@ class Marshaller:
     """Encodes and decodes wire values, applying optional swizzle hooks."""
 
     def __init__(self, encoder_hook: EncoderHook | None = None,
-                 decoder_hook: DecoderHook | None = None,
-                 raw_threshold: int | None = None):
+                 decoder_hook: DecoderHook | None = None):
         self.encoder_hook = encoder_hook
         self.decoder_hook = decoder_hook
-        #: Minimum payload size for the zero-copy raw-segment path; only
-        #: consulted while :meth:`encode_frame_message` is active.
-        self._raw_min = RAW_THRESHOLD if raw_threshold is None \
-            else raw_threshold
         # Per-message codec state.  ``_segs`` collects (offset, payload)
         # pairs while a message encode is in flight (None otherwise —
         # plain ``encode`` never emits raw markers, keeping its output
@@ -815,7 +789,7 @@ def _enc_str(m: Marshaller, value: str, out: bytearray) -> None:
 def _enc_bytes(m: Marshaller, value: bytes, out: bytearray) -> None:
     size = len(value)
     segs = m._segs
-    if segs is not None and size >= m._raw_min:
+    if segs is not None and size >= RAW_THRESHOLD:
         # Zero-copy bulk path: 5-byte marker in the head (identical wire
         # cost to the inline tag), payload object parked uncopied.
         out += _TAG_RAW
@@ -830,7 +804,7 @@ def _enc_bytes(m: Marshaller, value: bytes, out: bytearray) -> None:
 def _enc_bytelike(m: Marshaller, value, out: bytearray) -> None:
     size = value.nbytes if value.__class__ is memoryview else len(value)
     segs = m._segs
-    if segs is not None and size >= m._raw_min:
+    if segs is not None and size >= RAW_THRESHOLD:
         out += _TAG_RAW
         out += _U32.pack(size)
         segs.append((len(out), value))

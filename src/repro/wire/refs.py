@@ -52,6 +52,14 @@ class ObjectRef:
             return f"{self.context_id}#{self.oid}"
         return self.oid
 
+    def fields(self) -> tuple:
+        """The plain field tuple ``(context_id, oid, interface, epoch,
+        policy)`` — what travels where a reference must *not* swizzle into
+        a proxy (shard maps, migration replies, ``ObjectMoved`` details);
+        ``ObjectRef(*fields)`` is the way back."""
+        return (self.context_id, self.oid, self.interface, self.epoch,
+                self.policy)
+
     def moved_to(self, context_id: str) -> "ObjectRef":
         """The ref after a migration to ``context_id`` (epoch bumped)."""
         return replace(self, context_id=context_id, epoch=self.epoch + 1)

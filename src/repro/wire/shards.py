@@ -8,13 +8,15 @@ is a hash of its shard key plus a bisect — no directory lookup, no
 coordination.
 
 This module owns the wire representation and the server-side protocol
-steps, shared by two call paths exactly like :mod:`repro.wire.versions`:
-
-* the dispatcher (:mod:`repro.rpc.dispatcher`) for remote shards — the
-  caller's **ring epoch** rides the frame headers, and the reply is a
-  marshalled wrapper (a dict with reserved ``s.*`` keys);
-* the sharded proxy itself for a shard co-located with the caller, where
-  the frame layer is bypassed.
+steps.  As in :mod:`repro.wire.versions` there is **one call path**:
+every enveloped call reaches :func:`serve_envelope` through the serving
+context's dispatcher (:meth:`~repro.rpc.dispatcher.Dispatcher.
+serve_enveloped`) — the caller's **ring epoch** rides the request
+headers, and the reply is a marshalled wrapper (a dict with reserved
+``s.*`` keys).  Whether the shard is remote or co-located with its caller
+(a client next to a shard, two shards of one context handing an arc over)
+is decided in :meth:`RpcProtocol.call <repro.rpc.protocol.RpcProtocol.
+call>`, not here and not in the proxy.
 
 **Epoch fencing** mirrors PR 6's term fencing: every shard export entry
 carries a :class:`ShardState` (its shard index, the ring, and the ring's
@@ -103,7 +105,7 @@ K_FENCED = "s.f"
 #: stale-but-correctly-routed caller.
 K_MAP = "s.map"
 
-_SHARD_HEADERS = (H_EPOCH, H_CONTROL)
+_SHARD_HEADERS = frozenset((H_EPOCH, H_CONTROL))
 
 #: Ring points per shard in a generated ring (vnodes smooth the arcs).
 DEFAULT_VNODES = 8
@@ -115,9 +117,7 @@ WHOLE_OBJECT = "*"
 
 def has_envelope(headers: dict | None) -> bool:
     """True when a request carries any shard envelope."""
-    if not headers:
-        return False
-    return any(key in headers for key in _SHARD_HEADERS)
+    return bool(headers) and not _SHARD_HEADERS.isdisjoint(headers)
 
 
 def stable_hash(key: Any) -> int:
@@ -279,31 +279,28 @@ def _heal(state: ShardState | None, headers: dict | None,
 
 # -- server-side protocol steps -----------------------------------------------
 #
-# Each helper takes the export entry and an ``invoke`` thunk (the actual
-# method call, with whatever interface checking and compute accounting the
-# caller's layer does) and returns the marshallable reply wrapper.
-# Application exceptions propagate — the dispatcher ships them as ordinary
-# exception frames and the client re-raises, exactly as for plain calls.
+# Each step takes the export entry and returns the marshallable reply
+# wrapper; the dispatcher has already done the operation's interface check
+# and compute accounting when a step runs.  Application exceptions
+# propagate — the dispatcher ships them as ordinary exception frames and
+# the client re-raises, exactly as for plain calls.
 
 
 def serve_verb(entry, verb: str, args, kwargs, headers: dict,
-               invoke: Callable[[], Any] | None = None,
                readonly: bool = False) -> dict:
     """One enveloped operation at a shard: fence, or serve (and heal)."""
     state = shard_state(entry)
     refused = _stale(state, headers)
     if refused is not None:
         return refused
-    if invoke is None:
-        invoke = lambda: getattr(entry.obj, verb)(*args, **kwargs)  # noqa: E731
-    result = invoke()
+    result = getattr(entry.obj, verb)(*args, **kwargs)
     if not readonly:
         entry.run_mutation_hooks(verb, tuple(args), dict(kwargs))
     return _heal(state, headers, {K_VALUE: result})
 
 
 def serve_control(entry, control, body_args,
-                  call_shard: Callable[[list, list, tuple], dict]
+                  call_peer: Callable[[list, list, tuple], dict]
                   | None = None) -> dict:
     """A ring control call (verb-less frames).
 
@@ -312,8 +309,8 @@ def serve_control(entry, control, body_args,
     arc fragment riding ``body_args[0]`` (discard-first, so a replayed
     install is idempotent); ``["handoff", point, target, epoch]`` runs
     the source side of an arc transfer (module docstring) — it needs
-    ``call_shard(shard_spec, control, body_args)``, the nested-call thunk
-    the dispatcher (or the co-located proxy path) injects.
+    ``call_peer(shard_spec, control, body_args)``, the nested-call thunk
+    the dispatcher supplies.
     """
     kind = control[0]
     state = shard_state(entry)
@@ -350,9 +347,9 @@ def serve_control(entry, control, body_args,
     if kind == "handoff":
         if state is None:
             raise ProtocolError("handoff control on an unsharded entry")
-        if call_shard is None:
+        if call_peer is None:
             raise ProtocolError("handoff needs a nested-call thunk")
-        return _serve_handoff(entry, state, control, call_shard)
+        return _serve_handoff(entry, state, control, call_peer)
     raise ProtocolError(f"unknown shard control {kind!r}")
 
 
@@ -365,7 +362,7 @@ def _own_index(entry, shards: list) -> int:
 
 
 def _serve_handoff(entry, state: ShardState, control,
-                   call_shard: Callable) -> dict:
+                   call_peer: Callable) -> dict:
     """The source side of one arc transfer (runs at the departing owner)."""
     point_index, target, believed = (int(control[1]), int(control[2]),
                                      int(control[3]))
@@ -393,13 +390,13 @@ def _serve_handoff(entry, state: ShardState, control,
     # Install at the target first: a DistributionError here propagates and
     # aborts the handoff before any commit — the map never names an owner
     # that lacks the data.
-    call_shard(state.shards[target], ["install", keys], (fragment,))
+    call_peer(state.shards[target], ["install", keys], (fragment,))
     # Source-first commit: the fencing authority advances before anyone
     # else, so every stale-mapped call is refused into adopting the truth.
     state.adopt(*new_map)
     entry.obj.shard_discard(keys)
     try:
-        call_shard(state.shards[target], ["commit"], (new_map,))
+        call_peer(state.shards[target], ["commit"], (new_map,))
     except Exception:
         # Best-effort: a target left at the old epoch still serves
         # correctly (fencing only rejects *older* requests); the map-sync
@@ -408,20 +405,22 @@ def _serve_handoff(entry, state: ShardState, control,
     return {K_MAP: state.map()}
 
 
-def serve_envelope(entry, verb: str, args, kwargs, headers: dict,
-                   invoke: Callable[[], Any] | None = None,
-                   readonly: bool = False,
-                   call_shard: Callable | None = None) -> dict:
-    """Dispatch one enveloped call to the matching protocol step.
+def serve_envelope(entry, verb: str, args, kwargs, headers: dict, *,
+                   now: float, invoke: Callable,
+                   call_peer: Callable) -> dict:
+    """Serve one enveloped call — control or operation — with the matching
+    protocol step.
 
-    The co-located fast path of the sharded proxy uses this directly on
-    the local export entry; the dispatcher inlines the same steps with
-    its own interface/compute accounting.
+    The module's single entry point, called by the dispatcher
+    (:meth:`~repro.rpc.dispatcher.Dispatcher.serve_enveloped`), which
+    supplies ``call_peer`` for a handoff's nested calls (``now`` and
+    ``invoke`` are the quorum module's needs; both modules take the same
+    three so the dispatcher has one call site).
     """
     control = headers.get(H_CONTROL)
     if control is not None:
-        return serve_control(entry, control, args, call_shard)
+        return serve_control(entry, control, args, call_peer)
     if H_EPOCH in headers:
         return serve_verb(entry, verb, args, kwargs, headers,
-                          invoke=invoke, readonly=readonly)
+                          readonly=entry.interface.operations[verb].readonly)
     raise ProtocolError("frame carries no shard envelope")

@@ -4,15 +4,16 @@ The ``replicated`` policy's quorum protocol attaches a per-key **version**
 (a logical timestamp assigned by the group's sequencer) to every replica
 write, and reads collect ``(version, answer)`` pairs so the newest copy wins.
 This module owns the wire representation and the server-side protocol
-steps, shared by two call paths:
-
-* the dispatcher (:mod:`repro.rpc.dispatcher`) for remote replicas — the
-  request metadata rides :attr:`~repro.wire.frames.Frame.headers` (the
-  same extension point deadlines use), and the versioned reply is a
-  **marshalled wrapper** (a dict with reserved ``q.*`` keys) because a
-  reply frame's body is the only thing the RPC client hands back;
-* the replicated proxy itself for a co-located replica, where the frame
-  layer is bypassed entirely (home access is the object).
+steps.  There is **one call path**: every enveloped call reaches
+:func:`serve_envelope` through the serving context's dispatcher
+(:meth:`~repro.rpc.dispatcher.Dispatcher.serve_enveloped`).  The request
+metadata rides :attr:`~repro.wire.frames.Frame.headers` (the same
+extension point deadlines use), and the versioned reply is a **marshalled
+wrapper** (a dict with reserved ``q.*`` keys) because a reply frame's body
+is the only thing the RPC client hands back.  Whether the replica is
+remote (frames) or co-located with its caller (no frames) is decided
+below, in :meth:`RpcProtocol.call <repro.rpc.protocol.RpcProtocol.call>`;
+the steps here, and the proxy above, cannot tell.
 
 Frames that carry no quorum envelope are untouched: the header dict stays
 empty and :meth:`Marshaller.encode_frame_fields` elides it, so non-
@@ -122,7 +123,7 @@ K_GRANT = "q.g"
 #: Reply key: per-key log digest ``[[key, last_term, version], ...]``.
 K_DIGEST = "q.dig"
 
-_QUORUM_HEADERS = (H_ASSIGN, H_APPLY, H_READ, H_CONTROL)
+_QUORUM_HEADERS = frozenset((H_ASSIGN, H_APPLY, H_READ, H_CONTROL))
 
 #: Control verbs served by the export entry's election state.
 _ELECTION_CONTROLS = ("status", "vote", "announce", "renew")
@@ -130,9 +131,7 @@ _ELECTION_CONTROLS = ("status", "vote", "announce", "renew")
 
 def has_envelope(headers: dict | None) -> bool:
     """True when a request carries any quorum envelope."""
-    if not headers:
-        return False
-    return any(key in headers for key in _QUORUM_HEADERS)
+    return bool(headers) and not _QUORUM_HEADERS.isdisjoint(headers)
 
 
 class ReplicaLog:
@@ -228,7 +227,7 @@ def _fence_write(entry, headers: dict | None, now: float) -> dict | None:
     adopted on the spot (a lost announce heals through ordinary traffic).
     Returns the refusal wrapper, or ``None`` to proceed.
     """
-    state = getattr(entry, "election", None)
+    state = entry.election
     if state is None:
         return None
     claim = _term_of(headers)
@@ -244,15 +243,22 @@ def _fence_write(entry, headers: dict | None, now: float) -> dict | None:
 
 # -- server-side protocol steps -----------------------------------------------
 #
-# Each helper takes the export entry and an ``invoke`` thunk (the actual
-# method call, with whatever interface checking and compute accounting the
-# caller's layer does) and returns the marshallable reply wrapper.
-# Application exceptions are folded into the wrapper for reads and replica
-# applies; a primary write propagates them so nothing is logged and the
-# fan-out never starts — the group stays converged.
+# Each step takes the export entry and returns the marshallable reply
+# wrapper.  The dispatcher has already done the operation's interface check
+# and compute accounting when a step runs, so a step makes the bare method
+# call (:func:`_call`); only a push replays *other* operations, and takes
+# the dispatcher's checked ``invoke`` for them.  Application exceptions are
+# folded into the wrapper for reads and replica applies; a primary write
+# propagates them so nothing is logged and the fan-out never starts — the
+# group stays converged.
 
 
-def serve_read(entry, key, invoke: Callable[[], Any]) -> dict:
+def _call(entry, verb: str, args, kwargs) -> Any:
+    """The operation itself, on the entry's object."""
+    return getattr(entry.obj, verb)(*args, **kwargs)
+
+
+def serve_read(entry, key, verb: str, args, kwargs) -> dict:
     """A versioned read: the answer plus the replica's version of ``key``.
 
     Reads are never fenced — a replica may answer during an election
@@ -262,12 +268,12 @@ def serve_read(entry, key, invoke: Callable[[], Any]) -> dict:
     caller can adopt a newer leadership opportunistically.
     """
     log = replica_log(entry)
-    state = getattr(entry, "election", None)
+    state = entry.election
     extra = ({K_VTERM: log.last_term(key),
               K_TERM: [state.term, state.leader]}
              if state is not None else {})
     try:
-        result = invoke()
+        result = _call(entry, verb, args, kwargs)
     except Exception as exc:
         return {K_VERSION: log.version(key),
                 K_EXC: [type(exc).__name__, str(exc)], **extra}
@@ -275,8 +281,7 @@ def serve_read(entry, key, invoke: Callable[[], Any]) -> dict:
 
 
 def serve_assign(entry, key, verb: str, args, kwargs,
-                 invoke: Callable[[], Any], headers: dict | None = None,
-                 now: float = 0.0) -> dict:
+                 headers: dict | None = None, now: float = 0.0) -> dict:
     """A primary write: execute, then log it under the next version.
 
     In election mode the assign is the most-guarded step: the request's
@@ -287,7 +292,7 @@ def serve_assign(entry, key, verb: str, args, kwargs,
     assigned it.
     """
     log = replica_log(entry)
-    state = getattr(entry, "election", None)
+    state = entry.election
     term = 0
     if state is not None:
         refused = _fence_write(entry, headers, now)
@@ -300,7 +305,7 @@ def serve_assign(entry, key, verb: str, args, kwargs,
             state.counters.incr("lease_refusals")
             return {K_EXPIRED: True, K_TERM: [state.term, state.leader]}
         term = state.term
-    result = invoke()    # an exception propagates; nothing is logged
+    result = _call(entry, verb, args, kwargs)    # raises: nothing is logged
     n = log.version(key) + 1
     log.append(key, n, verb, args, kwargs, term)
     entry.run_mutation_hooks(verb, tuple(args), dict(kwargs))
@@ -310,30 +315,25 @@ def serve_assign(entry, key, verb: str, args, kwargs,
     return reply
 
 
-def serve_apply(entry, key, n: int, verb: str, args, kwargs,
-                invoke: Callable[[], Any], headers: dict | None = None,
-                now: float = 0.0) -> dict:
-    """A replica write at an assigned version: apply iff contiguous.
+def _apply_entry(entry, key, n: int, verb: str, args, kwargs, term: int,
+                 invoke: Callable[[Any, str, tuple, dict], Any]) -> dict:
+    """Apply the operation that produces version ``n`` of ``key`` iff it
+    extends the replica's log contiguously — the one step behind a replica
+    write (``term`` from the envelope) and each entry of a repair push
+    (``term`` stamped on the entry).
 
     ``n <= current`` is an idempotent ack (the replica already holds that
-    prefix); a gap answers ``stale`` so the caller can repair and retry.
-    In election mode a stale term is fenced, and an ``n <= current`` ack
-    additionally demands that the held entry's *term* matches the
-    write's — a mismatch is divergence (:data:`K_DIVERGED`), repairable
-    only by reset + full resync from the leader.
+    prefix), except that in election mode the held entry's *term* must
+    match — a mismatch is divergence (:data:`K_DIVERGED`), repairable only
+    by reset + full resync from the leader.  A gap answers ``stale``, and
+    a raising operation refuses the ack and leaves the log untouched: the
+    primary executed it without raising, so this replica has diverged.
     """
     log = replica_log(entry)
-    state = getattr(entry, "election", None)
-    claim = _term_of(headers)
-    wterm = claim[0] if (state is not None and claim is not None) else 0
-    if state is not None:
-        refused = _fence_write(entry, headers, now)
-        if refused is not None:
-            return refused
+    state = entry.election
     current = log.version(key)
-    n = int(n)
     if n <= current:
-        if state is not None and log.term_at(key, n) != wterm:
+        if state is not None and log.term_at(key, n) != term:
             state.counters.incr("divergences")
             return {K_VERSION: current, K_DIVERGED: True}
         return {K_VERSION: current}
@@ -343,26 +343,39 @@ def serve_apply(entry, key, n: int, verb: str, args, kwargs,
             reply[K_VTERM] = log.last_term(key)
         return reply
     try:
-        invoke()
+        invoke(entry, verb, args, kwargs)
     except Exception as exc:
-        # The primary executed this operation without raising, so a raising
-        # replica has diverged — refuse the ack, leave the log untouched.
         return {K_VERSION: current,
                 K_EXC: [type(exc).__name__, str(exc)]}
-    log.append(key, n, verb, args, kwargs, wterm)
+    log.append(key, n, verb, args, kwargs, term)
     entry.run_mutation_hooks(verb, tuple(args), dict(kwargs))
     return {K_VERSION: n}
 
 
+def serve_apply(entry, key, n: int, verb: str, args, kwargs,
+                headers: dict | None = None, now: float = 0.0) -> dict:
+    """A replica write at an assigned version (:func:`_apply_entry`), the
+    caller repairing and retrying on ``stale``; in election mode a stale
+    term is fenced first."""
+    claim = _term_of(headers)
+    wterm = claim[0] if (entry.election is not None
+                         and claim is not None) else 0
+    refused = _fence_write(entry, headers, now)
+    if refused is not None:
+        return refused
+    return _apply_entry(entry, key, int(n), verb, args, kwargs, wterm, _call)
+
+
 def serve_control(entry, control, body_args,
-                  invoke: Callable[[str, tuple, dict], Any],
+                  invoke: Callable[[Any, str, tuple, dict], Any],
                   headers: dict | None = None, now: float = 0.0) -> dict:
     """A log-transfer or election control call (verb-less frames).
 
     ``["pull", key, since]`` returns the suffix after ``since``;
     ``["push", key]`` applies the entries riding ``body_args[0]``
-    contiguously (old entries are skipped, a gap or a raising entry stops
-    the push) and returns the resulting version.  Election mode adds
+    contiguously through ``invoke`` (old entries are skipped, a gap or a
+    raising entry stops the push) and returns the resulting version.
+    Election mode adds
     ``["status"]``/``["vote", …]``/``["announce", …]``/``["renew", …]``
     (served by the entry's :class:`~repro.failures.election.
     ElectionState`), ``["digest"]``, and ``["reset"]`` — the divergence
@@ -370,7 +383,7 @@ def serve_control(entry, control, body_args,
     """
     kind = control[0]
     log = replica_log(entry)
-    state = getattr(entry, "election", None)
+    state = entry.election
     if kind in _ELECTION_CONTROLS:
         if state is None:
             raise ProtocolError(
@@ -407,56 +420,45 @@ def serve_control(entry, control, body_args,
         if refused is not None:
             return refused
         key = control[1]
-        entries = body_args[0] if body_args else []
-        for item in entries:
-            n, verb, args, kwargs = (int(item[0]), item[1], tuple(item[2]),
-                                     dict(item[3]))
-            eterm = int(item[4]) if len(item) > 4 else 0
-            current = log.version(key)
-            if n <= current:
-                if state is not None and log.term_at(key, n) != eterm:
-                    state.counters.incr("divergences")
-                    return {K_VERSION: current, K_DIVERGED: True}
-                continue
-            if n > current + 1:
-                break
-            try:
-                invoke(verb, args, kwargs)
-            except Exception:
-                break    # diverged entry: stop, report how far we got
-            log.append(key, n, verb, args, kwargs, eterm)
-            entry.run_mutation_hooks(verb, args, kwargs)
+        for item in body_args[0] if body_args else []:
+            reply = _apply_entry(
+                entry, key, int(item[0]), item[1], tuple(item[2]),
+                dict(item[3]), int(item[4]) if len(item) > 4 else 0, invoke)
+            if K_DIVERGED in reply:
+                return reply
+            if K_STALE in reply or K_EXC in reply:
+                break    # a gap or a diverged entry: report how far we got
         return {K_VERSION: log.version(key)}
     raise ProtocolError(f"unknown quorum control {kind!r}")
 
 
-def serve_envelope(entry, verb: str, args, kwargs, headers: dict,
-                   invoke: Callable[[], Any] | None = None,
-                   control_invoke: Callable[[str, tuple, dict], Any] | None
-                   = None, now: float = 0.0) -> dict:
-    """Dispatch one enveloped call to the matching protocol step.
+def serve_envelope(entry, verb: str, args, kwargs, headers: dict, *,
+                   now: float,
+                   invoke: Callable[[Any, str, tuple, dict], Any],
+                   call_peer: Callable) -> dict:
+    """Serve one enveloped call — control or operation — with the matching
+    protocol step.
 
-    The co-located fast path of the replicated proxy uses this directly on
-    the local export entry; the dispatcher inlines the same steps with its
-    own interface/compute accounting.
+    The module's single entry point, called by the dispatcher
+    (:meth:`~repro.rpc.dispatcher.Dispatcher.serve_enveloped`), which
+    supplies the serving context's ``now`` and the checked ``invoke`` a
+    push replays entries through (``call_peer`` is the shard module's
+    need; both modules take the same three so the dispatcher has one call
+    site).
     """
     control = headers.get(H_CONTROL)
     if control is not None:
-        if control_invoke is None:
-            control_invoke = lambda v, a, k: getattr(entry.obj, v)(*a, **k)  # noqa: E731
-        return serve_control(entry, control, args, control_invoke,
+        return serve_control(entry, control, args, invoke,
                              headers=headers, now=now)
-    if invoke is None:
-        invoke = lambda: getattr(entry.obj, verb)(*args, **kwargs)  # noqa: E731
     spec = headers.get(H_READ)
     if spec is not None:
-        return serve_read(entry, spec[0], invoke)
+        return serve_read(entry, spec[0], verb, args, kwargs)
     spec = headers.get(H_ASSIGN)
     if spec is not None:
-        return serve_assign(entry, spec[0], verb, args, kwargs, invoke,
+        return serve_assign(entry, spec[0], verb, args, kwargs,
                             headers=headers, now=now)
     spec = headers.get(H_APPLY)
     if spec is not None:
         return serve_apply(entry, spec[0], spec[1], verb, args, kwargs,
-                           invoke, headers=headers, now=now)
+                           headers=headers, now=now)
     raise ProtocolError("frame carries no quorum envelope")

@@ -65,6 +65,31 @@ class TestCachingOverReplication:
         repro.assert_principle(system)
 
 
+class TestQuorumProtocolSurvivesTheStack:
+    """The group's protocol choice must reach the replicated layer: a
+    hand-kept key whitelist once dropped ``read_quorum``/``version_key``/
+    ``elect``, so replicas were armed for elections while the client spoke
+    plain write-all — no version log, no fencing."""
+
+    def test_cached_elected_group_runs_the_versioned_protocol(self, star):
+        system, server, clients = star
+        contexts = [server, clients[1], clients[2]]
+        ref = repro.replicate(contexts, KVStore, read_quorum=2,
+                              write_quorum=2, version_key="arg0",
+                              elect=True, extra_layers=["caching"])
+        repro.register(server, "kv", ref)
+        proxy = repro.bind(clients[0], "kv")
+        proxy.put("k", 1)
+        assert proxy.get("k") == 1
+        replicated = proxy._build_stack()[1]
+        assert replicated._versioned and replicated._elected
+        logs = [entry.replica_log.digest()
+                for ctx in contexts
+                for entry in ctx.exports.values()
+                if entry.election is not None]
+        assert logs == [[["k", 1, 1]]] * 3
+
+
 class TestCrossClientCoherence:
     """A write through one client's stack must invalidate every other
     client's cache — including when the write lands on a replica stub

@@ -13,7 +13,11 @@ from repro.core.policies.replicating import ReplicatedProxy, replicate
 from repro.core.service import Service
 from repro.failures.injectors import begin_partition
 from repro.iface.interface import operation
-from repro.kernel.errors import ConfigurationError, DistributionError
+from repro.kernel.errors import (
+    ConfigurationError,
+    DistributionError,
+    ObjectMoved,
+)
 from repro.metrics.counters import MessageWindow
 from repro.wire import versions
 
@@ -386,9 +390,13 @@ def _op_stream(service, seed: int, count: int = 80) -> list:
     return ops
 
 
-def _run_stream(service, ops: list, **sequencer):
+def _run_stream(service, ops: list, colocate: int | None = None,
+                **sequencer):
     """Drive ``ops`` through a fresh W=2/R=2 group; returns the results and
-    every replica's logs as ``{key: [(n, verb, args, kwargs, term)]}``."""
+    every replica's logs as ``{key: [(n, verb, args, kwargs, term)]}``.
+
+    The client is remote from every replica unless ``colocate`` names the
+    replica whose context it lives in."""
     system = repro.make_system(seed=99)
     server = system.add_node("server").create_context("main")
     clients = [system.add_node(f"client{i}").create_context("main")
@@ -397,9 +405,16 @@ def _run_stream(service, ops: list, **sequencer):
     version_key = "arg0" if service is KVStore else "object"
     ref = replicate(hosts, service, write_quorum=2, read_quorum=2,
                     version_key=version_key, **sequencer)
-    proxy = get_space(clients[0]).bind_ref(ref, handshake=True)
+    group = get_space(server).entry(ref.oid)
+    if colocate is None:
+        proxy = get_space(clients[0]).bind_ref(ref, handshake=True)
+    else:
+        # Built as the factory would: *binding* in replica 0's context is
+        # home access to the group's coordinator, not a proxy.
+        proxy = ReplicatedProxy(hosts[colocate], ref, group.interface,
+                                dict(group.policy_config))
     results = [proxy.invoke(verb, args, {}) for verb, args in ops]
-    replicas = get_space(server).entry(ref.oid).policy_config["replicas"]
+    replicas = group.policy_config["replicas"]
     logs = [get_space(ctx).entry(replica.oid).replica_log._logs
             for ctx, replica in zip(hosts, replicas)]
     return results, logs, proxy
@@ -467,3 +482,55 @@ class TestOneProtocolTwoSequencers:
                          versions.K_EXPIRED}
         for item in enveloped:
             assert not election_keys & item.keys(), item
+
+
+class TestLocalityIsTheProtocolsBusiness:
+    """A replica co-located with its caller is served by the same
+    dispatcher step as a remote one: ``RpcProtocol.call`` decides how the
+    envelope travels, the proxy cannot tell."""
+
+    @pytest.mark.parametrize("sequencer",
+                             [{}, {"elect": True, "lease_ttl": 1e9}],
+                             ids=["static", "elected"])
+    @pytest.mark.parametrize("colocate", [0, 1])
+    @pytest.mark.parametrize("service", [KVStore, Counter])
+    def test_co_located_client_matches_a_remote_one(self, service, colocate,
+                                                    sequencer):
+        ops = _op_stream(service, 2)
+        remote, remote_logs, _ = _run_stream(service, ops, **sequencer)
+        local, local_logs, proxy = _run_stream(service, ops,
+                                               colocate=colocate, **sequencer)
+        assert local == remote
+        assert local_logs == remote_logs
+        stats = proxy.proxy_context.system.rpc.stats
+        assert stats["local_fast_path"] >= len(ops)
+
+    def test_migrated_co_located_replica_answers_object_moved(
+            self, quorum_group):
+        system, server, clients = quorum_group
+        proxy = repro.bind(clients[1], "qkv")    # hosts replica 1
+        proxy.put("k", 1)
+        ref = proxy._replica_refs[1]
+        entry = clients[1].exports[ref.oid]
+        entry.moved_to = ref.moved_to(clients[0].context_id)
+        with pytest.raises(ObjectMoved):
+            proxy._versioned_call(1, "get", ("k",), {},
+                                  {versions.H_READ: ["k"]})
+        # The read treats it like any unreachable replica, instead of
+        # answering from the object the migration left behind.
+        assert proxy.get("k") == 1
+        assert proxy.proxy_stats["read_failovers"] == 1
+
+    def test_co_located_enveloped_call_is_charged_its_compute(
+            self, quorum_group):
+        system, server, clients = quorum_group
+        proxy = repro.bind(clients[1], "qkv")
+        proxy.put("k", 1)
+        compute = proxy.proxy_interface.operation("get").compute
+        assert compute > 0
+        before = clients[1].clock.now
+        reply = proxy._versioned_call(1, "get", ("k",), {},
+                                      {versions.H_READ: ["k"]})
+        assert reply[versions.K_VALUE] == 1
+        assert clients[1].clock.now - before == pytest.approx(
+            system.costs.local_call + compute)

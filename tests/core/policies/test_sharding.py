@@ -226,6 +226,53 @@ class TestRebalance:
         assert stale.get(key) == int(key[1:])
 
 
+class TestLocalityIsTheProtocolsBusiness:
+    """A shard co-located with its caller — a client next to shard 0, two
+    shards of one context handing an arc over — is served by the same
+    dispatcher step as a remote one; only the accounting differs."""
+
+    @staticmethod
+    def _drive(co_located: bool):
+        system, ctxs, (client, _), _x = _system(3)
+        if co_located:
+            ctxs = [ctxs[0], ctxs[1], ctxs[1]]
+        ref = shard(ctxs, KVStore)
+        if co_located:
+            # Built as the factory would: *binding* in shard 0's context
+            # is home access to the group's coordinator, not a proxy.
+            group = get_space(ctxs[0]).entry(ref.oid)
+            proxy = ShardedProxy(ctxs[0], ref, group.interface,
+                                 dict(group.policy_config))
+        else:
+            proxy = _bind(client, ref)
+        stats = system.rpc.stats
+        results = [proxy.put(f"k{i}", i) for i in range(120)]
+        results.append(proxy.proxy_split(0, 1))    # source next to the client
+        before = stats["local_fast_path"]
+        # Source and target share a context (no sweep: it would poll the
+        # holders next to the client and blur the peer-call count).
+        moved = proxy.proxy_split(1, 2, sync=False)
+        peer_calls = stats["local_fast_path"] - before
+        results += [moved, proxy.proxy_rebalance()[:2]]
+        reads = [proxy.get(f"k{i}") for i in range(120)]
+        epoch, ring, specs = proxy.proxy_shard_map()
+        stores = [get_space(ctx).entry(spec[1]).obj.data
+                  for ctx, spec in zip(ctxs, specs)]
+        observed = (results, reads, epoch, ring, stores)
+        return observed, moved, peer_calls, proxy.proxy_stats["shard_local"]
+
+    def test_co_located_deployment_matches_the_all_remote_one(self):
+        remote, _, remote_peer_calls, remote_local = self._drive(False)
+        local, moved, peer_calls, shard_local = self._drive(True)
+        assert local == remote
+        assert local[1] == list(range(120))
+        assert remote_peer_calls == remote_local == 0
+        assert shard_local > 0
+        # Each arc shard 1 handed to shard 2 was an install plus a commit,
+        # both same-context peer calls through the protocol.
+        assert moved > 0 and peer_calls == 2 * moved
+
+
 class TestComposition:
     def test_resilient_over_sharded_stacks(self):
         _sys, ctxs, (client, _), _x = _system(2)

@@ -187,6 +187,25 @@ class TestLocalFastPath:
         system.rpc.call(server, ref, "get", ("k",))
         assert all(ev.kind != "send" for ev in system.trace.since(mark))
 
+    def test_same_context_enveloped_call_takes_the_dispatcher_step(
+            self, pair):
+        # Headers apply to both arms of call(): a same-context target
+        # answers with the protocol step's reply wrapper, exactly as a
+        # remote one does — not with the bare value.
+        system, server, client = pair
+        ref = get_space(server).export(KVStore())
+        system.rpc.call(server, ref, "put", ("k", 1),
+                        headers={"q.w": ["k"]})
+        mark = system.trace.mark()
+        local = system.rpc.call(server, ref, "get", ("k",),
+                                headers={"q.r": ["k"]})
+        assert local == {"q.v": 1, "q.val": 1}
+        assert [ev.kind for ev in system.trace.since(mark)] == ["invoke"]
+        assert system.rpc.stats["local_fast_path"] == 2
+        remote = system.rpc.call(client, ref, "get", ("k",),
+                                 headers={"q.r": ["k"]})
+        assert remote == local
+
     def test_disabled_fast_path_marshals(self, pair):
         from repro.rpc.lightweight import lrpc_disabled
         system, server, client = pair
