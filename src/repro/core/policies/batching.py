@@ -119,19 +119,11 @@ class BatchControl:
 
         Individual results are discarded (the batching contract); the first
         failing operation aborts the remainder and propagates its error.
-        Each constituent operation's declared compute cost is charged, so
-        batching saves messages, not server work.  Returns the number of
-        operations executed.
+        Each constituent operation is performed by the export entry's own
+        step — interface check, declared compute charged on the serving
+        context, mutation hooks — so batching saves messages, not server
+        work.  Returns the number of operations executed.
         """
-        executed = 0
         for verb, args, kwargs in ops:
-            declared = self._entry.interface.operation(verb)
-            if declared.compute:
-                self._context.charge(declared.compute)
-            method = getattr(self._entry.obj, verb)
-            method(*args, **(kwargs or {}))
-            executed += 1
-            if not declared.readonly:
-                # Batched mutations must still drive coherence/persistence.
-                self._entry.run_mutation_hooks(verb, tuple(args), kwargs or {})
-        return executed
+            self._entry.perform(self._context, verb, tuple(args), kwargs or {})
+        return len(ops)

@@ -163,24 +163,10 @@ class Proxy:
             self.proxy_stats["remote_calls"] += 1
             return self.proxy_next.invoke(verb, args, kwargs)
         op = self.proxy_operation(verb)
-        # First attempt straight away: the redirect budget only matters
-        # once an ObjectMoved actually arrives, so its computation stays
-        # off the no-migration path.
-        self.proxy_stats["remote_calls"] += 1
-        try:
-            if op.oneway:
-                self.proxy_protocol.send_oneway(
-                    self.proxy_context, self.proxy_ref, verb, args, kwargs)
-                return None
-            return self.proxy_protocol.call(
-                self.proxy_context, self.proxy_ref, verb, args, kwargs,
-                retry=retry, deadline=deadline)
-        except ObjectMoved as moved:
-            if moved.forward is None:
-                raise
-            self.proxy_rebind(moved.forward)
-        max_forwards = int(self.proxy_config.get("max_forwards", 4))
-        for _ in range(max_forwards):
+        # The redirect budget only matters once an ObjectMoved actually
+        # arrives, so it is read then, off the no-migration path.
+        forwards_left = None
+        while True:
             self.proxy_stats["remote_calls"] += 1
             try:
                 if op.oneway:
@@ -194,8 +180,13 @@ class Proxy:
                 if moved.forward is None:
                     raise
                 self.proxy_rebind(moved.forward)
-        raise RpcTimeout(
-            f"{verb!r} on {self.proxy_ref}: too many migration redirects")
+            if forwards_left is None:
+                forwards_left = int(self.proxy_config.get("max_forwards", 4))
+            if forwards_left == 0:
+                raise RpcTimeout(
+                    f"{verb!r} on {self.proxy_ref}: too many migration "
+                    "redirects")
+            forwards_left -= 1
 
     def proxy_rebind(self, ref: ObjectRef) -> None:
         """Point this proxy at a new location of the same object."""

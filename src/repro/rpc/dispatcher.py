@@ -1,15 +1,28 @@
 """Server-side dispatch: the skeleton half of RPC.
 
 Each context that exports objects gets a :class:`Dispatcher`, installed as
-the context's message handler.  It implements:
+the context's message handler.  Serving a call is two steps, the same two
+however the call arrived:
 
-* export-table lookup (oid → object + interface),
-* interface checking (undeclared verbs are rejected, not ducked),
+* **routing** (:meth:`Dispatcher.serve`): export-table lookup (oid →
+  entry); a revoked export answers ``DanglingReference``, an object that
+  moved away ``ObjectMoved`` carrying the forwarding reference, a plain
+  call on a rebalanced shard ``StaleShardRing`` carrying the ring map; an
+  enveloped call goes to its wire module's protocol step;
+* **performing** (:meth:`ExportEntry.admit` then :meth:`ExportEntry.run`):
+  interface checking (undeclared verbs are rejected, not ducked), the
+  declared per-operation compute, the method call, and the mutation hooks
+  of every non-readonly operation.
+
+What an arrival path adds around them: a same-context caller
+(:meth:`RpcProtocol.call <repro.rpc.protocol.RpcProtocol.call>`) pays
+``local_call`` and gets errors raised as they are; a one-way frame pays
+unmarshal and dispatch cost and has its errors dropped; a request frame
+(:meth:`Dispatcher.handle`) additionally gets:
+
 * **at-most-once execution** via a replay cache keyed ``(caller, msg_id)`` —
   retransmitted requests return the cached reply instead of re-executing
   (togglable, ablation E11),
-* migration redirects: a request for an object that moved away answers with
-  an ``ObjectMoved`` exception carrying the forwarding reference,
 * admission control: when the node carries an
   :class:`~repro.kernel.admission.AdmissionControl`, every request is
   offered to it *before* dispatch (but after dedup, so retransmissions of
@@ -19,17 +32,24 @@ the context's message handler.  It implements:
   service time on the busy line and release their queue slot when they
   drain,
 * virtual-time accounting: queueing behind earlier requests, unmarshal,
-  dispatch, declared per-operation compute, and reply marshalling.
+  dispatch, and reply marshalling,
+* errors wrapped into exception frames.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..iface.interface import Interface
 from ..kernel.context import Context
-from ..kernel.errors import InterfaceError
+from ..kernel.errors import (
+    DanglingReference,
+    InterfaceError,
+    ObjectMoved,
+    StaleShardRing,
+)
 from ..resilience.deadline import Deadline
 from ..wire import shards, versions
 from ..wire.frames import K_OVERLOAD, ONEWAY, REQUEST, Frame
@@ -79,10 +99,38 @@ class ExportEntry:
     election: object | None = None
     sharding: object | None = None
 
-    def run_mutation_hooks(self, verb: str, args: tuple, kwargs: dict) -> None:
-        """Notify every hook of one successful mutating operation."""
-        for hook in self.mutation_hooks:
-            hook.after(verb, args, kwargs)
+    def admit(self, context: Context, verb: str,
+              arrival_cost: float = 0.0) -> None:
+        """Interface check and accounting of one operation.
+
+        An undeclared verb is rejected, not ducked.  The declared compute
+        is charged to the serving ``context`` together with whatever the
+        arrival path adds (``arrival_cost``: a same-context call's
+        ``local_call``) — one charge, so the clock sees one addition.
+        """
+        op = self.interface.operations.get(verb)
+        if op is None:
+            raise InterfaceError(f"interface {self.interface.name!r} "
+                                 f"declares no operation {verb!r}")
+        cost = arrival_cost + op.compute
+        if cost > 0:
+            context.charge(cost)
+
+    def run(self, verb: str, args: tuple, kwargs: dict):
+        """The operation itself, then — unless it is ``readonly`` — every
+        mutation hook.  The only place an exported object's method is
+        called; an enveloped step fences between :meth:`admit` and this."""
+        result = getattr(self.obj, verb)(*args, **kwargs)
+        if self.mutation_hooks \
+                and not self.interface.operations[verb].readonly:
+            for hook in self.mutation_hooks:
+                hook.after(verb, args, kwargs)
+        return result
+
+    def perform(self, context: Context, verb: str, args: tuple, kwargs: dict):
+        """:meth:`admit`, then :meth:`run`: one whole plain operation."""
+        self.admit(context, verb)
+        return self.run(verb, args, kwargs)
 
 
 class Dispatcher:
@@ -197,7 +245,8 @@ class Dispatcher:
         if frame.kind == ONEWAY:
             self.stats["oneways"] += 1
             ctx.charge(costs.dispatch_cost)
-            self._execute(frame)
+            # Served like a request; the reply, errors included, is dropped.
+            self._dispatch(frame)
             return None
         if frame.kind != REQUEST:
             return None
@@ -251,103 +300,100 @@ class Dispatcher:
     # -- internals ---------------------------------------------------------------
 
     def _dispatch(self, frame: Frame) -> Frame:
-        entry = self.context.exports.get(frame.target)
+        """One request frame: :meth:`serve` it, wrap the outcome."""
+        args, kwargs = frame.body if frame.body else ((), {})
+        try:
+            return frame.reply_to(self.serve(
+                frame.target, frame.verb, args, kwargs, frame.headers))
+        except Exception as exc:  # ours or the application's: ship it
+            return frame.exception_to(type(exc).__name__, str(exc),
+                                      detail=_redirect_detail(exc))
+
+    def serve(self, oid: str, verb: str, args: tuple, kwargs: dict,
+              headers: dict | None = None, arrival_cost: float = 0.0):
+        """Route one call to an export entry and perform it there.
+
+        The single step behind every call on this context, however it
+        arrived — a request frame (:meth:`_dispatch`), a one-way frame
+        (its reply dropped), or a same-context caller (:meth:`RpcProtocol.
+        call <repro.rpc.protocol.RpcProtocol.call>`, which passes its
+        ``local_call`` as ``arrival_cost``): locality changes what a call
+        costs, never which guards, hooks or protocol step serve it.
+        Returns the result (an enveloped call's reply wrapper) or raises a
+        typed error; the routing guards' redirects carry where to go
+        instead (``ObjectMoved.forward``, ``StaleShardRing.ring_map``).
+        """
+        ctx = self.context
+        entry = ctx.exports.get(oid)
         if entry is None or entry.revoked:
-            return frame.exception_to(
-                "DanglingReference",
-                f"context {self.context.context_id!r} exports no object "
-                f"{frame.target!r}")
+            raise DanglingReference(
+                f"context {ctx.context_id!r} exports no object {oid!r}")
         if entry.moved_to is not None:
             self.stats["redirects"] += 1
             fwd = entry.moved_to
-            return frame.exception_to(
-                "ObjectMoved",
-                f"object {frame.target!r} migrated to {fwd.context_id!r}",
-                detail=fwd.fields())
-        headers = frame.headers
-        if headers and (versions.has_envelope(headers)
-                        or shards.has_envelope(headers)):
-            # Enveloped request (replicated or sharded policy): the wire
-            # module's protocol steps wrap the result and run the mutation
-            # hooks themselves.  Application exceptions a step lets
-            # through (a primary write's, a shard's) travel back as the
-            # usual exception frame; versioned reads and replica applies
-            # fold theirs into the reply wrapper instead (the caller needs
-            # the replica's version either way).
-            args, kwargs = frame.body if frame.body else ((), {})
-            try:
-                return frame.reply_to(self.serve_enveloped(
-                    entry, frame.verb, args, kwargs, headers))
-            except Exception as exc:  # ReproError or application error alike
-                self.stats["exceptions"] += 1
-                return frame.exception_to(type(exc).__name__, str(exc))
-        if entry.sharding is not None and entry.sharding.epoch > 1:
+            raise ObjectMoved(
+                f"object {oid!r} migrated to {fwd.context_id!r}", forward=fwd)
+        enveloped = headers and (versions.has_envelope(headers)
+                                 or shards.has_envelope(headers))
+        if enveloped:
+            if arrival_cost:
+                # On its own, before the step reads its fence clock.
+                ctx.charge(arrival_cost)
+        elif entry.sharding is not None and entry.sharding.epoch > 1:
             # A plain call on a shard whose ring has been rebalanced: the
             # caller routed without (or with a pre-rebalance) ring, so it
             # may well be at the wrong owner.  Redirect with the current
             # map — the sharded counterpart of the ObjectMoved chain.
             self.stats["redirects"] += 1
-            return frame.exception_to(
-                "StaleShardRing",
-                f"shard {frame.target!r} is at ring epoch "
-                f"{entry.sharding.epoch}; re-route with the current map",
-                detail=entry.sharding.map())
-        op = entry.interface.operations.get(frame.verb)
-        if op is None:
-            return frame.exception_to("InterfaceError",
-                                      _undeclared(entry, frame.verb))
-        if op.compute > 0:
-            self.context.charge(op.compute)
+            raise StaleShardRing(
+                f"shard {oid!r} is at ring epoch {entry.sharding.epoch}; "
+                "re-route with the current map",
+                ring_map=entry.sharding.map())
+        else:
+            entry.admit(ctx, verb, arrival_cost)
         try:
-            result = self._call(entry, frame)
-        except Exception as exc:  # ours or the application's: ship it
+            if enveloped:
+                # The wire module's protocol step wraps the result.
+                # Application exceptions a step lets through (a primary
+                # write's, a shard's) are raised like a plain call's;
+                # versioned reads and replica applies fold theirs into the
+                # reply wrapper instead (the caller needs the replica's
+                # version either way).
+                return self.serve_enveloped(entry, verb, args, kwargs,
+                                            headers)
+            return entry.run(verb, args, kwargs)
+        except Exception as exc:
             self.stats["exceptions"] += 1
-            return frame.exception_to(type(exc).__name__, str(exc))
-        if entry.mutation_hooks and not op.readonly:
-            args, kwargs = frame.body if frame.body else ((), {})
-            entry.run_mutation_hooks(frame.verb, args, kwargs)
-        return frame.reply_to(result)
+            if isinstance(exc, (ObjectMoved, StaleShardRing)):
+                # Raised by the operation itself (a nested call): an
+                # application error like any other.  Only the guards above
+                # may tell the caller where to go — a nested object's
+                # forward would rebind it to the wrong object.
+                raise type(exc)(str(exc)) from None
+            raise
 
     def serve_enveloped(self, entry: ExportEntry, verb: str, args: tuple,
                         kwargs: dict, headers: dict) -> dict:
-        """Serve one enveloped call; returns the reply wrapper or raises.
+        """The enveloped arm of :meth:`serve`: one ``q.*``/``s.*`` call.
 
-        The single step behind every ``q.*``/``s.*`` call, however it got
-        here: :meth:`_dispatch` feeds it inbound frames, and
-        :meth:`RpcProtocol.call <repro.rpc.protocol.RpcProtocol.call>`
-        its same-context arm — locality changes what a call costs, never
-        which protocol step serves it.  Control calls are verb-less (log
-        transfers and election rounds, ring reads and arc handoffs);
-        operations get the usual interface check and compute accounting
-        first.  The wire module is handed what its steps need from the
-        serving context: ``now`` (terms and leases are fenced on this
-        clock, read before the operation is charged — as the migration
-        redirect chain consults ``moved_to`` at dispatch time), the
-        checked ``invoke`` for replayed log entries, and ``call_peer``
-        for a handoff's nested calls.
+        Control calls are verb-less (log transfers and election rounds,
+        ring reads and arc handoffs); operations are admitted first.  The
+        wire module is handed what its steps need from the serving
+        context: ``now`` (terms and leases are fenced on this clock, read
+        before the operation is charged — as the migration redirect chain
+        consults ``moved_to`` at dispatch time; the step fences between
+        the admit here and its own :meth:`ExportEntry.run`), ``invoke`` to
+        perform a replayed log entry whole, and ``call_peer`` for a
+        handoff's nested calls.
         """
         wire = versions if versions.has_envelope(headers) else shards
-        now = self.context.clock.now
+        ctx = self.context
+        now = ctx.clock.now
         if wire.H_CONTROL not in headers:
-            self._admit(entry, verb)
+            entry.admit(ctx, verb)
         return wire.serve_envelope(entry, verb, args, kwargs, headers,
-                                   now=now, invoke=self._invoke_checked,
+                                   now=now, invoke=partial(entry.perform, ctx),
                                    call_peer=self._call_peer)
-
-    def _admit(self, entry: ExportEntry, verb: str) -> None:
-        """Interface check and compute accounting of one operation."""
-        op = entry.interface.operations.get(verb)
-        if op is None:
-            raise InterfaceError(_undeclared(entry, verb))
-        if op.compute > 0:
-            self.context.charge(op.compute)
-
-    def _invoke_checked(self, entry: ExportEntry, verb: str, args: tuple,
-                        kwargs: dict):
-        """Replayed log entries (repair pushes) get the same interface
-        check and compute accounting as a direct request."""
-        self._admit(entry, verb)
-        return getattr(entry.obj, verb)(*args, **kwargs)
 
     def _call_peer(self, shard_spec: list, control: list,
                    body_args: tuple) -> dict:
@@ -357,23 +403,6 @@ class Dispatcher:
         return self._system.rpc.call(
             self.context, ObjectRef(*shard_spec), "", tuple(body_args), {},
             headers={shards.H_CONTROL: control})
-
-    def _execute(self, frame: Frame) -> None:
-        """Best-effort execution for one-way frames (errors are dropped)."""
-        entry = self.context.exports.get(frame.target)
-        if entry is None or entry.revoked or entry.moved_to is not None:
-            return
-        if frame.verb not in entry.interface:
-            return
-        try:
-            self._call(entry, frame)
-        except Exception:
-            pass
-
-    def _call(self, entry: ExportEntry, frame: Frame):
-        args, kwargs = frame.body if frame.body else ((), {})
-        method = getattr(entry.obj, frame.verb)
-        return method(*args, **kwargs)
 
     def _remember(self, key: tuple[str, int], reply_data: bytes) -> None:
         self._replay[key] = reply_data
@@ -389,14 +418,18 @@ class Dispatcher:
         return len(stale)
 
 
-def _undeclared(entry: ExportEntry, verb: str) -> str:
-    return f"interface {entry.interface.name!r} declares no operation {verb!r}"
+def _redirect_detail(exc: Exception):
+    """The marshallable "where to go instead" of a redirect error."""
+    if isinstance(exc, ObjectMoved):
+        return None if exc.forward is None else exc.forward.fields()
+    if isinstance(exc, StaleShardRing):
+        return exc.ring_map
+    return None
 
 
 def ensure_dispatcher(context: Context, transport) -> Dispatcher:
     """Get or create the dispatcher of a context."""
-    handler = context.handler
-    if handler is not None and hasattr(handler, "__self__") \
-            and isinstance(handler.__self__, Dispatcher):
-        return handler.__self__
+    owner = getattr(context.handler, "__self__", None)
+    if isinstance(owner, Dispatcher):
+        return owner
     return Dispatcher(context, transport)

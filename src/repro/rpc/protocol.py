@@ -7,8 +7,12 @@ Implements the Birrell–Nelson discipline over the unreliable transport:
   execution with at-least-once delivery attempts;
 * remote exceptions are re-raised locally, mapped back to library types
   where known;
-* a **lightweight fast path** (cf. Bershad et al. 1989) short-circuits calls
-  whose target lives in the calling context to a plain procedure call.
+* a **lightweight fast path** (cf. Bershad et al. 1989) spares calls whose
+  target lives in the calling context the frame, the marshalling and the
+  network — and nothing else: they are served by the very dispatcher step
+  inbound frames take (:meth:`Dispatcher.serve <repro.rpc.dispatcher.
+  Dispatcher.serve>`), so guards, interface check, mutation hooks and
+  ring fencing do not depend on where the caller sits.
 
 This module is deliberately proxy-agnostic: both the dumb stubs of
 :mod:`repro.rpc.stubs` and the smart proxies of :mod:`repro.core.policies`
@@ -22,10 +26,8 @@ from typing import Any
 from ..kernel import errors as kernel_errors
 from ..kernel.context import Context
 from ..kernel.errors import (
-    DanglingReference,
     DeadlineExceeded,
     DistributionError,
-    InterfaceError,
     ObjectMoved,
     Overloaded,
     ReproError,
@@ -138,9 +140,9 @@ class RpcProtocol:
         envelopes of :mod:`repro.wire.shards`).  How the call travels is
         decided here and nowhere above: a remote target gets them in the
         request frame, a same-context target is served by the very
-        dispatcher step inbound frames take (:meth:`Dispatcher.
-        serve_enveloped <repro.rpc.dispatcher.Dispatcher.serve_enveloped>`)
-        — either way the caller receives the step's reply wrapper.
+        dispatcher step inbound frames take (:meth:`Dispatcher.serve
+        <repro.rpc.dispatcher.Dispatcher.serve>`) — either way the caller
+        receives the step's reply wrapper.
 
         Raises the remote exception locally; raises
         :class:`~repro.kernel.errors.RpcTimeout` when the retry budget is
@@ -285,13 +287,12 @@ class RpcProtocol:
         self.stats["oneways"] += 1
         kwargs = kwargs or {}
         if self.lrpc_enabled and ref.context_id == src.context_id:
-            if self._windows and self._windows[-1]:
-                # Keep program order: earlier staged oneways ran before
-                # this local invocation when sends were inline.
-                self.flush_reply_window()
+            # Keep program order: earlier staged oneways ran before this
+            # local invocation when sends were inline.
+            self.flush_reply_window()
             try:
                 self._local_call(src, ref, verb, args, kwargs)
-            except ReproError:
+            except Exception:    # best effort, like the framed one-way
                 pass
             return
         frame = Frame(ONEWAY, self._mint(src), src.context_id, ref.context_id,
@@ -353,20 +354,17 @@ class RpcProtocol:
         src_node = src.node.name
         dst_node = transport.node_of(frame.dst)
         if not self._network.reliable(src_node, dst_node):
-            if self._windows[-1]:
-                self.flush_reply_window()
+            self.flush_reply_window()
             return False
         try:
             dst = self.system.context(frame.dst)
         except kernel_errors.ConfigurationError:
             # Inline delivery would have been a silent no-op; staging it
             # would only inflate the batch.  Emit the send and move on.
-            if self._windows[-1]:
-                self.flush_reply_window()
+            self.flush_reply_window()
             return False
         if dst.handler is None or not dst.alive:
-            if self._windows[-1]:
-                self.flush_reply_window()
+            self.flush_reply_window()
             return False
         sent_at = src.clock.now
         arrive = sent_at + self._network.transit_time(src_node, dst_node,
@@ -493,35 +491,22 @@ class RpcProtocol:
     def _local_call(self, src: Context, ref: ObjectRef, verb: str,
                     args: tuple, kwargs: dict,
                     headers: dict | None = None) -> Any:
-        """Same-context invocation: plain procedure call, no marshalling.
+        """Same-context invocation: no frame, no marshalling, no network.
 
-        An enveloped call (``headers``) is accounted the same way —
-        ``local_call`` plus the operation's compute, one ``invoke`` event
-        — but served by the context's dispatcher step, so the protocol a
-        replica or shard speaks does not depend on where its caller lives.
+        Plain or enveloped, the call is served by the step inbound frames
+        take (:meth:`Dispatcher.serve <repro.rpc.dispatcher.Dispatcher.
+        serve>`) — same guards, same interface check, same mutation hooks,
+        same typed errors; what this arrival path adds is ``local_call``
+        (charged with the operation's compute) instead of unmarshal,
+        dispatch cost and the replay cache.
         """
         self.stats["local_fast_path"] += 1
-        entry = src.exports.get(ref.oid)
-        if entry is None or entry.revoked:
-            raise DanglingReference(
-                f"context {src.context_id!r} exports no object {ref.oid!r}")
-        if entry.moved_to is not None:
-            raise ObjectMoved(f"object {ref.oid!r} migrated", forward=entry.moved_to)
-        if headers:
-            src.charge(self._costs.local_call)
-            result = ensure_dispatcher(src, self.transport).serve_enveloped(
-                entry, verb, args, kwargs, headers)
-            self.system.trace.emit(src.clock.now, "invoke", src.context_id,
-                                   src.context_id, verb)
-            return result
-        if verb not in entry.interface:
-            raise InterfaceError(
-                f"interface {entry.interface.name!r} declares no operation {verb!r}")
-        op = entry.interface.operation(verb)
-        src.charge(self.system.costs.local_call + op.compute)
+        result = ensure_dispatcher(src, self.transport).serve(
+            ref.oid, verb, args, kwargs, headers,
+            arrival_cost=self._costs.local_call)
         self.system.trace.emit(src.clock.now, "invoke", src.context_id,
                                src.context_id, verb)
-        return getattr(entry.obj, verb)(*args, **kwargs)
+        return result
 
     def _mint(self, src: Context) -> int:
         minter = self._minters.get(src.context_id)

@@ -237,11 +237,6 @@ class ShardState:
         return True
 
 
-def shard_state(entry) -> ShardState | None:
-    """The shard state of one export-table entry, if any."""
-    return getattr(entry, "sharding", None)
-
-
 def _stale(state: ShardState | None, headers: dict | None) -> dict | None:
     """The :data:`K_FENCED` refusal for a stale-epoch request, or None.
 
@@ -280,23 +275,20 @@ def _heal(state: ShardState | None, headers: dict | None,
 # -- server-side protocol steps -----------------------------------------------
 #
 # Each step takes the export entry and returns the marshallable reply
-# wrapper; the dispatcher has already done the operation's interface check
-# and compute accounting when a step runs.  Application exceptions
+# wrapper; the dispatcher has already admitted the operation (interface
+# check, compute accounting) when a step runs, so a step fences and then
+# takes the entry's ``run``.  Application exceptions
 # propagate — the dispatcher ships them as ordinary exception frames and
 # the client re-raises, exactly as for plain calls.
 
 
-def serve_verb(entry, verb: str, args, kwargs, headers: dict,
-               readonly: bool = False) -> dict:
+def serve_verb(entry, verb: str, args, kwargs, headers: dict) -> dict:
     """One enveloped operation at a shard: fence, or serve (and heal)."""
-    state = shard_state(entry)
+    state = entry.sharding
     refused = _stale(state, headers)
     if refused is not None:
         return refused
-    result = getattr(entry.obj, verb)(*args, **kwargs)
-    if not readonly:
-        entry.run_mutation_hooks(verb, tuple(args), dict(kwargs))
-    return _heal(state, headers, {K_VALUE: result})
+    return _heal(state, headers, {K_VALUE: entry.run(verb, args, kwargs)})
 
 
 def serve_control(entry, control, body_args,
@@ -313,7 +305,7 @@ def serve_control(entry, control, body_args,
     the dispatcher supplies.
     """
     kind = control[0]
-    state = shard_state(entry)
+    state = entry.sharding
     if kind == "map":
         if state is None:
             raise ProtocolError("map control on an unsharded entry")
@@ -421,6 +413,5 @@ def serve_envelope(entry, verb: str, args, kwargs, headers: dict, *,
     if control is not None:
         return serve_control(entry, control, args, call_peer)
     if H_EPOCH in headers:
-        return serve_verb(entry, verb, args, kwargs, headers,
-                          readonly=entry.interface.operations[verb].readonly)
+        return serve_verb(entry, verb, args, kwargs, headers)
     raise ProtocolError("frame carries no shard envelope")

@@ -244,18 +244,13 @@ def _fence_write(entry, headers: dict | None, now: float) -> dict | None:
 # -- server-side protocol steps -----------------------------------------------
 #
 # Each step takes the export entry and returns the marshallable reply
-# wrapper.  The dispatcher has already done the operation's interface check
-# and compute accounting when a step runs, so a step makes the bare method
-# call (:func:`_call`); only a push replays *other* operations, and takes
-# the dispatcher's checked ``invoke`` for them.  Application exceptions are
-# folded into the wrapper for reads and replica applies; a primary write
-# propagates them so nothing is logged and the fan-out never starts — the
-# group stays converged.
-
-
-def _call(entry, verb: str, args, kwargs) -> Any:
-    """The operation itself, on the entry's object."""
-    return getattr(entry.obj, verb)(*args, **kwargs)
+# wrapper.  The dispatcher has already admitted the operation (interface
+# check, compute accounting) when a step runs, so a step fences and then
+# takes the entry's ``run`` (the method call plus its mutation hooks); only
+# a push replays *other* operations, and performs them whole through the
+# dispatcher's ``invoke``.  Application exceptions are folded into the
+# wrapper for reads and replica applies; a primary write propagates them so
+# nothing is logged and the fan-out never starts — the group stays converged.
 
 
 def serve_read(entry, key, verb: str, args, kwargs) -> dict:
@@ -273,7 +268,7 @@ def serve_read(entry, key, verb: str, args, kwargs) -> dict:
               K_TERM: [state.term, state.leader]}
              if state is not None else {})
     try:
-        result = _call(entry, verb, args, kwargs)
+        result = entry.run(verb, args, kwargs)
     except Exception as exc:
         return {K_VERSION: log.version(key),
                 K_EXC: [type(exc).__name__, str(exc)], **extra}
@@ -305,10 +300,9 @@ def serve_assign(entry, key, verb: str, args, kwargs,
             state.counters.incr("lease_refusals")
             return {K_EXPIRED: True, K_TERM: [state.term, state.leader]}
         term = state.term
-    result = _call(entry, verb, args, kwargs)    # raises: nothing is logged
+    result = entry.run(verb, args, kwargs)    # raises: nothing is logged
     n = log.version(key) + 1
     log.append(key, n, verb, args, kwargs, term)
-    entry.run_mutation_hooks(verb, tuple(args), dict(kwargs))
     reply = {K_VERSION: n, K_VALUE: result}
     if state is not None:
         reply[K_VTERM] = term
@@ -316,7 +310,7 @@ def serve_assign(entry, key, verb: str, args, kwargs,
 
 
 def _apply_entry(entry, key, n: int, verb: str, args, kwargs, term: int,
-                 invoke: Callable[[Any, str, tuple, dict], Any]) -> dict:
+                 invoke: Callable[[str, tuple, dict], Any]) -> dict:
     """Apply the operation that produces version ``n`` of ``key`` iff it
     extends the replica's log contiguously — the one step behind a replica
     write (``term`` from the envelope) and each entry of a repair push
@@ -343,12 +337,11 @@ def _apply_entry(entry, key, n: int, verb: str, args, kwargs, term: int,
             reply[K_VTERM] = log.last_term(key)
         return reply
     try:
-        invoke(entry, verb, args, kwargs)
+        invoke(verb, args, kwargs)
     except Exception as exc:
         return {K_VERSION: current,
                 K_EXC: [type(exc).__name__, str(exc)]}
     log.append(key, n, verb, args, kwargs, term)
-    entry.run_mutation_hooks(verb, tuple(args), dict(kwargs))
     return {K_VERSION: n}
 
 
@@ -363,11 +356,12 @@ def serve_apply(entry, key, n: int, verb: str, args, kwargs,
     refused = _fence_write(entry, headers, now)
     if refused is not None:
         return refused
-    return _apply_entry(entry, key, int(n), verb, args, kwargs, wterm, _call)
+    return _apply_entry(entry, key, int(n), verb, args, kwargs, wterm,
+                        entry.run)
 
 
 def serve_control(entry, control, body_args,
-                  invoke: Callable[[Any, str, tuple, dict], Any],
+                  invoke: Callable[[str, tuple, dict], Any],
                   headers: dict | None = None, now: float = 0.0) -> dict:
     """A log-transfer or election control call (verb-less frames).
 
@@ -434,15 +428,15 @@ def serve_control(entry, control, body_args,
 
 def serve_envelope(entry, verb: str, args, kwargs, headers: dict, *,
                    now: float,
-                   invoke: Callable[[Any, str, tuple, dict], Any],
+                   invoke: Callable[[str, tuple, dict], Any],
                    call_peer: Callable) -> dict:
     """Serve one enveloped call — control or operation — with the matching
     protocol step.
 
     The module's single entry point, called by the dispatcher
     (:meth:`~repro.rpc.dispatcher.Dispatcher.serve_enveloped`), which
-    supplies the serving context's ``now`` and the checked ``invoke`` a
-    push replays entries through (``call_peer`` is the shard module's
+    supplies the serving context's ``now`` and the ``invoke`` a push
+    performs replayed entries through (``call_peer`` is the shard module's
     need; both modules take the same three so the dispatcher has one call
     site).
     """

@@ -30,3 +30,20 @@ def pair(star):
     """(system, server_ctx, one_client_ctx)."""
     sys_, server, clients = star
     return sys_, server, clients[0]
+
+
+class MutationLog:
+    """A mutation hook (see ``ExportEntry.mutation_hooks``) that remembers
+    what it was told."""
+
+    def __init__(self):
+        self.fired = []
+
+    def after(self, verb, args, kwargs):
+        self.fired.append((verb, tuple(args), kwargs))
+
+
+@pytest.fixture
+def mutation_log():
+    """A fresh recording mutation hook to append to an export entry."""
+    return MutationLog()

@@ -5,6 +5,7 @@ import pytest
 import repro
 from repro.apps.mailbox import Mailbox
 from repro.core.export import get_space
+from repro.kernel.errors import InterfaceError
 from repro.metrics.counters import MessageWindow
 
 
@@ -118,3 +119,42 @@ class TestConfiguration:
         proxy.post("a", "x")
         with pytest.raises(Exception):
             proxy.proxy_flush()
+
+
+class TestBatchControlContract:
+    """The server half performs each operation by the export entry's step."""
+
+    @pytest.fixture
+    def control(self, pair, mutation_log):
+        system, server, client = pair
+        box = deploy(server)
+        entry = get_space(server).entry(get_space(server).ref_of(box).oid)
+        entry.mutation_hooks.append(mutation_log)
+        control = entry.policy_config["batch_control"]
+        return (server, box, get_space(server).entry(control.oid).obj,
+                mutation_log.fired)
+
+    def test_results_discarded_hooks_once_compute_charged(self, control):
+        server, box, batch, fired = control
+        before = server.now
+        done = batch.apply([["post", ["a", "x"], {}], ["count", [], None],
+                            ["post", ["b", "y"], None], ["drain", [], {}]])
+        assert done == 4
+        assert box.count() == 0
+        assert fired == [("post", ("a", "x"), {}), ("post", ("b", "y"), {}),
+                         ("drain", (), {})]
+        assert server.now - before == pytest.approx(5e-6 + 3e-6 + 5e-6 + 1e-5)
+
+    def test_first_failure_aborts_the_remainder(self, control):
+        _server, box, batch, fired = control
+        with pytest.raises(TypeError):
+            batch.apply([["post", ["a", "x"], {}], ["post", ["only-one"], {}],
+                         ["post", ["b", "y"], {}]])
+        assert box.count() == 1
+        assert len(fired) == 1
+
+    def test_undeclared_verb_is_an_interface_error(self, control):
+        _server, box, batch, fired = control
+        with pytest.raises(InterfaceError, match="declares no operation"):
+            batch.apply([["post", ["a", "x"], {}], ["_messages", [], {}]])
+        assert box.count() == 1

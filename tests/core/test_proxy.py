@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
-from repro.kernel.errors import InterfaceError, ObjectMoved, RpcTimeout
+from repro.kernel.errors import InterfaceError, RpcTimeout
 
 
 @pytest.fixture
@@ -82,14 +82,21 @@ class TestRebinding:
         assert proxy.proxy_ref.context_id == other.context_id
         assert proxy.proxy_stats["rebinds"] == 1
 
-    def test_unresolvable_redirect_loop_gives_up(self, bound):
+    @pytest.mark.parametrize("config, attempts", [({}, 5),
+                                                  ({"max_forwards": 2}, 3),
+                                                  ({"max_forwards": 0}, 1)])
+    def test_unresolvable_redirect_loop_gives_up(self, bound, config,
+                                                 attempts):
         system, server, client, store, ref, proxy = bound
         # A forwarding pointer that points back at itself (corrupt state).
         space = get_space(server)
         space.mark_migrated(ref.oid, ref.moved_to(server.context_id))
-        server.exports[ref.oid]
-        with pytest.raises((RpcTimeout, ObjectMoved)):
+        proxy.proxy_config.update(config)
+        with pytest.raises(RpcTimeout, match="too many migration redirects"):
             proxy.get("k")
+        # One first attempt plus ``max_forwards`` redirects, each rebound.
+        assert proxy.proxy_stats["remote_calls"] == attempts
+        assert proxy.proxy_stats["rebinds"] == attempts
 
 
 class TestLifecycleHooks:

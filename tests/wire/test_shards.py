@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.iface.interface import Interface, operation
 from repro.kernel.errors import ConfigurationError, ProtocolError
+from repro.rpc.dispatcher import ExportEntry
 from repro.wire import shards
 
 
@@ -12,9 +14,11 @@ class FakeStore:
     def __init__(self, data=None):
         self.data = dict(data or {})
 
+    @operation(readonly=True)
     def get(self, key):
         return self.data.get(key)
 
+    @operation
     def put(self, key, value):
         self.data[key] = value
         return True
@@ -33,15 +37,15 @@ class FakeStore:
             self.data.pop(key, None)
 
 
-class FakeEntry:
-    """An export-table entry stand-in (obj + shard state + hook log)."""
+class FakeEntry(ExportEntry):
+    """A real export-table entry whose one mutation hook keeps a log."""
 
     def __init__(self, obj, sharding=None):
-        self.obj = obj
-        self.sharding = sharding
+        super().__init__(obj, Interface.of(type(obj)), ref=None,
+                         sharding=sharding, mutation_hooks=[self])
         self.mutations = []
 
-    def run_mutation_hooks(self, verb, args, kwargs):
+    def after(self, verb, args, kwargs):
         self.mutations.append((verb, args, kwargs))
 
 
@@ -168,7 +172,7 @@ class TestServeVerb:
     def test_current_epoch_served_without_heal(self):
         entry, _state = self._entry()
         reply = shards.serve_verb(entry, "get", ("k",), {},
-                                  {shards.H_EPOCH: [3]}, readonly=True)
+                                  {shards.H_EPOCH: [3]})
         assert reply == {shards.K_VALUE: "v"}
 
     def test_stale_epoch_with_owned_key_served_and_healed(self):
@@ -177,8 +181,7 @@ class TestServeVerb:
         assert state.owner_of(owned) == 0
         reply = shards.serve_verb(entry, "get", ("k",), {},
                                   {shards.H_EPOCH: [1],
-                                   shards.H_KEY: owned},
-                                  readonly=True)
+                                   shards.H_KEY: owned})
         assert reply[shards.K_VALUE] == "v"
         assert reply[shards.K_MAP] == state.map()
 
@@ -202,7 +205,7 @@ class TestServeVerb:
         shards.serve_verb(entry, "put", ("k", "w"), {},
                           {shards.H_EPOCH: [3]})
         shards.serve_verb(entry, "get", ("k",), {},
-                          {shards.H_EPOCH: [3]}, readonly=True)
+                          {shards.H_EPOCH: [3]})
         assert entry.mutations == [("put", ("k", "w"), {})]
 
 
