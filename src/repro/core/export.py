@@ -4,8 +4,11 @@ Every context that participates in the proxy regime gets an
 :class:`ObjectSpace`, which owns:
 
 * the **export table** (oid → :class:`~repro.rpc.dispatcher.ExportEntry`),
-* the **proxy table** (object key → live proxy, at most one proxy per remote
-  object per context),
+* the **proxy table** (object key → live proxy, at most one proxy per
+  object per context): :meth:`ObjectSpace.bind_ref` is the application's
+  way in (home access is the object itself), :meth:`ObjectSpace.proxy_for`
+  the policies' (every member of a group is a bound proxy, a home one
+  included),
 * the **swizzle hooks** installed on the context's marshaller path — the
   single point where the proxy principle is *enforced*:
 
@@ -188,21 +191,41 @@ class ObjectSpace:
 
     def bind_ref(self, ref: ObjectRef, handshake: bool = True,
                  config: dict | None = None) -> Any:
-        """Obtain this context's access path for ``ref``.
+        """Obtain this context's access path for ``ref`` — what application
+        code (and the decoder hook) gets.
 
         Returns the real object when ``ref`` points into this very context
-        (no proxy is ever interposed at home).  Otherwise returns the
-        (single, table-cached) proxy, instantiating the exporter-chosen
-        factory on first bind.  With ``handshake=True`` the full policy
-        configuration is fetched from the exporter first (one extra RPC —
-        the installation handshake); without it, the factory starts from the
-        defaults encoded in the reference.
+        (no proxy is interposed between an application and its own
+        objects); otherwise the proxy of :meth:`proxy_for`.  With
+        ``handshake=True`` the full policy configuration is fetched from
+        the exporter first (one extra RPC — the installation handshake);
+        without it, the factory starts from the defaults encoded in the
+        reference.
         """
         if ref.context_id == self.context.context_id:
             entry = self.context.exports.get(ref.oid)
             if entry is not None and not entry.revoked and entry.moved_to is None:
                 self.stats["unswizzles"] += 1
                 return entry.obj
+        return self.proxy_for(ref, handshake, config)
+
+    def proxy_for(self, member: Any, handshake: bool = False,
+                  config: dict | None = None) -> Proxy:
+        """The (single, table-cached) proxy for ``member`` — what a *policy*
+        holds for each object it routes to, home or remote alike.
+
+        ``member`` is a reference, or whatever a shipped reference became
+        on its way here: a proxy, or (unswizzled by the decoder hook) the
+        home object, whose export reference is recovered
+        (:class:`BindError` if this context no longer exports it).  The
+        exporter-chosen factory is instantiated on first bind.  A proxy
+        for an export of this very context is an ordinary stub: its calls
+        take the protocol's same-context arm, through the export entry's
+        guards, interface check, compute charge and mutation hooks.
+        """
+        if isinstance(member, Proxy):
+            return member
+        ref = member if isinstance(member, ObjectRef) else self.ref_of(member)
         existing = self.context.proxies.get(ref.key)
         if existing is not None:
             return existing

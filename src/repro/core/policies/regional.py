@@ -8,7 +8,9 @@ ReplicatedProxy` whose read ordering knows about *regions*
   replicas rank ahead of cross-region ones, with open circuit breakers
   demoted (a replica the breaker registry currently refuses to dial is
   not "admitted", however near), ties broken by measured transit time and
-  then replica index for determinism;
+  then replica index for determinism — one rule for every replica: a
+  copy hosted by the caller's own context wins on transit time, not on a
+  special case;
 * **writes** are untouched: they run the inherited replicated machinery,
   and because the deployment helper puts the *home region's* replica
   first, primary-sequenced writes land home — the caller pays the WAN
@@ -25,7 +27,6 @@ staleness for fully local reads (E21 measures both sides of that trade).
 from __future__ import annotations
 
 from ..factory import register_policy
-from ..proxy import Proxy
 from .replicating import ReplicatedProxy
 
 
@@ -48,12 +49,9 @@ class RegionalProxy(ReplicatedProxy):
         now = context.clock.now
 
         def rank(index: int) -> tuple:
-            replica = self._replicas[index]
-            if not isinstance(replica, Proxy):
-                return (0, 0, 0.0, index)  # co-located: nearest possible
             region = regions[index] if index < len(regions) else ""
             foreign = 0 if (region and region == my_region) else 1
-            ref = replica.proxy_ref
+            ref = self._replicas[index].proxy_ref
             refused = 0
             if registry is not None:
                 breaker = registry.between(context.context_id,

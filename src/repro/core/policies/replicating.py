@@ -5,7 +5,11 @@ service ships routes each operation.  The module holds **one quorum
 protocol** run under **one of two sequencers**, plus the **unversioned
 write-all** contract; which of them a group speaks is the service's
 private choice, read once from the configuration it ships (``versioned``
-/ ``read_quorum`` / ``elect``) and invisible to the client.
+/ ``read_quorum`` / ``elect``) and invisible to the client.  The proxy
+holds a **bound proxy per replica** (:meth:`ObjectSpace.proxy_for
+<repro.core.export.ObjectSpace.proxy_for>`) — for a copy hosted by the
+caller's own context too — and every operation reaches a replica through
+its export entry; a co-located copy is the nearest one, nothing more.
 
 **The quorum protocol** (``read_quorum`` set, or ``versioned=True``):
 Gifford-style weighted voting over per-key operation logs
@@ -116,8 +120,7 @@ class ReplicatedProxy(Proxy):
 
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)
-        self._replicas: list | None = None
-        self._replica_refs: list[ObjectRef | None] = []
+        self._replicas: list[Proxy] | None = None
         self._rr_counter = 0
         #: The group's protocol, chosen when the replica list resolves.
         self._versioned = self._elected = False
@@ -138,45 +141,27 @@ class ReplicatedProxy(Proxy):
     # -- replica resolution -------------------------------------------------------
 
     def _resolve_replicas(self) -> list:
-        """Sub-proxies for every replica, fetched lazily.
+        """Bound proxies for every replica, resolved lazily.
 
-        Falls back to the installation handshake when the configuration
-        arrived without the replica list (reference passed by value), and to
-        plain forwarding when even that yields nothing.  An **empty**
-        resolution is not memoised: the replica list may simply not have
-        been delivered yet (handshake raced or skipped), and caching the
-        emptiness would degrade the proxy to plain forwarding forever.
+        Every replica is reached through its proxy — one hosted by the
+        caller's own context included, so where a copy lives never decides
+        which code serves it.  Falls back to the installation handshake
+        when the configuration arrived without the replica list (reference
+        passed by value), and to plain forwarding when even that yields
+        nothing.  An **empty** resolution is not memoised: the replica
+        list may simply not have been delivered yet (handshake raced or
+        skipped), and caching the emptiness would degrade the proxy to
+        plain forwarding forever.
         """
         if self._replicas is not None:
             return self._replicas
-        raw = self.proxy_config.get("replicas")
-        if raw is None and not self.proxy_handshaken:
-            self.proxy_context.space.upgrade(self)
-            raw = self.proxy_config.get("replicas")
-        space = self.proxy_context.space
-        replicas: list = []
-        refs: list[ObjectRef | None] = []
-        for item in raw or []:
-            if isinstance(item, ObjectRef):
-                refs.append(item)
-                item = space.bind_ref(item, handshake=False)
-            else:
-                # A co-located replica arrives as the raw object (home
-                # access); recover its export reference so the quorum
-                # protocol can reach its entry (and version log).
-                ref = getattr(item, "proxy_ref", None)
-                if ref is None:
-                    try:
-                        ref = space.ref_of(item)
-                    except ReproError:
-                        ref = None
-                refs.append(ref)
-            replicas.append(item)
+        bind = self.proxy_context.space.proxy_for
+        replicas = [bind(item)
+                    for item in self.proxy_shipped("replicas") or []]
         if not replicas:
             return []
         self._versioned, self._elected = _protocol(self.proxy_config)
         self._replicas = replicas
-        self._replica_refs = refs
         return replicas
 
     def _read_order_indices(self, count: int) -> list[int]:
@@ -192,11 +177,8 @@ class ReplicatedProxy(Proxy):
         my_node = self.proxy_context.node.name
 
         def distance(index: int) -> float:
-            replica = self._replicas[index]
-            if not isinstance(replica, Proxy):
-                return 0.0  # a co-located raw replica is as near as it gets
-            return network.transit_time(my_node, replica.proxy_ref.node_name,
-                                        64)
+            return network.transit_time(
+                my_node, self._replicas[index].proxy_ref.node_name, 64)
 
         return sorted(indices, key=distance)
 
@@ -262,20 +244,12 @@ class ReplicatedProxy(Proxy):
 
     # -- unversioned write-all ----------------------------------------------------
 
-    def _call(self, replica, verb: str, args: tuple, kwargs: dict) -> Any:
-        """Invoke on one replica: through its proxy, or directly when the
-        replica lives in this very context (home access is the object)."""
-        if isinstance(replica, Proxy):
-            return replica.invoke(verb, args, kwargs)
-        self.proxy_context.charge(self.proxy_context.system.costs.local_call)
-        return getattr(replica, verb)(*args, **kwargs)
-
     def _read(self, replicas: list, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["reads"] += 1
         last_error: Exception | None = None
         for index in self._read_order_indices(len(replicas)):
             try:
-                return self._call(replicas[index], verb, args, kwargs)
+                return replicas[index].invoke(verb, args, kwargs)
             except DistributionError as exc:
                 self.proxy_stats["read_failovers"] += 1
                 last_error = exc
@@ -291,7 +265,7 @@ class ReplicatedProxy(Proxy):
         app_error: BaseException | None = None
         for replica in replicas:
             try:
-                outcome = self._call(replica, verb, args, kwargs)
+                outcome = replica.invoke(verb, args, kwargs)
             except RemoteError as exc:
                 # An application exception of an unreconstructible type:
                 # the replica executed the operation and raised.
@@ -332,15 +306,15 @@ class ReplicatedProxy(Proxy):
 
         Where the replica lives is the protocol's business: one co-located
         with the caller is served by the same dispatcher step, without
-        frames.
+        frames.  The envelope is addressed to the replica's binding but
+        issued here, not through ``proxy_remote``: a replica that moved
+        away must surface as ``ObjectMoved`` to the quorum walk (one more
+        unreachable copy), not be followed.
         """
-        ref = self._replica_refs[index]
-        if ref is None:
-            raise ConfigurationError(
-                "versioned replication needs reference-addressed replicas")
         context = self.proxy_context
-        return context.system.rpc.call(context, ref, verb, args, kwargs,
-                                       headers=headers)
+        return context.system.rpc.call(
+            context, self._replicas[index].proxy_ref, verb, args, kwargs,
+            headers=headers)
 
     def _control_call(self, index: int, control: list, body_args: tuple,
                       extra_headers: dict | None = None) -> dict:
@@ -905,6 +879,39 @@ class ReplicatedProxy(Proxy):
                                           for entry in entries)
 
 
+def export_group(space, template, interface, policy: str, config: dict,
+                 extra_layers: list[str] | None, members: list):
+    """Export a group's client-facing entry from ``space`` and return that
+    export entry (the step :func:`replicate` and
+    :func:`~repro.core.policies.sharding.shard` share).
+
+    ``extra_layers`` stack in front of ``policy`` (outermost first) under
+    the ``composite`` policy.  The group entry is a distinct delegate
+    object (not ``template`` — the first member — itself), so the member's
+    identity keeps exactly one export and the group reference carries the
+    group policy; the delegate answers clients that call the group entry
+    directly (e.g. before resolving the members).
+
+    Server-side layer components (e.g. the caching layer's invalidation
+    hook) install on the *group* entry, but operations are dispatched to
+    the ``members``' stub entries — so every member entry shares the
+    group's hook list: mutations observed at any copy fire the same
+    machinery, and later installs propagate too (hooks are idempotent per
+    write, so the duplication across replicas is harmless).
+    """
+    from ...iface.adapters import make_delegate
+    if extra_layers:
+        config["layers"] = list(extra_layers) + [policy]
+        policy = "composite"
+    ref = space.export(make_delegate(template, interface),
+                       interface=interface, policy=policy, config=config)
+    entry = space.entry(ref.oid)
+    if entry.mutation_hooks:
+        for member in members:
+            member.mutation_hooks = entry.mutation_hooks
+    return entry
+
+
 def replicate(contexts: list, factory: Callable[[], object],
               interface=None, read_policy: str = "nearest",
               write_quorum: int | None = None,
@@ -947,7 +954,6 @@ def replicate(contexts: list, factory: Callable[[], object],
     policy subclasses (e.g. ``regional``, which needs the replicas'
     region labels) receive them through ``proxy_config``.
     """
-    from ...iface.adapters import make_delegate
     from ...iface.interface import Interface
     from ..export import get_space
     if not contexts:
@@ -983,28 +989,10 @@ def replicate(contexts: list, factory: Callable[[], object],
     if extra_config:
         config.update(extra_config)
     elected = _protocol(config)[1]
-    if extra_layers:
-        config["layers"] = list(extra_layers) + [policy]
-        policy = "composite"
-    # The group entry is a distinct delegate object (not the primary itself),
-    # so the primary's identity keeps exactly one export and the group
-    # reference carries the replicated policy.  The delegate answers clients
-    # that call the group entry directly (e.g. before resolving replicas).
-    coordinator = make_delegate(first_obj, interface)
-    primary_space = get_space(contexts[0])
-    group_ref = primary_space.export(coordinator, interface=interface,
-                                     policy=policy, config=config)
-    # Server-side layer components (e.g. the caching layer's invalidation
-    # hook) install on the *group* entry, but writes are dispatched to the
-    # replica stub entries directly — mirror the hook list onto every
-    # replica so mutations observed at any copy fire the same machinery.
-    # The list object is shared, so later installs propagate too; hooks are
-    # idempotent per write, so the per-replica duplication is harmless.
-    group_entry = primary_space.entry(group_ref.oid)
-    if group_entry.mutation_hooks:
-        for ctx, ref in zip(contexts, replica_refs):
-            get_space(ctx).entry(ref.oid).mutation_hooks = \
-                group_entry.mutation_hooks
+    entries = [get_space(ctx).entry(ref.oid)
+               for ctx, ref in zip(contexts, replica_refs)]
+    group_ref = export_group(get_space(contexts[0]), first_obj, interface,
+                             policy, config, extra_layers, entries).ref
     if elected:
         # Arm every replica stub entry with its election state (term
         # fencing switches on at the dispatcher the moment the entry
@@ -1014,11 +1002,11 @@ def replicate(contexts: list, factory: Callable[[], object],
         from ...failures.election import DEFAULT_LEASE_TTL, ElectionState
         ttl = DEFAULT_LEASE_TTL if lease_ttl is None else float(lease_ttl)
         context_ids = [ctx.context_id for ctx in contexts]
-        for index, (ctx, ref) in enumerate(zip(contexts, replica_refs)):
+        for index, (ctx, entry) in enumerate(zip(contexts, entries)):
             detector = FailureDetector(ctx)
             for peer in context_ids:
                 if peer != ctx.context_id:
                     detector.watch(peer)
-            get_space(ctx).entry(ref.oid).election = ElectionState(
+            entry.election = ElectionState(
                 index, context_ids, ttl=ttl, detector=detector)
     return group_ref

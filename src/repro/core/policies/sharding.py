@@ -39,9 +39,11 @@ a map naming the new home.
 composite policy (``extra_layers=["resilient"]``), and a shard may
 itself be a ``replicate(...)`` group (pass a list of contexts in the
 ``contexts`` slot): the proxy then routes to the group's replicated
-sub-proxy instead of a stub entry.  Replicated shards keep a static ring
-(arc handoff needs direct fragment access, which a group encapsulates) —
-scale-out with per-shard redundancy, rebalance within the stub tier.
+sub-proxy instead of a stub entry — from the group's own home context
+as well, so a write made there fans out like any other.  Replicated
+shards keep a static ring (arc handoff needs direct fragment access,
+which a group encapsulates) — scale-out with per-shard redundancy,
+rebalance within the stub tier.
 
 Deployment helper: :func:`shard` builds the partitioned group and
 returns the client-facing reference.
@@ -96,7 +98,7 @@ class ShardedProxy(Proxy):
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)
         self._state: shards.ShardState | None = None
-        self._subs: dict[str, Any] = {}
+        self._subs: dict[str, Proxy] = {}
         self.proxy_stats.update(shard_routes=0, shard_local=0,
                                 shard_redirects=0, shard_heals=0,
                                 rebalances=0, splits=0,
@@ -133,11 +135,7 @@ class ShardedProxy(Proxy):
         """
         if self._state is not None:
             return self._state
-        raw = self.proxy_config.get("shards")
-        if raw is None and not self.proxy_handshaken:
-            self.proxy_context.space.upgrade(self)
-            raw = self.proxy_config.get("shards")
-        if raw is None:
+        if self.proxy_shipped("shards") is None:
             return None
         epoch, ring, specs = self._shard_params()
         self._state = shards.ShardState(-1, epoch, ring, specs)
@@ -236,12 +234,11 @@ class ShardedProxy(Proxy):
         self._subs.pop(old[1], None)
         route.shards[index] = list(forward.fields())
 
-    def _sub(self, spec: list):
-        """The bound sub-proxy for one shard (raw object when co-located)."""
+    def _sub(self, spec: list) -> Proxy:
+        """The bound sub-proxy for one shard, wherever the shard lives."""
         sub = self._subs.get(spec[1])
         if sub is None:
-            sub = self.proxy_context.space.bind_ref(ObjectRef(*spec),
-                                                    handshake=False)
+            sub = self.proxy_context.space.proxy_for(ObjectRef(*spec))
             self._subs[spec[1]] = sub
         return sub
 
@@ -249,13 +246,9 @@ class ShardedProxy(Proxy):
                     kwargs: dict) -> Any:
         """Un-enveloped invocation: single-shard fast path (byte-identical
         to a stub client) and non-stub shard policies (replicated groups)."""
-        sub = self._sub(spec)
-        if isinstance(sub, Proxy):
-            return sub.invoke(verb, args, kwargs)
-        self.proxy_stats["shard_local"] += 1
-        context = self.proxy_context
-        context.charge(context.system.costs.local_call)
-        return getattr(sub, verb)(*args, **kwargs)
+        if spec[0] == self.proxy_context.context_id:
+            self.proxy_stats["shard_local"] += 1
+        return self._sub(spec).invoke(verb, args, kwargs)
 
     def _enveloped_call(self, spec: list, verb: str, args: tuple,
                         kwargs: dict, headers: dict) -> dict:
@@ -505,17 +498,16 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
     vnode count, or a negative ``shard_key`` all raise
     :class:`ConfigurationError`.
     """
-    from ...iface.adapters import make_delegate
     from ...iface.interface import Interface
     from ...migration.mover import ensure_mover
     from ..export import get_space
-    from .replicating import replicate
+    from .replicating import export_group, replicate
     if not contexts:
         raise ConfigurationError("shard() needs at least one context")
     ring_epoch, ring = _ring_params(len(contexts), ring, vnodes, ring_epoch,
                                     shard_key)
     specs: list[list] = []
-    stub_entries: list[tuple[int, object, str]] = []  # (index, space, oid)
+    stub_entries: dict = {}    # shard index → its stub export entry
     first_obj = None
     for index, item in enumerate(contexts):
         if isinstance(item, (list, tuple)):
@@ -531,7 +523,7 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
                 interface = Interface.of(type(obj))
             space = get_space(item)
             ref = space.export(obj, interface=interface, policy="stub")
-            stub_entries.append((index, space, ref.oid))
+            stub_entries[index] = space.entry(ref.oid)
             # Movability: each stub context gets a mover, and the class is
             # registered so proxy_move_shard's migrate_in can rebuild it.
             ensure_mover(space)
@@ -546,33 +538,18 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
         "vnodes": int(vnodes),
         "shard_key": None if shard_key is None else int(shard_key),
     }
-    group_policy = policy
-    if extra_layers:
-        config["layers"] = list(extra_layers) + [policy]
-        group_policy = "composite"
     home = contexts[0] if not isinstance(contexts[0], (list, tuple)) \
         else contexts[0][0]
-    home_space = get_space(home)
-    coordinator = make_delegate(first_obj, interface)
-    group_ref = home_space.export(coordinator, interface=interface,
-                                  policy=group_policy, config=config)
-    group_entry = home_space.entry(group_ref.oid)
-    # Server-side layer components install on the group entry, but calls
-    # dispatch to the shard stub entries — mirror the hook list so
-    # mutations observed at any shard fire the same machinery (the list
-    # object is shared, so later installs propagate too).
-    if group_entry.mutation_hooks:
-        for _index, space, oid in stub_entries:
-            space.entry(oid).mutation_hooks = group_entry.mutation_hooks
+    group_entry = export_group(get_space(home), first_obj, interface, policy,
+                               config, extra_layers, stub_entries.values())
     # Arm every stub shard entry — and the group entry — with its ring
     # state; fencing switches on at the dispatcher the moment an entry
     # carries one.
-    for index, space, oid in stub_entries:
-        space.entry(oid).sharding = shards.ShardState(index, ring_epoch,
-                                                      ring, specs)
+    for index, entry in stub_entries.items():
+        entry.sharding = shards.ShardState(index, ring_epoch, ring, specs)
     group_entry.sharding = shards.ShardState(-1, ring_epoch, ring, specs)
     if registry is not None:
         label = name or f"sharded:{interface.name}"
-        registry.register(label, group_ref)
+        registry.register(label, group_entry.ref)
         registry.register(f"{label}.ring", group_entry.sharding.map())
-    return group_ref
+    return group_entry.ref

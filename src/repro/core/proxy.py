@@ -93,6 +93,16 @@ class Proxy:
         self.proxy_invalidate_ops()
         self.proxy_install()
 
+    def proxy_shipped(self, key: str) -> Any:
+        """A configuration value the exporter ships (``None`` if it ships
+        none), completing the installation handshake first when the proxy
+        was bound without one and the value has not arrived yet."""
+        value = self.proxy_config.get(key)
+        if value is None and not self.proxy_handshaken:
+            self.proxy_context.space.upgrade(self)
+            value = self.proxy_config.get(key)
+        return value
+
     # -- invocation ------------------------------------------------------------
 
     def __getattr__(self, verb: str) -> Any:

@@ -11,8 +11,10 @@ never wrote.  Per operation the proxy
 2. calls through with an **exponential-backoff** retry schedule and a
    per-call **deadline** (both from ``proxy_config``), so a struggling
    destination is neither hammered in lockstep nor waited on forever;
-3. on failure **fails over reads** to the configured replicas, nearest
-   breaker-admitted candidate first;
+3. on failure **fails over reads** to the configured replicas in shipped
+   order, skipping the ones an open breaker refuses (each candidate is a
+   bound proxy — one hosted by the caller's own context included, which
+   is served through its export entry like the rest);
 4. optionally **hedges reads**: the primary request is issued as a
    single-attempt promise, and after a per-link p95-ish delay
    (``system.latency``) a backup request races it to the nearest
@@ -39,7 +41,8 @@ Configuration (all marshallable, shipped by the exporter):
   (default off): hedge read-only operations after the per-link delay (or
   an explicit ``{"delay": seconds}``);
 * ``replicas`` — list of :class:`~repro.wire.refs.ObjectRef` read-failover
-  candidates (optional);
+  candidates (optional), each bound with :meth:`ObjectSpace.proxy_for
+  <repro.core.export.ObjectSpace.proxy_for>`;
 * ``breaker`` — dict of :class:`~repro.resilience.breaker.BreakerRegistry`
   defaults (``failure_threshold``/``reset_timeout``/``half_open_probes``);
 * ``stale_reads`` — serve cached reads when all candidates fail
@@ -135,21 +138,14 @@ class ResilientProxy(Proxy):
         return Deadline.after(ctx.clock.now, budget)
 
     def _resolve_replicas(self) -> list:
-        """Sub-proxies for the read-failover candidates, fetched lazily."""
-        if self._replicas is not None:
-            return self._replicas
-        raw = self.proxy_config.get("replicas")
-        if raw is None and not self.proxy_handshaken:
-            self.proxy_context.space.upgrade(self)
-            raw = self.proxy_config.get("replicas")
-        space = self.proxy_context.space
-        replicas = []
-        for item in raw or []:
-            if isinstance(item, ObjectRef):
-                item = space.bind_ref(item, handshake=False)
-            replicas.append(item)
-        self._replicas = replicas
-        return replicas
+        """Bound proxies for the read-failover candidates, resolved lazily
+        (one hosted by the caller's own context is a candidate like any
+        other: breaker-gated, served through its export entry)."""
+        if self._replicas is None:
+            bind = self.proxy_context.space.proxy_for
+            self._replicas = [bind(item) for item
+                              in self.proxy_shipped("replicas") or []]
+        return self._replicas
 
     # -- invocation ---------------------------------------------------------
 
@@ -161,7 +157,7 @@ class ResilientProxy(Proxy):
         readonly = op.readonly
         self.proxy_stats["reads" if readonly else "writes"] += 1
         deadline = self._deadline()
-        candidates: list = [None]  # None = the primary binding
+        candidates: list[Proxy] = [self]    # the primary binding first
         if readonly:
             candidates += self._resolve_replicas()
         registry = self._breakers()
@@ -180,24 +176,24 @@ class ResilientProxy(Proxy):
         for index, candidate in enumerate(candidates):
             if deadline is not None and deadline.expired(ctx.clock.now):
                 break
-            target_id = self._target_id(candidate)
-            if target_id is not None:
-                # configure(), not between(): the pair's breaker usually
-                # predates this proxy (handshake traffic created it with
-                # registry defaults), and the policy's knobs must win.
-                breaker = registry.configure(ctx.context_id, target_id,
-                                             **knobs)
-                if not breaker.allow(ctx.clock.now):
-                    # Fast fail: the refusal costs one local check, not a
-                    # retry budget — that asymmetry is the breaker's value.
-                    ctx.charge(ctx.system.costs.local_call)
-                    self.proxy_stats["fast_fails"] += 1
-                    continue
+            # configure(), not between(): the pair's breaker usually
+            # predates this proxy (handshake traffic created it with
+            # registry defaults), and the policy's knobs must win.
+            breaker = registry.configure(
+                ctx.context_id, candidate.proxy_ref.context_id, **knobs)
+            if not breaker.allow(ctx.clock.now):
+                # Fast fail: the refusal costs one local check, not a
+                # retry budget — that asymmetry is the breaker's value.
+                ctx.charge(ctx.system.costs.local_call)
+                self.proxy_stats["fast_fails"] += 1
+                continue
             admitted += 1
             if index > 0:
                 self.proxy_stats["failovers"] += 1
             try:
-                result = self._call(candidate, verb, args, kwargs, deadline)
+                result = candidate.proxy_remote(
+                    verb, args, kwargs, retry=self.proxy_retry,
+                    deadline=deadline)
             except DistributionError as exc:
                 if isinstance(exc, Overloaded):
                     # The destination shed the call at admission; the shed
@@ -212,28 +208,6 @@ class ResilientProxy(Proxy):
             return result
         return self._degrade(verb, args, kwargs, readonly,
                              last_error, admitted)
-
-    # -- internals ----------------------------------------------------------
-
-    def _target_id(self, candidate) -> str | None:
-        """Destination context of one candidate (None = no breaker gate)."""
-        if candidate is None:
-            return self.proxy_ref.context_id
-        if isinstance(candidate, Proxy):
-            return candidate.proxy_ref.context_id
-        return None  # a co-located raw replica cannot be "down"
-
-    def _call(self, candidate, verb: str, args: tuple, kwargs: dict,
-              deadline: Deadline | None) -> Any:
-        if candidate is None:
-            return self.proxy_remote(verb, args, kwargs,
-                                     retry=self.proxy_retry, deadline=deadline)
-        if isinstance(candidate, Proxy):
-            return candidate.proxy_remote(verb, args, kwargs,
-                                          retry=self.proxy_retry,
-                                          deadline=deadline)
-        self.proxy_context.charge(self.proxy_context.system.costs.local_call)
-        return getattr(candidate, verb)(*args, **kwargs)
 
     # -- hedged reads --------------------------------------------------------
 
@@ -309,7 +283,7 @@ class ResilientProxy(Proxy):
 
     def _hedge_candidate(self, replicas: list, registry, knobs: dict,
                          now: float):
-        """The nearest breaker-admitted remote replica, or ``None``.
+        """The nearest breaker-admitted replica, or ``None``.
 
         Survey uses :meth:`CircuitBreaker.would_allow` so ranking consumes
         no half-open probes; the chosen backup's probe is consumed by the
@@ -320,8 +294,6 @@ class ResilientProxy(Proxy):
         best = None
         best_distance = None
         for candidate in replicas:
-            if not isinstance(candidate, Proxy):
-                continue    # a co-located raw replica has no async binding
             target_id = candidate.proxy_ref.context_id
             if target_id == self.proxy_ref.context_id:
                 continue    # a backup to the same context hedges nothing

@@ -47,3 +47,14 @@ class MutationLog:
 def mutation_log():
     """A fresh recording mutation hook to append to an export entry."""
     return MutationLog()
+
+
+@pytest.fixture
+def hooked():
+    """``hooked(entry) -> MutationLog``: a fresh recording hook appended to
+    one export entry (for tests that tell several entries apart)."""
+    def hook(entry):
+        log = MutationLog()
+        entry.mutation_hooks.append(log)
+        return log
+    return hook

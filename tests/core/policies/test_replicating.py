@@ -510,7 +510,7 @@ class TestLocalityIsTheProtocolsBusiness:
         system, server, clients = quorum_group
         proxy = repro.bind(clients[1], "qkv")    # hosts replica 1
         proxy.put("k", 1)
-        ref = proxy._replica_refs[1]
+        ref = proxy._replicas[1].proxy_ref
         entry = clients[1].exports[ref.oid]
         entry.moved_to = ref.moved_to(clients[0].context_id)
         with pytest.raises(ObjectMoved):
@@ -534,3 +534,65 @@ class TestLocalityIsTheProtocolsBusiness:
         assert reply[versions.K_VALUE] == 1
         assert clients[1].clock.now - before == pytest.approx(
             system.costs.local_call + compute)
+
+    # -- write-all: the members are bindings too --------------------------
+
+    @staticmethod
+    def _shipped_refs(server, proxy):
+        """The replica references as the group entry ships them."""
+        return server.exports[proxy.proxy_ref.oid].policy_config["replicas"]
+
+    def test_write_all_fires_every_replica_hook_once(self, group, hooked):
+        system, server, clients = group
+        hosts = [server, clients[1], clients[2]]
+        proxy = repro.bind(clients[1], "kv")    # hosts replica 1
+        logs = [hooked(ctx.exports[ref.oid]) for ctx, ref
+                in zip(hosts, self._shipped_refs(server, proxy))]
+        proxy.put("k", 1)
+        assert [log.fired for log in logs] == [[("put", ("k", 1), {})]] * 3
+
+    def test_co_located_write_all_read_is_charged_its_compute(self, group):
+        system, server, clients = group
+        proxy = repro.bind(clients[1], "kv")
+        proxy.put("k", 1)
+        compute = proxy.proxy_interface.operation("get").compute
+        assert compute > 0
+        before = clients[1].clock.now
+        assert proxy.get("k") == 1    # nearest = the co-located replica
+        assert clients[1].clock.now - before == pytest.approx(
+            system.costs.local_call + compute)
+
+    @pytest.mark.parametrize("client", [1, 0], ids=["co-located", "remote"])
+    def test_moved_write_all_replica_is_followed_then_failed_over(
+            self, group, client):
+        system, server, clients = group
+        proxy = repro.bind(clients[client], "kv")
+        proxy.proxy_config["read_policy"] = "roundrobin"
+        proxy.put("k", 1)
+        old = self._shipped_refs(server, proxy)[1]
+        # Replica 1 migrates to the server's context; the object it leaves
+        # behind must never answer again.
+        clients[1].exports[old.oid].obj.put("k", "ZOMBIE")
+        new_home = KVStore()
+        new_home.put("k", "moved")
+        forward = get_space(server).export(new_home, policy="stub")
+        get_space(clients[1]).mark_migrated(old.oid, forward)
+        proxy._rr_counter = 1    # the read walk starts at replica 1
+        assert proxy.get("k") == "moved"
+        assert proxy._replicas[1].proxy_ref == forward
+        # The forward dies: the walk moves on to the next replica.
+        get_space(server).unexport(forward)
+        proxy._rr_counter = 1
+        assert proxy.get("k") == 1
+        assert proxy.proxy_stats["read_failovers"] == 1
+
+    def test_revoked_co_located_write_all_replica_is_failed_over(
+            self, group):
+        system, server, clients = group
+        proxy = repro.bind(clients[1], "kv")
+        proxy.put("k", 1)
+        ref = self._shipped_refs(server, proxy)[1]
+        clients[1].exports[ref.oid].obj.put("k", "ZOMBIE")
+        get_space(clients[1]).unexport(ref)
+        assert proxy.get("k") == 1
+        assert proxy.proxy_stats["read_failovers"] == 1

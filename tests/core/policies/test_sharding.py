@@ -272,6 +272,27 @@ class TestLocalityIsTheProtocolsBusiness:
         # both same-context peer calls through the protocol.
         assert moved > 0 and peer_calls == 2 * moved
 
+    def test_replicated_shard_fans_out_from_its_home_context(self):
+        # A client in the home context of shard 1's replica group reaches
+        # the group through its replicated proxy, like any other client —
+        # not through the coordinator object, which knows one copy.
+        _sys, _ctxs, _clients, extras = _system(
+            0, clients=0, extra_nodes=[f"r{i}" for i in range(6)])
+        ref = shard([extras[:3], extras[3:]], KVStore,
+                    replicate_with={"write_quorum": 2})
+        proxy = _bind(extras[3], ref)
+        state = shards.ShardState(-1, 1, shards.default_ring(2),
+                                  [["a"], ["b"]])
+        key = _keys_by_owner(state, {1})[1]
+        proxy.put(key, "v")
+        group = get_space(extras[3]).entry(proxy.proxy_config["shards"][1][1])
+        held = [get_space(ctx).entry(replica.oid).obj.data.get(key)
+                for ctx, replica in zip(extras[3:],
+                                        group.policy_config["replicas"])]
+        assert held == ["v", "v", "v"]
+        assert proxy.get(key) == "v"
+        assert proxy.proxy_stats["shard_local"] == 2
+
 
 class TestComposition:
     def test_resilient_over_sharded_stacks(self):

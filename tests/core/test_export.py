@@ -5,13 +5,17 @@ import pytest
 from repro.apps.kv import CachedKVStore, KVStore
 from repro.core.export import CTXMGR_OID, ObjectSpace, get_space
 from repro.core.proxy import is_proxy
+from repro.core.principle import assert_principle
 from repro.kernel.errors import (
     BindError,
     ConfigurationError,
     ConformanceError,
+    DanglingReference,
     EncapsulationViolation,
+    ObjectMoved,
 )
 from repro.iface.interface import Interface, Operation
+from repro.metrics.counters import MessageWindow
 from repro.wire.refs import ObjectRef
 
 
@@ -170,3 +174,75 @@ class TestSwizzleInbound:
         # The client stores its *proxy*; at home it unswizzles to the object.
         holder_proxy.put("stored", store_proxy)
         assert holder.data["stored"] is store
+
+
+class TestBindingContract:
+    """``bind_ref`` serves application code (home access is the object);
+    ``proxy_for`` serves policies (a member is always a bound proxy)."""
+
+    def test_bind_ref_at_home_is_the_object(self, pair):
+        system, server, client = pair
+        store = KVStore()
+        space = get_space(server)
+        ref = space.export(store)
+        assert space.bind_ref(ref) is store
+        assert space.bind_ref(ref, handshake=False) is store
+        assert server.decoder_hook(ref) is store
+        assert not server.proxies, "home access interposes no proxy"
+
+    @pytest.mark.parametrize("home", [True, False], ids=["home", "remote"])
+    def test_proxy_for_is_one_table_cached_stub(self, pair, home):
+        system, server, client = pair
+        ref = get_space(server).export(KVStore())
+        holder = server if home else client
+        space = get_space(holder)
+        with MessageWindow(system) as window:
+            proxy = space.proxy_for(ref)
+        assert window.report.messages == 0, "member binds are handshake-less"
+        assert is_proxy(proxy) and proxy.proxy_ref == ref
+        assert space.proxy_for(ref) is proxy
+        assert holder.proxies[ref.key] is proxy
+        if not home:
+            assert space.bind_ref(ref, handshake=False) is proxy
+
+    def test_proxy_for_accepts_every_shape_a_shipped_member_takes(self, pair):
+        system, server, client = pair
+        store = KVStore()
+        space = get_space(server)
+        ref = space.export(store)
+        proxy = space.proxy_for(ref)
+        assert space.proxy_for(store) is proxy    # unswizzled at home
+        assert space.proxy_for(proxy) is proxy    # swizzled elsewhere
+        with pytest.raises(BindError):
+            space.proxy_for(KVStore())            # never exported
+
+    def test_home_stub_runs_the_entry_hooks(self, pair, mutation_log):
+        system, server, client = pair
+        store = KVStore()
+        space = get_space(server)
+        ref = space.export(store)
+        space.entry(ref.oid).mutation_hooks.append(mutation_log)
+        proxy = space.proxy_for(ref)
+        proxy.put("k", 1)
+        assert proxy.get("k") == 1
+        assert store.data == {"k": 1}
+        assert mutation_log.fired == [("put", ("k", 1), {})]
+        assert_principle(system)    # a home proxy over a live export: I2
+
+    def test_home_stub_answers_from_the_guards(self, pair):
+        system, server, client = pair
+        space = get_space(server)
+        get_space(client)    # the forward's context answers for itself
+        moved_ref = space.export(KVStore())
+        gone_ref = space.export(KVStore())
+        moved, gone = space.proxy_for(moved_ref), space.proxy_for(gone_ref)
+        space.mark_migrated(moved_ref.oid,
+                            moved_ref.moved_to(client.context_id))
+        space.unexport(gone_ref)
+        with pytest.raises(DanglingReference):
+            gone.get("k")
+        with pytest.raises(ObjectMoved):    # what the guard says ...
+            system.rpc.call(server, moved_ref, "get", ("k",))
+        with pytest.raises(DanglingReference):
+            moved.get("k")    # ... and the stub follows: nothing lives there
+        assert moved.proxy_ref.context_id == client.context_id

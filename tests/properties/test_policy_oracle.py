@@ -16,9 +16,14 @@ import repro
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
 from repro.core.policies.replicating import replicate
+from repro.core.policies.sharding import shard
 from repro.naming.bootstrap import install_name_service
+from repro.resilience.policy import resilient_group
+from repro.wire import shards
 
-KEYS = [f"key{i}" for i in range(6)]
+#: Hand-picked: the default two- and three-shard rings both place one of
+#: these on every shard (``key0``..``key5`` all land on shard 0 of two).
+KEYS = ["key0", "key1", "key2", "key9", "key10", "key36"]
 
 ops = st.lists(
     st.one_of(
@@ -31,17 +36,50 @@ ops = st.lists(
 )
 
 
-def build(policy: str):
+#: Group deployments: ``name -> deploy(contexts, factory) -> (ref, beside)``
+#: where ``beside`` is the context hosting the group's member 1 — a
+#: replica or shard, but (wherever the group has more than one member) not
+#: the group's home.
+GROUPS = {
+    "replicated": lambda c, f: (
+        replicate(c[:3], f, write_quorum=2), c[1]),
+    "quorum": lambda c, f: (
+        replicate(c[:3], f, write_quorum=2, read_quorum=2,
+                  version_key="arg0"), c[1]),
+    "elected": lambda c, f: (
+        replicate(c[:3], f, write_quorum=2, read_quorum=2,
+                  version_key="arg0", elect=True), c[1]),
+    "sharded1": lambda c, f: (shard(c[:1], f), c[0]),
+    "sharded3": lambda c, f: (shard(c[:3], f), c[1]),
+    "sharded-replicated": lambda c, f: (
+        shard([c[:2], c[2:4]], f, replicate_with={"write_quorum": 2}), c[2]),
+    "resilient": lambda c, f: (resilient_group(c[:3], f), c[1]),
+    "composite": lambda c, f: (
+        replicate(c[:3], f, write_quorum=2, extra_layers=["caching"]), c[1]),
+}
+
+
+def build(policy: str, placement: str = "remote"):
+    """``(system, proxy, stores)``: ``policy`` deployed over KV stores —
+    every one of them listed in ``stores`` — and bound by a client sitting
+    on its own node (``"remote"``) or in the context hosting the group's
+    member 1 (``"beside"``)."""
     system = repro.make_system(seed=7)
-    contexts = [system.add_node(f"n{i}").create_context("m") for i in range(3)]
+    contexts = [system.add_node(f"n{i}").create_context("m") for i in range(5)]
     install_name_service(contexts[0])
-    if policy == "replicated":
-        ref = replicate(contexts[:2], KVStore, write_quorum=2)
+    stores: list[KVStore] = []
+
+    def factory():
+        stores.append(KVStore())
+        return stores[-1]
+
+    if policy in GROUPS:
+        ref, beside = GROUPS[policy](contexts, factory)
     else:
-        store = KVStore()
-        ref = get_space(contexts[0]).export(store, policy=policy)
-    proxy = get_space(contexts[2]).bind_ref(ref)
-    return system, proxy
+        ref = get_space(contexts[0]).export(factory(), policy=policy)
+        beside = None
+    client = contexts[4] if placement == "remote" else beside
+    return system, get_space(client).bind_ref(ref), stores
 
 
 def run_script(proxy, script) -> list:
@@ -70,10 +108,36 @@ def run_script(proxy, script) -> list:
           suppress_health_check=[HealthCheck.too_slow])
 @given(script=ops)
 def test_policy_matches_oracle(policy, script):
-    system, proxy = build(policy)
+    system, proxy, _stores = build(policy)
     for observed, expected in run_script(proxy, script):
         assert observed == expected
     repro.assert_principle(system)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_keys_reach_every_shard(count):
+    ring = shards.ShardState(-1, 1, shards.default_ring(count), [[]] * count)
+    owners = {ring.owner_of(shards.stable_hash(key)) for key in KEYS}
+    assert owners == set(range(count))
+
+
+@pytest.mark.parametrize("policy", sorted(GROUPS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(script=ops)
+def test_group_matches_oracle_wherever_the_client_sits(policy, script):
+    """Both arrival paths: a client next to a member observes the oracle
+    like a remote one — and leaves every member object in the state the
+    remote client's run of the same script leaves it in (a write that
+    skipped a copy is invisible to the client that made it)."""
+    finals = {}
+    for placement in ("remote", "beside"):
+        system, proxy, stores = build(policy, placement)
+        for observed, expected in run_script(proxy, script):
+            assert observed == expected
+        repro.assert_principle(system)
+        finals[placement] = [store.data for store in stores]
+    assert finals["beside"] == finals["remote"]
 
 
 @settings(max_examples=15, deadline=None,
@@ -82,7 +146,7 @@ def test_policy_matches_oracle(policy, script):
 def test_oracle_holds_under_message_loss(script, loss):
     """Retries + at-most-once keep the oracle exact even on a lossy net."""
     from repro.failures.injectors import message_loss
-    system, proxy = build("stub")
+    system, proxy, _stores = build("stub")
     with message_loss(system, loss):
         for observed, expected in run_script(proxy, script):
             assert observed == expected

@@ -132,6 +132,20 @@ class TestHedgedReads:
         assert other is not None
         assert other.proxy_ref.context_id != nearest.proxy_ref.context_id
 
+    def test_co_located_replica_is_an_eligible_backup(self, hedged):
+        system, group, _client, _proxy = hedged
+        client = group[1]    # hosts read replica 0
+        proxy = bind(client, "kv")
+        for _ in range(6):
+            proxy.get("k")
+        slow_primary_link(system, client, group[0])
+        served = system.rpc.stats["local_fast_path"]
+        assert proxy.get("k") == "seeded"
+        assert proxy.proxy_stats["hedge_wins"] == 1
+        assert system.rpc.stats["local_fast_path"] == served + 1, \
+            "the backup leg went to the replica next to the caller, " \
+            "through its export entry"
+
     def test_explicit_delay_overrides_the_adaptive_one(self, star):
         system, server, clients = star
         group = [server, clients[0]]

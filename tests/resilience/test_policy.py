@@ -79,6 +79,53 @@ class TestFailover:
             proxy.get("k")
 
 
+class TestCoLocatedReplica:
+    """A read replica hosted by the caller's own context is a candidate
+    like any other: reached through its export entry and breaker-gated
+    (``test_hedging`` pins that it may also be the hedge backup)."""
+
+    @pytest.fixture
+    def beside(self, deployed):
+        """The group bound from client0, which hosts read replica 0."""
+        system, group, _client, _proxy = deployed
+        client = group[1]
+        proxy = bind(client, "kv")
+        proxy.proxy_config["stale_reads"] = False
+        assert proxy.get("k") == "seeded"    # in use before things go wrong
+        shipped = group[0].exports[proxy.proxy_ref.oid].policy_config
+        ref = shipped["replicas"][0]
+        assert ref.context_id == client.context_id
+        return system, group, client, proxy, ref
+
+    def test_revoked_co_located_replica_is_skipped(self, beside):
+        system, group, client, proxy, ref = beside
+        client.exports[ref.oid].obj.put("k", "ZOMBIE")
+        client.space.unexport(ref)
+        group[0].node.crash()
+        assert proxy.get("k") == "seeded", \
+            "the walk moves on to the next replica, as it would past a " \
+            "remote dangling one"
+        assert proxy.proxy_stats["failovers"] == 2
+
+    def test_served_through_its_export_entry(self, beside):
+        system, group, client, proxy, ref = beside
+        group[0].node.crash()
+        served = system.rpc.stats["local_fast_path"]
+        assert proxy.get("k") == "seeded"
+        assert system.rpc.stats["local_fast_path"] == served + 1
+
+    def test_breaker_gated_like_any_candidate(self, beside):
+        system, group, client, proxy, ref = beside
+        group[0].node.crash()
+        # Nothing ever feeds the (ctx, ctx) pair — same-context calls never
+        # reach the breaker feed — so it admits until someone trips it.
+        system.breakers.configure(client.context_id, client.context_id,
+                                  **BREAKER).trip(client.clock.now)
+        assert proxy.get("k") == "seeded"
+        assert proxy.proxy_stats["fast_fails"] == 1
+        assert proxy.proxy_stats["failovers"] == 1
+
+
 class TestBreakerGate:
     def _trip_all(self, system, group, client):
         now = client.clock.now
