@@ -140,8 +140,10 @@ def cmd_simtest(args) -> int:
 
     Three modes: ``--replay FILE`` re-runs a recorded case verbatim,
     ``--seeds N`` sweeps a seed battery across policies, and the default
-    runs one ``--seed``.  Exit status 1 on any violation (or an unmet
-    replay expectation), so CI can gate on it directly.
+    runs one ``--seed``.  Exit status 1 on any violation, on any case the
+    checker could not settle within its budget (``unknown``; both kinds
+    are named on stdout), or on an unmet replay expectation — so CI can
+    gate on it directly.
     """
     from .simtest import build_case, run_battery, run_case
     from .simtest.runner import replay, report_json
@@ -183,10 +185,15 @@ def cmd_simtest(args) -> int:
         else:
             for policy, counts in sorted(summary["per_policy"].items()):
                 print(f"{policy:>12}: {counts['ok']}/{counts['cases']} ok")
-            if summary["violations"]:
-                print(f"{len(summary['violations'])} violation(s):")
-                for entry in summary["violations"]:
-                    print(f"  {json.dumps(entry['case'], sort_keys=True)}")
+            for label, cases in (
+                    ("violation(s)",
+                     [entry["case"] for entry in summary["violations"]]),
+                    ("unknown (checker budget exhausted)",
+                     summary["unknown"])):
+                if cases:
+                    print(f"{len(cases)} {label}:")
+                    for case in cases:
+                        print(f"  {json.dumps(case, sort_keys=True)}")
         return 1 if summary["violations"] or summary["unknown"] else 0
 
     failed = 0

@@ -37,22 +37,46 @@ Algorithm (Wing & Gong 1993, with the standard refinements):
 * **Per-key partitioning** (linearizable/RYW modes): operations touching
   disjoint ``partition_key``\\ s commute, so each key is checked
   independently.
-* **Minimal-op candidates**: at each step only operations whose ordering
-  constraint allows them next may be linearized next.
-* **Memoization**: the search state is ``(remaining ops, model state)``;
-  a configuration seen once is never re-explored (this is what keeps the
-  search sub-exponential on realistic histories).
+* **Configuration key**: a partition's ops are sorted by ``(invoke,
+  index)`` once and a search state is ``(int bitmask of remaining ops,
+  model state)``; a configuration seen once is never re-explored (the
+  memo is what keeps the search sub-exponential on realistic histories).
+  Verbs, argument tuples, canonical results and the required mask are
+  tabulated per partition, not per step.
+* **Maintained frontier**: only operations whose ordering constraint
+  allows them may be linearized next, and that set is carried down the
+  search instead of being recomputed at every node.  Real-time order: a
+  forward-only cursor into the ops-by-completion list, the frontier being
+  ``remaining & window[first pending completion]`` with a window holding
+  everything invoked no later than (``<=``) that completion.  Program
+  order: a ``blocked`` mask from which applying a required op clears the
+  (disjoint) set of ops it was the nearest required predecessor of.
 * **Maybe ops**: a mutator that failed with a distribution error has an
   open completion time (it constrains nobody) and is *optional* — the
   search may apply it at any point after its invoke, or never.  Its
   result is unconstrained.
+* **Candidate order — witnessed first, unwitnessed last**: at each node
+  the ops whose outcome the harness recorded (``ok`` in the *recorded*
+  history, which includes the foreign acknowledged mutators a projection
+  rewrites to ``maybe``) are tried in issue order before any op nobody saw
+  complete.  A refutable step before an irrefutable one: a recorded result
+  can contradict the model and prune the branch, whereas a timeout always
+  applies, never leaves the candidate set, and — tried first — multiplies
+  a dead subtree by every ordered subset of the timeouts around it.  The
+  order never changes a ``violation``: exhaustion visits the same
+  reachable set however it is walked, so that verdict, its
+  ``longest_prefix`` and its configuration count are identical by
+  construction; only how soon a witness turns up on an admissible
+  history moves.
 
 The search is budgeted: pathological histories return verdict
-``"unknown"`` rather than hanging CI (``capped=True`` on the result).
+``"unknown"`` rather than hanging CI (``capped=True`` on the result);
+``unknown`` proves nothing either way, so a battery that reports one fails.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .history import History, Op, canonical
@@ -116,15 +140,23 @@ def check_history(history: History, model: Model,
                          f"known: {CONSISTENCY_MODES}")
     ops = history.checkable()
     if consistency == "linearizable":
-        return _check_groups(_by_key(ops, model), model, max_nodes,
-                             order="realtime")
-    if consistency == "sequential":
-        ordered = sorted(ops, key=lambda op: (op.invoke, op.index))
-        return _check_groups({"*": ordered}, CombinedModel(model),
-                             max_nodes, order="program")
-    if consistency == "causal":
-        return _check_causal(ops, model, max_nodes)
-    return _check_ryw(ops, model, max_nodes)
+        batches = [(_by_key(ops, model), model, "realtime")]
+    elif consistency == "sequential":
+        batches = [({"*": ops}, CombinedModel(model), "program")]
+    else:
+        projections = ((client, ryw_projection(ops, client, model))
+                       for client in sorted({op.client for op in ops}))
+        if consistency == "causal":
+            batches = (({f"{client}:*": projected}, CombinedModel(model),
+                        "program") for client, projected in projections)
+        else:
+            batches = ((_by_key(projected, model, label=f"{client}:"),
+                        model, "realtime")
+                       for client, projected in projections)
+    # Provenance is read off the *recorded* ops: a projection rewrites
+    # other clients' acknowledged mutators to ``maybe`` too.
+    unwitnessed = frozenset(op.index for op in ops if op.status == "maybe")
+    return _check_batches(batches, max_nodes, unwitnessed)
 
 
 def _by_key(ops: list[Op], model: Model,
@@ -137,180 +169,145 @@ def _by_key(ops: list[Op], model: Model,
     return groups
 
 
-def _check_groups(groups: dict[str, list[Op]], model: Model, max_nodes: int,
-                  order: str) -> CheckResult:
-    """Run the search over each partition; first violation wins."""
-    total_explored = 0
-    capped = False
-    for key in sorted(groups):
-        ops = sorted(groups[key], key=lambda op: (op.invoke, op.index))
-        admissible, explored, prefix = _search(ops, model, max_nodes, order)
-        total_explored += explored
-        if explored >= max_nodes:
-            capped = True
-        if not admissible:
-            return CheckResult(
-                ok=False,
-                violation=Violation(partition=key,
-                                    ops=[op.to_json() for op in ops],
-                                    longest_prefix=prefix),
-                explored=total_explored, capped=capped,
-                partitions=len(groups))
-    return CheckResult(ok=True, explored=total_explored, capped=capped,
-                       partitions=len(groups))
+def _check_batches(batches, max_nodes: int,
+                   unwitnessed: frozenset) -> CheckResult:
+    """Search every partition of every batch; first violation wins.
 
-
-def _check_ryw(ops: list[Op], model: Model, max_nodes: int) -> CheckResult:
-    """Read-your-writes: each client's projection must be linearizable."""
-    total_explored = 0
-    capped = False
-    partitions = 0
-    for client in sorted({op.client for op in ops}):
-        groups = _by_key(ryw_projection(ops, client, model), model,
-                         label=f"{client}:")
-        result = _check_groups(groups, model, max_nodes, order="realtime")
-        total_explored += result.explored
-        capped = capped or result.capped
-        partitions += result.partitions
-        if not result.ok:
-            return CheckResult(ok=False, violation=result.violation,
-                               explored=total_explored, capped=capped,
-                               partitions=partitions)
-    return CheckResult(ok=True, explored=total_explored, capped=capped,
-                       partitions=partitions)
-
-
-def _check_causal(ops: list[Op], model: Model,
-                  max_nodes: int) -> CheckResult:
-    """Causal mode: each client's projection, program order, one partition.
-
-    The projection is the RYW one; the ordering constraint drops to
-    program order (the client may observe stale prefixes), but unlike RYW
-    the search runs over one *combined* partition so cross-key session
-    anomalies — e.g. reading the effect of a write whose causal
-    predecessor on another key is missing — still convict.
+    A batch is ``(partition label → ops, model, order)`` — the whole
+    history in the linearizable and sequential modes, one client's
+    projection in the other two (drawn lazily: a client is projected only
+    once every earlier one passed).  ``partitions`` counts every partition
+    of the batches reached; ``explored`` and ``capped`` cover the searched.
     """
-    total_explored = 0
-    capped = False
-    partitions = 0
-    for client in sorted({op.client for op in ops}):
-        projected = sorted(ryw_projection(ops, client, model),
-                           key=lambda op: (op.invoke, op.index))
-        result = _check_groups({f"{client}:*": projected},
-                               CombinedModel(model), max_nodes,
-                               order="program")
-        total_explored += result.explored
-        capped = capped or result.capped
-        partitions += result.partitions
-        if not result.ok:
-            return CheckResult(ok=False, violation=result.violation,
-                               explored=total_explored, capped=capped,
-                               partitions=partitions)
-    return CheckResult(ok=True, explored=total_explored, capped=capped,
-                       partitions=partitions)
+    result = CheckResult(ok=True)
+    for groups, model, order in batches:
+        result.partitions += len(groups)
+        for key in sorted(groups):
+            ops = sorted(groups[key], key=lambda op: (op.invoke, op.index))
+            admissible, explored, prefix = _search(ops, model, max_nodes,
+                                                   order, unwitnessed)
+            result.explored += explored
+            if explored >= max_nodes:
+                result.capped = True
+            if not admissible:
+                result.ok = False
+                result.violation = Violation(
+                    partition=key, ops=[op.to_json() for op in ops],
+                    longest_prefix=prefix)
+                return result
+    return result
 
 
-def _search(ops: list[Op], model: Model, max_nodes: int,
-            order: str = "realtime") -> tuple[bool, int, int]:
+def _search(ops: list[Op], model: Model, max_nodes: int, order: str,
+            unwitnessed: frozenset) -> tuple[bool, int, int]:
     """DFS over admissible total orders of one partition's operations.
 
-    ``order`` is the mode's constraint: ``"realtime"`` (an op may go next
-    only if nothing pending completed before its invoke) or ``"program"``
-    (an op may go next only if no *required* earlier op of the same client
-    is still pending — failed maybe-ops never block their session).
+    ``ops`` is sorted by ``(invoke, index)``; bit ``p`` of every mask is
+    ``ops[p]``.  ``order`` is the mode's constraint: ``"realtime"`` (an op
+    may go next only if nothing pending completed before its invoke) or
+    ``"program"`` (an op may go next only if no *required* earlier op of
+    the same client is still pending — failed maybe-ops never block their
+    session).  ``unwitnessed`` holds the ``index`` of every op nobody saw
+    complete; those are tried last at each node.
 
     Returns ``(admissible, configurations explored, longest prefix of
     required ops ever applied)``.  When the budget is exhausted the history
     is *presumed* admissible (the caller reports ``capped``).
     """
-    required = frozenset(i for i, op in enumerate(ops)
-                         if op.status == "ok")
-    infinity = float("inf")
-    completes = [op.complete if op.complete is not None else infinity
-                 for op in ops]
-    expected = [canonical(op.result) if op.status == "ok" else None
-                for op in ops]
-    if order == "program":
-        predecessor = _required_predecessors(ops, required)
-
-        def candidates(remaining: frozenset) -> list[int]:
-            return sorted(i for i in remaining
-                          if predecessor[i] is None
-                          or predecessor[i] not in remaining)
-    else:
-        def candidates(remaining: frozenset) -> list[int]:
-            return _candidates(ops, completes, remaining)
-
-    initial = model.initial()
-    if not required and all(op.status != "ok" for op in ops):
+    full = (1 << len(ops)) - 1
+    required = witnessed = 0
+    for position, op in enumerate(ops):
+        if op.status == "ok":
+            required |= 1 << position
+        if op.index not in unwitnessed:
+            witnessed |= 1 << position
+    if not required:
         # Nothing is required to have happened: trivially admissible.
         return True, 0, 0
+    verbs = [op.verb for op in ops]
+    args = [tuple(op.args) for op in ops]
+    expected = [canonical(op.result) if op.status == "ok" else None
+                for op in ops]
+    realtime = order == "realtime"
+    if realtime:
+        # ``pending[c]`` is the c-th op to complete, ``window[c]`` every op
+        # invoked no later than that completion.  The frontier is the
+        # window of the first completion still pending; the sentinel past
+        # the last one (maybe-ops never complete) admits everything.
+        invokes = [op.invoke for op in ops]
+        completions = sorted((op.complete, position)
+                             for position, op in enumerate(ops)
+                             if op.complete is not None)
+        pending = [1 << position for _, position in completions] + [-1]
+        window = [(1 << bisect_right(invokes, complete)) - 1
+                  for complete, _ in completions] + [full]
+        aux, todo = 0, window[0]
+    else:
+        aux, unblocks = _program_order(ops, required)
+        todo = full & ~aux
 
-    seen: set[tuple[frozenset, object]] = set()
-    explored = 0
-    best_applied = 0
-    # Each stack frame: (remaining index set, state, candidate iterator).
-    remaining = frozenset(range(len(ops)))
-    stack = [(remaining, initial, iter(candidates(remaining)))]
-    seen.add((remaining, initial))
+    step = model.step
+    total_required = required.bit_count()
+    seen: set[tuple[int, object]] = set()
+    explored = best_applied = 0
+    # A stack frame is a node with candidates left to try: (remaining
+    # mask, state, cursor into ``pending`` | blocked mask, candidate mask).
+    stack = [(full, model.initial(), aux, todo)]
     while stack:
-        remaining, state, frontier = stack[-1]
-        if not (remaining & required):
-            return True, explored, best_applied
-        advanced = False
-        for index in frontier:
-            op = ops[index]
+        remaining, state, aux, todo = stack.pop()
+        while todo:
+            bit = todo & witnessed or todo
+            bit &= -bit
+            todo ^= bit
+            position = bit.bit_length() - 1
             try:
-                result, new_state = model.step(state, op.verb,
-                                               tuple(op.args))
+                result, new_state = step(state, verbs[position],
+                                         args[position])
             except Exception:
                 continue    # the model rejects this order outright
-            if op.status == "ok" and canonical(result) != expected[index]:
+            if required & bit and canonical(result) != expected[position]:
                 continue
-            new_remaining = remaining - {index}
+            new_remaining = remaining ^ bit
             key = (new_remaining, new_state)
             if key in seen:
                 continue
             seen.add(key)
             explored += 1
-            applied = len(required) - len(new_remaining & required)
-            best_applied = max(best_applied, applied)
-            if explored >= max_nodes:
-                return True, explored, best_applied    # presumed; capped
-            stack.append((new_remaining, new_state,
-                          iter(candidates(new_remaining))))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
+            unmet = new_remaining & required
+            best_applied = max(best_applied,
+                               total_required - unmet.bit_count())
+            if not unmet or explored >= max_nodes:
+                return True, explored, best_applied    # witness, or capped
+            if todo:
+                stack.append((remaining, state, aux, todo))
+            remaining, state = new_remaining, new_state
+            if realtime:
+                while not remaining & pending[aux]:
+                    aux += 1
+                todo = remaining & window[aux]
+            else:
+                aux &= ~unblocks[position]
+                todo = remaining & ~aux
     return False, explored, best_applied
 
 
-def _candidates(ops: list[Op], completes: list[float],
-                remaining: frozenset) -> list[int]:
-    """Indices that may linearize next: nothing pending completed before
-    their invoke."""
-    if not remaining:
-        return []
-    horizon = min(completes[i] for i in remaining)
-    return sorted(i for i in remaining if ops[i].invoke <= horizon)
+def _program_order(ops: list[Op], required: int) -> tuple[int, list[int]]:
+    """The program-order frontier tables: ``(blocked, unblocks)``.
 
-
-def _required_predecessors(ops: list[Op],
-                           required: frozenset) -> list[int | None]:
-    """For each op, the nearest earlier *required* op of the same client.
-
-    Program order per client is ``(invoke, index)``.  Chasing only the
-    nearest required predecessor suffices: an applied predecessor was
-    itself a candidate once, so its own required predecessors were applied
-    first (induction).
+    ``blocked`` masks every op with an earlier *required* op of the same
+    client; ``unblocks[p]`` masks the ops whose nearest such predecessor is
+    ``ops[p]`` (disjoint sets).  Chasing only the nearest one suffices: an
+    applied predecessor was itself a candidate once, so its own required
+    predecessors were applied first (induction).
     """
     last_required: dict[str, int] = {}
-    predecessor: list[int | None] = [None] * len(ops)
-    for position in sorted(range(len(ops)),
-                           key=lambda i: (ops[i].invoke, ops[i].index)):
-        client = ops[position].client
-        predecessor[position] = last_required.get(client)
-        if position in required:
-            last_required[client] = position
-    return predecessor
+    blocked = 0
+    unblocks = [0] * len(ops)
+    for position, op in enumerate(ops):
+        nearest = last_required.get(op.client)
+        if nearest is not None:
+            blocked |= 1 << position
+            unblocks[nearest] |= 1 << position
+        if required >> position & 1:
+            last_required[op.client] = position
+    return blocked, unblocks

@@ -18,14 +18,12 @@ State must be **hashable** (tuples, not lists): the checker memoizes on
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import replace
 from typing import Any, Hashable
 
 #: State marker for an absent KV key (distinct from a stored ``None``).
 _ABSENT = ("__absent__",)
-
-#: Sentinel for "this partition has no state yet" in :class:`CombinedModel`.
-_UNSET = ("__unset__",)
 
 
 class Model:
@@ -259,13 +257,15 @@ class CombinedModel(Model):
 
     def step(self, state, verb, args):
         key = repr(self.base.partition_key(verb, args))
-        table = dict(state)
-        sub = table.get(key, _UNSET)
-        if sub is _UNSET:
+        # ``(key,)`` sorts just before ``(key, anything)``: the slot of the
+        # key's pair, present or not, without comparing sub-states.
+        at = end = bisect_left(state, (key,))
+        if at < len(state) and state[at][0] == key:
+            sub, end = state[at][1], at + 1
+        else:
             sub = self.base.initial()
         result, new_sub = self.base.step(sub, verb, args)
-        table[key] = new_sub
-        return result, tuple(sorted(table.items()))
+        return result, state[:at] + ((key, new_sub),) + state[end:]
 
 
 def ryw_projection(ops, client: str, model: Model) -> list:

@@ -9,6 +9,8 @@ checker convict innocent policies (or worse, acquit guilty ones).
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.counter import Counter
 from repro.apps.kv import KVStore
@@ -147,6 +149,26 @@ class TestCombinedModel:
         _, two = model.step(two, "put", ("a", 1))
         hash(one)    # checker memoizes on state
         assert one == two, "equal tables must memoize equally"
+
+    @settings(max_examples=60, deadline=None)
+    @given(service=st.sampled_from(sorted(MODELS)), seed=st.integers(0),
+           length=st.integers(1, 60))
+    def test_spliced_state_is_the_sorted_table(self, service, seed, length):
+        # ``step`` splices one pair into the sorted tuple; the state must
+        # stay what sorting the whole table would give, whatever the keys'
+        # arrival order and however many steps only read.
+        base = MODELS[service]()
+        model = CombinedModel(base)
+        rng = random.Random(seed)
+        state, table = model.initial(), {}
+        for index in range(length):
+            verb, args = _OPGENS[service](rng, f"c{index % 3}", index)
+            key = repr(base.partition_key(verb, args))
+            expected, table[key] = base.step(
+                table.get(key, base.initial()), verb, args)
+            result, state = model.step(state, verb, args)
+            assert result == expected
+            assert state == tuple(sorted(table.items()))
 
     def test_single_combined_partition(self):
         model = CombinedModel(KVModel())

@@ -91,3 +91,17 @@ def test_replay_honours_the_consistency_pin(capsys):
 def test_unknown_policy_exits_two(capsys):
     assert main(["simtest", "--policy", "nosuch"]) == 2
     assert "unknown policy" in capsys.readouterr().err
+
+
+def test_unknown_battery_case_is_named(capsys, monkeypatch):
+    # A battery the checker cannot settle must fail *and say which case*:
+    # exit 1 with nothing but "N/N ok" lines names nothing to replay.
+    monkeypatch.setattr("repro.simtest.checker.DEFAULT_MAX_NODES", 1)
+    code = main(["simtest", "--seeds", "1", "--policy", "stub",
+                 "--ops", "16", "--no-minimize"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "stub: 0/1 ok" in out
+    assert "1 unknown (checker budget exhausted):" in out
+    named = json.loads(out.splitlines()[-1])
+    assert (named["seed"], named["policy"], named["ops"]) == (0, "stub", 16)
