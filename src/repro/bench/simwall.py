@@ -2,7 +2,7 @@
 
 The sim-chaos battery (:mod:`repro.simtest`) is the repository's heaviest
 correctness gate, and the hot-path optimisations (frame templates, carried
-decode, reply batching, zero-copy bulk payloads) exist precisely to keep it
+decode, zero-copy bulk payloads) exist precisely to keep it
 cheap to run often.  This bench pins that down:
 
 * every shipped policy runs a fixed seed battery **twice**; the two runs

@@ -80,15 +80,13 @@ class ContextManager:
 class ObjectSpace:
     """Export/bind manager for one context (see module docstring)."""
 
-    def __init__(self, context: Context, strict: bool = False,
-                 auto_export: bool = True):
+    def __init__(self, context: Context, strict: bool = False):
         if context.space is not None:
             raise ConfigurationError(
                 f"context {context.context_id!r} already has an object space")
         self.context = context
         self.system = context.system
         self.strict = strict
-        self.auto_export = auto_export
         self.minter = OidMinter(context.context_id)
         self._exported_ids: dict[int, str] = {}
         self._exportable_types: dict[type, bool] = {}
@@ -303,12 +301,12 @@ class ObjectSpace:
             entry = self.context.exports.get(oid)
             if entry is not None and not entry.revoked:
                 return entry.moved_to if entry.moved_to is not None else entry.ref
-        if not self.auto_export or self.strict:
+        if self.strict:
             self.stats["violations"] += 1
             raise EncapsulationViolation(
                 f"unexported service object {type(value).__name__!r} may not "
                 f"cross the boundary of {self.context.context_id!r}; export "
-                "it first (or enable auto_export)")
+                "it first (the object space is strict)")
         self.stats["auto_exports"] += 1
         return self.export(value)
 

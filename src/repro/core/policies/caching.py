@@ -120,7 +120,11 @@ class CachingProxy(Proxy):
         key = (verb,) + args
         ttl = self._effective_ttl()
         now = self.proxy_context.clock.now
-        cached = self._cache.get(key)
+        try:
+            cached = self._cache.get(key)
+        except TypeError:  # unhashable argument: this read is uncacheable
+            self.proxy_stats["misses"] += 1
+            return self.proxy_remote(verb, args, kwargs)
         if cached is not None:
             value, stored_at = cached
             if ttl is None or now - stored_at <= ttl:

@@ -158,33 +158,6 @@ class Network:
             spec = self._default_spec
         return spec.latency * self.latency_factor + nbytes * spec.byte_cost
 
-    def reliable(self, src: str, dst: str) -> bool:
-        """Whether a message from ``src`` to ``dst`` would deliver for
-        certain *right now* — both nodes alive, no partition between
-        them, and a loss-free link.
-
-        Used by the reply-batching layer to decide whether several
-        same-tick frames may be coalesced: a clean link draws no random
-        number in :meth:`transmit`, so replacing N sends with one leaves
-        the RNG stream untouched.  A lossy link must keep its per-frame
-        draws, so batching declines it.
-        """
-        nodes = self._nodes
-        src_node = nodes.get(src)
-        dst_node = nodes.get(dst)
-        if src_node is None or dst_node is None:
-            return False
-        if not (src_node.alive and dst_node.alive):
-            return False
-        if src == dst:
-            return True
-        if self._partition_active and self.partitioned(src, dst):
-            return False
-        spec = self._links.get((src, dst))
-        if spec is None:
-            spec = self._default_spec
-        return spec.loss == 0.0
-
     def transmit(self, src: str, dst: str, nbytes: int, at: float) -> Delivery:
         """Attempt delivery of one message; never raises for network faults.
 

@@ -347,9 +347,11 @@ class ResilientProxy(Proxy):
     @staticmethod
     def _cache_key(verb: str, args: tuple, kwargs: dict):
         try:
-            return (verb, args, tuple(sorted(kwargs.items())))
+            key = (verb, args, tuple(sorted(kwargs.items())))
+            hash(key)
         except TypeError:
             return None  # unhashable arguments: this read is uncacheable
+        return key
 
 
 def resilient_group(contexts: list, factory: Callable[[], object],

@@ -205,20 +205,9 @@ class Dispatcher:
             # calls queue and drain in virtual time on the context busy
             # line instead of executing instantaneously.
             ctx.charge(admission.service_time)
-        # One staging window per dispatch tick: oneways the handler fans
-        # out (event publishes, cache invalidations) coalesce per link
-        # and flush when the tick ends (or earlier, if program order
-        # demands it — see RpcProtocol._maybe_stage).
-        rpc = self._system.rpc
-        if rpc is not None and rpc.reply_batching:
-            rpc.open_reply_window()
-        else:
-            rpc = None
         try:
             outcome = self._handle_at(data, frame)
         finally:
-            if rpc is not None:
-                rpc.close_reply_window()
             end = ctx.clock.now
             if admitted_target is not None:
                 # Release the queue slot at the call's busy-line end —
@@ -237,7 +226,6 @@ class Dispatcher:
         door ran (the unmarshal *cost* is still charged here, on the busy
         line, where serving pays it)."""
         ctx = self.context
-        system = self._system
         costs = self._costs
         ctx.charge(costs.marshal_fixed + len(data) * costs.marshal_byte_cost)
         if frame is None:
@@ -279,14 +267,8 @@ class Dispatcher:
             reply = self._dispatch(frame)
         finally:
             ctx.current_deadline = enclosing
-        rpc = system.rpc
-        if rpc is not None and rpc._windows and rpc._windows[-1]:
-            # Oneways the handler fanned out (mutation hooks) preceded
-            # this event inline; flush staged ones now so the trace keeps
-            # the original emission order.
-            rpc.flush_reply_window()
-        system.trace.emit(ctx.clock.now, "invoke", frame.src, ctx.context_id,
-                          frame.verb)
+        self._system.trace.emit(ctx.clock.now, "invoke", frame.src,
+                                ctx.context_id, frame.verb)
         reply_data = self.transport.encode_frame(reply, ctx)
         if reply_data.__class__ is not bytes:
             # A zero-copy reply may hold mutable segments the service still

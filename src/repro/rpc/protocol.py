@@ -101,8 +101,6 @@ class RpcProtocol:
         self._costs = system.costs
         self._network = system.network
         self.lrpc_enabled = True
-        #: Coalesce same-window oneways per link into multi-reply frames.
-        self.reply_batching = True
         #: Send time of the most recent call's first attempt (promise layer).
         self.last_sent_at: float | None = None
         #: Retry engine used when a call names no policy of its own.
@@ -113,13 +111,10 @@ class RpcProtocol:
         # and the cost model is fixed, so the pair fully determines it).
         self._budget_policy: RetryPolicy | None = None
         self._budget_attempts = 0
-        #: Stack of open staging windows (one per in-flight dispatch).
-        self._windows: list[list] = []
         self.stats = {"calls": 0, "oneways": 0, "retries": 0, "timeouts": 0,
                       "local_fast_path": 0, "remote_exceptions": 0,
                       "deadline_exceeded": 0, "overload_sheds": 0,
-                      "retry_after_waits": 0, "reply_batches": 0,
-                      "coalesced_oneways": 0}
+                      "retry_after_waits": 0}
         system.rpc = self
 
     # -- public API ---------------------------------------------------------
@@ -151,12 +146,6 @@ class RpcProtocol:
         """
         kwargs = kwargs or {}
         self.stats["calls"] += 1
-        if self._windows and self._windows[-1]:
-            # Staged oneways precede this call in program order; their
-            # handlers (and any RNG they draw) must run before the
-            # synchronous round trip below, exactly as the inline sends
-            # did.
-            self.flush_reply_window()
         enclosing = src.current_deadline
         if deadline is not None or enclosing is not None:
             deadline = Deadline.merge(deadline, enclosing)
@@ -283,13 +272,15 @@ class RpcProtocol:
 
     def send_oneway(self, src: Context, ref: ObjectRef, verb: str,
                     args: tuple = (), kwargs: dict | None = None) -> None:
-        """Fire-and-forget invocation: no reply, no delivery guarantee."""
+        """Fire-and-forget invocation: no reply, no delivery guarantee.
+
+        The message leaves here and, where it arrives, is served before
+        this returns: a one-way sent from inside an operation precedes
+        whatever the operation does next.
+        """
         self.stats["oneways"] += 1
         kwargs = kwargs or {}
         if self.lrpc_enabled and ref.context_id == src.context_id:
-            # Keep program order: earlier staged oneways ran before this
-            # local invocation when sends were inline.
-            self.flush_reply_window()
             try:
                 self._local_call(src, ref, verb, args, kwargs)
             except Exception:    # best effort, like the framed one-way
@@ -298,8 +289,6 @@ class RpcProtocol:
         frame = Frame(ONEWAY, self._mint(src), src.context_id, ref.context_id,
                       target=ref.oid, verb=verb, body=(tuple(args), kwargs))
         data = self.transport.encode_frame(frame, src)
-        if self._windows and self._maybe_stage(src, frame, data):
-            return
         delivery = self.transport.transmit(frame, data, src.clock.now)
         if delivery.delivered:
             try:
@@ -311,113 +300,6 @@ class RpcProtocol:
             # flight when the crash hit.
             if dst.handler is not None and dst.alive:
                 dst.handler(data, delivery.arrive_time)
-
-    # -- reply batching ------------------------------------------------------
-
-    def open_reply_window(self) -> None:
-        """Begin a staging window (one per in-flight dispatch tick)."""
-        self._windows.append([])
-
-    def close_reply_window(self) -> None:
-        """End the current window, flushing anything still staged."""
-        staged = self._windows.pop()
-        if staged:
-            self._flush_staged(staged)
-
-    def flush_reply_window(self) -> None:
-        """Deliver everything staged in the current window, keeping it
-        open."""
-        stack = self._windows
-        if not stack:
-            return
-        staged = stack[-1]
-        if staged:
-            stack[-1] = []
-            self._flush_staged(staged)
-
-    def _maybe_stage(self, src: Context, frame: Frame, data) -> bool:
-        """Stage an encoded oneway for the window flush, when safe.
-
-        Safe means: the link is :meth:`~repro.kernel.network.Network.
-        reliable` right now (delivery certain, no RNG draw to preserve)
-        and the destination would accept the frame right now (same
-        liveness discipline as the inline send).  Everything observable
-        is pinned at stage time — the arrival instant uses the same
-        float arithmetic as ``Network.transmit``, so deferring the
-        handler call to the flush changes nothing in virtual time.
-        Returns ``False`` when the caller must take the inline path,
-        after flushing so program order survives (a lossy link's RNG
-        draw has to happen after the staged handlers ran, exactly as it
-        would have inline).
-        """
-        transport = self.transport
-        src_node = src.node.name
-        dst_node = transport.node_of(frame.dst)
-        if not self._network.reliable(src_node, dst_node):
-            self.flush_reply_window()
-            return False
-        try:
-            dst = self.system.context(frame.dst)
-        except kernel_errors.ConfigurationError:
-            # Inline delivery would have been a silent no-op; staging it
-            # would only inflate the batch.  Emit the send and move on.
-            self.flush_reply_window()
-            return False
-        if dst.handler is None or not dst.alive:
-            self.flush_reply_window()
-            return False
-        sent_at = src.clock.now
-        arrive = sent_at + self._network.transit_time(src_node, dst_node,
-                                                      len(data))
-        if data.__class__ is not bytes:
-            # A zero-copy message may hold mutable segments the caller
-            # still owns; snapshot them once at stage time.
-            data = data.freeze()
-        self._windows[-1].append(
-            (frame, data, sent_at, arrive, dst.handler, src, dst_node))
-        return True
-
-    def _flush_staged(self, staged: list) -> None:
-        """Deliver staged oneways in program order, coalescing runs.
-
-        Consecutive frames sharing one ``(src context, dst node)`` link
-        collapse into a single multi-reply frame — one ``send`` event,
-        one wire header, message count down by ``run - 1``.  A frame
-        with no same-link neighbour replays the exact inline send (same
-        trace event, same arrival).  Handlers run strictly in staging
-        order either way, so cross-node interleavings — busy-line
-        occupancy, seeded RNG consumers — are untouched.
-        """
-        transport = self.transport
-        stats = self.stats
-        n = len(staged)
-        i = 0
-        while i < n:
-            frame, data, sent_at, arrive, handler, src, dst_node = staged[i]
-            j = i + 1
-            src_id = frame.src
-            while j < n and staged[j][0].src == src_id \
-                    and staged[j][6] == dst_node:
-                j += 1
-            if j - i == 1:
-                transport.trace_send(frame, len(data), sent_at)
-                handler(data, arrive)
-            else:
-                run = staged[i:j]
-                subs = tuple(
-                    (d if d.__class__ is bytes else d.to_bytes(), arr)
-                    for _, d, _, arr, _, _, _ in run)
-                batch = transport.encode_batch(src, dst_node, subs)
-                # The sender already paid full marshal cost per sub-frame;
-                # the batch header is free framing, so encode without a
-                # charge.  Sent when its last member was produced.
-                batch_data = batch.encode_message(transport.encoder_for(src))
-                transport.trace_send(batch, len(batch_data), run[-1][2])
-                stats["reply_batches"] += 1
-                stats["coalesced_oneways"] += j - i
-                for _, d, _, arr, h, _, _ in run:
-                    h(d, arr)
-            i = j
 
     def _feed_breaker(self, src: Context, ref: ObjectRef,
                       success: bool) -> None:

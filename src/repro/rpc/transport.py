@@ -81,30 +81,11 @@ class Transport:
         """
         return Frame.decode_message(data, self.decoder_for(dst_context))
 
-    # -- reply batching --------------------------------------------------------
-
+    # Dead: benchmarks/perf/perf_spans.py (LAYER_MAP) wraps it by name.
     def encode_batch(self, src_ctx, dst_node: str, subs: tuple) -> Frame:
-        """Build the multi-reply frame carrying ``subs`` to ``dst_node``.
-
-        ``subs`` is a tuple of ``(wire_image, arrive)`` pairs — each the
-        contiguous bytes of an already-encoded (and already-charged)
-        sub-frame plus its original arrival instant.  The batch frame
-        itself is *not* charged: the sender paid full marshal cost per
-        sub-frame when it encoded them, and coalescing is pure framing.
-        The frame is unminted (``msg_id == 0``) — nothing replies to it.
-        """
+        """Build an unminted multi-reply frame carrying ``subs``, a tuple
+        of ``(wire_image, arrive)`` pairs, to ``dst_node``."""
         return Frame(MREPLY, 0, src_ctx.context_id, dst_node, body=subs)
-
-    @staticmethod
-    def unbatch(frame: Frame) -> tuple:
-        """The ``(wire_image, arrive)`` pairs carried by a multi-reply
-        frame."""
-        return frame.body
-
-    def unmarshal_cost(self, nbytes: int) -> float:
-        """CPU seconds to unmarshal an ``nbytes`` frame."""
-        costs = self._costs
-        return costs.marshal_fixed + nbytes * costs.marshal_byte_cost
 
     # -- transmission ----------------------------------------------------------
 
@@ -132,31 +113,16 @@ class Transport:
             dst_node = names[dst] = dst.split("/", 1)[0]
         return self._network.transmit(src_node, dst_node, nbytes, at)
 
+    # Dead: benchmarks/perf/perf_spans.py (LAYER_MAP) wraps it by name.
     def trace_send(self, frame: Frame, nbytes: int, at: float) -> None:
         """Record the ``send`` trace event of :meth:`transmit` without
-        touching the network.
-
-        Used by the reply-batching flush for frames whose delivery was
-        already committed at stage time over a link that
-        :meth:`~repro.kernel.network.Network.reliable` vouched for — on
-        such a link :meth:`transmit` has no observable effect beyond
-        this event (no drop, no RNG draw), so the flush replays exactly
-        the event the inline send would have produced.
-        """
+        touching the network."""
         key = (frame.kind, frame.verb)
         label = self._labels.get(key)
         if label is None:
             label = f"{frame.kind}:{frame.verb}" if frame.verb else frame.kind
             self._labels[key] = label
         self._trace.emit(at, "send", frame.src, frame.dst, label, nbytes)
-
-    def node_of(self, context_id: str) -> str:
-        """Node name of a context id (memoised split)."""
-        names = self._node_names
-        node = names.get(context_id)
-        if node is None:
-            node = names[context_id] = context_id.split("/", 1)[0]
-        return node
 
     def transmit_reply(self, src: str, dst: str, data: bytes, at: float):
         """Send reply bytes back to the caller.

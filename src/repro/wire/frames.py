@@ -20,7 +20,8 @@ REQUEST = "req"      #: call expecting a reply
 REPLY = "rep"        #: successful result
 EXCEPTION = "exc"    #: error result (body: (error_class_name, message, detail))
 ONEWAY = "one"       #: fire-and-forget notification (no reply)
-MREPLY = "mrp"       #: batch of same-tick frames coalesced onto one link
+# Dead: built only by Transport.encode_batch, which perf_spans.LAYER_MAP holds.
+MREPLY = "mrp"       #: multi-reply frame: a tuple of (wire image, arrival)
 
 _KINDS = {REQUEST, REPLY, EXCEPTION, ONEWAY, MREPLY}
 

@@ -59,8 +59,7 @@ class WireMessage:
 
     def to_bytes(self) -> bytes:
         """The contiguous wire image (segments spliced after their
-        markers).  Decodable by the plain byte-stream decoder; used when
-        a message is embedded inside another frame (reply batching)."""
+        markers).  Decodable by the plain byte-stream decoder."""
         if not self.segments:
             return self.head
         head = self.head
@@ -79,9 +78,9 @@ class WireMessage:
         """A message whose segments are all immutable ``bytes``.
 
         Returns ``self`` when nothing needs materialising.  Used when a
-        message is staged for deferred delivery (reply batching): a
-        ``bytearray``/``memoryview`` payload could legally be mutated by
-        its owner between staging and the flush, so mutable segments are
+        message outlives the call that built it (the dispatcher's replay
+        cache): a ``bytearray``/``memoryview`` payload could legally be
+        mutated by its owner afterwards, so mutable segments are
         snapshotted exactly once here.
         """
         if all(p.__class__ is bytes for _, p in self.segments):

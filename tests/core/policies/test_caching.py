@@ -155,6 +155,28 @@ class TestServerInvalidation:
                   if ev.kind == "send"]
         assert any(label.startswith("one:") for label in labels)
 
+    def test_one_put_sends_one_invalidate_per_registered_cache(self, system):
+        # Two caches in two contexts of one node plus the writer's own:
+        # every registered cache gets its own one-way, in registration
+        # order, and nothing else leaves the server one-way.
+        server = system.add_node("server").create_context("main")
+        shared = system.add_node("shared")
+        contexts = [shared.create_context("a"), shared.create_context("b"),
+                    system.add_node("writer").create_context("main")]
+        ref = get_space(server).export(KVStore(), policy="caching")
+        a, b, writer = (get_space(ctx).bind_ref(ref, handshake=True)
+                        for ctx in contexts)
+        writer.put("k", 1)
+        assert (a.get("k"), b.get("k")) == (1, 1)
+        mark = system.trace.mark()
+        writer.put("k", 2)
+        oneways = [(ev.label, ev.dst) for ev in system.trace.since(mark)
+                   if ev.kind == "send"
+                   and ev.label not in ("req:put", "rep")]
+        assert oneways == [("one:invalidate", ctx.context_id)
+                           for ctx in contexts]
+        assert (a.get("k"), b.get("k")) == (2, 2)
+
 
 class TestInvalidatedValues:
     def test_named_parameter(self):

@@ -17,6 +17,8 @@ from repro.apps.kv import KVStore
 from repro.core.export import get_space
 from repro.core.policies.replicating import replicate
 from repro.core.policies.sharding import shard
+from repro.core.service import Service
+from repro.iface.interface import operation
 from repro.naming.bootstrap import install_name_service
 from repro.resilience.policy import resilient_group
 from repro.wire import shards
@@ -111,6 +113,43 @@ def test_policy_matches_oracle(policy, script):
     system, proxy, _stores = build(policy)
     for observed, expected in run_script(proxy, script):
         assert observed == expected
+    repro.assert_principle(system)
+
+
+class Table(Service):
+    """A service whose read takes an unhashable argument."""
+
+    def __init__(self):
+        self.data: dict = {}
+
+    @operation(readonly=True)
+    def mget(self, keys: list) -> list:
+        return [self.data.get(key) for key in keys]
+
+    @operation(invalidates=("key",))
+    def put(self, key: str, value: int) -> bool:
+        self.data[key] = value
+        return True
+
+
+@pytest.mark.parametrize("policy", ["stub", "caching", "resilient",
+                                    "composite"])
+def test_unhashable_read_argument_is_served_like_stub(policy):
+    """A policy that keys a cache on the arguments may decline to cache
+    such a read; it may not refuse one the stub serves."""
+    system = repro.make_system(seed=7)
+    server, client = (system.add_node(name).create_context("m")
+                      for name in ("server", "client"))
+    install_name_service(server)
+    config = {"layers": ["resilient", "caching"]} \
+        if policy == "composite" else {}
+    ref = get_space(server).export(Table(), policy=policy, config=config)
+    proxy = get_space(client).bind_ref(ref)
+    proxy.put("a", 1)
+    proxy.put("b", 2)
+    assert proxy.mget(["a", "b"]) == [1, 2]
+    proxy.put("a", 3)
+    assert proxy.mget(["a", "b"]) == [3, 2]
     repro.assert_principle(system)
 
 

@@ -243,3 +243,32 @@ class TestOneway:
         ref = get_space(server).export(Sink())
         system.network.set_default_loss(1.0)
         system.rpc.send_oneway(client, ref, "fire", ("gone",))  # no raise
+
+    def test_a_hook_oneway_leaves_before_its_write_is_traced(self, pair):
+        # The invalidation a put fans out is sent (and served) inside the
+        # operation: after the request, before the server's invoke event.
+        system, server, client = pair
+        ref = get_space(server).export(KVStore(), policy="caching")
+        proxy = get_space(client).bind_ref(ref, handshake=True)
+        mark = system.trace.mark()
+        proxy.put("k", 1)
+        assert [(ev.kind, ev.label) for ev in system.trace.since(mark)] == [
+            ("send", "req:put"), ("send", "one:invalidate"),
+            ("invoke", "put"), ("send", "rep")]
+
+    def test_oneway_to_a_crashed_node_is_sent_dropped_and_not_run(self, pair):
+        system, server, client = pair
+        fired = []
+
+        class Sink(Service):
+            @operation(oneway=True)
+            def fire(self, value):
+                fired.append(value)
+
+        ref = get_space(server).export(Sink())
+        server.node.crash()
+        mark = system.trace.mark()
+        system.rpc.send_oneway(client, ref, "fire", ("gone",))
+        assert [(ev.kind, ev.label) for ev in system.trace.since(mark)] == [
+            ("send", "one:fire"), ("drop", "crash")]
+        assert fired == []

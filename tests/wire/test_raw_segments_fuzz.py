@@ -22,7 +22,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rpc.transport import Transport
 from repro.wire.frames import Frame, MREPLY, ONEWAY, REQUEST
 from repro.wire.marshal import Marshaller, RAW_THRESHOLD
 
@@ -139,12 +138,12 @@ def test_multi_reply_frames_round_trip(subs):
     assert legacy == naive_encode(_fields(frame))
     back = Frame.decode(legacy, Marshaller())
     assert back.kind == MREPLY
-    assert Transport.unbatch(back) == subs
+    assert back.body == subs
     # The message path agrees with itself and with the legacy length.
     msg = frame.encode_message(Marshaller())
     assert len(msg) == len(legacy)
     again = Frame.decode_message(msg, Marshaller())
-    assert Transport.unbatch(again) == subs
+    assert again.body == subs
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,7 +158,7 @@ def test_multi_reply_carrying_bulk_sub_images(inner_size, arrive):
     image = _image(inner.encode_message(Marshaller()))
     batch = Frame(MREPLY, 0, "s0/main", "c0", body=((image, arrive),))
     back = Frame.decode(batch.encode(Marshaller()), Marshaller())
-    (carried_image, carried_arrive), = Transport.unbatch(back)
+    (carried_image, carried_arrive), = back.body
     assert carried_image == image
     assert carried_arrive == arrive
     replayed = Frame.decode(carried_image, Marshaller())

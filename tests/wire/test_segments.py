@@ -2,8 +2,8 @@
 
 A :class:`WireMessage` must be indistinguishable from the contiguous
 byte stream it stands for: same honest length, same decodable image,
-and — because staged messages outlive the caller's tick — stable even
-when the caller later mutates a payload it handed in.
+and — because a remembered reply outlives the call that built it —
+stable even when the caller later mutates a payload it handed in.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class TestWireMessage:
         msg = WireMessage(b"h", ((1, owned),), 5)
         frozen = msg.freeze()
         assert frozen is not msg
-        owned[:] = b"DEAD"  # the caller mutates after staging
+        owned[:] = b"DEAD"  # the caller mutates after the snapshot
         assert frozen.to_bytes() == b"hlive"
         assert msg.to_bytes() == b"hDEAD"  # unfrozen view tracks the owner
 
