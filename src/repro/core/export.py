@@ -6,9 +6,10 @@ Every context that participates in the proxy regime gets an
 * the **export table** (oid → :class:`~repro.rpc.dispatcher.ExportEntry`),
 * the **proxy table** (object key → live proxy, at most one proxy per
   object per context): :meth:`ObjectSpace.bind_ref` is the application's
-  way in (home access is the object itself), :meth:`ObjectSpace.proxy_for`
-  the policies' (every member of a group is a bound proxy, a home one
-  included),
+  way in (home access is the object itself — or, for a group, which has
+  no object of its own, the same group proxy every other context gets),
+  :meth:`ObjectSpace.proxy_for` the policies' (every member of a group is
+  a bound proxy, a home one included),
 * the **swizzle hooks** installed on the context's marshaller path — the
   single point where the proxy principle is *enforced*:
 
@@ -118,13 +119,50 @@ class ObjectSpace:
         if interface is None:
             interface = Interface.of(type(obj))
         check_implements(obj, interface)
-        self.system.codebase.register_interface(interface)
         if policy is None:
             policy = getattr(type(obj), "default_policy", "stub")
-        if policy not in self.system.codebase.factories:
-            raise ConfigurationError(f"unknown proxy policy {policy!r}")
         if config is None:
             config = dict(getattr(type(obj), "default_config", {}) or {})
+        return self._install(obj, interface, policy, config, oid, epoch).ref
+
+    def export_group(self, interface: Interface, policy: str, config: dict,
+                     extra_layers: list[str] | None,
+                     members: list) -> ExportEntry:
+        """Export a group's client-facing entry from this context and
+        return it (the step :func:`~repro.core.policies.replicating.
+        replicate` and :func:`~repro.core.policies.sharding.shard` share).
+
+        A group entry is a reference, a policy and a configuration with
+        **no object behind it**: every context — this one included —
+        reaches the group through the proxy the reference names, and the
+        entry itself serves only that proxy's control calls and the
+        installation handshake.  ``extra_layers`` stack in front of
+        ``policy`` (outermost first) under the ``composite`` policy.
+
+        Server-side layer components (e.g. the caching layer's invalidation
+        hook) install on the *group* entry, but operations are dispatched to
+        the ``members``' stub entries — so every member entry shares the
+        group's hook list: mutations observed at any copy fire the same
+        machinery, and later installs propagate too (hooks are idempotent per
+        write, so the duplication across replicas is harmless).
+        """
+        if extra_layers:
+            config["layers"] = list(extra_layers) + [policy]
+            policy = "composite"
+        entry = self._install(None, interface, policy, config)
+        if entry.mutation_hooks:
+            for member in members:
+                member.mutation_hooks = entry.mutation_hooks
+        return entry
+
+    def _install(self, obj: Any, interface: Interface, policy: str,
+                 config: dict, oid: str | None = None,
+                 epoch: int = 0) -> ExportEntry:
+        """Mint the reference and table entry of one export, then run the
+        policy's server-side installation."""
+        self.system.codebase.register_interface(interface)
+        if policy not in self.system.codebase.factories:
+            raise ConfigurationError(f"unknown proxy policy {policy!r}")
         if oid is None:
             oid = self.minter.mint()
         elif oid in self.context.exports and not self.context.exports[oid].revoked:
@@ -135,13 +173,14 @@ class ObjectSpace:
         entry = ExportEntry(obj=obj, interface=interface, ref=ref,
                             policy_name=policy, policy_config=config)
         self.context.exports[oid] = entry
-        self._exported_ids.setdefault(id(obj), oid)
+        if obj is not None:
+            self._exported_ids.setdefault(id(obj), oid)
         self.stats["exports"] += 1
         on_export = getattr(self.system.codebase.factories[policy],
                             "on_export", None)
         if on_export is not None:
             on_export(self, entry)
-        return ref
+        return entry
 
     def unexport(self, ref_or_obj: Any) -> None:
         """Withdraw an export; outstanding references become dangling."""
@@ -190,19 +229,24 @@ class ObjectSpace:
     def bind_ref(self, ref: ObjectRef, handshake: bool = True,
                  config: dict | None = None) -> Any:
         """Obtain this context's access path for ``ref`` — what application
-        code (and the decoder hook) gets.
+        code (and the decoder hook) gets.  One of three:
 
-        Returns the real object when ``ref`` points into this very context
-        (no proxy is interposed between an application and its own
-        objects); otherwise the proxy of :meth:`proxy_for`.  With
-        ``handshake=True`` the full policy configuration is fetched from
-        the exporter first (one extra RPC — the installation handshake);
-        without it, the factory starts from the defaults encoded in the
-        reference.
+        * the real object, when ``ref`` names an object of this very
+          context (no proxy is interposed between an application and its
+          own objects);
+        * the group proxy, when ``ref`` names a group entry of this
+          context — a group has no object here to hand out, so its home
+          reaches it the way every other context does;
+        * otherwise the proxy of :meth:`proxy_for`.  With
+          ``handshake=True`` the full policy configuration is fetched from
+          the exporter first (one extra RPC — the installation
+          handshake); without it, the factory starts from the defaults
+          encoded in the reference.
         """
         if ref.context_id == self.context.context_id:
             entry = self.context.exports.get(ref.oid)
-            if entry is not None and not entry.revoked and entry.moved_to is None:
+            if entry is not None and entry.obj is not None \
+                    and not entry.revoked and entry.moved_to is None:
                 self.stats["unswizzles"] += 1
                 return entry.obj
         return self.proxy_for(ref, handshake, config)
@@ -219,7 +263,10 @@ class ObjectSpace:
         exporter-chosen factory is instantiated on first bind.  A proxy
         for an export of this very context is an ordinary stub: its calls
         take the protocol's same-context arm, through the export entry's
-        guards, interface check, compute charge and mutation hooks.
+        guards, interface check, compute charge and mutation hooks.  A
+        proxy for a *group entry* of this very context is configured from
+        the entry itself — the handshake's answer is already here, so
+        nothing is sent, charged or traced to build it.
         """
         if isinstance(member, Proxy):
             return member
@@ -228,7 +275,12 @@ class ObjectSpace:
         if existing is not None:
             return existing
         merged = dict(config or {})
-        if handshake:
+        entry = self.context.exports.get(ref.oid) \
+            if ref.context_id == self.context.context_id else None
+        if entry is not None and entry.obj is None:
+            merged = {**entry.policy_config, **merged}
+            handshake = True
+        elif handshake:
             merged = {**self._handshake(ref), **merged}
         proxy = self.system.codebase.instantiate(self.context, ref, merged)
         self.context.proxies[ref.key] = proxy

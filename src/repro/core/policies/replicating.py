@@ -10,6 +10,8 @@ holds a **bound proxy per replica** (:meth:`ObjectSpace.proxy_for
 <repro.core.export.ObjectSpace.proxy_for>`) — for a copy hosted by the
 caller's own context too — and every operation reaches a replica through
 its export entry; a co-located copy is the nearest one, nothing more.
+The group's own entry holds no object, so the context that exports it
+binds this same proxy.
 
 **The quorum protocol** (``read_quorum`` set, or ``versioned=True``):
 Gifford-style weighted voting over per-key operation logs
@@ -145,24 +147,21 @@ class ReplicatedProxy(Proxy):
 
         Every replica is reached through its proxy — one hosted by the
         caller's own context included, so where a copy lives never decides
-        which code serves it.  Falls back to the installation handshake
-        when the configuration arrived without the replica list (reference
-        passed by value), and to plain forwarding when even that yields
-        nothing.  An **empty** resolution is not memoised: the replica
-        list may simply not have been delivered yet (handshake raced or
-        skipped), and caching the emptiness would degrade the proxy to
-        plain forwarding forever.
+        which code serves it.  The installation handshake is completed
+        first when the configuration arrived without the replica list
+        (reference passed by value); a group that ships none is a
+        configuration error — there is no object behind a group reference
+        to serve the call instead.
         """
-        if self._replicas is not None:
-            return self._replicas
-        bind = self.proxy_context.space.proxy_for
-        replicas = [bind(item)
-                    for item in self.proxy_shipped("replicas") or []]
-        if not replicas:
-            return []
-        self._versioned, self._elected = _protocol(self.proxy_config)
-        self._replicas = replicas
-        return replicas
+        if self._replicas is None:
+            shipped = self.proxy_shipped("replicas")
+            if not shipped:
+                raise ConfigurationError(
+                    "replicated policy configured with no replicas")
+            self._versioned, self._elected = _protocol(self.proxy_config)
+            bind = self.proxy_context.space.proxy_for
+            self._replicas = [bind(item) for item in shipped]
+        return self._replicas
 
     def _read_order_indices(self, count: int) -> list[int]:
         indices = list(range(count))
@@ -228,8 +227,6 @@ class ReplicatedProxy(Proxy):
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["invocations"] += 1
         replicas = self._resolve_replicas()
-        if not replicas:
-            return self.proxy_remote(verb, args, kwargs)
         readonly = self.proxy_interface.operation(verb).readonly
         if not self._versioned:
             serve = self._read if readonly else self._write
@@ -830,7 +827,7 @@ class ReplicatedProxy(Proxy):
         """
         swept = {"keys": 0, "entries": 0, "bytes": 0}
         replicas = self._resolve_replicas()
-        if not replicas or not self._elected:
+        if not self._elected:
             return swept
         self.proxy_stats["anti_entropy_runs"] += 1
         self._sweep(len(replicas), swept)
@@ -879,39 +876,6 @@ class ReplicatedProxy(Proxy):
                                           for entry in entries)
 
 
-def export_group(space, template, interface, policy: str, config: dict,
-                 extra_layers: list[str] | None, members: list):
-    """Export a group's client-facing entry from ``space`` and return that
-    export entry (the step :func:`replicate` and
-    :func:`~repro.core.policies.sharding.shard` share).
-
-    ``extra_layers`` stack in front of ``policy`` (outermost first) under
-    the ``composite`` policy.  The group entry is a distinct delegate
-    object (not ``template`` — the first member — itself), so the member's
-    identity keeps exactly one export and the group reference carries the
-    group policy; the delegate answers clients that call the group entry
-    directly (e.g. before resolving the members).
-
-    Server-side layer components (e.g. the caching layer's invalidation
-    hook) install on the *group* entry, but operations are dispatched to
-    the ``members``' stub entries — so every member entry shares the
-    group's hook list: mutations observed at any copy fire the same
-    machinery, and later installs propagate too (hooks are idempotent per
-    write, so the duplication across replicas is harmless).
-    """
-    from ...iface.adapters import make_delegate
-    if extra_layers:
-        config["layers"] = list(extra_layers) + [policy]
-        policy = "composite"
-    ref = space.export(make_delegate(template, interface),
-                       interface=interface, policy=policy, config=config)
-    entry = space.entry(ref.oid)
-    if entry.mutation_hooks:
-        for member in members:
-            member.mutation_hooks = entry.mutation_hooks
-    return entry
-
-
 def replicate(contexts: list, factory: Callable[[], object],
               interface=None, read_policy: str = "nearest",
               write_quorum: int | None = None,
@@ -927,9 +891,11 @@ def replicate(contexts: list, factory: Callable[[], object],
 
     One instance from ``factory`` is exported (under the plain ``stub``
     policy) in each of ``contexts``; the first context additionally exports
-    the group entry under the ``replicated`` policy, whose configuration
-    carries the replica references.  Clients bind the returned reference and
-    receive a :class:`ReplicatedProxy`.
+    the group entry (:meth:`ObjectSpace.export_group
+    <repro.core.export.ObjectSpace.export_group>`) under the ``replicated``
+    policy, whose configuration carries the replica references.  Whoever
+    binds the returned reference — in the first context too — receives a
+    :class:`ReplicatedProxy`.
 
     ``read_quorum`` (or ``versioned=True``) switches the group to the
     quorum protocol (module docstring); ``version_key="arg0"``
@@ -966,13 +932,10 @@ def replicate(contexts: list, factory: Callable[[], object],
                 f"{label}={quorum} outside 1..{count} for a "
                 f"{count}-replica group")
     replica_refs = []
-    first_obj = None
     for ctx in contexts:
         obj = factory()
-        if first_obj is None:
-            first_obj = obj
-            if interface is None:
-                interface = Interface.of(type(obj))
+        if interface is None:
+            interface = Interface.of(type(obj))
         replica_refs.append(get_space(ctx).export(obj, interface=interface,
                                                   policy="stub"))
     config: dict = {"replicas": replica_refs, "read_policy": read_policy}
@@ -991,8 +954,8 @@ def replicate(contexts: list, factory: Callable[[], object],
     elected = _protocol(config)[1]
     entries = [get_space(ctx).entry(ref.oid)
                for ctx, ref in zip(contexts, replica_refs)]
-    group_ref = export_group(get_space(contexts[0]), first_obj, interface,
-                             policy, config, extra_layers, entries).ref
+    group_ref = get_space(contexts[0]).export_group(
+        interface, policy, config, extra_layers, entries).ref
     if elected:
         # Arm every replica stub entry with its election state (term
         # fencing switches on at the dispatcher the moment the entry

@@ -111,34 +111,30 @@ class ShardedProxy(Proxy):
     # -- configuration ------------------------------------------------------------
 
     def _shard_params(self) -> tuple[int, list, list]:
-        """Validated ``(epoch, ring, shard_specs)`` from the configuration
-        (a zero-shard map, or anything :func:`_ring_params` rejects, is a
-        configuration error)."""
-        config = self.proxy_config
-        specs = config.get("shards") or []
+        """Validated ``(epoch, ring, shard_specs)`` from the configuration.
+
+        The installation handshake is completed first when the
+        configuration arrived without the shard map (reference passed by
+        value).  A group that ships none — there is no object behind a
+        group reference to serve the call instead — or anything
+        :func:`_ring_params` rejects is a configuration error.
+        """
+        specs = self.proxy_shipped("shards")
         if not specs:
             raise ConfigurationError("sharded policy configured with no "
                                      "shards")
+        config = self.proxy_config
         epoch, ring = _ring_params(
             len(specs), config.get("ring"),
             config.get("vnodes", shards.DEFAULT_VNODES),
             config.get("ring_epoch", 1), config.get("shard_key", 0))
         return epoch, ring, [list(spec) for spec in specs]
 
-    def _shard_state(self) -> shards.ShardState | None:
-        """The routing state, resolved lazily.
-
-        Falls back to the installation handshake when the configuration
-        arrived without the shard map (reference passed by value), and to
-        plain forwarding when even that yields nothing.  An absent map is
-        not memoised — it may simply not have been delivered yet.
-        """
-        if self._state is not None:
-            return self._state
-        if self.proxy_shipped("shards") is None:
-            return None
-        epoch, ring, specs = self._shard_params()
-        self._state = shards.ShardState(-1, epoch, ring, specs)
+    def _shard_state(self) -> shards.ShardState:
+        """The routing state, resolved lazily."""
+        if self._state is None:
+            epoch, ring, specs = self._shard_params()
+            self._state = shards.ShardState(-1, epoch, ring, specs)
         return self._state
 
     def _shard_key(self, args: tuple) -> Any:
@@ -169,18 +165,13 @@ class ShardedProxy(Proxy):
 
     def _adopt_map(self, ring_map: list) -> bool:
         """Fold a fence redirect's (or sync's) newer map into the state."""
-        state = self._shard_state()
-        if state is None:
-            return False
-        return state.adopt(*ring_map)
+        return self._shard_state().adopt(*ring_map)
 
     # -- invocation ---------------------------------------------------------------
 
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["invocations"] += 1
         state = self._shard_state()
-        if state is None:
-            return self.proxy_remote(verb, args, kwargs)
         h = shards.stable_hash(self._shard_key(args))
         for _ in range(ROUTE_ATTEMPTS):
             route = self._routing_state(state)
@@ -327,13 +318,11 @@ class ShardedProxy(Proxy):
         the staleness risk.
         """
         state = self._shard_state()
-        if state is None:
-            raise ConfigurationError("proxy has no shard map to sync")
         if sync:
             return self._sync_map(state)
         return state.map()
 
-    def proxy_rebalance(self) -> list | None:
+    def proxy_rebalance(self) -> list:
         """One rebalance sweep: move one deterministically chosen arc.
 
         The epoch picks the ring point (``epoch % len(ring)``) and the
@@ -341,11 +330,9 @@ class ShardedProxy(Proxy):
         rotation that exercises every arc over successive sweeps.  The
         handoff runs at the source; a fence or an unreachable source makes
         the sweep a no-op (it is opportunistic, like anti-entropy).
-        Returns the resulting map, or ``None`` on an unsharded proxy.
+        Returns the resulting map.
         """
         state = self._shard_state()
-        if state is None:
-            return None
         if len(state.shards) < 2:
             return state.map()    # nowhere to move to
         self._sync_map(state)
@@ -389,8 +376,6 @@ class ShardedProxy(Proxy):
         around.
         """
         state = self._shard_state()
-        if state is None:
-            raise ConfigurationError("proxy has no shard map to split")
         if not (0 <= source < len(state.shards)
                 and 0 <= target < len(state.shards)):
             raise ConfigurationError(
@@ -418,8 +403,6 @@ class ShardedProxy(Proxy):
         """
         from ...migration.mover import migrate
         state = self._shard_state()
-        if state is None:
-            raise ConfigurationError("proxy has no shard map to move")
         if not 0 <= index < len(state.shards):
             raise ConfigurationError(
                 f"shard {index} outside 0..{len(state.shards) - 1}")
@@ -458,8 +441,6 @@ class ShardedProxy(Proxy):
         from the directory instead of redirecting their way to the truth.
         """
         state = self._shard_state()
-        if state is None:
-            raise ConfigurationError("proxy has no shard map to publish")
         self._sync_map(state)
         registry.unregister(name)
         registry.register(name, self.proxy_ref)
@@ -478,10 +459,11 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
 
     One instance from ``factory`` is exported (under the plain ``stub``
     policy) in each of ``contexts``; the first context additionally
-    exports the group entry under the ``sharded`` policy, whose
-    configuration carries the shard map and ring.  Clients bind the
-    returned reference and receive a :class:`ShardedProxy` — zero client
-    change, per the paper.
+    exports the group entry (:meth:`ObjectSpace.export_group
+    <repro.core.export.ObjectSpace.export_group>`) under the ``sharded``
+    policy, whose configuration carries the shard map and ring.  Whoever
+    binds the returned reference — in the first context too — receives a
+    :class:`ShardedProxy`: zero client change, per the paper.
 
     A ``contexts`` item that is itself a list deploys that shard as a
     ``replicate(...)`` group over those contexts (``replicate_with``
@@ -501,24 +483,23 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
     from ...iface.interface import Interface
     from ...migration.mover import ensure_mover
     from ..export import get_space
-    from .replicating import export_group, replicate
+    from .replicating import replicate
     if not contexts:
         raise ConfigurationError("shard() needs at least one context")
     ring_epoch, ring = _ring_params(len(contexts), ring, vnodes, ring_epoch,
                                     shard_key)
     specs: list[list] = []
     stub_entries: dict = {}    # shard index → its stub export entry
-    first_obj = None
     for index, item in enumerate(contexts):
         if isinstance(item, (list, tuple)):
-            if interface is None:
-                interface = Interface.of(type(factory()))
             ref = replicate(list(item), factory, interface=interface,
                             **dict(replicate_with or {}))
+            if interface is None:
+                # The factory runs once per member context and no more:
+                # the nested group's reference names the interface.
+                interface = item[0].system.codebase.interface(ref.interface)
         else:
             obj = factory()
-            if first_obj is None:
-                first_obj = obj
             if interface is None:
                 interface = Interface.of(type(obj))
             space = get_space(item)
@@ -529,8 +510,6 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
             ensure_mover(space)
             space.system.codebase.register_class(type(obj))
         specs.append(list(ref.fields()))
-    if first_obj is None:
-        first_obj = factory()    # every shard replicated: delegate template
     config: dict = {
         "shards": specs,
         "ring": [list(entry) for entry in ring],
@@ -540,8 +519,8 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
     }
     home = contexts[0] if not isinstance(contexts[0], (list, tuple)) \
         else contexts[0][0]
-    group_entry = export_group(get_space(home), first_obj, interface, policy,
-                               config, extra_layers, stub_entries.values())
+    group_entry = get_space(home).export_group(
+        interface, policy, config, extra_layers, stub_entries.values())
     # Arm every stub shard entry — and the group entry — with its ring
     # state; fencing switches on at the dispatcher the moment an entry
     # carries one.

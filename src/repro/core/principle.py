@@ -14,7 +14,9 @@ I2. A proxy pointing into its own context is legal only over a live local
     no backing export is a leak.
 I3. At most one proxy per (context, logical object): table keys are object
     keys and each proxy's current ref key matches its slot.
-I4. Every exported entry's object is not itself a proxy.
+I4. Every exported entry's object is not itself a proxy (a group entry
+    holds no object at all; its home's group proxy lives in the proxy
+    table, over the live group entry, like any I2 home proxy).
 I5. Cross-context aliasing: any object reachable from two contexts' tables
     is reachable only as (home object) + (proxies elsewhere) — never as the
     raw object in a foreign table.
@@ -63,7 +65,8 @@ def audit(system: System) -> AuditReport:
                 report.violations.append(
                     f"I4: {ctx.context_id} exports a proxy as "
                     f"{entry.ref.oid!r}")
-            if entry.moved_to is None:
+            if entry.moved_to is None and entry.obj is not None:
+                # (a group entry holds no object to alias)
                 home_of[id(entry.obj)] = ctx.context_id
     for ctx in system.contexts():
         report.contexts_audited += 1

@@ -372,7 +372,6 @@ def resilient_group(contexts: list, factory: Callable[[], object],
     :class:`ResilientProxy`.
     """
     from ..core.export import get_space
-    from ..iface.adapters import make_delegate
     from ..iface.interface import Interface
     if not contexts:
         raise ValueError("resilient_group() needs at least one context")
@@ -391,6 +390,5 @@ def resilient_group(contexts: list, factory: Callable[[], object],
         config["breaker"] = breaker
     if hedge is not None:
         config["hedge"] = hedge
-    coordinator = make_delegate(primary, interface)
-    return get_space(contexts[0]).export(coordinator, interface=interface,
+    return get_space(contexts[0]).export(primary, interface=interface,
                                          policy="resilient", config=config)

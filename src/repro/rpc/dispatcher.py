@@ -46,6 +46,7 @@ from ..iface.interface import Interface
 from ..kernel.context import Context
 from ..kernel.errors import (
     DanglingReference,
+    EncapsulationViolation,
     InterfaceError,
     ObjectMoved,
     StaleShardRing,
@@ -61,7 +62,13 @@ class ExportEntry:
     """One exported object in a context's export table.
 
     Attributes:
-        obj: the implementation object (lives only in this context).
+        obj: the implementation object (lives only in this context);
+            ``None`` for a **group entry** — a reference, a policy and a
+            configuration with no object behind them.  A group entry
+            serves its proxies' verb-less control calls, ``describe`` and
+            the hook list its members share; a verb is refused
+            (:meth:`admit`), because the only access path to a group is
+            the proxy its service ships.
         interface: the interface it is exported under.
         ref: the reference under which remote contexts know it.
         moved_to: forwarding reference if the object migrated away.
@@ -87,7 +94,7 @@ class ExportEntry:
             plain call after the first rebalance gets ``StaleShardRing``.
     """
 
-    obj: object
+    obj: object | None
     interface: Interface
     ref: ObjectRef
     moved_to: ObjectRef | None = None
@@ -103,11 +110,17 @@ class ExportEntry:
               arrival_cost: float = 0.0) -> None:
         """Interface check and accounting of one operation.
 
-        An undeclared verb is rejected, not ducked.  The declared compute
-        is charged to the serving ``context`` together with whatever the
-        arrival path adds (``arrival_cost``: a same-context call's
-        ``local_call``) — one charge, so the clock sees one addition.
+        An undeclared verb is rejected, not ducked, and so is any verb on
+        a group entry.  The declared compute is charged to the serving
+        ``context`` together with whatever the arrival path adds
+        (``arrival_cost``: a same-context call's ``local_call``) — one
+        charge, so the clock sees one addition.
         """
+        if self.obj is None:
+            raise EncapsulationViolation(
+                f"{self.ref.oid!r} is a group entry and holds no object: "
+                f"{verb!r} reaches the group through its proxy — bind the "
+                "reference")
         op = self.interface.operations.get(verb)
         if op is None:
             raise InterfaceError(f"interface {self.interface.name!r} "

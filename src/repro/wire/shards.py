@@ -346,7 +346,7 @@ def serve_control(entry, control, body_args,
 
 
 def _own_index(entry, shards: list) -> int:
-    """This entry's shard index in a map (group delegates get -1)."""
+    """This entry's shard index in a map (a group entry gets -1)."""
     for index, spec in enumerate(shards):
         if spec[1] == entry.ref.oid:
             return index

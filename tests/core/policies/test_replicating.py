@@ -281,15 +281,16 @@ class TestPartialWriteFanout:
 
 
 class TestEmptyResolutionNotMemoized:
-    """Regression: an empty replica resolution was cached forever, pinning
-    the proxy to plain forwarding even after the list arrived."""
+    """Regression: an empty replica resolution was cached forever, so the
+    proxy never saw its group even after the list arrived."""
 
     def test_empty_resolution_is_retried(self, group):
         system, server, clients = group
         proxy = repro.bind(clients[0], "kv")
         saved = proxy.proxy_config.pop("replicas")
         proxy.proxy_handshaken = True    # keep the handshake from refetching
-        assert proxy._resolve_replicas() == []
+        with pytest.raises(ConfigurationError, match="no replicas"):
+            proxy._resolve_replicas()
         assert proxy._replicas is None, "emptiness must not be memoised"
         proxy.proxy_config["replicas"] = saved
         assert len(proxy._resolve_replicas()) == 3
@@ -406,13 +407,8 @@ def _run_stream(service, ops: list, colocate: int | None = None,
     ref = replicate(hosts, service, write_quorum=2, read_quorum=2,
                     version_key=version_key, **sequencer)
     group = get_space(server).entry(ref.oid)
-    if colocate is None:
-        proxy = get_space(clients[0]).bind_ref(ref, handshake=True)
-    else:
-        # Built as the factory would: *binding* in replica 0's context is
-        # home access to the group's coordinator, not a proxy.
-        proxy = ReplicatedProxy(hosts[colocate], ref, group.interface,
-                                dict(group.policy_config))
+    client = clients[0] if colocate is None else hosts[colocate]
+    proxy = get_space(client).bind_ref(ref, handshake=True)
     results = [proxy.invoke(verb, args, {}) for verb, args in ops]
     replicas = group.policy_config["replicas"]
     logs = [get_space(ctx).entry(replica.oid).replica_log._logs

@@ -6,6 +6,7 @@ import repro
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
 from repro.core.policies.composite import CompositeProxy
+from repro.core.policies.replicating import replicate
 from repro.core.policies.sharding import ShardedProxy, shard
 from repro.iface.interface import Interface
 from repro.kernel.errors import ConfigurationError, DistributionError
@@ -89,6 +90,49 @@ class TestConstructionValidation:
             with pytest.raises(ConfigurationError):
                 ShardedProxy(proxy.proxy_context, proxy.proxy_ref,
                              proxy.proxy_interface, corrupt)
+
+
+class TestDeployment:
+    @pytest.mark.parametrize("deploy, members", [
+        (lambda c, f: shard(c[:3], f), 3),
+        (lambda c, f: shard([c[:2], c[2:4]], f), 4),
+        (lambda c, f: replicate(c[:3], f), 3),
+    ], ids=["shard", "shard-of-groups", "replicate"])
+    def test_factory_runs_once_per_member_context(self, deploy, members):
+        # Every instance is exported and serves; none is built to read an
+        # interface off or to stand behind the group entry.
+        _sys, ctxs, _clients, _x = _system(4)
+        instances = []
+
+        def factory():
+            instances.append(KVStore())
+            return instances[-1]
+
+        deploy(ctxs, factory)
+        assert len(instances) == members
+        exported = {id(entry.obj) for ctx in ctxs
+                    for entry in ctx.exports.values()}
+        assert all(id(instance) in exported for instance in instances)
+
+    @pytest.mark.parametrize("policy, control", [
+        ("replicated", [("proxy_anti_entropy", ())]),
+        ("sharded", [("proxy_rebalance", ()), ("proxy_shard_map", ()),
+                     ("proxy_split", (0, 0)),
+                     ("proxy_move_shard", (0, "c1/main")),
+                     ("proxy_publish", (None, "kv"))]),
+    ], ids=["replicated", "sharded"])
+    def test_member_less_configuration_is_one_error(self, policy, control):
+        # A group reference has no object behind it to serve the call
+        # instead: every entry point says so, and the lone store is
+        # untouched.
+        _sys, (server,), (client, _), _x = _system(1)
+        store = KVStore()
+        proxy = _bind(client, get_space(server).export(store, policy=policy))
+        for name, args in [("put", ("a", 1)), ("get", ("a",)), *control]:
+            with pytest.raises(ConfigurationError,
+                               match=f"{policy} policy configured with no"):
+                getattr(proxy, name)(*args)
+        assert store.data == {}
 
 
 class TestRouting:
@@ -237,14 +281,7 @@ class TestLocalityIsTheProtocolsBusiness:
         if co_located:
             ctxs = [ctxs[0], ctxs[1], ctxs[1]]
         ref = shard(ctxs, KVStore)
-        if co_located:
-            # Built as the factory would: *binding* in shard 0's context
-            # is home access to the group's coordinator, not a proxy.
-            group = get_space(ctxs[0]).entry(ref.oid)
-            proxy = ShardedProxy(ctxs[0], ref, group.interface,
-                                 dict(group.policy_config))
-        else:
-            proxy = _bind(client, ref)
+        proxy = _bind(ctxs[0] if co_located else client, ref)
         stats = system.rpc.stats
         results = [proxy.put(f"k{i}", i) for i in range(120)]
         results.append(proxy.proxy_split(0, 1))    # source next to the client
@@ -274,8 +311,7 @@ class TestLocalityIsTheProtocolsBusiness:
 
     def test_replicated_shard_fans_out_from_its_home_context(self):
         # A client in the home context of shard 1's replica group reaches
-        # the group through its replicated proxy, like any other client —
-        # not through the coordinator object, which knows one copy.
+        # the group through its replicated proxy, like any other client.
         _sys, _ctxs, _clients, extras = _system(
             0, clients=0, extra_nodes=[f"r{i}" for i in range(6)])
         ref = shard([extras[:3], extras[3:]], KVStore,

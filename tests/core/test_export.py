@@ -4,6 +4,8 @@ import pytest
 
 from repro.apps.kv import CachedKVStore, KVStore
 from repro.core.export import CTXMGR_OID, ObjectSpace, get_space
+from repro.core.policies.replicating import replicate
+from repro.core.policies.sharding import shard
 from repro.core.proxy import is_proxy
 from repro.core.principle import assert_principle
 from repro.kernel.errors import (
@@ -16,6 +18,8 @@ from repro.kernel.errors import (
 )
 from repro.iface.interface import Interface, Operation
 from repro.metrics.counters import MessageWindow
+from repro.rpc.stubs import RemoteStub
+from repro.wire import shards
 from repro.wire.refs import ObjectRef
 
 
@@ -246,3 +250,81 @@ class TestBindingContract:
         with pytest.raises(DanglingReference):
             moved.get("k")    # ... and the stub follows: nothing lives there
         assert moved.proxy_ref.context_id == client.context_id
+
+
+def _deploy_group(kind, star):
+    """``(ref, hosts, stores)``: a three-member KV group homed at the
+    server; ``kind`` names the deployment helper."""
+    _system, server, clients = star
+    hosts = [server, clients[0], clients[1]]
+    stores = []
+
+    def factory():
+        stores.append(KVStore())
+        return stores[-1]
+
+    return kind(hosts, factory), hosts, stores
+
+
+@pytest.mark.parametrize("kind", [replicate, shard])
+class TestGroupEntry:
+    """A group entry is a reference, a policy and a configuration with no
+    object behind it: it serves its proxies' control calls and the
+    handshake, and every context — its home included — reaches the group
+    through the proxy the reference names."""
+
+    @pytest.mark.parametrize("home", [True, False], ids=["home", "remote"])
+    def test_a_verb_is_refused_wherever_it_comes_from(self, star, kind, home):
+        system, server, clients = star
+        ref, _hosts, stores = _deploy_group(kind, star)
+        caller = server if home else clients[2]
+        with pytest.raises(EncapsulationViolation, match="group entry"):
+            system.rpc.call(caller, ref, "put", ("a", 1))
+        with pytest.raises(EncapsulationViolation, match="group entry"):
+            RemoteStub(caller, ref).put("a", 1)
+        assert [store.data for store in stores] == [{}, {}, {}]
+
+    def test_the_handshake_and_unexport_are_served(self, star, kind):
+        system, server, clients = star
+        ref, _hosts, _stores = _deploy_group(kind, star)
+        entry = get_space(server).entry(ref.oid)
+        described = get_space(clients[2]).ctxmgr_proxy(
+            server.context_id).describe(ref.oid)
+        assert described["policy"] == ref.policy
+        assert described["config"].keys() == entry.policy_config.keys()
+        get_space(server).unexport(ref)
+        with pytest.raises(DanglingReference):
+            system.rpc.call(clients[2], ref, "get", ("a",))
+
+    def test_home_access_is_the_group_proxy(self, star, kind):
+        system, server, clients = star
+        ref, _hosts, stores = _deploy_group(kind, star)
+        space = get_space(server)
+        assert space.entry(ref.oid).obj is None
+        t0 = server.clock.now
+        with MessageWindow(system) as window:
+            proxy = space.bind_ref(ref)
+        report = window.report
+        assert (report.messages, report.invokes, server.clock.now) \
+            == (0, 0, t0), "the entry is right here: nothing to fetch"
+        assert is_proxy(proxy) and proxy.proxy_handshaken
+        assert type(proxy) is type(get_space(clients[2]).bind_ref(ref))
+        assert space.proxy_for(ref) is proxy is server.decoder_hook(ref)
+        assert server.encoder_hook(proxy) == ref
+        keys = ["key0", "key1", "key2", "key9", "key10", "key36"]
+        for key in keys:    # the default 3-ring puts one on every shard
+            proxy.put(key, key)
+        remote = get_space(clients[2]).bind_ref(ref)
+        assert [remote.get(key) for key in keys] == keys
+        assert all(store.data for store in stores), \
+            "a write made at the home reaches every member it should"
+        assert_principle(system)
+
+
+def test_a_sharded_group_entry_serves_its_ring_control(star):
+    system, server, clients = star
+    ref, _hosts, _stores = _deploy_group(shard, star)
+    reply = system.rpc.call(clients[2], ref, "", (), {},
+                            headers={shards.H_CONTROL: ["map"]})
+    assert reply[shards.K_MAP] == \
+        get_space(clients[2]).bind_ref(ref).proxy_shard_map(sync=False)

@@ -5,6 +5,8 @@ import pytest
 import repro
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
+from repro.core.policies.replicating import replicate
+from repro.core.policies.sharding import shard
 from repro.core.principle import assert_principle, audit
 
 
@@ -29,7 +31,30 @@ class TestCleanSystems:
         assert_principle(system)
 
 
+    def test_two_groups_bound_at_their_homes_are_clean(self, star):
+        # Neither group entry holds an object, so the two cannot alias
+        # (I5), and each home proxy sits over its live group entry (I2).
+        system, server, clients = star
+        first = replicate([server, clients[0]], KVStore)
+        second = shard([clients[1], clients[2]], KVStore)
+        for ref in (first, second):
+            home = get_space(system.context(ref.context_id))
+            home.bind_ref(ref).put("k", 1)
+        report = audit(system)
+        assert report.clean, report.violations
+
+
 class TestViolationsDetected:
+    def test_exported_proxy_detected(self, pair):
+        system, server, client = pair
+        ref = get_space(server).export(KVStore())
+        proxy = get_space(client).bind_ref(ref)
+        # ``export`` refuses a proxy; forge the entry behind its back.
+        space = get_space(client)
+        space.entry(space.export(KVStore()).oid).obj = proxy
+        report = audit(system)
+        assert any("I4" in violation for violation in report.violations)
+
     def test_foreign_object_in_proxy_table(self, pair):
         system, server, client = pair
         get_space(client)

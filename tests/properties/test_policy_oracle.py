@@ -39,9 +39,8 @@ ops = st.lists(
 
 
 #: Group deployments: ``name -> deploy(contexts, factory) -> (ref, beside)``
-#: where ``beside`` is the context hosting the group's member 1 — a
-#: replica or shard, but (wherever the group has more than one member) not
-#: the group's home.
+#: where ``beside`` is the context hosting the group's member 1 (a replica
+#: or shard).
 GROUPS = {
     "replicated": lambda c, f: (
         replicate(c[:3], f, write_quorum=2), c[1]),
@@ -64,8 +63,9 @@ GROUPS = {
 def build(policy: str, placement: str = "remote"):
     """``(system, proxy, stores)``: ``policy`` deployed over KV stores —
     every one of them listed in ``stores`` — and bound by a client sitting
-    on its own node (``"remote"``) or in the context hosting the group's
-    member 1 (``"beside"``)."""
+    on its own node (``"remote"``), in the context hosting the group's
+    member 1 (``"beside"``), or in the context the group reference names
+    (``"home"``)."""
     system = repro.make_system(seed=7)
     contexts = [system.add_node(f"n{i}").create_context("m") for i in range(5)]
     install_name_service(contexts[0])
@@ -80,7 +80,8 @@ def build(policy: str, placement: str = "remote"):
     else:
         ref = get_space(contexts[0]).export(factory(), policy=policy)
         beside = None
-    client = contexts[4] if placement == "remote" else beside
+    client = {"remote": contexts[4], "beside": beside,
+              "home": system.context(ref.context_id)}[placement]
     return system, get_space(client).bind_ref(ref), stores
 
 
@@ -165,18 +166,19 @@ def test_keys_reach_every_shard(count):
           suppress_health_check=[HealthCheck.too_slow])
 @given(script=ops)
 def test_group_matches_oracle_wherever_the_client_sits(policy, script):
-    """Both arrival paths: a client next to a member observes the oracle
-    like a remote one — and leaves every member object in the state the
-    remote client's run of the same script leaves it in (a write that
-    skipped a copy is invisible to the client that made it)."""
+    """Every placement: a client next to a member, or in the group's own
+    home context, observes the oracle like a remote one — and leaves every
+    member object in the state the remote client's run of the same script
+    leaves it in (a write that skipped a copy is invisible to the client
+    that made it)."""
     finals = {}
-    for placement in ("remote", "beside"):
+    for placement in ("remote", "beside", "home"):
         system, proxy, stores = build(policy, placement)
         for observed, expected in run_script(proxy, script):
             assert observed == expected
         repro.assert_principle(system)
         finals[placement] = [store.data for store in stores]
-    assert finals["beside"] == finals["remote"]
+    assert finals["beside"] == finals["home"] == finals["remote"]
 
 
 @settings(max_examples=15, deadline=None,

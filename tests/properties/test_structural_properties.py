@@ -1,5 +1,5 @@
-"""Property tests on structural machinery: conformance, delegates, views,
-composite equivalence, persistence capsules."""
+"""Property tests on structural machinery: conformance, views, composite
+equivalence, persistence capsules."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import repro
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
-from repro.iface.adapters import make_delegate
 from repro.iface.conformance import conforms
 from repro.iface.interface import Interface, Operation
 from repro.naming.bootstrap import install_name_service
@@ -54,23 +53,6 @@ def test_subset_view_always_conformed_to(iface):
     names = sorted(iface.operations)[:max(1, len(iface.operations) // 2)]
     view = Interface("View", [iface.operation(name) for name in names])
     assert conforms(iface, view)
-
-
-@settings(max_examples=60, deadline=None)
-@given(interfaces())
-def test_delegate_always_implements(iface):
-    """A generated delegate structurally implements its interface."""
-    from repro.iface.conformance import check_implements
-
-    class Target:
-        def __getattr__(self, name):
-            return lambda *args, **kwargs: (name, args)
-
-    delegate = make_delegate(Target(), iface)
-    check_implements(delegate, iface)
-    derived = Interface.of(type(delegate))
-    assert conforms(derived, iface)
-    assert conforms(iface, derived)
 
 
 # -- composite equivalence ---------------------------------------------------------
