@@ -400,7 +400,10 @@ class Dispatcher:
             headers={shards.H_CONTROL: control})
 
     def _remember(self, key: tuple[str, int], reply_data: bytes) -> None:
-        self._replay[key] = reply_data
+        # The wire image only: what the message carries belongs to the
+        # caller about to receive it, and a duplicate is decoded for real.
+        self._replay[key] = reply_data if reply_data.__class__ is bytes \
+            else reply_data.image()
         while len(self._replay) > self.replay_capacity:
             self._replay.popitem(last=False)
 

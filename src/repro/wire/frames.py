@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..kernel.errors import ProtocolError
-from .marshal import Marshaller
+from .marshal import _MEMO_STATS, Marshaller
 
 #: Frame kinds.
 REQUEST = "req"      #: call expecting a reply
@@ -72,7 +72,7 @@ class Frame:
     def encode_message(self, marshaller: Marshaller):
         """Encode via the message fast path: returns a
         :class:`~repro.wire.segments.WireMessage` (zero-copy segments,
-        frame-template memo, carried fields for pure frames) or plain
+        frame-template memo, carried fields for plain frames) or plain
         bytes when nothing applies.  ``len()`` of either is the honest
         wire size, so everything charged by length is unchanged."""
         if self.kind not in _KINDS:
@@ -89,38 +89,37 @@ class Frame:
             # Not an 8-element list: decode generically so malformed input
             # produces the same errors it always did.
             fields = marshaller.decode(data)
-            if not isinstance(fields, list) or len(fields) != 8:
-                raise ProtocolError("malformed frame")
-        kind, msg_id, src, dst, target, verb, body, headers = fields
-        if kind not in _KINDS:
-            raise ProtocolError(f"unknown frame kind {kind!r}")
-        return cls(kind, msg_id, src, dst, target, verb, body, headers)
+        return cls._checked(fields)
 
     @classmethod
     def decode_message(cls, msg, marshaller: Marshaller) -> "Frame":
         """Decode a :class:`WireMessage` (or plain bytes) into a frame.
 
-        Carried frames skip the decoder entirely: the sender proved the
-        fields deeply immutable and parked them on the message, so the
-        receiver only fabricates fresh mutable shells (``headers`` dict,
-        request ``(args, kwargs)`` pair).  Everything else goes through
-        the segment-aware decoder, which hands raw payloads back
-        without copying.
+        A carried frame skips the decoder entirely: the sender proved
+        its fields plain data and parked a snapshot of them on the
+        message, which this — its first — receiver takes and owns.
+        Everything else (a reference in it, a second delivery of the
+        same message) goes through the segment-aware decoder, which
+        hands raw payloads back without copying.
         """
         if msg.__class__ is bytes or msg.__class__ is bytearray:
             return cls.decode(msg, marshaller)
-        carried = msg.carried
+        carried = msg.take()
         if carried is not None:
-            kind, msg_id, src, dst, target, verb, payload, is_pair = carried
-            body = (payload, {}) if is_pair else payload
-            return cls(kind, msg_id, src, dst, target, verb, body, {})
-        fields = marshaller.decode_frame_message(msg)
-        if not isinstance(fields, list) or len(fields) != 8:
+            _MEMO_STATS.frames_carried += 1
+            return cls(*carried)
+        return cls._checked(marshaller.decode_frame_message(msg))
+
+    @classmethod
+    def _checked(cls, fields) -> "Frame":
+        """A frame from decoded fields — the peer may have sent anything."""
+        if not isinstance(fields, list) or len(fields) != 8 \
+                or not isinstance(fields[0], str) \
+                or not isinstance(fields[7], dict):
             raise ProtocolError("malformed frame")
-        kind, msg_id, src, dst, target, verb, body, headers = fields
-        if kind not in _KINDS:
-            raise ProtocolError(f"unknown frame kind {kind!r}")
-        return cls(kind, msg_id, src, dst, target, verb, body, headers)
+        if fields[0] not in _KINDS:
+            raise ProtocolError(f"unknown frame kind {fields[0]!r}")
+        return cls(*fields)
 
     def reply_to(self, body: Any) -> "Frame":
         """Build the successful reply to this request."""

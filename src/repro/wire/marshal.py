@@ -37,11 +37,16 @@ wire — see ``wire/segments.py`` and DESIGN.md's zero-copy subsection):
   timings are unchanged) while the payload object rides a segment list,
   uncopied.  Exact built-in types only: subclasses keep the legacy
   hook-first copying path, so swizzle semantics are untouched.
-* **frame templates + carried decode** — a *pure* frame (empty headers,
-  deeply-immutable body) has a hook-independent encoding, so the encoded
-  suffix is memoised per ``(kind, src, dst, target, verb, body)`` and
-  the decoded fields ride along with the message; the receiver rebuilds
-  the frame without running the decoder at all.
+* **carried decode** — a frame whose headers and body are *plain data*
+  (exact built-in leaves, and ``list``/``tuple``/``str``-keyed ``dict``
+  of plain data: what no hook can touch) rides with a snapshot of its
+  eight fields, taken when the bytes are (:func:`_plain_copy`); the
+  first receiver takes the snapshot instead of running the decoder.
+  Anything else — a reference, a subclass, a set, a ``bytearray``, a
+  non-string key, a retransmission, a replayed duplicate — is decoded.
+* **frame templates** — a *pure* frame (empty headers, deeply-immutable
+  body) additionally has its encoded suffix memoised per ``(kind, src,
+  dst, target, verb, body)``.  No template is keyed on envelope values.
 """
 
 from __future__ import annotations
@@ -148,7 +153,8 @@ class MemoStats:
 
     __slots__ = ("str_enc_hits", "str_enc_misses", "str_dec_hits",
                  "str_dec_misses", "int_enc_hits", "int_enc_misses",
-                 "tmpl_hits", "tmpl_misses", "evictions")
+                 "tmpl_hits", "tmpl_misses", "evictions",
+                 "frames_carried", "frames_decoded")
 
     def __init__(self):
         self.reset()
@@ -163,6 +169,10 @@ class MemoStats:
         self.tmpl_hits = 0
         self.tmpl_misses = 0
         self.evictions = 0
+        # Inbound frames by how they were rebuilt: from the snapshot the
+        # message carried, or by the decoder.
+        self.frames_carried = 0
+        self.frames_decoded = 0
 
 
 _MEMO_STATS = MemoStats()
@@ -189,6 +199,8 @@ def memo_stats() -> dict:
         "tmpl_hits": stats.tmpl_hits,
         "tmpl_misses": stats.tmpl_misses,
         "evictions": stats.evictions,
+        "frames_carried": stats.frames_carried,
+        "frames_decoded": stats.frames_decoded,
         "str_enc_size": len(_STR_ENC),
         "str_dec_size": len(_STR_DEC),
         "int_enc_size": len(_INT_ENC),
@@ -253,6 +265,77 @@ def _typed_key(value):
             return (cls, _F64.pack(value))
         return (cls, value)
     return None
+
+
+def _utf8(raw: bytes) -> str:
+    """A wire string's text; the peer may have sent anything."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MarshalError(f"string is not utf-8: {exc}") from exc
+
+
+class _NotPlain(Exception):
+    """Raised by :func:`_plain_copy`: the frame must be decoded for real."""
+
+
+def _plain_copy(value):
+    """Snapshot of a *plain* value; raises :class:`_NotPlain` otherwise.
+
+    Plain data is what no hook can ever see: the immutable leaves, and
+    ``list``/``tuple``/``str``-keyed ``dict`` of plain data, all of exact
+    built-in type (subclasses, sets, ``bytearray``, ``ObjectRef`` and
+    application objects take the hook-first encoder and the real
+    decoder).  Proof and copy are one walk: leaves and flat tuples of
+    leaves are shared, every mutable container is fresh, so the result
+    equals — types included — what the decoder would build from the
+    bytes.  A flat sequence and an empty dict are copied inline where
+    they sit, because frames are a few tiny containers and a call per
+    container costs more than the copy.
+    """
+    leaves = _IMMUTABLE_LEAVES
+    cls = value.__class__
+    if cls in leaves:
+        return value
+    if cls is dict:
+        copy = {}
+        for key, val in value.items():
+            if key.__class__ is not str:
+                raise _NotPlain
+            vcls = val.__class__
+            if vcls not in leaves:
+                if vcls is list or vcls is tuple:
+                    for item in val:
+                        if item.__class__ not in leaves:
+                            val = _plain_copy(val)
+                            break
+                    else:
+                        val = val[:]    # a tuple slices to itself
+                elif vcls is dict and not val:
+                    val = {}
+                else:
+                    val = _plain_copy(val)
+            copy[key] = val
+        return copy
+    if cls is list or cls is tuple:
+        items = []
+        for val in value:
+            vcls = val.__class__
+            if vcls not in leaves:
+                if vcls is list or vcls is tuple:
+                    for item in val:
+                        if item.__class__ not in leaves:
+                            val = _plain_copy(val)
+                            break
+                    else:
+                        val = val[:]
+                elif vcls is dict and not val:
+                    val = {}
+                else:
+                    val = _plain_copy(val)
+            items.append(val)
+        return items if cls is list else tuple(items)
+    raise _NotPlain
 
 
 class Marshaller:
@@ -386,6 +469,7 @@ class Marshaller:
         :class:`MarshalError` on truncated or trailing bytes, exactly like
         :meth:`decode`.
         """
+        _MEMO_STATS.frames_decoded += 1
         if data[:5] != _LIST8_HEAD:
             return None
         offset = 5
@@ -404,7 +488,7 @@ class Marshaller:
                     item = _STR_DEC.get(raw)
                     if item is None:
                         _MEMO_STATS.str_dec_misses += 1
-                        item = raw.decode("utf-8")
+                        item = _utf8(raw)
                         if slen <= _MEMO_MAX_STR:
                             _memo_put(_STR_DEC, raw, item)
                     else:
@@ -437,68 +521,63 @@ class Marshaller:
                              headers: dict):
         """Encode one frame, returning ``bytes`` or a :class:`WireMessage`.
 
-        Three outcomes, all carrying byte-identical wire images:
+        Every outcome carries the byte-identical wire image:
 
-        * no bulk payloads, impure frame → plain ``bytes``, exactly what
-          :meth:`encode_frame_fields` produces;
-        * bulk payloads → a :class:`WireMessage` whose segments hold the
-          payload objects uncopied;
-        * *pure* frame (empty headers, deeply-immutable body) → a
-          :class:`WireMessage` whose ``carried`` tuple lets the receiver
-          skip the decoder; the encoded suffix is memoised so repeat
-          sends of the same logical frame cost one concatenation.
+        * headers and body both *plain* (:func:`_plain_copy`) → a
+          :class:`WireMessage` whose ``carried`` is a snapshot of the
+          eight fields, taken now, as the bytes are; its first receiver
+          takes it instead of decoding.  A *pure* frame (empty headers,
+          deeply-immutable body) needs no copy and has its encoded
+          suffix memoised, so a repeat send costs one concatenation;
+        * anything else → decoded for real at the receiver: plain
+          ``bytes``, exactly what :meth:`encode_frame_fields` produces,
+          or — with bulk payloads — a :class:`WireMessage` whose
+          segments hold the payload objects uncopied.
         """
-        pure = None
-        pkey = None
-        if headers.__class__ is dict and not headers:
-            if body.__class__ is tuple and len(body) == 2 \
-                    and body[0].__class__ is tuple \
-                    and body[1].__class__ is dict and not body[1]:
-                # A request/oneway body ``(args, {})``: carry the args
-                # tuple alone and let the receiver pair it with a fresh
-                # kwargs dict, so no mutable object is ever shared.
-                pkey = _typed_key(body[0])
-                if pkey is not None:
-                    pure = (body[0], True)
-            else:
-                pkey = _typed_key(body)
-                if pkey is not None:
-                    pure = (body, False)
-        key = None
-        if pure is not None and 0 <= msg_id < 2**63:
-            payload, is_pair = pure
-            key = (kind, src, dst, target, verb, pkey, is_pair)
-            tmpl = _TMPL_ENC.get(key)
-            if tmpl is not None:
-                _MEMO_STATS.tmpl_hits += 1
-                prefix, suffix, segments, nbytes = tmpl
-                # Minted ids are sequential and mostly cold in _INT_ENC;
-                # packing outright beats probing the memo first.
-                mid = _TAG_INT + _I64.pack(msg_id)
-                return WireMessage(
-                    prefix + mid + suffix, segments, nbytes,
-                    (kind, msg_id, src, dst, target, verb, payload,
-                     is_pair))
-            _MEMO_STATS.tmpl_misses += 1
+        key = carried = None
+        headers_ok = headers.__class__ is dict
+        if headers_ok and not headers and 0 <= msg_id < 2**63:
+            # A request/oneway body ``(args, {})`` is pure when its args
+            # tuple is: every receiver gets a fresh kwargs dict, so no
+            # mutable object is ever shared.
+            is_pair = body.__class__ is tuple and len(body) == 2 \
+                and body[0].__class__ is tuple \
+                and body[1].__class__ is dict and not body[1]
+            pkey = _typed_key(body[0] if is_pair else body)
+            if pkey is not None:
+                key = (kind, src, dst, target, verb, pkey, is_pair)
+                carried = (kind, msg_id, src, dst, target, verb,
+                           (body[0], {}) if is_pair else body, {})
+                tmpl = _TMPL_ENC.get(key)
+                if tmpl is not None:
+                    _MEMO_STATS.tmpl_hits += 1
+                    prefix, suffix, segments, nbytes = tmpl
+                    # Minted ids are sequential and mostly cold in
+                    # _INT_ENC; packing outright beats probing it.
+                    return WireMessage(
+                        prefix + _TAG_INT + _I64.pack(msg_id) + suffix,
+                        segments, nbytes, carried)
+                _MEMO_STATS.tmpl_misses += 1
+        if headers_ok and carried is None:
+            try:
+                carried = (kind, msg_id, src, dst, target, verb,
+                           _plain_copy(body), _plain_copy(headers))
+            except _NotPlain:
+                pass
         self._segs = segs = []
         try:
             head = self.encode_frame_fields(kind, msg_id, src, dst,
                                             target, verb, body, headers)
         finally:
             self._segs = None
-        if pure is None:
-            if not segs:
-                return head
-            segments = tuple(segs)
-            nbytes = len(head) + sum(
-                p.nbytes if p.__class__ is memoryview else len(p)
-                for _, p in segments)
-            return WireMessage(head, segments, nbytes, None)
-        payload, is_pair = pure
+        if carried is None and not segs:
+            return head
         segments = tuple(segs)
-        nbytes = len(head) + sum(len(p) for _, p in segments)
-        carried = (kind, msg_id, src, dst, target, verb, payload, is_pair)
-        if key is not None and 0 <= msg_id < 2**63:
+        nbytes = len(head)
+        for _, payload in segments:
+            nbytes += payload.nbytes if payload.__class__ is memoryview \
+                else len(payload)
+        if key is not None:
             # Split the head around the (fixed-width) msg_id so a
             # template hit only re-encodes that one field.  Segment
             # offsets stay valid across hits: the prefix and the 9-byte
@@ -565,7 +644,7 @@ class Marshaller:
                 value = _STR_DEC.get(raw)
                 if value is None:
                     _MEMO_STATS.str_dec_misses += 1
-                    value = raw.decode("utf-8")
+                    value = _utf8(raw)
                     if length <= _MEMO_MAX_STR:
                         _memo_put(_STR_DEC, raw, value)
                 else:
@@ -596,7 +675,7 @@ class Marshaller:
                         item = _STR_DEC.get(raw)
                         if item is None:
                             _MEMO_STATS.str_dec_misses += 1
-                            item = raw.decode("utf-8")
+                            item = _utf8(raw)
                             if slen <= _MEMO_MAX_STR:
                                 _memo_put(_STR_DEC, raw, item)
                         else:
@@ -625,9 +704,12 @@ class Marshaller:
                     return items, offset
                 if tag == _ORD_TUPLE:
                     return tuple(items), offset
-                if tag == _ORD_SET:
-                    return set(items), offset
-                return frozenset(items), offset
+                try:
+                    if tag == _ORD_SET:
+                        return set(items), offset
+                    return frozenset(items), offset
+                except TypeError as exc:
+                    raise MarshalError(f"set member: {exc}") from exc
             if tag == _ORD_DICT:
                 (length,) = _U32.unpack_from(data, offset)
                 offset += 4
@@ -644,7 +726,7 @@ class Marshaller:
                         key = _STR_DEC.get(raw)
                         if key is None:
                             _MEMO_STATS.str_dec_misses += 1
-                            key = raw.decode("utf-8")
+                            key = _utf8(raw)
                             if slen <= _MEMO_MAX_STR:
                                 _memo_put(_STR_DEC, raw, key)
                         else:
@@ -653,7 +735,10 @@ class Marshaller:
                     else:
                         key, offset = decode_from(data, offset)
                     val, offset = decode_from(data, offset)
-                    result[key] = val
+                    try:
+                        result[key] = val
+                    except TypeError as exc:
+                        raise MarshalError(f"dict key: {exc}") from exc
                 return result, offset
             if tag == _ORD_NONE:
                 return None, offset
@@ -705,6 +790,8 @@ class Marshaller:
                 (length,) = _U32.unpack_from(data, offset)
                 offset += 4
                 raw = data[offset:offset + length]
+                if len(raw) != length:
+                    raise MarshalError("truncated big integer")
                 return int.from_bytes(raw, "big", signed=True), offset + length
         except (struct.error, IndexError) as exc:
             raise MarshalError(f"truncated wire data at offset {offset}") from exc
@@ -722,7 +809,7 @@ class Marshaller:
             value = _STR_DEC.get(raw)
             if value is None:
                 _MEMO_STATS.str_dec_misses += 1
-                value = raw.decode("utf-8")
+                value = _utf8(raw)
                 if length <= _MEMO_MAX_STR:
                     _memo_put(_STR_DEC, raw, value)
             else:

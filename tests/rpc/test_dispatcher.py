@@ -5,8 +5,11 @@ import pytest
 from repro.apps.counter import Counter
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
+from repro.core.service import Service
+from repro.iface.interface import operation
 from repro.kernel.errors import ObjectMoved
 from repro.wire.frames import REQUEST, Frame
+from repro.wire.segments import WireMessage
 
 
 @pytest.fixture
@@ -39,7 +42,49 @@ class TestAtMostOnce:
         system, server, client, counter, ref, dispatcher = served
         first, _ = send_raw(system, client, ref, "incr", msg_id=9)
         second, _ = send_raw(system, client, ref, "incr", msg_id=9)
-        assert first == second
+        # The first reply may carry its fields; the remembered one is the
+        # wire image alone.  Identical means: the same bytes.
+        assert first.to_bytes() == second
+
+    def test_replay_cache_keeps_the_wire_image_and_means_what_was_sent(
+            self, pair):
+        # Covers what nothing covered (a duplicate answers what was sent,
+        # not what the service's object later became); the `_replay`
+        # assertion is new with the carried snapshot and fails on a cut
+        # that remembers the reply message as it was sent.
+        system, server, client = pair
+
+        class Journal(Service):
+            def __init__(self):
+                self.lines = ["first"]
+
+            @operation
+            def tail(self, blob=b"") -> list:
+                return [self.lines, blob]   # the live list: plain data
+
+        journal = Journal()
+        ref = get_space(server).export(journal)
+        dispatcher = server.handler.__self__
+        decoder = system.transport.decoder_for(client)
+        bulk = b"\x07" * 8192              # the reply rides a segment
+        for msg_id, blob in ((3, b""), (4, bulk)):
+            want = [list(journal.lines), blob]
+            first, _ = send_raw(system, client, ref, "tail", (blob,), msg_id)
+            assert first.carried is not None
+            journal.lines.append("later")   # mutated in place afterwards
+            second, _ = send_raw(system, client, ref, "tail", (blob,), msg_id)
+            assert dispatcher.stats["duplicates"] == msg_id - 2
+            # Before anyone took the snapshot: the cache never had it.
+            kept = dispatcher._replay[client.context_id, msg_id]
+            assert kept.__class__ is bytes or (
+                kept.__class__ is WireMessage and kept.carried is None)
+            image = second if second.__class__ is bytes \
+                else second.to_bytes()
+            assert first.to_bytes() == image
+            assert Frame.decode_message(second, decoder).body == want
+            assert Frame.decode_message(first, decoder).body == want
+        assert {kept.__class__ for kept in dispatcher._replay.values()} \
+            == {bytes, WireMessage}
 
     def test_distinct_ids_execute_separately(self, served):
         system, server, client, counter, ref, dispatcher = served

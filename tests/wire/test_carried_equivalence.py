@@ -1,0 +1,322 @@
+"""Carried ≡ decoded, for everything.
+
+A frame of *plain data* rides with a snapshot of its fields and its first
+receiver takes the snapshot instead of running the decoder
+(``wire/marshal.py``: :func:`_plain_copy`).  The decoder and the naive
+reference encoder of ``test_marshal_fastpath`` stay the only definition of
+the bytes, so the property is stated against them:
+
+* **equivalence** — whatever ``Frame.decode_message`` builds from an
+  ``encode_message`` result equals what ``Frame.decode`` builds from the
+  contiguous image, *exact types at every depth* (``True``/``1``/``1.0``,
+  ``-0.0``, NaN, list against tuple, a subclass decoded to its base), and
+  ``len()`` of the message equals ``len(frame.encode(m))``;
+* **isolation** — the sender mutating what it sent, or the first receiver
+  mutating what it got, changes neither the other side nor a second
+  decode of the same message object (the retransmit case).
+
+New in this PR: at the parent the carried arm stopped at the first
+``dict``, so none of this was reachable; the isolation half fails on a
+carried arm that shares a container with the sender (checked on a scratch
+copy twice: ``_plain_copy`` sharing a flat list it should slice, and the
+encoder carrying the live ``headers`` dict).
+"""
+
+from __future__ import annotations
+
+import struct
+from collections import OrderedDict, namedtuple
+from enum import IntEnum
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.wire.frames import REPLY, REQUEST, Frame
+from repro.wire.marshal import (
+    RAW_THRESHOLD,
+    Marshaller,
+    _NotPlain,
+    _plain_copy,
+    memo_stats,
+)
+from repro.wire.refs import ObjectRef
+
+from test_marshal_fastpath import Exportable, _object_space_hook
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Level(IntEnum):
+    LOW = 1
+
+
+class Bag(dict):
+    pass
+
+
+Point = namedtuple("Point", "x y")
+
+
+def _marshaller() -> Marshaller:
+    """Both swizzle hooks installed, as in a live context."""
+    return Marshaller(encoder_hook=_object_space_hook,
+                      decoder_hook=lambda ref: ("proxy-for", ref.oid))
+
+
+def typed(value):
+    """``value`` with the exact class of every node made explicit (floats
+    by bit pattern, so ``-0.0`` and NaN compare as what they are)."""
+    cls = value.__class__
+    if cls is float:
+        return (cls, struct.pack(">d", value))
+    if cls in (list, tuple):
+        return (cls, [typed(item) for item in value])
+    if cls is dict:
+        return (cls, [(typed(k), typed(v)) for k, v in value.items()])
+    if cls in (set, frozenset):
+        return (cls, sorted((typed(item) for item in value), key=repr))
+    return (cls, value)
+
+
+def typed_frame(frame: Frame):
+    return typed([frame.kind, frame.msg_id, frame.src, frame.dst,
+                  frame.target, frame.verb, frame.body, frame.headers])
+
+
+def scramble(value) -> None:
+    """Mutate every mutable container reachable from ``value`` in place."""
+    if value.__class__ is list:
+        for item in value:
+            scramble(item)
+        value.append("scrambled")
+    elif value.__class__ is dict:
+        for item in value.values():
+            scramble(item)
+        value["scrambled"] = True
+    elif value.__class__ is tuple:
+        for item in value:
+            scramble(item)
+
+
+# -- generated frames ---------------------------------------------------------
+
+_sizes = st.one_of(st.integers(0, 12),
+                   st.integers(RAW_THRESHOLD - 1, RAW_THRESHOLD + 1))
+_plain_leaf = st.one_of(
+    st.none(), st.booleans(),
+    st.sampled_from([0, 1, -1, 2**70, -2**70, 2**63, -2**63 - 1]),
+    st.integers(-2**40, 2**40),
+    st.sampled_from([0.0, -0.0, 1.0, float("nan"), float("inf")]),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    _sizes.map(lambda n: b"\x5a" * n))
+_hashable_leaf = st.one_of(st.integers(-5, 5), st.text(max_size=3),
+                           st.booleans(), st.none())
+_odd_leaf = st.one_of(
+    st.builds(ObjectRef, st.just("n0/main"), st.text(max_size=4),
+              st.just("IThing"), st.integers(0, 3), st.just("stub")),
+    st.text(max_size=4).map(Exportable),
+    st.text(max_size=4).map(Text),
+    st.integers(-9, 9).map(Count),
+    st.just(Level.LOW),
+    st.just(Point(1, [2])),
+    _sizes.map(lambda n: bytearray(b"\xa5" * n)),
+    st.sets(_hashable_leaf, max_size=3),
+    st.frozensets(_hashable_leaf, max_size=3),
+    st.dictionaries(_hashable_leaf, st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3),
+                    max_size=2).map(Bag),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3),
+                    max_size=2).map(OrderedDict))
+
+
+def _nested(leaf):
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+        max_leaves=10)
+
+
+_plain_value = _nested(_plain_leaf)
+_any_value = _nested(st.one_of(_plain_leaf, _odd_leaf))
+
+
+def _frames(value):
+    """Requests (``(args, kwargs)`` bodies) and replies (any body), with
+    envelope-shaped headers, over the given value strategy."""
+    headers = st.dictionaries(st.sampled_from(["q.r", "q.t", "s.k", "d"]),
+                              value, max_size=3)
+    request = st.tuples(st.lists(value, max_size=3).map(tuple),
+                        st.dictionaries(st.text(max_size=3), value,
+                                        max_size=2))
+    return st.one_of(
+        st.builds(Frame, st.just(REQUEST), st.integers(0, 2**40),
+                  st.just("c0/main"), st.just("s0/main"), st.just("oid1"),
+                  st.sampled_from(["get", "put", ""]), request, headers),
+        st.builds(Frame, st.just(REPLY), st.integers(-3, 2**64),
+                  st.just("s0/main"), st.just("c0/main"), st.just(""),
+                  st.just(""), value, headers))
+
+
+@settings(max_examples=400, deadline=None)
+@given(frame=st.one_of(_frames(_plain_value), _frames(_any_value)))
+def test_carried_frame_equals_decoded_frame(frame):
+    m = _marshaller()
+    msg = frame.encode_message(m)
+    image = msg if msg.__class__ is bytes else msg.to_bytes()
+    assert len(msg) == len(frame.encode(m)) == len(image)
+    expected = typed_frame(Frame.decode(image, m))
+    assert typed_frame(Frame.decode_message(msg, m)) == expected
+    # A second delivery of the same message object: the snapshot is gone,
+    # the decoder runs, the frame is the same.
+    assert typed_frame(Frame.decode_message(msg, m)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=_frames(_plain_value))
+def test_sender_receiver_and_retransmission_are_isolated(frame):
+    m = Marshaller()
+    sent = typed_frame(frame)
+    msg = frame.encode_message(m)
+    assert msg.carried is not None      # plain data is always carried
+    # The sender mutates its arguments after the send (a retry loop
+    # re-sends the same encoded message, never re-reads the arguments).
+    scramble(frame.body)
+    scramble(frame.headers)
+    first = Frame.decode_message(msg, m)
+    assert typed_frame(first) == sent
+    # The first receiver owns what it got, and uses it.
+    scramble(first.body)
+    scramble(first.headers)
+    again = Frame.decode_message(msg, m)
+    assert typed_frame(again) == sent
+    assert msg.carried is None
+
+
+# -- the walk, exit by exit ---------------------------------------------------
+
+_BULK = b"\x42" * RAW_THRESHOLD
+
+
+@pytest.mark.parametrize("value", [
+    None, True, 7, 2**70, -0.0, "s", b"b",                    # a leaf
+    {}, {"q.v": 1, "q.tl": [1, 2], "q.r": ("a",), "e": {}},   # dict, inline
+    {"deep": {"k": [1, [2, (3, {"x": None})]]}},              # dict, recursing
+    {"mixed": [1, []], "pair": (1, [2])},     # flat scan meets a container
+    [], (), [1, "a", None], (1, "a"),                         # flat sequence
+    [[1], (2,), {}, {"k": [3]}, [[4]], ([5],)],              # sequence, nested
+    (("k",), {}), ((["k"],), {}), ((_BULK, [_BULK]), {}),
+])
+def test_plain_copy_equals_its_argument(value):
+    copy = _plain_copy(value)
+    assert typed(copy) == typed(value)
+    before = typed(copy)
+    scramble(value)
+    assert typed(copy) == before
+
+
+def test_plain_copy_shares_what_cannot_change():
+    flat = (1, "a", _BULK)
+    args = [flat, _BULK, "text"]
+    copy = _plain_copy(args)
+    assert copy is not args
+    assert copy[0] is flat and copy[1] is _BULK and copy[2] is args[2]
+
+
+@pytest.mark.parametrize("value", [
+    {1: "int key"}, {"k": {("t",): 1}}, [{None: 1}],          # non-str key
+    {1, 2}, frozenset({1}), bytearray(b"x"), memoryview(b"x"),
+    Text("s"), Count(1), Level.LOW, Bag(), OrderedDict(), Point(1, 2),
+    ObjectRef("n0/main", "o", "I", 0, "stub"), Exportable("o"), object(),
+    [1, {2}], {"k": [1, bytearray(b"x")]}, ([Text("s")],), {"k": Bag()},
+    {"k": (1, Count(2))}, [[1, [Level.LOW]]],
+])
+def test_plain_copy_refuses_what_a_hook_could_see(value):
+    with pytest.raises(_NotPlain):
+        _plain_copy(value)
+
+
+# -- who is carried, who is decoded, who gets a template ----------------------
+
+def _request(body, headers=None, msg_id=5):
+    return Frame(REQUEST, msg_id, "c0/main", "s0/main", "oid1", "get",
+                 body, headers if headers is not None else {})
+
+
+@pytest.mark.parametrize("body,headers,carried", [
+    ((("k",), {}), {}, True),                                   # pure
+    ((("k",), {}), {"q.r": ["c0/main"], "q.t": [3, 7]}, True),  # enveloped
+    (((["k"],), {}), {}, True),                       # the invalidation
+    ((("k",), {"kw": [1]}), {"s.e": [4], "s.k": 99}, True),
+    (((ObjectRef("n0/main", "o", "I", 0, "stub"),), {}), {}, False),
+    ((("k",), {}), {"q.r": [Text("c0/main")]}, False),
+    ((("k",), {}), {1: 2}, False),
+    (((bytearray(_BULK),), {}), {}, False),
+])
+def test_only_plain_frames_are_carried(body, headers, carried):
+    msg = _request(body, headers).encode_message(Marshaller())
+    assert (msg.__class__ is not bytes and msg.carried is not None) \
+        is carried
+
+
+def test_headers_that_are_not_a_dict_are_never_carried():
+    # A plain list where the headers dict belongs: the receiver must run
+    # the decoder and refuse the frame, not be handed the list.
+    from repro.kernel.errors import ProtocolError
+    msg = _request((("k",), {}), headers=[1]).encode_message(Marshaller())
+    with pytest.raises(ProtocolError):
+        Frame.decode_message(msg, Marshaller())
+
+
+def test_no_template_is_keyed_on_envelope_values_or_mutable_bodies():
+    m = Marshaller()
+    _request((("k",), {})).encode_message(m)        # the pure path warms
+    size = memo_stats()["tmpl_size"]
+    for msg_id in range(3):
+        _request((("k",), {}), {"q.t": [msg_id, 1]}, msg_id).encode_message(m)
+        _request(((["k"],), {}), {}, msg_id).encode_message(m)
+        Frame(REPLY, msg_id, "s0/main", "c0/main",
+              body={"q.v": msg_id}).encode_message(m)
+    assert memo_stats()["tmpl_size"] == size
+
+
+def test_a_bulk_leaf_rides_a_segment_and_is_shared_by_the_snapshot():
+    msg = _request((([_BULK, "tag"],), {}), {"s.k": 1}) \
+        .encode_message(Marshaller())
+    assert [payload for _, payload in msg.segments] == [_BULK]
+    assert msg.segments[0][1] is _BULK
+    frame = Frame.decode_message(msg, Marshaller())
+    assert frame.body[0][0][0] is _BULK
+
+
+def test_empty_shells_are_fresh_per_message():
+    m = Marshaller()
+    kwargs, headers = {}, {}
+    frames = [Frame.decode_message(
+        _request((("k",), kwargs), headers, msg_id).encode_message(m), m)
+        for msg_id in (1, 2)]
+    shells = [frames[0].headers, frames[1].headers,
+              frames[0].body[1], frames[1].body[1], kwargs, headers]
+    assert len({id(shell) for shell in shells}) == len(shells)
+
+
+def test_counters_tell_carried_from_decoded():
+    m = Marshaller()
+    before = memo_stats()
+    msg = _request((("k",), {}), {"q.t": [1, 2]}).encode_message(m)
+    Frame.decode_message(msg, m)        # takes the snapshot
+    Frame.decode_message(msg, m)        # a retransmission: decoded
+    Frame.decode(msg.to_bytes(), m)     # plain bytes: decoded
+    after = memo_stats()
+    assert after["frames_carried"] - before["frames_carried"] == 1
+    assert after["frames_decoded"] - before["frames_decoded"] == 2

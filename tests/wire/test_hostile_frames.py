@@ -1,0 +1,97 @@
+"""Hostile wire input fails closed, with a typed error.
+
+After the carried decode the real decoder serves only frames that hold
+references, retransmissions — and whatever an attacker crafts, so its
+whole job is to refuse cleanly: every input below raises
+:class:`MarshalError` (the codec) or :class:`ProtocolError` (the frame
+layer), through the byte-stream decoder and the message decoder alike.
+
+Each case **fails at the parent commit** (`23d91a7`), where it escaped
+as ``TypeError`` / ``UnicodeDecodeError``, was reported as a negative
+count of trailing bytes, or — the list-typed ``headers`` — was accepted
+and blew up later inside the dispatcher.
+"""
+
+from __future__ import annotations
+
+import struct
+
+import pytest
+
+from repro.kernel.errors import MarshalError, ProtocolError
+from repro.wire.frames import Frame
+from repro.wire.marshal import PLAIN, Marshaller
+from repro.wire.segments import WireMessage
+
+
+def _u32(n: int) -> bytes:
+    return struct.pack(">I", n)
+
+
+def _frame_with(field_index: int, encoded_field: bytes) -> bytes:
+    """A well-formed request frame with one field's bytes replaced."""
+    fields = ["req", 1, "a", "b", "t", "v", None, {}]
+    parts = [PLAIN.encode(field) for field in fields]
+    parts[field_index] = encoded_field
+    return b"l" + _u32(8) + b"".join(parts)
+
+
+_LIST_OF_ONE = PLAIN.encode([1])
+
+HOSTILE = {
+    # kind is a list: ``kind not in _KINDS`` hashed it -> TypeError
+    "kind-is-a-list": (
+        _frame_with(0, PLAIN.encode(["req"])), ProtocolError),
+    # headers is a list: accepted, AttributeError later in the dispatcher
+    "headers-is-a-list": (
+        _frame_with(7, _LIST_OF_ONE), ProtocolError),
+    # a dict keyed by a list: TypeError at the key insertion
+    "dict-with-a-list-key": (
+        _frame_with(6, b"d" + _u32(1) + _LIST_OF_ONE + b"N"), MarshalError),
+    # a set holding a list: TypeError at set construction
+    "set-with-a-list-member": (
+        _frame_with(6, b"S" + _u32(1) + _LIST_OF_ONE), MarshalError),
+    "frozenset-with-a-list-member": (
+        _frame_with(6, b"Z" + _u32(1) + _LIST_OF_ONE), MarshalError),
+    # not utf-8: UnicodeDecodeError, in a body and in a frame field
+    "string-is-not-utf8": (
+        _frame_with(6, b"s" + _u32(2) + b"\xff\xfe"), MarshalError),
+    "verb-is-not-utf8": (
+        _frame_with(5, b"s" + _u32(2) + b"\xff\xfe"), MarshalError),
+    # big-int length 1000 over 2 bytes: decoded from the short slice and
+    # reported as "trailing garbage: -998 bytes"
+    "bigint-longer-than-the-data": (
+        _frame_with(7, b"I" + _u32(1000) + b"\x01\x02"), MarshalError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_frame_raises_a_typed_error(name):
+    data, error = HOSTILE[name]
+    with pytest.raises(error) as caught:
+        Frame.decode(data, Marshaller())
+    assert "garbage: -" not in str(caught.value)   # no negative counts
+    # The message path (a segment-less WireMessage with nothing carried)
+    # runs the same decoder and must refuse the same way.
+    with pytest.raises(error):
+        Frame.decode_message(WireMessage(data, (), len(data)), Marshaller())
+
+
+@pytest.mark.parametrize("data", [
+    b"s\x00\x00\x00\x02\xff\xfe",                    # the issue's literal
+    b"I" + _u32(1000) + b"\x01\x02",
+    b"d" + _u32(1) + _LIST_OF_ONE + b"N",
+    b"S" + _u32(1) + _LIST_OF_ONE,
+    b"R" + _u32(1) + b"\xff" + _u32(0) * 3 + b"\x00" * 8,   # ref field
+])
+def test_hostile_values_raise_marshal_error(data):
+    with pytest.raises(MarshalError) as caught:
+        PLAIN.decode(data)
+    assert "garbage: -" not in str(caught.value)
+
+
+def test_well_formed_neighbours_still_decode():
+    # The guards reject nothing legitimate: hashable members and keys,
+    # a big integer of the stated length, non-ASCII utf-8.
+    value = [{(1, 2): "ü", "k": -2**70}, {1, "a"}, frozenset({(3,)})]
+    assert PLAIN.decode(PLAIN.encode(value)) == value
