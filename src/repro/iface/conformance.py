@@ -71,9 +71,12 @@ def implementation_interface(obj: object) -> Interface:
 def check_implements(obj: object, declared: Interface) -> None:
     """Raise unless ``obj`` structurally implements ``declared``.
 
-    Checks method presence and arity directly on the instance, so it also
-    catches objects whose class carries the decorator but whose instance
-    shadows the method with a non-callable.
+    Checks method presence and arity directly on the instance, per
+    export, so it also catches an instance that shadows its class's method
+    (with a non-callable, or a callable of another arity) and a method
+    replaced since the last export.  What it does not redo per export is
+    reflection: an ``@operation`` function remembers its own signature
+    (:func:`~repro.iface.interface._positional_params`).
     """
     gaps = []
     for name, required in declared.operations.items():

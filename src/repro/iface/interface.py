@@ -15,17 +15,24 @@ Operation metadata matters to smart proxies:
 * ``oneway`` — no reply expected; fire-and-forget.
 * ``invalidates`` — keys of cached entries this operation invalidates
   (``"*"`` means all); used by the caching policy's write handling.
+
+A signature is a fact about a *function*: it is reflected on the first
+time anyone asks (:meth:`Interface.of`, once per class, or
+:func:`~repro.iface.conformance.check_implements`, once per export) and
+kept on the function beside the metadata ``@operation`` put there.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from types import FunctionType, MethodType
 from typing import Callable
 
 from ..kernel.errors import InterfaceError
 
 _OPERATION_ATTR = "_repro_operation"
+_PARAMS_ATTR = "_repro_params"
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,7 @@ class Operation:
 
     Attributes:
         name: operation name (the verb used on the wire).
-        params: positional parameter names, excluding ``self``.
+        params: positional parameter names, excluding the receiver.
         readonly: see module docstring.
         idempotent: see module docstring.
         oneway: see module docstring.
@@ -100,6 +107,11 @@ class Interface:
             if meta is None:
                 continue
             params = _positional_params(member)
+            # A function in a class body is called through an instance,
+            # which binds its first parameter whatever it is named; a
+            # staticmethod (the same bare function from here) keeps all.
+            if isinstance(inspect.getattr_static(klass, name), FunctionType):
+                params = params[1:]
             ops.append(Operation(name=name, params=params, **meta))
         if not ops:
             raise InterfaceError(
@@ -135,17 +147,30 @@ def is_operation(member) -> bool:
     return getattr(member, _OPERATION_ATTR, None) is not None
 
 
-def _positional_params(func: Callable) -> tuple[str, ...]:
-    """Positional parameter names of a method, excluding ``self``."""
+def _positional_params(member: Callable) -> tuple[str, ...]:
+    """Positional parameter names ``member`` takes when called.
+
+    An ``@operation`` function, reached bare or as a bound method, is
+    reflected on once and remembers the answer (a bound method drops the
+    receiver by position); a replaced method is a new function, and any
+    other callable is reflected on afresh.
+    """
+    bound = isinstance(member, MethodType)
+    func = member.__func__ if bound else member
+    if not (isinstance(func, FunctionType) and is_operation(func)):
+        return _reflect(member)
+    params = func.__dict__.get(_PARAMS_ATTR)
+    if params is None:
+        params = func.__dict__[_PARAMS_ATTR] = _reflect(func)
+    return params[1:] if bound else params
+
+
+def _reflect(func: Callable) -> tuple[str, ...]:
+    """Positional parameter names of a signature (none if unreadable)."""
     try:
         sig = inspect.signature(func)
     except (TypeError, ValueError):
         return ()
-    names = []
-    for param in sig.parameters.values():
-        if param.name == "self":
-            continue
-        if param.kind in (inspect.Parameter.POSITIONAL_ONLY,
-                          inspect.Parameter.POSITIONAL_OR_KEYWORD):
-            names.append(param.name)
-    return tuple(names)
+    return tuple(param.name for param in sig.parameters.values()
+                 if param.kind in (inspect.Parameter.POSITIONAL_ONLY,
+                                   inspect.Parameter.POSITIONAL_OR_KEYWORD))
