@@ -23,7 +23,12 @@ class Context:
     Attributes:
         node: the hosting :class:`~repro.kernel.node.Node`.
         name: context name, unique within the node.
+        context_id: globally unique id, ``"<node>/<context>"``; fixed at
+            construction and read on every hop of the invoke path.
         clock: virtual-time cursor of the activity running in this context.
+        charge: ``charge(seconds) -> now`` charges local CPU time to this
+            context's activity; it *is* ``clock.advance``, fixed at
+            construction (a negative charge raises ``SimulationError``).
         handler: message handler installed by the RPC layer; called as
             ``handler(frame_bytes, arrive_time) -> (reply_bytes, done_time)``
             or ``None`` for one-way messages.
@@ -36,15 +41,16 @@ class Context:
             (installed by repro.core; refs become proxies).
     """
 
-    __slots__ = ("node", "name", "clock", "line", "handler", "exports",
-                 "proxies", "encoder_hook", "decoder_hook", "space",
-                 "current_deadline", "_context_id")
+    __slots__ = ("node", "name", "context_id", "clock", "charge", "line",
+                 "handler", "exports", "proxies", "encoder_hook",
+                 "decoder_hook", "space", "current_deadline")
 
     def __init__(self, node, name: str):
         self.node = node
         self.name = name
-        self._context_id = f"{node.name}/{name}"
+        self.context_id = f"{node.name}/{name}"
         self.clock = Clock()
+        self.charge = self.clock.advance
         self.line = BusyLine()
         self.handler: Callable[[bytes, float], tuple[bytes, float] | None] | None = None
         self.exports: dict[str, Any] = {}
@@ -56,13 +62,6 @@ class Context:
         #: the dispatcher so nested outbound calls inherit the root caller's
         #: budget (repro.resilience.deadline).
         self.current_deadline: Any = None
-
-    @property
-    def context_id(self) -> str:
-        """Globally unique id: ``"<node>/<context>"`` (computed once — node
-        and context names are fixed at creation, and the id is read on every
-        hop of the invoke path)."""
-        return self._context_id
 
     @property
     def system(self):
@@ -78,10 +77,6 @@ class Context:
     def now(self) -> float:
         """Current virtual time of this context's activity."""
         return self.clock.now
-
-    def charge(self, seconds: float) -> float:
-        """Charge local CPU time to this context's activity."""
-        return self.clock.advance(seconds)
 
     def __repr__(self) -> str:
         return f"Context({self.context_id!r}, now={self.clock.now:.6f})"

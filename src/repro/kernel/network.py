@@ -163,7 +163,9 @@ class Network:
 
         Loss, crash, and partition all surface as ``delivered=False`` — the
         sender cannot tell them apart, just like on a real wire.  Every drop
-        emits a ``drop`` trace event, whichever end caused it.
+        emits a ``drop`` trace event, whichever end caused it.  The delivered
+        outcome — one per message — is built in C (``tuple.__new__``, all
+        three fields); the drops are spelled ``Delivery(...)``.
         """
         nodes = self._nodes
         src_node = nodes.get(src)
@@ -198,4 +200,4 @@ class Network:
             if loss > 0.0 and self._rng.random() < loss:
                 self.trace.emit(at, "drop", src, dst, "loss", nbytes)
                 return Delivery(False, arrive, "loss")
-        return Delivery(True, arrive)
+        return tuple.__new__(Delivery, (True, arrive, ""))

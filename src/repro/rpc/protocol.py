@@ -156,10 +156,10 @@ class RpcProtocol:
             raise DeadlineExceeded(
                 f"{verb!r} on {ref}: budget spent before the first attempt")
         policy = retry or self.retry_policy
+        # A copy: the deadline is written into the frame's dict only.
         frame = Frame(REQUEST, self._mint(src), src.context_id, ref.context_id,
-                      target=ref.oid, verb=verb, body=(tuple(args), kwargs))
-        if headers:
-            frame.headers.update(headers)
+                      ref.oid, verb, (tuple(args), kwargs),
+                      dict(headers) if headers else {})
         if deadline is not None:
             deadline.to_headers(frame.headers)
         data = self.transport.encode_frame(frame, src)
@@ -228,7 +228,10 @@ class RpcProtocol:
                     # sampled, each against its own send time.
                     tracker.observe(src.context_id, ref.context_id,
                                     src.clock.now - sent_at)
-                self._feed_breaker(src, ref, success=True)
+                if self.system.breakers is not None:
+                    self._feed_breaker(src, ref, success=True)
+                if reply.kind == REPLY:
+                    return reply.body
                 return self._accept(src, ref, reply)
             if wait_until is None:
                 if patience is None:
@@ -298,7 +301,7 @@ class RpcProtocol:
             # Same liveness discipline as _attempt: a context whose node is
             # down must not execute, even if the message was already in
             # flight when the crash hit.
-            if dst.handler is not None and dst.alive:
+            if dst.handler is not None and dst.node.alive:
                 dst.handler(data, delivery.arrive_time)
 
     def _feed_breaker(self, src: Context, ref: ObjectRef,
@@ -327,7 +330,7 @@ class RpcProtocol:
             dst = self.system.context(frame.dst)
         except kernel_errors.ConfigurationError:
             return None
-        if dst.handler is None or not dst.alive:
+        if dst.handler is None or not dst.node.alive:
             return None
         outcome = dst.handler(data, delivery.arrive_time)
         if outcome is None:

@@ -25,7 +25,13 @@ from ..wire.marshal import Marshaller
 
 
 class Transport:
-    """Frame carriage over the simulated network."""
+    """Frame carriage over the simulated network.
+
+    Hit path: ``encode_frame``/``decode_frame`` look the context's
+    marshaller up and check it against the context's current hook in line.
+    Miss path (a context's first frame, the first after a hook changed):
+    ``encoder_for``/``decoder_for`` build and remember it.
+    """
 
     def __init__(self, system: System):
         self.system = system
@@ -67,7 +73,11 @@ class Transport:
         """
         if src_ctx is None:
             src_ctx = self.system.context(frame.src)
-        data = frame.encode_message(self.encoder_for(src_ctx))
+        marshaller = self._encoders.get(src_ctx.context_id)
+        if marshaller is None \
+                or marshaller.encoder_hook is not src_ctx.encoder_hook:
+            marshaller = self.encoder_for(src_ctx)
+        data = frame.encode_message(marshaller)
         costs = self._costs
         src_ctx.charge(costs.marshal_fixed + len(data) * costs.marshal_byte_cost)
         return data
@@ -79,7 +89,11 @@ class Transport:
         CPU is charged by the caller (the dispatcher), which knows the
         receiving activity's time cursor.
         """
-        return Frame.decode_message(data, self.decoder_for(dst_context))
+        marshaller = self._decoders.get(dst_context.context_id)
+        if marshaller is None \
+                or marshaller.decoder_hook is not dst_context.decoder_hook:
+            marshaller = self.decoder_for(dst_context)
+        return Frame.decode_message(data, marshaller)
 
     # Dead: benchmarks/perf/perf_spans.py (LAYER_MAP) wraps it by name.
     def encode_batch(self, src_ctx, dst_node: str, subs: tuple) -> Frame:

@@ -123,7 +123,7 @@ class Frame:
 
     def reply_to(self, body: Any) -> "Frame":
         """Build the successful reply to this request."""
-        return Frame(REPLY, self.msg_id, self.dst, self.src, body=body)
+        return Frame(REPLY, self.msg_id, self.dst, self.src, "", "", body, {})
 
     def exception_to(self, error_class: str, message: str,
                      detail: Any = None) -> "Frame":

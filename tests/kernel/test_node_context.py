@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel.errors import ConfigurationError
+from repro.kernel.errors import ConfigurationError, SimulationError
 
 
 @pytest.fixture
@@ -52,6 +52,17 @@ class TestContext:
         ctx = node.create_context("main")
         ctx.charge(0.5)
         assert ctx.now == 0.5
+
+    def test_charge_is_the_clocks_advance(self, node):
+        # Fixed at construction, one call per charge (the identity fails
+        # at the parent of the PR that made it a slot); the clock's
+        # monotonicity check is the charge's, which nothing covered.
+        ctx = node.create_context("main")
+        assert ctx.charge == ctx.clock.advance
+        assert ctx.charge(0.25) == 0.25
+        with pytest.raises(SimulationError):
+            ctx.charge(-1e-9)
+        assert ctx.now == 0.25
 
     def test_registered_in_system(self, node):
         ctx = node.create_context("main")

@@ -272,3 +272,48 @@ class TestOneway:
         assert [(ev.kind, ev.label) for ev in system.trace.since(mark)] == [
             ("send", "one:fire"), ("drop", "crash")]
         assert fired == []
+
+
+class TestRequestFrame:
+    """The request ``call`` sends (covers what nothing pinned; passes at
+    the parent of the PR that built the frame positionally)."""
+
+    def test_headers_are_copied_and_the_frame_is_the_keyword_built_one(
+            self, rpc_pair, monkeypatch):
+        from repro.resilience.deadline import DEADLINE_HEADER, Deadline
+        from repro.rpc.transport import Transport
+        from repro.wire.frames import REQUEST, Frame
+        system, server, client, store, ref = rpc_pair
+        sent, decoded = [], []
+        encode, decode = Transport.encode_frame, Transport.decode_frame
+
+        def spy_encode(self, frame, src_ctx=None):
+            sent.append(frame)
+            return encode(self, frame, src_ctx)
+
+        def spy_decode(self, data, dst_context):
+            decoded.append(decode(self, data, dst_context))
+            return decoded[-1]
+
+        monkeypatch.setattr(Transport, "encode_frame", spy_encode)
+        monkeypatch.setattr(Transport, "decode_frame", spy_decode)
+        mine = {"x.tag": ["a", 1]}
+        deadline = Deadline.after(client.now, 5.0)
+        assert system.rpc.call(client, ref, "put", ["k", 7], {},
+                               deadline=deadline, headers=mine) is True
+        assert mine == {"x.tag": ["a", 1]}, "the caller's dict is its own"
+        request, reply = sent
+        expected = Frame(REQUEST, request.msg_id, client.context_id,
+                         server.context_id, target=ref.oid, verb="put",
+                         body=(("k", 7), {}))
+        expected.headers.update(mine)
+        deadline.to_headers(expected.headers)
+        assert request == expected
+        assert request.headers is not mine
+        assert request.headers[DEADLINE_HEADER] == deadline.expires_at
+        served = decoded[0]
+        for name in ("kind", "msg_id", "src", "dst", "target", "verb",
+                     "headers"):
+            assert getattr(served, name) == getattr(expected, name), name
+        assert [list(served.body[0]), served.body[1]] == [["k", 7], {}]
+        assert reply == request.reply_to(True) and reply.headers == {}
