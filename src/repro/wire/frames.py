@@ -84,12 +84,7 @@ class Frame:
     @classmethod
     def decode(cls, data: bytes, marshaller: Marshaller) -> "Frame":
         """Decode wire bytes into a frame (hooks apply to the body)."""
-        fields = marshaller.decode_frame_fields(data)
-        if fields is None:
-            # Not an 8-element list: decode generically so malformed input
-            # produces the same errors it always did.
-            fields = marshaller.decode(data)
-        return cls._checked(fields)
+        return cls._checked(marshaller.decode_frame_fields(data))
 
     @classmethod
     def decode_message(cls, msg, marshaller: Marshaller) -> "Frame":

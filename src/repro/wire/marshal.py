@@ -23,10 +23,20 @@ byte-for-byte identical to the naive encoder (the fuzz test in
 ``tests/wire/test_marshal_fastpath.py`` keeps the naive encoder around as
 the reference implementation and asserts exactly that).  Small immutable
 payloads — interned strings such as verbs, context ids and hot keys, and
-small ints — additionally hit a bounded encode/decode memo, which is safe
+small ints — additionally hit a bounded encode memo, which is safe
 precisely because the encoding of a primitive is a pure function of its
 value.  The memos evict FIFO at capacity and export hit/size counters
-(:func:`memo_stats`, surfaced via :mod:`repro.metrics`).
+(:func:`memo_stats`, surfaced via :mod:`repro.metrics`).  They are
+encode-only: nothing on the decode side is memoised.
+
+The decoder is the reference path, not a fast one.  Since the carried
+decode (below) a receiver unmarshals only a frame that holds a reference,
+a retransmission or a duplicate — and whatever a peer crafts — so it is
+one recursive walk with one arm per tag, whose jobs are turning refs into
+proxies and refusing hostile input: truncation, non-utf-8 text,
+unhashable keys and set members, trailing bytes, unconsumed raw segments,
+unknown tags and nesting deeper than :data:`_MAX_DEPTH` all raise
+:class:`MarshalError`.
 
 Two message-level fast paths sit on top (both byte-transparent on the
 wire — see ``wire/segments.py`` and DESIGN.md's zero-copy subsection):
@@ -78,8 +88,7 @@ _TAG_FROZENSET = b"Z"
 _TAG_REF = b"R"
 _TAG_RAW = b"r"
 
-# Integer tag values for the decoder (indexing bytes yields ints; comparing
-# ints beats slicing one-byte substrings on the hot path).
+# Integer tag values for the decoder (indexing bytes yields ints).
 _ORD_NONE = _TAG_NONE[0]
 _ORD_TRUE = _TAG_TRUE[0]
 _ORD_FALSE = _TAG_FALSE[0]
@@ -95,6 +104,8 @@ _ORD_SET = _TAG_SET[0]
 _ORD_FROZENSET = _TAG_FROZENSET[0]
 _ORD_REF = _TAG_REF[0]
 _ORD_RAW = _TAG_RAW[0]
+_CONTAINER_TAGS = frozenset(
+    {_ORD_LIST, _ORD_TUPLE, _ORD_DICT, _ORD_SET, _ORD_FROZENSET})
 
 #: Bulk payloads at least this long take the zero-copy raw-segment path
 #: when encoding through :meth:`Marshaller.encode_frame_message`.  Below
@@ -102,6 +113,13 @@ _ORD_RAW = _TAG_RAW[0]
 #: The marker costs exactly as many wire bytes as the inline tag (1 tag
 #: + 4 length), so the threshold is invisible to the cost model.
 RAW_THRESHOLD = 4096
+
+#: Deepest container nesting the decoder follows (the frame list is one
+#: level).  Wire input comes from a peer: past this bound the walk raises
+#: :class:`MarshalError` instead of exhausting the interpreter stack.  The
+#: deepest frame any test, experiment, example, benchmark or simtest
+#: battery encodes is 8 levels (6 outside the generated tests).
+_MAX_DEPTH = 64
 
 # Precomputed fragments for the frame fast path: every frame is an 8-element
 # list, and its headers dict is empty on all but protocol-extension frames.
@@ -117,7 +135,7 @@ EncoderHook = Callable[[Any], Any]
 #: code should see (a proxy).  Returning the ref unchanged is allowed.
 DecoderHook = Callable[[ObjectRef], Any]
 
-# -- encode/decode memos for identical small payloads --------------------------
+# -- encode memos for identical small payloads ---------------------------------
 #
 # Verbs, context ids, frame kinds and hot application keys repeat endlessly;
 # their encodings are pure functions of the value, so a bounded memo turns
@@ -131,7 +149,6 @@ _MEMO_MAX_ENTRIES = 4096
 _MEMO_MAX_STR = 64
 
 _STR_ENC: dict[str, bytes] = {}
-_STR_DEC: dict[bytes, str] = {}
 _INT_ENC: dict[int, bytes] = {}
 
 #: Encoded-suffix memo for pure frames, keyed
@@ -151,9 +168,8 @@ class MemoStats:
     observe the simulator, they never feed it.
     """
 
-    __slots__ = ("str_enc_hits", "str_enc_misses", "str_dec_hits",
-                 "str_dec_misses", "int_enc_hits", "int_enc_misses",
-                 "tmpl_hits", "tmpl_misses", "evictions",
+    __slots__ = ("str_enc_hits", "str_enc_misses", "int_enc_hits",
+                 "int_enc_misses", "tmpl_hits", "tmpl_misses", "evictions",
                  "frames_carried", "frames_decoded")
 
     def __init__(self):
@@ -162,8 +178,6 @@ class MemoStats:
     def reset(self) -> None:
         self.str_enc_hits = 0
         self.str_enc_misses = 0
-        self.str_dec_hits = 0
-        self.str_dec_misses = 0
         self.int_enc_hits = 0
         self.int_enc_misses = 0
         self.tmpl_hits = 0
@@ -192,8 +206,6 @@ def memo_stats() -> dict:
     return {
         "str_enc_hits": stats.str_enc_hits,
         "str_enc_misses": stats.str_enc_misses,
-        "str_dec_hits": stats.str_dec_hits,
-        "str_dec_misses": stats.str_dec_misses,
         "int_enc_hits": stats.int_enc_hits,
         "int_enc_misses": stats.int_enc_misses,
         "tmpl_hits": stats.tmpl_hits,
@@ -202,7 +214,6 @@ def memo_stats() -> dict:
         "frames_carried": stats.frames_carried,
         "frames_decoded": stats.frames_decoded,
         "str_enc_size": len(_STR_ENC),
-        "str_dec_size": len(_STR_DEC),
         "int_enc_size": len(_INT_ENC),
         "tmpl_size": len(_TMPL_ENC),
         "max_entries": _MEMO_MAX_ENTRIES,
@@ -217,7 +228,6 @@ def reset_memo_stats() -> None:
 def clear_memos() -> None:
     """Empty every memo (tests that probe cold-cache behaviour)."""
     _STR_ENC.clear()
-    _STR_DEC.clear()
     _INT_ENC.clear()
     _TMPL_ENC.clear()
 
@@ -273,6 +283,17 @@ def _utf8(raw: bytes) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MarshalError(f"string is not utf-8: {exc}") from exc
+
+
+def _chunk(data: bytes, offset: int, what: str) -> tuple[bytes, int]:
+    """The length-prefixed run of bytes at ``offset``, and the offset
+    past it; the length is the peer's claim, so it is checked."""
+    (length,) = _U32.unpack_from(data, offset)
+    offset += 4
+    raw = data[offset:offset + length]
+    if len(raw) != length:
+        raise MarshalError(f"truncated {what}")
+    return raw, offset + length
 
 
 class _NotPlain(Exception):
@@ -460,60 +481,6 @@ class Marshaller:
             self._encode_into(headers, out)
         return bytes(out)
 
-    def decode_frame_fields(self, data: bytes) -> list | None:
-        """Decode an 8-field frame list encoded by :meth:`encode_frame_fields`.
-
-        Returns the eight fields, or ``None`` when ``data`` is not an
-        8-element list at all (the framing layer falls back to the generic
-        decoder, whose error behaviour it preserves).  Raises
-        :class:`MarshalError` on truncated or trailing bytes, exactly like
-        :meth:`decode`.
-        """
-        _MEMO_STATS.frames_decoded += 1
-        if data[:5] != _LIST8_HEAD:
-            return None
-        offset = 5
-        fields = []
-        append = fields.append
-        decode_from = self._decode_from
-        try:
-            for _ in range(8):
-                sub = data[offset]
-                if sub == _ORD_STR:
-                    (slen,) = _U32.unpack_from(data, offset + 1)
-                    start = offset + 5
-                    raw = data[start:start + slen]
-                    if len(raw) != slen:
-                        raise MarshalError("truncated string")
-                    item = _STR_DEC.get(raw)
-                    if item is None:
-                        _MEMO_STATS.str_dec_misses += 1
-                        item = _utf8(raw)
-                        if slen <= _MEMO_MAX_STR:
-                            _memo_put(_STR_DEC, raw, item)
-                    else:
-                        _MEMO_STATS.str_dec_hits += 1
-                    offset = start + slen
-                elif sub == _ORD_INT:
-                    (item,) = _I64.unpack_from(data, offset + 1)
-                    offset += 9
-                elif sub == _ORD_NONE:
-                    item = None
-                    offset += 1
-                elif sub == _ORD_DICT and \
-                        data[offset:offset + 5] == _EMPTY_DICT:
-                    item = {}
-                    offset += 5
-                else:
-                    item, offset = decode_from(data, offset)
-                append(item)
-        except (struct.error, IndexError) as exc:
-            raise MarshalError(
-                f"truncated wire data at offset {offset}") from exc
-        if offset != len(data):
-            raise MarshalError(f"trailing garbage: {len(data) - offset} bytes")
-        return fields
-
     # -- the message fast path (zero-copy + carried decode) --------------------
 
     def encode_frame_message(self, kind: str, msg_id: int, src: str,
@@ -593,16 +560,13 @@ class Marshaller:
 
     def decode_frame_message(self, msg: WireMessage):
         """Decode a :class:`WireMessage` produced by
-        :meth:`encode_frame_message`; returns the frame field list (or
-        whatever the generic decoder yields for a non-frame head, so the
-        framing layer's error behaviour is preserved).
+        :meth:`encode_frame_message`, as :meth:`decode_frame_fields` does
+        its head, taking raw payloads from the segments uncopied.
         """
         self._split = msg.segments
         self._split_idx = 0
         try:
             fields = self.decode_frame_fields(msg.head)
-            if fields is None:
-                fields = self.decode(msg.head)
             if self._split_idx != len(msg.segments):
                 raise MarshalError(
                     f"{len(msg.segments) - self._split_idx} raw "
@@ -624,150 +588,64 @@ class Marshaller:
 
     def decode(self, data: bytes) -> Any:
         """Decode wire bytes produced by :meth:`encode`."""
-        value, offset = self._decode_from(data, 0)
+        return self._decode_image(data)
+
+    def decode_frame_fields(self, data: bytes) -> Any:
+        """Decode a frame image encoded by :meth:`encode_frame_fields`.
+
+        Returns whatever value the image holds — a peer may send a frame
+        of any shape, and :meth:`Frame._checked` is what refuses one that
+        is not eight fields.  Counted in ``frames_decoded``.
+        """
+        _MEMO_STATS.frames_decoded += 1
+        return self._decode_image(data)
+
+    def _decode_image(self, data) -> Any:
+        """The one way into the walk: a whole image is exactly one value.
+
+        A ``bytearray`` or ``memoryview`` image is copied to ``bytes``
+        first, so every ``bytes`` leaf comes back as ``bytes``.
+        """
+        if data.__class__ is not bytes:
+            data = bytes(data)
+        value, offset = self._decode_from(data, 0, 0)
         if offset != len(data):
             raise MarshalError(f"trailing garbage: {len(data) - offset} bytes")
         return value
 
-    def _decode_from(self, data: bytes, offset: int) -> tuple[Any, int]:
+    def _decode_from(self, data: bytes, offset: int,
+                     depth: int) -> tuple[Any, int]:
+        """The value at ``offset`` and the offset past it; ``depth``
+        counts the containers around it."""
         try:
             tag = data[offset]
             offset += 1
-            # Branches ordered by hot-path frequency: frames are mostly
-            # strings and small ints inside lists/tuples/dicts.
-            if tag == _ORD_STR:
-                (length,) = _U32.unpack_from(data, offset)
-                offset += 4
-                raw = data[offset:offset + length]
-                if len(raw) != length:
-                    raise MarshalError("truncated string")
-                value = _STR_DEC.get(raw)
-                if value is None:
-                    _MEMO_STATS.str_dec_misses += 1
-                    value = _utf8(raw)
-                    if length <= _MEMO_MAX_STR:
-                        _memo_put(_STR_DEC, raw, value)
-                else:
-                    _MEMO_STATS.str_dec_hits += 1
-                return value, offset + length
-            if tag == _ORD_INT:
-                (value,) = _I64.unpack_from(data, offset)
-                return value, offset + 8
-            if tag == _ORD_LIST or tag == _ORD_TUPLE or tag == _ORD_SET \
-                    or tag == _ORD_FROZENSET:
-                (length,) = _U32.unpack_from(data, offset)
-                offset += 4
-                items = []
-                append = items.append
-                decode_from = self._decode_from
-                # The str/int cases are inlined in the element loop: frames
-                # are mostly short strings and small ints inside containers,
-                # and the recursive call per element costs more than the
-                # decode itself.
-                for _ in range(length):
-                    sub = data[offset]
-                    if sub == _ORD_STR:
-                        (slen,) = _U32.unpack_from(data, offset + 1)
-                        start = offset + 5
-                        raw = data[start:start + slen]
-                        if len(raw) != slen:
-                            raise MarshalError("truncated string")
-                        item = _STR_DEC.get(raw)
-                        if item is None:
-                            _MEMO_STATS.str_dec_misses += 1
-                            item = _utf8(raw)
-                            if slen <= _MEMO_MAX_STR:
-                                _memo_put(_STR_DEC, raw, item)
-                        else:
-                            _MEMO_STATS.str_dec_hits += 1
-                        offset = start + slen
-                    elif sub == _ORD_INT:
-                        (item,) = _I64.unpack_from(data, offset + 1)
-                        offset += 9
-                    elif sub == _ORD_NONE:
-                        item = None
-                        offset += 1
-                    elif sub == _ORD_TRUE:
-                        item = True
-                        offset += 1
-                    elif sub == _ORD_FALSE:
-                        item = False
-                        offset += 1
-                    elif sub == _ORD_DICT and \
-                            data[offset:offset + 5] == _EMPTY_DICT:
-                        item = {}
-                        offset += 5
-                    else:
-                        item, offset = decode_from(data, offset)
-                    append(item)
-                if tag == _ORD_LIST:
-                    return items, offset
-                if tag == _ORD_TUPLE:
-                    return tuple(items), offset
-                try:
-                    if tag == _ORD_SET:
-                        return set(items), offset
-                    return frozenset(items), offset
-                except TypeError as exc:
-                    raise MarshalError(f"set member: {exc}") from exc
-            if tag == _ORD_DICT:
-                (length,) = _U32.unpack_from(data, offset)
-                offset += 4
-                result = {}
-                decode_from = self._decode_from
-                for _ in range(length):
-                    sub = data[offset]
-                    if sub == _ORD_STR:
-                        (slen,) = _U32.unpack_from(data, offset + 1)
-                        start = offset + 5
-                        raw = data[start:start + slen]
-                        if len(raw) != slen:
-                            raise MarshalError("truncated string")
-                        key = _STR_DEC.get(raw)
-                        if key is None:
-                            _MEMO_STATS.str_dec_misses += 1
-                            key = _utf8(raw)
-                            if slen <= _MEMO_MAX_STR:
-                                _memo_put(_STR_DEC, raw, key)
-                        else:
-                            _MEMO_STATS.str_dec_hits += 1
-                        offset = start + slen
-                    else:
-                        key, offset = decode_from(data, offset)
-                    val, offset = decode_from(data, offset)
-                    try:
-                        result[key] = val
-                    except TypeError as exc:
-                        raise MarshalError(f"dict key: {exc}") from exc
-                return result, offset
             if tag == _ORD_NONE:
                 return None, offset
             if tag == _ORD_TRUE:
                 return True, offset
             if tag == _ORD_FALSE:
                 return False, offset
+            if tag == _ORD_INT:
+                return _I64.unpack_from(data, offset)[0], offset + 8
+            if tag == _ORD_BIGINT:
+                raw, offset = _chunk(data, offset, "big integer")
+                return int.from_bytes(raw, "big", signed=True), offset
             if tag == _ORD_FLOAT:
-                (value,) = _F64.unpack_from(data, offset)
-                return value, offset + 8
+                return _F64.unpack_from(data, offset)[0], offset + 8
+            if tag == _ORD_STR:
+                raw, offset = _chunk(data, offset, "string")
+                return _utf8(raw), offset
             if tag == _ORD_BYTES:
-                (length,) = _U32.unpack_from(data, offset)
-                offset += 4
-                raw = data[offset:offset + length]
-                if len(raw) != length:
-                    raise MarshalError("truncated bytes")
-                return raw, offset + length
+                return _chunk(data, offset, "bytes")
             if tag == _ORD_RAW:
-                (length,) = _U32.unpack_from(data, offset)
-                offset += 4
                 split = self._split
                 if split is None:
                     # Contiguous wire image (``WireMessage.to_bytes``):
                     # the payload sits inline after its marker, exactly
                     # like the bytes tag.
-                    raw = data[offset:offset + length]
-                    if len(raw) != length:
-                        raise MarshalError("truncated raw segment")
-                    return raw, offset + length
+                    return _chunk(data, offset, "raw segment")
+                (length,) = _U32.unpack_from(data, offset)
                 idx = self._split_idx
                 if idx >= len(split):
                     raise MarshalError(
@@ -783,45 +661,54 @@ class Marshaller:
                     raise MarshalError(
                         f"raw segment length mismatch: marker says "
                         f"{length}, segment has {len(seg)}")
-                return seg, offset
+                return seg, offset + 4
             if tag == _ORD_REF:
-                return self._decode_ref(data, offset)
-            if tag == _ORD_BIGINT:
+                fields = []
+                for _ in range(4):
+                    raw, offset = _chunk(data, offset, "ref")
+                    fields.append(_utf8(raw))
+                (epoch,) = _I64.unpack_from(data, offset)
+                ref = ObjectRef(fields[0], fields[1], fields[2], epoch,
+                                fields[3])
+                if self.decoder_hook is not None:
+                    ref = self.decoder_hook(ref)
+                return ref, offset + 8
+            if tag in _CONTAINER_TAGS:
+                depth += 1
+                if depth > _MAX_DEPTH:
+                    raise MarshalError(
+                        f"nesting deeper than {_MAX_DEPTH} at offset "
+                        f"{offset - 1}")
                 (length,) = _U32.unpack_from(data, offset)
                 offset += 4
-                raw = data[offset:offset + length]
-                if len(raw) != length:
-                    raise MarshalError("truncated big integer")
-                return int.from_bytes(raw, "big", signed=True), offset + length
+                if tag == _ORD_DICT:
+                    result = {}
+                    for _ in range(length):
+                        key, offset = self._decode_from(data, offset, depth)
+                        val, offset = self._decode_from(data, offset, depth)
+                        try:
+                            result[key] = val
+                        except TypeError as exc:
+                            raise MarshalError(f"dict key: {exc}") from exc
+                    return result, offset
+                items = []
+                for _ in range(length):
+                    item, offset = self._decode_from(data, offset, depth)
+                    items.append(item)
+                if tag == _ORD_LIST:
+                    return items, offset
+                if tag == _ORD_TUPLE:
+                    return tuple(items), offset
+                try:
+                    if tag == _ORD_SET:
+                        return set(items), offset
+                    return frozenset(items), offset
+                except TypeError as exc:
+                    raise MarshalError(f"set member: {exc}") from exc
         except (struct.error, IndexError) as exc:
             raise MarshalError(f"truncated wire data at offset {offset}") from exc
         raise MarshalError(
             f"unknown wire tag {bytes((tag,))!r} at offset {offset - 1}")
-
-    def _decode_ref(self, data: bytes, offset: int) -> tuple[Any, int]:
-        fields = []
-        for _ in range(4):
-            (length,) = _U32.unpack_from(data, offset)
-            offset += 4
-            raw = data[offset:offset + length]
-            if len(raw) != length:
-                raise MarshalError("truncated ref")
-            value = _STR_DEC.get(raw)
-            if value is None:
-                _MEMO_STATS.str_dec_misses += 1
-                value = _utf8(raw)
-                if length <= _MEMO_MAX_STR:
-                    _memo_put(_STR_DEC, raw, value)
-            else:
-                _MEMO_STATS.str_dec_hits += 1
-            fields.append(value)
-            offset += length
-        (epoch,) = _I64.unpack_from(data, offset)
-        offset += 8
-        ref = ObjectRef(fields[0], fields[1], fields[2], epoch, fields[3])
-        if self.decoder_hook is not None:
-            return self.decoder_hook(ref), offset
-        return ref, offset
 
 
 # -- the fast encoders ---------------------------------------------------------

@@ -9,7 +9,10 @@ layer), through the byte-stream decoder and the message decoder alike.
 Each case **fails at the parent commit** (`23d91a7`), where it escaped
 as ``TypeError`` / ``UnicodeDecodeError``, was reported as a negative
 count of trailing bytes, or — the list-typed ``headers`` — was accepted
-and blew up later inside the dispatcher.
+and blew up later inside the dispatcher.  The nesting bomb and the
+bytes-like images fail at `1dbf743`, before the decoder became one walk:
+``RecursionError``; ``TypeError`` from the decode memo and ``memoryview``
+leaves.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ import pytest
 
 from repro.kernel.errors import MarshalError, ProtocolError
 from repro.wire.frames import Frame
-from repro.wire.marshal import PLAIN, Marshaller
+from repro.wire.marshal import _MAX_DEPTH, PLAIN, Marshaller
 from repro.wire.segments import WireMessage
+
+from test_carried_equivalence import typed, typed_frame
 
 
 def _u32(n: int) -> bytes:
@@ -37,6 +42,9 @@ def _frame_with(field_index: int, encoded_field: bytes) -> bytes:
 
 
 _LIST_OF_ONE = PLAIN.encode([1])
+
+# 5000 nested one-element lists around a None: RecursionError at the parent.
+_NESTING_BOMB = (b"l" + _u32(1)) * 5000 + b"N"
 
 HOSTILE = {
     # kind is a list: ``kind not in _KINDS`` hashed it -> TypeError
@@ -62,6 +70,8 @@ HOSTILE = {
     # reported as "trailing garbage: -998 bytes"
     "bigint-longer-than-the-data": (
         _frame_with(7, b"I" + _u32(1000) + b"\x01\x02"), MarshalError),
+    # a body nested 5000 deep: RecursionError, through both decoders
+    "nesting-bomb": (_frame_with(6, _NESTING_BOMB), MarshalError),
 }
 
 
@@ -83,6 +93,7 @@ def test_hostile_frame_raises_a_typed_error(name):
     b"d" + _u32(1) + _LIST_OF_ONE + b"N",
     b"S" + _u32(1) + _LIST_OF_ONE,
     b"R" + _u32(1) + b"\xff" + _u32(0) * 3 + b"\x00" * 8,   # ref field
+    pytest.param(_NESTING_BOMB, id="nesting-bomb"),
 ])
 def test_hostile_values_raise_marshal_error(data):
     with pytest.raises(MarshalError) as caught:
@@ -95,3 +106,34 @@ def test_well_formed_neighbours_still_decode():
     # a big integer of the stated length, non-ASCII utf-8.
     value = [{(1, 2): "ü", "k": -2**70}, {1, "a"}, frozenset({(3,)})]
     assert PLAIN.decode(PLAIN.encode(value)) == value
+
+
+def test_nesting_at_the_bound_still_decodes():
+    # The bound counts containers: _MAX_DEPTH of them round-trip, one
+    # more is refused.  A frame's field list is its outermost level.
+    value = "leaf"
+    for level in range(_MAX_DEPTH - 1):
+        value = ([value], (value,), {"k": value})[level % 3]
+    assert PLAIN.decode(PLAIN.encode([value])) == [value]
+    with pytest.raises(MarshalError, match="nesting deeper"):
+        PLAIN.decode(PLAIN.encode([[value]]))
+    frame = Frame("rep", 1, "a", "b", body=value)
+    assert Frame.decode(frame.encode(PLAIN), PLAIN).body == value
+    frame.body = [value]
+    with pytest.raises(MarshalError, match="nesting deeper"):
+        Frame.decode(frame.encode(PLAIN), PLAIN)
+
+
+@pytest.mark.parametrize("kind", [bytearray, memoryview])
+def test_a_bytes_like_image_decodes_exactly_as_bytes_do(kind):
+    # At the parent a bytearray image raised TypeError (unhashable, from
+    # the decode memo) and a memoryview one handed back memoryview leaves.
+    frame = Frame("req", 9, "a", "b", "t", "v",
+                  ((b"payload", "ü", [b""]), {"k": {b"x"}}), {"q.t": [1]})
+    image = frame.encode(PLAIN)
+    expected = typed_frame(Frame.decode(image, Marshaller()))
+    assert typed_frame(Frame.decode(kind(image), Marshaller())) == expected
+    if kind is bytearray:       # the message decoder's other plain type
+        assert typed_frame(
+            Frame.decode_message(kind(image), Marshaller())) == expected
+    assert typed(PLAIN.decode(kind(image))) == typed(PLAIN.decode(image))

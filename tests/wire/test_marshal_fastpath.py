@@ -1,7 +1,7 @@
 """Byte-identity fuzz: the fast-path encoder vs the naive reference encoder.
 
 The Marshaller's hot path (exact-type dispatch table, inlined container
-loops, encode/decode memos, the 8-field frame codec) is an *optimisation*,
+loops, encode memos, the 8-field frame encoder) is an *optimisation*,
 not a format change: its output must be byte-for-byte what the original
 naive encoder produced.  This test keeps that naive encoder alive — a
 hook-first ``isinstance`` chain, transcribed from the pre-fast-path
@@ -232,11 +232,13 @@ def test_frame_codec_matches_generic_encoding():
 
 
 def test_frame_decoder_rejects_non_frames_and_garbage():
-    from repro.kernel.errors import MarshalError
+    from repro.kernel.errors import MarshalError, ProtocolError
+    from repro.wire.frames import Frame
 
-    # Not an 8-element list: decliner returns None (caller falls back).
-    assert PLAIN.decode_frame_fields(PLAIN.encode([1, 2, 3])) is None
-    assert PLAIN.decode_frame_fields(PLAIN.encode("req")) is None
+    # Not an 8-element list: the frame layer refuses the decoded shape.
+    for value in ([1, 2, 3], "req"):
+        with pytest.raises(ProtocolError, match="malformed frame"):
+            Frame.decode(PLAIN.encode(value), PLAIN)
     good = PLAIN.encode_frame_fields("req", 1, "a", "b", "t", "v", None, {})
     with pytest.raises(MarshalError):
         PLAIN.decode_frame_fields(good[:-3])
