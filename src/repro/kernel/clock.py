@@ -30,7 +30,9 @@ class Clock:
     def __init__(self, start: float = 0.0):
         #: Current virtual time in seconds.  A plain attribute (not a
         #: property): it is read on every hop of the invoke path, and all
-        #: writes go through the methods below, which enforce monotonicity.
+        #: writes go through the methods below, which enforce monotonicity
+        #: — except the dispatcher's rebase of a serving context to a
+        #: request's start and back, a slot write of a float.
         self.now = float(start)
 
     def advance(self, delta: float) -> float:

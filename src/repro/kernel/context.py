@@ -30,8 +30,8 @@ class Context:
             context's activity; it *is* ``clock.advance``, fixed at
             construction (a negative charge raises ``SimulationError``).
         handler: message handler installed by the RPC layer; called as
-            ``handler(frame_bytes, arrive_time) -> (reply_bytes, done_time)``
-            or ``None`` for one-way messages.
+            ``handler(message, arrive_time) -> (reply, done_time)`` (encoded
+            frames, ``WireMessage``) or ``None`` for one-way messages.
         exports: export table — oid → exported entry (managed by repro.core).
         proxies: proxy table — remote ref key → live proxy (repro.core).
         line: busy line serialising request processing in this context.
@@ -52,7 +52,7 @@ class Context:
         self.clock = Clock()
         self.charge = self.clock.advance
         self.line = BusyLine()
-        self.handler: Callable[[bytes, float], tuple[bytes, float] | None] | None = None
+        self.handler: Callable[[Any, float], tuple | None] | None = None
         self.exports: dict[str, Any] = {}
         self.proxies: dict[str, Any] = {}
         self.encoder_hook: Callable[[Any], Any] | None = None

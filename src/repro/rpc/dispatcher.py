@@ -8,7 +8,8 @@ however the call arrived:
   entry); a revoked export answers ``DanglingReference``, an object that
   moved away ``ObjectMoved`` carrying the forwarding reference, a plain
   call on a rebalanced shard ``StaleShardRing`` carrying the ring map; an
-  enveloped call goes to its wire module's protocol step;
+  enveloped call goes to its wire module's protocol step, which parses
+  the envelope first (a malformed one is ``ProtocolError``);
 * **performing** (:meth:`ExportEntry.admit` then :meth:`ExportEntry.run`):
   interface checking (undeclared verbs are rejected, not ducked), the
   declared per-operation compute, the method call, and the mutation hooks
@@ -22,7 +23,9 @@ unmarshal and dispatch cost and has its errors dropped; a request frame
 
 * **at-most-once execution** via a replay cache keyed ``(caller, msg_id)`` —
   retransmitted requests return the cached reply instead of re-executing
-  (togglable, ablation E11),
+  (togglable, ablation E11); a refusal that executed nothing — a shed, a
+  spent deadline, a ``ProtocolError`` — is not remembered, so hostile
+  input cannot evict an honest caller's reply,
 * admission control: when the node carries an
   :class:`~repro.kernel.admission.AdmissionControl`, every request is
   offered to it *before* dispatch (but after dedup, so retransmissions of
@@ -51,9 +54,9 @@ from ..kernel.errors import (
     ObjectMoved,
     StaleShardRing,
 )
-from ..resilience.deadline import Deadline
+from ..resilience.deadline import DEADLINE_HEADER, Deadline
 from ..wire import shards, versions
-from ..wire.frames import K_OVERLOAD, ONEWAY, REQUEST, Frame
+from ..wire.frames import EXCEPTION, K_OVERLOAD, ONEWAY, REQUEST, Frame
 from ..wire.refs import ObjectRef
 
 
@@ -158,7 +161,9 @@ class Dispatcher:
         self._costs = self._system.costs
         self.at_most_once = True
         self.replay_capacity = replay_capacity
-        self._replay: OrderedDict[tuple[str, int], bytes] = OrderedDict()
+        #: ``(caller, msg_id)`` → the reply's wire image alone: its head
+        #: bytes, or ``(head, segments, nbytes)`` when it has segments.
+        self._replay: OrderedDict[tuple[str, int], object] = OrderedDict()
         self.stats = {"requests": 0, "duplicates": 0, "exceptions": 0,
                       "oneways": 0, "redirects": 0, "deadline_rejects": 0,
                       "sheds": 0}
@@ -166,8 +171,9 @@ class Dispatcher:
 
     # -- entry point -----------------------------------------------------------
 
-    def handle(self, data: bytes, arrive: float) -> tuple[bytes, float] | None:
-        """Process one inbound frame; returns ``(reply_bytes, ready_time)``.
+    def handle(self, data, arrive: float) -> tuple | None:
+        """Process one inbound message (a :class:`~repro.wire.segments.
+        WireMessage`); returns ``(reply_message, ready_time)``.
 
         Returns ``None`` for one-way frames.
 
@@ -210,9 +216,10 @@ class Dispatcher:
                     # stale refusal.
                     return self.transport.encode_frame(reply, ctx), arrive
                 admitted_target = frame.target
+        # Floats all: the rebase and the restore below are slot writes.
         start = max(arrive, ctx.line.busy_until)
         resume_at = max(ctx.clock.now, start)
-        ctx.clock.reset(start)
+        ctx.clock.now = start
         if admitted_target is not None and admission.service_time > 0.0:
             # The modelled per-request work: this is what makes admitted
             # calls queue and drain in virtual time on the context busy
@@ -228,11 +235,10 @@ class Dispatcher:
                 admission.finish(admitted_target, end)
             if end > start:
                 ctx.line.occupy(start, end - start)
-            ctx.clock.reset(max(resume_at, end))
+            ctx.clock.now = max(resume_at, end)
         return outcome
 
-    def _handle_at(self, data: bytes,
-                   frame: Frame | None = None) -> tuple[bytes, float] | None:
+    def _handle_at(self, data, frame: Frame | None = None) -> tuple | None:
         """Body of :meth:`handle`, running on the rebased context clock.
 
         ``frame`` is the already-decoded frame when the admission front
@@ -240,7 +246,7 @@ class Dispatcher:
         line, where serving pays it)."""
         ctx = self.context
         costs = self._costs
-        ctx.charge(costs.marshal_fixed + len(data) * costs.marshal_byte_cost)
+        ctx.charge(costs.marshal_fixed + data.nbytes * costs.marshal_byte_cost)
         if frame is None:
             frame = self.transport.decode_frame(data, ctx)
         if frame.kind == ONEWAY:
@@ -256,10 +262,14 @@ class Dispatcher:
         if self.at_most_once and dedup_key in self._replay:
             self.stats["duplicates"] += 1
             ctx.charge(costs.dispatch_cost)
-            return self._replay[dedup_key], ctx.clock.now
+            from ..wire.segments import WireMessage
+            image = self._replay[dedup_key]
+            if image.__class__ is bytes:
+                image = (image, (), len(image))
+            return WireMessage(*image), ctx.clock.now
         ctx.charge(costs.dispatch_cost)
-        deadline = Deadline.from_headers(frame.headers) if frame.headers \
-            else None
+        deadline = Deadline.from_headers(frame.headers) \
+            if DEADLINE_HEADER in frame.headers else None
         if deadline is not None and deadline.expired(ctx.clock.now):
             # The caller's budget is already spent: executing the operation
             # can no longer help anyone, so skip dispatch entirely and tell
@@ -283,13 +293,20 @@ class Dispatcher:
         self._system.trace.emit(ctx.clock.now, "invoke", frame.src,
                                 ctx.context_id, frame.verb)
         reply_data = self.transport.encode_frame(reply, ctx)
-        if reply_data.__class__ is not bytes:
+        if reply_data.carried is None:
             # A zero-copy reply may hold mutable segments the service still
             # owns; snapshot them now so the wire (and the replay cache)
             # carries what was sent, not what the buffer later becomes.
             reply_data = reply_data.freeze()
-        if self.at_most_once:
-            self._remember(dedup_key, reply_data)
+        if self.at_most_once and (reply.kind != EXCEPTION
+                                  or reply.body[0] != "ProtocolError"):
+            # The wire image only: what the message carries belongs to the
+            # caller about to receive it; a duplicate is decoded for real.
+            self._replay[dedup_key] = reply_data.head \
+                if not reply_data.segments else \
+                (reply_data.head, reply_data.segments, reply_data.nbytes)
+            while len(self._replay) > self.replay_capacity:
+                self._replay.popitem(last=False)
         return reply_data, ctx.clock.now
 
     # -- internals ---------------------------------------------------------------
@@ -328,9 +345,13 @@ class Dispatcher:
             fwd = entry.moved_to
             raise ObjectMoved(
                 f"object {oid!r} migrated to {fwd.context_id!r}", forward=fwd)
-        enveloped = headers and (versions.has_envelope(headers)
-                                 or shards.has_envelope(headers))
-        if enveloped:
+        wire = None
+        if headers:
+            if not versions.ENVELOPE_KEYS.isdisjoint(headers):
+                wire = versions
+            elif not shards.ENVELOPE_KEYS.isdisjoint(headers):
+                wire = shards
+        if wire is not None:
             if arrival_cost:
                 # On its own, before the step reads its fence clock.
                 ctx.charge(arrival_cost)
@@ -347,15 +368,23 @@ class Dispatcher:
         else:
             entry.admit(ctx, verb, arrival_cost)
         try:
-            if enveloped:
-                # The wire module's protocol step wraps the result.
-                # Application exceptions a step lets through (a primary
-                # write's, a shard's) are raised like a plain call's;
-                # versioned reads and replica applies fold theirs into the
-                # reply wrapper instead (the caller needs the replica's
-                # version either way).
-                return self.serve_enveloped(entry, verb, args, kwargs,
-                                            headers)
+            if wire is not None:
+                # The wire module's protocol step wraps the result.  Control
+                # calls are verb-less; operations are admitted first, after
+                # ``now`` is read (terms and leases are fenced on the clock
+                # before the operation is charged).  ``invoke`` performs a
+                # replayed log entry whole, ``call_peer`` makes a handoff's
+                # nested calls.  Application exceptions a step lets through
+                # (a primary write's, a shard's) are raised like a plain
+                # call's; versioned reads and replica applies fold theirs
+                # into the reply wrapper.
+                now = ctx.clock.now
+                if wire.H_CONTROL not in headers:
+                    entry.admit(ctx, verb)
+                return wire.serve_envelope(
+                    entry, verb, args, kwargs, headers, now=now,
+                    invoke=partial(entry.perform, ctx),
+                    call_peer=self._call_peer)
             return entry.run(verb, args, kwargs)
         except Exception as exc:
             self.stats["exceptions"] += 1
@@ -367,29 +396,6 @@ class Dispatcher:
                 raise type(exc)(str(exc)) from None
             raise
 
-    def serve_enveloped(self, entry: ExportEntry, verb: str, args: tuple,
-                        kwargs: dict, headers: dict) -> dict:
-        """The enveloped arm of :meth:`serve`: one ``q.*``/``s.*`` call.
-
-        Control calls are verb-less (log transfers and election rounds,
-        ring reads and arc handoffs); operations are admitted first.  The
-        wire module is handed what its steps need from the serving
-        context: ``now`` (terms and leases are fenced on this clock, read
-        before the operation is charged — as the migration redirect chain
-        consults ``moved_to`` at dispatch time; the step fences between
-        the admit here and its own :meth:`ExportEntry.run`), ``invoke`` to
-        perform a replayed log entry whole, and ``call_peer`` for a
-        handoff's nested calls.
-        """
-        wire = versions if versions.has_envelope(headers) else shards
-        ctx = self.context
-        now = ctx.clock.now
-        if wire.H_CONTROL not in headers:
-            entry.admit(ctx, verb)
-        return wire.serve_envelope(entry, verb, args, kwargs, headers,
-                                   now=now, invoke=partial(entry.perform, ctx),
-                                   call_peer=self._call_peer)
-
     def _call_peer(self, shard_spec: list, control: list,
                    body_args: tuple) -> dict:
         """Nested ring-control call to a peer shard (handoff's install and
@@ -398,14 +404,6 @@ class Dispatcher:
         return self._system.rpc.call(
             self.context, ObjectRef(*shard_spec), "", tuple(body_args), {},
             headers={shards.H_CONTROL: control})
-
-    def _remember(self, key: tuple[str, int], reply_data: bytes) -> None:
-        # The wire image only: what the message carries belongs to the
-        # caller about to receive it, and a duplicate is decoded for real.
-        self._replay[key] = reply_data if reply_data.__class__ is bytes \
-            else reply_data.image()
-        while len(self._replay) > self.replay_capacity:
-            self._replay.popitem(last=False)
 
     def forget_caller(self, context_id: str) -> int:
         """Drop replay entries for one caller (used when a caller context

@@ -36,15 +36,7 @@ from ..kernel.errors import (
 )
 from ..resilience.deadline import Deadline
 from ..resilience.retry import DEFAULT_RETRY, RetryPolicy
-from ..wire.frames import (
-    EXCEPTION,
-    K_OVERLOAD,
-    ONEWAY,
-    REPLY,
-    REQUEST,
-    Frame,
-    MessageIdMinter,
-)
+from ..wire.frames import EXCEPTION, K_OVERLOAD, ONEWAY, REPLY, REQUEST, Frame
 from ..wire.refs import ObjectRef
 from .dispatcher import ensure_dispatcher
 from .transport import Transport
@@ -97,15 +89,22 @@ class RpcProtocol:
         self.system = system
         self.transport = transport or system.transport or Transport(system)
         # Fixed for the system's lifetime (System.__init__ never swaps them);
-        # cached to keep attribute chains off the per-call path.
+        # cached to keep attribute chains off the per-call path.  The
+        # context index only ever grows, so a dict read finds any context.
         self._costs = system.costs
         self._network = system.network
+        self._contexts = system._contexts
         self.lrpc_enabled = True
         #: Send time of the most recent call's first attempt (promise layer).
         self.last_sent_at: float | None = None
         #: Retry engine used when a call names no policy of its own.
         self.retry_policy: RetryPolicy = DEFAULT_RETRY
-        self._minters: dict[str, MessageIdMinter] = {}
+        from collections import defaultdict
+        from functools import partial
+        from itertools import count
+        #: Per sending context, its message ids 1, 2, 3, ... (unique
+        #: within one sender): ``next()`` on a C counter mints one.
+        self._msg_ids = defaultdict(partial(count, 1))
         self._retry_rng = system.seeds.stream("rpc.retry.jitter")
         # Attempt budget of the last policy seen (RetryPolicy is frozen
         # and the cost model is fixed, so the pair fully determines it).
@@ -148,18 +147,22 @@ class RpcProtocol:
         self.stats["calls"] += 1
         enclosing = src.current_deadline
         if deadline is not None or enclosing is not None:
+            # Checked before the call picks its path: a spent budget is
+            # refused wherever the target lives.
             deadline = Deadline.merge(deadline, enclosing)
+            if deadline.expired(src.clock.now):
+                self.stats["deadline_exceeded"] += 1
+                raise DeadlineExceeded(
+                    f"{verb!r} on {ref}: budget spent before the first "
+                    "attempt")
         if self.lrpc_enabled and ref.context_id == src.context_id:
-            return self._local_call(src, ref, verb, args, kwargs, headers)
-        if deadline is not None and deadline.expired(src.clock.now):
-            self.stats["deadline_exceeded"] += 1
-            raise DeadlineExceeded(
-                f"{verb!r} on {ref}: budget spent before the first attempt")
+            return self._local_call(src, ref, verb, args, kwargs, headers,
+                                    deadline)
         policy = retry or self.retry_policy
         # A copy: the deadline is written into the frame's dict only.
-        frame = Frame(REQUEST, self._mint(src), src.context_id, ref.context_id,
-                      ref.oid, verb, (tuple(args), kwargs),
-                      dict(headers) if headers else {})
+        frame = Frame(REQUEST, next(self._msg_ids[src.context_id]),
+                      src.context_id, ref.context_id, ref.oid, verb,
+                      (tuple(args), kwargs), dict(headers) if headers else {})
         if deadline is not None:
             deadline.to_headers(frame.headers)
         data = self.transport.encode_frame(frame, src)
@@ -188,7 +191,7 @@ class RpcProtocol:
             if jittered:
                 if patience is None:
                     patience = self._patience(src, ref, policy, tracker,
-                                              len(data))
+                                              data.nbytes)
                 wait_until = sent_at + policy.interval(attempt, patience,
                                                        self._retry_rng)
                 if deadline is not None:
@@ -236,7 +239,7 @@ class RpcProtocol:
             if wait_until is None:
                 if patience is None:
                     patience = self._patience(src, ref, policy, tracker,
-                                              len(data))
+                                              data.nbytes)
                 wait_until = sent_at + policy.interval(attempt, patience,
                                                        self._retry_rng)
                 if deadline is not None:
@@ -251,7 +254,7 @@ class RpcProtocol:
         self.stats["timeouts"] += 1
         self._feed_breaker(src, ref, success=False)
         if patience is None:
-            patience = self._patience(src, ref, policy, tracker, len(data))
+            patience = self._patience(src, ref, policy, tracker, data.nbytes)
         raise RpcTimeout(
             f"{verb!r} on {ref} failed after {attempts} attempts "
             f"({patience * 1e3:.1f} ms base timeout)")
@@ -289,19 +292,18 @@ class RpcProtocol:
             except Exception:    # best effort, like the framed one-way
                 pass
             return
-        frame = Frame(ONEWAY, self._mint(src), src.context_id, ref.context_id,
-                      target=ref.oid, verb=verb, body=(tuple(args), kwargs))
+        frame = Frame(ONEWAY, next(self._msg_ids[src.context_id]),
+                      src.context_id, ref.context_id, ref.oid, verb,
+                      (tuple(args), kwargs), {})
         data = self.transport.encode_frame(frame, src)
         delivery = self.transport.transmit(frame, data, src.clock.now)
         if delivery.delivered:
-            try:
-                dst = self.system.context(ref.context_id)
-            except kernel_errors.ConfigurationError:
-                return
+            dst = self._contexts.get(ref.context_id)
             # Same liveness discipline as _attempt: a context whose node is
             # down must not execute, even if the message was already in
             # flight when the crash hit.
-            if dst.handler is not None and dst.node.alive:
+            if dst is not None and dst.handler is not None \
+                    and dst.node.alive:
                 dst.handler(data, delivery.arrive_time)
 
     def _feed_breaker(self, src: Context, ref: ObjectRef,
@@ -319,18 +321,14 @@ class RpcProtocol:
 
     # -- one attempt -----------------------------------------------------------
 
-    def _attempt(self, src: Context, frame: Frame, data: bytes,
-                 sent_at: float):
+    def _attempt(self, src: Context, frame: Frame, data, sent_at: float):
         """One request transmission; returns the decoded reply frame or None."""
         transport = self.transport
         delivery = transport.transmit(frame, data, sent_at)
         if not delivery.delivered:
             return None
-        try:
-            dst = self.system.context(frame.dst)
-        except kernel_errors.ConfigurationError:
-            return None
-        if dst.handler is None or not dst.node.alive:
+        dst = self._contexts.get(frame.dst)
+        if dst is None or dst.handler is None or not dst.node.alive:
             return None
         outcome = dst.handler(data, delivery.arrive_time)
         if outcome is None:
@@ -349,7 +347,8 @@ class RpcProtocol:
         # the waits between retransmissions on the loss path.)
         src.clock.advance_to(back.arrive_time)
         costs = self._costs
-        src.charge(costs.marshal_fixed + len(reply_data) * costs.marshal_byte_cost)
+        src.charge(costs.marshal_fixed
+                   + reply_data.nbytes * costs.marshal_byte_cost)
         return transport.decode_frame(reply_data, src)
 
     def _accept(self, src: Context, ref: ObjectRef, reply: Frame) -> Any:
@@ -374,8 +373,8 @@ class RpcProtocol:
     # -- local fast path ---------------------------------------------------------
 
     def _local_call(self, src: Context, ref: ObjectRef, verb: str,
-                    args: tuple, kwargs: dict,
-                    headers: dict | None = None) -> Any:
+                    args: tuple, kwargs: dict, headers: dict | None = None,
+                    deadline: Deadline | None = None) -> Any:
         """Same-context invocation: no frame, no marshalling, no network.
 
         Plain or enveloped, the call is served by the step inbound frames
@@ -383,19 +382,20 @@ class RpcProtocol:
         serve>`) — same guards, same interface check, same mutation hooks,
         same typed errors; what this arrival path adds is ``local_call``
         (charged with the operation's compute) instead of unmarshal,
-        dispatch cost and the replay cache.
+        dispatch cost and the replay cache.  The call's ``deadline`` is
+        parked on the context while it is served, as the dispatcher parks
+        a request's, so the operation's nested calls inherit it.
         """
         self.stats["local_fast_path"] += 1
-        result = ensure_dispatcher(src, self.transport).serve(
-            ref.oid, verb, args, kwargs, headers,
-            arrival_cost=self._costs.local_call)
+        enclosing = src.current_deadline
+        if deadline is not None:
+            src.current_deadline = deadline
+        try:
+            result = ensure_dispatcher(src, self.transport).serve(
+                ref.oid, verb, args, kwargs, headers,
+                arrival_cost=self._costs.local_call)
+        finally:
+            src.current_deadline = enclosing
         self.system.trace.emit(src.clock.now, "invoke", src.context_id,
                                src.context_id, verb)
         return result
-
-    def _mint(self, src: Context) -> int:
-        minter = self._minters.get(src.context_id)
-        if minter is None:
-            minter = MessageIdMinter()
-            self._minters[src.context_id] = minter
-        return minter.mint()

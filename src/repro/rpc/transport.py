@@ -6,8 +6,13 @@ where the proxy principle's reference swizzling physically occurs: an
 exported object leaves its home context as an :class:`ObjectRef` and
 materialises in the destination context as a proxy.
 
-The transport also charges marshalling CPU to the sender and unmarshalling
-CPU to the receiver, and records every transmission in the system trace.
+The transport charges marshalling CPU to the sender and records every
+transmission in the system trace.  Unmarshalling CPU is charged where the
+receiving activity's time cursor is known: the dispatcher charges a
+request (``Dispatcher._handle_at``), the RPC client its reply
+(``RpcProtocol._attempt``).  Every frame travels as a
+:class:`~repro.wire.segments.WireMessage` whose ``nbytes`` — counted once,
+when it is encoded — is the size every charge and every transit reads.
 
 Hot path: a :class:`~repro.wire.marshal.Marshaller` is stateless apart from
 its hooks, so the transport keeps one encoder and one decoder per context
@@ -65,7 +70,7 @@ class Transport:
             self._decoders[context.context_id] = marshaller
         return marshaller
 
-    def encode_frame(self, frame: Frame, src_ctx=None) -> bytes:
+    def encode_frame(self, frame: Frame, src_ctx=None):
         """Encode ``frame`` with the sending context's hooks, charging CPU.
 
         Callers that already hold the sending context pass it as ``src_ctx``
@@ -77,17 +82,21 @@ class Transport:
         if marshaller is None \
                 or marshaller.encoder_hook is not src_ctx.encoder_hook:
             marshaller = self.encoder_for(src_ctx)
-        data = frame.encode_message(marshaller)
+        data = marshaller.encode_frame_message(
+            frame.kind, frame.msg_id, frame.src, frame.dst, frame.target,
+            frame.verb, frame.body, frame.headers)
         costs = self._costs
-        src_ctx.charge(costs.marshal_fixed + len(data) * costs.marshal_byte_cost)
+        src_ctx.charge(costs.marshal_fixed
+                       + data.nbytes * costs.marshal_byte_cost)
         return data
 
     def decode_frame(self, data, dst_context) -> Frame:
-        """Decode wire bytes (or a ``WireMessage``) with the receiving
+        """Decode a ``WireMessage`` (or wire bytes) with the receiving
         context's hooks.
 
-        CPU is charged by the caller (the dispatcher), which knows the
-        receiving activity's time cursor.
+        Charges nothing: the request's receiver (``Dispatcher._handle_at``)
+        and the reply's (``RpcProtocol._attempt``) charge the unmarshal
+        cost on their own time cursors.
         """
         marshaller = self._decoders.get(dst_context.context_id)
         if marshaller is None \
@@ -103,8 +112,8 @@ class Transport:
 
     # -- transmission ----------------------------------------------------------
 
-    def transmit(self, frame: Frame, data: bytes, at: float):
-        """Send pre-encoded frame bytes; returns the kernel `Delivery`.
+    def transmit(self, frame: Frame, data, at: float):
+        """Send an encoded frame; returns the kernel `Delivery`.
 
         Records a ``send`` trace event regardless of outcome (the sender did
         the work); drops are recorded by the network itself.
@@ -116,7 +125,7 @@ class Transport:
         if label is None:
             label = f"{frame.kind}:{frame.verb}" if frame.verb else frame.kind
             self._labels[key] = label
-        nbytes = len(data)
+        nbytes = data.nbytes
         self._trace.emit(at, "send", src, dst, label, nbytes)
         names = self._node_names
         src_node = names.get(src)
@@ -138,14 +147,14 @@ class Transport:
             self._labels[key] = label
         self._trace.emit(at, "send", frame.src, frame.dst, label, nbytes)
 
-    def transmit_reply(self, src: str, dst: str, data: bytes, at: float):
-        """Send reply bytes back to the caller.
+    def transmit_reply(self, src: str, dst: str, data, at: float):
+        """Send an encoded reply back to the caller.
 
         Identical trace and network behaviour to :meth:`transmit` with a
         verb-less reply frame — without requiring the caller to build one
         just to carry the four header fields.
         """
-        nbytes = len(data)
+        nbytes = data.nbytes
         self._trace.emit(at, "send", src, dst, "rep", nbytes)
         names = self._node_names
         src_node = names.get(src)

@@ -1,11 +1,11 @@
 """Wire substrate: object references, marshalling, and message frames."""
 
-from .frames import EXCEPTION, ONEWAY, REPLY, REQUEST, Frame, MessageIdMinter
+from .frames import EXCEPTION, ONEWAY, REPLY, REQUEST, Frame
 from .marshal import PLAIN, DecoderHook, EncoderHook, Marshaller, wire_size
 from .refs import ObjectRef, OidMinter
 
 __all__ = [
-    "EXCEPTION", "Frame", "Marshaller", "MessageIdMinter", "ONEWAY",
+    "EXCEPTION", "Frame", "Marshaller", "ONEWAY",
     "ObjectRef", "OidMinter", "PLAIN", "REPLY", "REQUEST",
     "DecoderHook", "EncoderHook", "wire_size",
 ]

@@ -4,7 +4,8 @@ A frame is a small header (kind, message id, source, destination, target
 object, operation verb) plus a body value.  Frames are encoded with a
 :class:`~repro.wire.marshal.Marshaller`, so the swizzle hooks apply to the
 body — this is the single choke point through which every argument and
-result crosses a context boundary.
+result crosses a context boundary.  The frame kinds are defined beside
+the frame encoder (:mod:`repro.wire.marshal`), which refuses any other.
 """
 
 from __future__ import annotations
@@ -13,17 +14,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..kernel.errors import ProtocolError
-from .marshal import _MEMO_STATS, Marshaller
+from .marshal import (EXCEPTION, FRAME_KINDS, MREPLY, ONEWAY, REPLY, REQUEST,
+                      _MEMO_STATS, Marshaller)
 
-#: Frame kinds.
-REQUEST = "req"      #: call expecting a reply
-REPLY = "rep"        #: successful result
-EXCEPTION = "exc"    #: error result (body: (error_class_name, message, detail))
-ONEWAY = "one"       #: fire-and-forget notification (no reply)
-# Dead: built only by Transport.encode_batch, which perf_spans.LAYER_MAP holds.
-MREPLY = "mrp"       #: multi-reply frame: a tuple of (wire image, arrival)
-
-_KINDS = {REQUEST, REPLY, EXCEPTION, ONEWAY, MREPLY}
+__all__ = ["EXCEPTION", "FRAME_KINDS", "Frame", "K_OVERLOAD", "MREPLY",
+           "ONEWAY", "REPLY", "REQUEST"]
 
 #: Header key for the admission layer's retry-after hint (the PR-5/7
 #: envelope convention: extensions ride the ``headers`` dict, and empty
@@ -63,8 +58,6 @@ class Frame:
 
     def encode(self, marshaller: Marshaller) -> bytes:
         """Encode the frame (hooks of ``marshaller`` apply to the body)."""
-        if self.kind not in _KINDS:
-            raise ProtocolError(f"unknown frame kind {self.kind!r}")
         return marshaller.encode_frame_fields(
             self.kind, self.msg_id, self.src, self.dst,
             self.target, self.verb, self.body, self.headers)
@@ -72,11 +65,9 @@ class Frame:
     def encode_message(self, marshaller: Marshaller):
         """Encode via the message fast path: returns a
         :class:`~repro.wire.segments.WireMessage` (zero-copy segments,
-        frame-template memo, carried fields for plain frames) or plain
-        bytes when nothing applies.  ``len()`` of either is the honest
-        wire size, so everything charged by length is unchanged."""
-        if self.kind not in _KINDS:
-            raise ProtocolError(f"unknown frame kind {self.kind!r}")
+        frame-template memo, carried fields for plain frames) whose
+        ``nbytes`` is the honest wire size, so everything charged by
+        length is unchanged."""
         return marshaller.encode_frame_message(
             self.kind, self.msg_id, self.src, self.dst,
             self.target, self.verb, self.body, self.headers)
@@ -92,17 +83,23 @@ class Frame:
 
         A carried frame skips the decoder entirely: the sender proved
         its fields plain data and parked a snapshot of them on the
-        message, which this — its first — receiver takes and owns.
-        Everything else (a reference in it, a second delivery of the
-        same message) goes through the segment-aware decoder, which
-        hands raw payloads back without copying.
+        message, which this — its first — receiver takes and owns: the
+        message keeps ``()`` in its place (the take-once rule has no
+        other home).  A message that never carried one and has no
+        segments is its head, read as wire bytes are; everything else (a
+        second delivery of a carried message, raw segments) goes through
+        the segment-aware decoder, which hands raw payloads back without
+        copying.
         """
         if msg.__class__ is bytes or msg.__class__ is bytearray:
             return cls.decode(msg, marshaller)
-        carried = msg.take()
-        if carried is not None:
+        carried = msg.carried
+        if carried:
+            msg.carried = ()
             _MEMO_STATS.frames_carried += 1
             return cls(*carried)
+        if carried is None and not msg.segments:
+            return cls.decode(msg.head, marshaller)
         return cls._checked(marshaller.decode_frame_message(msg))
 
     @classmethod
@@ -112,7 +109,7 @@ class Frame:
                 or not isinstance(fields[0], str) \
                 or not isinstance(fields[7], dict):
             raise ProtocolError("malformed frame")
-        if fields[0] not in _KINDS:
+        if fields[0] not in FRAME_KINDS:
             raise ProtocolError(f"unknown frame kind {fields[0]!r}")
         return cls(*fields)
 
@@ -129,18 +126,3 @@ class Frame:
     def __repr__(self) -> str:
         return (f"Frame({self.kind}, #{self.msg_id}, {self.src}->{self.dst}, "
                 f"{self.target}.{self.verb})")
-
-
-class MessageIdMinter:
-    """Mints per-context message ids (unique within one sender)."""
-
-    __slots__ = ("_next",)
-
-    def __init__(self):
-        self._next = 1
-
-    def mint(self) -> int:
-        """Return a fresh message id."""
-        msg_id = self._next
-        self._next += 1
-        return msg_id

@@ -64,7 +64,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable
 
-from ..kernel.errors import MarshalError
+from ..kernel.errors import MarshalError, ProtocolError
 from .refs import ObjectRef
 from .segments import WireMessage
 
@@ -125,6 +125,16 @@ _MAX_DEPTH = 64
 # list, and its headers dict is empty on all but protocol-extension frames.
 _LIST8_HEAD = _TAG_LIST + _U32.pack(8)
 _EMPTY_DICT = _TAG_DICT + _U32.pack(0)
+
+#: Frame kinds.  :meth:`Marshaller.encode_frame_fields`, which every frame
+#: (or the template it was recorded from) passes, refuses any other.
+REQUEST = "req"      #: call expecting a reply
+REPLY = "rep"        #: successful result
+EXCEPTION = "exc"    #: error result (body: (class_name, message, detail))
+ONEWAY = "one"       #: fire-and-forget notification (no reply)
+# Dead: built only by Transport.encode_batch, which perf_spans.LAYER_MAP holds.
+MREPLY = "mrp"       #: multi-reply frame: a tuple of (wire image, arrival)
+FRAME_KINDS = frozenset({REQUEST, REPLY, EXCEPTION, ONEWAY, MREPLY})
 
 #: Encoder hook: given a value the base encoder cannot handle (or any
 #: hook-eligible value — see the module docstring for exemptions), return a
@@ -446,8 +456,11 @@ class Marshaller:
         Byte-identical to ``encode([kind, msg_id, src, dst, target, verb,
         body, headers])``.  The framing layer's one hot structure gets its
         own path: five memo-hit strings, one small int, the body, and an
-        almost-always-empty headers dict.
+        almost-always-empty headers dict.  A kind outside
+        :data:`FRAME_KINDS` raises :class:`ProtocolError`.
         """
+        if kind not in FRAME_KINDS:
+            raise ProtocolError(f"unknown frame kind {kind!r}")
         stats = _MEMO_STATS
         out = bytearray(_LIST8_HEAD)
         cached = _STR_ENC.get(kind)
@@ -486,20 +499,20 @@ class Marshaller:
     def encode_frame_message(self, kind: str, msg_id: int, src: str,
                              dst: str, target: str, verb: str, body: Any,
                              headers: dict):
-        """Encode one frame, returning ``bytes`` or a :class:`WireMessage`.
+        """Encode one frame into a :class:`WireMessage`.
 
-        Every outcome carries the byte-identical wire image:
+        Every outcome carries the byte-identical wire image and its size
+        (``nbytes``, counted once, here):
 
-        * headers and body both *plain* (:func:`_plain_copy`) → a
-          :class:`WireMessage` whose ``carried`` is a snapshot of the
-          eight fields, taken now, as the bytes are; its first receiver
-          takes it instead of decoding.  A *pure* frame (empty headers,
-          deeply-immutable body) needs no copy and has its encoded
-          suffix memoised, so a repeat send costs one concatenation;
-        * anything else → decoded for real at the receiver: plain
-          ``bytes``, exactly what :meth:`encode_frame_fields` produces,
-          or — with bulk payloads — a :class:`WireMessage` whose
-          segments hold the payload objects uncopied.
+        * headers and body both *plain* (:func:`_plain_copy`) → the
+          message's ``carried`` is a snapshot of the eight fields, taken
+          now, as the bytes are; its first receiver takes it instead of
+          decoding.  A *pure* frame (empty headers, deeply-immutable
+          body) needs no copy and has its encoded suffix memoised, so a
+          repeat send costs one concatenation;
+        * anything else → decoded for real at the receiver: the head is
+          exactly what :meth:`encode_frame_fields` produces, or — with
+          bulk payloads — the segments hold the payload objects uncopied.
         """
         key = carried = None
         headers_ok = headers.__class__ is dict
@@ -537,8 +550,6 @@ class Marshaller:
                                             target, verb, body, headers)
         finally:
             self._segs = None
-        if carried is None and not segs:
-            return head
         segments = tuple(segs)
         nbytes = len(head)
         for _, payload in segments:

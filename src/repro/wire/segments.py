@@ -9,14 +9,14 @@ object itself in a segment list.  The result is a :class:`WireMessage`:
 the contiguous *head* with markers inline, and the *segments* that
 splice in at recorded offsets.
 
-A ``WireMessage`` travels the simulated transport wherever plain frame
-bytes travel; ``len()`` reports the honest wire size (head plus segment
-payloads), which is what the cost model and the trace consume.  The wire
+Every encoded frame travels the simulated transport as a ``WireMessage``;
+its ``nbytes`` field, counted once, is the honest wire size (head plus
+segment payloads) that the cost model and the trace consume.  The wire
 image (head, segments, size) is never mutated — the frame template memo
 returns cached segment tuples, and ``bytes`` payloads cross the boundary
 without ever being copied.  What changes hands is ``carried``, a snapshot
 of the frame's fields with **one owner**: the sender builds it, the first
-receiver takes it (:meth:`WireMessage.take`), and whoever sees the
+receiver takes it (``Frame.decode_message``), and whoever sees the
 message next — a retransmission, a remembered reply — decodes the bytes.
 
 ``to_bytes()`` produces the contiguous wire image (markers followed by
@@ -45,8 +45,8 @@ class WireMessage:
             the eight frame fields ``(kind, msg_id, src, dst, target,
             verb, body, headers)`` as the decoder would build them —
             every mutable container in ``body`` and ``headers`` a copy
-            made when the bytes were, immutable leaves shared.  ``None``
-            when the frame must be decoded for real, and once taken.
+            made when the bytes were, immutable leaves shared; ``()``
+            once taken.  ``None`` when the frame must be decoded for real.
     """
 
     __slots__ = ("head", "segments", "nbytes", "carried")
@@ -60,22 +60,6 @@ class WireMessage:
 
     def __len__(self) -> int:
         return self.nbytes
-
-    def take(self) -> tuple | None:
-        """Hand ``carried`` to its one owner: the caller gets the fields
-        (and may mutate the containers in them), the message forgets
-        them, so a second delivery of this object runs the decoder."""
-        carried = self.carried
-        self.carried = None
-        return carried
-
-    def image(self):
-        """What outlives the delivery (the dispatcher's replay cache):
-        the wire image alone — head bytes, or, with segments, a message
-        that carries nothing.  Call on a :meth:`freeze`-d message."""
-        if not self.segments:
-            return self.head
-        return WireMessage(self.head, self.segments, self.nbytes)
 
     def to_bytes(self) -> bytes:
         """The contiguous wire image (segments spliced after their
@@ -97,15 +81,14 @@ class WireMessage:
     def freeze(self) -> "WireMessage":
         """A message whose segments are all immutable ``bytes``.
 
-        Returns ``self`` when nothing needs materialising (a message
-        that still carries its fields is plain data: ``bytes`` segments
-        only).  Used when a message outlives the call that built it (the
-        dispatcher's replay cache): a ``bytearray``/``memoryview``
-        payload could legally be mutated by its owner afterwards, so
-        mutable segments are snapshotted exactly once here.
+        Returns ``self`` when nothing needs materialising.  Used when a
+        message that carries nothing (a carried one holds ``bytes``
+        segments only) outlives the call that built it (the dispatcher's
+        replay cache): a ``bytearray``/``memoryview`` payload could
+        legally be mutated by its owner afterwards, so mutable segments
+        are snapshotted exactly once here.
         """
-        if self.carried is not None \
-                or all(p.__class__ is bytes for _, p in self.segments):
+        if all(p.__class__ is bytes for _, p in self.segments):
             return self
         frozen = tuple((offset, bytes(payload))
                        for offset, payload in self.segments)
@@ -114,4 +97,4 @@ class WireMessage:
     def __repr__(self) -> str:
         return (f"WireMessage({self.nbytes} bytes, "
                 f"{len(self.segments)} segments"
-                f"{', carried' if self.carried is not None else ''})")
+                f"{', carried' if self.carried else ''})")

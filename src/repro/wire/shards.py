@@ -10,8 +10,8 @@ coordination.
 This module owns the wire representation and the server-side protocol
 steps.  As in :mod:`repro.wire.versions` there is **one call path**:
 every enveloped call reaches :func:`serve_envelope` through the serving
-context's dispatcher (:meth:`~repro.rpc.dispatcher.Dispatcher.
-serve_enveloped`) — the caller's **ring epoch** rides the request
+context's dispatcher (:meth:`~repro.rpc.dispatcher.Dispatcher.serve`) —
+the caller's **ring epoch** rides the request
 headers, and the reply is a marshalled wrapper (a dict with reserved
 ``s.*`` keys).  Whether the shard is remote or co-located with its caller
 (a client next to a shard, two shards of one context handing an arc over)
@@ -105,7 +105,12 @@ K_FENCED = "s.f"
 #: stale-but-correctly-routed caller.
 K_MAP = "s.map"
 
-_SHARD_HEADERS = frozenset((H_EPOCH, H_CONTROL))
+#: The request-header keys that open a shard envelope: a call carrying
+#: either is served by :func:`serve_envelope`.
+ENVELOPE_KEYS = frozenset((H_EPOCH, H_CONTROL))
+
+#: What a value of the wrong shape raises where the envelope is parsed.
+_MALFORMED = (TypeError, ValueError, IndexError, KeyError)
 
 #: Ring points per shard in a generated ring (vnodes smooth the arcs).
 DEFAULT_VNODES = 8
@@ -113,11 +118,6 @@ DEFAULT_VNODES = 8
 #: The shard key used when an operation carries no key argument: the whole
 #: object routes as one unit.
 WHOLE_OBJECT = "*"
-
-
-def has_envelope(headers: dict | None) -> bool:
-    """True when a request carries any shard envelope."""
-    return bool(headers) and not _SHARD_HEADERS.isdisjoint(headers)
 
 
 def stable_hash(key: Any) -> int:
@@ -403,15 +403,58 @@ def serve_envelope(entry, verb: str, args, kwargs, headers: dict, *,
     """Serve one enveloped call — control or operation — with the matching
     protocol step.
 
-    The module's single entry point, called by the dispatcher
-    (:meth:`~repro.rpc.dispatcher.Dispatcher.serve_enveloped`), which
-    supplies ``call_peer`` for a handoff's nested calls (``now`` and
-    ``invoke`` are the quorum module's needs; both modules take the same
-    three so the dispatcher has one call site).
+    The module's single entry point, called by the dispatcher's routing
+    step (:meth:`~repro.rpc.dispatcher.Dispatcher.serve`), which supplies
+    ``call_peer`` for a handoff's nested calls (``now`` and ``invoke`` are
+    the quorum module's needs; both modules take the same three so the
+    dispatcher has one call site).
+
+    It is also where the envelope is parsed: an epoch, routing hash or
+    control field that does not convert as the step converts it, or a
+    commit's map and an install's keys and fragment of the wrong shape,
+    is refused with :class:`ProtocolError` before any step runs, so
+    nothing changes.  What an operation raises travels as itself.
     """
     control = headers.get(H_CONTROL)
     if control is not None:
+        _parse_control(control, args)
         return serve_control(entry, control, args, call_peer)
     if H_EPOCH in headers:
+        spec = headers[H_EPOCH]
+        h = headers.get(H_KEY)
+        try:
+            if spec is not None:
+                int(spec[0])
+            if h is not None:
+                int(h)
+        except _MALFORMED:
+            raise ProtocolError(
+                f"malformed shard envelope {spec!r}, {h!r}") from None
         return serve_verb(entry, verb, args, kwargs, headers)
     raise ProtocolError("frame carries no shard envelope")
+
+
+def _parse_control(control, body_args) -> None:
+    """The control half of the envelope parse: what a control's step reads
+    from the envelope and the body has the shape it expects — or
+    :class:`ProtocolError`."""
+    try:
+        kind = control[0]
+        if kind == "commit" and body_args and body_args[0] is not None:
+            epoch, ring, specs = body_args[0]
+            int(epoch)
+            for point, owner in ring:
+                int(point), int(owner)
+            for spec in specs:
+                if len(spec) != 5:
+                    raise ValueError(f"shard spec {spec!r}")
+        elif kind == "install":
+            for key in control[1]:
+                hash(key)
+            if body_args and not isinstance(body_args[0], dict):
+                raise TypeError("the fragment is not a dict")
+        elif kind == "handoff":
+            int(control[1]), int(control[2]), int(control[3])
+    except _MALFORMED:
+        raise ProtocolError(f"malformed {H_CONTROL} envelope {control!r}") \
+            from None

@@ -6,7 +6,7 @@ write, and reads collect ``(version, answer)`` pairs so the newest copy wins.
 This module owns the wire representation and the server-side protocol
 steps.  There is **one call path**: every enveloped call reaches
 :func:`serve_envelope` through the serving context's dispatcher
-(:meth:`~repro.rpc.dispatcher.Dispatcher.serve_enveloped`).  The request
+(:meth:`~repro.rpc.dispatcher.Dispatcher.serve`).  The request
 metadata rides :attr:`~repro.wire.frames.Frame.headers` (the same
 extension point deadlines use), and the versioned reply is a **marshalled
 wrapper** (a dict with reserved ``q.*`` keys) because a reply frame's body
@@ -123,15 +123,12 @@ K_GRANT = "q.g"
 #: Reply key: per-key log digest ``[[key, last_term, version], ...]``.
 K_DIGEST = "q.dig"
 
-_QUORUM_HEADERS = frozenset((H_ASSIGN, H_APPLY, H_READ, H_CONTROL))
+#: The request-header keys that open a quorum envelope: a call carrying
+#: any of them is served by :func:`serve_envelope`.
+ENVELOPE_KEYS = frozenset((H_ASSIGN, H_APPLY, H_READ, H_CONTROL))
 
 #: Control verbs served by the export entry's election state.
 _ELECTION_CONTROLS = ("status", "vote", "announce", "renew")
-
-
-def has_envelope(headers: dict | None) -> bool:
-    """True when a request carries any quorum envelope."""
-    return bool(headers) and not _QUORUM_HEADERS.isdisjoint(headers)
 
 
 class ReplicaLog:
@@ -212,12 +209,21 @@ def replica_log(entry) -> ReplicaLog:
     return log
 
 
+#: What a value of the wrong shape raises where the envelope is parsed.
+_MALFORMED = (TypeError, ValueError, IndexError, KeyError)
+
+
 def _term_of(headers: dict | None) -> tuple[int, int] | None:
-    """The ``(term, leader)`` a request carries, if any."""
+    """The ``(term, leader)`` a request carries, if any: the parse of
+    :data:`H_TERM`, which every step that fences calls before it changes
+    anything (a malformed belief is :class:`ProtocolError`)."""
     spec = headers.get(H_TERM) if headers else None
     if spec is None:
         return None
-    return int(spec[0]), int(spec[1])
+    try:
+        return int(spec[0]), int(spec[1])
+    except _MALFORMED:
+        raise ProtocolError(f"malformed {H_TERM} envelope {spec!r}") from None
 
 
 def _fence_write(entry, headers: dict | None, now: float) -> dict | None:
@@ -433,26 +439,62 @@ def serve_envelope(entry, verb: str, args, kwargs, headers: dict, *,
     """Serve one enveloped call — control or operation — with the matching
     protocol step.
 
-    The module's single entry point, called by the dispatcher
-    (:meth:`~repro.rpc.dispatcher.Dispatcher.serve_enveloped`), which
-    supplies the serving context's ``now`` and the ``invoke`` a push
-    performs replayed entries through (``call_peer`` is the shard module's
-    need; both modules take the same three so the dispatcher has one call
-    site).
+    The module's single entry point, called by the dispatcher's routing
+    step (:meth:`~repro.rpc.dispatcher.Dispatcher.serve`), which supplies
+    the serving context's ``now`` and the ``invoke`` a push performs
+    replayed entries through (``call_peer`` is the shard module's need;
+    both modules take the same three so the dispatcher has one call site).
+
+    It is also where the envelope is parsed.  What no honest caller sends
+    — a spec that is not a sequence, a missing key or version, a key no
+    log can index, a control without its fields, a push whose body is not
+    a list of log entries — is refused with :class:`ProtocolError` before
+    any step runs, so nothing changes.  The steps run outside the parse:
+    what an operation raises travels as itself.
     """
     control = headers.get(H_CONTROL)
     if control is not None:
+        _parse_control(control, args)
         return serve_control(entry, control, args, invoke,
                              headers=headers, now=now)
-    spec = headers.get(H_READ)
-    if spec is not None:
-        return serve_read(entry, spec[0], verb, args, kwargs)
-    spec = headers.get(H_ASSIGN)
-    if spec is not None:
-        return serve_assign(entry, spec[0], verb, args, kwargs,
+    for name in (H_READ, H_ASSIGN, H_APPLY):
+        spec = headers.get(name)
+        if spec is not None:
+            break
+    else:
+        raise ProtocolError("frame carries no quorum envelope")
+    try:
+        key = spec[0]
+        hash(key)
+        n = int(spec[1]) if name == H_APPLY else 0
+    except _MALFORMED:
+        raise ProtocolError(f"malformed {name} envelope {spec!r}") from None
+    if name == H_READ:
+        return serve_read(entry, key, verb, args, kwargs)
+    if name == H_ASSIGN:
+        return serve_assign(entry, key, verb, args, kwargs,
                             headers=headers, now=now)
-    spec = headers.get(H_APPLY)
-    if spec is not None:
-        return serve_apply(entry, spec[0], spec[1], verb, args, kwargs,
-                           headers=headers, now=now)
-    raise ProtocolError("frame carries no quorum envelope")
+    return serve_apply(entry, key, n, verb, args, kwargs,
+                       headers=headers, now=now)
+
+
+def _parse_control(control, body_args) -> None:
+    """The control half of the envelope parse: the fields a control's step
+    reads, and a push's entries in the body, converted as the step
+    converts them — or :class:`ProtocolError`."""
+    try:
+        kind = control[0]
+        if kind == "pull":
+            hash(control[1])
+            int(control[2])
+        elif kind == "push":
+            hash(control[1])
+            for item in body_args[0] if body_args else ():
+                int(item[0]), item[1], tuple(item[2]), dict(item[3])
+                if len(item) > 4:
+                    int(item[4])
+        elif kind in ("vote", "announce", "renew"):
+            int(control[1]), int(control[2])
+    except _MALFORMED:
+        raise ProtocolError(f"malformed {H_CONTROL} envelope {control!r}") \
+            from None

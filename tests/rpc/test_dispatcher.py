@@ -9,7 +9,6 @@ from repro.core.service import Service
 from repro.iface.interface import operation
 from repro.kernel.errors import ObjectMoved
 from repro.wire.frames import REQUEST, Frame
-from repro.wire.segments import WireMessage
 
 
 @pytest.fixture
@@ -25,7 +24,7 @@ def send_raw(system, client, ref, verb, args=(), msg_id=1):
     """Hand-deliver a raw request frame to the target dispatcher."""
     frame = Frame(REQUEST, msg_id, client.context_id, ref.context_id,
                   target=ref.oid, verb=verb, body=(args, {}))
-    data = frame.encode(system.transport.encoder_for(client))
+    data = frame.encode_message(system.transport.encoder_for(client))
     dst = system.context(ref.context_id)
     return dst.handler(data, client.now)
 
@@ -44,7 +43,8 @@ class TestAtMostOnce:
         second, _ = send_raw(system, client, ref, "incr", msg_id=9)
         # The first reply may carry its fields; the remembered one is the
         # wire image alone.  Identical means: the same bytes.
-        assert first.to_bytes() == second
+        assert second.carried is None
+        assert first.to_bytes() == second.to_bytes()
 
     def test_replay_cache_keeps_the_wire_image_and_means_what_was_sent(
             self, pair):
@@ -74,17 +74,19 @@ class TestAtMostOnce:
             journal.lines.append("later")   # mutated in place afterwards
             second, _ = send_raw(system, client, ref, "tail", (blob,), msg_id)
             assert dispatcher.stats["duplicates"] == msg_id - 2
-            # Before anyone took the snapshot: the cache never had it.
+            # Before anyone took the snapshot: the cache never had it, and
+            # the duplicate carries nothing.
             kept = dispatcher._replay[client.context_id, msg_id]
-            assert kept.__class__ is bytes or (
-                kept.__class__ is WireMessage and kept.carried is None)
-            image = second if second.__class__ is bytes \
-                else second.to_bytes()
-            assert first.to_bytes() == image
+            assert kept is second.head if kept.__class__ is bytes \
+                else kept == (second.head, second.segments, second.nbytes)
+            assert second.carried is None and second.nbytes == first.nbytes
+            assert first.to_bytes() == second.to_bytes()
             assert Frame.decode_message(second, decoder).body == want
             assert Frame.decode_message(first, decoder).body == want
-        assert {kept.__class__ for kept in dispatcher._replay.values()} \
-            == {bytes, WireMessage}
+        # One reply inline (its head), one riding a frozen segment.
+        inline, segmented = dispatcher._replay.values()
+        assert inline.__class__ is bytes
+        assert [payload.__class__ for _, payload in segmented[1]] == [bytes]
 
     def test_distinct_ids_execute_separately(self, served):
         system, server, client, counter, ref, dispatcher = served

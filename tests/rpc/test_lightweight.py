@@ -11,8 +11,14 @@ from repro.core.export import get_space
 from repro.core.policies.sharding import shard
 from repro.core.proxy import Proxy
 from repro.iface.interface import operation
-from repro.kernel.errors import InterfaceError, ObjectMoved, StaleShardRing
+from repro.kernel.errors import (
+    DeadlineExceeded,
+    InterfaceError,
+    ObjectMoved,
+    StaleShardRing,
+)
 from repro.persistence import PersistenceManager
+from repro.resilience.deadline import DEADLINE_HEADER, Deadline
 from repro.rpc.lightweight import (
     fast_path_available,
     lrpc_disabled,
@@ -20,6 +26,7 @@ from repro.rpc.lightweight import (
     same_context,
     same_node,
 )
+from repro.rpc.transport import Transport
 
 
 class TestPredicates:
@@ -129,6 +136,55 @@ class TestSameContextServedLikeFrames:
         with pytest.raises(StaleShardRing) as caught:
             system.rpc.call(ctxs[0], stub, "get", ("k1",))
         assert caught.value.ring_map == ring_map
+
+    @pytest.mark.parametrize("lrpc", [True, False])
+    def test_a_spent_deadline_is_refused_wherever_the_target_lives(
+            self, pair, lrpc):
+        # Fails at the parent with lrpc on: the same-context call was
+        # served (and wrote the store) before the budget was looked at.
+        system, server, client = pair
+        store = KVStore()
+        ref = get_space(server).export(store)
+        server.clock.advance_to(1.0)
+        system.rpc.lrpc_enabled = lrpc
+        with pytest.raises(DeadlineExceeded):
+            system.rpc.call(server, ref, "put", ("local", 1),
+                            deadline=Deadline(0.5))
+        assert store.data == {}
+        assert system.rpc.stats["deadline_exceeded"] == 1
+        assert system.rpc.stats["local_fast_path"] == 0
+
+    @pytest.mark.parametrize("lrpc", [True, False])
+    def test_a_nested_call_inherits_the_same_context_callers_deadline(
+            self, pair, lrpc, monkeypatch):
+        # Fails at the parent with lrpc on: the local path never parked
+        # the deadline, so the nested request went out without one.
+        system, server, client = pair
+        backend = get_space(client).export(KVStore())
+
+        class Relay(KVStore):
+            @operation
+            def relay(self, key):
+                seen.append(server.current_deadline)
+                return system.rpc.call(server, backend, "get", (key,))
+
+        seen, sent = [], []
+        encode = Transport.encode_frame
+
+        def spy(self, frame, src_ctx=None):
+            if frame.verb == "get":
+                sent.append(frame.headers.get(DEADLINE_HEADER))
+            return encode(self, frame, src_ctx)
+
+        monkeypatch.setattr(Transport, "encode_frame", spy)
+        ref = get_space(server).export(Relay())
+        system.rpc.lrpc_enabled = lrpc
+        deadline = Deadline(server.now + 5.0)
+        assert system.rpc.call(server, ref, "relay", ("k",),
+                               deadline=deadline) is None
+        assert seen == [deadline]
+        assert sent == [deadline.expires_at]
+        assert server.current_deadline is None
 
     def test_local_oneway_drops_application_errors(self, pair):
         system, server, client = pair

@@ -317,3 +317,38 @@ class TestRequestFrame:
             assert getattr(served, name) == getattr(expected, name), name
         assert [list(served.body[0]), served.body[1]] == [["k", 7], {}]
         assert reply == request.reply_to(True) and reply.headers == {}
+
+
+class TestMessageIds:
+    """Each sending context numbers its messages 1, 2, 3, ... on its own."""
+
+    @staticmethod
+    def _sent_ids(monkeypatch):
+        from repro.rpc.transport import Transport
+        sent = []
+        encode = Transport.encode_frame
+
+        def spy(self, frame, src_ctx=None):
+            if frame.kind in ("req", "one"):
+                sent.append((frame.src, frame.msg_id))
+            return encode(self, frame, src_ctx)
+
+        monkeypatch.setattr(Transport, "encode_frame", spy)
+        return sent
+
+    def test_ids_are_unique_and_increasing(self, rpc_pair, monkeypatch):
+        system, server, client, store, ref = rpc_pair
+        sent = self._sent_ids(monkeypatch)
+        for index in range(5):
+            call(system, client, ref, "put", f"k{index}", index)
+        system.rpc.send_oneway(client, ref, "put", ("k", 1))
+        assert [msg_id for _, msg_id in sent] == [1, 2, 3, 4, 5, 6]
+
+    def test_each_context_counts_on_its_own(self, star, monkeypatch):
+        system, server, clients = star
+        ref = get_space(server).export(KVStore())
+        sent = self._sent_ids(monkeypatch)
+        for ctx in clients + clients:
+            system.rpc.call(ctx, ref, "get", ("k",))
+        assert sent == [(ctx.context_id, msg_id) for msg_id in (1, 2)
+                        for ctx in clients]

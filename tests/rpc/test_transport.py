@@ -49,7 +49,7 @@ class TestEncodeDecode:
         get_space(client)
         frame = Frame(REQUEST, 1, client.context_id, server.context_id,
                       target="t", verb="v", body=((), {}))
-        data = frame.encode(system.transport.encoder_for(client))
+        data = system.transport.encode_frame(frame)
         server.node.crash()
         delivery = system.transport.transmit(frame, data, client.now)
         assert not delivery.delivered

@@ -200,7 +200,7 @@ def test_sender_receiver_and_retransmission_are_isolated(frame):
     scramble(first.headers)
     again = Frame.decode_message(msg, m)
     assert typed_frame(again) == sent
-    assert msg.carried is None
+    assert msg.carried == ()
 
 
 # -- the walk, exit by exit ---------------------------------------------------

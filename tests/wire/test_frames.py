@@ -9,7 +9,6 @@ from repro.wire.frames import (
     REPLY,
     REQUEST,
     Frame,
-    MessageIdMinter,
 )
 from repro.wire.marshal import PLAIN
 
@@ -60,13 +59,3 @@ class TestFrame:
         data = PLAIN.encode(["nah", 1, "a", "b", "", "", None, {}])
         with pytest.raises(ProtocolError):
             Frame.decode(data, PLAIN)
-
-
-class TestMessageIdMinter:
-    def test_ids_are_unique_and_increasing(self):
-        minter = MessageIdMinter()
-        ids = [minter.mint() for _ in range(10)]
-        assert ids == sorted(set(ids))
-
-    def test_independent_minters(self):
-        assert MessageIdMinter().mint() == MessageIdMinter().mint()
