@@ -30,8 +30,9 @@ class Context:
             context's activity; it *is* ``clock.advance``, fixed at
             construction (a negative charge raises ``SimulationError``).
         handler: message handler installed by the RPC layer; called as
-            ``handler(message, arrive_time) -> (reply, done_time)`` (encoded
-            frames, ``WireMessage``) or ``None`` for one-way messages.
+            ``handler(message, arrive_time) -> (reply, done_time)`` (a
+            ``WireMessage``, or a bytes-like wire image, wrapped as one)
+            or ``None`` for one-way messages.
         exports: export table — oid → exported entry (managed by repro.core).
         proxies: proxy table — remote ref key → live proxy (repro.core).
         line: busy line serialising request processing in this context.

@@ -55,7 +55,7 @@ from ..kernel.errors import (
     StaleShardRing,
 )
 from ..resilience.deadline import DEADLINE_HEADER, Deadline
-from ..wire import shards, versions
+from ..wire import WireMessage, shards, versions
 from ..wire.frames import EXCEPTION, K_OVERLOAD, ONEWAY, REQUEST, Frame
 from ..wire.refs import ObjectRef
 
@@ -161,9 +161,11 @@ class Dispatcher:
         self._costs = self._system.costs
         self.at_most_once = True
         self.replay_capacity = replay_capacity
-        #: ``(caller, msg_id)`` → the reply's wire image alone: its head
-        #: bytes, or ``(head, segments, nbytes)`` when it has segments.
-        self._replay: OrderedDict[tuple[str, int], object] = OrderedDict()
+        #: ``(caller, msg_id)`` → the reply message as it was sent: a
+        #: plain reply's snapshot, anything else's frozen image (what a
+        #: message keeps is the wire module's choice).
+        self._replay: OrderedDict[tuple[str, int], WireMessage] = \
+            OrderedDict()
         self.stats = {"requests": 0, "duplicates": 0, "exceptions": 0,
                       "oneways": 0, "redirects": 0, "deadline_rejects": 0,
                       "sheds": 0}
@@ -172,8 +174,10 @@ class Dispatcher:
     # -- entry point -----------------------------------------------------------
 
     def handle(self, data, arrive: float) -> tuple | None:
-        """Process one inbound message (a :class:`~repro.wire.segments.
-        WireMessage`); returns ``(reply_message, ready_time)``.
+        """Process one inbound message (a :class:`~repro.wire.WireMessage`,
+        or a bytes-like wire image, which is wrapped as one — anything
+        else raises ``ProtocolError``); returns
+        ``(reply_message, ready_time)``.
 
         Returns ``None`` for one-way frames.
 
@@ -186,6 +190,8 @@ class Dispatcher:
         because its clock ran ahead serving someone else — or standing
         around.
         """
+        if data.__class__ is not WireMessage:
+            data = WireMessage.wrap(data)
         ctx = self.context
         frame = None
         admitted_target = None
@@ -262,11 +268,7 @@ class Dispatcher:
         if self.at_most_once and dedup_key in self._replay:
             self.stats["duplicates"] += 1
             ctx.charge(costs.dispatch_cost)
-            from ..wire.segments import WireMessage
-            image = self._replay[dedup_key]
-            if image.__class__ is bytes:
-                image = (image, (), len(image))
-            return WireMessage(*image), ctx.clock.now
+            return self._replay[dedup_key], ctx.clock.now
         ctx.charge(costs.dispatch_cost)
         deadline = Deadline.from_headers(frame.headers) \
             if DEADLINE_HEADER in frame.headers else None
@@ -300,11 +302,10 @@ class Dispatcher:
             reply_data = reply_data.freeze()
         if self.at_most_once and (reply.kind != EXCEPTION
                                   or reply.body[0] != "ProtocolError"):
-            # The wire image only: what the message carries belongs to the
-            # caller about to receive it; a duplicate is decoded for real.
-            self._replay[dedup_key] = reply_data.head \
-                if not reply_data.segments else \
-                (reply_data.head, reply_data.segments, reply_data.nbytes)
+            # The message as sent: no delivery of it ever holds what it
+            # carries (each gets a copy), so a duplicate means what was
+            # sent however the caller used the first.
+            self._replay[dedup_key] = reply_data
             while len(self._replay) > self.replay_capacity:
                 self._replay.popitem(last=False)
         return reply_data, ctx.clock.now

@@ -11,7 +11,7 @@ transmission in the system trace.  Unmarshalling CPU is charged where the
 receiving activity's time cursor is known: the dispatcher charges a
 request (``Dispatcher._handle_at``), the RPC client its reply
 (``RpcProtocol._attempt``).  Every frame travels as a
-:class:`~repro.wire.segments.WireMessage` whose ``nbytes`` — counted once,
+:class:`~repro.wire.WireMessage` whose ``nbytes`` — counted once,
 when it is encoded — is the size every charge and every transit reads.
 
 Hot path: a :class:`~repro.wire.marshal.Marshaller` is stateless apart from

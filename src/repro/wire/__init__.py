@@ -3,9 +3,10 @@
 from .frames import EXCEPTION, ONEWAY, REPLY, REQUEST, Frame
 from .marshal import PLAIN, DecoderHook, EncoderHook, Marshaller, wire_size
 from .refs import ObjectRef, OidMinter
+from .segments import WireMessage
 
 __all__ = [
     "EXCEPTION", "Frame", "Marshaller", "ONEWAY",
     "ObjectRef", "OidMinter", "PLAIN", "REPLY", "REQUEST",
-    "DecoderHook", "EncoderHook", "wire_size",
+    "DecoderHook", "EncoderHook", "WireMessage", "wire_size",
 ]

@@ -15,7 +15,8 @@ from typing import Any
 
 from ..kernel.errors import ProtocolError
 from .marshal import (EXCEPTION, FRAME_KINDS, MREPLY, ONEWAY, REPLY, REQUEST,
-                      _MEMO_STATS, Marshaller)
+                      _MEMO_STATS, Marshaller, _plain_copy)
+from .segments import WireMessage
 
 __all__ = ["EXCEPTION", "FRAME_KINDS", "Frame", "K_OVERLOAD", "MREPLY",
            "ONEWAY", "REPLY", "REQUEST"]
@@ -65,7 +66,7 @@ class Frame:
     def encode_message(self, marshaller: Marshaller):
         """Encode via the message fast path: returns a
         :class:`~repro.wire.segments.WireMessage` (zero-copy segments,
-        frame-template memo, carried fields for plain frames) whose
+        frame-template memo, a sized snapshot for plain frames) whose
         ``nbytes`` is the honest wire size, so everything charged by
         length is unchanged."""
         return marshaller.encode_frame_message(
@@ -79,26 +80,34 @@ class Frame:
 
     @classmethod
     def decode_message(cls, msg, marshaller: Marshaller) -> "Frame":
-        """Decode a :class:`WireMessage` (or plain bytes) into a frame.
+        """Deliver a :class:`WireMessage` (or a bytes-like wire image,
+        wrapped by :meth:`WireMessage.wrap`) as a frame.
 
         A carried frame skips the decoder entirely: the sender proved
-        its fields plain data and parked a snapshot of them on the
-        message, which this — its first — receiver takes and owns: the
-        message keeps ``()`` in its place (the take-once rule has no
-        other home).  A message that never carried one and has no
-        segments is its head, read as wire bytes are; everything else (a
-        second delivery of a carried message, raw segments) goes through
-        the segment-aware decoder, which hands raw payloads back without
-        copying.
+        its fields plain data and the message carries a snapshot of
+        them, which stays pristine — every delivery (the first, a
+        retransmission, a duplicate from the replay cache) gets its own
+        copy, made here and nowhere else: every container of a sized
+        message's fields, the two empty dicts of a pure one's.  A
+        message that carries nothing is decoded — its head as wire bytes
+        are, or, with raw segments, by the segment-aware decoder, which
+        hands raw payloads back without copying.  The decoder is the
+        only path for bytes from a peer.
         """
-        if msg.__class__ is bytes or msg.__class__ is bytearray:
-            return cls.decode(msg, marshaller)
+        if msg.__class__ is not WireMessage:
+            msg = WireMessage.wrap(msg)
         carried = msg.carried
-        if carried:
-            msg.carried = ()
+        if carried is not None:
             _MEMO_STATS.frames_carried += 1
-            return cls(*carried)
-        if carried is None and not msg.segments:
+            # ``last``: a sized message's headers, a pure one's pair flag.
+            kind, msg_id, src, dst, target, verb, body, last = carried
+            if msg.head is None:
+                return cls(kind, msg_id, src, dst, target, verb,
+                           _plain_copy(body),
+                           _plain_copy(last) if last else {})
+            return cls(kind, msg_id, src, dst, target, verb,
+                       (body, {}) if last else body, {})
+        if not msg.segments:
             return cls.decode(msg.head, marshaller)
         return cls._checked(marshaller.decode_frame_message(msg))
 

@@ -29,16 +29,15 @@ value.  The memos evict FIFO at capacity and export hit/size counters
 (:func:`memo_stats`, surfaced via :mod:`repro.metrics`).  They are
 encode-only: nothing on the decode side is memoised.
 
-The decoder is the reference path, not a fast one.  Since the carried
-decode (below) a receiver unmarshals only a frame that holds a reference,
-a retransmission or a duplicate — and whatever a peer crafts — so it is
-one recursive walk with one arm per tag, whose jobs are turning refs into
-proxies and refusing hostile input: truncation, non-utf-8 text,
-unhashable keys and set members, trailing bytes, unconsumed raw segments,
-unknown tags and nesting deeper than :data:`_MAX_DEPTH` all raise
-:class:`MarshalError`.
+The decoder is the reference path, not a fast one.  Since the carry
+(below) a receiver unmarshals only a frame that holds a reference, and
+whatever a peer crafts — so it is one recursive walk with one arm per
+tag, whose jobs are turning refs into proxies and refusing hostile input:
+truncation, non-utf-8 text, unhashable keys and set members, trailing
+bytes, unconsumed raw segments, unknown tags and nesting deeper than
+:data:`_MAX_DEPTH` all raise :class:`MarshalError`.
 
-Two message-level fast paths sit on top (both byte-transparent on the
+Three message-level fast paths sit on top (all byte-transparent on the
 wire — see ``wire/segments.py`` and DESIGN.md's zero-copy subsection):
 
 * **raw segments** — a ``bytes``/``bytearray``/``memoryview`` payload of
@@ -47,16 +46,20 @@ wire — see ``wire/segments.py`` and DESIGN.md's zero-copy subsection):
   timings are unchanged) while the payload object rides a segment list,
   uncopied.  Exact built-in types only: subclasses keep the legacy
   hook-first copying path, so swizzle semantics are untouched.
-* **carried decode** — a frame whose headers and body are *plain data*
-  (exact built-in leaves, and ``list``/``tuple``/``str``-keyed ``dict``
-  of plain data: what no hook can touch) rides with a snapshot of its
-  eight fields, taken when the bytes are (:func:`_plain_copy`); the
-  first receiver takes the snapshot instead of running the decoder.
-  Anything else — a reference, a subclass, a set, a ``bytearray``, a
-  non-string key, a retransmission, a replayed duplicate — is decoded.
+* **the carry** — a frame whose headers and body are *plain data* (exact
+  built-in leaves, and ``list``/``tuple``/``str``-keyed ``dict`` of
+  plain data: what no hook can touch) is not written at all: one walk
+  (:func:`_plain_sized`) proves it plain, snapshots it and counts the
+  bytes the encoder would write, and the message carries the snapshot
+  and that size.  Every delivery gets its own copy of the snapshot
+  instead of running the decoder, and the bytes are written only if
+  someone asks for the image.  Anything else — a reference, a subclass,
+  a set, a ``bytearray``, a non-string key — is encoded and decoded.
 * **frame templates** — a *pure* frame (empty headers, deeply-immutable
-  body) additionally has its encoded suffix memoised per ``(kind, src,
-  dst, target, verb, body)``.  No template is keyed on envelope values.
+  body) keeps its image: its encoded suffix is memoised per ``(kind,
+  src, dst, target, verb, body)``, so a repeat send costs one
+  concatenation, and it carries its fields, which need no copy.  No
+  template is keyed on envelope values.
 """
 
 from __future__ import annotations
@@ -307,22 +310,145 @@ def _chunk(data: bytes, offset: int, what: str) -> tuple[bytes, int]:
 
 
 class _NotPlain(Exception):
-    """Raised by :func:`_plain_copy`: the frame must be decoded for real."""
+    """Raised by the plain walks: the value is not plain data, so its frame
+    is encoded and decoded for real."""
 
 
-def _plain_copy(value):
-    """Snapshot of a *plain* value; raises :class:`_NotPlain` otherwise.
+def _bigint_width(value: int) -> int:
+    """Bytes in the two's-complement body of a big int's wire form."""
+    return (value.bit_length() + 8) // 8 + 1
+
+
+def _str_wire(value: str) -> bytes:
+    """A string's wire form — the one definition the encoder and the
+    sizing walk share: the memo's entry, or on a miss the encoding, which
+    is memoised when the string is short."""
+    cached = _STR_ENC.get(value)
+    if cached is None:
+        _MEMO_STATS.str_enc_misses += 1
+        raw = value.encode("utf-8")
+        cached = _TAG_STR + _U32.pack(len(raw)) + raw
+        if len(value) <= _MEMO_MAX_STR:
+            _memo_put(_STR_ENC, value, cached)
+    else:
+        _MEMO_STATS.str_enc_hits += 1
+    return cached
+
+
+def _plain_sized(value):
+    """``(snapshot, wire size)`` of a *plain* value; raises
+    :class:`_NotPlain` otherwise.
 
     Plain data is what no hook can ever see: the immutable leaves, and
     ``list``/``tuple``/``str``-keyed ``dict`` of plain data, all of exact
     built-in type (subclasses, sets, ``bytearray``, ``ObjectRef`` and
     application objects take the hook-first encoder and the real
-    decoder).  Proof and copy are one walk: leaves and flat tuples of
-    leaves are shared, every mutable container is fresh, so the result
-    equals — types included — what the decoder would build from the
-    bytes.  A flat sequence and an empty dict are copied inline where
-    they sit, because frames are a few tiny containers and a call per
-    container costs more than the copy.
+    decoder).  One walk proves, copies and sizes: leaves and flat tuples
+    of leaves are shared, every other container is fresh, so the
+    snapshot equals — types included — what the decoder would build from
+    the bytes; the size is the byte count the encoder would write, by
+    its layout: ``None``/``bool`` 1, ``int``/``float`` 9 (a big int as
+    :func:`_enc_int` writes it), ``bytes`` 5 plus its length (inline or
+    raw), a string its memoised wire form (:func:`_str_wire`), a
+    container 5 plus its items.  An empty dict, and a flat run of strings
+    and small ints (an envelope's key spec, a term, an args tuple), are
+    sized and copied where they sit; any other container is one call.
+    """
+    str_enc = _STR_ENC
+    hits = 0
+    cls = value.__class__
+    keyed = cls is dict
+    if keyed:
+        size = 5
+        snapshot = {}
+    elif cls is list or cls is tuple:
+        size = 5
+        snapshot = []
+    else:
+        size = 0
+        snapshot = []
+        value = (value,)        # a leaf, sized as the one item it is
+    for val in value:
+        if keyed:
+            key = val
+            if key.__class__ is not str:
+                raise _NotPlain
+            enc = str_enc.get(key)
+            if enc is None:
+                enc = _str_wire(key)
+            else:
+                hits += 1
+            size += len(enc)
+            val = value[key]
+        vcls = val.__class__
+        if vcls is str:
+            enc = str_enc.get(val)
+            if enc is None:
+                enc = _str_wire(val)
+            else:
+                hits += 1
+            size += len(enc)
+        elif vcls is int:
+            size += 9 if -(2**63) <= val < 2**63 \
+                else 5 + _bigint_width(val)
+        elif vcls is float:
+            size += 9
+        elif vcls is bytes:
+            size += 5 + len(val)
+        elif val is None or vcls is bool:
+            size += 1
+        elif vcls is list or vcls is tuple:
+            inner = 5
+            run_hits = 0
+            for item in val:
+                icls = item.__class__
+                if icls is str:
+                    enc = str_enc.get(item)
+                    if enc is None:
+                        enc = _str_wire(item)
+                    else:
+                        run_hits += 1
+                    inner += len(enc)
+                elif icls is int and -(2**63) <= item < 2**63:
+                    inner += 9
+                else:
+                    val, inner = _plain_sized(val)
+                    break
+            else:
+                hits += run_hits
+                if vcls is list:
+                    val = val[:]
+            size += inner
+        elif vcls is dict:
+            if val:
+                val, inner = _plain_sized(val)
+                size += inner
+            else:
+                val = {}
+                size += 5
+        else:
+            raise _NotPlain
+        if keyed:
+            snapshot[key] = val
+        else:
+            snapshot.append(val)
+    _MEMO_STATS.str_enc_hits += hits
+    if cls is tuple:
+        return tuple(snapshot), size
+    if keyed or cls is list:
+        return snapshot, size
+    return snapshot[0], size
+
+
+def _plain_copy(value):
+    """A fresh copy of a plain value (a delivery of a carried snapshot).
+
+    Leaves and flat tuples of leaves are shared, every other container
+    is fresh, so the copy equals — types included — what the decoder
+    would build from the bytes.  A flat sequence and an empty dict are
+    copied inline where they sit, because frames are a few tiny
+    containers and a call per container costs more than the copy.
+    Raises :class:`_NotPlain` on anything that is not plain data.
     """
     leaves = _IMMUTABLE_LEAVES
     cls = value.__class__
@@ -494,22 +620,25 @@ class Marshaller:
             self._encode_into(headers, out)
         return bytes(out)
 
-    # -- the message fast path (zero-copy + carried decode) --------------------
+    # -- the message fast path (zero-copy + the carry) -----------------------
 
     def encode_frame_message(self, kind: str, msg_id: int, src: str,
                              dst: str, target: str, verb: str, body: Any,
                              headers: dict):
         """Encode one frame into a :class:`WireMessage`.
 
-        Every outcome carries the byte-identical wire image and its size
-        (``nbytes``, counted once, here):
+        Every outcome has the honest wire size (``nbytes``, counted once,
+        here):
 
-        * headers and body both *plain* (:func:`_plain_copy`) → the
-          message's ``carried`` is a snapshot of the eight fields, taken
-          now, as the bytes are; its first receiver takes it instead of
-          decoding.  A *pure* frame (empty headers, deeply-immutable
-          body) needs no copy and has its encoded suffix memoised, so a
-          repeat send costs one concatenation;
+        * a *pure* frame (empty headers, deeply-immutable body) → its
+          image from the frame template, so a repeat send costs one
+          concatenation, and its fields, which need no copy;
+        * headers and body both *plain* → no image: the message carries
+          a snapshot of the eight fields and the size the encoder would
+          write (:func:`_plain_sized`, one walk, now — as the bytes would
+          have been); :meth:`WireMessage.to_bytes` writes the image if
+          anyone asks.  An unknown kind is left to
+          :meth:`encode_frame_fields`, which refuses it;
         * anything else → decoded for real at the receiver: the head is
           exactly what :meth:`encode_frame_fields` produces, or — with
           bulk payloads — the segments hold the payload objects uncopied.
@@ -527,7 +656,7 @@ class Marshaller:
             if pkey is not None:
                 key = (kind, src, dst, target, verb, pkey, is_pair)
                 carried = (kind, msg_id, src, dst, target, verb,
-                           (body[0], {}) if is_pair else body, {})
+                           body[0] if is_pair else body, is_pair)
                 tmpl = _TMPL_ENC.get(key)
                 if tmpl is not None:
                     _MEMO_STATS.tmpl_hits += 1
@@ -538,12 +667,33 @@ class Marshaller:
                         prefix + _TAG_INT + _I64.pack(msg_id) + suffix,
                         segments, nbytes, carried)
                 _MEMO_STATS.tmpl_misses += 1
-        if headers_ok and carried is None:
+        if key is None and headers_ok and kind in FRAME_KINDS:
             try:
-                carried = (kind, msg_id, src, dst, target, verb,
-                           _plain_copy(body), _plain_copy(headers))
+                snap_body, nbytes = _plain_sized(body)
+                if headers:
+                    snap_headers, size = _plain_sized(headers)
+                    nbytes += size
+                else:
+                    snap_headers = {}
+                    nbytes += 5
             except _NotPlain:
                 pass
+            else:
+                # The eight-field list: its header, the id, five strings.
+                nbytes += 5 + (9 if -(2**63) <= msg_id < 2**63
+                               else 5 + _bigint_width(msg_id))
+                str_enc = _STR_ENC
+                try:
+                    nbytes += len(str_enc[kind]) + len(str_enc[src]) \
+                        + len(str_enc[dst]) + len(str_enc[target]) \
+                        + len(str_enc[verb])
+                    _MEMO_STATS.str_enc_hits += 5
+                except KeyError:
+                    for text in (kind, src, dst, target, verb):
+                        nbytes += len(_str_wire(text))
+                return WireMessage(None, (), nbytes, (
+                    kind, msg_id, src, dst, target, verb, snap_body,
+                    snap_headers))
         self._segs = segs = []
         try:
             head = self.encode_frame_fields(kind, msg_id, src, dst,
@@ -560,11 +710,7 @@ class Marshaller:
             # template hit only re-encodes that one field.  Segment
             # offsets stay valid across hits: the prefix and the 9-byte
             # int field never change length.
-            cached = _STR_ENC.get(kind)
-            if cached is None:
-                raw = kind.encode("utf-8")
-                cached = _TAG_STR + _U32.pack(len(raw)) + raw
-            plen = len(_LIST8_HEAD) + len(cached)
+            plen = len(_LIST8_HEAD) + len(_str_wire(kind))
             _memo_put(_TMPL_ENC, key,
                       (head[:plen], head[plen + 9:], segments, nbytes))
         return WireMessage(head, segments, nbytes, carried)
@@ -746,8 +892,7 @@ def _enc_int(m: Marshaller, value: int, out: bytearray) -> None:
     if -(2**63) <= value < 2**63:
         enc = _TAG_INT + _I64.pack(value)
     else:
-        raw = value.to_bytes((value.bit_length() + 8) // 8 + 1,
-                             "big", signed=True)
+        raw = value.to_bytes(_bigint_width(value), "big", signed=True)
         enc = _TAG_BIGINT + _U32.pack(len(raw)) + raw
     _memo_put(_INT_ENC, value, enc)
     out += enc
@@ -759,16 +904,7 @@ def _enc_float(m: Marshaller, value: float, out: bytearray) -> None:
 
 
 def _enc_str(m: Marshaller, value: str, out: bytearray) -> None:
-    cached = _STR_ENC.get(value)
-    if cached is None:
-        _MEMO_STATS.str_enc_misses += 1
-        raw = value.encode("utf-8")
-        cached = _TAG_STR + _U32.pack(len(raw)) + raw
-        if len(value) <= _MEMO_MAX_STR:
-            _memo_put(_STR_ENC, value, cached)
-    else:
-        _MEMO_STATS.str_enc_hits += 1
-    out += cached
+    out += _str_wire(value)
 
 
 def _enc_bytes(m: Marshaller, value: bytes, out: bytearray) -> None:

@@ -1,72 +1,100 @@
-"""Zero-copy wire messages: an encoded head plus raw payload segments.
+"""Wire messages: what the simulated transport carries between contexts.
 
-The marshaller's bulk fast path (see ``wire/marshal.py``) does not copy
-large ``bytes``/``bytearray``/``memoryview`` payloads into the encoded
-stream.  Instead it writes a 5-byte raw marker (tag + u32 length — the
-same overhead as the inline bytes encoding, so the wire byte count and
-therefore every virtual-time figure is unchanged) and parks the payload
-object itself in a segment list.  The result is a :class:`WireMessage`:
-the contiguous *head* with markers inline, and the *segments* that
-splice in at recorded offsets.
+A :class:`WireMessage` is a frame as it crosses a boundary: its honest
+wire size (``nbytes``, counted once, when the frame is encoded — the
+number the cost model and the trace consume) plus whichever of two
+forms the frame needs (see ``wire/marshal.py``):
 
-Every encoded frame travels the simulated transport as a ``WireMessage``;
-its ``nbytes`` field, counted once, is the honest wire size (head plus
-segment payloads) that the cost model and the trace consume.  The wire
-image (head, segments, size) is never mutated — the frame template memo
-returns cached segment tuples, and ``bytes`` payloads cross the boundary
-without ever being copied.  What changes hands is ``carried``, a snapshot
-of the frame's fields with **one owner**: the sender builds it, the first
-receiver takes it (``Frame.decode_message``), and whoever sees the
-message next — a retransmission, a remembered reply — decodes the bytes.
+* **an image** — the contiguous *head* plus zero-copy payload
+  *segments*.  The marshaller's bulk fast path does not copy large
+  ``bytes``/``bytearray``/``memoryview`` payloads into the encoded
+  stream: it writes a 5-byte raw marker (tag + u32 length — the same
+  overhead as the inline bytes encoding, so the wire byte count is
+  unchanged) and parks the payload object itself in the segment list,
+  to be spliced in at the recorded offset.  A frame that holds a
+  reference, or anything else the decoder must rebuild, travels so;
+* **a snapshot** (``carried``) — the fields of a frame of plain data,
+  pristine: no delivery ever gets it, :meth:`Frame.decode_message
+  <repro.wire.frames.Frame.decode_message>` hands each one its own copy
+  (the first delivery, a retransmission, a duplicate answered from the
+  replay cache).  A *pure* frame (a template's) has an image as well; a
+  *sized* one has none (``head`` is ``None``) until someone asks for it.
 
-``to_bytes()`` produces the contiguous wire image (markers followed by
-their payloads), which the ordinary decoder accepts — the format is
-self-describing with or without the segment list.
+A message is never mutated once built — the frame template memo returns
+cached segment tuples, and ``bytes`` payloads cross the boundary without
+ever being copied.  ``to_bytes()`` produces the contiguous wire image
+(markers followed by their payloads), which the ordinary decoder accepts
+— the format is self-describing with or without the segment list.
 """
 
 from __future__ import annotations
 
+from ..kernel.errors import ProtocolError
+
 
 class WireMessage:
-    """One encoded message: contiguous head + zero-copy payload segments.
+    """One frame in transit: its size, and its image or its snapshot.
 
     Attributes:
-        head: the encoded stream; raw markers (tag + length) sit inline
-            where the payload content would be.
+        head: the encoded stream, raw markers (tag + length) inline where
+            the payload content would be; ``None`` for a sized message.
         segments: tuple of ``(offset, payload)`` pairs — ``offset`` is
             the position in ``head`` immediately after the payload's
             marker, i.e. where the content splices into the wire image;
             ``payload`` is the original bytes-like object, uncopied.
         nbytes: honest wire size — ``len(head)`` plus every segment's
-            byte length.  This equals what the inline encoding would
-            have produced, so marshal charges and network transit times
-            are bit-identical to the copying path.
-        carried: for frames of *plain data* (see ``wire/marshal.py``),
-            the eight frame fields ``(kind, msg_id, src, dst, target,
-            verb, body, headers)`` as the decoder would build them —
-            every mutable container in ``body`` and ``headers`` a copy
-            made when the bytes were, immutable leaves shared; ``()``
-            once taken.  ``None`` when the frame must be decoded for real.
+            byte length, or for a sized message the byte count the
+            encoder would write.  Marshal charges and network transit
+            times read it, so they are bit-identical to the copying path.
+        carried: the frame's fields when they are *plain data*, never
+            handed out (see :meth:`Frame.decode_message <repro.wire.
+            frames.Frame.decode_message>`, their one reader): for a sized
+            message the eight fields ``(kind, msg_id, src, dst, target,
+            verb, body, headers)``, every container a copy made when the
+            frame was sent; for a pure one ``(kind, msg_id, src, dst,
+            target, verb, body, pair)``, deeply immutable — its headers
+            are empty, and when ``pair`` is true ``body`` is the args
+            tuple of an ``(args, {})`` body.  ``None`` when the frame
+            must be decoded.
     """
 
     __slots__ = ("head", "segments", "nbytes", "carried")
 
-    def __init__(self, head: bytes, segments: tuple, nbytes: int,
+    def __init__(self, head: bytes | None, segments: tuple, nbytes: int,
                  carried: tuple | None = None):
         self.head = head
         self.segments = segments
         self.nbytes = nbytes
         self.carried = carried
 
+    @classmethod
+    def wrap(cls, image) -> "WireMessage":
+        """A wire image handed in as bytes, as a message: a ``bytes``,
+        ``bytearray`` or ``memoryview`` image is copied to ``bytes`` and
+        its length is its size; anything else raises
+        :class:`ProtocolError`."""
+        if not isinstance(image, (bytes, bytearray, memoryview)):
+            raise ProtocolError(
+                f"not a wire image: {type(image).__name__!r}")
+        image = bytes(image)
+        return cls(image, (), len(image))
+
     def __len__(self) -> int:
         return self.nbytes
 
     def to_bytes(self) -> bytes:
         """The contiguous wire image (segments spliced after their
-        markers).  Decodable by the plain byte-stream decoder."""
-        if not self.segments:
-            return self.head
+        markers).  Decodable by the plain byte-stream decoder.
+
+        A sized message's image is written now, by the encoder, from the
+        snapshot: plain data is hook-exempt, so the hook-free marshaller
+        writes the bytes the sender's would have."""
         head = self.head
+        if head is None:
+            from .marshal import PLAIN
+            return PLAIN.encode_frame_fields(*self.carried)
+        if not self.segments:
+            return head
         parts = []
         prev = 0
         for offset, payload in self.segments:
@@ -95,6 +123,7 @@ class WireMessage:
         return WireMessage(self.head, frozen, self.nbytes, self.carried)
 
     def __repr__(self) -> str:
-        return (f"WireMessage({self.nbytes} bytes, "
-                f"{len(self.segments)} segments"
+        form = "sized" if self.head is None \
+            else f"{len(self.segments)} segments"
+        return (f"WireMessage({self.nbytes} bytes, {form}"
                 f"{', carried' if self.carried else ''})")

@@ -2,12 +2,14 @@
 
 import pytest
 
+import repro
 from repro.apps.counter import Counter
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
 from repro.core.service import Service
 from repro.iface.interface import operation
-from repro.kernel.errors import ObjectMoved
+from repro.kernel.errors import MarshalError, ObjectMoved, ProtocolError
+from repro.metrics import marshal_memo_stats
 from repro.wire.frames import REQUEST, Frame
 
 
@@ -41,17 +43,14 @@ class TestAtMostOnce:
         system, server, client, counter, ref, dispatcher = served
         first, _ = send_raw(system, client, ref, "incr", msg_id=9)
         second, _ = send_raw(system, client, ref, "incr", msg_id=9)
-        # The first reply may carry its fields; the remembered one is the
-        # wire image alone.  Identical means: the same bytes.
-        assert second.carried is None
+        # Identical means: the same bytes, and the same size charged.
         assert first.to_bytes() == second.to_bytes()
+        assert first.nbytes == second.nbytes
 
-    def test_replay_cache_keeps_the_wire_image_and_means_what_was_sent(
-            self, pair):
-        # Covers what nothing covered (a duplicate answers what was sent,
-        # not what the service's object later became); the `_replay`
-        # assertion is new with the carried snapshot and fails on a cut
-        # that remembers the reply message as it was sent.
+    def test_replay_cache_means_what_was_sent(self, pair):
+        # A duplicate answers what was sent, not what the service's object
+        # or the caller's copy of the first reply later became; it is a
+        # copy of the remembered snapshot, not a decode.
         system, server, client = pair
 
         class Journal(Service):
@@ -66,27 +65,22 @@ class TestAtMostOnce:
         ref = get_space(server).export(journal)
         dispatcher = server.handler.__self__
         decoder = system.transport.decoder_for(client)
-        bulk = b"\x07" * 8192              # the reply rides a segment
+        decoded = marshal_memo_stats()["frames_decoded"]
+        bulk = b"\x07" * 8192              # a bulk leaf in the snapshot
         for msg_id, blob in ((3, b""), (4, bulk)):
             want = [list(journal.lines), blob]
             first, _ = send_raw(system, client, ref, "tail", (blob,), msg_id)
-            assert first.carried is not None
+            image = first.to_bytes()
             journal.lines.append("later")   # mutated in place afterwards
+            taken = Frame.decode_message(first, decoder)
+            taken.body[0].append("the caller's")
             second, _ = send_raw(system, client, ref, "tail", (blob,), msg_id)
             assert dispatcher.stats["duplicates"] == msg_id - 2
-            # Before anyone took the snapshot: the cache never had it, and
-            # the duplicate carries nothing.
-            kept = dispatcher._replay[client.context_id, msg_id]
-            assert kept is second.head if kept.__class__ is bytes \
-                else kept == (second.head, second.segments, second.nbytes)
-            assert second.carried is None and second.nbytes == first.nbytes
-            assert first.to_bytes() == second.to_bytes()
+            assert second.nbytes == first.nbytes == len(image)
+            assert second.to_bytes() == image
             assert Frame.decode_message(second, decoder).body == want
             assert Frame.decode_message(first, decoder).body == want
-        # One reply inline (its head), one riding a frozen segment.
-        inline, segmented = dispatcher._replay.values()
-        assert inline.__class__ is bytes
-        assert [payload.__class__ for _, payload in segmented[1]] == [bytes]
+        assert marshal_memo_stats()["frames_decoded"] == decoded
 
     def test_distinct_ids_execute_separately(self, served):
         system, server, client, counter, ref, dispatcher = served
@@ -122,6 +116,57 @@ class TestAtMostOnce:
         send_raw(system, client, ref, "incr", msg_id=2)
         evicted = dispatcher.forget_caller(client.context_id)
         assert evicted == 2
+
+
+def _serve_image(kind, headers):
+    """One fresh system serving one ``incr`` request, handed over as its
+    message (``kind`` None) or as a ``kind`` copy of its wire image."""
+    system = repro.make_system(seed=99)
+    server = system.add_node("server").create_context("main")
+    client = system.add_node("client0").create_context("main")
+    counter = Counter()
+    ref = get_space(server).export(counter)
+    frame = Frame(REQUEST, 5, client.context_id, ref.context_id, ref.oid,
+                  "incr", ((), {}), headers)
+    data = frame.encode_message(system.transport.encoder_for(client))
+    if kind is not None:
+        data = kind(data.to_bytes())
+    reply, ready = server.handler(data, client.now)
+    return reply.to_bytes(), counter.value, ready, server.now
+
+
+class TestWireImages:
+    """``Context.handler`` takes a wire image as well as a message.  At the
+    parent of the change that wrapped it, ``bytes`` and ``bytearray`` raised
+    ``AttributeError`` ('nbytes'), a ``memoryview`` ``AttributeError``
+    ('carried')."""
+
+    @pytest.mark.parametrize("headers", [{}, {"d": [1]}],
+                             ids=["pure", "sized"])
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_an_image_is_served_exactly_as_its_message_is(self, kind,
+                                                          headers):
+        # The same reply image, one execution, the same clock.
+        assert _serve_image(kind, headers) == _serve_image(None, headers)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_a_truncated_image_executes_nothing_and_is_not_remembered(
+            self, served, kind):
+        system, server, client, counter, ref, dispatcher = served
+        frame = Frame(REQUEST, 5, client.context_id, ref.context_id, ref.oid,
+                      "incr", ((), {}), {})
+        image = frame.encode_message(
+            system.transport.encoder_for(client)).to_bytes()
+        with pytest.raises(MarshalError):
+            server.handler(kind(image[:-1]), client.now)
+        assert counter.value == 0
+        assert not dispatcher._replay
+
+    @pytest.mark.parametrize("data", [None, "req", 5, [b"req"]])
+    def test_anything_else_is_refused_typed(self, served, data):
+        system, server, client, counter, ref, dispatcher = served
+        with pytest.raises(ProtocolError):
+            server.handler(data, client.now)
 
 
 class TestRedirects:

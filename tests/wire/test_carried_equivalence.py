@@ -1,19 +1,24 @@
 """Carried ≡ decoded, for everything.
 
-A frame of *plain data* rides with a snapshot of its fields and its first
-receiver takes the snapshot instead of running the decoder
-(``wire/marshal.py``: :func:`_plain_copy`).  The decoder and the naive
-reference encoder of ``test_marshal_fastpath`` stay the only definition of
-the bytes, so the property is stated against them:
+A frame of *plain data* is not written: it is sized, and rides with a
+snapshot of its fields, and every delivery gets its own copy of the
+snapshot instead of running the decoder (``wire/marshal.py``:
+:func:`_plain_sized`).  The decoder and the naive reference encoder of
+``test_marshal_fastpath`` stay the only definition of the bytes, so the
+property is stated against them:
 
 * **equivalence** — whatever ``Frame.decode_message`` builds from an
   ``encode_message`` result equals what ``Frame.decode`` builds from the
   contiguous image, *exact types at every depth* (``True``/``1``/``1.0``,
   ``-0.0``, NaN, list against tuple, a subclass decoded to its base), and
   ``len()`` of the message equals ``len(frame.encode(m))``;
-* **isolation** — the sender mutating what it sent, or the first receiver
-  mutating what it got, changes neither the other side nor a second
-  decode of the same message object (the retransmit case).
+* **the sized image is the encoder's** — a plain frame's size is the
+  length of the bytes ``encode_frame_fields`` writes, and the image its
+  message writes when asked is those bytes;
+* **isolation** — the sender mutating what it sent, or a receiver
+  mutating what it got, changes neither the other side, nor a later
+  delivery of the same message object (a retransmission, a duplicate
+  from the replay cache), nor the image.
 
 New in this PR: at the parent the carried arm stopped at the first
 ``dict``, so none of this was reachable; the isolation half fails on a
@@ -32,12 +37,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.core.export import get_space
+from repro.core.service import Service
+from repro.iface.interface import operation
 from repro.wire.frames import REPLY, REQUEST, Frame
 from repro.wire.marshal import (
+    PLAIN,
     RAW_THRESHOLD,
     Marshaller,
     _NotPlain,
     _plain_copy,
+    _plain_sized,
     memo_stats,
 )
 from repro.wire.refs import ObjectRef
@@ -177,8 +188,8 @@ def test_carried_frame_equals_decoded_frame(frame):
     assert len(msg) == len(frame.encode(m)) == len(image)
     expected = typed_frame(Frame.decode(image, m))
     assert typed_frame(Frame.decode_message(msg, m)) == expected
-    # A second delivery of the same message object: the snapshot is gone,
-    # the decoder runs, the frame is the same.
+    # A second delivery of the same message object (a retransmission):
+    # the frame is the same.
     assert typed_frame(Frame.decode_message(msg, m)) == expected
 
 
@@ -187,8 +198,9 @@ def test_carried_frame_equals_decoded_frame(frame):
 def test_sender_receiver_and_retransmission_are_isolated(frame):
     m = Marshaller()
     sent = typed_frame(frame)
+    decoded = memo_stats()["frames_decoded"]
     msg = frame.encode_message(m)
-    assert msg.carried is not None      # plain data is always carried
+    image = msg.to_bytes()
     # The sender mutates its arguments after the send (a retry loop
     # re-sends the same encoded message, never re-reads the arguments).
     scramble(frame.body)
@@ -200,7 +212,68 @@ def test_sender_receiver_and_retransmission_are_isolated(frame):
     scramble(first.headers)
     again = Frame.decode_message(msg, m)
     assert typed_frame(again) == sent
-    assert msg.carried == ()
+    assert msg.to_bytes() == image
+    # Plain data is never decoded: each delivery was a copy.
+    assert memo_stats()["frames_decoded"] == decoded
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=_frames(_plain_value))
+def test_the_sized_image_is_the_encoders_image(frame):
+    m = Marshaller()
+    fields = (frame.kind, frame.msg_id, frame.src, frame.dst, frame.target,
+              frame.verb, frame.body, frame.headers)
+    written = m.encode_frame_fields(*fields)
+    msg = frame.encode_message(m)
+    image = msg.to_bytes()
+    assert msg.nbytes == len(image) == len(written)
+    # A pure frame's bulk leaf rides its template as a raw segment (its
+    # marker is spliced in); every other image is what the encoder writes.
+    if not msg.segments:
+        assert image == written
+    expected = typed_frame(Frame.decode(image, m))
+    first = Frame.decode_message(msg, m)
+    assert typed_frame(first) == expected
+    scramble(first.body)
+    scramble(first.headers)
+    assert typed_frame(Frame.decode_message(msg, m)) == expected
+    assert msg.to_bytes() == image
+
+
+class Echo(Service):
+    def __init__(self, value):
+        self.value = value
+
+    @operation
+    def read(self):
+        return self.value       # the live object: plain data
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=_plain_value)
+def test_a_duplicate_from_the_replay_cache_is_what_was_sent(value):
+    system = repro.make_system(seed=7)
+    server = system.add_node("s0").create_context("main")
+    client = system.add_node("c0").create_context("main")
+    echo = Echo(value)
+    ref = get_space(server).export(echo)
+    sent = typed(value)
+    request = Frame(REQUEST, 1, client.context_id, server.context_id,
+                    ref.oid, "read", ((), {}), {})
+    data = request.encode_message(system.transport.encoder_for(client))
+    decoder = system.transport.decoder_for(client)
+    first, _ = server.handler(data, client.now)
+    image = first.to_bytes()
+    assert typed(Frame.decode(image, decoder).body) == sent
+    # The service's object and the caller's copy both change afterwards.
+    scramble(echo.value)
+    delivered = Frame.decode_message(first, decoder)
+    assert typed(delivered.body) == sent
+    scramble(delivered.body)
+    second, _ = server.handler(data, client.now)     # a retransmission
+    assert server.handler.__self__.stats["duplicates"] == 1
+    assert typed(Frame.decode_message(second, decoder).body) == sent
+    assert second.to_bytes() == image
 
 
 # -- the walk, exit by exit ---------------------------------------------------
@@ -208,7 +281,7 @@ def test_sender_receiver_and_retransmission_are_isolated(frame):
 _BULK = b"\x42" * RAW_THRESHOLD
 
 
-@pytest.mark.parametrize("value", [
+_PLAIN_SHAPES = [
     None, True, 7, 2**70, -0.0, "s", b"b",                    # a leaf
     {}, {"q.v": 1, "q.tl": [1, 2], "q.r": ("a",), "e": {}},   # dict, inline
     {"deep": {"k": [1, [2, (3, {"x": None})]]}},              # dict, recursing
@@ -216,7 +289,11 @@ _BULK = b"\x42" * RAW_THRESHOLD
     [], (), [1, "a", None], (1, "a"),                         # flat sequence
     [[1], (2,), {}, {"k": [3]}, [[4]], ([5],)],              # sequence, nested
     (("k",), {}), ((["k"],), {}), ((_BULK, [_BULK]), {}),
-])
+    ["x" * 65, -2**63 - 1, 2**63, 2**63 - 1, -2**63],   # unmemoised, big ints
+]
+
+
+@pytest.mark.parametrize("value", _PLAIN_SHAPES)
 def test_plain_copy_equals_its_argument(value):
     copy = _plain_copy(value)
     assert typed(copy) == typed(value)
@@ -233,17 +310,36 @@ def test_plain_copy_shares_what_cannot_change():
     assert copy[0] is flat and copy[1] is _BULK and copy[2] is args[2]
 
 
-@pytest.mark.parametrize("value", [
+_NOT_PLAIN = [
     {1: "int key"}, {"k": {("t",): 1}}, [{None: 1}],          # non-str key
     {1, 2}, frozenset({1}), bytearray(b"x"), memoryview(b"x"),
     Text("s"), Count(1), Level.LOW, Bag(), OrderedDict(), Point(1, 2),
     ObjectRef("n0/main", "o", "I", 0, "stub"), Exportable("o"), object(),
     [1, {2}], {"k": [1, bytearray(b"x")]}, ([Text("s")],), {"k": Bag()},
     {"k": (1, Count(2))}, [[1, [Level.LOW]]],
-])
+]
+
+
+@pytest.mark.parametrize("value", _NOT_PLAIN)
 def test_plain_copy_refuses_what_a_hook_could_see(value):
     with pytest.raises(_NotPlain):
         _plain_copy(value)
+
+
+@pytest.mark.parametrize("value", _PLAIN_SHAPES)
+def test_the_sizing_walk_counts_what_the_encoder_writes(value):
+    snapshot, size = _plain_sized(value)
+    assert size == len(PLAIN.encode(value))
+    assert typed(snapshot) == typed(value)
+    before = typed(snapshot)
+    scramble(value)
+    assert typed(snapshot) == before
+
+
+@pytest.mark.parametrize("value", _NOT_PLAIN)
+def test_the_sizing_walk_refuses_what_a_hook_could_see(value):
+    with pytest.raises(_NotPlain):
+        _plain_sized(value)
 
 
 # -- who is carried, who is decoded, who gets a template ----------------------
@@ -265,8 +361,12 @@ def _request(body, headers=None, msg_id=5):
 ])
 def test_only_plain_frames_are_carried(body, headers, carried):
     msg = _request(body, headers).encode_message(Marshaller())
-    assert (msg.__class__ is not bytes and msg.carried is not None) \
-        is carried
+    before = memo_stats()
+    Frame.decode_message(msg, Marshaller())
+    after = memo_stats()
+    assert after["frames_carried"] - before["frames_carried"] == carried
+    assert after["frames_decoded"] - before["frames_decoded"] == (
+        not carried)
 
 
 def test_headers_that_are_not_a_dict_are_never_carried():
@@ -290,13 +390,13 @@ def test_no_template_is_keyed_on_envelope_values_or_mutable_bodies():
     assert memo_stats()["tmpl_size"] == size
 
 
-def test_a_bulk_leaf_rides_a_segment_and_is_shared_by_the_snapshot():
-    msg = _request((([_BULK, "tag"],), {}), {"s.k": 1}) \
-        .encode_message(Marshaller())
-    assert [payload for _, payload in msg.segments] == [_BULK]
-    assert msg.segments[0][1] is _BULK
-    frame = Frame.decode_message(msg, Marshaller())
-    assert frame.body[0][0][0] is _BULK
+def test_a_bulk_leaf_is_sized_and_shared_by_the_snapshot():
+    frame = _request((([_BULK, "tag"],), {}), {"s.k": 1})
+    msg = frame.encode_message(Marshaller())
+    assert msg.nbytes == len(frame.encode(Marshaller())) > len(_BULK)
+    for _ in range(2):
+        delivered = Frame.decode_message(msg, Marshaller())
+        assert delivered.body[0][0][0] is _BULK
 
 
 def test_empty_shells_are_fresh_per_message():
@@ -314,9 +414,9 @@ def test_counters_tell_carried_from_decoded():
     m = Marshaller()
     before = memo_stats()
     msg = _request((("k",), {}), {"q.t": [1, 2]}).encode_message(m)
-    Frame.decode_message(msg, m)        # takes the snapshot
-    Frame.decode_message(msg, m)        # a retransmission: decoded
+    Frame.decode_message(msg, m)        # a copy of the snapshot
+    Frame.decode_message(msg, m)        # a retransmission: another copy
     Frame.decode(msg.to_bytes(), m)     # plain bytes: decoded
     after = memo_stats()
-    assert after["frames_carried"] - before["frames_carried"] == 1
-    assert after["frames_decoded"] - before["frames_decoded"] == 2
+    assert after["frames_carried"] - before["frames_carried"] == 2
+    assert after["frames_decoded"] - before["frames_decoded"] == 1

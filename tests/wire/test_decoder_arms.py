@@ -79,17 +79,16 @@ def _check_frame(body, headers) -> None:
     frame = Frame(REPLY, 7, "s0/main", "c0/main", "", "", body, headers)
     expected = typed_frame(frame)
     msg = frame.encode_message(m)
-    if msg.__class__ is WireMessage:
-        # Nothing carried, so the decoder runs; bulk leaves come from
-        # the segments, uncopied.
-        split = WireMessage(msg.head, msg.segments, msg.nbytes)
-        assert typed_frame(Frame.decode_message(split, m)) == expected
-        for cut in _cuts(msg.head):
-            _refused(lambda head: Frame.decode_message(
-                WireMessage(head, msg.segments, msg.nbytes), m), cut)
-        image = msg.to_bytes()      # raw payloads inline after markers
-    else:
-        image = msg
+    image = msg.to_bytes()          # raw payloads inline after markers
+    # Nothing carried, so the decoder runs; bulk leaves come from the
+    # segments, uncopied.  A sized message has no head: its image is one.
+    head, segments = (image, ()) if msg.head is None \
+        else (msg.head, msg.segments)
+    split = WireMessage(head, segments, msg.nbytes)
+    assert typed_frame(Frame.decode_message(split, m)) == expected
+    for cut in _cuts(head):
+        _refused(lambda cut: Frame.decode_message(
+            WireMessage(cut, segments, msg.nbytes), m), cut)
     assert typed_frame(Frame.decode(image, m)) == expected
     assert typed_frame(Frame.decode_message(image, m)) == expected
     for cut in _cuts(image):
@@ -111,7 +110,10 @@ def test_a_frame_decodes_whole_and_refuses_every_cut(body, headers):
 def test_a_raw_segment_decodes_whole_and_refuses_every_cut(value,
                                                             in_headers):
     bulk = b"\x5a" * RAW_THRESHOLD
+    # A set is not plain data, so the frame is encoded, and its bulk leaf
+    # rides a segment (a plain frame is sized, not written).
+    odd = frozenset({1})
     if in_headers:
-        _check_frame(None, {"s.k": [bulk, value]})
+        _check_frame(None, {"s.k": [bulk, value], "n": odd})
     else:
-        _check_frame((bulk, value), {})
+        _check_frame((bulk, value, odd), {})

@@ -57,10 +57,12 @@ def served(pair):
 
 
 def _state(store, entry, dispatcher):
+    # A remembered reply is a message; what it means is its image.
     return copy.deepcopy((
         store.data, entry.replica_log.digest(),
         entry.replica_log.suffix("k", 0), entry.sharding.map(),
-        list(dispatcher._replay.items())))
+        [(key, reply.to_bytes())
+         for key, reply in dispatcher._replay.items()]))
 
 
 @pytest.mark.parametrize("caller", ["remote", "local"])
