@@ -121,7 +121,8 @@ def _pattern(size: int) -> bytes:
 def _wire_row(size: int, ops: int) -> dict:
     """Round-trip one ONEWAY frame carrying a ``size``-byte body, both
     through the legacy recursive codec and through the message fast path
-    (raw segments + carried decode), asserting byte-compatible output."""
+    (a pure frame: sized, its fields carried), asserting byte-compatible
+    output."""
     from ...wire.frames import Frame
     from ...wire.marshal import Marshaller
     from ..timing import wall_clock

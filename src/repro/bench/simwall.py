@@ -1,8 +1,8 @@
 """Simwall — the simtest battery under a calibrated wall-time budget.
 
 The sim-chaos battery (:mod:`repro.simtest`) is the repository's heaviest
-correctness gate, and the hot-path optimisations (frame templates, carried
-decode, zero-copy bulk payloads) exist precisely to keep it
+correctness gate, and the hot-path optimisations (plain frames sized, not
+written, and carried, not decoded; zero-copy bulk payloads) exist to keep it
 cheap to run often.  This bench pins that down:
 
 * every shipped policy runs a fixed seed battery **twice**; the two runs

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..kernel.errors import DeadlineExceeded
+from ..kernel.errors import DeadlineExceeded, ProtocolError
 
 #: Frame-header key under which a deadline crosses the wire.
 DEADLINE_HEADER = "deadline"
@@ -75,11 +75,18 @@ class Deadline:
 
     @staticmethod
     def from_headers(headers: dict | None) -> "Deadline | None":
-        """Recover a deadline from frame headers (``None`` when absent)."""
+        """Recover a deadline from frame headers (``None`` when absent);
+        a value that is not a time raises :class:`ProtocolError`."""
         if not headers:
             return None
         expires_at = headers.get(DEADLINE_HEADER)
-        return None if expires_at is None else Deadline(float(expires_at))
+        if expires_at is None:
+            return None
+        try:
+            return Deadline(float(expires_at))
+        except (TypeError, ValueError, OverflowError):
+            raise ProtocolError(
+                f"malformed deadline header {expires_at!r}") from None
 
     def to_headers(self, headers: dict) -> dict:
         """Stamp this deadline into a frame-header dict; returns it."""

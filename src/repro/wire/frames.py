@@ -30,6 +30,8 @@ __all__ = ["EXCEPTION", "FRAME_KINDS", "Frame", "K_OVERLOAD", "MREPLY",
 #: without admission control.
 K_OVERLOAD = "o.ra"
 
+_SEQUENCES = (list, tuple)
+
 
 @dataclass(slots=True)
 class Frame:
@@ -65,10 +67,10 @@ class Frame:
 
     def encode_message(self, marshaller: Marshaller):
         """Encode via the message fast path: returns a
-        :class:`~repro.wire.segments.WireMessage` (zero-copy segments,
-        frame-template memo, a sized snapshot for plain frames) whose
-        ``nbytes`` is the honest wire size, so everything charged by
-        length is unchanged."""
+        :class:`~repro.wire.segments.WireMessage` (a sized frame for
+        plain data, zero-copy segments for the rest) whose ``nbytes`` is
+        the honest wire size, so everything charged by length is
+        unchanged."""
         return marshaller.encode_frame_message(
             self.kind, self.msg_id, self.src, self.dst,
             self.target, self.verb, self.body, self.headers)
@@ -84,43 +86,62 @@ class Frame:
         wrapped by :meth:`WireMessage.wrap`) as a frame.
 
         A carried frame skips the decoder entirely: the sender proved
-        its fields plain data and the message carries a snapshot of
-        them, which stays pristine — every delivery (the first, a
-        retransmission, a duplicate from the replay cache) gets its own
-        copy, made here and nowhere else: every container of a sized
-        message's fields, the two empty dicts of a pure one's.  A
-        message that carries nothing is decoded — its head as wire bytes
-        are, or, with raw segments, by the segment-aware decoder, which
-        hands raw payloads back without copying.  The decoder is the
-        only path for bytes from a peer.
+        its fields plain data and the message carries them, pristine —
+        every delivery (the first, a retransmission, a duplicate from the
+        replay cache) gets its own copy of every container, made here
+        and nowhere else: of a plain message's snapshot, or the two empty
+        dicts of a pure one, whose fields are shared because nothing in
+        them can change.  A message that carries nothing is decoded — its
+        head as wire bytes are, or, with raw segments, by the
+        segment-aware decoder, which hands raw payloads back without
+        copying.  The decoder is the only path for bytes from a peer.
         """
         if msg.__class__ is not WireMessage:
             msg = WireMessage.wrap(msg)
         carried = msg.carried
         if carried is not None:
             _MEMO_STATS.frames_carried += 1
-            # ``last``: a sized message's headers, a pure one's pair flag.
+            # ``last``: a pure message's pair flag, a plain one's headers.
             kind, msg_id, src, dst, target, verb, body, last = carried
-            if msg.head is None:
+            if last.__class__ is bool:
                 return cls(kind, msg_id, src, dst, target, verb,
-                           _plain_copy(body),
-                           _plain_copy(last) if last else {})
+                           (body, {}) if last else body, {})
             return cls(kind, msg_id, src, dst, target, verb,
-                       (body, {}) if last else body, {})
+                       _plain_copy(body), _plain_copy(last) if last else {})
         if not msg.segments:
             return cls.decode(msg.head, marshaller)
         return cls._checked(marshaller.decode_frame_message(msg))
 
     @classmethod
     def _checked(cls, fields) -> "Frame":
-        """A frame from decoded fields — the peer may have sent anything."""
-        if not isinstance(fields, list) or len(fields) != 8 \
-                or not isinstance(fields[0], str) \
-                or not isinstance(fields[7], dict):
+        """A frame from decoded fields — the peer may have sent anything,
+        so each field is held to what the layers above do with it: the
+        id and the four names are hashed and compared, a request's body
+        is unpacked as ``(args, kwargs)``, an exception's as ``(class
+        name, message, detail)``."""
+        if fields.__class__ is not list or len(fields) != 8:
             raise ProtocolError("malformed frame")
-        if fields[0] not in FRAME_KINDS:
-            raise ProtocolError(f"unknown frame kind {fields[0]!r}")
-        return cls(*fields)
+        kind, msg_id, src, dst, target, verb, body, headers = fields
+        if kind.__class__ is not str or headers.__class__ is not dict:
+            raise ProtocolError("malformed frame")
+        if kind not in FRAME_KINDS:
+            raise ProtocolError(f"unknown frame kind {kind!r}")
+        if msg_id.__class__ is not int or not all(
+                name.__class__ is str for name in (src, dst, target, verb)):
+            raise ProtocolError("malformed frame: id or names mistyped")
+        if kind in (REQUEST, ONEWAY):
+            if body is not None and not (
+                    body.__class__ in _SEQUENCES and len(body) == 2
+                    and body[0].__class__ in _SEQUENCES
+                    and body[1].__class__ is dict):
+                raise ProtocolError(
+                    f"malformed {kind} body: not (args, kwargs)")
+        elif kind == EXCEPTION and not (
+                body.__class__ in _SEQUENCES and len(body) == 3
+                and body[0].__class__ is str and body[1].__class__ is str):
+            raise ProtocolError(
+                "malformed exc body: not (class name, message, detail)")
+        return cls(kind, msg_id, src, dst, target, verb, body, headers)
 
     def reply_to(self, body: Any) -> "Frame":
         """Build the successful reply to this request."""

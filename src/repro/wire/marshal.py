@@ -12,22 +12,20 @@ Supported values: ``None``, ``bool``, ``int`` (arbitrary precision),
 ``float``, ``str``, ``bytes``, ``list``, ``tuple``, ``dict``, ``set``,
 ``frozenset``, :class:`ObjectRef`, plus anything the hooks translate.
 
-Performance model (see DESIGN.md): encoding dispatches on the *exact* type
-of each value through a table of fast encoders.  Values of a built-in
-primitive or container type are **hook-exempt** — the swizzle hook cannot
-replace a plain int or list (the object-space hook declines them by
-definition), so consulting it per value is pure overhead on the hot path.
-Hooks still see every value of any other type, including elements nested
-inside containers, so reference swizzling is unaffected.  Encodings are
-byte-for-byte identical to the naive encoder (the fuzz test in
-``tests/wire/test_marshal_fastpath.py`` keeps the naive encoder around as
-the reference implementation and asserts exactly that).  Small immutable
-payloads — interned strings such as verbs, context ids and hot keys, and
-small ints — additionally hit a bounded encode memo, which is safe
-precisely because the encoding of a primitive is a pure function of its
-value.  The memos evict FIFO at capacity and export hit/size counters
-(:func:`memo_stats`, surfaced via :mod:`repro.metrics`).  They are
-encode-only: nothing on the decode side is memoised.
+Performance model (see DESIGN.md): no hot path writes a frame (the
+carry, below), so the encoder is the reference walk — one arm per type.
+Values of a built-in primitive or container type, and :class:`ObjectRef`,
+are **hook-exempt**: the swizzle hook cannot replace a plain int or list
+(the object-space hook declines them by definition), so it is consulted
+only for a value of any other type — including elements nested inside
+containers, so reference swizzling is unaffected.  Encodings are
+byte-for-byte what the naive encoder of
+``tests/wire/test_marshal_fastpath.py`` writes.  A string's wire form —
+verbs, context ids, hot keys — hits a bounded encode memo, which is safe
+precisely because it is a pure function of the value; the memo evicts
+FIFO at capacity and exports hit/size counters (:func:`memo_stats`,
+surfaced via :mod:`repro.metrics`).  Nothing on the decode side is
+memoised.
 
 The decoder is the reference path, not a fast one.  Since the carry
 (below) a receiver unmarshals only a frame that holds a reference, and
@@ -37,29 +35,29 @@ truncation, non-utf-8 text, unhashable keys and set members, trailing
 bytes, unconsumed raw segments, unknown tags and nesting deeper than
 :data:`_MAX_DEPTH` all raise :class:`MarshalError`.
 
-Three message-level fast paths sit on top (all byte-transparent on the
+Two message-level fast paths sit on top (both byte-transparent on the
 wire — see ``wire/segments.py`` and DESIGN.md's zero-copy subsection):
 
-* **raw segments** — a ``bytes``/``bytearray``/``memoryview`` payload of
-  at least :data:`RAW_THRESHOLD` bytes encodes as a 5-byte marker (same
-  overhead as the inline bytes tag, so wire sizes and therefore virtual
-  timings are unchanged) while the payload object rides a segment list,
-  uncopied.  Exact built-in types only: subclasses keep the legacy
-  hook-first copying path, so swizzle semantics are untouched.
 * **the carry** — a frame whose headers and body are *plain data* (exact
   built-in leaves, and ``list``/``tuple``/``str``-keyed ``dict`` of
   plain data: what no hook can touch) is not written at all: one walk
-  (:func:`_plain_sized`) proves it plain, snapshots it and counts the
-  bytes the encoder would write, and the message carries the snapshot
-  and that size.  Every delivery gets its own copy of the snapshot
-  instead of running the decoder, and the bytes are written only if
-  someone asks for the image.  Anything else — a reference, a subclass,
-  a set, a ``bytearray``, a non-string key — is encoded and decoded.
-* **frame templates** — a *pure* frame (empty headers, deeply-immutable
-  body) keeps its image: its encoded suffix is memoised per ``(kind,
-  src, dst, target, verb, body)``, so a repeat send costs one
-  concatenation, and it carries its fields, which need no copy.  No
-  template is keyed on envelope values.
+  counts the bytes the encoder would write, and the message carries the
+  fields and that size.  A *pure* frame — empty headers, a
+  deeply-immutable body (exact tuples of immutable leaves) — is sized by
+  :func:`_pure_size` and carries its fields as they are, since nothing
+  in them can change; any other plain frame is proved plain, snapshotted
+  and sized by :func:`_plain_sized`, and every delivery gets its own
+  copy of the snapshot.  Either way no decoder runs, and the bytes are
+  written only if someone asks for the image.  Anything else — a
+  reference, a subclass, a set, a ``bytearray`` — is encoded and
+  decoded.
+* **raw segments** — on that written path, a
+  ``bytes``/``bytearray``/``memoryview`` payload of at least
+  :data:`RAW_THRESHOLD` bytes encodes as a 5-byte marker (same overhead
+  as the inline bytes tag, so wire sizes and therefore virtual timings
+  are unchanged) while the payload object rides a segment list,
+  uncopied.  Exact built-in types only: subclasses keep the hook-first
+  copying path, so swizzle semantics are untouched.
 """
 
 from __future__ import annotations
@@ -124,13 +122,8 @@ RAW_THRESHOLD = 4096
 #: battery encodes is 8 levels (6 outside the generated tests).
 _MAX_DEPTH = 64
 
-# Precomputed fragments for the frame fast path: every frame is an 8-element
-# list, and its headers dict is empty on all but protocol-extension frames.
-_LIST8_HEAD = _TAG_LIST + _U32.pack(8)
-_EMPTY_DICT = _TAG_DICT + _U32.pack(0)
-
-#: Frame kinds.  :meth:`Marshaller.encode_frame_fields`, which every frame
-#: (or the template it was recorded from) passes, refuses any other.
+#: Frame kinds.  :meth:`Marshaller.encode_frame_message` sizes no other,
+#: and :meth:`Marshaller.encode_frame_fields` refuses any other.
 REQUEST = "req"      #: call expecting a reply
 REPLY = "rep"        #: successful result
 EXCEPTION = "exc"    #: error result (body: (class_name, message, detail))
@@ -148,32 +141,24 @@ EncoderHook = Callable[[Any], Any]
 #: code should see (a proxy).  Returning the ref unchanged is allowed.
 DecoderHook = Callable[[ObjectRef], Any]
 
-# -- encode memos for identical small payloads ---------------------------------
+# -- the string encode memo ----------------------------------------------------
 #
 # Verbs, context ids, frame kinds and hot application keys repeat endlessly;
 # their encodings are pure functions of the value, so a bounded memo turns
-# "utf-8 encode + length pack + two appends" into one dict hit.  Bounded so a
-# pathological workload of unique strings cannot grow them without limit:
-# at capacity the oldest entry is evicted FIFO (dicts iterate in insertion
-# order), so a churning workload recycles slots instead of freezing the
-# memo with its first 4096 values.
+# "utf-8 encode + length pack + concatenation" into one dict hit, for the
+# encoder and the sizing walks alike.  Bounded so a pathological workload of
+# unique strings cannot grow it without limit: at capacity the oldest entry
+# is evicted FIFO (dicts iterate in insertion order), so a churning workload
+# recycles slots instead of freezing the memo with its first 4096 values.
 
 _MEMO_MAX_ENTRIES = 4096
 _MEMO_MAX_STR = 64
 
 _STR_ENC: dict[str, bytes] = {}
-_INT_ENC: dict[int, bytes] = {}
-
-#: Encoded-suffix memo for pure frames, keyed
-#: ``(kind, src, dst, target, verb, payload, is_pair)`` — see
-#: :meth:`Marshaller.encode_frame_message`.  Safe globally (across all
-#: marshaller instances) because a pure frame's encoding is
-#: hook-independent by construction.
-_TMPL_ENC: dict[tuple, tuple] = {}
 
 
 class MemoStats:
-    """Hit/miss/eviction counters for the marshalling memos.
+    """Hit/miss/eviction counters for the marshalling memo.
 
     Monotonic since process start (or the last :func:`reset_memo_stats`);
     surfaced through :func:`memo_stats` and re-exported by
@@ -181,8 +166,7 @@ class MemoStats:
     observe the simulator, they never feed it.
     """
 
-    __slots__ = ("str_enc_hits", "str_enc_misses", "int_enc_hits",
-                 "int_enc_misses", "tmpl_hits", "tmpl_misses", "evictions",
+    __slots__ = ("str_enc_hits", "str_enc_misses", "evictions",
                  "frames_carried", "frames_decoded")
 
     def __init__(self):
@@ -191,12 +175,8 @@ class MemoStats:
     def reset(self) -> None:
         self.str_enc_hits = 0
         self.str_enc_misses = 0
-        self.int_enc_hits = 0
-        self.int_enc_misses = 0
-        self.tmpl_hits = 0
-        self.tmpl_misses = 0
         self.evictions = 0
-        # Inbound frames by how they were rebuilt: from the snapshot the
+        # Inbound frames by how they were rebuilt: from the fields the
         # message carried, or by the decoder.
         self.frames_carried = 0
         self.frames_decoded = 0
@@ -205,44 +185,28 @@ class MemoStats:
 _MEMO_STATS = MemoStats()
 
 
-def _memo_put(memo: dict, key, value) -> None:
-    """Insert with FIFO eviction at capacity (all memos share the bound)."""
-    if len(memo) >= _MEMO_MAX_ENTRIES:
-        del memo[next(iter(memo))]
-        _MEMO_STATS.evictions += 1
-    memo[key] = value
-
-
 def memo_stats() -> dict:
-    """Counter snapshot plus live sizes of every marshalling memo."""
+    """Counter snapshot plus the live size of the memo."""
     stats = _MEMO_STATS
     return {
         "str_enc_hits": stats.str_enc_hits,
         "str_enc_misses": stats.str_enc_misses,
-        "int_enc_hits": stats.int_enc_hits,
-        "int_enc_misses": stats.int_enc_misses,
-        "tmpl_hits": stats.tmpl_hits,
-        "tmpl_misses": stats.tmpl_misses,
         "evictions": stats.evictions,
         "frames_carried": stats.frames_carried,
         "frames_decoded": stats.frames_decoded,
         "str_enc_size": len(_STR_ENC),
-        "int_enc_size": len(_INT_ENC),
-        "tmpl_size": len(_TMPL_ENC),
         "max_entries": _MEMO_MAX_ENTRIES,
     }
 
 
 def reset_memo_stats() -> None:
-    """Zero the counters (test isolation; the memos themselves persist)."""
+    """Zero the counters (test isolation; the memo itself persists)."""
     _MEMO_STATS.reset()
 
 
 def clear_memos() -> None:
-    """Empty every memo (tests that probe cold-cache behaviour)."""
+    """Empty the memo (tests that probe cold-cache behaviour)."""
     _STR_ENC.clear()
-    _INT_ENC.clear()
-    _TMPL_ENC.clear()
 
 
 #: Leaf types whose values the swizzle hooks can never replace and whose
@@ -250,44 +214,11 @@ def clear_memos() -> None:
 _IMMUTABLE_LEAVES = frozenset(
     {type(None), bool, int, float, str, bytes})
 
-
-def _typed_key(value):
-    """Hashable exact-type memo key for a deeply-immutable value, or
-    ``None`` when the value is not deeply immutable.
-
-    Plain values are unusable as template keys directly: Python dicts
-    treat ``True``, ``1`` and ``1.0`` as the same key (and ``0.0`` as
-    ``-0.0``), so a template recorded for one would silently serve the
-    others — wrong tag on the wire, wrong carried value at the receiver.
-    Every leaf is therefore paired with its exact class, and floats are
-    keyed by their bit pattern.
-    """
-    cls = value.__class__
-    if cls is tuple:
-        # Iterative walk of the overwhelmingly common shape — a flat
-        # tuple of leaves — recursing only for nested tuples.
-        leaves = _IMMUTABLE_LEAVES
-        parts = []
-        for item in value:
-            icls = item.__class__
-            if icls in leaves:
-                if icls is float:
-                    parts.append((icls, _F64.pack(item)))
-                else:
-                    parts.append((icls, item))
-            elif icls is tuple:
-                k = _typed_key(item)
-                if k is None:
-                    return None
-                parts.append(k)
-            else:
-                return None
-        return (tuple, tuple(parts))
-    if cls in _IMMUTABLE_LEAVES:
-        if cls is float:
-            return (cls, _F64.pack(value))
-        return (cls, value)
-    return None
+#: Types the encoder hook never sees: plain data, which the object-space
+#: hook declines by definition, and :class:`ObjectRef`, which is already
+#: the hook's output.  A subclass of any of them is not exempt.
+_HOOK_EXEMPT = _IMMUTABLE_LEAVES | {
+    bytearray, memoryview, list, tuple, dict, set, frozenset, ObjectRef}
 
 
 def _utf8(raw: bytes) -> str:
@@ -321,15 +252,19 @@ def _bigint_width(value: int) -> int:
 
 def _str_wire(value: str) -> bytes:
     """A string's wire form — the one definition the encoder and the
-    sizing walk share: the memo's entry, or on a miss the encoding, which
-    is memoised when the string is short."""
+    sizing walks share: the memo's entry, or on a miss the encoding, which
+    is memoised (evicting the oldest entry at capacity) when the string is
+    short."""
     cached = _STR_ENC.get(value)
     if cached is None:
         _MEMO_STATS.str_enc_misses += 1
         raw = value.encode("utf-8")
         cached = _TAG_STR + _U32.pack(len(raw)) + raw
         if len(value) <= _MEMO_MAX_STR:
-            _memo_put(_STR_ENC, value, cached)
+            if len(_STR_ENC) >= _MEMO_MAX_ENTRIES:
+                del _STR_ENC[next(iter(_STR_ENC))]
+                _MEMO_STATS.evictions += 1
+            _STR_ENC[value] = cached
     else:
         _MEMO_STATS.str_enc_hits += 1
     return cached
@@ -347,12 +282,12 @@ def _plain_sized(value):
     of leaves are shared, every other container is fresh, so the
     snapshot equals — types included — what the decoder would build from
     the bytes; the size is the byte count the encoder would write, by
-    its layout: ``None``/``bool`` 1, ``int``/``float`` 9 (a big int as
-    :func:`_enc_int` writes it), ``bytes`` 5 plus its length (inline or
-    raw), a string its memoised wire form (:func:`_str_wire`), a
-    container 5 plus its items.  An empty dict, and a flat run of strings
-    and small ints (an envelope's key spec, a term, an args tuple), are
-    sized and copied where they sit; any other container is one call.
+    its layout: ``None``/``bool`` 1, ``int``/``float`` 9 (a big int 5
+    plus :func:`_bigint_width`), ``bytes`` 5 plus its length, a string
+    its memoised wire form (:func:`_str_wire`), a container 5 plus its
+    items.  An empty dict, and a flat run of strings and small ints (an
+    envelope's key spec, a term, an args tuple), are sized and copied
+    where they sit; any other container is one call.
     """
     str_enc = _STR_ENC
     hits = 0
@@ -440,6 +375,51 @@ def _plain_sized(value):
     return snapshot[0], size
 
 
+def _pure_size(value) -> int | None:
+    """Wire size of a *pure* value — an immutable leaf, or an exact
+    ``tuple`` of pure values — or ``None`` for anything else.
+
+    Nothing in a pure value can change, so the walk takes no snapshot:
+    the message shares the value itself.  It sizes by the layout
+    :func:`_plain_sized` reads, strings through the same memo.  Nothing
+    is keyed on the value, so ``True``, ``1`` and ``1.0`` (or ``0.0`` and
+    ``-0.0``) can never stand in for one another.
+    """
+    hits = 0
+    if value.__class__ is tuple:
+        size = 5
+    else:
+        size = 0
+        value = (value,)        # a leaf, sized as the one item it is
+    for item in value:
+        cls = item.__class__
+        if cls is str:
+            enc = _STR_ENC.get(item)
+            if enc is None:
+                enc = _str_wire(item)
+            else:
+                hits += 1
+            size += len(enc)
+        elif cls is int:
+            size += 9 if -(2**63) <= item < 2**63 \
+                else 5 + _bigint_width(item)
+        elif cls is float:
+            size += 9
+        elif cls is bytes:
+            size += 5 + len(item)
+        elif item is None or cls is bool:
+            size += 1
+        elif cls is tuple:
+            inner = _pure_size(item)
+            if inner is None:
+                return None
+            size += inner
+        else:
+            return None
+    _MEMO_STATS.str_enc_hits += hits
+    return size
+
+
 def _plain_copy(value):
     """A fresh copy of a plain value (a delivery of a carried snapshot).
 
@@ -520,22 +500,17 @@ class Marshaller:
         return bytes(out)
 
     def _encode_into(self, value: Any, out: bytearray) -> None:
-        fast = _FAST_ENCODERS.get(value.__class__)
-        if fast is not None:
-            fast(self, value, out)
-        else:
-            self._encode_general(value, out)
+        """Append ``value``'s encoding to ``out``: one arm per type.
 
-    def _encode_general(self, value: Any, out: bytearray) -> None:
-        """Hook consultation plus the full isinstance chain.
-
-        This is the reference semantics the fast path must agree with; it
-        also handles subclasses of the built-in types, which the exact-type
-        dispatch table deliberately does not claim.
+        The hook sees first every value whose exact type is not
+        hook-exempt (:data:`_HOOK_EXEMPT`).  A subclass of a built-in type
+        the hook declines is written as its base type, and a bulk payload
+        takes a raw segment only when its type is exact.
         """
-        if self.encoder_hook is not None:
+        exempt = value.__class__ in _HOOK_EXEMPT
+        if not exempt and self.encoder_hook is not None:
             replacement = self.encoder_hook(value)
-            if replacement is not None and replacement is not value:
+            if replacement is not None:
                 value = replacement
         if value is None:
             out += _TAG_NONE
@@ -544,83 +519,77 @@ class Marshaller:
         elif value is False:
             out += _TAG_FALSE
         elif isinstance(value, int):
-            _enc_int(self, value, out)
+            if -(2**63) <= value < 2**63:
+                out += _TAG_INT
+                out += _I64.pack(value)
+            else:
+                raw = value.to_bytes(_bigint_width(value), "big", signed=True)
+                out += _TAG_BIGINT
+                out += _U32.pack(len(raw))
+                out += raw
         elif isinstance(value, float):
             out += _TAG_FLOAT
             out += _F64.pack(value)
         elif isinstance(value, str):
-            _enc_str(self, value, out)
+            out += _str_wire(value)
         elif isinstance(value, (bytes, bytearray, memoryview)):
-            raw = bytes(value)
-            out += _TAG_BYTES
-            out += _U32.pack(len(raw))
-            out += raw
+            size = value.nbytes if value.__class__ is memoryview \
+                else len(value)
+            if exempt and self._segs is not None and size >= RAW_THRESHOLD:
+                # Zero-copy bulk path: the 5-byte marker costs what the
+                # inline tag does; the payload object is parked uncopied.
+                out += _TAG_RAW
+                out += _U32.pack(size)
+                self._segs.append((len(out), value))
+            else:
+                raw = bytes(value)
+                out += _TAG_BYTES
+                out += _U32.pack(len(raw))
+                out += raw
         elif isinstance(value, ObjectRef):
-            self._encode_ref(value, out)
-        elif isinstance(value, list):
-            _enc_list(self, value, out)
-        elif isinstance(value, tuple):
-            _enc_tuple(self, value, out)
+            out += _TAG_REF
+            for field in (value.context_id, value.oid, value.interface,
+                          value.policy):
+                raw = field.encode("utf-8")
+                out += _U32.pack(len(raw))
+                out += raw
+            out += _I64.pack(value.epoch)
+        elif isinstance(value, (list, tuple)):
+            out += _TAG_LIST if isinstance(value, list) else _TAG_TUPLE
+            out += _U32.pack(len(value))
+            for item in value:
+                self._encode_into(item, out)
         elif isinstance(value, dict):
-            _enc_dict(self, value, out)
-        elif isinstance(value, frozenset):
-            _enc_frozenset(self, value, out)
-        elif isinstance(value, set):
-            _enc_set(self, value, out)
+            out += _TAG_DICT
+            out += _U32.pack(len(value))
+            for key, val in value.items():
+                self._encode_into(key, out)
+                self._encode_into(val, out)
+        elif isinstance(value, (set, frozenset)):
+            out += _TAG_FROZENSET if isinstance(value, frozenset) \
+                else _TAG_SET
+            out += _U32.pack(len(value))
+            for item in sorted(value, key=repr):
+                self._encode_into(item, out)
         else:
             raise MarshalError(
                 f"cannot marshal {type(value).__name__!r} value {value!r}; "
                 "pass plain data, or export the object so it travels by reference")
 
-    # -- the frame fast path --------------------------------------------------
+    # -- frames ----------------------------------------------------------------
 
     def encode_frame_fields(self, kind: str, msg_id: int, src: str, dst: str,
                             target: str, verb: str, body: Any,
                             headers: dict) -> bytes:
-        """Encode the 8-field frame list without materialising the list.
-
-        Byte-identical to ``encode([kind, msg_id, src, dst, target, verb,
-        body, headers])``.  The framing layer's one hot structure gets its
-        own path: five memo-hit strings, one small int, the body, and an
-        almost-always-empty headers dict.  A kind outside
-        :data:`FRAME_KINDS` raises :class:`ProtocolError`.
-        """
+        """Encode a frame: ``encode([kind, msg_id, src, dst, target, verb,
+        body, headers])``, for a kind in :data:`FRAME_KINDS`; any other
+        raises :class:`ProtocolError`."""
         if kind not in FRAME_KINDS:
             raise ProtocolError(f"unknown frame kind {kind!r}")
-        stats = _MEMO_STATS
-        out = bytearray(_LIST8_HEAD)
-        cached = _STR_ENC.get(kind)
-        if cached is not None:
-            stats.str_enc_hits += 1
-            out += cached
-        else:
-            _enc_str(self, kind, out)
-        cached = _INT_ENC.get(msg_id)
-        if cached is not None:
-            stats.int_enc_hits += 1
-            out += cached
-        elif 0 <= msg_id < 2**63:
-            # Minted message ids are sequential and never repeat, so
-            # memoising them would be pure churn: pack without inserting.
-            out += _TAG_INT
-            out += _I64.pack(msg_id)
-        else:
-            _enc_int(self, msg_id, out)
-        for text in (src, dst, target, verb):
-            cached = _STR_ENC.get(text)
-            if cached is not None:
-                stats.str_enc_hits += 1
-                out += cached
-            else:
-                _enc_str(self, text, out)
-        self._encode_into(body, out)
-        if headers.__class__ is dict and not headers:
-            out += _EMPTY_DICT
-        else:
-            self._encode_into(headers, out)
+        out = bytearray()
+        self._encode_into([kind, msg_id, src, dst, target, verb, body,
+                           headers], out)
         return bytes(out)
-
-    # -- the message fast path (zero-copy + the carry) -----------------------
 
     def encode_frame_message(self, kind: str, msg_id: int, src: str,
                              dst: str, target: str, verb: str, body: Any,
@@ -628,57 +597,54 @@ class Marshaller:
         """Encode one frame into a :class:`WireMessage`.
 
         Every outcome has the honest wire size (``nbytes``, counted once,
-        here):
+        here), and only the last one has bytes:
 
-        * a *pure* frame (empty headers, deeply-immutable body) → its
-          image from the frame template, so a repeat send costs one
-          concatenation, and its fields, which need no copy;
-        * headers and body both *plain* → no image: the message carries
-          a snapshot of the eight fields and the size the encoder would
-          write (:func:`_plain_sized`, one walk, now — as the bytes would
-          have been); :meth:`WireMessage.to_bytes` writes the image if
-          anyone asks.  An unknown kind is left to
-          :meth:`encode_frame_fields`, which refuses it;
+        * a *pure* frame (empty headers, deeply-immutable body) → the
+          size (:func:`_pure_size`) and the fields themselves, shared:
+          ``(kind, msg_id, src, dst, target, verb, body, pair)``, where
+          a request's ``(args, {})`` body is carried as ``args`` and
+          ``pair`` is true;
+        * headers and body both *plain* → the size and a snapshot of the
+          eight fields (:func:`_plain_sized`, one walk, now — as the
+          bytes would have been);
         * anything else → decoded for real at the receiver: the head is
           exactly what :meth:`encode_frame_fields` produces, or — with
           bulk payloads — the segments hold the payload objects uncopied.
+
+        A sized message's image is written by :meth:`WireMessage.to_bytes`
+        if anyone asks.  A frame of an unknown kind is never sized: it is
+        left to :meth:`encode_frame_fields`, which refuses it.
         """
-        key = carried = None
-        headers_ok = headers.__class__ is dict
-        if headers_ok and not headers and 0 <= msg_id < 2**63:
-            # A request/oneway body ``(args, {})`` is pure when its args
-            # tuple is: every receiver gets a fresh kwargs dict, so no
-            # mutable object is ever shared.
-            is_pair = body.__class__ is tuple and len(body) == 2 \
-                and body[0].__class__ is tuple \
-                and body[1].__class__ is dict and not body[1]
-            pkey = _typed_key(body[0] if is_pair else body)
-            if pkey is not None:
-                key = (kind, src, dst, target, verb, pkey, is_pair)
-                carried = (kind, msg_id, src, dst, target, verb,
-                           body[0] if is_pair else body, is_pair)
-                tmpl = _TMPL_ENC.get(key)
-                if tmpl is not None:
-                    _MEMO_STATS.tmpl_hits += 1
-                    prefix, suffix, segments, nbytes = tmpl
-                    # Minted ids are sequential and mostly cold in
-                    # _INT_ENC; packing outright beats probing it.
-                    return WireMessage(
-                        prefix + _TAG_INT + _I64.pack(msg_id) + suffix,
-                        segments, nbytes, carried)
-                _MEMO_STATS.tmpl_misses += 1
-        if key is None and headers_ok and kind in FRAME_KINDS:
-            try:
-                snap_body, nbytes = _plain_sized(body)
-                if headers:
-                    snap_headers, size = _plain_sized(headers)
-                    nbytes += size
+        if headers.__class__ is dict and kind in FRAME_KINDS:
+            carried = None
+            if not headers:
+                # A request/oneway body ``(args, {})`` is pure when its
+                # args tuple is: every receiver gets a fresh kwargs dict,
+                # so no mutable object is ever shared.
+                pair = body.__class__ is tuple and len(body) == 2 \
+                    and body[0].__class__ is tuple \
+                    and body[1].__class__ is dict and not body[1]
+                nbytes = _pure_size(body[0] if pair else body)
+                if nbytes is not None:
+                    # The headers' empty dict; a pair's tuple and dict.
+                    nbytes += 15 if pair else 5
+                    carried = (kind, msg_id, src, dst, target, verb,
+                               body[0] if pair else body, pair)
+            if carried is None:
+                try:
+                    snap_body, nbytes = _plain_sized(body)
+                    if headers:
+                        snap_headers, size = _plain_sized(headers)
+                        nbytes += size
+                    else:
+                        snap_headers = {}
+                        nbytes += 5
+                except _NotPlain:
+                    pass
                 else:
-                    snap_headers = {}
-                    nbytes += 5
-            except _NotPlain:
-                pass
-            else:
+                    carried = (kind, msg_id, src, dst, target, verb,
+                               snap_body, snap_headers)
+            if carried is not None:
                 # The eight-field list: its header, the id, five strings.
                 nbytes += 5 + (9 if -(2**63) <= msg_id < 2**63
                                else 5 + _bigint_width(msg_id))
@@ -691,9 +657,7 @@ class Marshaller:
                 except KeyError:
                     for text in (kind, src, dst, target, verb):
                         nbytes += len(_str_wire(text))
-                return WireMessage(None, (), nbytes, (
-                    kind, msg_id, src, dst, target, verb, snap_body,
-                    snap_headers))
+                return WireMessage(None, (), nbytes, carried)
         self._segs = segs = []
         try:
             head = self.encode_frame_fields(kind, msg_id, src, dst,
@@ -705,15 +669,7 @@ class Marshaller:
         for _, payload in segments:
             nbytes += payload.nbytes if payload.__class__ is memoryview \
                 else len(payload)
-        if key is not None:
-            # Split the head around the (fixed-width) msg_id so a
-            # template hit only re-encodes that one field.  Segment
-            # offsets stay valid across hits: the prefix and the 9-byte
-            # int field never change length.
-            plen = len(_LIST8_HEAD) + len(_str_wire(kind))
-            _memo_put(_TMPL_ENC, key,
-                      (head[:plen], head[plen + 9:], segments, nbytes))
-        return WireMessage(head, segments, nbytes, carried)
+        return WireMessage(head, segments, nbytes)
 
     def decode_frame_message(self, msg: WireMessage):
         """Decode a :class:`WireMessage` produced by
@@ -732,14 +688,6 @@ class Marshaller:
             self._split = None
             self._split_idx = 0
         return fields
-
-    def _encode_ref(self, ref: ObjectRef, out: bytearray) -> None:
-        out += _TAG_REF
-        for field in (ref.context_id, ref.oid, ref.interface, ref.policy):
-            raw = field.encode("utf-8")
-            out += _U32.pack(len(raw))
-            out += raw
-        out += _I64.pack(ref.epoch)
 
     # -- decoding ------------------------------------------------------------
 
@@ -866,218 +814,6 @@ class Marshaller:
             raise MarshalError(f"truncated wire data at offset {offset}") from exc
         raise MarshalError(
             f"unknown wire tag {bytes((tag,))!r} at offset {offset - 1}")
-
-
-# -- the fast encoders ---------------------------------------------------------
-#
-# One function per exact built-in type, dispatched from a table.  These are
-# module-level (not methods) so the dispatch dict holds plain functions and
-# the call site pays no bound-method construction.
-
-def _enc_none(m: Marshaller, value, out: bytearray) -> None:
-    out += _TAG_NONE
-
-
-def _enc_bool(m: Marshaller, value, out: bytearray) -> None:
-    out += _TAG_TRUE if value else _TAG_FALSE
-
-
-def _enc_int(m: Marshaller, value: int, out: bytearray) -> None:
-    cached = _INT_ENC.get(value)
-    if cached is not None:
-        _MEMO_STATS.int_enc_hits += 1
-        out += cached
-        return
-    _MEMO_STATS.int_enc_misses += 1
-    if -(2**63) <= value < 2**63:
-        enc = _TAG_INT + _I64.pack(value)
-    else:
-        raw = value.to_bytes(_bigint_width(value), "big", signed=True)
-        enc = _TAG_BIGINT + _U32.pack(len(raw)) + raw
-    _memo_put(_INT_ENC, value, enc)
-    out += enc
-
-
-def _enc_float(m: Marshaller, value: float, out: bytearray) -> None:
-    out += _TAG_FLOAT
-    out += _F64.pack(value)
-
-
-def _enc_str(m: Marshaller, value: str, out: bytearray) -> None:
-    out += _str_wire(value)
-
-
-def _enc_bytes(m: Marshaller, value: bytes, out: bytearray) -> None:
-    size = len(value)
-    segs = m._segs
-    if segs is not None and size >= RAW_THRESHOLD:
-        # Zero-copy bulk path: 5-byte marker in the head (identical wire
-        # cost to the inline tag), payload object parked uncopied.
-        out += _TAG_RAW
-        out += _U32.pack(size)
-        segs.append((len(out), value))
-        return
-    out += _TAG_BYTES
-    out += _U32.pack(size)
-    out += value
-
-
-def _enc_bytelike(m: Marshaller, value, out: bytearray) -> None:
-    size = value.nbytes if value.__class__ is memoryview else len(value)
-    segs = m._segs
-    if segs is not None and size >= RAW_THRESHOLD:
-        out += _TAG_RAW
-        out += _U32.pack(size)
-        segs.append((len(out), value))
-        return
-    raw = bytes(value)
-    out += _TAG_BYTES
-    out += _U32.pack(len(raw))
-    out += raw
-
-
-def _enc_list(m: Marshaller, value: list, out: bytearray) -> None:
-    out += _TAG_LIST
-    out += _U32.pack(len(value))
-    # Memo-hit strings and ints are appended inline: container elements are
-    # overwhelmingly repeated short strings (verbs, context ids, keys) and
-    # small ints, and the dispatch call per element dwarfs the append.
-    stats = _MEMO_STATS
-    for item in value:
-        cls = item.__class__
-        if cls is str:
-            cached = _STR_ENC.get(item)
-            if cached is not None:
-                stats.str_enc_hits += 1
-                out += cached
-            else:
-                _enc_str(m, item, out)
-        elif cls is int:
-            cached = _INT_ENC.get(item)
-            if cached is not None:
-                stats.int_enc_hits += 1
-                out += cached
-            else:
-                _enc_int(m, item, out)
-        elif item is None:
-            out += _TAG_NONE
-        elif cls is dict and not item:
-            out += _EMPTY_DICT
-        else:
-            fast = _FAST_ENCODERS.get(cls)
-            if fast is not None:
-                fast(m, item, out)
-            else:
-                m._encode_general(item, out)
-
-
-def _enc_tuple(m: Marshaller, value: tuple, out: bytearray) -> None:
-    out += _TAG_TUPLE
-    out += _U32.pack(len(value))
-    stats = _MEMO_STATS
-    for item in value:
-        cls = item.__class__
-        if cls is str:
-            cached = _STR_ENC.get(item)
-            if cached is not None:
-                stats.str_enc_hits += 1
-                out += cached
-            else:
-                _enc_str(m, item, out)
-        elif cls is int:
-            cached = _INT_ENC.get(item)
-            if cached is not None:
-                stats.int_enc_hits += 1
-                out += cached
-            else:
-                _enc_int(m, item, out)
-        elif item is None:
-            out += _TAG_NONE
-        elif cls is dict and not item:
-            out += _EMPTY_DICT
-        else:
-            fast = _FAST_ENCODERS.get(cls)
-            if fast is not None:
-                fast(m, item, out)
-            else:
-                m._encode_general(item, out)
-
-
-def _enc_dict(m: Marshaller, value: dict, out: bytearray) -> None:
-    out += _TAG_DICT
-    out += _U32.pack(len(value))
-    encode_into = m._encode_into
-    stats = _MEMO_STATS
-    for key, val in value.items():
-        if key.__class__ is str:
-            cached = _STR_ENC.get(key)
-            if cached is not None:
-                stats.str_enc_hits += 1
-                out += cached
-            else:
-                _enc_str(m, key, out)
-        else:
-            encode_into(key, out)
-        cls = val.__class__
-        if cls is str:
-            cached = _STR_ENC.get(val)
-            if cached is not None:
-                stats.str_enc_hits += 1
-                out += cached
-            else:
-                _enc_str(m, val, out)
-        elif cls is int:
-            cached = _INT_ENC.get(val)
-            if cached is not None:
-                stats.int_enc_hits += 1
-                out += cached
-            else:
-                _enc_int(m, val, out)
-        else:
-            encode_into(val, out)
-
-
-def _enc_set(m: Marshaller, value: set, out: bytearray) -> None:
-    out += _TAG_SET
-    out += _U32.pack(len(value))
-    encode_into = m._encode_into
-    for item in sorted(value, key=repr):
-        encode_into(item, out)
-
-
-def _enc_frozenset(m: Marshaller, value: frozenset, out: bytearray) -> None:
-    out += _TAG_FROZENSET
-    out += _U32.pack(len(value))
-    encode_into = m._encode_into
-    for item in sorted(value, key=repr):
-        encode_into(item, out)
-
-
-def _enc_ref(m: Marshaller, value: ObjectRef, out: bytearray) -> None:
-    m._encode_ref(value, out)
-
-
-#: Exact-type dispatch table.  A type listed here is hook-exempt: the swizzle
-#: hook can never replace a value of a plain built-in type (the object-space
-#: hook declines them by definition), and :class:`ObjectRef` is already the
-#: hook's *output*.  Subclasses fall through to :meth:`_encode_general`,
-#: which preserves the original hook-first semantics for them.
-_FAST_ENCODERS: dict[type, Callable] = {
-    type(None): _enc_none,
-    bool: _enc_bool,
-    int: _enc_int,
-    float: _enc_float,
-    str: _enc_str,
-    bytes: _enc_bytes,
-    bytearray: _enc_bytelike,
-    memoryview: _enc_bytelike,
-    list: _enc_list,
-    tuple: _enc_tuple,
-    dict: _enc_dict,
-    set: _enc_set,
-    frozenset: _enc_frozenset,
-    ObjectRef: _enc_ref,
-}
 
 
 #: A hook-free marshaller, for layers that must see raw refs (naming, GC).

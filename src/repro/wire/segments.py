@@ -5,25 +5,26 @@ wire size (``nbytes``, counted once, when the frame is encoded — the
 number the cost model and the trace consume) plus whichever of two
 forms the frame needs (see ``wire/marshal.py``):
 
+* **its fields** (``carried``) — a frame of plain data is sized, not
+  written: ``head`` is ``None``, and the message carries the fields,
+  pristine.  No delivery ever gets them: :meth:`Frame.decode_message
+  <repro.wire.frames.Frame.decode_message>` hands each one (the first
+  delivery, a retransmission, a duplicate answered from the replay
+  cache) its own copy of every container;
 * **an image** — the contiguous *head* plus zero-copy payload
-  *segments*.  The marshaller's bulk fast path does not copy large
+  *segments*, for a frame the receiver must decode (one that holds a
+  reference, or anything else the decoder must rebuild).  The
+  marshaller's bulk path does not copy large
   ``bytes``/``bytearray``/``memoryview`` payloads into the encoded
   stream: it writes a 5-byte raw marker (tag + u32 length — the same
   overhead as the inline bytes encoding, so the wire byte count is
   unchanged) and parks the payload object itself in the segment list,
-  to be spliced in at the recorded offset.  A frame that holds a
-  reference, or anything else the decoder must rebuild, travels so;
-* **a snapshot** (``carried``) — the fields of a frame of plain data,
-  pristine: no delivery ever gets it, :meth:`Frame.decode_message
-  <repro.wire.frames.Frame.decode_message>` hands each one its own copy
-  (the first delivery, a retransmission, a duplicate answered from the
-  replay cache).  A *pure* frame (a template's) has an image as well; a
-  *sized* one has none (``head`` is ``None``) until someone asks for it.
+  to be spliced in at the recorded offset.
 
-A message is never mutated once built — the frame template memo returns
-cached segment tuples, and ``bytes`` payloads cross the boundary without
-ever being copied.  ``to_bytes()`` produces the contiguous wire image
-(markers followed by their payloads), which the ordinary decoder accepts
+A message is never mutated once built, and ``bytes`` payloads cross the
+boundary without ever being copied.  ``to_bytes()`` produces the
+contiguous wire image (markers followed by their payloads, or for a
+sized message the encoder's bytes), which the ordinary decoder accepts
 — the format is self-describing with or without the segment list.
 """
 
@@ -33,7 +34,7 @@ from ..kernel.errors import ProtocolError
 
 
 class WireMessage:
-    """One frame in transit: its size, and its image or its snapshot.
+    """One frame in transit: its size, and its image or its fields.
 
     Attributes:
         head: the encoded stream, raw markers (tag + length) inline where
@@ -46,16 +47,18 @@ class WireMessage:
             byte length, or for a sized message the byte count the
             encoder would write.  Marshal charges and network transit
             times read it, so they are bit-identical to the copying path.
-        carried: the frame's fields when they are *plain data*, never
-            handed out (see :meth:`Frame.decode_message <repro.wire.
-            frames.Frame.decode_message>`, their one reader): for a sized
-            message the eight fields ``(kind, msg_id, src, dst, target,
-            verb, body, headers)``, every container a copy made when the
-            frame was sent; for a pure one ``(kind, msg_id, src, dst,
-            target, verb, body, pair)``, deeply immutable — its headers
+        carried: the frame's fields when they are *plain data* (and
+            ``head`` is ``None``), never handed out (see
+            :meth:`Frame.decode_message <repro.wire.frames.Frame.
+            decode_message>`, their one reader).  A pure message's are
+            ``(kind, msg_id, src, dst, target, verb, body, pair)``, shared
+            with the sender because they are deeply immutable: its headers
             are empty, and when ``pair`` is true ``body`` is the args
-            tuple of an ``(args, {})`` body.  ``None`` when the frame
-            must be decoded.
+            tuple of an ``(args, {})`` body.  A plain one's are the eight
+            fields ``(kind, msg_id, src, dst, target, verb, body,
+            headers)``, every container a copy made when the frame was
+            sent.  The last field's type tells the two apart.  ``None``
+            when the frame must be decoded.
     """
 
     __slots__ = ("head", "segments", "nbytes", "carried")
@@ -87,12 +90,16 @@ class WireMessage:
         markers).  Decodable by the plain byte-stream decoder.
 
         A sized message's image is written now, by the encoder, from the
-        snapshot: plain data is hook-exempt, so the hook-free marshaller
-        writes the bytes the sender's would have."""
+        fields it carries: plain data is hook-exempt, so the hook-free
+        marshaller writes the bytes the sender's would have."""
         head = self.head
         if head is None:
             from .marshal import PLAIN
-            return PLAIN.encode_frame_fields(*self.carried)
+            kind, msg_id, src, dst, target, verb, body, last = self.carried
+            if last.__class__ is bool:          # a pure message's pair flag
+                body, last = ((body, {}) if last else body), {}
+            return PLAIN.encode_frame_fields(kind, msg_id, src, dst, target,
+                                             verb, body, last)
         if not self.segments:
             return head
         parts = []
@@ -110,8 +117,8 @@ class WireMessage:
         """A message whose segments are all immutable ``bytes``.
 
         Returns ``self`` when nothing needs materialising.  Used when a
-        message that carries nothing (a carried one holds ``bytes``
-        segments only) outlives the call that built it (the dispatcher's
+        message that carries nothing (a carried one has no segments)
+        outlives the call that built it (the dispatcher's
         replay cache): a ``bytearray``/``memoryview`` payload could
         legally be mutated by its owner afterwards, so mutable segments
         are snapshotted exactly once here.

@@ -2,9 +2,9 @@
 
 A large ``bytes`` argument in a pure frame (empty headers, immutable
 body) must arrive at the server as the *same object* the client passed —
-the raw-segment path parks it on the message and the carried decode
-hands it through — while every virtual-time observable (wire bytes,
-transit charges) matches the copying encoding exactly.
+the pure frame is sized, not written, and carries its fields, which the
+carried decode hands through — while every virtual-time observable (wire
+bytes, transit charges) matches the copying encoding exactly.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Carried ≡ decoded, for everything.
 
 A frame of *plain data* is not written: it is sized, and rides with a
-snapshot of its fields, and every delivery gets its own copy of the
-snapshot instead of running the decoder (``wire/marshal.py``:
-:func:`_plain_sized`).  The decoder and the naive reference encoder of
+snapshot of its fields (a pure frame: the fields themselves), and every
+delivery gets its own copy of every container instead of running the
+decoder (``wire/marshal.py``: :func:`_plain_sized`, :func:`_pure_size`).  The decoder and the naive reference encoder of
 ``test_marshal_fastpath`` stay the only definition of the bytes, so the
 property is stated against them:
 
@@ -12,9 +12,9 @@ property is stated against them:
   contiguous image, *exact types at every depth* (``True``/``1``/``1.0``,
   ``-0.0``, NaN, list against tuple, a subclass decoded to its base), and
   ``len()`` of the message equals ``len(frame.encode(m))``;
-* **the sized image is the encoder's** — a plain frame's size is the
-  length of the bytes ``encode_frame_fields`` writes, and the image its
-  message writes when asked is those bytes;
+* **the sized image is the encoder's** — a plain or pure frame's size is
+  the length of the bytes ``encode_frame_fields`` writes, and the image
+  its message writes when asked is those bytes;
 * **isolation** — the sender mutating what it sent, or a receiver
   mutating what it got, changes neither the other side, nor a later
   delivery of the same message object (a retransmission, a duplicate
@@ -41,7 +41,7 @@ import repro
 from repro.core.export import get_space
 from repro.core.service import Service
 from repro.iface.interface import operation
-from repro.wire.frames import REPLY, REQUEST, Frame
+from repro.wire.frames import ONEWAY, REPLY, REQUEST, Frame
 from repro.wire.marshal import (
     PLAIN,
     RAW_THRESHOLD,
@@ -179,6 +179,24 @@ def _frames(value):
                   st.just(""), value, headers))
 
 
+_pure_value = st.recursive(
+    _plain_leaf, lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=10)
+
+#: Frames with empty headers and a deeply-immutable body: requests and
+#: one-ways with an ``(args, {})`` body, and replies.
+_pure_frames = st.one_of(
+    st.builds(Frame, st.sampled_from([REQUEST, ONEWAY]),
+              st.integers(0, 2**40), st.just("c0/main"), st.just("s0/main"),
+              st.just("oid1"), st.sampled_from(["get", "put", ""]),
+              st.tuples(st.lists(_pure_value, max_size=3).map(tuple),
+                        st.builds(dict)),
+              st.builds(dict)),
+    st.builds(Frame, st.just(REPLY), st.integers(-3, 2**64),
+              st.just("s0/main"), st.just("c0/main"), st.just(""),
+              st.just(""), _pure_value, st.builds(dict)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(frame=st.one_of(_frames(_plain_value), _frames(_any_value)))
 def test_carried_frame_equals_decoded_frame(frame):
@@ -218,19 +236,17 @@ def test_sender_receiver_and_retransmission_are_isolated(frame):
 
 
 @settings(max_examples=300, deadline=None)
-@given(frame=_frames(_plain_value))
+@given(frame=st.one_of(_pure_frames, _frames(_plain_value)))
 def test_the_sized_image_is_the_encoders_image(frame):
     m = Marshaller()
     fields = (frame.kind, frame.msg_id, frame.src, frame.dst, frame.target,
               frame.verb, frame.body, frame.headers)
-    written = m.encode_frame_fields(*fields)
+    written = PLAIN.encode_frame_fields(*fields)
     msg = frame.encode_message(m)
+    assert msg.head is None
     image = msg.to_bytes()
     assert msg.nbytes == len(image) == len(written)
-    # A pure frame's bulk leaf rides its template as a raw segment (its
-    # marker is spliced in); every other image is what the encoder writes.
-    if not msg.segments:
-        assert image == written
+    assert image == written
     expected = typed_frame(Frame.decode(image, m))
     first = Frame.decode_message(msg, m)
     assert typed_frame(first) == expected
@@ -238,6 +254,37 @@ def test_the_sized_image_is_the_encoders_image(frame):
     scramble(first.headers)
     assert typed_frame(Frame.decode_message(msg, m)) == expected
     assert msg.to_bytes() == image
+
+
+class Mirror(Service):
+    def __init__(self):
+        self.seen = []
+
+    @operation
+    def same(self, value):
+        self.seen.append(value)
+        return value
+
+
+def test_equal_values_of_different_types_are_never_confused():
+    # Python equates True, 1 and 1.0, and 0.0 with -0.0: anything keyed on
+    # a pure body would serve one for another.  Sent back to back, each
+    # arrives as exactly what it was, in a request and in a reply.
+    bodies = [(True,), (1,), (1.0,), (0.0,), (-0.0,)]
+    m = Marshaller()
+    for args in bodies * 2:
+        for frame in (_request((args, {})),
+                      Frame(REPLY, 5, "s0/main", "c0/main", body=args)):
+            delivered = Frame.decode_message(frame.encode_message(m), m)
+            assert typed(delivered.body) == typed(frame.body)
+    system = repro.make_system(seed=7)
+    server = system.add_node("s0").create_context("main")
+    client = system.add_node("c0").create_context("main")
+    mirror = Mirror()
+    proxy = get_space(client).bind_ref(get_space(server).export(mirror))
+    for (value,) in bodies * 2:
+        assert typed(proxy.same(value)) == typed(value)
+        assert typed(mirror.seen[-1]) == typed(value)
 
 
 class Echo(Service):
@@ -379,15 +426,19 @@ def test_headers_that_are_not_a_dict_are_never_carried():
 
 
 def test_no_template_is_keyed_on_envelope_values_or_mutable_bodies():
+    # No frame is memoised at all: pure, enveloped and mutable-bodied
+    # frames are each sized afresh, and only strings enter the memo.
     m = Marshaller()
-    _request((("k",), {})).encode_message(m)        # the pure path warms
-    size = memo_stats()["tmpl_size"]
+    frames = [_request((("k",), {}))]
     for msg_id in range(3):
-        _request((("k",), {}), {"q.t": [msg_id, 1]}, msg_id).encode_message(m)
-        _request(((["k"],), {}), {}, msg_id).encode_message(m)
-        Frame(REPLY, msg_id, "s0/main", "c0/main",
-              body={"q.v": msg_id}).encode_message(m)
-    assert memo_stats()["tmpl_size"] == size
+        frames += [
+            _request((("k",), {}), {"q.t": [msg_id, 1]}, msg_id),
+            _request(((["k"],), {}), {}, msg_id),
+            Frame(REPLY, msg_id, "s0/main", "c0/main", body={"q.v": msg_id}),
+        ]
+    assert all(frame.encode_message(m).head is None for frame in frames)
+    assert [key for key in memo_stats() if key.endswith("_size")] \
+        == ["str_enc_size"]
 
 
 def test_a_bulk_leaf_is_sized_and_shared_by_the_snapshot():

@@ -137,3 +137,67 @@ def test_a_bytes_like_image_decodes_exactly_as_bytes_do(kind):
         assert typed_frame(
             Frame.decode_message(kind(image), Marshaller())) == expected
     assert typed(PLAIN.decode(kind(image))) == typed(PLAIN.decode(image))
+
+
+# -- type-confused frames at a server's handler --------------------------------
+#
+# Well-formed wire images whose fields have the wrong type for what the
+# layers above do with them.  At the parent of the frame gate's field
+# checks, an id or a source that is a list escaped ``Dispatcher.handle``
+# as ``TypeError`` (unhashable, from the dedup key), a three-field body
+# and a textual deadline as ``ValueError``, and a list-typed target or
+# verb was answered with a ``TypeError`` reply and remembered; an
+# exception reply of two fields would have broken the caller's unpack.
+
+def _put_fields(client, ref):
+    return ["req", 1, client.context_id, ref.context_id, ref.oid, "put",
+            (("k", "v"), {}), {}]
+
+
+CONFUSED = {
+    "msg-id-is-a-list": (1, [1]),
+    "src-is-a-list": (2, ["client0/main"]),
+    "dst-is-a-list": (3, ["server/main"]),
+    "target-is-a-list": (4, None),          # [oid], filled in per test
+    "verb-is-a-list": (5, ["put"]),
+    "body-has-three-fields": (6, (1, 2, 3)),
+    "body-args-are-a-dict": (6, ({"k": "v"}, {})),
+    "deadline-is-text": (7, {"deadline": "x"}),
+    "exc-body-has-two-fields": (6, ("ValueError", "boom")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFUSED))
+def test_a_type_confused_frame_is_refused_at_the_handler(pair, name):
+    from repro.apps.kv import KVStore
+    from repro.core.export import get_space
+
+    system, server, client = pair
+    store = KVStore()
+    ref = get_space(server).export(store)
+    dispatcher = server.handler.__self__
+    fields = _put_fields(client, ref)
+    index, value = CONFUSED[name]
+    fields[index] = [ref.oid] if value is None else value
+    if name.startswith("exc-"):
+        fields[0] = "exc"
+    image = PLAIN.encode(fields)
+    for data in (image, WireMessage(image, (), len(image))):
+        with pytest.raises(ProtocolError):
+            server.handler(data, client.now)
+    assert store.size() == 0            # nothing executed
+    assert not dispatcher._replay       # nothing remembered
+    # The well-formed neighbour is served.
+    good = PLAIN.encode(_put_fields(client, ref))
+    reply, _ = server.handler(good, client.now)
+    assert Frame.decode(reply.to_bytes(), PLAIN).body is True
+    assert store.get("k") == "v"
+
+
+@pytest.mark.parametrize("value", ["x", [1.0], {"t": 1}, 10**400],
+                         ids=["text", "list", "dict", "huge-int"])
+def test_a_malformed_deadline_header_is_a_protocol_error(value):
+    from repro.resilience.deadline import Deadline
+
+    with pytest.raises(ProtocolError):
+        Deadline.from_headers({"deadline": value})

@@ -1,14 +1,13 @@
-"""Byte-identity fuzz: the fast-path encoder vs the naive reference encoder.
+"""Byte-identity fuzz: the Marshaller's encoder vs the naive reference.
 
-The Marshaller's hot path (exact-type dispatch table, inlined container
-loops, encode memos, the 8-field frame encoder) is an *optimisation*,
-not a format change: its output must be byte-for-byte what the original
-naive encoder produced.  This test keeps that naive encoder alive — a
-hook-first ``isinstance`` chain, transcribed from the pre-fast-path
-implementation — and fuzzes both over the full supported type space, with
-and without swizzle hooks.
+The Marshaller's encoder (hook exemption, the string memo, the 8-field
+frame encoder) must not change the format: its output must be
+byte-for-byte what the original naive encoder produced.  This test keeps
+that naive encoder alive — a hook-first ``isinstance`` chain, transcribed
+from the original implementation — and fuzzes both over the full
+supported type space, with and without swizzle hooks.
 
-The one deliberate semantic refinement is hook exemption: the fast path
+The one deliberate semantic refinement is hook exemption: the encoder
 never consults the encoder hook for values of an exact built-in type,
 because the object-space hook declines plain data by definition.  The fuzz
 therefore uses hooks with that shape (swizzle a marker class, decline

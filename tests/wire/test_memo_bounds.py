@@ -1,10 +1,9 @@
-"""Marshaller memo caches: bounded size, visible counters (satellite of
-the raw-speed round).
+"""The marshaller's string memo: bounded size, visible counters.
 
-The string/int/template memos are process-global, so they must be
-bounded (FIFO eviction at ``_MEMO_MAX_ENTRIES``) and observable — the
-hit/size counters surface through :func:`repro.wire.marshal.memo_stats`
-and are re-exported by :mod:`repro.metrics`.
+The memo is process-global, so it must be bounded (FIFO eviction at
+``_MEMO_MAX_ENTRIES``) and observable — the hit/size counters surface
+through :func:`repro.wire.marshal.memo_stats` and are re-exported by
+:mod:`repro.metrics`.
 """
 
 from __future__ import annotations
@@ -64,23 +63,6 @@ def test_eviction_is_fifo_oldest_first():
     assert f"filler-{cap - 1}" in marshal._STR_ENC
 
 
-def test_template_memo_bounded_and_counted():
-    from repro.wire.frames import Frame, ONEWAY
-
-    plain = Marshaller()
-    cap = marshal._MEMO_MAX_ENTRIES
-    for i in range(cap + 10):
-        frame = Frame(ONEWAY, 1, "c0/main", "s0/main", target=f"t{i}",
-                      verb="poke", body=((), {}))
-        frame.encode_message(plain)
-    stats = memo_stats()
-    assert stats["tmpl_size"] <= cap
-    assert stats["tmpl_misses"] >= cap + 10
-    # A repeat of the *last* frame hits the surviving template.
-    frame.encode_message(plain)
-    assert memo_stats()["tmpl_hits"] >= 1
-
-
 def test_reset_zeroes_counters_but_keeps_entries():
     plain = Marshaller()
     plain.encode("sticky")
@@ -93,12 +75,9 @@ def test_reset_zeroes_counters_but_keeps_entries():
 def test_clear_empties_every_memo():
     plain = Marshaller()
     plain.encode("gone")
-    plain.encode(7)
     clear_memos()
     stats = memo_stats()
     assert stats["str_enc_size"] == 0
-    assert stats["int_enc_size"] == 0
-    assert stats["tmpl_size"] == 0
 
 
 def test_metrics_reexport_is_the_same_snapshot():

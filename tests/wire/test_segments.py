@@ -55,8 +55,11 @@ class TestWireMessage:
 
 
 class TestEncodedMessages:
+    # A ``bytes`` payload in a pure frame is sized, not written; a
+    # ``bytearray`` one is written, so it exercises the segment path.
+
     def test_bulk_payload_rides_as_uncopied_segment(self):
-        blob = b"\x5a" * (RAW_THRESHOLD * 2)
+        blob = bytearray(b"\x5a" * (RAW_THRESHOLD * 2))
         msg = _bulk_frame(blob).encode_message(Marshaller())
         payloads = [payload for _, payload in msg.segments]
         assert any(payload is blob for payload in payloads)
@@ -77,7 +80,7 @@ class TestEncodedMessages:
             == (frame.kind, frame.msg_id, frame.verb)
 
     def test_small_payloads_stay_inline(self):
-        msg = _bulk_frame(b"tiny").encode_message(Marshaller())
+        msg = _bulk_frame(bytearray(b"tiny")).encode_message(Marshaller())
         assert msg.segments == ()
         assert msg.to_bytes() == msg.head
 
