@@ -1,4 +1,4 @@
-"""E18 bench: invocation fast path — end-to-end host throughput."""
+"""E18 bench: invocation fast path — virtual cost by policy."""
 
 from conftest import run_experiment
 
@@ -9,8 +9,6 @@ def test_e18_fastpath(benchmark):
     rows = run_experiment(benchmark, e18_fastpath, ops=300)
     by_policy = {row["policy"]: row for row in rows}
     assert set(by_policy) == set(e18_fastpath.POLICIES)
-    # Wall numbers are host-dependent; only the deterministic fields are
-    # asserted here (the CI perf gate compares normalised throughput).
     assert by_policy["caching"]["sim_us_per_op"] < \
         by_policy["stub"]["sim_us_per_op"], \
         "caching must beat the stub in virtual time"
@@ -22,5 +20,3 @@ def test_e18_fastpath(benchmark):
     assert by_policy["resilient"]["sim_us_per_op"] == \
         by_policy["stub"]["sim_us_per_op"], \
         "with no faults injected, resilience adds no virtual latency"
-    for row in rows:
-        assert row["kops_per_sec"] > 0 and row["wall_us_per_op"] > 0

@@ -1,25 +1,18 @@
-"""E18 — end-to-end invocation throughput (the fast-path engine).
+"""E18 — the invocation fast path: zero observable change per policy.
 
-Every other experiment reports *virtual* time: what the 1986 cost model says
-the distributed system would do.  E18 reports how fast the simulator itself
-pushes invocations through the full pipeline — ``proxy.verb`` → policy →
-``RpcProtocol.call`` → marshal → ``Network.transmit`` → dispatcher → reply —
-in host CPU terms.  It exists to keep the hot path honest: the profile-driven
-optimisations in the wire, transport, network, and proxy layers (see the
-"performance model" section of DESIGN.md) are proven here, and the CI perf
-gate (``tools/perf_gate.py``) fails the build if they regress.
-
-Two kinds of numbers per policy:
-
-* **deterministic** — virtual µs/op and message count.  These must be
-  identical run to run (same seed ⇒ same trace); the bench harness asserts
-  it by running every workload twice.
-* **wall** — ops/sec of the host, plus a calibration-normalised variant
-  (ops per million calibration iterations) that factors out machine speed
-  so the perf gate can compare laptops against CI runners.
+Every invocation crosses the full pipeline — ``proxy.verb`` → policy →
+``RpcProtocol.call`` → marshal → ``Network.transmit`` → dispatcher → reply.
+The hot-path optimisations in the wire, transport, network, and proxy
+layers (see the "performance model" section of DESIGN.md) may change how
+fast the simulator runs that pipeline, never what it simulates.  E18 pins
+the second half exactly: per shipped policy, the virtual µs/op, the
+message count and the trace fingerprint of a fixed workload.  Same seed ⇒
+same trace, so the harness runs every workload twice and the CI gate
+diffs ``BENCH_e18.json`` byte for byte.  How fast the host runs the same
+traffic is measured by ``benchmarks/perf`` (``BENCHMARK.json``).
 
 The operation mix is a seeded 80/20 get/put stream over four hot keys —
-small payloads, so the measurement stresses per-invocation overhead rather
+small payloads, so the workload stresses per-invocation overhead rather
 than bulk copying.
 """
 
@@ -27,11 +20,9 @@ from __future__ import annotations
 
 from ...simtest.runner import SimCase
 from ...simtest.workload import deploy
-from ..timing import CalibrationBracket, wall_clock
 
-TITLE = "E18: invocation fast path — end-to-end throughput by policy"
-COLUMNS = ["policy", "kops_per_sec", "wall_us_per_op", "norm_ops",
-           "sim_us_per_op", "messages"]
+TITLE = "E18: invocation fast path — virtual cost by policy"
+COLUMNS = ["policy", "sim_us_per_op", "messages"]
 
 #: Policies swept, in presentation order.
 POLICIES = ("stub", "caching", "replicated", "resilient", "composite")
@@ -43,12 +34,8 @@ _PUT_FRACTION = 0.2
 
 
 def _run_workload(case: SimCase) -> dict:
-    """Deploy ``case`` fresh and drive the op mix once; returns raw metrics.
-
-    Wall-clock readings stay strictly outside the simulation: the RNG
-    stream, the proxies, and the trace never see them, so the deterministic
-    fields of two runs of the same case are identical.
-    """
+    """Deploy ``case`` fresh and drive the op mix once; returns the
+    deterministic fields."""
     deployment = deploy(case)
     system = deployment.system
     _, ctx, proxy = deployment.clients[0]
@@ -59,100 +46,55 @@ def _run_workload(case: SimCase) -> dict:
     proxy.get(_KEYS[0])
     mark = system.trace.mark()
     sim_start = ctx.clock.now
-    started = wall_clock()
     for index in range(case.ops):
         key = _KEYS[rng.randrange(4)]
         if rng.random() < _PUT_FRACTION:
             proxy.put(key, index)
         else:
             proxy.get(key)
-    wall = wall_clock() - started
     sim = ctx.clock.now - sim_start
     messages = sum(1 for ev in system.trace.since(mark) if ev.kind == "send")
     return {
-        "wall_seconds": wall,
         "sim_us_per_op": round(sim / case.ops * 1e6, 2),
         "messages": messages,
         "fingerprint": system.trace.fingerprint(),
     }
 
 
-def measure_policy(policy: str, ops: int = OPS, seed: int = SEED,
-                   repeats: int = 3) -> dict:
-    """Best-of-``repeats`` wall timing for one policy, with a determinism
-    self-check: every repeat must agree on the deterministic fields."""
+def measure_policy(policy: str, ops: int = OPS, seed: int = SEED) -> dict:
+    """One policy's row, from two in-process runs that must agree."""
     case = SimCase(seed=seed, policy=policy, service="kv", ops=ops,
                    clients=1, faults=())
-    runs = [_run_workload(case) for _ in range(repeats)]
-    first = runs[0]
-    for run_ in runs[1:]:
-        for key in ("sim_us_per_op", "messages", "fingerprint"):
-            if run_[key] != first[key]:
-                raise AssertionError(
-                    f"E18 determinism violated: {policy!r} {key} drifted "
-                    f"between identical runs ({first[key]!r} vs {run_[key]!r})")
-    best_wall = min(run_["wall_seconds"] for run_ in runs)
-    return {
-        "policy": policy,
-        "ops": ops,
-        "wall_us_per_op": round(best_wall / ops * 1e6, 2),
-        "ops_per_sec": round(ops / best_wall, 1),
-        "sim_us_per_op": first["sim_us_per_op"],
-        "messages": first["messages"],
-        "fingerprint": first["fingerprint"],
-    }
+    first, second = _run_workload(case), _run_workload(case)
+    if first != second:
+        raise AssertionError(
+            f"E18 determinism violated: {policy!r} drifted between "
+            f"identical runs ({first!r} vs {second!r})")
+    return {"policy": policy, "ops": ops, **first}
 
 
 def bench_payload(ops: int = OPS, seed: int = SEED) -> dict:
     """The machine-readable benchmark record (``BENCH_e18.json``).
 
-    Carries everything the CI perf gate needs: the host calibration rate,
-    per-policy wall numbers plus their calibration-normalised form, and the
-    deterministic fields (virtual µs/op, message count, trace fingerprint)
-    which must match the committed baseline *exactly* on any machine.
+    Every field is deterministic (virtual µs/op, message count, trace
+    fingerprint), so CI compares the record with the committed one
+    exactly, on any machine.
     """
-    bracket = CalibrationBracket()
-    rows = [measure_policy(policy, ops=ops, seed=seed)
-            for policy in POLICIES]
-    # Close the bracket after the sweep: host noise during the runs also
-    # taints a one-shot calibration, so normalise by the better of the
-    # before/after samples.
-    calibration = bracket.close()
-    for measured in rows:
-        measured["norm_ops"] = round(
-            measured["ops_per_sec"] / calibration * 1e6, 1)
     return {
         "experiment": "e18",
         "ops": ops,
         "seed": seed,
-        "calibration_rate": round(calibration, 1),
-        "policies": rows,
+        "policies": [measure_policy(policy, ops=ops, seed=seed)
+                     for policy in POLICIES],
     }
 
 
 def bench_rows(payload: dict) -> list[dict]:
     """The table form of a payload (the CLI's non-``--json`` rendering)."""
-    return [{
-        "policy": measured["policy"],
-        "kops_per_sec": round(measured["ops_per_sec"] / 1e3, 1),
-        "wall_us_per_op": measured["wall_us_per_op"],
-        "norm_ops": measured["norm_ops"],
-        "sim_us_per_op": measured["sim_us_per_op"],
-        "messages": measured["messages"],
-    } for measured in payload["policies"]]
-
-
-def bench_footer(payload: dict) -> str:
-    """A one-line table footnote (the CLI prints it under the table)."""
-    return (f"calibration: {payload['calibration_rate']:.0f} it/s "
-            f"(norm_ops = ops/sec per million calibration iterations)")
+    return [{column: measured[column] for column in COLUMNS}
+            for measured in payload["policies"]]
 
 
 def run(ops: int = OPS, seed: int = SEED) -> list[dict]:
-    """Sweep all shipped policies; one row per policy.
-
-    ``norm_ops`` is ops/sec divided by the host calibration rate, scaled to
-    "ops per million calibration iterations" — the machine-portable number
-    the CI perf gate compares.
-    """
+    """Sweep all shipped policies; one row per policy."""
     return bench_rows(bench_payload(ops=ops, seed=seed))

@@ -21,9 +21,8 @@ Every reported number is deterministic — virtual throughput (ops per
 virtual second), nearest-rank latency percentiles, message counts, trace
 fingerprints — so ``python -m repro bench e19 --json`` must be
 byte-identical across runs; the harness enforces it by running every
-scenario twice and comparing entire rows.  That is also what lets the CI
-perf gate (``tools/perf_gate.py``) compare ``BENCH_e19.json`` exactly,
-with no tolerance band.
+scenario twice and comparing entire rows.  That is also what lets CI
+``diff`` a fresh record against the committed ``BENCH_e19.json``.
 """
 
 from __future__ import annotations
@@ -200,9 +199,8 @@ def measure_scenario(shard_count: int, split: bool = False, ops: int = OPS,
 def bench_payload(ops: int = OPS, seed: int = SEED) -> dict:
     """The machine-readable benchmark record (``BENCH_e19.json``).
 
-    Unlike E18's record this carries no wall-clock fields at all: the CI
-    perf gate compares every scenario field exactly, and the double-run
-    byte-identity gate applies to the whole payload.
+    Pure virtual-time record: CI diffs it against the committed one byte
+    for byte.
     """
     if ops < 2 * CLIENTS:
         raise ConfigurationError(

@@ -28,7 +28,7 @@ arrival — the closed-loop drivers cannot create a backlog, and measuring
 from issue time would hide exactly the stall this experiment exists to
 show.  Every number is virtual-time arithmetic on seeded streams, so
 ``python -m repro bench e20 --json`` is byte-identical across runs and
-the CI perf gate compares ``BENCH_e20.json`` exactly.
+CI diffs it against the committed ``BENCH_e20.json``.
 """
 
 from __future__ import annotations
@@ -220,9 +220,8 @@ def measure_scenario(stack: str, load: float, ops: int = OPS,
 def bench_payload(ops: int = OPS, seed: int = SEED) -> dict:
     """The machine-readable benchmark record (``BENCH_e20.json``).
 
-    Pure virtual-time record: the CI perf gate compares every scenario
-    field exactly, and the double-run byte-identity gate applies to the
-    whole payload.
+    Pure virtual-time record: CI diffs it against the committed one byte
+    for byte.
     """
     if ops < 2 * HOT_CLIENTS:
         raise ConfigurationError(

@@ -183,9 +183,8 @@ def _probe(deployment: str, seed: int, ops: int) -> dict:
 def bench_payload(ops: int = OPS, seed: int = SEED) -> dict:
     """The machine-readable benchmark record (``BENCH_e21.json``).
 
-    Pure virtual-time record: the CI perf gate compares every scenario
-    field exactly, and the double-run byte-identity gate applies to the
-    whole payload.
+    Pure virtual-time record: CI diffs it against the committed one byte
+    for byte.
     """
     if ops < 20:
         raise ConfigurationError(f"e21 needs ops >= 20, got {ops}")

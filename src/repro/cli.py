@@ -6,7 +6,7 @@
     python -m repro run e2               # one experiment, table on stdout
     python -m repro run e3 --seed 9      # reseeded
     python -m repro all                  # the whole evaluation
-    python -m repro bench e18 --json     # host throughput (perf-gate record)
+    python -m repro bench e18 --json     # exact BENCH record (CI diffs it)
     python -m repro demo                 # 30-second tour
 """
 
@@ -103,15 +103,16 @@ def _bench_registry() -> dict:
 
 
 def cmd_bench(args) -> int:
-    """Gated benchmarks (wall-clock hosts or virtual-time scaling).
+    """Gated benchmarks: exact records of virtual-time workloads.
 
-    ``python -m repro bench e18 --json > BENCH_e18.json`` (likewise
-    ``e19``) produces the machine-readable record the CI perf gate
-    compares against the committed baseline.  Determinism discipline
-    matches ``simtest --json``: every workload runs multiple times and
-    the harness asserts the deterministic fields (virtual µs/op, message
-    counts, trace fingerprints) agree before reporting; only wall
-    readings — e18 carries some, e19 none — may differ between runs.
+    ``python -m repro bench e18 --json > BENCH_e18.json`` (likewise every
+    other id) produces the machine-readable record CI compares with the
+    committed one by ``diff``.  Determinism discipline matches
+    ``simtest --json``: every field is virtual-time arithmetic on seeded
+    streams (virtual times, message counts, trace fingerprints, battery
+    digests), so the record is byte-identical across runs and machines;
+    all but ``e21`` also run each workload twice and assert the two
+    agree.  Host wall time is measured by ``benchmarks/perf``.
     """
     registry = _bench_registry()
     module = registry.get(args.benchmark)
@@ -272,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     commands.add_parser("all", help="run every experiment").set_defaults(
         func=cmd_all)
     bench_parser = commands.add_parser(
-        "bench", help="host throughput benchmark (wall clock)")
+        "bench", help="gated benchmark record (exact, virtual time)")
     bench_parser.add_argument("benchmark",
                               help="benchmark id: e10, e18, e19, e20, "
                                    "e21 or simwall")

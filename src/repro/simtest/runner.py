@@ -165,51 +165,70 @@ def execute(case: SimCase) -> tuple[History, object]:
     return history, deployment
 
 
-def _max_latency(history: History) -> float:
-    """The worst completed-op latency (invoke → complete) in the history."""
-    return max((op.complete - op.invoke for op in history
-                if op.complete is not None), default=0.0)
+def _slowest(history: History) -> tuple:
+    """``(latency, op)`` of the first completed op with the worst latency
+    (invoke → complete); ``(0.0, None)`` when nothing completed."""
+    worst = max((op for op in history if op.complete is not None),
+                key=lambda op: op.complete - op.invoke, default=None)
+    if worst is None:
+        return 0.0, None
+    return worst.complete - worst.invoke, worst
 
 
-def _collapse_violation(case: SimCase, history: History) -> Violation | None:
+def _collapse_violation(case: SimCase, slowest: tuple) -> Violation | None:
     """Convict an overload deployment whose completions blew the SLO.
 
     Only the policies in :data:`~repro.simtest.workload.COLLAPSE_SLO` are
-    graded.  The criterion is the worst *completed* operation's latency,
-    not the failure count: a shedless server under a burst still answers
-    everything — eventually — so its anomaly is never a wrong value, only
-    a departure time far beyond what a bounded queue permits.  The
-    synthetic :class:`Violation` carries the offending op so minimized
-    corpus records stay self-describing.
+    graded.  The criterion is the worst *completed* operation's latency
+    (``slowest``, from :func:`_slowest`), not the failure count: a
+    shedless server under a burst still answers everything — eventually —
+    so its anomaly is never a wrong value, only a departure time far
+    beyond what a bounded queue permits.  The synthetic
+    :class:`Violation` carries the offending op so minimized corpus
+    records stay self-describing.
     """
     slo = COLLAPSE_SLO.get(case.policy)
-    if slo is None:
-        return None
-    worst = None
-    for op in history:
-        if op.complete is None:
-            continue
-        if worst is None or (op.complete - op.invoke
-                             > worst.complete - worst.invoke):
-            worst = op
-    if worst is None or worst.complete - worst.invoke <= slo:
+    latency, worst = slowest
+    if slo is None or latency <= slo:
         return None
     return Violation(partition="overload-collapse", ops=[worst.to_json()],
                      longest_prefix=-1)
 
 
+def _grade(case: SimCase, history: History, deployment, slowest: tuple,
+           max_nodes: int, consistency: str
+           ) -> tuple[CheckResult, str, Violation | None]:
+    """One run's ``(check, verdict, violation)``, for the report and the
+    minimizer alike.
+
+    The checker's violation wins (it names the stronger anomaly); else an
+    overload deployment whose completions blew the latency bound, else a
+    bank deployment that failed the completes-or-compensates audit, is
+    convicted; else the checker's ``ok`` or ``unknown`` stands.
+    """
+    if case.policy in AUDIT_ONLY_POLICIES:
+        # Sagas expose intermediate states by contract; their verdict is
+        # the atomicity audit alone (see AUDIT_ONLY_POLICIES).
+        check = CheckResult(True)
+    else:
+        check = check_history(history, MODELS[case.service](), max_nodes,
+                              consistency=consistency)
+    if check.verdict == "violation":
+        return check, "violation", check.violation
+    conviction = _collapse_violation(case, slowest)
+    if conviction is None and deployment.grade is not None:
+        conviction = deployment.grade()
+    if conviction is not None:
+        return check, "violation", conviction
+    return check, check.verdict, check.violation
+
+
 def _violates(case: SimCase, max_nodes: int,
               consistency: str = "linearizable") -> bool:
     history, deployment = execute(case)
-    if _collapse_violation(case, history) is not None:
-        return True
-    if deployment.grade is not None and deployment.grade() is not None:
-        return True
-    if case.policy in AUDIT_ONLY_POLICIES:
-        return False
-    model = MODELS[case.service]()
-    return check_history(history, model, max_nodes,
-                         consistency=consistency).verdict == "violation"
+    _, verdict, _ = _grade(case, history, deployment, _slowest(history),
+                           max_nodes, consistency)
+    return verdict == "violation"
 
 
 def run_case(case: SimCase, minimize: bool = True,
@@ -224,28 +243,9 @@ def run_case(case: SimCase, minimize: bool = True,
     budget = max_nodes if max_nodes is not None else DEFAULT_MAX_NODES
     history, deployment = execute(case)
     system = deployment.system
-    if case.policy in AUDIT_ONLY_POLICIES:
-        # Sagas expose intermediate states by contract; their verdict is
-        # the atomicity audit alone (see AUDIT_ONLY_POLICIES).
-        check = CheckResult(True)
-    else:
-        model = MODELS[case.service]()
-        check = check_history(history, model, budget,
-                              consistency=consistency)
-    # The collapse SLO and the atomicity audit compose with the
-    # consistency verdict: a checker conviction wins (it names the
-    # stronger anomaly), else an overload deployment whose completions
-    # blew the latency bound — or a bank deployment that failed the
-    # completes-or-compensates audit — is convicted too.
-    verdict, violation = check.verdict, check.violation
-    if verdict == "ok":
-        collapse = _collapse_violation(case, history)
-        if collapse is not None:
-            verdict, violation = "violation", collapse
-    if verdict == "ok" and deployment.grade is not None:
-        atomicity = deployment.grade()
-        if atomicity is not None:
-            verdict, violation = "violation", atomicity
+    slowest = _slowest(history)
+    check, verdict, violation = _grade(case, history, deployment, slowest,
+                                       budget, consistency)
     rpc = system.rpc.stats if system.rpc is not None else {}
     report = SimReport(
         case=case, verdict=verdict, history=history,
@@ -257,7 +257,7 @@ def run_case(case: SimCase, minimize: bool = True,
                "ok": sum(1 for op in history if op.status == "ok"),
                "maybe": sum(1 for op in history if op.status == "maybe"),
                "fail": sum(1 for op in history if op.status == "fail"),
-               "max_op_latency": round(_max_latency(history), 9),
+               "max_op_latency": round(slowest[0], 9),
                "rpc_calls": rpc.get("calls", 0),
                "rpc_retries": rpc.get("retries", 0),
                "rpc_timeouts": rpc.get("timeouts", 0)})

@@ -456,13 +456,6 @@ class TestE18Fastpath:
         assert [row["policy"] for row in payload["policies"]] == \
             list(e18_fastpath.POLICIES)
 
-    def test_wall_and_calibration_positive(self, payload):
-        assert payload["calibration_rate"] > 0
-        for row in payload["policies"]:
-            assert row["ops_per_sec"] > 0
-            assert row["wall_us_per_op"] > 0
-            assert row["norm_ops"] > 0
-
     def test_deterministic_fields_shape(self, payload):
         rows = {row["policy"]: row for row in payload["policies"]}
         assert rows["caching"]["messages"] < rows["stub"]["messages"]

@@ -1,8 +1,13 @@
 """Minimizer convergence: shrink a convicted case, keep the conviction."""
 
-from repro.simtest import build_case, minimize_case
-from repro.simtest.checker import DEFAULT_MAX_NODES
-from repro.simtest.runner import _violates
+import json
+import pathlib
+
+from repro.simtest import build_case, minimize_case, runner
+from repro.simtest.checker import DEFAULT_MAX_NODES, CheckResult
+from repro.simtest.runner import SimCase, _violates, run_case
+
+CORPUS = pathlib.Path(__file__).parent / "regressions"
 
 
 def _dirty_case():
@@ -47,3 +52,17 @@ def test_minimizer_budget_is_respected():
 def test_minimizer_returns_original_when_nothing_shrinks():
     case = _dirty_case()
     assert minimize_case(case, lambda c: False) == case
+
+
+def test_report_and_minimizer_share_one_verdict(monkeypatch):
+    # A checker that runs out of budget settles nothing, so the collapse
+    # SLO still convicts: the report must say what the minimizer sees.
+    data = json.loads((CORPUS / "shedless-lock-seed2-convicted.json")
+                      .read_text(encoding="utf-8"))
+    case = SimCase.from_json(data["case"])
+    monkeypatch.setattr(runner, "check_history",
+                        lambda *args, **kwargs: CheckResult(True, capped=True))
+    report = run_case(case, minimize=False)
+    assert report.verdict == "violation"
+    assert report.violation.partition == "overload-collapse"
+    assert _violates(case, DEFAULT_MAX_NODES)

@@ -29,7 +29,6 @@ import sys
 ALLOWED = {
     "src/repro/kernel/randomness.py",   # wraps random.Random seeding
     "src/repro/kernel/clock.py",        # the virtual clock itself
-    "src/repro/bench/timing.py",        # sanctioned wall clock for benches
 }
 
 #: Module-level entropy draws (process-global RNG state — unseedable per run).
