@@ -24,7 +24,7 @@ def test_e21_regions(benchmark):
 
     # The read-locality win: the legacy regional group answers *every*
     # region's reads from its own replica — west reads shed the WAN
-    # entirely — and stays available through the crash plan (reads
+    # entirely — and stays available through the crash schedule (reads
     # retreat to the other region when the local replica is down).
     for region in ("east", "west"):
         assert cell("regional-local", region)["read_like_lan"]

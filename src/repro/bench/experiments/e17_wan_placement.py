@@ -23,7 +23,7 @@ from ... import make_system
 from ...apps.kv import KVStore
 from ...core.export import get_space
 from ...core.policies.replicating import replicate
-from ...kernel.topology import build_sites
+from ...kernel.topology import build_regions
 from ...naming.bootstrap import bind, install_name_service, register
 from ...workloads.distributions import ZipfSampler
 from ...workloads.sessions import OpMix, proxy_session, run_interleaved
@@ -38,8 +38,8 @@ READ_FRACTION = 0.9
 
 def _build(deployment: str, seed: int):
     system = make_system(seed=seed)
-    sites = build_sites(system, ["alpha", "beta"], nodes_per_site=3,
-                        wan_factor=WAN_FACTOR)
+    sites = build_regions(system, ["alpha", "beta"], nodes_per_region=3,
+                          wan_factor=WAN_FACTOR)
     service_home = sites[0].contexts[0]
     install_name_service(service_home)
     if deployment == "central":

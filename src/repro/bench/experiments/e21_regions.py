@@ -21,13 +21,14 @@ sides.  Three deployments, identical client code:
   quorum: region-aware placement decides *who* pays the WAN.
 
 The latency sweep runs fault-free and yields one row per
-(deployment, region).  The **staleness probe** (the E9 discipline) then
-drives an east writer and a west reader through a periodic crash plan
-over the replica nodes, with :func:`~repro.resilience.breaker.
-ensure_breakers` installed so the regional read order demotes replicas
-the breaker registry currently refuses — values are globally monotone,
-so a read below the last acknowledged write of its key is stale.  One
-probe row per deployment: availability and the stale-read count.
+(deployment, region).  The **staleness probe** (E9's, shared through
+:func:`~repro.bench.common.staleness_probe`) then drives an east writer
+and a west reader through a periodic crash schedule over the replica
+nodes, with :func:`~repro.resilience.breaker.ensure_breakers` installed
+so the regional read order demotes replicas the breaker registry
+currently refuses — values are globally monotone, so a read below the
+last acknowledged write of its key is stale.  One probe row per
+deployment: availability and the stale-read count.
 
 Every number is virtual-time arithmetic on seeded streams — the payload
 is byte-identical across runs and CI compares ``BENCH_e21.json`` exactly.
@@ -38,13 +39,11 @@ from __future__ import annotations
 from ... import make_system
 from ...apps.kv import KVStore
 from ...core.policies.replicating import replicate
-from ...failures.injectors import CrashPlan
-from ...kernel.errors import ConfigurationError, DistributionError
+from ...kernel.errors import ConfigurationError
 from ...kernel.topology import build_regions
 from ...naming.bootstrap import bind, install_name_service, register
 from ...resilience.breaker import ensure_breakers
-from ...workloads.distributions import UniformSampler
-from ..common import ms
+from ..common import ms, read_write_latency, staleness_probe
 
 TITLE = "E21: regions — read locality vs. the cross-region quorum price"
 COLUMNS = ["scenario", "deployment", "region", "read_ms", "write_ms",
@@ -100,16 +99,8 @@ def _latency(deployment: str, seed: int, ops: int) -> list[dict]:
     lan_round_trip = 2 * system.costs.remote_latency
     rows = []
     for region, ctx in clients.items():
-        proxy = bind(ctx, "kv")
-        proxy.put(f"warm-{region}", 0)    # fault the caches/versions in
-        t0 = ctx.clock.now
-        for _ in range(ops):
-            proxy.get(f"warm-{region}")
-        read = (ctx.clock.now - t0) / ops
-        t0 = ctx.clock.now
-        for index in range(ops // 4):
-            proxy.put(f"warm-{region}", index + 1)
-        write = (ctx.clock.now - t0) / (ops // 4)
+        read, write = read_write_latency(ctx, bind(ctx, "kv"),
+                                         f"warm-{region}", ops)
         rows.append({
             "scenario": f"{deployment}@{region}",
             "deployment": deployment,
@@ -124,7 +115,7 @@ def _latency(deployment: str, seed: int, ops: int) -> list[dict]:
 
 
 def _replica_nodes(deployment: str) -> list[str]:
-    """The node names the crash plan cycles through."""
+    """The node names the crash schedule cycles through."""
     if deployment == "central":
         return ["east-0"]
     return ["east-0", "east-1", "west-0"]
@@ -142,32 +133,8 @@ def _probe(deployment: str, seed: int, ops: int) -> dict:
     ensure_breakers(system)
     writer = bind(clients["east"], "kv")
     reader = bind(clients["west"], "kv")
-    plan = CrashPlan.periodic(_replica_nodes(deployment), every=15,
-                              duration=5, total_ops=ops)
-    rng = system.seeds.stream("e21.probe.ops")
-    sampler = UniformSampler(8, system.seeds.stream("e21.probe.keys"))
-    acked: dict[str, int] = {}
-    sequence = 0
-    failures = 0
-    stale = 0
-    for _ in range(ops):
-        plan.tick(system)
-        key = sampler.sample()
-        if rng.random() < 0.5:
-            sequence += 1
-            try:
-                writer.put(key, sequence)
-                acked[key] = sequence
-            except DistributionError:
-                failures += 1
-        else:
-            try:
-                value = reader.get(key)
-            except DistributionError:
-                failures += 1
-                continue
-            if key in acked and (value is None or value < acked[key]):
-                stale += 1
+    availability, stale = staleness_probe(
+        system, writer, reader, _replica_nodes(deployment), ops, "e21.probe")
     return {
         "scenario": f"{deployment}@probe",
         "deployment": deployment,
@@ -175,7 +142,7 @@ def _probe(deployment: str, seed: int, ops: int) -> dict:
         "read_ms": None,
         "write_ms": None,
         "read_like_lan": None,
-        "availability": round(1.0 - failures / ops, 4),
+        "availability": round(availability, 4),
         "stale_reads": stale,
     }
 

@@ -28,7 +28,8 @@ acceptance bar is a >=10x gap.
 from __future__ import annotations
 
 from ...apps.kv import KVStore
-from ...failures.injectors import CrashPlan, message_loss
+from ...failures.injectors import message_loss
+from ...failures.schedule import ChaosSchedule
 from ...kernel.errors import CircuitOpen, DistributionError
 from ...metrics.latency import percentile
 from ...naming.bootstrap import bind, register
@@ -74,14 +75,14 @@ def _workload(system, client, proxy, ops: int, loss: float):
     stream name, so they face the *identical* operation sequence, drop
     pattern, and crash schedule; only the proxy policy differs.
     """
-    plan = CrashPlan.periodic(["n0"], every=CRASH_EVERY,
-                              duration=CRASH_DURATION, total_ops=ops)
+    schedule = ChaosSchedule.periodic(["n0"], every=CRASH_EVERY,
+                                      duration=CRASH_DURATION, total_ops=ops)
     rng = system.seeds.stream("e7b.ops")
     successes = 0
     latencies = []
     with message_loss(system, loss):
         for index in range(ops):
-            plan.tick(system)
+            schedule.tick(system)
             key = f"k{rng.randrange(KEYS)}"
             reading = rng.random() < READ_FRACTION
             before = client.clock.now

@@ -5,7 +5,7 @@ Three sweeps share the table:
 * **Write-all sweep** (``mode="write-all"``, the unversioned contract) over
   the replica count: read latency *falls* (a nearby replica exists more often —
   modelled with one slow "far" link to the primary), write latency *rises*
-  linearly, and availability under a periodic crash plan *rises* (reads
+  linearly, and availability under periodic crashes *rises* (reads
   fail over; writes succeed while a majority remains).
 
 * **Quorum sweep** (``mode="quorum"``) over ``(write_quorum, read_quorum)``
@@ -27,21 +27,20 @@ Three sweeps share the table:
   time) and then recovers full goodput.
 
 The staleness probe drives a writer client and a reader client through a
-crash plan with round-robin reads; values are globally monotone integers,
-so a read is **stale** exactly when it returns less than the last
-acknowledged write of its key.
+periodic crash schedule with round-robin reads; values are globally
+monotone integers, so a read is **stale** exactly when it returns less
+than the last acknowledged write of its key.
 """
 
 from __future__ import annotations
 
 from ...apps.kv import KVStore
 from ...core.policies.replicating import replicate
-from ...failures.injectors import CrashPlan, begin_crash
+from ...failures.injectors import begin_crash
 from ...kernel.errors import DistributionError
 from ...kernel.network import LinkSpec
 from ...naming.bootstrap import bind, register
-from ...workloads.distributions import UniformSampler
-from ..common import mesh, ms
+from ..common import mesh, ms, read_write_latency, staleness_probe
 
 TITLE = "E9: replication — latency, availability, and the quorum trade"
 COLUMNS = ["replicas", "mode", "write_quorum", "read_quorum",
@@ -79,28 +78,15 @@ def _latency(replicas: int, seed: int, ops: int, write_quorum: int,
                                      byte_cost=costs.byte_cost))
     ref = _deploy(contexts, replicas, write_quorum, read_quorum)
     register(contexts[0], "kv", ref)
-    proxy = bind(client, "kv")
-    proxy.put("key", 0)
-    t0 = client.clock.now
-    for _ in range(ops):
-        proxy.get("key")
-    read_ms = ms((client.clock.now - t0) / ops)
-    t0 = client.clock.now
-    for index in range(ops // 4):
-        proxy.put("key", index + 1)
-    write_ms = ms((client.clock.now - t0) / (ops // 4))
-    return read_ms, write_ms
+    read, write = read_write_latency(client, bind(client, "kv"), "key", ops)
+    return ms(read), ms(write)
 
 
 def _probe(replicas: int, seed: int, ops: int, write_quorum: int,
            read_quorum: int | None) -> tuple[float, int]:
-    """Availability and stale reads under a periodic crash plan.
-
-    A writer client and a reader client interleave (one op per tick, the
-    plan advancing each tick).  Written values are globally monotone, so
-    ``read < last acked write of the key`` — or a missing key that was
-    acknowledged — is a stale read.
-    """
+    """Availability and stale reads of one configuration: the
+    :func:`~repro.bench.common.staleness_probe` over its replica nodes,
+    both clients reading round-robin."""
     system, contexts = mesh(seed=seed, nodes=replicas + 2)
     writer_ctx, reader_ctx = contexts[-2], contexts[-1]
     ref = _deploy(contexts, replicas, write_quorum, read_quorum)
@@ -109,35 +95,11 @@ def _probe(replicas: int, seed: int, ops: int, write_quorum: int,
     writer.proxy_config["read_policy"] = "roundrobin"
     reader = bind(reader_ctx, "kv")
     reader.proxy_config["read_policy"] = "roundrobin"
-    plan = CrashPlan.periodic([ctx.node.name for ctx in contexts[:replicas]],
-                              every=15, duration=5, total_ops=ops)
     # One shared stream name: every configuration sees the *same* op
     # sequence, so availability and staleness compare pairwise.
-    rng = system.seeds.stream("e9.probe.ops")
-    sampler = UniformSampler(8, system.seeds.stream("e9.probe.keys"))
-    acked: dict[str, int] = {}
-    sequence = 0
-    failures = 0
-    stale = 0
-    for _ in range(ops):
-        plan.tick(system)
-        key = sampler.sample()
-        if rng.random() < 0.5:
-            sequence += 1
-            try:
-                writer.put(key, sequence)
-                acked[key] = sequence
-            except DistributionError:
-                failures += 1
-        else:
-            try:
-                value = reader.get(key)
-            except DistributionError:
-                failures += 1
-                continue
-            if key in acked and (value is None or value < acked[key]):
-                stale += 1
-    return 1.0 - failures / ops, stale
+    return staleness_probe(system, writer, reader,
+                           [ctx.node.name for ctx in contexts[:replicas]],
+                           ops, "e9.probe")
 
 
 def _failover(elect: bool, seed: int, ops: int) -> dict:

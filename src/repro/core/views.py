@@ -59,23 +59,11 @@ def export_view(space: ObjectSpace, obj: Any, view: Interface,
     gets its own oid, so revoking the view does not revoke the full access
     path (and vice versa).  Holders of the view's reference get a proxy
     that exposes only the view's operations, and the dispatcher refuses
-    anything else by construction.
+    anything else by construction.  The view's policy installs its server
+    half like any export's (a caching view gets its invalidation control).
+    An object exported *only* through a view travels as that view's
+    reference, so shipping it never widens the capability.
     """
-    full = Interface.of(type(obj))
-    check_conforms(full, view)
-    # Bypass the identity shortcut: a second export of the same object is
-    # intentional here, so mint a distinct oid via a wrapper entry.
-    oid = space.minter.mint()
-    ref = ObjectRef(space.context.context_id, oid, view.name, 0,
-                    policy or "stub")
-    from ..rpc.dispatcher import ExportEntry
-    space.system.codebase.register_interface(view)
-    if (policy or "stub") not in space.system.codebase.factories:
-        from ..kernel.errors import ConfigurationError
-        raise ConfigurationError(f"unknown proxy policy {policy!r}")
-    entry = ExportEntry(obj=obj, interface=view, ref=ref,
-                        policy_name=policy or "stub",
-                        policy_config=dict(config or {}))
-    space.context.exports[oid] = entry
-    space.stats["exports"] += 1
-    return ref
+    check_conforms(Interface.of(type(obj)), view)
+    return space.export(obj, interface=view, policy=policy or "stub",
+                        config=dict(config or {}))

@@ -1,4 +1,4 @@
-"""Failure injection: loss, degraded links, partitions, crash/chaos plans."""
+"""Failure injection: loss, degraded links, partitions, chaos schedules."""
 
 from .detector import (
     ALIVE,
@@ -8,7 +8,6 @@ from .detector import (
     SUSPECTED,
 )
 from .injectors import (
-    CrashPlan,
     begin_crash,
     begin_latency_spike,
     begin_message_loss,
@@ -22,7 +21,7 @@ from .injectors import (
 from .schedule import FAULT_KINDS, ChaosSchedule, Fault
 
 __all__ = [
-    "ALIVE", "ChaosSchedule", "CrashPlan", "DEFAULT_SUSPICION_THRESHOLD",
+    "ALIVE", "ChaosSchedule", "DEFAULT_SUSPICION_THRESHOLD",
     "FAULT_KINDS", "FailureDetector", "Fault", "PeerState", "SUSPECTED",
     "begin_crash", "begin_latency_spike", "begin_message_loss",
     "begin_overload", "begin_partition", "degraded_link", "latency_spike",

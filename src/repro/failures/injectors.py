@@ -1,4 +1,5 @@
-"""Failure injection: deterministic faults for experiments and sim-chaos.
+"""Failure injection primitives: deterministic faults for experiments and
+sim-chaos.
 
 Everything here is seeded through the system's
 :class:`~repro.kernel.randomness.SeedSequence`, so a failure experiment is
@@ -14,14 +15,14 @@ Two shapes of the same primitives are exported:
   :func:`begin_crash`, :func:`begin_overload`), each returning a
   zero-argument undo closure, for schedulers that must start and stop
   overlapping faults out of LIFO order — the
-  :class:`~repro.failures.schedule.ChaosSchedule` of the simulation
-  harness is composed from exactly these.
+  :class:`~repro.failures.schedule.ChaosSchedule`, the one op-tick fault
+  timeline of both the experiments and the simulation harness, is
+  composed from exactly these.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ..kernel.network import LinkSpec
@@ -173,56 +174,3 @@ def partitioned(system: System, islands: list[set[str]]):
         yield system
     finally:
         restore()
-
-
-@dataclass
-class CrashPlan:
-    """A deterministic crash/restart schedule driven by an operation counter.
-
-    Built once per experiment; the workload driver calls :meth:`tick` before
-    every operation.  ``outages`` maps an operation index to a
-    ``(node_name, duration_in_ops)`` pair: at that index the node crashes,
-    and it restarts ``duration_in_ops`` operations later.
-
-    Attributes:
-        outages: op index → (node name, outage length in ops).
-    """
-
-    outages: dict[int, tuple[str, int]]
-    _pending_restarts: dict[int, str] = field(default_factory=dict)
-    _ticks: int = 0
-
-    def tick(self, system: System) -> None:
-        """Advance the schedule by one operation."""
-        index = self._ticks
-        self._ticks += 1
-        node_name = self._pending_restarts.pop(index, None)
-        if node_name is not None:
-            node = system.node(node_name)
-            if not node.alive:
-                node.restart()
-        outage = self.outages.get(index)
-        if outage is not None:
-            name, duration = outage
-            node = system.node(name)
-            if node.alive:
-                node.crash()
-            self._pending_restarts[index + max(1, duration)] = name
-
-    @property
-    def ticks(self) -> int:
-        """Operations seen so far."""
-        return self._ticks
-
-    @classmethod
-    def periodic(cls, node_names: list[str], every: int, duration: int,
-                 total_ops: int, start: int | None = None) -> "CrashPlan":
-        """Crash the given nodes round-robin every ``every`` operations."""
-        outages: dict[int, tuple[str, int]] = {}
-        index = start if start is not None else every
-        victim = 0
-        while index < total_ops:
-            outages[index] = (node_names[victim % len(node_names)], duration)
-            victim += 1
-            index += every
-        return cls(outages=outages)

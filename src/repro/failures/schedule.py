@@ -2,9 +2,8 @@
 
 A :class:`ChaosSchedule` is a list of :class:`Fault` intervals on an
 *operation-tick* timeline (the workload driver calls :meth:`ChaosSchedule.
-tick` once per operation, exactly like :class:`~repro.failures.injectors.
-CrashPlan`).  Each fault kind maps onto one of the begin/restore injector
-primitives of :mod:`repro.failures.injectors`:
+tick` once per operation).  Each fault kind maps onto one of the
+begin/restore injector primitives of :mod:`repro.failures.injectors`:
 
 =================== ==========================================================
 ``crash``             one node down for the fault's duration (crash + restart)
@@ -201,6 +200,18 @@ class ChaosSchedule:
                 faults.append(fault)
         return cls(faults=_prune_overlaps(faults),
                    node_names=tuple(all_nodes))
+
+    @classmethod
+    def periodic(cls, node_names: list[str], every: int, duration: int,
+                 total_ops: int) -> "ChaosSchedule":
+        """Crash the given nodes round-robin every ``every`` operations,
+        each for ``duration`` operations (the first crash at tick
+        ``every``)."""
+        starts = range(every, total_ops, every)
+        return cls(faults=tuple(
+            Fault("crash", start, duration,
+                  node=node_names[victim % len(node_names)])
+            for victim, start in enumerate(starts)))
 
     # -- marshalling ---------------------------------------------------------
 

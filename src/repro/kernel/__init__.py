@@ -30,7 +30,7 @@ from .node import Node
 from .params import DEFAULT_COSTS, CostModel
 from .randomness import SeedSequence
 from .system import System
-from .topology import Site, build_ring, build_sites, build_star
+from .topology import Region, build_regions, build_ring, build_star
 from .trace import Trace, TraceEvent, TraceSummary
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "Context", "CostModel", "DEFAULT_COSTS", "DanglingReference", "Delivery",
     "DistributionError", "EncapsulationViolation", "InterfaceError", "LinkSpec",
     "MarshalError", "MessageLost", "Network", "Node", "NodeDown", "ObjectMoved",
-    "PartitionedError", "ProtocolError", "ReproError", "RpcTimeout",
-    "SeedSequence", "SimulationError", "Site", "System", "Trace",
-    "TraceEvent", "TraceSummary", "build_ring", "build_sites", "build_star",
+    "PartitionedError", "ProtocolError", "Region", "ReproError", "RpcTimeout",
+    "SeedSequence", "SimulationError", "System", "Trace", "TraceEvent",
+    "TraceSummary", "build_regions", "build_ring", "build_star",
 ]

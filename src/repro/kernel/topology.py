@@ -1,8 +1,8 @@
 """Topology builders: common network shapes in one call.
 
 The experiments mostly hand-build their topologies; these helpers are for
-library users modelling something bigger — multi-site WANs, rings, uniform
-clusters — without writing link-spec loops.
+library users modelling something bigger — multi-region WANs, rings,
+uniform clusters — without writing link-spec loops.
 """
 
 from __future__ import annotations
@@ -12,19 +12,6 @@ from dataclasses import dataclass, field
 from .context import Context
 from .network import LinkSpec
 from .system import System
-
-
-@dataclass
-class Site:
-    """One cluster of nodes created by :func:`build_sites`.
-
-    Attributes:
-        name: site label.
-        contexts: one context per node, in creation order.
-    """
-
-    name: str
-    contexts: list[Context] = field(default_factory=list)
 
 
 def build_star(system: System, hub_name: str, leaf_names: list[str],
@@ -75,11 +62,11 @@ def build_regions(system: System, region_names: list[str],
                   context_name: str = "main") -> list[Region]:
     """Multi-region WAN: LAN inside a region, WAN between regions.
 
-    Like :func:`build_sites`, but every node is *tagged* with its region
-    (``node.region``), which geo-aware proxy policies read to prefer
-    same-region replicas (see the ``regional`` policy).  Intra-region
-    links keep the default (LAN) cost model; every inter-region link gets
-    ``wan_factor`` × the default latency.
+    Every node is *tagged* with its region (``node.region``), which
+    geo-aware proxy policies read to prefer same-region replicas (see the
+    ``regional`` policy).  Intra-region links keep the default (LAN) cost
+    model; every inter-region link gets ``wan_factor`` × the default
+    latency (bandwidth unchanged — mid-80s WANs were latency-bound).
     """
     regions = []
     for region_name in region_names:
@@ -99,31 +86,3 @@ def build_regions(system: System, region_names: list[str],
                     system.network.set_link(ctx_a.node.name,
                                             ctx_b.node.name, wan)
     return regions
-
-
-def build_sites(system: System, site_names: list[str], nodes_per_site: int,
-                wan_factor: float = 20.0,
-                context_name: str = "main") -> list[Site]:
-    """Multi-site WAN: fast LAN inside a site, slow WAN between sites.
-
-    Intra-site links keep the default (LAN) cost model; every inter-site
-    link gets ``wan_factor`` × the default latency (bandwidth unchanged —
-    mid-80s WANs were latency-bound).
-    """
-    sites = []
-    for site_name in site_names:
-        site = Site(site_name)
-        for index in range(nodes_per_site):
-            node = system.add_node(f"{site_name}-{index}")
-            site.contexts.append(node.create_context(context_name))
-        sites.append(site)
-    costs = system.costs
-    wan = LinkSpec(latency=costs.remote_latency * wan_factor,
-                   byte_cost=costs.byte_cost)
-    for i, site_a in enumerate(sites):
-        for site_b in sites[i + 1:]:
-            for ctx_a in site_a.contexts:
-                for ctx_b in site_b.contexts:
-                    system.network.set_link(ctx_a.node.name,
-                                            ctx_b.node.name, wan)
-    return sites

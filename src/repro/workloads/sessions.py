@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..failures.injectors import CrashPlan
 from ..kernel.context import Context
 from ..kernel.errors import DistributionError
 from ..metrics.latency import LatencyRecorder
@@ -109,8 +108,8 @@ class RunResult:
         return sum(samples) / len(samples) if samples else 0.0
 
 
-def run_interleaved(sessions: list[Session], ops_per_session: int,
-                    crash_plan: CrashPlan | None = None) -> RunResult:
+def run_interleaved(sessions: list[Session],
+                    ops_per_session: int) -> RunResult:
     """Drive sessions concurrently for ``ops_per_session`` operations each.
 
     Scheduling is least-virtual-clock-first (conservative discrete-event
@@ -119,9 +118,6 @@ def run_interleaved(sessions: list[Session], ops_per_session: int,
     near-timestamp order, so shared busy lines model *contention* rather
     than artefacts of the stepping order — important when sessions have
     very different per-operation costs (e.g. one LAN and one WAN client).
-
-    When a crash plan is given it ticks once per operation, so outages are
-    positioned deterministically within the run.
     """
     result = RunResult(sessions=list(sessions))
     if not sessions:
@@ -135,8 +131,6 @@ def run_interleaved(sessions: list[Session], ops_per_session: int,
                     if remaining[session.name] > 0),
                    key=lambda n: (by_name[n].context.clock.now, n))
         session = by_name[name]
-        if crash_plan is not None:
-            crash_plan.tick(session.context.system)
         ok = session.step()
         remaining[name] -= 1
         result.operations += 1

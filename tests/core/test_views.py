@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
 from repro.core.views import export_view, readonly_view, restrict
@@ -102,3 +103,46 @@ class TestExportView:
         before = client.now
         assert proxy.get("k") == 9
         assert client.now - before < system.costs.remote_latency
+
+
+class TestViewPolicyServerHalf:
+    """A view's policy installs its server half exactly as ``export`` does."""
+
+    @pytest.fixture
+    def caching_view(self, star):
+        system, server, clients = star
+        space = get_space(server)
+        view_ref = export_view(space, KVStore(),
+                               restrict(KVStore.interface(), ["get", "put"]),
+                               policy="caching")
+        return system, space, clients, view_ref
+
+    def test_caching_view_gets_control_and_coherence_hook(self, caching_view):
+        system, space, clients, view_ref = caching_view
+        entry = space.entry(view_ref.oid)
+        assert "control" in entry.policy_config
+        assert len(entry.mutation_hooks) == 1
+
+    def test_write_through_view_invalidates_other_clients_cache(
+            self, caching_view):
+        system, space, clients, view_ref = caching_view
+        writer = get_space(clients[0]).bind_ref(view_ref)
+        reader = get_space(clients[1]).bind_ref(view_ref)
+        writer.put("k", 1)
+        assert reader.get("k") == 1
+        writer.put("k", 2)
+        assert reader.get("k") == 2, "the reader's cached 1 was invalidated"
+
+    def test_object_exported_only_as_a_view_travels_as_the_view(self, pair):
+        """Shipping the object never widens the capability the view
+        narrowed: it marshals as the view's reference, not as a fresh
+        full-interface export."""
+        system, server, client = pair
+        store = KVStore()
+        view_ref = export_view(get_space(server), store,
+                               readonly_view(KVStore.interface()))
+        repro.register(server, "kv", store)
+        proxy = repro.bind(client, "kv")
+        assert proxy.proxy_ref == view_ref
+        with pytest.raises(InterfaceError):
+            proxy.put("k", 1)

@@ -5,7 +5,6 @@ import pytest
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
 from repro.failures.injectors import (
-    CrashPlan,
     degraded_link,
     message_loss,
     partitioned,
@@ -64,35 +63,3 @@ class TestPartition:
                 proxy.get("k")
         assert proxy.get("k") is None  # healed
 
-
-class TestCrashPlan:
-    def test_outage_window(self, wired):
-        system, server, client, proxy = wired
-        plan = CrashPlan(outages={2: (server.node.name, 3)})
-        alive = []
-        for _ in range(8):
-            plan.tick(system)
-            alive.append(server.node.alive)
-        assert alive == [True, True, False, False, False, True, True, True]
-
-    def test_periodic_plan_layout(self):
-        plan = CrashPlan.periodic(["a", "b"], every=10, duration=2,
-                                  total_ops=40)
-        assert set(plan.outages) == {10, 20, 30}
-        victims = [plan.outages[i][0] for i in sorted(plan.outages)]
-        assert victims == ["a", "b", "a"]
-
-    def test_plan_drives_real_failures(self, wired):
-        system, server, client, proxy = wired
-        plan = CrashPlan(outages={1: (server.node.name, 2)})
-        outcomes = []
-        for index in range(5):
-            plan.tick(system)
-            try:
-                proxy.put(f"k{index}", index)
-                outcomes.append("ok")
-            except RpcTimeout:
-                outcomes.append("fail")
-        assert outcomes[0] == "ok"
-        assert "fail" in outcomes[1:3]
-        assert outcomes[-1] == "ok"

@@ -262,7 +262,7 @@ class TestE9Replication:
 
     def test_write_all_freshness_is_only_probabilistic(self, rows):
         # The legacy contract's measured counterpart to its simtest menu:
-        # some sweep point serves a stale read under the crash plan.
+        # some sweep point serves a stale read under the crash schedule.
         assert any(row["stale_reads"] > 0
                    for row in by(rows, mode="write-all"))
 

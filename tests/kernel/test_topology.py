@@ -7,7 +7,6 @@ from repro.apps.kv import KVStore
 from repro.kernel.topology import (
     build_regions,
     build_ring,
-    build_sites,
     build_star,
 )
 from repro.naming.bootstrap import install_name_service
@@ -37,31 +36,33 @@ class TestRing:
 
 
 class TestSites:
+    """Sites as regions: LAN inside, WAN between."""
+
     def test_lan_vs_wan_latency(self, system):
-        build_sites(system, ["eu", "us"], nodes_per_site=2,
-                            wan_factor=10.0)
+        build_regions(system, ["eu", "us"], nodes_per_region=2,
+                      wan_factor=10.0)
         network = system.network
         lan = network.transit_time("eu-0", "eu-1", 0)
         wan = network.transit_time("eu-0", "us-0", 0)
         assert wan == pytest.approx(lan * 10.0)
 
     def test_wan_is_symmetric(self, system):
-        build_sites(system, ["eu", "us"], nodes_per_site=1)
+        build_regions(system, ["eu", "us"], nodes_per_region=1)
         network = system.network
         assert network.transit_time("eu-0", "us-0", 0) == \
             network.transit_time("us-0", "eu-0", 0)
 
     def test_three_sites_all_pairs_slow(self, system):
-        build_sites(system, ["a", "b", "c"], nodes_per_site=1,
-                            wan_factor=5.0)
+        build_regions(system, ["a", "b", "c"], nodes_per_region=1,
+                      wan_factor=5.0)
         network = system.network
         base = system.costs.remote_latency
         for src, dst in (("a-0", "b-0"), ("b-0", "c-0"), ("a-0", "c-0")):
             assert network.transit_time(src, dst, 0) == pytest.approx(base * 5)
 
     def test_wan_affects_real_calls(self, system):
-        sites = build_sites(system, ["eu", "us"], nodes_per_site=1,
-                            wan_factor=10.0)
+        sites = build_regions(system, ["eu", "us"], nodes_per_region=1,
+                              wan_factor=10.0)
         eu, us = sites[0].contexts[0], sites[1].contexts[0]
         install_name_service(eu)
         repro.register(eu, "kv", KVStore())
@@ -74,8 +75,8 @@ class TestSites:
 
     def test_replica_placement_pays_off_across_sites(self, system):
         """A replica in the client's site beats the WAN round trip."""
-        sites = build_sites(system, ["eu", "us"], nodes_per_site=2,
-                            wan_factor=10.0)
+        sites = build_regions(system, ["eu", "us"], nodes_per_region=2,
+                              wan_factor=10.0)
         eu0, eu1 = sites[0].contexts
         us0, us1 = sites[1].contexts
         install_name_service(eu0)
