@@ -39,14 +39,15 @@ from ..proxy import Proxy
 DEFAULT_TTL = 0.05
 
 
-def invalidated_values(op: Operation, args: tuple, kwargs: dict) -> list:
+def invalidated_values(op: Operation, args: tuple, kwargs: dict) -> tuple:
     """Values a mutating operation invalidates, from its metadata.
 
     ``op.invalidates`` names parameters whose *values* identify the affected
-    entries; ``"*"`` (or no metadata at all) means "everything".
+    entries; ``"*"`` (or no metadata at all) means "everything".  A tuple,
+    so the invalidation one-way that carries it is pure.
     """
     if not op.invalidates or "*" in op.invalidates:
-        return ["*"]
+        return ("*",)
     values = []
     for param in op.invalidates:
         if param in kwargs:
@@ -55,7 +56,7 @@ def invalidated_values(op: Operation, args: tuple, kwargs: dict) -> list:
             index = op.params.index(param)
             if index < len(args):
                 values.append(args[index])
-    return values or ["*"]
+    return tuple(values) or ("*",)
 
 
 @register_policy
@@ -145,8 +146,8 @@ class CachingProxy(Proxy):
 
     # -- invalidation ------------------------------------------------------------------
 
-    def cache_invalidate(self, values: list) -> int:
-        """Drop entries touched by the given values (``["*"]`` = flush all).
+    def cache_invalidate(self, values: tuple) -> int:
+        """Drop entries touched by the given values (``("*",)`` = flush all).
 
         An entry is touched when any invalidated value appears among the
         cached call's arguments.  Returns the number of entries dropped.
@@ -188,7 +189,7 @@ class CacheCallback:
         self._proxy = proxy
 
     @operation(oneway=True)
-    def invalidate(self, values: list) -> None:
+    def invalidate(self, values: tuple) -> None:
         """Drop cache entries for the given values (server push)."""
         self._proxy.cache_invalidate(values)
 
@@ -221,7 +222,7 @@ class CacheControl:
         """Number of registered client caches."""
         return len(self._callbacks)
 
-    def broadcast(self, values: list) -> None:
+    def broadcast(self, values: tuple) -> None:
         """Push an invalidation to every registered cache (one-way)."""
         for callback in list(self._callbacks.values()):
             try:

@@ -313,7 +313,7 @@ class ReplicatedProxy(Proxy):
             context, self._replicas[index].proxy_ref, verb, args, kwargs,
             headers=headers)
 
-    def _control_call(self, index: int, control: list, body_args: tuple,
+    def _control_call(self, index: int, control: tuple, body_args: tuple,
                       extra_headers: dict | None = None) -> dict:
         """A verb-less log-transfer/election call to one replica."""
         headers = {versions.H_CONTROL: control}
@@ -327,9 +327,9 @@ class ReplicatedProxy(Proxy):
         (nothing under the static sequencer: there is no term to fence)."""
         if not self._elected:
             return {}
-        return {versions.H_TERM: [
+        return {versions.H_TERM: (
             self._term if term is None else int(term),
-            self._leader if leader is None else int(leader)]}
+            self._leader if leader is None else int(leader))}
 
     def _adopt_newer(self, reply: dict) -> None:
         """Fold a strictly newer ``(term, leader)`` advertised in a reply."""
@@ -361,11 +361,11 @@ class ReplicatedProxy(Proxy):
         caller to classify (fenced / diverged / version reached).
         """
         since_term, since = have
-        pulled = self._control_call(source, ["pull", key, since], ())
+        pulled = self._control_call(source, ("pull", key, since), ())
         entries = pulled.get(versions.K_LOG, [])
         if since and int(pulled.get(versions.K_VTERM, 0)) != since_term:
             return {versions.K_DIVERGED: True}, entries
-        return self._control_call(target, ["push", key], (entries,),
+        return self._control_call(target, ("push", key), (entries,),
                                   header), entries
 
     def _repair(self, target: int, source: int, key,
@@ -400,8 +400,8 @@ class ReplicatedProxy(Proxy):
         reached = -1
         header = self._term_header()
         try:
-            digest = self._control_call(source, ["digest"], ())
-            if self._fenced(self._control_call(target, ["reset"], (),
+            digest = self._control_call(source, ("digest",), ())
+            if self._fenced(self._control_call(target, ("reset",), (),
                                                header)):
                 return -1
             for each in _digest_of(digest):
@@ -451,7 +451,7 @@ class ReplicatedProxy(Proxy):
                 try:
                     ack = self._versioned_call(
                         index, verb, args, kwargs,
-                        {versions.H_APPLY: [key, assigned],
+                        {versions.H_APPLY: (key, assigned),
                          **self._term_header(wterm, leader)})
                 except DistributionError as exc:
                     last_error = exc
@@ -497,7 +497,7 @@ class ReplicatedProxy(Proxy):
             try:
                 reply = self._versioned_call(
                     self._leader, verb, args, kwargs,
-                    {versions.H_ASSIGN: [key], **self._term_header()})
+                    {versions.H_ASSIGN: (key,), **self._term_header()})
             except RemoteError:
                 self.proxy_stats["app_errors"] += 1
                 raise
@@ -570,7 +570,7 @@ class ReplicatedProxy(Proxy):
             try:
                 reply = self._versioned_call(
                     index, verb, args, kwargs,
-                    {versions.H_READ: [key], **self._term_header()})
+                    {versions.H_READ: (key,), **self._term_header()})
             except DistributionError as exc:
                 self.proxy_stats["read_failovers"] += 1
                 last_error = exc
@@ -646,7 +646,7 @@ class ReplicatedProxy(Proxy):
         for index in [i for i in range(count) if i != leader]:
             try:
                 reply = self._control_call(
-                    index, ["renew", self._term, leader], ())
+                    index, ("renew", self._term, leader), ())
             except DistributionError:
                 continue
             if reply.get(versions.K_GRANT):
@@ -657,7 +657,7 @@ class ReplicatedProxy(Proxy):
             return False
         try:
             reply = self._control_call(
-                leader, ["renew", self._term, leader], ())
+                leader, ("renew", self._term, leader), ())
         except DistributionError:
             return False
         if not reply.get(versions.K_GRANT):
@@ -686,7 +686,7 @@ class ReplicatedProxy(Proxy):
             statuses: dict[int, dict] = {}
             for index in range(count):
                 try:
-                    statuses[index] = self._control_call(index, ["status"],
+                    statuses[index] = self._control_call(index, ("status",),
                                                          ())
                 except DistributionError as exc:
                     last_error = exc
@@ -711,7 +711,7 @@ class ReplicatedProxy(Proxy):
             for index in sorted(statuses):
                 try:
                     reply = self._control_call(
-                        index, ["vote", target, candidate], ())
+                        index, ("vote", target, candidate), ())
                 except DistributionError as exc:
                     last_error = exc
                     continue
@@ -750,7 +750,7 @@ class ReplicatedProxy(Proxy):
         for index in range(len(replicas)):
             try:
                 reply = self._control_call(index,
-                                           ["announce", term, leader], ())
+                                           ("announce", term, leader), ())
             except DistributionError:
                 continue
             if index == leader and reply.get(versions.K_GRANT):
@@ -774,7 +774,7 @@ class ReplicatedProxy(Proxy):
         if candidate in digests:
             cand = dict(digests[candidate])
         else:
-            cand = _digest_of(self._control_call(candidate, ["digest"], ()))
+            cand = _digest_of(self._control_call(candidate, ("digest",), ()))
         header = self._term_header(target, candidate)
         keys = sorted({key for digest in digests.values() for key in digest},
                       key=repr)
@@ -801,7 +801,7 @@ class ReplicatedProxy(Proxy):
                 cand[key] = best
             if not diverged:
                 return
-            reset = self._control_call(candidate, ["reset"], (), header)
+            reset = self._control_call(candidate, ("reset",), (), header)
             if versions.K_FENCED in reset:
                 raise DistributionError(
                     "candidate sync fenced by a newer term")
@@ -840,7 +840,7 @@ class ReplicatedProxy(Proxy):
         leader = self._leader
         try:
             leader_digest = _digest_of(
-                self._control_call(leader, ["digest"], ()))
+                self._control_call(leader, ("digest",), ()))
         except DistributionError:
             return
         if not leader_digest:
@@ -849,7 +849,7 @@ class ReplicatedProxy(Proxy):
             if index == leader:
                 continue
             try:
-                have = _digest_of(self._control_call(index, ["digest"], ()))
+                have = _digest_of(self._control_call(index, ("digest",), ()))
             except DistributionError:
                 continue
             for key in sorted(leader_digest, key=repr):

@@ -185,7 +185,7 @@ class ShardedProxy(Proxy):
                 else:
                     reply = self._enveloped_call(
                         spec, verb, args, kwargs,
-                        {shards.H_EPOCH: [self._route_epoch(route)],
+                        {shards.H_EPOCH: (self._route_epoch(route),),
                          shards.H_KEY: h})
                     if shards.K_FENCED in reply:
                         self.proxy_stats["shard_redirects"] += 1
@@ -255,7 +255,7 @@ class ShardedProxy(Proxy):
         return self.proxy_protocol.call(context, ObjectRef(*spec), verb,
                                         args, kwargs, headers=headers)
 
-    def _control_call(self, spec: list, control: list,
+    def _control_call(self, spec: list, control: tuple,
                       body_args: tuple = ()) -> dict:
         """A verb-less ring-control call to one shard (or the group)."""
         return self._enveloped_call(spec, "", tuple(body_args), {},
@@ -287,7 +287,7 @@ class ShardedProxy(Proxy):
         behind: list[list] = []
         for spec in self._sync_targets(state):
             try:
-                reply = self._control_call(spec, ["map"])
+                reply = self._control_call(spec, ("map",))
             except DistributionError:
                 continue
             seen = reply.get(shards.K_MAP)
@@ -303,7 +303,7 @@ class ShardedProxy(Proxy):
             behind = [spec for spec in self._sync_targets(state)]
         for spec in behind:
             try:
-                self._control_call(spec, ["commit"], (best,))
+                self._control_call(spec, ("commit",), (best,))
             except DistributionError:
                 continue
         return state.map()
@@ -354,7 +354,7 @@ class ShardedProxy(Proxy):
         try:
             reply = self._control_call(
                 state.shards[source],
-                ["handoff", point, target, state.epoch])
+                ("handoff", point, target, state.epoch))
         except DistributionError:
             self.proxy_stats["handoff_failures"] += 1
             return False
@@ -426,7 +426,7 @@ class ShardedProxy(Proxy):
         # installs one (index inferred from the map); then fan the map out.
         for target in self._sync_targets(state):
             try:
-                self._control_call(target, ["commit"], (new_map,))
+                self._control_call(target, ("commit",), (new_map,))
             except DistributionError:
                 continue
         self.proxy_stats["shard_moves"] += 1

@@ -138,14 +138,14 @@ class ElectionState:
         if int(term) >= self.term:
             return None
         self.counters.incr("fencing_rejects")
-        return {versions.K_FENCED: [self.term, self.leader]}
+        return {versions.K_FENCED: (self.term, self.leader)}
 
     # -- control verbs (reached through versions.serve_control) ---------------
 
-    def control(self, kind: str, control: list, now: float, log) -> dict:
+    def control(self, kind: str, control: tuple, now: float, log) -> dict:
         """Serve one election control call; returns the reply wrapper."""
         if kind == "status":
-            return {versions.K_TERM: [self.term, self.leader],
+            return {versions.K_TERM: (self.term, self.leader),
                     versions.K_EXPIRY: self.lease_expiry,
                     versions.K_DIGEST: log.digest()}
         if kind == "vote":
@@ -158,7 +158,7 @@ class ElectionState:
 
     def _vote(self, term: int, candidate: int, now: float, log) -> dict:
         refusal = {versions.K_GRANT: False,
-                   versions.K_TERM: [self.term, self.leader],
+                   versions.K_TERM: (self.term, self.leader),
                    versions.K_EXPIRY: self.lease_expiry}
         if term <= self.term:
             self.counters.incr("votes_refused")
@@ -178,7 +178,7 @@ class ElectionState:
         # a committed entry (held by some write quorum) can never be lost —
         # every vote majority intersects every write quorum.
         return {versions.K_GRANT: True,
-                versions.K_TERM: [self.term, self.leader],
+                versions.K_TERM: (self.term, self.leader),
                 versions.K_DIGEST: log.digest()}
 
     def _announce(self, term: int, leader: int, now: float) -> dict:
@@ -187,20 +187,20 @@ class ElectionState:
             self.leader = leader
             self.lease_expiry = now + self.ttl
             self.counters.incr("announces_accepted")
-            return {versions.K_GRANT: True, versions.K_TERM: [term, leader]}
+            return {versions.K_GRANT: True, versions.K_TERM: (term, leader)}
         self.counters.incr("announces_refused")
         return {versions.K_GRANT: False,
-                versions.K_TERM: [self.term, self.leader]}
+                versions.K_TERM: (self.term, self.leader)}
 
     def _renew(self, term: int, leader: int, now: float) -> dict:
         if term == self.term and leader == self.leader:
             self.lease_expiry = max(self.lease_expiry, now + self.ttl)
             self.counters.incr("renewals")
-            return {versions.K_GRANT: True, versions.K_TERM: [term, leader]}
+            return {versions.K_GRANT: True, versions.K_TERM: (term, leader)}
         if self.adopt(term, leader, now):
             self.lease_expiry = now + self.ttl
             self.counters.incr("renewals")
-            return {versions.K_GRANT: True, versions.K_TERM: [term, leader]}
+            return {versions.K_GRANT: True, versions.K_TERM: (term, leader)}
         self.counters.incr("renewals_refused")
         return {versions.K_GRANT: False,
-                versions.K_TERM: [self.term, self.leader]}
+                versions.K_TERM: (self.term, self.leader)}

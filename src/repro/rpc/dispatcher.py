@@ -397,7 +397,7 @@ class Dispatcher:
                 raise type(exc)(str(exc)) from None
             raise
 
-    def _call_peer(self, shard_spec: list, control: list,
+    def _call_peer(self, shard_spec: list, control: tuple,
                    body_args: tuple) -> dict:
         """Nested ring-control call to a peer shard (handoff's install and
         commit legs): an ordinary enveloped call — nested outbound calls

@@ -304,7 +304,7 @@ class SplitBrainProxy(ReplicatedProxy):
                   if ch.isdigit()]
         favourite = int(digits[0]) % len(replicas) if digits else 0
         try:
-            self._control_call(favourite, ["announce", 2, favourite], ())
+            self._control_call(favourite, ("announce", 2, favourite), ())
         except DistributionError:
             pass
         self._term, self._leader = 2, favourite
@@ -313,7 +313,7 @@ class SplitBrainProxy(ReplicatedProxy):
         # The bug, part two: instead of electing, re-assert the favourite.
         try:
             self._control_call(self._leader,
-                               ["announce", self._term, self._leader], ())
+                               ("announce", self._term, self._leader), ())
         except DistributionError:
             pass
         raise DistributionError("splitbrain canary never elects")

@@ -89,23 +89,30 @@ class Frame:
         its fields plain data and the message carries them, pristine —
         every delivery (the first, a retransmission, a duplicate from the
         replay cache) gets its own copy of every container, made here
-        and nowhere else: of a plain message's snapshot, or the two empty
+        and nowhere else: of a plain message's snapshot, the two empty
         dicts of a pure one, whose fields are shared because nothing in
-        them can change.  A message that carries nothing is decoded — its
-        head as wire bytes are, or, with raw segments, by the
-        segment-aware decoder, which hands raw payloads back without
-        copying.  The decoder is the only path for bytes from a peer.
+        them can change, or an envelope's dict and empty dict.  A message
+        that carries nothing is decoded — its head as wire bytes are, or,
+        with raw segments, by the segment-aware decoder, which hands raw
+        payloads back without copying.  The decoder is the only path for
+        bytes from a peer.
         """
         if msg.__class__ is not WireMessage:
             msg = WireMessage.wrap(msg)
         carried = msg.carried
         if carried is not None:
             _MEMO_STATS.frames_carried += 1
-            # ``last``: a pure message's pair flag, a plain one's headers.
+            # ``last``: a pure message's pair flag, an envelope's
+            # ``(headers, pair)``, a plain one's headers.
             kind, msg_id, src, dst, target, verb, body, last = carried
             if last.__class__ is bool:
                 return cls(kind, msg_id, src, dst, target, verb,
                            (body, {}) if last else body, {})
+            if last.__class__ is tuple:     # an envelope's (headers, pair)
+                headers, pair = last
+                return cls(kind, msg_id, src, dst, target, verb,
+                           (body, {}) if pair else body.copy(),
+                           headers.copy())
             return cls(kind, msg_id, src, dst, target, verb,
                        _plain_copy(body), _plain_copy(last) if last else {})
         if not msg.segments:

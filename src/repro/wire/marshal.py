@@ -45,11 +45,15 @@ wire — see ``wire/segments.py`` and DESIGN.md's zero-copy subsection):
   fields and that size.  A *pure* frame — empty headers, a
   deeply-immutable body (exact tuples of immutable leaves) — is sized by
   :func:`_pure_size` and carries its fields as they are, since nothing
-  in them can change; any other plain frame is proved plain, snapshotted
-  and sized by :func:`_plain_sized`, and every delivery gets its own
-  copy of the snapshot.  Either way no decoder runs, and the bytes are
-  written only if someone asks for the image.  Anything else — a
-  reference, a subclass, a set, a ``bytearray`` — is encoded and
+  in them can change.  An *envelope* — a ``str``-keyed dict of pure
+  values as the headers of an ``(args, {})`` request with pure args, or
+  as a reply's body with empty headers — is pure too: sized by
+  :func:`_pure_dict_size`, it carries the dict's shallow copy, and each
+  delivery gets a fresh dict.  Any other plain frame is proved plain,
+  snapshotted and sized by :func:`_plain_sized`, and every delivery gets
+  its own copy of the snapshot.  Either way no decoder runs, and the
+  bytes are written only if someone asks for the image.  Anything else
+  — a reference, a subclass, a set, a ``bytearray`` — is encoded and
   decoded.
 * **raw segments** — on that written path, a
   ``bytes``/``bytearray``/``memoryview`` payload of at least
@@ -286,8 +290,8 @@ def _plain_sized(value):
     plus :func:`_bigint_width`), ``bytes`` 5 plus its length, a string
     its memoised wire form (:func:`_str_wire`), a container 5 plus its
     items.  An empty dict, and a flat run of strings and small ints (an
-    envelope's key spec, a term, an args tuple), are sized and copied
-    where they sit; any other container is one call.
+    args tuple, a list of keys), are sized and copied where they sit;
+    any other container is one call.
     """
     str_enc = _STR_ENC
     hits = 0
@@ -414,6 +418,76 @@ def _pure_size(value) -> int | None:
             if inner is None:
                 return None
             size += inner
+        else:
+            return None
+    _MEMO_STATS.str_enc_hits += hits
+    return size
+
+
+def _pure_dict_size(value) -> int | None:
+    """Wire size of an envelope — an exact ``dict`` (the caller checks
+    the type) of ``str`` keys and pure values — or ``None`` for anything
+    else.
+
+    A dict is pure only at the top of a frame: a value that is a list or
+    a dict, or a tuple holding one, is not pure.  The walk takes no
+    snapshot; the message carries the dict's shallow copy, which is a
+    full one because every value in it is immutable.  It sizes as
+    :func:`_pure_size` does, keys and values in the encoder's order.
+    """
+    str_enc = _STR_ENC
+    hits = 0
+    size = 5
+    for key, item in value.items():
+        if key.__class__ is not str:
+            return None
+        enc = str_enc.get(key)
+        if enc is None:
+            enc = _str_wire(key)
+        else:
+            hits += 1
+        size += len(enc)
+        cls = item.__class__
+        if cls is str:
+            enc = str_enc.get(item)
+            if enc is None:
+                enc = _str_wire(item)
+            else:
+                hits += 1
+            size += len(enc)
+        elif cls is int:
+            size += 9 if -(2**63) <= item < 2**63 \
+                else 5 + _bigint_width(item)
+        elif cls is tuple:
+            # A spec — a key, a term and leader — is a flat run of strings
+            # and small ints, sized where it sits; anything else is a call.
+            inner = 5
+            run_hits = 0
+            for part in item:
+                pcls = part.__class__
+                if pcls is str:
+                    enc = str_enc.get(part)
+                    if enc is None:
+                        enc = _str_wire(part)
+                    else:
+                        run_hits += 1
+                    inner += len(enc)
+                elif pcls is int and -(2**63) <= part < 2**63:
+                    inner += 9
+                else:
+                    inner = _pure_size(item)
+                    if inner is None:
+                        return None
+                    break
+            else:
+                hits += run_hits
+            size += inner
+        elif cls is float:
+            size += 9
+        elif item is None or cls is bool:
+            size += 1
+        elif cls is bytes:
+            size += 5 + len(item)
         else:
             return None
     _MEMO_STATS.str_enc_hits += hits
@@ -604,6 +678,12 @@ class Marshaller:
           ``(kind, msg_id, src, dst, target, verb, body, pair)``, where
           a request's ``(args, {})`` body is carried as ``args`` and
           ``pair`` is true;
+        * an *envelope* (an ``(args, {})`` request with pure args and
+          pure headers, or a pure body dict with empty headers) → the
+          size (:func:`_pure_dict_size`) and ``(kind, msg_id, src, dst,
+          target, verb, body, (headers, pair))``, the dict a shallow
+          copy: a request's ``body`` is ``args`` and ``pair`` is true, a
+          reply wrapper's ``body`` is the dict and ``headers`` empty;
         * headers and body both *plain* → the size and a snapshot of the
           eight fields (:func:`_plain_sized`, one walk, now — as the
           bytes would have been);
@@ -630,6 +710,27 @@ class Marshaller:
                     nbytes += 15 if pair else 5
                     carried = (kind, msg_id, src, dst, target, verb,
                                body[0] if pair else body, pair)
+            if carried is None:
+                # An envelope: an ``(args, {})`` request with pure args and
+                # pure headers, or a pure body dict (a reply wrapper) with
+                # empty headers.  The dict travels as a shallow copy.
+                if headers:
+                    if body.__class__ is tuple and len(body) == 2 \
+                            and body[0].__class__ is tuple \
+                            and body[1].__class__ is dict and not body[1]:
+                        nbytes = _pure_size(body[0])
+                        size = None if nbytes is None \
+                            else _pure_dict_size(headers)
+                        if size is not None:
+                            nbytes += size + 10     # the pair's tuple, dict
+                            carried = (kind, msg_id, src, dst, target, verb,
+                                       body[0], (headers.copy(), True))
+                elif body.__class__ is dict:
+                    nbytes = _pure_dict_size(body)
+                    if nbytes is not None:
+                        nbytes += 5                 # the empty headers
+                        carried = (kind, msg_id, src, dst, target, verb,
+                                   body.copy(), ({}, False))
             if carried is None:
                 try:
                     snap_body, nbytes = _plain_sized(body)

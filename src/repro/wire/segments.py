@@ -54,11 +54,15 @@ class WireMessage:
             ``(kind, msg_id, src, dst, target, verb, body, pair)``, shared
             with the sender because they are deeply immutable: its headers
             are empty, and when ``pair`` is true ``body`` is the args
-            tuple of an ``(args, {})`` body.  A plain one's are the eight
-            fields ``(kind, msg_id, src, dst, target, verb, body,
-            headers)``, every container a copy made when the frame was
-            sent.  The last field's type tells the two apart.  ``None``
-            when the frame must be decoded.
+            tuple of an ``(args, {})`` body.  An envelope's last field
+            is ``(headers, pair)``: the dict it carries (the headers, or
+            with ``pair`` false the body) is a shallow copy made when the
+            frame was sent, which is a snapshot because its values are
+            immutable.  A plain one's are the eight fields ``(kind,
+            msg_id, src, dst, target, verb, body, headers)``, every
+            container a copy made when the frame was sent.  The last
+            field's type tells the three apart.  ``None`` when the frame
+            must be decoded.
     """
 
     __slots__ = ("head", "segments", "nbytes", "carried")
@@ -98,6 +102,10 @@ class WireMessage:
             kind, msg_id, src, dst, target, verb, body, last = self.carried
             if last.__class__ is bool:          # a pure message's pair flag
                 body, last = ((body, {}) if last else body), {}
+            elif last.__class__ is tuple:       # an envelope's (headers, pair)
+                last, pair = last
+                if pair:
+                    body = (body, {})
             return PLAIN.encode_frame_fields(kind, msg_id, src, dst, target,
                                              verb, body, last)
         if not self.segments:

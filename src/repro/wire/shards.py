@@ -54,21 +54,22 @@ to that shard's other operations:
 A failed install aborts before step 4, leaving at worst a harmless stale
 copy at the target (``install`` is discard-first, hence idempotent).
 
-Request header keys:
+Request header keys (specs are tuples, as in :mod:`repro.wire.versions`,
+whose parse rule — a tuple or a list, nothing else — applies here too):
 
 ========= =================== ==========================================
 key       value               meaning
 ========= =================== ==========================================
-``s.e``   ``[epoch]``         the caller's ring epoch; older than the
+``s.e``   ``(epoch,)``        the caller's ring epoch; older than the
                               shard's ⇒ :data:`K_FENCED` redirect when
                               the key moved, in-band heal otherwise
 ``s.k``   ``hash``            the call's routing hash (advisory; lets a
                               stale caller at the right shard be served)
-``s.c``   ``["map"]`` /       ring controls (verb-less frames): read the
-          ``["commit"]`` /    map, adopt a newer one, absorb an arc
-          ``["install", ks]`` fragment (rides the body), or run the
-          / ``["handoff",    source side of an arc transfer
-          i, dst, epoch]``
+``s.c``   ``("map",)`` /      ring controls (verb-less frames): read the
+          ``("commit",)`` /   map, adopt a newer one, absorb an arc
+          ``("install", ks)`` fragment (rides the body), or run the
+          / ``("handoff",    source side of an arc transfer
+          i, dst, epoch)``
 ========= =================== ==========================================
 
 Reply wrappers: ``{"s.val": result}`` on success (plus ``"s.map"`` when
@@ -84,11 +85,12 @@ from bisect import bisect_left
 from typing import Any, Callable
 
 from ..kernel.errors import ConfigurationError, ProtocolError
+from .versions import SPEC_TYPES
 
-#: Request header: the caller's ring epoch ``[epoch]``.
+#: Request header: the caller's ring epoch ``(epoch,)``.
 H_EPOCH = "s.e"
-#: Request header: ring control ``["map"]`` / ``["commit"]`` /
-#: ``["install", keys]`` / ``["handoff", point, target, epoch]``.
+#: Request header: ring control ``("map",)`` / ``("commit",)`` /
+#: ``("install", keys)`` / ``("handoff", point, target, epoch)``.
 H_CONTROL = "s.c"
 #: Request header: the routing hash of the call's shard key.  Advisory:
 #: it refines the *stale* path only — a stale-epoch call whose key the
@@ -292,14 +294,14 @@ def serve_verb(entry, verb: str, args, kwargs, headers: dict) -> dict:
 
 
 def serve_control(entry, control, body_args,
-                  call_peer: Callable[[list, list, tuple], dict]
+                  call_peer: Callable[[list, tuple, tuple], dict]
                   | None = None) -> dict:
     """A ring control call (verb-less frames).
 
-    ``["map"]`` returns the current map; ``["commit"]`` adopts the map
-    riding ``body_args[0]`` iff newer; ``["install", keys]`` absorbs the
+    ``("map",)`` returns the current map; ``("commit",)`` adopts the map
+    riding ``body_args[0]`` iff newer; ``("install", keys)`` absorbs the
     arc fragment riding ``body_args[0]`` (discard-first, so a replayed
-    install is idempotent); ``["handoff", point, target, epoch]`` runs
+    install is idempotent); ``("handoff", point, target, epoch)`` runs
     the source side of an arc transfer (module docstring) — it needs
     ``call_peer(shard_spec, control, body_args)``, the nested-call thunk
     the dispatcher supplies.
@@ -379,16 +381,17 @@ def _serve_handoff(entry, state: ShardState, control,
     new_ring = [list(e) for e in state.ring]
     new_ring[point_index][1] = target
     new_map = [state.epoch + 1, new_ring, [list(s) for s in state.shards]]
+    peer = state.shards[target]
     # Install at the target first: a DistributionError here propagates and
     # aborts the handoff before any commit — the map never names an owner
     # that lacks the data.
-    call_peer(state.shards[target], ["install", keys], (fragment,))
+    call_peer(peer, ("install", keys), (fragment,))
     # Source-first commit: the fencing authority advances before anyone
     # else, so every stale-mapped call is refused into adopting the truth.
     state.adopt(*new_map)
     entry.obj.shard_discard(keys)
     try:
-        call_peer(state.shards[target], ["commit"], (new_map,))
+        call_peer(peer, ("commit",), (new_map,))
     except Exception:
         # Best-effort: a target left at the old epoch still serves
         # correctly (fencing only rejects *older* requests); the map-sync
@@ -424,6 +427,8 @@ def serve_envelope(entry, verb: str, args, kwargs, headers: dict, *,
         h = headers.get(H_KEY)
         try:
             if spec is not None:
+                if not isinstance(spec, SPEC_TYPES):
+                    raise TypeError(spec)
                 int(spec[0])
             if h is not None:
                 int(h)
@@ -439,6 +444,8 @@ def _parse_control(control, body_args) -> None:
     from the envelope and the body has the shape it expects — or
     :class:`ProtocolError`."""
     try:
+        if not isinstance(control, SPEC_TYPES):
+            raise TypeError(control)
         kind = control[0]
         if kind == "commit" and body_args and body_args[0] is not None:
             epoch, ring, specs = body_args[0]

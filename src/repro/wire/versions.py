@@ -29,28 +29,30 @@ reject-with-forwarding.  A static-primary group is the same protocol with
 ``entry.election is None``: every step below skips the term check and emits
 no term key, so its traffic is byte-identical to a build without elections.
 
-Request header keys (values are small marshallable lists):
+Request header keys (values are small tuples, so an enveloped frame is
+pure — sized and shared, never snapshotted; see ``wire/marshal.py``).
+The parse takes a list too, and refuses anything else:
 
 ========== ======================= ========================================
 key        value                   meaning
 ========== ======================= ========================================
-``q.w``    ``[key]``               primary write: apply, assign the next
+``q.w``    ``(key,)``              primary write: apply, assign the next
                                    version of ``key``, log the operation
-``q.a``    ``[key, n]``            replica write: apply iff ``n`` extends
+``q.a``    ``(key, n)``            replica write: apply iff ``n`` extends
                                    the replica's log of ``key`` contiguously
-``q.r``    ``[key]``               versioned read: answer with the replica's
+``q.r``    ``(key,)``              versioned read: answer with the replica's
                                    current version of ``key``
-``q.c``    ``["pull", key, since]`` log transfer for repair: return the
-           / ``["push", key]``     suffix after ``since`` / apply pushed
+``q.c``    ``("pull", key, since)`` log transfer for repair: return the
+           / ``("push", key)``     suffix after ``since`` / apply pushed
                                    entries (ride the request body)
-``q.t``    ``[term, leader]``      elected groups: the caller's leadership
+``q.t``    ``(term, leader)``      elected groups: the caller's leadership
                                    belief; stale terms are fenced, newer
                                    terms are adopted
 ========== ======================= ========================================
 
-Election control verbs (also under ``q.c``): ``["status"]``,
-``["vote", term, candidate]``, ``["announce", term, leader]``,
-``["renew", term, leader]``, ``["digest"]``, and ``["reset"]`` (discard
+Election control verbs (also under ``q.c``): ``("status",)``,
+``("vote", term, candidate)``, ``("announce", term, leader)``,
+``("renew", term, leader)``, ``("digest",)``, and ``("reset",)`` (discard
 the object and its logs ahead of a full resync from the leader — the
 divergence repair; a suffix push cannot *un*-apply an executed entry).
 
@@ -59,11 +61,11 @@ Reply wrappers (reserved keys, see :func:`is_wrapped`):
 * ``{"q.v": n, "q.val": result}`` — applied/answered at version ``n``;
 * ``{"q.v": cur, "q.stale": True}`` — the replica is missing a prefix
   (apply of ``n > cur + 1``): the caller repairs, then retries the ack;
-* ``{"q.v": cur, "q.exc": [type, message]}`` — the operation raised an
+* ``{"q.v": cur, "q.exc": (type, message)}`` — the operation raised an
   application exception (versioned reads re-raise it client-side);
 * ``{"q.v": cur, "q.log": [[n, verb, args, kwargs(, term)], ...]}`` —
   pull answer (the fifth element appears only for term-stamped entries);
-* ``{"q.f": [term, leader]}`` — fenced: the write's term is stale;
+* ``{"q.f": (term, leader)}`` — fenced: the write's term is stale;
 * ``{"q.exp": True}`` — the leader's own lease expired; the caller runs
   a renewal round and retries;
 * ``{"q.div": True}`` — divergence: the replica holds a *different*
@@ -73,7 +75,7 @@ Reply wrappers (reserved keys, see :func:`is_wrapped`):
   or of the entry at the pull boundary (prefix-equality witness: equal
   ``(version, term)`` pairs imply equal prefixes, because a term has at
   most one leader and a leader assigns each version once);
-* ``q.tl`` — the replica's current ``[term, leader]`` (reads, election
+* ``q.tl`` — the replica's current ``(term, leader)`` (reads, election
   controls); ``q.x`` — its lease expiry; ``q.g`` — a vote/announce/renew
   grant flag; ``q.dig`` — a log digest ``[[key, last_term, version]...]``.
 """
@@ -84,15 +86,16 @@ from typing import Any, Callable
 
 from ..kernel.errors import ProtocolError
 
-#: Request header: primary write ``[key]`` — apply and assign the version.
+#: Request header: primary write ``(key,)`` — apply and assign the version.
 H_ASSIGN = "q.w"
-#: Request header: replica write ``[key, n]`` — apply iff contiguous.
+#: Request header: replica write ``(key, n)`` — apply iff contiguous.
 H_APPLY = "q.a"
-#: Request header: versioned read ``[key]``.
+#: Request header: versioned read ``(key,)``.
 H_READ = "q.r"
-#: Request header: log-transfer control ``["pull", key, since]``/``["push", key]``.
+#: Request header: log-transfer control ``("pull", key, since)`` /
+#: ``("push", key)``.
 H_CONTROL = "q.c"
-#: Request header: the caller's ``[term, leader]`` belief (elected groups).
+#: Request header: the caller's ``(term, leader)`` belief (elected groups).
 H_TERM = "q.t"
 
 #: Reply key: the replica's version of the addressed key after the call.
@@ -101,11 +104,11 @@ K_VERSION = "q.v"
 K_VALUE = "q.val"
 #: Reply key: apply refused, the replica is missing a log prefix.
 K_STALE = "q.stale"
-#: Reply key: the operation raised ``[type_name, message]``.
+#: Reply key: the operation raised ``(type_name, message)``.
 K_EXC = "q.exc"
 #: Reply key: pulled log suffix ``[[n, verb, args, kwargs(, term)], ...]``.
 K_LOG = "q.log"
-#: Reply key: fenced — the write's term is stale; value ``[term, leader]``.
+#: Reply key: fenced — the write's term is stale; value ``(term, leader)``.
 K_FENCED = "q.f"
 #: Reply key: the leader's self-lease expired; renew and retry.
 K_EXPIRED = "q.exp"
@@ -114,7 +117,7 @@ K_EXPIRED = "q.exp"
 K_DIVERGED = "q.div"
 #: Reply key: the term of the key's last entry (or the pull boundary's).
 K_VTERM = "q.vt"
-#: Reply key: the replica's current ``[term, leader]``.
+#: Reply key: the replica's current ``(term, leader)``.
 K_TERM = "q.tl"
 #: Reply key: the replica's lease expiry (vote refusals, status).
 K_EXPIRY = "q.x"
@@ -212,6 +215,11 @@ def replica_log(entry) -> ReplicaLog:
 #: What a value of the wrong shape raises where the envelope is parsed.
 _MALFORMED = (TypeError, ValueError, IndexError, KeyError)
 
+#: What a spec may be: a tuple, as every caller here builds it, or a list.
+#: A string indexes too, character by character, so the parse refuses
+#: anything else by type.
+SPEC_TYPES = (tuple, list)
+
 
 def _term_of(headers: dict | None) -> tuple[int, int] | None:
     """The ``(term, leader)`` a request carries, if any: the parse of
@@ -221,6 +229,8 @@ def _term_of(headers: dict | None) -> tuple[int, int] | None:
     if spec is None:
         return None
     try:
+        if not isinstance(spec, SPEC_TYPES):
+            raise TypeError(spec)
         return int(spec[0]), int(spec[1])
     except _MALFORMED:
         raise ProtocolError(f"malformed {H_TERM} envelope {spec!r}") from None
@@ -271,13 +281,13 @@ def serve_read(entry, key, verb: str, args, kwargs) -> dict:
     log = replica_log(entry)
     state = entry.election
     extra = ({K_VTERM: log.last_term(key),
-              K_TERM: [state.term, state.leader]}
+              K_TERM: (state.term, state.leader)}
              if state is not None else {})
     try:
         result = entry.run(verb, args, kwargs)
     except Exception as exc:
         return {K_VERSION: log.version(key),
-                K_EXC: [type(exc).__name__, str(exc)], **extra}
+                K_EXC: (type(exc).__name__, str(exc)), **extra}
     return {K_VERSION: log.version(key), K_VALUE: result, **extra}
 
 
@@ -301,10 +311,10 @@ def serve_assign(entry, key, verb: str, args, kwargs,
             return refused
         if not state.is_leader():
             state.counters.incr("fencing_rejects")
-            return {K_FENCED: [state.term, state.leader]}
+            return {K_FENCED: (state.term, state.leader)}
         if not state.lease_valid(now):
             state.counters.incr("lease_refusals")
-            return {K_EXPIRED: True, K_TERM: [state.term, state.leader]}
+            return {K_EXPIRED: True, K_TERM: (state.term, state.leader)}
         term = state.term
     result = entry.run(verb, args, kwargs)    # raises: nothing is logged
     n = log.version(key) + 1
@@ -346,7 +356,7 @@ def _apply_entry(entry, key, n: int, verb: str, args, kwargs, term: int,
         invoke(verb, args, kwargs)
     except Exception as exc:
         return {K_VERSION: current,
-                K_EXC: [type(exc).__name__, str(exc)]}
+                K_EXC: (type(exc).__name__, str(exc))}
     log.append(key, n, verb, args, kwargs, term)
     return {K_VERSION: n}
 
@@ -371,14 +381,14 @@ def serve_control(entry, control, body_args,
                   headers: dict | None = None, now: float = 0.0) -> dict:
     """A log-transfer or election control call (verb-less frames).
 
-    ``["pull", key, since]`` returns the suffix after ``since``;
-    ``["push", key]`` applies the entries riding ``body_args[0]``
+    ``("pull", key, since)`` returns the suffix after ``since``;
+    ``("push", key)`` applies the entries riding ``body_args[0]``
     contiguously through ``invoke`` (old entries are skipped, a gap or a
     raising entry stops the push) and returns the resulting version.
     Election mode adds
-    ``["status"]``/``["vote", …]``/``["announce", …]``/``["renew", …]``
+    ``("status",)``/``("vote", …)``/``("announce", …)``/``("renew", …)``
     (served by the entry's :class:`~repro.failures.election.
-    ElectionState`), ``["digest"]``, and ``["reset"]`` — the divergence
+    ElectionState`), ``("digest",)``, and ``("reset",)`` — the divergence
     repair: discard the object and its logs, then take a full push.
     """
     kind = control[0]
@@ -464,6 +474,8 @@ def serve_envelope(entry, verb: str, args, kwargs, headers: dict, *,
     else:
         raise ProtocolError("frame carries no quorum envelope")
     try:
+        if not isinstance(spec, SPEC_TYPES):
+            raise TypeError(spec)
         key = spec[0]
         hash(key)
         n = int(spec[1]) if name == H_APPLY else 0
@@ -483,6 +495,8 @@ def _parse_control(control, body_args) -> None:
     reads, and a push's entries in the body, converted as the step
     converts them — or :class:`ProtocolError`."""
     try:
+        if not isinstance(control, SPEC_TYPES):
+            raise TypeError(control)
         kind = control[0]
         if kind == "pull":
             hash(control[1])

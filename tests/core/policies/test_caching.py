@@ -181,19 +181,19 @@ class TestServerInvalidation:
 class TestInvalidatedValues:
     def test_named_parameter(self):
         op = Operation("put", ("key", "value"), invalidates=("key",))
-        assert invalidated_values(op, ("k1", 5), {}) == ["k1"]
+        assert invalidated_values(op, ("k1", 5), {}) == ("k1",)
 
     def test_named_parameter_via_kwargs(self):
         op = Operation("put", ("key", "value"), invalidates=("key",))
-        assert invalidated_values(op, (), {"key": "k2", "value": 5}) == ["k2"]
+        assert invalidated_values(op, (), {"key": "k2", "value": 5}) == ("k2",)
 
     def test_no_metadata_means_flush_all(self):
         op = Operation("mutate", ("a",))
-        assert invalidated_values(op, ("x",), {}) == ["*"]
+        assert invalidated_values(op, ("x",), {}) == ("*",)
 
     def test_star_means_flush_all(self):
         op = Operation("clear", (), invalidates=("*",))
-        assert invalidated_values(op, (), {}) == ["*"]
+        assert invalidated_values(op, (), {}) == ("*",)
 
 
 class TestNoHandshakeFallback:

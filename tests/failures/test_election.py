@@ -49,19 +49,19 @@ class TestBootstrap:
 class TestVotes:
     def test_stale_term_is_refused(self):
         st = state()
-        reply = st.control("vote", ["vote", 1, 2], now=9.0, log=StubLog())
+        reply = st.control("vote", ("vote", 1, 2), now=9.0, log=StubLog())
         assert reply[versions.K_GRANT] is False
-        assert reply[versions.K_TERM] == [1, 0]
+        assert reply[versions.K_TERM] == (1, 0)
 
     def test_valid_lease_blocks_the_vote_and_hints_expiry(self):
         st = state()
-        reply = st.control("vote", ["vote", 2, 2], now=0.1, log=StubLog())
+        reply = st.control("vote", ("vote", 2, 2), now=0.1, log=StubLog())
         assert reply[versions.K_GRANT] is False
         assert reply[versions.K_EXPIRY] == pytest.approx(DEFAULT_LEASE_TTL)
 
     def test_expired_lease_grants_with_the_digest(self):
         st = state()
-        reply = st.control("vote", ["vote", 2, 2], now=1.0,
+        reply = st.control("vote", ("vote", 2, 2), now=1.0,
                            log=StubLog(entries=4))
         assert reply[versions.K_GRANT] is True
         assert reply[versions.K_DIGEST] == [["object", 1, 4]]
@@ -70,9 +70,9 @@ class TestVotes:
 
     def test_one_vote_per_term(self):
         st = state()
-        first = st.control("vote", ["vote", 2, 2], now=1.0, log=StubLog())
-        rival = st.control("vote", ["vote", 2, 0], now=1.0, log=StubLog())
-        again = st.control("vote", ["vote", 2, 2], now=1.0, log=StubLog())
+        first = st.control("vote", ("vote", 2, 2), now=1.0, log=StubLog())
+        rival = st.control("vote", ("vote", 2, 0), now=1.0, log=StubLog())
+        again = st.control("vote", ("vote", 2, 2), now=1.0, log=StubLog())
         assert first[versions.K_GRANT] is True
         assert rival[versions.K_GRANT] is False, \
             "the rule that makes same-term split brain impossible"
@@ -82,9 +82,9 @@ class TestVotes:
     def test_suspected_leader_unlocks_the_vote_early(self):
         detector = StubDetector()
         st = state(detector=detector)
-        blocked = st.control("vote", ["vote", 2, 2], now=0.1, log=StubLog())
+        blocked = st.control("vote", ("vote", 2, 2), now=0.1, log=StubLog())
         detector.suspects.add("s0/main")
-        granted = st.control("vote", ["vote", 3, 2], now=0.1, log=StubLog())
+        granted = st.control("vote", ("vote", 3, 2), now=0.1, log=StubLog())
         assert blocked[versions.K_GRANT] is False
         assert granted[versions.K_GRANT] is True, \
             "suspicion shortcuts the lease wait"
@@ -93,44 +93,44 @@ class TestVotes:
         detector = StubDetector()
         detector.suspects.add("s0/main")
         st = state(detector=detector)
-        st.control("vote", ["vote", 2, 2], now=0.1, log=StubLog())
-        rival = st.control("vote", ["vote", 2, 1], now=0.1, log=StubLog())
+        st.control("vote", ("vote", 2, 2), now=0.1, log=StubLog())
+        rival = st.control("vote", ("vote", 2, 1), now=0.1, log=StubLog())
         assert rival[versions.K_GRANT] is False
 
 
 class TestAnnounceRenewAdopt:
     def test_announce_adopts_and_arms_the_lease(self):
         st = state()
-        reply = st.control("announce", ["announce", 2, 2], now=1.0, log=None)
+        reply = st.control("announce", ("announce", 2, 2), now=1.0, log=None)
         assert reply[versions.K_GRANT] is True
         assert (st.term, st.leader) == (2, 2)
         assert st.lease_expiry == pytest.approx(1.0 + DEFAULT_LEASE_TTL)
 
     def test_stale_announce_is_refused(self):
         st = state()
-        st.control("announce", ["announce", 3, 1], now=1.0, log=None)
-        reply = st.control("announce", ["announce", 2, 2], now=2.0, log=None)
+        st.control("announce", ("announce", 3, 1), now=1.0, log=None)
+        reply = st.control("announce", ("announce", 2, 2), now=2.0, log=None)
         assert reply[versions.K_GRANT] is False
-        assert reply[versions.K_TERM] == [3, 1]
+        assert reply[versions.K_TERM] == (3, 1)
 
     def test_same_term_same_leader_reannounce_rearms(self):
         st = state()
-        st.control("announce", ["announce", 2, 2], now=1.0, log=None)
-        reply = st.control("announce", ["announce", 2, 2], now=5.0, log=None)
+        st.control("announce", ("announce", 2, 2), now=1.0, log=None)
+        reply = st.control("announce", ("announce", 2, 2), now=5.0, log=None)
         assert reply[versions.K_GRANT] is True
         assert st.lease_expiry == pytest.approx(5.0 + DEFAULT_LEASE_TTL)
 
     def test_renew_extends_only_a_matching_leadership(self):
         st = state()
-        good = st.control("renew", ["renew", 1, 0], now=0.2, log=None)
-        bad = st.control("renew", ["renew", 1, 2], now=0.2, log=None)
+        good = st.control("renew", ("renew", 1, 0), now=0.2, log=None)
+        bad = st.control("renew", ("renew", 1, 2), now=0.2, log=None)
         assert good[versions.K_GRANT] is True
         assert st.lease_expiry == pytest.approx(0.2 + DEFAULT_LEASE_TTL)
         assert bad[versions.K_GRANT] is False
 
     def test_renew_of_a_newer_term_adopts(self):
         st = state()
-        reply = st.control("renew", ["renew", 4, 2], now=1.0, log=None)
+        reply = st.control("renew", ("renew", 4, 2), now=1.0, log=None)
         assert reply[versions.K_GRANT] is True
         assert (st.term, st.leader) == (4, 2)
 
@@ -149,14 +149,14 @@ class TestFencing:
         st = state()
         st.adopt(5, 2, now=0.0)
         reply = st.fence(1)
-        assert reply == {versions.K_FENCED: [5, 2]}
+        assert reply == {versions.K_FENCED: (5, 2)}
         assert st.counters.get("fencing_rejects") == 1
 
     def test_status_reply_shape(self):
         st = state()
-        reply = st.control("status", ["status"], now=0.0,
+        reply = st.control("status", ("status",), now=0.0,
                            log=StubLog(entries=2))
-        assert reply[versions.K_TERM] == [1, 0]
+        assert reply[versions.K_TERM] == (1, 0)
         assert reply[versions.K_EXPIRY] == pytest.approx(DEFAULT_LEASE_TTL)
         assert reply[versions.K_DIGEST] == [["object", 1, 2]]
 

@@ -9,7 +9,9 @@ forwarding (stub 63, replicated 203, sharded 92 before), and the enveloped
 ones again when a plain frame stopped being written (replicated 159,
 sharded 69, put 229 before).  A ``put`` of a value never sent before
 writes no frame since a pure frame is sized too (stub 53, caching 97
-before).
+before).  An envelope built from tuples is sized and shared like a stub
+frame, neither snapshotted nor copied (replicated get 133, sharded 61,
+put 192, caching 89 before).
 """
 
 import gc
@@ -26,13 +28,13 @@ from repro.wire.marshal import clear_memos
 # Lower a budget when the count falls; never raise one without a line in
 # DESIGN.md ("The shell ledger") saying what the extra calls bought.
 # 3.12+ inlines comprehensions, so a count can only be lower there.
-BUDGET = {"stub": 45, "replicated": 133, "sharded": 61}
+BUDGET = {"stub": 45, "replicated": 127, "sharded": 58}
 #: A warm quorum write: the assign at the primary plus its replica apply.
-PUT_BUDGET = {"replicated": 192}
+PUT_BUDGET = {"replicated": 183}
 #: One plain one-way, sent and served.
 ONEWAY_BUDGET = 26
 #: A put of a value no frame carried before: nothing is memoised per value.
-FRESH_PUT_BUDGET = {"stub": 45, "caching": 89}
+FRESH_PUT_BUDGET = {"stub": 45, "caching": 86}
 
 #: Frames that stand in front of a value fixed at construction, or that
 #: only forward: a size, a message id, a snapshot's hand-over, the clock's
@@ -43,8 +45,11 @@ BANNED = {"context_id", "_feed_breaker", "_accept", "encoder_for",
           "decoder_for", "<lambda>", "__len__", "_mint", "mint", "take",
           "image", "reset", "context", "encode_message",
           "encode_frame_fields", "_encode_into"}
-#: What the enveloped arm picked or parsed more than once.
-ENVELOPE_BANNED = {"has_envelope", "serve_enveloped", "from_headers"}
+#: What the enveloped arm picked or parsed more than once — and the plain
+#: walks: an envelope and a reply wrapper are pure, so nothing snapshots
+#: or copies them.
+ENVELOPE_BANNED = {"has_envelope", "serve_enveloped", "from_headers",
+                   "_plain_sized", "_plain_copy"}
 
 
 def _deployment(policy):
@@ -123,8 +128,9 @@ def test_a_put_of_a_new_value_writes_no_frame(policy):
     _, proxy = _deployment(policy)
     readings = _readings(partial(proxy.put, "k0"), itertools.count(1000))
     assert _count(readings) <= FRESH_PUT_BUDGET[policy]
-    for names in readings:
-        assert not BANNED.intersection(names), sorted(names)
+    for names in readings:      # caching: its invalidation one-way is pure
+        assert not (BANNED | ENVELOPE_BANNED).intersection(names), \
+            sorted(names)
 
 
 def test_a_oneway_stays_within_its_call_budget():

@@ -20,6 +20,11 @@ property is stated against them:
   delivery of the same message object (a retransmission, a duplicate
   from the replay cache), nor the image.
 
+An envelope — a ``str``-keyed dict of pure values as the headers of an
+``(args, {})`` request, or as a reply's body — is pure too: sized
+without a snapshot and carried as the dict's shallow copy, each delivery
+getting its own dict.  A dict anywhere below the top of a frame is not.
+
 New in this PR: at the parent the carried arm stopped at the first
 ``dict``, so none of this was reachable; the isolation half fails on a
 carried arm that shares a container with the sender (checked on a scratch
@@ -197,6 +202,23 @@ _pure_frames = st.one_of(
               st.just(""), _pure_value, st.builds(dict)))
 
 
+_pure_dict = st.dictionaries(st.text(max_size=4), _pure_value, max_size=4)
+
+#: Envelopes — a dict of pure values at the top of a frame: requests and
+#: one-ways with an ``(args, {})`` body and such headers, and replies whose
+#: body is such a dict (a wrapper) with empty headers.
+_envelope_frames = st.one_of(
+    st.builds(Frame, st.sampled_from([REQUEST, ONEWAY]),
+              st.integers(0, 2**40), st.just("c0/main"), st.just("s0/main"),
+              st.just("oid1"), st.sampled_from(["get", "put", ""]),
+              st.tuples(st.lists(_pure_value, max_size=3).map(tuple),
+                        st.builds(dict)),
+              _pure_dict.filter(bool)),
+    st.builds(Frame, st.just(REPLY), st.integers(-3, 2**64),
+              st.just("s0/main"), st.just("c0/main"), st.just(""),
+              st.just(""), _pure_dict, st.builds(dict)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(frame=st.one_of(_frames(_plain_value), _frames(_any_value)))
 def test_carried_frame_equals_decoded_frame(frame):
@@ -212,7 +234,7 @@ def test_carried_frame_equals_decoded_frame(frame):
 
 
 @settings(max_examples=300, deadline=None)
-@given(frame=_frames(_plain_value))
+@given(frame=st.one_of(_envelope_frames, _frames(_plain_value)))
 def test_sender_receiver_and_retransmission_are_isolated(frame):
     m = Marshaller()
     sent = typed_frame(frame)
@@ -236,7 +258,7 @@ def test_sender_receiver_and_retransmission_are_isolated(frame):
 
 
 @settings(max_examples=300, deadline=None)
-@given(frame=st.one_of(_pure_frames, _frames(_plain_value)))
+@given(frame=st.one_of(_pure_frames, _envelope_frames, _frames(_plain_value)))
 def test_the_sized_image_is_the_encoders_image(frame):
     m = Marshaller()
     fields = (frame.kind, frame.msg_id, frame.src, frame.dst, frame.target,
@@ -471,3 +493,108 @@ def test_counters_tell_carried_from_decoded():
     after = memo_stats()
     assert after["frames_carried"] - before["frames_carried"] == 2
     assert after["frames_decoded"] - before["frames_decoded"] == 1
+
+
+# -- envelopes: a dict is pure at the top of a frame --------------------------
+
+def _is_envelope(msg) -> bool:
+    """Carried the envelope way: a dict's shallow copy and the pair flag."""
+    return msg.carried is not None and msg.carried[-1].__class__ is tuple
+
+
+_ENVELOPES = [
+    _request((("k",), {}), {"q.r": ("k",), "q.t": (3, 7)}),   # a quorum read
+    _request((("k", 2), {}), {"s.e": (4,), "s.k": 2**64 - 1}),
+    _request((("k",), {}), {"deadline": 1.25}),                 # a deadline
+    _request(((), {}), {"q.c": ("renew", 2, 0)}, msg_id=2**70),
+    Frame(REPLY, 5, "s0/main", "c0/main",
+          body={"q.v": 3, "q.val": ("a", None, -0.0), "q.tl": (2, 0)}),
+    Frame(REPLY, 5, "s0/main", "c0/main",
+          body={"q.v": 0, "q.exc": ("KeyError", "'k'")}),
+    Frame(REPLY, 5, "s0/main", "c0/main", body={}),
+]
+
+
+@pytest.mark.parametrize("frame", _ENVELOPES)
+def test_an_envelope_is_carried_as_its_image_decodes(frame):
+    m = _marshaller()
+    msg = frame.encode_message(m)
+    assert _is_envelope(msg)
+    image = msg.to_bytes()
+    assert msg.nbytes == len(image) == len(frame.encode(m))
+    assert image == frame.encode(m)
+    # Exact types: the decoder rebuilds tuples as tuples, and so does the
+    # carry — what the receiver sees is what was sent.
+    sent = typed_frame(frame)
+    assert typed_frame(Frame.decode(image, m)) == sent
+    assert typed_frame(Frame.decode_message(msg, m)) == sent
+
+
+@pytest.mark.parametrize("frame", _ENVELOPES)
+def test_an_envelope_is_isolated_from_sender_and_receiver(frame):
+    m = Marshaller()
+    sent = typed_frame(frame)
+    msg = frame.encode_message(m)
+    image = msg.to_bytes()
+    # The sender reuses its header dict, or its wrapper, after the send.
+    scramble(frame.headers)
+    scramble(frame.body)
+    first = Frame.decode_message(msg, m)
+    assert typed_frame(first) == sent
+    scramble(first.headers)
+    scramble(first.body)
+    assert typed_frame(Frame.decode_message(msg, m)) == sent
+    assert msg.to_bytes() == image
+
+
+def test_an_envelope_duplicate_from_the_replay_cache_is_what_was_sent():
+    system = repro.make_system(seed=7)
+    server = system.add_node("s0").create_context("main")
+    client = system.add_node("c0").create_context("main")
+    wrapper = {"q.v": 1, "q.val": ("a", 2), "q.tl": (1, 0)}
+    ref = get_space(server).export(Echo(wrapper))
+    headers = {"deadline": 10.0}
+    request = Frame(REQUEST, 1, client.context_id, server.context_id,
+                    ref.oid, "read", ((), {}), headers)
+    sent_request = typed_frame(request)
+    data = request.encode_message(system.transport.encoder_for(client))
+    assert _is_envelope(data)
+    scramble(headers)               # the caller reuses its header dict
+    decoder = system.transport.decoder_for(client)
+    first, _ = server.handler(data, client.now)
+    assert _is_envelope(first)
+    sent = typed(wrapper)
+    scramble(wrapper)               # the service's object changes
+    delivered = Frame.decode_message(first, decoder)
+    assert typed(delivered.body) == sent
+    scramble(delivered.body)        # the caller uses what it got
+    second, _ = server.handler(data, client.now)     # a retransmission
+    assert server.handler.__self__.stats["duplicates"] == 1
+    assert typed(Frame.decode_message(second, decoder).body) == sent
+    assert second.to_bytes() == first.to_bytes()
+    assert typed_frame(Frame.decode_message(data, decoder)) == sent_request
+
+
+@pytest.mark.parametrize("frame,carried", [
+    (_request((("k",), {}), {"q.r": ({"k": 1},)}), True),   # dict in a tuple
+    (_request((("k",), {}), {"q.r": ["k"]}), True),          # a list value
+    (_request((("k",), {}), {"q.r": ("k",), "e": {}}), True),  # a dict value
+    (_request((("k",), {}), {1: ("k",)}), False),            # a non-str key
+    (_request((("k",), {}), OrderedDict({"q.r": ("k",)})), False),
+    (Frame(REPLY, 5, "s0/main", "c0/main", body={"q.v": 1, "q.log": [[1]]}),
+     True),
+    (Frame(REPLY, 5, "s0/main", "c0/main", body={"q.r": ({"k": 1},)}), True),
+    (Frame(REPLY, 5, "s0/main", "c0/main", body={2: "x"}), False),
+    (Frame(REPLY, 5, "s0/main", "c0/main", body=Bag({"q.v": 1})), False),
+    (Frame(REPLY, 5, "s0/main", "c0/main", body={"q.v": 1},
+           headers={"o.ra": 2.5}), True),          # a wrapper with headers
+])
+def test_a_dict_is_pure_only_at_the_top_of_a_frame(frame, carried):
+    m = _marshaller()
+    msg = frame.encode_message(m)
+    assert not _is_envelope(msg)
+    assert (msg.carried is not None) == carried     # plain, or written
+    image = msg.to_bytes()
+    assert msg.nbytes == len(image) == len(frame.encode(m))
+    assert typed_frame(Frame.decode_message(msg, m)) \
+        == typed_frame(Frame.decode(image, m))

@@ -39,6 +39,13 @@ FORGED = [
     ({"s.c": 3}, "", ()),
     ({"s.c": ["commit"]}, "", ([2, []],)),
     ({"s.c": ["install"]}, "", ({},)),
+    # A string indexes character by character: each of these used to be
+    # served — a put logged under key "z", a read answered with "z"'s
+    # version, a term of 1 led by 2, an epoch of 9.
+    ({"q.w": "zz"}, "put", ("k", 2)),
+    ({"q.r": "zz"}, "get", ("k",)),
+    ({"q.a": ("k", 2), "q.t": "12"}, "put", ("k", 2)),
+    ({"s.e": "9"}, "get", ("k",)),
 ]
 
 
@@ -49,7 +56,7 @@ def served(pair):
     store = KVStore()
     ref = get_space(server).export(store)
     system.rpc.call(client, ref, "put", ("k", 1),
-                    headers={versions.H_ASSIGN: ["k"]})
+                    headers={versions.H_ASSIGN: ("k",)})
     entry = get_space(server).entry(ref.oid)
     entry.sharding = shards.ShardState(
         0, 1, shards.default_ring(1), [list(ref.fields())])
@@ -92,4 +99,4 @@ def test_what_the_operation_raises_still_travels_as_itself(pair):
     # the application's own error through, untouched by the parse.
     with pytest.raises(KeyError):
         system.rpc.call(client, ref, "pop", ("gone",),
-                        headers={versions.H_ASSIGN: ["gone"]})
+                        headers={versions.H_ASSIGN: ("gone",)})
