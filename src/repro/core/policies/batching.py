@@ -46,7 +46,7 @@ class BatchingProxy(Proxy):
 
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["invocations"] += 1
-        op = self.proxy_interface.operation(verb)
+        op = self.proxy_operation(verb)
         if self._batchable(verb, op):
             self._buffer.append((verb, list(args), dict(kwargs)))
             self.proxy_stats["batched"] += 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any
 
 from ...iface.interface import Operation, operation
-from ...kernel.errors import DistributionError
+from ...kernel.errors import ConfigurationError, DistributionError
 from ...wire.refs import ObjectRef
 from ..factory import register_policy
 from ..proxy import Proxy
@@ -70,12 +70,17 @@ class CachingProxy(Proxy):
         self._cache: dict[tuple, tuple[Any, float]] = {}
         self._callback_obj: "CacheCallback | None" = None
         self._control = None
+        # A hit reads only attributes: the cost model is fixed, and the TTL
+        # is recomputed where its inputs change (install, register, discard).
+        self._hit_cost = context.system.costs.local_call
+        self._ttl = self._effective_ttl()
         self.proxy_stats.update(hits=0, misses=0, invalidations=0, writes=0)
 
     # -- lifecycle -------------------------------------------------------------
 
     def proxy_install(self) -> None:
         """Register with the server-side invalidation control, if shipped."""
+        self._ttl = self._effective_ttl()
         control = self.proxy_config.get("control")
         if control is None or self._control is not None:
             return
@@ -90,6 +95,7 @@ class CachingProxy(Proxy):
             self._callback_obj = None
             return
         self._control = control
+        self._ttl = self._effective_ttl()
 
     def proxy_discard(self) -> None:
         """Unregister from the server and drop the callback export."""
@@ -102,25 +108,23 @@ class CachingProxy(Proxy):
         self._cache.clear()
         self._control = None
         self._callback_obj = None
+        self._ttl = self._effective_ttl()
 
     # -- invocation ----------------------------------------------------------------
 
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["invocations"] += 1
-        op = self.proxy_interface.operation(verb)
-        if op.readonly and not kwargs:
-            return self._read(verb, args, kwargs)
+        op = self.proxy_opcache.get(verb)
+        if op is None:
+            op = self.proxy_operation(verb)
         if not op.readonly:
             self.proxy_stats["writes"] += 1
             result = self.proxy_remote(verb, args, kwargs)
-            self.cache_invalidate(invalidated_values(op, args, kwargs))
+            self.proxy_cache_invalidate(invalidated_values(op, args, kwargs))
             return result
-        return self.proxy_remote(verb, args, kwargs)
-
-    def _read(self, verb: str, args: tuple, kwargs: dict) -> Any:
+        if kwargs:
+            return self.proxy_remote(verb, args, kwargs)
         key = (verb,) + args
-        ttl = self._effective_ttl()
-        now = self.proxy_context.clock.now
         try:
             cached = self._cache.get(key)
         except TypeError:  # unhashable argument: this read is uncacheable
@@ -128,9 +132,10 @@ class CachingProxy(Proxy):
             return self.proxy_remote(verb, args, kwargs)
         if cached is not None:
             value, stored_at = cached
-            if ttl is None or now - stored_at <= ttl:
+            ttl = self._ttl
+            if ttl is None or self.proxy_context.clock.now - stored_at <= ttl:
                 self.proxy_stats["hits"] += 1
-                self.proxy_context.charge(self.proxy_context.system.costs.local_call)
+                self.proxy_context.charge(self._hit_cost)
                 return value
             del self._cache[key]
         self.proxy_stats["misses"] += 1
@@ -139,14 +144,21 @@ class CachingProxy(Proxy):
         return value
 
     def _effective_ttl(self) -> float | None:
-        ttl = self.proxy_config.get("ttl", "default")
-        if ttl == "default":
+        """``None`` (no expiry) or virtual seconds ``>= 0``; with no ``ttl``
+        key, no expiry once registered, else :data:`DEFAULT_TTL`.  Anything
+        else raises here, at bind or upgrade, not at the first hit."""
+        if "ttl" not in self.proxy_config:
             return None if self._control is not None else DEFAULT_TTL
-        return ttl
+        ttl = self.proxy_config["ttl"]
+        if ttl is None or (isinstance(ttl, (int, float))
+                           and not isinstance(ttl, bool) and ttl >= 0):
+            return ttl
+        raise ConfigurationError(
+            f"caching 'ttl' must be None or a number >= 0, not {ttl!r}")
 
     # -- invalidation ------------------------------------------------------------------
 
-    def cache_invalidate(self, values: tuple) -> int:
+    def proxy_cache_invalidate(self, values: tuple) -> int:
         """Drop entries touched by the given values (``("*",)`` = flush all).
 
         An entry is touched when any invalidated value appears among the
@@ -191,7 +203,7 @@ class CacheCallback:
     @operation(oneway=True)
     def invalidate(self, values: tuple) -> None:
         """Drop cache entries for the given values (server push)."""
-        self._proxy.cache_invalidate(values)
+        self._proxy.proxy_cache_invalidate(values)
 
 
 class CacheControl:

@@ -89,7 +89,9 @@ class CompositeProxy(Proxy):
 
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["invocations"] += 1
-        stack = self._build_stack()
+        stack = self._stack
+        if stack is None:
+            stack = self._build_stack()
         return stack[0].invoke(verb, args, kwargs)
 
     @property

@@ -227,7 +227,7 @@ class ReplicatedProxy(Proxy):
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["invocations"] += 1
         replicas = self._resolve_replicas()
-        readonly = self.proxy_interface.operation(verb).readonly
+        readonly = self.proxy_operation(verb).readonly
         if not self._versioned:
             serve = self._read if readonly else self._write
             return serve(replicas, verb, args, kwargs)

@@ -151,7 +151,7 @@ class ResilientProxy(Proxy):
 
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["invocations"] += 1
-        op = self.proxy_interface.operation(verb)
+        op = self.proxy_operation(verb)
         if op.oneway or self.proxy_is_local:
             return self.proxy_remote(verb, args, kwargs)
         readonly = op.readonly

@@ -1,12 +1,18 @@
 """Tests for the caching proxy: hits, TTL, invalidation, coherence."""
 
 
+import pytest
+
 import repro
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
-from repro.core.policies.caching import CachingProxy, invalidated_values
+from repro.core.policies.caching import (DEFAULT_TTL, CachingProxy,
+                                         invalidated_values)
+from repro.core.service import Service
 from repro.iface.interface import Operation
+from repro.kernel.errors import ConfigurationError
 from repro.metrics.counters import MessageWindow
+from repro.simtest.workload import DirtyCachingProxy
 
 
 def deploy(server, policy_config):
@@ -108,6 +114,89 @@ class TestTtl:
         proxy.get("k")
         store.data["k"] = 99
         assert proxy.get("k") is None, "within TTL the stale value stands"
+
+    @pytest.mark.parametrize("ttl", ["5", -1.0, float("nan")])
+    def test_a_malformed_ttl_is_refused_at_bind(self, pair, ttl):
+        system, server, client = pair
+        deploy(server, {"invalidation": False, "ttl": ttl})
+        with pytest.raises(ConfigurationError, match="ttl"):
+            repro.bind(client, "kv")
+
+    def test_a_malformed_shipped_ttl_is_refused_at_upgrade(self, pair):
+        system, server, client = pair
+        ref = get_space(server).export(
+            KVStore(), policy="caching",
+            config={"invalidation": False, "ttl": True})
+        proxy = get_space(client).bind_ref(ref, handshake=False)
+        with pytest.raises(ConfigurationError, match="ttl"):
+            get_space(client).upgrade(proxy)
+
+
+class TestTtlRefresh:
+    """The TTL a hit checks is an attribute: each place its inputs change
+    recomputes it."""
+
+    def test_an_upgrade_brings_the_shipped_ttl(self, pair):
+        system, server, client = pair
+        ref = get_space(server).export(
+            KVStore(), policy="caching",
+            config={"ttl": 0.5, "invalidation": False})
+        proxy = get_space(client).bind_ref(ref, handshake=False)
+        get_space(client).upgrade(proxy)
+        proxy.get("k")
+        client.clock.advance(0.4)
+        proxy.get("k")
+        assert proxy.proxy_stats["hits"] == 1
+        client.clock.advance(0.2)
+        proxy.get("k")
+        assert proxy.proxy_stats["misses"] == 2
+
+    def test_registering_for_invalidations_lifts_the_default_ttl(self, pair):
+        system, server, client = pair
+        ref = get_space(server).export(KVStore(), policy="caching")
+        proxy = get_space(client).bind_ref(ref, handshake=False)
+        proxy.get("k")
+        client.clock.advance(DEFAULT_TTL + 0.01)
+        proxy.get("k")
+        assert proxy.proxy_stats["misses"] == 2, "DEFAULT_TTL expired it"
+        get_space(client).upgrade(proxy)
+        client.clock.advance(1.0)
+        with MessageWindow(system) as window:
+            proxy.get("k")
+        assert window.report.messages == 0
+        assert proxy.proxy_stats["hits"] == 1
+
+    def test_the_dirty_canary_still_caches_forever(self, pair):
+        system, server, client = pair
+        ref = get_space(server).export(KVStore(), policy="dirtycache")
+        proxy = get_space(client).bind_ref(ref)
+        assert isinstance(proxy, DirtyCachingProxy)
+        proxy.get("k")
+        client.clock.advance(1e6)
+        proxy.get("k")
+        assert proxy.proxy_stats["hits"] == 1
+
+
+class Janitor(Service):
+    """A service whose verb shares its name with a caching-proxy method."""
+
+    def __init__(self):
+        self.calls = []
+
+    @repro.operation
+    def cache_invalidate(self, values):
+        self.calls.append(values)
+        return "served"
+
+
+@pytest.mark.parametrize("policy", ["stub", "caching"])
+def test_a_verb_named_cache_invalidate_reaches_the_service(pair, policy):
+    system, server, client = pair
+    janitor = Janitor()
+    ref = get_space(server).export(janitor, policy=policy)
+    proxy = get_space(client).bind_ref(ref)
+    assert proxy.cache_invalidate(("x",)) == "served"
+    assert janitor.calls == [("x",)]
 
 
 class TestServerInvalidation:
