@@ -21,7 +21,8 @@ from typing import Any
 
 from ..iface.interface import Interface
 from ..kernel.context import Context
-from ..kernel.errors import InterfaceError, ObjectMoved, RpcTimeout
+from ..kernel.errors import (ConfigurationError, InterfaceError, ObjectMoved,
+                             RpcTimeout)
 from ..wire.refs import ObjectRef
 
 
@@ -59,6 +60,7 @@ class Proxy:
         self.proxy_opcache = {}
         self.proxy_interface = interface
         self.proxy_config = dict(config or {})
+        _max_forwards(self.proxy_config)
         self.proxy_protocol = context.system.rpc
         self.proxy_stats = {"invocations": 0, "remote_calls": 0, "rebinds": 0}
         self.proxy_last_used = context.clock.now
@@ -89,6 +91,7 @@ class Proxy:
         operation caches are dropped.
         """
         merged = {**config, **self.proxy_config}
+        _max_forwards(merged)
         self.proxy_config = merged
         self.proxy_invalidate_ops()
         self.proxy_install()
@@ -172,7 +175,9 @@ class Proxy:
         if self.proxy_next is not None:
             self.proxy_stats["remote_calls"] += 1
             return self.proxy_next.invoke(verb, args, kwargs)
-        op = self.proxy_operation(verb)
+        op = self.proxy_opcache.get(verb)
+        if op is None:
+            op = self.proxy_operation(verb)
         # The redirect budget only matters once an ObjectMoved actually
         # arrives, so it is read then, off the no-migration path.
         forwards_left = None
@@ -191,7 +196,7 @@ class Proxy:
                     raise
                 self.proxy_rebind(moved.forward)
             if forwards_left is None:
-                forwards_left = int(self.proxy_config.get("max_forwards", 4))
+                forwards_left = _max_forwards(self.proxy_config)
             if forwards_left == 0:
                 raise RpcTimeout(
                     f"{verb!r} on {self.proxy_ref}: too many migration "
@@ -236,6 +241,16 @@ class Proxy:
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.proxy_ref} "
                 f"in {self.proxy_context.context_id!r})")
+
+
+def _max_forwards(config: dict) -> int:
+    """The redirect budget ``config`` sets: a non-bool ``int >= 0``
+    (default 4), checked at bind, upgrade and the first redirect."""
+    value = config.get("max_forwards", 4)
+    if value.__class__ is not int or value < 0:
+        raise ConfigurationError(
+            f"'max_forwards' must be an int >= 0, not {value!r}")
+    return value
 
 
 class _BoundProxyOperation:

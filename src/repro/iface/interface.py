@@ -66,6 +66,10 @@ class Interface:
         self.name = name
         self.operations: dict[str, Operation] = {}
         for op in operations:
+            if op.name.startswith(("_", "proxy_")):
+                raise InterfaceError(
+                    f"operation {op.name!r} in {name!r}: '_' and 'proxy_' "
+                    "name a proxy's own attributes, never a verb")
             if op.name in self.operations:
                 raise InterfaceError(f"duplicate operation {op.name!r} in {name!r}")
             self.operations[op.name] = op

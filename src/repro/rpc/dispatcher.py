@@ -56,7 +56,8 @@ from ..kernel.errors import (
 )
 from ..resilience.deadline import DEADLINE_HEADER, Deadline
 from ..wire import WireMessage, shards, versions
-from ..wire.frames import EXCEPTION, K_OVERLOAD, ONEWAY, REQUEST, Frame
+from ..wire.frames import (EXCEPTION, K_OVERLOAD, ONEWAY, REPLY, REQUEST,
+                           Frame)
 from ..wire.refs import ObjectRef
 
 
@@ -166,6 +167,8 @@ class Dispatcher:
         #: message keeps is the wire module's choice).
         self._replay: OrderedDict[tuple[str, int], WireMessage] = \
             OrderedDict()
+        #: The transport's marshallers, checked against the hooks per use.
+        self._encoder = self._decoder = None
         self.stats = {"requests": 0, "duplicates": 0, "exceptions": 0,
                       "oneways": 0, "redirects": 0, "deadline_rejects": 0,
                       "sheds": 0}
@@ -176,10 +179,9 @@ class Dispatcher:
     def handle(self, data, arrive: float) -> tuple | None:
         """Process one inbound message (a :class:`~repro.wire.WireMessage`,
         or a bytes-like wire image, which is wrapped as one — anything
-        else raises ``ProtocolError``); returns
-        ``(reply_message, ready_time)``.
-
-        Returns ``None`` for one-way frames.
+        else raises ``ProtocolError``), a request or a one-way, in one
+        step.  Returns ``(reply_message, ready_time)`` — a served call's
+        reply encoded from its fields — or ``None``, dropping a one-way's.
 
         Virtual-time model: requests serialise through the context's busy
         line — work starts at ``max(arrive, line.busy_until)``.  The
@@ -197,13 +199,10 @@ class Dispatcher:
         admitted_target = None
         admission = ctx.node.admission
         if admission is not None:
-            # Admission is a *front-door* check at the arrival instant —
-            # before the busy-line wait, because a server whose queue is
-            # full must refuse on arrival, not after the refused request
-            # waited out the very backlog it was refused to bound.  Dedup
-            # runs first so a retransmission of an executed request hits
-            # the replay cache (below) and is never shed.  Rejection is
-            # modelled free: a header peek, off the serving path.
+            # A *front-door* check at the arrival instant, before the
+            # busy-line wait: a full server refuses on arrival, not after
+            # the backlog it bounds.  Dedup runs first, so a retransmission
+            # of an executed request is never shed.  Rejection is free.
             frame = self.transport.decode_frame(data, ctx)
             if frame.kind == REQUEST and not (
                     self.at_most_once
@@ -222,17 +221,95 @@ class Dispatcher:
                     # stale refusal.
                     return self.transport.encode_frame(reply, ctx), arrive
                 admitted_target = frame.target
-        # Floats all: the rebase and the restore below are slot writes.
-        start = max(arrive, ctx.line.busy_until)
-        resume_at = max(ctx.clock.now, start)
+        # Slot writes of floats; maxima compared in line (max() is a call).
+        busy, resume_at = ctx.line.busy_until, ctx.clock.now
+        start = busy if busy > arrive else arrive
+        resume_at = start if start > resume_at else resume_at
         ctx.clock.now = start
         if admitted_target is not None and admission.service_time > 0.0:
             # The modelled per-request work: this is what makes admitted
             # calls queue and drain in virtual time on the context busy
             # line instead of executing instantaneously.
             ctx.charge(admission.service_time)
+        costs = self._costs     # unmarshal is charged on the busy line
         try:
-            outcome = self._handle_at(data, frame)
+            ctx.charge(costs.marshal_fixed
+                       + data.nbytes * costs.marshal_byte_cost)
+            if frame is None:
+                decoder = self._decoder
+                if decoder is None \
+                        or decoder.decoder_hook is not ctx.decoder_hook:
+                    decoder = self._decoder = self.transport.decoder_for(ctx)
+                frame = Frame.decode_message(data, decoder)
+            kind = frame.kind
+            if kind == ONEWAY:
+                self.stats["oneways"] += 1
+            elif kind != REQUEST:
+                return None
+            else:
+                self.stats["requests"] += 1
+                dedup_key = (frame.src, frame.msg_id)
+                if self.at_most_once and dedup_key in self._replay:
+                    self.stats["duplicates"] += 1
+                    ctx.charge(costs.dispatch_cost)
+                    return self._replay[dedup_key], ctx.clock.now
+            ctx.charge(costs.dispatch_cost)
+            headers = frame.headers
+            deadline = Deadline.from_headers(headers) \
+                if kind == REQUEST and DEADLINE_HEADER in headers else None
+            if deadline is not None and deadline.expired(ctx.clock.now):
+                # The caller's budget is spent: running the operation can
+                # help no one, so skip it and tell the caller why.
+                self.stats["deadline_rejects"] += 1
+                reply = frame.exception_to(
+                    "DeadlineExceeded",
+                    f"budget spent before dispatch of {frame.verb!r}")
+                return self.transport.encode_frame(reply, ctx), ctx.clock.now
+            args, kwargs = frame.body if frame.body else ((), {})
+            # Parked on the context: nested calls inherit the budget.
+            enclosing = ctx.current_deadline
+            if deadline is not None or enclosing is not None:
+                ctx.current_deadline = Deadline.merge(deadline, enclosing)
+            try:
+                body = self.serve(frame.target, frame.verb, args, kwargs,
+                                  headers)
+                reply_kind = REPLY
+            except Exception as exc:  # ours or the application's: ship it
+                detail = None       # a redirect's "where to go instead"
+                if isinstance(exc, StaleShardRing):
+                    detail = exc.ring_map
+                elif isinstance(exc, ObjectMoved) and exc.forward is not None:
+                    detail = exc.forward.fields()
+                body = (type(exc).__name__, str(exc), detail)
+                reply_kind = EXCEPTION
+            finally:
+                ctx.current_deadline = enclosing
+            if kind == ONEWAY:
+                return None     # served like a request; no reply is built
+            self._system.trace.emit(ctx.clock.now, "invoke", frame.src,
+                                    ctx.context_id, frame.verb)
+            # The reply is encoded from its fields: no reply frame is built.
+            encoder = self._encoder
+            if encoder is None or encoder.encoder_hook is not ctx.encoder_hook:
+                encoder = self._encoder = self.transport.encoder_for(ctx)
+            reply_data = encoder.encode_frame_message(
+                reply_kind, frame.msg_id, frame.dst, frame.src, "", "",
+                body, {})
+            ctx.charge(costs.marshal_fixed
+                       + reply_data.nbytes * costs.marshal_byte_cost)
+            if reply_data.carried is None:
+                # Mutable zero-copy segments the service still owns are
+                # snapshotted: the wire and the replay cache carry what was
+                # sent, not what the buffer later becomes.
+                reply_data = reply_data.freeze()
+            if self.at_most_once and (reply_kind == REPLY
+                                      or body[0] != "ProtocolError"):
+                # The message as sent: every delivery copies what it
+                # carries, so a duplicate means what was sent.
+                self._replay[dedup_key] = reply_data
+                while len(self._replay) > self.replay_capacity:
+                    self._replay.popitem(last=False)
+            return reply_data, ctx.clock.now
         finally:
             end = ctx.clock.now
             if admitted_target is not None:
@@ -241,96 +318,19 @@ class Dispatcher:
                 admission.finish(admitted_target, end)
             if end > start:
                 ctx.line.occupy(start, end - start)
-            ctx.clock.now = max(resume_at, end)
-        return outcome
-
-    def _handle_at(self, data, frame: Frame | None = None) -> tuple | None:
-        """Body of :meth:`handle`, running on the rebased context clock.
-
-        ``frame`` is the already-decoded frame when the admission front
-        door ran (the unmarshal *cost* is still charged here, on the busy
-        line, where serving pays it)."""
-        ctx = self.context
-        costs = self._costs
-        ctx.charge(costs.marshal_fixed + data.nbytes * costs.marshal_byte_cost)
-        if frame is None:
-            frame = self.transport.decode_frame(data, ctx)
-        if frame.kind == ONEWAY:
-            self.stats["oneways"] += 1
-            ctx.charge(costs.dispatch_cost)
-            # Served like a request; the reply, errors included, is dropped.
-            self._dispatch(frame)
-            return None
-        if frame.kind != REQUEST:
-            return None
-        self.stats["requests"] += 1
-        dedup_key = (frame.src, frame.msg_id)
-        if self.at_most_once and dedup_key in self._replay:
-            self.stats["duplicates"] += 1
-            ctx.charge(costs.dispatch_cost)
-            return self._replay[dedup_key], ctx.clock.now
-        ctx.charge(costs.dispatch_cost)
-        deadline = Deadline.from_headers(frame.headers) \
-            if DEADLINE_HEADER in frame.headers else None
-        if deadline is not None and deadline.expired(ctx.clock.now):
-            # The caller's budget is already spent: executing the operation
-            # can no longer help anyone, so skip dispatch entirely and tell
-            # the (possibly still waiting) caller why.
-            self.stats["deadline_rejects"] += 1
-            reply = frame.exception_to(
-                "DeadlineExceeded",
-                f"budget spent before dispatch of {frame.verb!r}")
-            return self.transport.encode_frame(reply, ctx), ctx.clock.now
-        # Park the deadline on the serving context so nested outbound calls
-        # the handler makes inherit the root caller's budget.
-        enclosing = ctx.current_deadline
-        if deadline is None and enclosing is None:
-            ctx.current_deadline = None
-        else:
-            ctx.current_deadline = Deadline.merge(deadline, enclosing)
-        try:
-            reply = self._dispatch(frame)
-        finally:
-            ctx.current_deadline = enclosing
-        self._system.trace.emit(ctx.clock.now, "invoke", frame.src,
-                                ctx.context_id, frame.verb)
-        reply_data = self.transport.encode_frame(reply, ctx)
-        if reply_data.carried is None:
-            # A zero-copy reply may hold mutable segments the service still
-            # owns; snapshot them now so the wire (and the replay cache)
-            # carries what was sent, not what the buffer later becomes.
-            reply_data = reply_data.freeze()
-        if self.at_most_once and (reply.kind != EXCEPTION
-                                  or reply.body[0] != "ProtocolError"):
-            # The message as sent: no delivery of it ever holds what it
-            # carries (each gets a copy), so a duplicate means what was
-            # sent however the caller used the first.
-            self._replay[dedup_key] = reply_data
-            while len(self._replay) > self.replay_capacity:
-                self._replay.popitem(last=False)
-        return reply_data, ctx.clock.now
+            ctx.clock.now = end if end > resume_at else resume_at
 
     # -- internals ---------------------------------------------------------------
-
-    def _dispatch(self, frame: Frame) -> Frame:
-        """One request frame: :meth:`serve` it, wrap the outcome."""
-        args, kwargs = frame.body if frame.body else ((), {})
-        try:
-            return frame.reply_to(self.serve(
-                frame.target, frame.verb, args, kwargs, frame.headers))
-        except Exception as exc:  # ours or the application's: ship it
-            return frame.exception_to(type(exc).__name__, str(exc),
-                                      detail=_redirect_detail(exc))
 
     def serve(self, oid: str, verb: str, args: tuple, kwargs: dict,
               headers: dict | None = None, arrival_cost: float = 0.0):
         """Route one call to an export entry and perform it there.
 
         The single step behind every call on this context, however it
-        arrived — a request frame (:meth:`_dispatch`), a one-way frame
-        (its reply dropped), or a same-context caller (:meth:`RpcProtocol.
-        call <repro.rpc.protocol.RpcProtocol.call>`, which passes its
-        ``local_call`` as ``arrival_cost``): locality changes what a call
+        arrived — a request or a one-way frame (:meth:`handle`), or a
+        same-context caller (:meth:`RpcProtocol.call <repro.rpc.protocol.
+        RpcProtocol.call>`, which passes its ``local_call`` as
+        ``arrival_cost``): locality changes what a call
         costs, never which guards, hooks or protocol step serve it.
         Returns the result (an enveloped call's reply wrapper) or raises a
         typed error; the routing guards' redirects carry where to go
@@ -413,15 +413,6 @@ class Dispatcher:
         for key in stale:
             del self._replay[key]
         return len(stale)
-
-
-def _redirect_detail(exc: Exception):
-    """The marshallable "where to go instead" of a redirect error."""
-    if isinstance(exc, ObjectMoved):
-        return None if exc.forward is None else exc.forward.fields()
-    if isinstance(exc, StaleShardRing):
-        return exc.ring_map
-    return None
 
 
 def ensure_dispatcher(context: Context, transport) -> Dispatcher:

@@ -36,7 +36,8 @@ from ..kernel.errors import (
 )
 from ..resilience.deadline import Deadline
 from ..resilience.retry import DEFAULT_RETRY, RetryPolicy
-from ..wire.frames import EXCEPTION, K_OVERLOAD, ONEWAY, REPLY, REQUEST, Frame
+from ..wire.frames import (EXCEPTION, FRAMED, K_OVERLOAD, ONEWAY, REPLY,
+                           REQUEST, Frame, reply_value)
 from ..wire.refs import ObjectRef
 from .dispatcher import ensure_dispatcher
 from .transport import Transport
@@ -133,10 +134,8 @@ class RpcProtocol:
         the quorum envelopes of :mod:`repro.wire.versions`, the shard
         envelopes of :mod:`repro.wire.shards`).  How the call travels is
         decided here and nowhere above: a remote target gets them in the
-        request frame, a same-context target is served by the very
-        dispatcher step inbound frames take (:meth:`Dispatcher.serve
-        <repro.rpc.dispatcher.Dispatcher.serve>`) — either way the caller
-        receives the step's reply wrapper.
+        request frame, a same-context one in :meth:`_local_call` — either
+        way the caller receives the step's reply wrapper.
 
         Raises the remote exception locally; raises
         :class:`~repro.kernel.errors.RpcTimeout` when the retry budget is
@@ -195,37 +194,52 @@ class RpcProtocol:
                 wait_until = sent_at + policy.interval(attempt, patience,
                                                        self._retry_rng)
                 if deadline is not None:
-                    # A wait must never outlive the call's budget: the final
-                    # attempt's timer is cut at the deadline instead of
-                    # charging the full interval after the budget is spent.
+                    # A wait never outlives the call's budget: the final
+                    # attempt's timer is cut at the deadline.
                     wait_until = deadline.clamp(wait_until)
             else:
                 wait_until = None
-            reply = self._attempt(src, frame, data, sent_at)
-            if reply is not None:
-                hint = reply.headers.get(K_OVERLOAD) if reply.headers \
-                    else None
-                if hint is not None and policy.honor_retry_after:
-                    # The server shed this attempt at admission and said
-                    # when it expects capacity.  The shed reply was never
-                    # cached server-side, so retransmitting the same
-                    # frame is safe and will be re-admitted.  The server
-                    # answered, so the breaker sees a success either way.
-                    self.stats["overload_sheds"] += 1
-                    exhausted = attempt + 1 >= attempts
-                    beyond = deadline is not None \
-                        and hint >= deadline.expires_at
-                    if exhausted or beyond:
-                        # No attempt can land within the budget: surface
-                        # the rejection (``Overloaded``) rather than wait
-                        # out a hint the deadline already forbids.
-                        self._feed_breaker(src, ref, success=True)
-                        return self._accept(src, ref, reply)
-                    # Honor the hint exactly: wait until the server's
-                    # stated time, not the backoff schedule.
-                    self.stats["retry_after_waits"] += 1
-                    src.clock.advance_to(hint)
-                    continue
+            # A lost leg, or a callee whose node is down (even if the
+            # message was in flight at the crash), is the timeout path.
+            delivery = self.transport.transmit(frame, data, sent_at)
+            dst = self._contexts.get(ref.context_id)
+            outcome = None
+            if delivery.delivered and dst is not None \
+                    and dst.handler is not None and dst.node.alive:
+                outcome = dst.handler(data, delivery.arrive_time)
+            if outcome is not None:
+                reply_data, ready = outcome
+                back = self.transport.transmit_reply(
+                    ref.context_id, src.context_id, reply_data, ready)
+            if outcome is not None and back.delivered:
+                # Birrell-Nelson: the retransmission timer detects *loss*,
+                # not slow servers (a live server's acks keep the caller
+                # waiting), so a reply is accepted whenever it arrives.
+                src.clock.advance_to(back.arrive_time)
+                src.charge(self._costs.marshal_fixed
+                           + reply_data.nbytes * self._costs.marshal_byte_cost)
+                value = reply_value(reply_data)
+                if value is FRAMED:
+                    reply = self.transport.decode_frame(reply_data, src)
+                    hint = reply.headers.get(K_OVERLOAD) if reply.headers \
+                        else None
+                    if hint is not None and policy.honor_retry_after:
+                        # Shed at admission, with when capacity returns;
+                        # never cached, so a retransmission is re-admitted.
+                        # The server answered: the breaker sees a success.
+                        self.stats["overload_sheds"] += 1
+                        exhausted = attempt + 1 >= attempts
+                        beyond = deadline is not None \
+                            and hint >= deadline.expires_at
+                        if exhausted or beyond:
+                            # No attempt can land within the budget: raise
+                            # ``Overloaded`` rather than wait out the hint.
+                            self._feed_breaker(src, ref, success=True)
+                            return self._accept(src, ref, reply)
+                        # Wait until the hinted time, not the backoff.
+                        self.stats["retry_after_waits"] += 1
+                        src.clock.advance_to(hint)
+                        continue
                 if tracker is not None:
                     # Karn's rule analogue: only successful attempts are
                     # sampled, each against its own send time.
@@ -233,9 +247,10 @@ class RpcProtocol:
                                     src.clock.now - sent_at)
                 if self.system.breakers is not None:
                     self._feed_breaker(src, ref, success=True)
-                if reply.kind == REPLY:
-                    return reply.body
-                return self._accept(src, ref, reply)
+                if value is not FRAMED:
+                    return value
+                return reply.body if reply.kind == REPLY \
+                    else self._accept(src, ref, reply)
             if wait_until is None:
                 if patience is None:
                     patience = self._patience(src, ref, policy, tracker,
@@ -299,9 +314,7 @@ class RpcProtocol:
         delivery = self.transport.transmit(frame, data, src.clock.now)
         if delivery.delivered:
             dst = self._contexts.get(ref.context_id)
-            # Same liveness discipline as _attempt: a context whose node is
-            # down must not execute, even if the message was already in
-            # flight when the crash hit.
+            # As in ``call``: a down node executes nothing, in flight or not.
             if dst is not None and dst.handler is not None \
                     and dst.node.alive:
                 dst.handler(data, delivery.arrive_time)
@@ -318,38 +331,6 @@ class RpcProtocol:
         else:
             registry.record_failure(src.context_id, ref.context_id,
                                     src.clock.now)
-
-    # -- one attempt -----------------------------------------------------------
-
-    def _attempt(self, src: Context, frame: Frame, data, sent_at: float):
-        """One request transmission; returns the decoded reply frame or None."""
-        transport = self.transport
-        delivery = transport.transmit(frame, data, sent_at)
-        if not delivery.delivered:
-            return None
-        dst = self._contexts.get(frame.dst)
-        if dst is None or dst.handler is None or not dst.node.alive:
-            return None
-        outcome = dst.handler(data, delivery.arrive_time)
-        if outcome is None:
-            return None
-        reply_data, ready = outcome
-        back = transport.transmit_reply(frame.dst, frame.src,
-                                        reply_data, ready)
-        if not back.delivered:
-            return None
-        # Birrell-Nelson semantics: the retransmission timer exists to
-        # detect *loss*, not slow servers — a live server's retransmission
-        # acks keep the caller waiting as long as work is in progress.  In
-        # the simulation, "both legs delivered" is exactly that case, so
-        # the reply is accepted whenever it arrives; only a lost leg
-        # triggers the timeout path.  (The caller's retry loop still paces
-        # the waits between retransmissions on the loss path.)
-        src.clock.advance_to(back.arrive_time)
-        costs = self._costs
-        src.charge(costs.marshal_fixed
-                   + reply_data.nbytes * costs.marshal_byte_cost)
-        return transport.decode_frame(reply_data, src)
 
     def _accept(self, src: Context, ref: ObjectRef, reply: Frame) -> Any:
         """Turn a reply frame into a return value or a raised exception."""

@@ -9,8 +9,8 @@ materialises in the destination context as a proxy.
 The transport charges marshalling CPU to the sender and records every
 transmission in the system trace.  Unmarshalling CPU is charged where the
 receiving activity's time cursor is known: the dispatcher charges a
-request (``Dispatcher._handle_at``), the RPC client its reply
-(``RpcProtocol._attempt``).  Every frame travels as a
+request (``Dispatcher.handle``), the RPC client its reply
+(``RpcProtocol.call``).  Every frame travels as a
 :class:`~repro.wire.WireMessage` whose ``nbytes`` — counted once,
 when it is encoded — is the size every charge and every transit reads.
 
@@ -35,7 +35,8 @@ class Transport:
     Hit path: ``encode_frame``/``decode_frame`` look the context's
     marshaller up and check it against the context's current hook in line.
     Miss path (a context's first frame, the first after a hook changed):
-    ``encoder_for``/``decoder_for`` build and remember it.
+    ``encoder_for``/``decoder_for`` build and remember it.  A dispatcher
+    keeps its context's pair the same way.
     """
 
     def __init__(self, system: System):
@@ -92,11 +93,8 @@ class Transport:
 
     def decode_frame(self, data, dst_context) -> Frame:
         """Decode a ``WireMessage`` (or wire bytes) with the receiving
-        context's hooks.
-
-        Charges nothing: the request's receiver (``Dispatcher._handle_at``)
-        and the reply's (``RpcProtocol._attempt``) charge the unmarshal
-        cost on their own time cursors.
+        context's hooks.  Charges nothing: the receiver (``Dispatcher.
+        handle``, ``RpcProtocol.call``) charges unmarshal on its own clock.
         """
         marshaller = self._decoders.get(dst_context.context_id)
         if marshaller is None \

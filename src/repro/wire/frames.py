@@ -18,8 +18,8 @@ from .marshal import (EXCEPTION, FRAME_KINDS, MREPLY, ONEWAY, REPLY, REQUEST,
                       _MEMO_STATS, Marshaller, _plain_copy)
 from .segments import WireMessage
 
-__all__ = ["EXCEPTION", "FRAME_KINDS", "Frame", "K_OVERLOAD", "MREPLY",
-           "ONEWAY", "REPLY", "REQUEST"]
+__all__ = ["EXCEPTION", "FRAMED", "FRAME_KINDS", "Frame", "K_OVERLOAD",
+           "MREPLY", "ONEWAY", "REPLY", "REQUEST", "reply_value"]
 
 #: Header key for the admission layer's retry-after hint (the PR-5/7
 #: envelope convention: extensions ride the ``headers`` dict, and empty
@@ -29,6 +29,9 @@ __all__ = ["EXCEPTION", "FRAME_KINDS", "Frame", "K_OVERLOAD", "MREPLY",
 #: deployment that never sheds encodes byte-identically to a build
 #: without admission control.
 K_OVERLOAD = "o.ra"
+
+#: :func:`reply_value`'s answer for a message delivered as a frame.
+FRAMED = object()
 
 _SEQUENCES = (list, tuple)
 
@@ -91,11 +94,12 @@ class Frame:
         replay cache) gets its own copy of every container, made here
         and nowhere else: of a plain message's snapshot, the two empty
         dicts of a pure one, whose fields are shared because nothing in
-        them can change, or an envelope's dict and empty dict.  A message
-        that carries nothing is decoded — its head as wire bytes are, or,
-        with raw segments, by the segment-aware decoder, which hands raw
-        payloads back without copying.  The decoder is the only path for
-        bytes from a peer.
+        them can change, or an envelope's dict and empty dict (a pure reply
+        needs no frame: :func:`reply_value`).  A message that carries
+        nothing is decoded — its head as wire bytes are, or, with raw
+        segments, by the segment-aware decoder, which hands raw payloads
+        back without copying.  The decoder is the only path for bytes from
+        a peer.
         """
         if msg.__class__ is not WireMessage:
             msg = WireMessage.wrap(msg)
@@ -150,10 +154,6 @@ class Frame:
                 "malformed exc body: not (class name, message, detail)")
         return cls(kind, msg_id, src, dst, target, verb, body, headers)
 
-    def reply_to(self, body: Any) -> "Frame":
-        """Build the successful reply to this request."""
-        return Frame(REPLY, self.msg_id, self.dst, self.src, "", "", body, {})
-
     def exception_to(self, error_class: str, message: str,
                      detail: Any = None) -> "Frame":
         """Build the error reply to this request."""
@@ -163,3 +163,14 @@ class Frame:
     def __repr__(self) -> str:
         return (f"Frame({self.kind}, #{self.msg_id}, {self.src}->{self.dst}, "
                 f"{self.target}.{self.verb})")
+
+
+def reply_value(msg):
+    """A *pure* successful reply's value, shared as it stands (deeply
+    immutable, it is every delivery's own); :data:`FRAMED` for any other
+    :class:`WireMessage`, which :meth:`Frame.decode_message` delivers."""
+    carried = msg.carried
+    if carried is None or carried[7] is not False or carried[0] != REPLY:
+        return FRAMED
+    _MEMO_STATS.frames_carried += 1
+    return carried[6]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
-from repro.kernel.errors import InterfaceError, RpcTimeout
+from repro.kernel.errors import ConfigurationError, InterfaceError, RpcTimeout
 
 
 @pytest.fixture
@@ -97,6 +97,51 @@ class TestRebinding:
         # One first attempt plus ``max_forwards`` redirects, each rebound.
         assert proxy.proxy_stats["remote_calls"] == attempts
         assert proxy.proxy_stats["rebinds"] == attempts
+
+
+class TestRedirectBudget:
+    """``max_forwards`` is a non-bool ``int >= 0``: anything else is refused
+    where the configuration arrives, not read as a count or as no limit."""
+
+    BAD = [-1, "3", True, 2.7]
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_a_malformed_budget_is_refused_at_bind(self, pair, value):
+        system, server, client = pair
+        ref = get_space(server).export(KVStore(),
+                                       config={"max_forwards": value})
+        with pytest.raises(ConfigurationError, match="max_forwards"):
+            get_space(client).bind_ref(ref)
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_a_malformed_shipped_budget_is_refused_at_upgrade(self, pair,
+                                                              value):
+        system, server, client = pair
+        ref = get_space(server).export(KVStore(),
+                                       config={"max_forwards": value})
+        proxy = get_space(client).bind_ref(ref, handshake=False)
+        with pytest.raises(ConfigurationError, match="max_forwards"):
+            get_space(client).upgrade(proxy)
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_an_edited_budget_is_refused_at_the_first_redirect(
+            self, bound, monkeypatch, value):
+        system, server, client, store, ref, proxy = bound
+        get_space(server).mark_migrated(ref.oid,
+                                        ref.moved_to(server.context_id))
+        proxy.proxy_config["max_forwards"] = value
+        rebind = proxy.proxy_rebind
+        seen = []
+
+        def counted(new_ref):
+            seen.append(new_ref)
+            assert len(seen) <= 10, "the redirect budget is unbounded"
+            rebind(new_ref)
+
+        monkeypatch.setattr(proxy, "proxy_rebind", counted)
+        with pytest.raises(ConfigurationError, match="max_forwards"):
+            proxy.get("k")
+        assert len(seen) == 1
 
 
 class TestLifecycleHooks:

@@ -96,3 +96,22 @@ class TestInterface:
     def test_duplicate_operation_rejected(self):
         with pytest.raises(InterfaceError):
             Interface("I", [Operation("a"), Operation("a")])
+
+    @pytest.mark.parametrize("verb", ["_y", "proxy_x", "__call__"])
+    def test_a_verb_in_the_proxys_namespace_is_refused(self, verb):
+        # No proxy could call it: ``Proxy.__getattr__`` keeps ``_*`` and
+        # ``proxy_*`` for itself.
+        with pytest.raises(InterfaceError, match=repr(verb)):
+            Interface("I", [Operation("a"), Operation(verb)])
+
+    def test_a_class_exporting_such_a_verb_is_refused(self):
+        class Hidden:
+            @operation
+            def proxy_x(self):
+                return 1
+
+            @operation
+            def _y(self):
+                return 2
+        with pytest.raises(InterfaceError, match="'_y'|'proxy_x'"):
+            Interface.of(Hidden)

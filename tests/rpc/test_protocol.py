@@ -281,28 +281,32 @@ class TestRequestFrame:
     def test_headers_are_copied_and_the_frame_is_the_keyword_built_one(
             self, rpc_pair, monkeypatch):
         from repro.resilience.deadline import DEADLINE_HEADER, Deadline
-        from repro.rpc.transport import Transport
-        from repro.wire.frames import REQUEST, Frame
+        from repro.wire.frames import REPLY, REQUEST, Frame
+        from repro.wire.marshal import Marshaller
         system, server, client, store, ref = rpc_pair
         sent, decoded = [], []
-        encode, decode = Transport.encode_frame, Transport.decode_frame
+        encode = Marshaller.encode_frame_message
+        decode = Frame.decode_message.__func__
 
-        def spy_encode(self, frame, src_ctx=None):
-            sent.append(frame)
-            return encode(self, frame, src_ctx)
+        def spy_encode(self, *fields):
+            # Every frame crosses the marshaller; a successful reply is
+            # encoded from its fields, with no frame built around them.
+            sent.append(fields)
+            return encode(self, *fields)
 
-        def spy_decode(self, data, dst_context):
-            decoded.append(decode(self, data, dst_context))
+        def spy_decode(cls, data, marshaller):
+            decoded.append(decode(cls, data, marshaller))
             return decoded[-1]
 
-        monkeypatch.setattr(Transport, "encode_frame", spy_encode)
-        monkeypatch.setattr(Transport, "decode_frame", spy_decode)
+        monkeypatch.setattr(Marshaller, "encode_frame_message", spy_encode)
+        monkeypatch.setattr(Frame, "decode_message", classmethod(spy_decode))
         mine = {"x.tag": ["a", 1]}
         deadline = Deadline.after(client.now, 5.0)
         assert system.rpc.call(client, ref, "put", ["k", 7], {},
                                deadline=deadline, headers=mine) is True
         assert mine == {"x.tag": ["a", 1]}, "the caller's dict is its own"
-        request, reply = sent
+        request_fields, reply_fields = sent
+        request = Frame(*request_fields)
         expected = Frame(REQUEST, request.msg_id, client.context_id,
                          server.context_id, target=ref.oid, verb="put",
                          body=(("k", 7), {}))
@@ -316,7 +320,8 @@ class TestRequestFrame:
                      "headers"):
             assert getattr(served, name) == getattr(expected, name), name
         assert [list(served.body[0]), served.body[1]] == [["k", 7], {}]
-        assert reply == request.reply_to(True) and reply.headers == {}
+        assert reply_fields == (REPLY, request.msg_id, server.context_id,
+                                client.context_id, "", "", True, {})
 
 
 class TestMessageIds:

@@ -17,10 +17,10 @@ from __future__ import annotations
 import pytest
 
 from repro.metrics import marshal_memo_stats
-from repro.rpc.transport import Transport
 from repro.simtest.runner import SimCase
 from repro.simtest.workload import BANK_POLICIES, SHIPPED_POLICIES, deploy
-from repro.wire.marshal import clear_memos
+from repro.wire.frames import Frame
+from repro.wire.marshal import Marshaller, clear_memos
 
 OPS = 60
 KEYS = ("k0", "k1", "k2", "k3")
@@ -32,16 +32,18 @@ HEADERED = ("replicated", "regional", "sharded")
 
 @pytest.fixture
 def sent(monkeypatch):
-    """Every outbound frame, with the message it was encoded into."""
+    """Every outbound frame, with the message it was encoded into.  Every
+    frame crosses the marshaller, a successful reply encoded from its
+    fields included."""
     seen = []
-    encode_frame = Transport.encode_frame
+    encode = Marshaller.encode_frame_message
 
-    def watched(self, frame, src_ctx=None):
-        data = encode_frame(self, frame, src_ctx)
-        seen.append((frame, data))
+    def watched(self, *fields):
+        data = encode(self, *fields)
+        seen.append((Frame(*fields), data))
         return data
 
-    monkeypatch.setattr(Transport, "encode_frame", watched)
+    monkeypatch.setattr(Marshaller, "encode_frame_message", watched)
     return seen
 
 

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.kernel.errors import ProtocolError
+from repro.metrics import marshal_memo_stats
 from repro.wire.frames import (
     EXCEPTION,
+    FRAMED,
     ONEWAY,
     REPLY,
     REQUEST,
     Frame,
+    reply_value,
 )
 from repro.wire.marshal import PLAIN
 
@@ -26,15 +29,6 @@ class TestFrame:
         assert back.verb == "get"
         assert back.body == (("key",), {})
         assert back.headers == {"h": 1}
-
-    def test_reply_to_swaps_endpoints_and_keeps_id(self):
-        request = Frame(REQUEST, 3, "a/m", "b/m", verb="op")
-        reply = request.reply_to("result")
-        assert reply.kind == REPLY
-        assert reply.msg_id == 3
-        assert reply.src == "b/m"
-        assert reply.dst == "a/m"
-        assert reply.body == "result"
 
     def test_exception_to(self):
         request = Frame(REQUEST, 3, "a/m", "b/m", verb="op")
@@ -59,3 +53,30 @@ class TestFrame:
         data = PLAIN.encode(["nah", 1, "a", "b", "", "", None, {}])
         with pytest.raises(ProtocolError):
             Frame.decode(data, PLAIN)
+
+
+class TestReplyValue:
+    """A pure successful reply reaches its caller without a frame; every
+    other message is delivered as one."""
+
+    def test_a_pure_reply_is_its_value_and_is_counted_carried(self):
+        msg = PLAIN.encode_frame_message(REPLY, 3, "b/m", "a/m", "", "",
+                                         ("r", 1), {})
+        before = marshal_memo_stats()["frames_carried"]
+        assert reply_value(msg) == ("r", 1)
+        assert marshal_memo_stats()["frames_carried"] == before + 1
+
+    @pytest.mark.parametrize("kind, body", [
+        (REPLY, ["plain", {"n": 1}]),             # plain: copied per delivery
+        (REPLY, {"w": 1}),                        # a reply wrapper
+        (REPLY, ((1,), {})),                      # a pure pair
+        (REPLY, bytearray(70000)),                # mutable bulk: written
+        (EXCEPTION, ("KeyError", "k", None)),
+        (REQUEST, (("k",), {})),
+    ])
+    def test_anything_else_is_framed(self, kind, body):
+        msg = PLAIN.encode_frame_message(kind, 3, "b/m", "a/m", "", "",
+                                         body, {})
+        before = marshal_memo_stats()["frames_carried"]
+        assert reply_value(msg) is FRAMED
+        assert marshal_memo_stats()["frames_carried"] == before
