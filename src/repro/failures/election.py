@@ -121,11 +121,10 @@ class ElectionState:
         Lost announce frames heal here: the first enveloped request of a
         newer term teaches the replica who leads it.
         """
-        term = int(term)
         if term <= self.term:
             return False
         self.term = term
-        self.leader = int(leader)
+        self.leader = leader
         self.counters.incr("terms_adopted")
         return True
 
@@ -135,7 +134,7 @@ class ElectionState:
         Mirrors the migration chain's reject-with-forwarding: the caller
         learns the current ``(term, leader)`` and retries there.
         """
-        if int(term) >= self.term:
+        if term >= self.term:
             return None
         self.counters.incr("fencing_rejects")
         return {versions.K_FENCED: (self.term, self.leader)}
@@ -143,18 +142,18 @@ class ElectionState:
     # -- control verbs (reached through versions.serve_control) ---------------
 
     def control(self, kind: str, control: tuple, now: float, log) -> dict:
-        """Serve one election control call; returns the reply wrapper."""
+        """Serve one parsed election control call (``kind`` is
+        ``control[0]``); returns the reply wrapper."""
         if kind == "status":
             return {versions.K_TERM: (self.term, self.leader),
                     versions.K_EXPIRY: self.lease_expiry,
                     versions.K_DIGEST: log.digest()}
+        _, term, index = control
         if kind == "vote":
-            return self._vote(int(control[1]), int(control[2]), now, log)
+            return self._vote(term, index, now, log)
         if kind == "announce":
-            return self._announce(int(control[1]), int(control[2]), now)
-        if kind == "renew":
-            return self._renew(int(control[1]), int(control[2]), now)
-        raise versions.ProtocolError(f"unknown election control {kind!r}")
+            return self._announce(term, index, now)
+        return self._renew(term, index, now)
 
     def _vote(self, term: int, candidate: int, now: float, log) -> dict:
         refusal = {versions.K_GRANT: False,

@@ -76,17 +76,20 @@ class Deadline:
     @staticmethod
     def from_headers(headers: dict | None) -> "Deadline | None":
         """Recover a deadline from frame headers (``None`` when absent);
-        a value that is not a time raises :class:`ProtocolError`."""
+        a value that is not a time — not an ``int`` or ``float`` (a bool is
+        neither), NaN, an ``int`` no float holds — raises
+        :class:`ProtocolError`.  ±inf is a time: never, or always late."""
         if not headers:
             return None
         expires_at = headers.get(DEADLINE_HEADER)
         if expires_at is None:
             return None
         try:
-            return Deadline(float(expires_at))
-        except (TypeError, ValueError, OverflowError):
-            raise ProtocolError(
-                f"malformed deadline header {expires_at!r}") from None
+            if type(expires_at) in (int, float) and expires_at == expires_at:
+                return Deadline(float(expires_at))
+        except OverflowError:
+            pass
+        raise ProtocolError(f"malformed deadline header {expires_at!r}")
 
     def to_headers(self, headers: dict) -> dict:
         """Stamp this deadline into a frame-header dict; returns it."""

@@ -54,23 +54,13 @@ to that shard's other operations:
 A failed install aborts before step 4, leaving at worst a harmless stale
 copy at the target (``install`` is discard-first, hence idempotent).
 
-Request header keys (specs are tuples, as in :mod:`repro.wire.versions`,
-whose parse rule — a tuple or a list, nothing else — applies here too):
-
-========= =================== ==========================================
-key       value               meaning
-========= =================== ==========================================
-``s.e``   ``(epoch,)``        the caller's ring epoch; older than the
-                              shard's ⇒ :data:`K_FENCED` redirect when
-                              the key moved, in-band heal otherwise
-``s.k``   ``hash``            the call's routing hash (advisory; lets a
-                              stale caller at the right shard be served)
-``s.c``   ``("map",)`` /      ring controls (verb-less frames): read the
-          ``("commit",)`` /   map, adopt a newer one, absorb an arc
-          ``("install", ks)`` fragment (rides the body), or run the
-          / ``("handoff",    source side of an arc transfer
-          i, dst, epoch)``
-========= =================== ==========================================
+Request headers and ``s.c`` control kinds are declared once, in
+:data:`SHAPES`, and checked by the quorum module's :func:`~repro.wire.
+versions.parse` before any step runs.  ``s.e`` is the caller's ring epoch
+(older than the shard's ⇒ a :data:`K_FENCED` redirect when the key moved,
+an in-band heal otherwise) and ``s.k`` the call's routing hash; ``s.c``
+carries the ring controls (verb-less frames): read the map, adopt a newer
+one, absorb an arc fragment, or run the source side of an arc transfer.
 
 Reply wrappers: ``{"s.val": result}`` on success (plus ``"s.map"`` when
 healing a stale caller), ``{"s.f": map}`` when fenced, ``{"s.map":
@@ -85,12 +75,11 @@ from bisect import bisect_left
 from typing import Any, Callable
 
 from ..kernel.errors import ConfigurationError, ProtocolError
-from .versions import SPEC_TYPES
+from .versions import COUNT, DATA, KEYS, VERB, parse
 
-#: Request header: the caller's ring epoch ``(epoch,)``.
+#: Request header: the caller's ring epoch.
 H_EPOCH = "s.e"
-#: Request header: ring control ``("map",)`` / ``("commit",)`` /
-#: ``("install", keys)`` / ``("handoff", point, target, epoch)``.
+#: Request header: a ring control.
 H_CONTROL = "s.c"
 #: Request header: the routing hash of the call's shard key.  Advisory:
 #: it refines the *stale* path only — a stale-epoch call whose key the
@@ -110,9 +99,6 @@ K_MAP = "s.map"
 #: The request-header keys that open a shard envelope: a call carrying
 #: either is served by :func:`serve_envelope`.
 ENVELOPE_KEYS = frozenset((H_EPOCH, H_CONTROL))
-
-#: What a value of the wrong shape raises where the envelope is parsed.
-_MALFORMED = (TypeError, ValueError, IndexError, KeyError)
 
 #: Ring points per shard in a generated ring (vnodes smooth the arcs).
 DEFAULT_VNODES = 8
@@ -230,67 +216,80 @@ class ShardState:
 
     def adopt(self, epoch: int, ring: list, shards: list) -> bool:
         """Replace the view iff ``epoch`` is strictly newer."""
-        if int(epoch) <= self.epoch:
+        if epoch <= self.epoch:
             return False
-        self.epoch = int(epoch)
+        self.epoch = epoch
         self.ring = [list(entry) for entry in ring]
         self.shards = [list(spec) for spec in shards]
         self._reindex()
         return True
 
 
-def _stale(state: ShardState | None, headers: dict | None) -> dict | None:
-    """The :data:`K_FENCED` refusal for a stale-epoch request, or None.
+def _sorted_ring(body) -> None:
+    """A commit's rule: its map's ring is one :func:`validate_ring` takes
+    as it is — not empty, sorted, no point twice, every owner one of the
+    map's shards — or :class:`ProtocolError`."""
+    _epoch, ring, specs = body[0]
+    try:
+        valid = validate_ring(ring, len(specs)) == [list(e) for e in ring]
+    except ConfigurationError:
+        valid = False
+    if not valid:
+        raise ProtocolError(f"commit of a malformed ring {ring!r}")
 
-    The epoch is the fencing authority; the advisory :data:`H_KEY` hash
-    softens it.  A stale caller whose key this shard *still owns* routed
-    correctly despite its old ring, so refusing it buys nothing — it is
-    served, and the current map rides back on the reply
+
+#: A shard's reference fields ``[context_id, oid, interface, epoch,
+#: policy]``, and the ``[epoch, ring, shards]`` map a commit carries.
+SHARD_SPEC = (VERB, VERB, VERB, COUNT, VERB)
+RING_MAP = (COUNT, [(COUNT, COUNT)], [SHARD_SPEC])
+
+#: The ``s.*`` envelope, declared as :data:`repro.wire.versions.SHAPES`
+#: declares the ``q.*`` one (``s.k`` is a bare routing hash, not a spec).
+SHAPES = {
+    H_EPOCH: (COUNT,),
+    H_KEY: COUNT,
+    H_CONTROL: {
+        "map": ((), ()),
+        "commit": ((), (RING_MAP,), _sorted_ring),
+        "install": ((KEYS,), (DATA,)),
+        "handoff": ((COUNT, COUNT, COUNT), ()),
+    },
+}
+
+
+# -- server-side protocol steps -----------------------------------------------
+#
+# Each step takes the export entry and the envelope's parsed fields, and
+# returns the marshallable reply wrapper; the dispatcher has already
+# admitted the operation (interface check, compute accounting) when a step
+# runs, so a step fences and then takes the entry's ``run``.  Application
+# exceptions propagate — the dispatcher ships them as ordinary exception
+# frames and the client re-raises, exactly as for plain calls.
+
+
+def serve_verb(entry, verb: str, args, kwargs, epoch: int,
+               h: int | None = None) -> dict:
+    """One enveloped operation at a shard: fence, or serve (and heal).
+
+    The caller's ``epoch`` is the fencing authority; the advisory routing
+    hash ``h`` softens it.  A stale caller whose key this shard *still
+    owns* routed correctly despite its old ring, so refusing it buys
+    nothing — it is served, and the current map rides back on the reply
     (:data:`K_MAP` next to the value) to heal the caller in one round
     trip.  Only a stale caller at the *wrong* shard — or one carrying no
     key hash to judge by — is redirected.  (A caller lying about its
     epoch skips both checks; that is exactly the bug class the simtest
     ``staleshard`` canary exists to convict.)
     """
-    if state is None:
-        return None
-    spec = headers.get(H_EPOCH) if headers else None
-    if spec is None or int(spec[0]) >= state.epoch:
-        return None
-    h = headers.get(H_KEY)
-    if h is not None and state.index >= 0 \
-            and state.owner_of(int(h)) == state.index:
-        return None
-    return {K_FENCED: state.map()}
-
-
-def _heal(state: ShardState | None, headers: dict | None,
-          reply: dict) -> dict:
-    """Piggyback the current map onto a stale-epoch caller's reply."""
-    if state is not None and headers:
-        spec = headers.get(H_EPOCH)
-        if spec is not None and int(spec[0]) < state.epoch:
-            reply[K_MAP] = state.map()
-    return reply
-
-
-# -- server-side protocol steps -----------------------------------------------
-#
-# Each step takes the export entry and returns the marshallable reply
-# wrapper; the dispatcher has already admitted the operation (interface
-# check, compute accounting) when a step runs, so a step fences and then
-# takes the entry's ``run``.  Application exceptions
-# propagate — the dispatcher ships them as ordinary exception frames and
-# the client re-raises, exactly as for plain calls.
-
-
-def serve_verb(entry, verb: str, args, kwargs, headers: dict) -> dict:
-    """One enveloped operation at a shard: fence, or serve (and heal)."""
     state = entry.sharding
-    refused = _stale(state, headers)
-    if refused is not None:
-        return refused
-    return _heal(state, headers, {K_VALUE: entry.run(verb, args, kwargs)})
+    if state is not None and epoch < state.epoch and (
+            h is None or state.index < 0
+            or state.owner_of(h) != state.index):
+        return {K_FENCED: state.map()}
+    reply = {K_VALUE: entry.run(verb, args, kwargs)}
+    if state is not None and epoch < state.epoch:
+        reply[K_MAP] = state.map()
+    return reply
 
 
 def serve_control(entry, control, body_args,
@@ -313,10 +312,7 @@ def serve_control(entry, control, body_args,
             raise ProtocolError("map control on an unsharded entry")
         return {K_MAP: state.map()}
     if kind == "commit":
-        spec = body_args[0] if body_args else None
-        if spec is None:
-            raise ProtocolError("commit control carries no map")
-        epoch, ring, shards = spec
+        epoch, ring, shards = body_args[0]
         if state is None:
             # A freshly migrated shard entry: infer our index from the
             # map (our own oid must appear in it) and install the state.
@@ -333,18 +329,15 @@ def serve_control(entry, control, body_args,
             entry.policy_config["shards"] = [list(s) for s in state.shards]
         return {K_MAP: state.map()}
     if kind == "install":
-        keys = list(control[1])
-        fragment = body_args[0] if body_args else {}
-        entry.obj.shard_discard(keys)
-        entry.obj.shard_absorb(fragment)
+        entry.obj.shard_discard(control[1])
+        entry.obj.shard_absorb(body_args[0])
         return {K_VALUE: True}
-    if kind == "handoff":
-        if state is None:
-            raise ProtocolError("handoff control on an unsharded entry")
-        if call_peer is None:
-            raise ProtocolError("handoff needs a nested-call thunk")
-        return _serve_handoff(entry, state, control, call_peer)
-    raise ProtocolError(f"unknown shard control {kind!r}")
+    # "handoff": the table declares no other kind.
+    if state is None:
+        raise ProtocolError("handoff control on an unsharded entry")
+    if call_peer is None:
+        raise ProtocolError("handoff needs a nested-call thunk")
+    return _serve_handoff(entry, state, control, call_peer)
 
 
 def _own_index(entry, shards: list) -> int:
@@ -358,8 +351,7 @@ def _own_index(entry, shards: list) -> int:
 def _serve_handoff(entry, state: ShardState, control,
                    call_peer: Callable) -> dict:
     """The source side of one arc transfer (runs at the departing owner)."""
-    point_index, target, believed = (int(control[1]), int(control[2]),
-                                     int(control[3]))
+    _, point_index, target, believed = control
     if believed != state.epoch:
         return {K_FENCED: state.map()}
     if not 0 <= point_index < len(state.ring):
@@ -412,56 +404,16 @@ def serve_envelope(entry, verb: str, args, kwargs, headers: dict, *,
     the quorum module's needs; both modules take the same three so the
     dispatcher has one call site).
 
-    It is also where the envelope is parsed: an epoch, routing hash or
-    control field that does not convert as the step converts it, or a
-    commit's map and an install's keys and fragment of the wrong shape,
-    is refused with :class:`ProtocolError` before any step runs, so
-    nothing changes.  What an operation raises travels as itself.
+    The envelope is parsed first (:func:`~repro.wire.versions.parse`
+    against :data:`SHAPES`): what no honest caller sends is refused with
+    :class:`ProtocolError` before any step runs, so nothing changes.
+    What an operation raises travels as itself.
     """
+    parse(SHAPES, headers, args)
     control = headers.get(H_CONTROL)
     if control is not None:
-        _parse_control(control, args)
         return serve_control(entry, control, args, call_peer)
-    if H_EPOCH in headers:
-        spec = headers[H_EPOCH]
-        h = headers.get(H_KEY)
-        try:
-            if spec is not None:
-                if not isinstance(spec, SPEC_TYPES):
-                    raise TypeError(spec)
-                int(spec[0])
-            if h is not None:
-                int(h)
-        except _MALFORMED:
-            raise ProtocolError(
-                f"malformed shard envelope {spec!r}, {h!r}") from None
-        return serve_verb(entry, verb, args, kwargs, headers)
-    raise ProtocolError("frame carries no shard envelope")
-
-
-def _parse_control(control, body_args) -> None:
-    """The control half of the envelope parse: what a control's step reads
-    from the envelope and the body has the shape it expects — or
-    :class:`ProtocolError`."""
-    try:
-        if not isinstance(control, SPEC_TYPES):
-            raise TypeError(control)
-        kind = control[0]
-        if kind == "commit" and body_args and body_args[0] is not None:
-            epoch, ring, specs = body_args[0]
-            int(epoch)
-            for point, owner in ring:
-                int(point), int(owner)
-            for spec in specs:
-                if len(spec) != 5:
-                    raise ValueError(f"shard spec {spec!r}")
-        elif kind == "install":
-            for key in control[1]:
-                hash(key)
-            if body_args and not isinstance(body_args[0], dict):
-                raise TypeError("the fragment is not a dict")
-        elif kind == "handoff":
-            int(control[1]), int(control[2]), int(control[3])
-    except _MALFORMED:
-        raise ProtocolError(f"malformed {H_CONTROL} envelope {control!r}") \
-            from None
+    spec = headers.get(H_EPOCH)
+    if spec is None:
+        raise ProtocolError("frame carries no shard envelope")
+    return serve_verb(entry, verb, args, kwargs, spec[0], headers.get(H_KEY))

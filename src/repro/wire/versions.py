@@ -29,34 +29,20 @@ reject-with-forwarding.  A static-primary group is the same protocol with
 ``entry.election is None``: every step below skips the term check and emits
 no term key, so its traffic is byte-identical to a build without elections.
 
-Request header keys (values are small tuples, so an enveloped frame is
-pure — sized and shared, never snapshotted; see ``wire/marshal.py``).
-The parse takes a list too, and refuses anything else:
+Request headers and ``q.c`` control kinds are declared once, in
+:data:`SHAPES` — each with the kinds of its fields, and a control's body
+with its own — and :func:`parse` checks an envelope against it before any
+step runs (specs are small tuples, so an enveloped frame is pure — sized
+and shared, never snapshotted; see ``wire/marshal.py``).  ``q.w``/``q.a``
+are a primary/replica write, ``q.r`` a versioned read, ``q.t`` an elected
+group's ``(term, leader)`` belief: stale terms are fenced, newer ones
+adopted.  ``q.c`` carries log transfer (``pull``/``push``), the election
+verbs (``status``/``vote``/``announce``/``renew``), ``digest``, and
+``reset`` (discard the object and its logs ahead of a full resync from the
+leader — the divergence repair; a suffix push cannot *un*-apply an
+executed entry).
 
-========== ======================= ========================================
-key        value                   meaning
-========== ======================= ========================================
-``q.w``    ``(key,)``              primary write: apply, assign the next
-                                   version of ``key``, log the operation
-``q.a``    ``(key, n)``            replica write: apply iff ``n`` extends
-                                   the replica's log of ``key`` contiguously
-``q.r``    ``(key,)``              versioned read: answer with the replica's
-                                   current version of ``key``
-``q.c``    ``("pull", key, since)`` log transfer for repair: return the
-           / ``("push", key)``     suffix after ``since`` / apply pushed
-                                   entries (ride the request body)
-``q.t``    ``(term, leader)``      elected groups: the caller's leadership
-                                   belief; stale terms are fenced, newer
-                                   terms are adopted
-========== ======================= ========================================
-
-Election control verbs (also under ``q.c``): ``("status",)``,
-``("vote", term, candidate)``, ``("announce", term, leader)``,
-``("renew", term, leader)``, ``("digest",)``, and ``("reset",)`` (discard
-the object and its logs ahead of a full resync from the leader — the
-divergence repair; a suffix push cannot *un*-apply an executed entry).
-
-Reply wrappers (reserved keys, see :func:`is_wrapped`):
+Reply wrappers (dicts of reserved ``q.*`` keys):
 
 * ``{"q.v": n, "q.val": result}`` — applied/answered at version ``n``;
 * ``{"q.v": cur, "q.stale": True}`` — the replica is missing a prefix
@@ -86,16 +72,15 @@ from typing import Any, Callable
 
 from ..kernel.errors import ProtocolError
 
-#: Request header: primary write ``(key,)`` — apply and assign the version.
+#: Request header: primary write — apply and assign the next version.
 H_ASSIGN = "q.w"
-#: Request header: replica write ``(key, n)`` — apply iff contiguous.
+#: Request header: replica write — apply iff contiguous.
 H_APPLY = "q.a"
-#: Request header: versioned read ``(key,)``.
+#: Request header: versioned read.
 H_READ = "q.r"
-#: Request header: log-transfer control ``("pull", key, since)`` /
-#: ``("push", key)``.
+#: Request header: a log-transfer or election control.
 H_CONTROL = "q.c"
-#: Request header: the caller's ``(term, leader)`` belief (elected groups).
+#: Request header: the caller's leadership belief (elected groups).
 H_TERM = "q.t"
 
 #: Reply key: the replica's version of the addressed key after the call.
@@ -133,6 +118,132 @@ ENVELOPE_KEYS = frozenset((H_ASSIGN, H_APPLY, H_READ, H_CONTROL))
 #: Control verbs served by the export entry's election state.
 _ELECTION_CONTROLS = ("status", "vote", "announce", "renew")
 
+# -- the declared envelope ----------------------------------------------------
+#
+# A field's kind names the one type its step uses, so :func:`parse` checks
+# and never converts: a parsed envelope is its headers, as they came.  A
+# shape names its kinds by these constants (the parse compares identity).
+
+#: A non-bool ``int`` >= 0: a version, a term, an epoch, an index, a hash.
+COUNT = "count"
+#: Anything hashable: the key a log is kept under.
+KEY = "key"
+#: A list or tuple of hashables.
+KEYS = "keys"
+#: A ``str``: an operation's name, a reference's text field.
+VERB = "verb"
+#: A list or tuple: an operation's positional arguments.
+ARGS = "args"
+#: A ``dict`` with ``str`` keys: an operation's keyword arguments.
+KWARGS = "kwargs"
+#: A ``dict``: state that moves whole (an arc's fragment).
+DATA = "data"
+
+#: What a spec may be: a tuple, as every caller here builds it, or a list.
+#: A string indexes too, character by character, so the parse refuses
+#: anything else by type.
+SPEC_TYPES = (tuple, list)
+
+#: A log entry on the wire, ``[n, verb, args, kwargs]``, and one stamped
+#: with the term it was assigned under.
+LOG_ENTRY = (COUNT, VERB, ARGS, KWARGS)
+TERMED_ENTRY = LOG_ENTRY + (COUNT,)
+
+#: The ``q.*`` envelope.  A header maps to the kinds of its spec's fields;
+#: ``q.c`` maps each control kind (the spec's first field) to the kinds of
+#: the rest and the shape of the call's body.  A list in a shape is a list
+#: of items, each of the listed shape of its length.
+SHAPES = {
+    H_READ: (KEY,),
+    H_ASSIGN: (KEY,),
+    H_APPLY: (KEY, COUNT),
+    H_TERM: (COUNT, COUNT),
+    H_CONTROL: {
+        "pull": ((KEY, COUNT), ()),
+        "push": ((KEY,), ([LOG_ENTRY, TERMED_ENTRY],)),
+        "status": ((), ()),
+        "vote": ((COUNT, COUNT), ()),
+        "announce": ((COUNT, COUNT), ()),
+        "renew": ((COUNT, COUNT), ()),
+        "digest": ((), ()),
+        "reset": ((), ()),
+    },
+}
+
+
+def parse(shapes: dict, headers: dict, body=()) -> None:
+    """Check the envelope ``headers`` carries against its declared
+    ``shapes`` (:data:`SHAPES`, or :data:`repro.wire.shards.SHAPES`), or
+    raise :class:`ProtocolError` — before any step runs, so nothing
+    changes.
+
+    A header's shape is a tuple of kinds (a spec of exactly that many
+    fields), a bare kind (the header is one value) or, for a control, a
+    dict from its kind to ``(fields, body shape)``, plus a rule called
+    with the body once its kinds hold.  A nested shape is checked as an
+    envelope of its own.  Headers the table does not name are another
+    layer's (a deadline).
+    """
+    rules = ()
+    for name, spec in headers.items():
+        shape = shapes.get(name)
+        if shape is None:
+            continue
+        if type(shape) is not tuple:
+            if type(shape) is str:
+                shape, spec = (shape,), (spec,)
+            elif type(shape) is list:
+                if not isinstance(spec, SPEC_TYPES):
+                    raise ProtocolError(f"malformed {name} items {spec!r}")
+                for item in spec:
+                    # The shape of the item's length; if none, the last
+                    # refuses it.
+                    for each in shape:
+                        if isinstance(item, SPEC_TYPES) \
+                                and len(item) == len(each):
+                            break
+                    parse({name: each}, {name: item})
+                continue
+            else:
+                kind = spec[0] if isinstance(spec, SPEC_TYPES) and spec \
+                    else None
+                declared = shape.get(kind) if type(kind) is str else None
+                if declared is None:
+                    raise ProtocolError(f"unknown {name} control {spec!r}")
+                shape, body_shape, *rules = declared
+                parse({name: body_shape}, {name: body})
+                spec = spec[1:]
+        if not isinstance(spec, SPEC_TYPES) or len(spec) != len(shape):
+            raise ProtocolError(f"malformed {name} envelope {spec!r}")
+        i = 0
+        for kind in shape:          # not zip: this loop runs on every call
+            value = spec[i]
+            i += 1
+            if kind is COUNT:
+                ok = type(value) is int and value >= 0
+            elif kind is KEY or kind is KEYS:
+                ok = kind is KEY or isinstance(value, SPEC_TYPES)
+                try:
+                    hash(value if kind is KEY else tuple(value))
+                except TypeError:
+                    ok = False
+            elif kind is VERB:
+                ok = isinstance(value, str)
+            elif kind is ARGS:
+                ok = isinstance(value, SPEC_TYPES)
+            elif kind is KWARGS:
+                ok = isinstance(value, dict) and all(
+                    isinstance(key, str) for key in value)
+            elif kind is DATA:
+                ok = isinstance(value, dict)
+            else:
+                parse({name: kind}, {name: value})
+                continue
+            if not ok:
+                raise ProtocolError(f"malformed {name} envelope {spec!r}")
+    for rule in rules:
+        rule(body)
+
 
 class ReplicaLog:
     """Per-key contiguous operation log of one replica.
@@ -167,7 +278,6 @@ class ReplicaLog:
     def term_at(self, key, n: int) -> int:
         """The term of the entry that produced version ``n`` (0 if absent)."""
         log = self._logs.get(key)
-        n = int(n)
         if not log or not 1 <= n <= len(log):
             return 0
         return log[n - 1][4]
@@ -180,7 +290,7 @@ class ReplicaLog:
             raise ProtocolError(
                 f"replica log of {key!r} at version {len(log)} cannot "
                 f"append version {n}")
-        log.append((n, verb, list(args), dict(kwargs), int(term)))
+        log.append((n, verb, list(args), dict(kwargs), term))
 
     def suffix(self, key, since: int) -> list:
         """The marshallable entries after version ``since`` (for repair).
@@ -194,7 +304,7 @@ class ReplicaLog:
             return []
         return [[n, verb, list(args), dict(kwargs)] if term == 0
                 else [n, verb, list(args), dict(kwargs), term]
-                for n, verb, args, kwargs, term in log[int(since):]]
+                for n, verb, args, kwargs, term in log[since:]]
 
     def digest(self) -> list:
         """``[[key, last_term, version], ...]`` over every key, sorted."""
@@ -212,44 +322,16 @@ def replica_log(entry) -> ReplicaLog:
     return log
 
 
-#: What a value of the wrong shape raises where the envelope is parsed.
-_MALFORMED = (TypeError, ValueError, IndexError, KeyError)
-
-#: What a spec may be: a tuple, as every caller here builds it, or a list.
-#: A string indexes too, character by character, so the parse refuses
-#: anything else by type.
-SPEC_TYPES = (tuple, list)
-
-
-def _term_of(headers: dict | None) -> tuple[int, int] | None:
-    """The ``(term, leader)`` a request carries, if any: the parse of
-    :data:`H_TERM`, which every step that fences calls before it changes
-    anything (a malformed belief is :class:`ProtocolError`)."""
-    spec = headers.get(H_TERM) if headers else None
-    if spec is None:
-        return None
-    try:
-        if not isinstance(spec, SPEC_TYPES):
-            raise TypeError(spec)
-        return int(spec[0]), int(spec[1])
-    except _MALFORMED:
-        raise ProtocolError(f"malformed {H_TERM} envelope {spec!r}") from None
-
-
-def _fence_write(entry, headers: dict | None, now: float) -> dict | None:
+def _fence_write(state, belief: tuple | None, now: float) -> dict | None:
     """Election-mode gate for mutating envelopes (assign/apply/push/reset).
 
     A stale term answers the :data:`K_FENCED` redirect; a newer term is
     adopted on the spot (a lost announce heals through ordinary traffic).
     Returns the refusal wrapper, or ``None`` to proceed.
     """
-    state = entry.election
-    if state is None:
+    if state is None or belief is None:
         return None
-    claim = _term_of(headers)
-    if claim is None:
-        return None
-    term, leader = claim
+    term, leader = belief
     refused = state.fence(term)
     if refused is not None:
         return refused
@@ -259,14 +341,15 @@ def _fence_write(entry, headers: dict | None, now: float) -> dict | None:
 
 # -- server-side protocol steps -----------------------------------------------
 #
-# Each step takes the export entry and returns the marshallable reply
-# wrapper.  The dispatcher has already admitted the operation (interface
-# check, compute accounting) when a step runs, so a step fences and then
-# takes the entry's ``run`` (the method call plus its mutation hooks); only
-# a push replays *other* operations, and performs them whole through the
-# dispatcher's ``invoke``.  Application exceptions are folded into the
-# wrapper for reads and replica applies; a primary write propagates them so
-# nothing is logged and the fan-out never starts — the group stays converged.
+# Each step takes the export entry and the envelope's parsed fields, and
+# returns the marshallable reply wrapper.  The dispatcher has already
+# admitted the operation (interface check, compute accounting) when a step
+# runs, so a step fences and then takes the entry's ``run`` (the method
+# call plus its mutation hooks); only a push replays *other* operations,
+# and performs them whole through the dispatcher's ``invoke``.  Application
+# exceptions are folded into the wrapper for reads and replica applies; a
+# primary write propagates them so nothing is logged and the fan-out never
+# starts — the group stays converged.
 
 
 def serve_read(entry, key, verb: str, args, kwargs) -> dict:
@@ -278,35 +361,36 @@ def serve_read(entry, key, verb: str, args, kwargs) -> dict:
     of the answer and the replica's current ``(term, leader)`` so the
     caller can adopt a newer leadership opportunistically.
     """
-    log = replica_log(entry)
-    state = entry.election
-    extra = ({K_VTERM: log.last_term(key),
-              K_TERM: (state.term, state.leader)}
-             if state is not None else {})
+    log = entry.replica_log or replica_log(entry)
     try:
-        result = entry.run(verb, args, kwargs)
+        reply = {K_VERSION: log.version(key),
+                 K_VALUE: entry.run(verb, args, kwargs)}
     except Exception as exc:
-        return {K_VERSION: log.version(key),
-                K_EXC: (type(exc).__name__, str(exc)), **extra}
-    return {K_VERSION: log.version(key), K_VALUE: result, **extra}
+        reply = {K_VERSION: log.version(key),
+                 K_EXC: (type(exc).__name__, str(exc))}
+    state = entry.election
+    if state is not None:
+        reply[K_VTERM] = log.last_term(key)
+        reply[K_TERM] = (state.term, state.leader)
+    return reply
 
 
 def serve_assign(entry, key, verb: str, args, kwargs,
-                 headers: dict | None = None, now: float = 0.0) -> dict:
+                 belief: tuple | None = None, now: float = 0.0) -> dict:
     """A primary write: execute, then log it under the next version.
 
     In election mode the assign is the most-guarded step: the request's
-    term must be current, this replica must believe *itself* leader of
-    that term, and its own lease must still be valid (an expired lease
-    answers :data:`K_EXPIRED`; the caller drives a renewal round through
-    the followers and retries).  The entry is logged under the term that
-    assigned it.
+    term (``belief``, the parsed :data:`H_TERM`) must be current, this
+    replica must believe *itself* leader of that term, and its own lease
+    must still be valid (an expired lease answers :data:`K_EXPIRED`; the
+    caller drives a renewal round through the followers and retries).
+    The entry is logged under the term that assigned it.
     """
-    log = replica_log(entry)
+    log = entry.replica_log or replica_log(entry)
     state = entry.election
     term = 0
     if state is not None:
-        refused = _fence_write(entry, headers, now)
+        refused = _fence_write(state, belief, now)
         if refused is not None:
             return refused
         if not state.is_leader():
@@ -325,12 +409,12 @@ def serve_assign(entry, key, verb: str, args, kwargs,
     return reply
 
 
-def _apply_entry(entry, key, n: int, verb: str, args, kwargs, term: int,
-                 invoke: Callable[[str, tuple, dict], Any]) -> dict:
+def _apply_entry(entry, invoke: Callable[[str, tuple, dict], Any], key,
+                 n: int, verb: str, args, kwargs, term: int = 0) -> dict:
     """Apply the operation that produces version ``n`` of ``key`` iff it
     extends the replica's log contiguously — the one step behind a replica
     write (``term`` from the envelope) and each entry of a repair push
-    (``term`` stamped on the entry).
+    (``term`` stamped on the entry, absent for an un-termed one).
 
     ``n <= current`` is an idempotent ack (the replica already holds that
     prefix), except that in election mode the held entry's *term* must
@@ -339,7 +423,7 @@ def _apply_entry(entry, key, n: int, verb: str, args, kwargs, term: int,
     a raising operation refuses the ack and leaves the log untouched: the
     primary executed it without raising, so this replica has diverged.
     """
-    log = replica_log(entry)
+    log = entry.replica_log or replica_log(entry)
     state = entry.election
     current = log.version(key)
     if n <= current:
@@ -362,23 +446,21 @@ def _apply_entry(entry, key, n: int, verb: str, args, kwargs, term: int,
 
 
 def serve_apply(entry, key, n: int, verb: str, args, kwargs,
-                headers: dict | None = None, now: float = 0.0) -> dict:
+                belief: tuple | None = None, now: float = 0.0) -> dict:
     """A replica write at an assigned version (:func:`_apply_entry`), the
     caller repairing and retrying on ``stale``; in election mode a stale
     term is fenced first."""
-    claim = _term_of(headers)
-    wterm = claim[0] if (entry.election is not None
-                         and claim is not None) else 0
-    refused = _fence_write(entry, headers, now)
+    state = entry.election
+    refused = _fence_write(state, belief, now)
     if refused is not None:
         return refused
-    return _apply_entry(entry, key, int(n), verb, args, kwargs, wterm,
-                        entry.run)
+    term = belief[0] if state is not None and belief is not None else 0
+    return _apply_entry(entry, entry.run, key, n, verb, args, kwargs, term)
 
 
 def serve_control(entry, control, body_args,
                   invoke: Callable[[str, tuple, dict], Any],
-                  headers: dict | None = None, now: float = 0.0) -> dict:
+                  belief: tuple | None = None, now: float = 0.0) -> dict:
     """A log-transfer or election control call (verb-less frames).
 
     ``("pull", key, since)`` returns the suffix after ``since``;
@@ -392,7 +474,7 @@ def serve_control(entry, control, body_args,
     repair: discard the object and its logs, then take a full push.
     """
     kind = control[0]
-    log = replica_log(entry)
+    log = entry.replica_log or replica_log(entry)
     state = entry.election
     if kind in _ELECTION_CONTROLS:
         if state is None:
@@ -404,7 +486,7 @@ def serve_control(entry, control, body_args,
     if kind == "reset":
         if state is None:
             raise ProtocolError("reset on a group without election state")
-        refused = _fence_write(entry, headers, now)
+        refused = _fence_write(state, belief, now)
         if refused is not None:
             return refused
         # A suffix push cannot un-apply a diverged entry: recreate the
@@ -416,7 +498,7 @@ def serve_control(entry, control, body_args,
         state.counters.incr("resets")
         return {K_VERSION: 0}
     if kind == "pull":
-        key, since = control[1], int(control[2])
+        _, key, since = control
         reply = {K_VERSION: log.version(key), K_LOG: log.suffix(key, since)}
         if state is not None:
             # The boundary witness: the term of the entry *at* ``since``.
@@ -425,21 +507,18 @@ def serve_control(entry, control, body_args,
             # suffix is guaranteed to extend what the target holds.
             reply[K_VTERM] = log.term_at(key, since)
         return reply
-    if kind == "push":
-        refused = _fence_write(entry, headers, now)
-        if refused is not None:
-            return refused
-        key = control[1]
-        for item in body_args[0] if body_args else []:
-            reply = _apply_entry(
-                entry, key, int(item[0]), item[1], tuple(item[2]),
-                dict(item[3]), int(item[4]) if len(item) > 4 else 0, invoke)
-            if K_DIVERGED in reply:
-                return reply
-            if K_STALE in reply or K_EXC in reply:
-                break    # a gap or a diverged entry: report how far we got
-        return {K_VERSION: log.version(key)}
-    raise ProtocolError(f"unknown quorum control {kind!r}")
+    # "push": the table declares no other kind.
+    refused = _fence_write(state, belief, now)
+    if refused is not None:
+        return refused
+    key = control[1]
+    for item in body_args[0]:
+        reply = _apply_entry(entry, invoke, key, *item)
+        if K_DIVERGED in reply:
+            return reply
+        if K_STALE in reply or K_EXC in reply:
+            break    # a gap or a diverged entry: report how far we got
+    return {K_VERSION: log.version(key)}
 
 
 def serve_envelope(entry, verb: str, args, kwargs, headers: dict, *,
@@ -455,60 +534,24 @@ def serve_envelope(entry, verb: str, args, kwargs, headers: dict, *,
     replayed entries through (``call_peer`` is the shard module's need;
     both modules take the same three so the dispatcher has one call site).
 
-    It is also where the envelope is parsed.  What no honest caller sends
-    — a spec that is not a sequence, a missing key or version, a key no
-    log can index, a control without its fields, a push whose body is not
-    a list of log entries — is refused with :class:`ProtocolError` before
-    any step runs, so nothing changes.  The steps run outside the parse:
-    what an operation raises travels as itself.
+    The envelope is parsed first (:func:`parse` against :data:`SHAPES`):
+    what no honest caller sends is refused with :class:`ProtocolError`
+    before any step runs, so nothing changes.  The steps run outside the
+    parse: what an operation raises travels as itself.
     """
+    parse(SHAPES, headers, args)
+    belief = headers.get(H_TERM)
     control = headers.get(H_CONTROL)
     if control is not None:
-        _parse_control(control, args)
-        return serve_control(entry, control, args, invoke,
-                             headers=headers, now=now)
-    for name in (H_READ, H_ASSIGN, H_APPLY):
-        spec = headers.get(name)
-        if spec is not None:
-            break
-    else:
-        raise ProtocolError("frame carries no quorum envelope")
-    try:
-        if not isinstance(spec, SPEC_TYPES):
-            raise TypeError(spec)
-        key = spec[0]
-        hash(key)
-        n = int(spec[1]) if name == H_APPLY else 0
-    except _MALFORMED:
-        raise ProtocolError(f"malformed {name} envelope {spec!r}") from None
-    if name == H_READ:
-        return serve_read(entry, key, verb, args, kwargs)
-    if name == H_ASSIGN:
-        return serve_assign(entry, key, verb, args, kwargs,
-                            headers=headers, now=now)
-    return serve_apply(entry, key, n, verb, args, kwargs,
-                       headers=headers, now=now)
-
-
-def _parse_control(control, body_args) -> None:
-    """The control half of the envelope parse: the fields a control's step
-    reads, and a push's entries in the body, converted as the step
-    converts them — or :class:`ProtocolError`."""
-    try:
-        if not isinstance(control, SPEC_TYPES):
-            raise TypeError(control)
-        kind = control[0]
-        if kind == "pull":
-            hash(control[1])
-            int(control[2])
-        elif kind == "push":
-            hash(control[1])
-            for item in body_args[0] if body_args else ():
-                int(item[0]), item[1], tuple(item[2]), dict(item[3])
-                if len(item) > 4:
-                    int(item[4])
-        elif kind in ("vote", "announce", "renew"):
-            int(control[1]), int(control[2])
-    except _MALFORMED:
-        raise ProtocolError(f"malformed {H_CONTROL} envelope {control!r}") \
-            from None
+        return serve_control(entry, control, args, invoke, belief, now)
+    spec = headers.get(H_READ)
+    if spec is not None:
+        return serve_read(entry, spec[0], verb, args, kwargs)
+    spec = headers.get(H_ASSIGN)
+    if spec is not None:
+        return serve_assign(entry, spec[0], verb, args, kwargs, belief, now)
+    spec = headers.get(H_APPLY)
+    if spec is not None:
+        return serve_apply(entry, spec[0], spec[1], verb, args, kwargs,
+                           belief, now)
+    raise ProtocolError("frame carries no quorum envelope")

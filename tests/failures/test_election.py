@@ -1,5 +1,7 @@
 """Tests for the per-replica election state machine (terms and leases)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.failures.election import DEFAULT_LEASE_TTL, ElectionState
@@ -161,5 +163,8 @@ class TestFencing:
         assert reply[versions.K_DIGEST] == [["object", 1, 2]]
 
     def test_unknown_control_raises(self):
+        entry = SimpleNamespace(election=state(), replica_log=None)
         with pytest.raises(versions.ProtocolError):
-            state().control("coup", ["coup"], now=0.0, log=None)
+            versions.serve_envelope(entry, "", (), {},
+                                    {versions.H_CONTROL: ["coup"]}, now=0.0,
+                                    invoke=None, call_peer=None)

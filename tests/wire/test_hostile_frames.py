@@ -194,8 +194,9 @@ def test_a_type_confused_frame_is_refused_at_the_handler(pair, name):
     assert store.get("k") == "v"
 
 
-@pytest.mark.parametrize("value", ["x", [1.0], {"t": 1}, 10**400],
-                         ids=["text", "list", "dict", "huge-int"])
+@pytest.mark.parametrize(
+    "value", ["x", [1.0], {"t": 1}, 10**400, "5", True, float("nan")],
+    ids=["text", "list", "dict", "huge-int", "digits", "bool", "nan"])
 def test_a_malformed_deadline_header_is_a_protocol_error(value):
     from repro.resilience.deadline import Deadline
 

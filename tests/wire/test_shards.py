@@ -163,25 +163,31 @@ class TestShardState:
         assert state.owner_of(50) == 1    # reindexed
 
 
+def serve(entry, headers, verb="", args=()):
+    """One enveloped call, parsed and served as the dispatcher serves it."""
+    return shards.serve_envelope(entry, verb, args, {}, headers, now=0.0,
+                                 invoke=None, call_peer=None)
+
+
 class TestServeVerb:
     def _entry(self, epoch=3):
         ring = [[100, 0], [200, 1]]
-        state = shards.ShardState(0, epoch, ring, [["c0"], ["c1"]])
+        state = shards.ShardState(0, epoch, ring, [
+            ["c0", "o0", "FakeStore", 0, "stub"],
+            ["c1", "o1", "FakeStore", 0, "stub"]])
         return FakeEntry(FakeStore({"k": "v"}), state), state
 
     def test_current_epoch_served_without_heal(self):
         entry, _state = self._entry()
-        reply = shards.serve_verb(entry, "get", ("k",), {},
-                                  {shards.H_EPOCH: [3]})
+        reply = serve(entry, {shards.H_EPOCH: [3]}, "get", ("k",))
         assert reply == {shards.K_VALUE: "v"}
 
     def test_stale_epoch_with_owned_key_served_and_healed(self):
         entry, state = self._entry()
         owned = 250    # wraps onto point 100 -> shard 0 (this entry)
         assert state.owner_of(owned) == 0
-        reply = shards.serve_verb(entry, "get", ("k",), {},
-                                  {shards.H_EPOCH: [1],
-                                   shards.H_KEY: owned})
+        reply = serve(entry, {shards.H_EPOCH: [1], shards.H_KEY: owned},
+                      "get", ("k",))
         assert reply[shards.K_VALUE] == "v"
         assert reply[shards.K_MAP] == state.map()
 
@@ -189,55 +195,52 @@ class TestServeVerb:
         entry, state = self._entry()
         moved = 150    # (100, 200] -> shard 1, not this entry
         assert state.owner_of(moved) == 1
-        reply = shards.serve_verb(entry, "get", ("k",), {},
-                                  {shards.H_EPOCH: [1],
-                                   shards.H_KEY: moved})
+        reply = serve(entry, {shards.H_EPOCH: [1], shards.H_KEY: moved},
+                      "get", ("k",))
         assert reply == {shards.K_FENCED: state.map()}
 
     def test_stale_epoch_without_key_hash_fenced(self):
         entry, state = self._entry()
-        reply = shards.serve_verb(entry, "get", ("k",), {},
-                                  {shards.H_EPOCH: [1]})
+        reply = serve(entry, {shards.H_EPOCH: [1]}, "get", ("k",))
         assert reply == {shards.K_FENCED: state.map()}
 
     def test_mutation_hooks_fire_only_for_writes(self):
         entry, _state = self._entry()
-        shards.serve_verb(entry, "put", ("k", "w"), {},
-                          {shards.H_EPOCH: [3]})
-        shards.serve_verb(entry, "get", ("k",), {},
-                          {shards.H_EPOCH: [3]})
+        serve(entry, {shards.H_EPOCH: [3]}, "put", ("k", "w"))
+        serve(entry, {shards.H_EPOCH: [3]}, "get", ("k",))
         assert entry.mutations == [("put", ("k", "w"), {})]
 
 
 class TestServeControl:
     def test_map_control_returns_the_map(self):
         entry, state = TestServeVerb()._entry()
-        reply = shards.serve_control(entry, ["map"], ())
+        reply = serve(entry, {shards.H_CONTROL: ["map"]})
         assert reply == {shards.K_MAP: state.map()}
 
     def test_map_control_on_unsharded_entry_is_a_protocol_error(self):
         with pytest.raises(ProtocolError):
-            shards.serve_control(FakeEntry(FakeStore()), ["map"], ())
+            serve(FakeEntry(FakeStore()), {shards.H_CONTROL: ["map"]})
 
     def test_commit_adopts_strictly_newer_maps_only(self):
         entry, state = TestServeVerb()._entry(epoch=3)
         newer = [5, state.ring, state.shards]
-        shards.serve_control(entry, ["commit"], (newer,))
+        serve(entry, {shards.H_CONTROL: ["commit"]}, args=(newer,))
         assert state.epoch == 5
-        shards.serve_control(entry, ["commit"], ([4, state.ring,
-                                                  state.shards],))
+        serve(entry, {shards.H_CONTROL: ["commit"]},
+              args=([4, state.ring, state.shards],))
         assert state.epoch == 5
 
     def test_install_is_discard_first_and_idempotent(self):
         entry = FakeEntry(FakeStore({"a": "old", "b": "keep"}))
-        reply = shards.serve_control(entry, ["install", ["a"]],
-                                     ({"a": "new"},))
+        reply = serve(entry, {shards.H_CONTROL: ["install", ["a"]]},
+                      args=({"a": "new"},))
         assert reply == {shards.K_VALUE: True}
         assert entry.obj.data == {"a": "new", "b": "keep"}
-        shards.serve_control(entry, ["install", ["a"]], ({"a": "new"},))
+        serve(entry, {shards.H_CONTROL: ["install", ["a"]]},
+              args=({"a": "new"},))
         assert entry.obj.data == {"a": "new", "b": "keep"}
 
     def test_unknown_control_is_a_protocol_error(self):
         entry, _state = TestServeVerb()._entry()
-        with pytest.raises(ProtocolError, match="unknown shard control"):
-            shards.serve_control(entry, ["gossip"], ())
+        with pytest.raises(ProtocolError, match="unknown s.c control"):
+            serve(entry, {shards.H_CONTROL: ["gossip"]})
