@@ -176,10 +176,10 @@ class ObjectSpace:
         if obj is not None:
             self._exported_ids.setdefault(id(obj), oid)
         self.stats["exports"] += 1
-        on_export = getattr(self.system.codebase.factories[policy],
-                            "on_export", None)
-        if on_export is not None:
-            on_export(self, entry)
+        hook = getattr(self.system.codebase.factories[policy],
+                       "proxy_on_export", None)
+        if hook is not None:
+            hook(self, entry)
         return entry
 
     def unexport(self, ref_or_obj: Any) -> None:

@@ -33,9 +33,9 @@ _GLOBAL_FACTORIES: dict[str, Type[Proxy]] = {}
 
 def register_policy(cls: Type[Proxy]) -> Type[Proxy]:
     """Class decorator: register a proxy policy in the global codebase."""
-    name = cls.policy_name
+    name = cls.proxy_policy_name
     if not name:
-        raise ConfigurationError(f"{cls.__name__} has no policy_name")
+        raise ConfigurationError(f"{cls.__name__} has no proxy_policy_name")
     _GLOBAL_FACTORIES[name] = cls
     return cls
 
@@ -59,7 +59,7 @@ class Codebase:
 
     def register_factory(self, cls: Type[Proxy]) -> Type[Proxy]:
         """Register a proxy policy for this system only."""
-        self.factories[cls.policy_name] = cls
+        self.factories[cls.proxy_policy_name] = cls
         return cls
 
     def instantiate(self, context: Context, ref: ObjectRef,

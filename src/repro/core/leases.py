@@ -141,7 +141,7 @@ def lease_service_proxy(space: ObjectSpace, context_id: str):
 class LeasedProxy(Proxy):
     """Forwarding proxy that maintains a lease on its target."""
 
-    policy_name = "leased"
+    proxy_policy_name = "leased"
 
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)
@@ -198,7 +198,7 @@ class LeasedProxy(Proxy):
         return self._expiry
 
     @classmethod
-    def on_export(cls, space, entry) -> None:
+    def proxy_on_export(cls, space, entry) -> None:
         """Mark the export gc-managed and stand up the lease service."""
         ensure_lease_service(space)
         entry.gc_managed = True

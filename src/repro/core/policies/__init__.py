@@ -18,7 +18,7 @@ codebase:
 ========== ===============================================================
 
 Custom policies subclass :class:`repro.core.proxy.Proxy`, set
-``policy_name``, and register with
+``proxy_policy_name``, and register with
 :func:`repro.core.factory.register_policy` (globally) or
 ``system.codebase.register_factory`` (per system).
 """

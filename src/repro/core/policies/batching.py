@@ -14,7 +14,7 @@ Semantics contract (documented, enforced by flushing):
   discarded.
 
 The server half is :class:`BatchControl`, exported automatically next to the
-object by :meth:`BatchingProxy.on_export`.
+object by :meth:`BatchingProxy.proxy_on_export`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ DEFAULT_BATCH_SIZE = 8
 class BatchingProxy(Proxy):
     """Buffer mutating operations; ship them in batches."""
 
-    policy_name = "batching"
+    proxy_policy_name = "batching"
 
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)
@@ -100,7 +100,7 @@ class BatchingProxy(Proxy):
     # -- server-side installation ---------------------------------------------------
 
     @classmethod
-    def on_export(cls, space, entry) -> None:
+    def proxy_on_export(cls, space, entry) -> None:
         """Export the batch-apply control next to the object."""
         control = BatchControl(entry, space.context)
         entry.policy_config["batch_control"] = space.export(control)

@@ -16,7 +16,7 @@ Client side (:class:`CachingProxy`):
   operation's ``invalidates`` metadata (conservatively: a mutating operation
   with no metadata flushes the whole cache).
 
-Server side (installed by :meth:`CachingProxy.on_export`):
+Server side (installed by :meth:`CachingProxy.proxy_on_export`):
 
 * a :class:`CacheControl` side-object where client caches register a
   callback;
@@ -63,7 +63,7 @@ def invalidated_values(op: Operation, args: tuple, kwargs: dict) -> tuple:
 class CachingProxy(Proxy):
     """Read-through cache in front of a remote object."""
 
-    policy_name = "caching"
+    proxy_policy_name = "caching"
 
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)
@@ -184,7 +184,7 @@ class CachingProxy(Proxy):
     # -- server-side installation ----------------------------------------------------------
 
     @classmethod
-    def on_export(cls, space, entry) -> None:
+    def proxy_on_export(cls, space, entry) -> None:
         """Install the invalidation control next to the exported object."""
         if not entry.policy_config.get("invalidation", True):
             return

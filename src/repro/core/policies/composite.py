@@ -13,7 +13,7 @@ Configuration::
     }
 
 Server-side components of every layer are installed at export time (each
-layer's ``on_export`` hook runs), so e.g. ``["caching", "replicated"]``
+layer's ``proxy_on_export`` hook runs), so e.g. ``["caching", "replicated"]``
 gets both the invalidation control and the replica list.
 """
 
@@ -38,7 +38,7 @@ def _layer_names(config: dict) -> list[str]:
 
 def _layer_config(config: dict, name: str) -> dict:
     """One layer's configuration: every shared key — the deployment's
-    choices (quorums, ``elect``, rings) and what ``on_export`` hooks
+    choices (quorums, ``elect``, rings) and what ``proxy_on_export`` hooks
     shipped — with ``layer_configs[name]`` winning.  No whitelist: a key a
     layer does not read is inert, a key dropped here silently changes the
     protocol the layer speaks."""
@@ -51,7 +51,7 @@ def _layer_config(config: dict, name: str) -> dict:
 class CompositeProxy(Proxy):
     """A stack of policy layers behind one proxy face."""
 
-    policy_name = "composite"
+    proxy_policy_name = "composite"
 
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)
@@ -100,13 +100,13 @@ class CompositeProxy(Proxy):
         return [type(layer).__name__ for layer in self._build_stack()]
 
     @classmethod
-    def on_export(cls, space, entry) -> None:
+    def proxy_on_export(cls, space, entry) -> None:
         """Run every layer's server-side installation."""
         codebase = space.system.codebase
         for name in _layer_names(entry.policy_config):
             factory = codebase.factories.get(name)
             if factory is None:
                 raise ConfigurationError(f"unknown layer policy {name!r}")
-            hook = getattr(factory, "on_export", None)
+            hook = getattr(factory, "proxy_on_export", None)
             if hook is not None:
                 hook(space, entry)

@@ -29,7 +29,7 @@ DEFAULT_MIGRATE_AFTER = 4
 class MigratingProxy(Proxy):
     """Forwarding proxy that relocates a hot object into its own context."""
 
-    policy_name = "migrating"
+    proxy_policy_name = "migrating"
 
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)
@@ -65,7 +65,7 @@ class MigratingProxy(Proxy):
         self.proxy_stats["migrations"] += 1
 
     @classmethod
-    def on_export(cls, space, entry) -> None:
+    def proxy_on_export(cls, space, entry) -> None:
         """Server-side setup: install the mover and register the class so the
         object can be re-instantiated wherever it lands."""
         from ...migration.mover import ensure_mover

@@ -34,7 +34,7 @@ from .replicating import ReplicatedProxy
 class RegionalProxy(ReplicatedProxy):
     """Replicated proxy with region-aware, breaker-admitted read ordering."""
 
-    policy_name = "regional"
+    proxy_policy_name = "regional"
 
     def _read_order_indices(self, count: int) -> list[int]:
         if self.proxy_config.get("read_policy", "regional") != "regional":

@@ -118,7 +118,7 @@ def _digest_of(reply: dict) -> dict:
 class ReplicatedProxy(Proxy):
     """Route reads to R replicas and writes through the sequencer to all."""
 
-    policy_name = "replicated"
+    proxy_policy_name = "replicated"
 
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)
@@ -308,10 +308,9 @@ class ReplicatedProxy(Proxy):
         away must surface as ``ObjectMoved`` to the quorum walk (one more
         unreachable copy), not be followed.
         """
-        context = self.proxy_context
-        return context.system.rpc.call(
-            context, self._replicas[index].proxy_ref, verb, args, kwargs,
-            headers=headers)
+        return self.proxy_protocol.call(
+            self.proxy_context, self._replicas[index].proxy_ref, verb, args,
+            kwargs, headers=headers)
 
     def _control_call(self, index: int, control: tuple, body_args: tuple,
                       extra_headers: dict | None = None) -> dict:
@@ -444,15 +443,17 @@ class ReplicatedProxy(Proxy):
             assigned = int(reply[versions.K_VERSION])
             wterm = int(reply.get(versions.K_VTERM, self._term))
             leader = self._leader
+            # One envelope for the whole fan-out: a call only reads it.
+            headers = {versions.H_APPLY: (key, assigned),
+                       versions.H_TERM: (wterm, leader)} if self._elected \
+                else {versions.H_APPLY: (key, assigned)}
             acknowledged = 1
             for index in range(len(replicas)):
                 if index == leader:
                     continue
                 try:
-                    ack = self._versioned_call(
-                        index, verb, args, kwargs,
-                        {versions.H_APPLY: (key, assigned),
-                         **self._term_header(wterm, leader)})
+                    ack = self._versioned_call(index, verb, args, kwargs,
+                                               headers)
                 except DistributionError as exc:
                     last_error = exc
                     continue
@@ -497,7 +498,9 @@ class ReplicatedProxy(Proxy):
             try:
                 reply = self._versioned_call(
                     self._leader, verb, args, kwargs,
-                    {versions.H_ASSIGN: (key,), **self._term_header()})
+                    {versions.H_ASSIGN: (key,),
+                     versions.H_TERM: (self._term, self._leader)}
+                    if self._elected else {versions.H_ASSIGN: (key,)})
             except RemoteError:
                 self.proxy_stats["app_errors"] += 1
                 raise
@@ -570,7 +573,9 @@ class ReplicatedProxy(Proxy):
             try:
                 reply = self._versioned_call(
                     index, verb, args, kwargs,
-                    {versions.H_READ: (key,), **self._term_header()})
+                    {versions.H_READ: (key,),
+                     versions.H_TERM: (self._term, self._leader)}
+                    if self._elected else {versions.H_READ: (key,)})
             except DistributionError as exc:
                 self.proxy_stats["read_failovers"] += 1
                 last_error = exc

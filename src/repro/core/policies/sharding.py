@@ -93,7 +93,7 @@ def _ring_params(count: int, ring: list | None, vnodes, ring_epoch,
 class ShardedProxy(Proxy):
     """Route each operation to the shard owning its key."""
 
-    policy_name = "sharded"
+    proxy_policy_name = "sharded"
 
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)

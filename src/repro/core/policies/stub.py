@@ -22,4 +22,4 @@ class ForwardingProxy(Proxy):
     *is* the stub policy.
     """
 
-    policy_name = "stub"
+    proxy_policy_name = "stub"

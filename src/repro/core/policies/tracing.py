@@ -25,7 +25,7 @@ DEFAULT_REPORT_EVERY = 32
 class TracingProxy(Proxy):
     """Forwarding proxy that measures every operation from the client side."""
 
-    policy_name = "tracing"
+    proxy_policy_name = "tracing"
 
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)
@@ -79,7 +79,7 @@ class TracingProxy(Proxy):
         return self._collector
 
     @classmethod
-    def on_export(cls, space, entry) -> None:
+    def proxy_on_export(cls, space, entry) -> None:
         """Deploy a collector next to the object when asked to."""
         if entry.policy_config.get("collect", True):
             collector = TraceCollector()

@@ -43,10 +43,10 @@ class Proxy:
     """
 
     #: Name under which this class registers in the factory codebase.
-    policy_name = "stub"
+    proxy_policy_name = "stub"
 
     @classmethod
-    def on_export(cls, space, entry) -> None:
+    def proxy_on_export(cls, space, entry) -> None:
         """Server-side setup hook, run when an object is exported under this
         policy (e.g. the caching policy installs its invalidation control
         here).  The base policy needs none."""

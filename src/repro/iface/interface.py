@@ -66,10 +66,12 @@ class Interface:
         self.name = name
         self.operations: dict[str, Operation] = {}
         for op in operations:
-            if op.name.startswith(("_", "proxy_")):
+            if op.name.startswith(("_", "proxy_")) or op.name == "invoke":
+                # ``invoke`` is the one unprefixed proxy method left.
                 raise InterfaceError(
-                    f"operation {op.name!r} in {name!r}: '_' and 'proxy_' "
-                    "name a proxy's own attributes, never a verb")
+                    f"operation {op.name!r} in {name!r}: '_', 'proxy_' "
+                    "and 'invoke' name a proxy's own attributes, never a "
+                    "verb")
             if op.name in self.operations:
                 raise InterfaceError(f"duplicate operation {op.name!r} in {name!r}")
             self.operations[op.name] = op

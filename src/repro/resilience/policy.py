@@ -76,7 +76,7 @@ from .retry import HedgePolicy, RetryPolicy
 class ResilientProxy(Proxy):
     """Breaker-gated, deadline-bounded, backoff-paced forwarding proxy."""
 
-    policy_name = "resilient"
+    proxy_policy_name = "resilient"
 
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)

@@ -57,7 +57,7 @@ from ..kernel.errors import (
 from ..resilience.deadline import DEADLINE_HEADER, Deadline
 from ..wire import WireMessage, shards, versions
 from ..wire.frames import (EXCEPTION, K_OVERLOAD, ONEWAY, REPLY, REQUEST,
-                           Frame)
+                           Frame, fields_of)
 from ..wire.refs import ObjectRef
 
 
@@ -195,7 +195,10 @@ class Dispatcher:
         if data.__class__ is not WireMessage:
             data = WireMessage.wrap(data)
         ctx = self.context
-        frame = None
+        decoder = self._decoder
+        if decoder is None or decoder.decoder_hook is not ctx.decoder_hook:
+            decoder = self._decoder = self.transport.decoder_for(ctx)
+        fields = None
         admitted_target = None
         admission = ctx.node.admission
         if admission is not None:
@@ -203,24 +206,24 @@ class Dispatcher:
             # busy-line wait: a full server refuses on arrival, not after
             # the backlog it bounds.  Dedup runs first, so a retransmission
             # of an executed request is never shed.  Rejection is free.
-            frame = self.transport.decode_frame(data, ctx)
-            if frame.kind == REQUEST and not (
-                    self.at_most_once
-                    and (frame.src, frame.msg_id) in self._replay):
-                retry_at = admission.admit(frame.target, arrive)
+            fields = kind, msg_id, src, dst, target, verb, body, headers = \
+                fields_of(data, decoder)
+            if kind == REQUEST and not (
+                    self.at_most_once and (src, msg_id) in self._replay):
+                retry_at = admission.admit(target, arrive)
                 if retry_at is not None:
                     self.stats["sheds"] += 1
-                    reply = frame.exception_to(
-                        "Overloaded",
-                        f"{frame.verb!r} shed at admission on "
-                        f"{ctx.node.name!r}")
-                    reply.headers[K_OVERLOAD] = retry_at
+                    reply = Frame(
+                        EXCEPTION, msg_id, dst, src,
+                        body=("Overloaded", f"{verb!r} shed at admission "
+                              f"on {ctx.node.name!r}", None),
+                        headers={K_OVERLOAD: retry_at})
                     # Deliberately not remembered: the operation never
                     # executed, so a retransmission must be re-admitted
                     # (and may then succeed) rather than served the
                     # stale refusal.
                     return self.transport.encode_frame(reply, ctx), arrive
-                admitted_target = frame.target
+                admitted_target = target
         # Slot writes of floats; maxima compared in line (max() is a call).
         busy, resume_at = ctx.line.busy_until, ctx.clock.now
         start = busy if busy > arrive else arrive
@@ -235,44 +238,38 @@ class Dispatcher:
         try:
             ctx.charge(costs.marshal_fixed
                        + data.nbytes * costs.marshal_byte_cost)
-            if frame is None:
-                decoder = self._decoder
-                if decoder is None \
-                        or decoder.decoder_hook is not ctx.decoder_hook:
-                    decoder = self._decoder = self.transport.decoder_for(ctx)
-                frame = Frame.decode_message(data, decoder)
-            kind = frame.kind
+            if fields is None:
+                kind, msg_id, src, dst, target, verb, body, headers = \
+                    fields_of(data, decoder)
             if kind == ONEWAY:
                 self.stats["oneways"] += 1
             elif kind != REQUEST:
                 return None
             else:
                 self.stats["requests"] += 1
-                dedup_key = (frame.src, frame.msg_id)
+                dedup_key = (src, msg_id)
                 if self.at_most_once and dedup_key in self._replay:
                     self.stats["duplicates"] += 1
                     ctx.charge(costs.dispatch_cost)
                     return self._replay[dedup_key], ctx.clock.now
             ctx.charge(costs.dispatch_cost)
-            headers = frame.headers
             deadline = Deadline.from_headers(headers) \
                 if kind == REQUEST and DEADLINE_HEADER in headers else None
             if deadline is not None and deadline.expired(ctx.clock.now):
                 # The caller's budget is spent: running the operation can
                 # help no one, so skip it and tell the caller why.
                 self.stats["deadline_rejects"] += 1
-                reply = frame.exception_to(
+                reply = Frame(EXCEPTION, msg_id, dst, src, body=(
                     "DeadlineExceeded",
-                    f"budget spent before dispatch of {frame.verb!r}")
+                    f"budget spent before dispatch of {verb!r}", None))
                 return self.transport.encode_frame(reply, ctx), ctx.clock.now
-            args, kwargs = frame.body if frame.body else ((), {})
+            args, kwargs = body if body else ((), {})
             # Parked on the context: nested calls inherit the budget.
             enclosing = ctx.current_deadline
             if deadline is not None or enclosing is not None:
                 ctx.current_deadline = Deadline.merge(deadline, enclosing)
             try:
-                body = self.serve(frame.target, frame.verb, args, kwargs,
-                                  headers)
+                body = self.serve(target, verb, args, kwargs, headers)
                 reply_kind = REPLY
             except Exception as exc:  # ours or the application's: ship it
                 detail = None       # a redirect's "where to go instead"
@@ -286,15 +283,14 @@ class Dispatcher:
                 ctx.current_deadline = enclosing
             if kind == ONEWAY:
                 return None     # served like a request; no reply is built
-            self._system.trace.emit(ctx.clock.now, "invoke", frame.src,
-                                    ctx.context_id, frame.verb)
+            self._system.trace.emit(ctx.clock.now, "invoke", src,
+                                    ctx.context_id, verb)
             # The reply is encoded from its fields: no reply frame is built.
             encoder = self._encoder
             if encoder is None or encoder.encoder_hook is not ctx.encoder_hook:
                 encoder = self._encoder = self.transport.encoder_for(ctx)
             reply_data = encoder.encode_frame_message(
-                reply_kind, frame.msg_id, frame.dst, frame.src, "", "",
-                body, {})
+                reply_kind, msg_id, dst, src, "", "", body, {})
             ctx.charge(costs.marshal_fixed
                        + reply_data.nbytes * costs.marshal_byte_cost)
             if reply_data.carried is None:

@@ -93,8 +93,10 @@ class Transport:
 
     def decode_frame(self, data, dst_context) -> Frame:
         """Decode a ``WireMessage`` (or wire bytes) with the receiving
-        context's hooks.  Charges nothing: the receiver (``Dispatcher.
-        handle``, ``RpcProtocol.call``) charges unmarshal on its own clock.
+        context's hooks: a caller's reply that is not read as its value
+        (``RpcProtocol.call``, which charges unmarshal on its own clock).
+        A dispatcher reads a request's fields itself (``frames.
+        fields_of``), with its own pinned decoder.
         """
         marshaller = self._decoders.get(dst_context.context_id)
         if marshaller is None \

@@ -258,7 +258,7 @@ class DirtyCachingProxy(CachingProxy):
     harness's canary: the linearizability checker must convict it.
     """
 
-    policy_name = "dirtycache"
+    proxy_policy_name = "dirtycache"
 
     def proxy_install(self) -> None:
         pass    # never register for invalidations
@@ -267,7 +267,7 @@ class DirtyCachingProxy(CachingProxy):
         return None    # cache forever
 
     @classmethod
-    def on_export(cls, space, entry) -> None:
+    def proxy_on_export(cls, space, entry) -> None:
         pass    # no server-side coherence either
 
 
@@ -287,7 +287,7 @@ class SplitBrainProxy(ReplicatedProxy):
     protocol.  The checker must convict this canary.
     """
 
-    policy_name = "splitbrain"
+    proxy_policy_name = "splitbrain"
 
     def invoke(self, verb: str, args: tuple, kwargs: dict):
         if not getattr(self, "_usurped", False):
@@ -337,7 +337,7 @@ class StaleShardProxy(ShardedProxy):
     needed.  The checker must convict this canary.
     """
 
-    policy_name = "staleshard"
+    proxy_policy_name = "staleshard"
 
     def _routing_state(self, state):
         frozen = getattr(self, "_frozen", None)

@@ -6,6 +6,9 @@ object, operation verb) plus a body value.  Frames are encoded with a
 body — this is the single choke point through which every argument and
 result crosses a context boundary.  The frame kinds are defined beside
 the frame encoder (:mod:`repro.wire.marshal`), which refuses any other.
+A delivered message is read as its fields (:func:`fields_of`), and a
+reply as its value where it can be (:func:`reply_value`): a frame is
+built only where one is wanted.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .marshal import (EXCEPTION, FRAME_KINDS, MREPLY, ONEWAY, REPLY, REQUEST,
 from .segments import WireMessage
 
 __all__ = ["EXCEPTION", "FRAMED", "FRAME_KINDS", "Frame", "K_OVERLOAD",
-           "MREPLY", "ONEWAY", "REPLY", "REQUEST", "reply_value"]
+           "MREPLY", "ONEWAY", "REPLY", "REQUEST", "fields_of",
+           "reply_value"]
 
 #: Header key for the admission layer's retry-after hint (the PR-5/7
 #: envelope convention: extensions ride the ``headers`` dict, and empty
@@ -30,7 +34,7 @@ __all__ = ["EXCEPTION", "FRAMED", "FRAME_KINDS", "Frame", "K_OVERLOAD",
 #: without admission control.
 K_OVERLOAD = "o.ra"
 
-#: :func:`reply_value`'s answer for a message delivered as a frame.
+#: :func:`reply_value`'s answer for a message whose fields are read.
 FRAMED = object()
 
 _SEQUENCES = (list, tuple)
@@ -81,96 +85,105 @@ class Frame:
     @classmethod
     def decode(cls, data: bytes, marshaller: Marshaller) -> "Frame":
         """Decode wire bytes into a frame (hooks apply to the body)."""
-        return cls._checked(marshaller.decode_frame_fields(data))
+        return cls(*_checked(marshaller.decode_frame_fields(data)))
 
     @classmethod
     def decode_message(cls, msg, marshaller: Marshaller) -> "Frame":
-        """Deliver a :class:`WireMessage` (or a bytes-like wire image,
-        wrapped by :meth:`WireMessage.wrap`) as a frame.
-
-        A carried frame skips the decoder entirely: the sender proved
-        its fields plain data and the message carries them, pristine —
-        every delivery (the first, a retransmission, a duplicate from the
-        replay cache) gets its own copy of every container, made here
-        and nowhere else: of a plain message's snapshot, the two empty
-        dicts of a pure one, whose fields are shared because nothing in
-        them can change, or an envelope's dict and empty dict (a pure reply
-        needs no frame: :func:`reply_value`).  A message that carries
-        nothing is decoded — its head as wire bytes are, or, with raw
-        segments, by the segment-aware decoder, which hands raw payloads
-        back without copying.  The decoder is the only path for bytes from
-        a peer.
-        """
-        if msg.__class__ is not WireMessage:
-            msg = WireMessage.wrap(msg)
-        carried = msg.carried
-        if carried is not None:
-            _MEMO_STATS.frames_carried += 1
-            # ``last``: a pure message's pair flag, an envelope's
-            # ``(headers, pair)``, a plain one's headers.
-            kind, msg_id, src, dst, target, verb, body, last = carried
-            if last.__class__ is bool:
-                return cls(kind, msg_id, src, dst, target, verb,
-                           (body, {}) if last else body, {})
-            if last.__class__ is tuple:     # an envelope's (headers, pair)
-                headers, pair = last
-                return cls(kind, msg_id, src, dst, target, verb,
-                           (body, {}) if pair else body.copy(),
-                           headers.copy())
-            return cls(kind, msg_id, src, dst, target, verb,
-                       _plain_copy(body), _plain_copy(last) if last else {})
-        if not msg.segments:
-            return cls.decode(msg.head, marshaller)
-        return cls._checked(marshaller.decode_frame_message(msg))
-
-    @classmethod
-    def _checked(cls, fields) -> "Frame":
-        """A frame from decoded fields — the peer may have sent anything,
-        so each field is held to what the layers above do with it: the
-        id and the four names are hashed and compared, a request's body
-        is unpacked as ``(args, kwargs)``, an exception's as ``(class
-        name, message, detail)``."""
-        if fields.__class__ is not list or len(fields) != 8:
-            raise ProtocolError("malformed frame")
-        kind, msg_id, src, dst, target, verb, body, headers = fields
-        if kind.__class__ is not str or headers.__class__ is not dict:
-            raise ProtocolError("malformed frame")
-        if kind not in FRAME_KINDS:
-            raise ProtocolError(f"unknown frame kind {kind!r}")
-        if msg_id.__class__ is not int or not all(
-                name.__class__ is str for name in (src, dst, target, verb)):
-            raise ProtocolError("malformed frame: id or names mistyped")
-        if kind in (REQUEST, ONEWAY):
-            if body is not None and not (
-                    body.__class__ in _SEQUENCES and len(body) == 2
-                    and body[0].__class__ in _SEQUENCES
-                    and body[1].__class__ is dict):
-                raise ProtocolError(
-                    f"malformed {kind} body: not (args, kwargs)")
-        elif kind == EXCEPTION and not (
-                body.__class__ in _SEQUENCES and len(body) == 3
-                and body[0].__class__ is str and body[1].__class__ is str):
-            raise ProtocolError(
-                "malformed exc body: not (class name, message, detail)")
-        return cls(kind, msg_id, src, dst, target, verb, body, headers)
-
-    def exception_to(self, error_class: str, message: str,
-                     detail: Any = None) -> "Frame":
-        """Build the error reply to this request."""
-        return Frame(EXCEPTION, self.msg_id, self.dst, self.src,
-                     body=(error_class, message, detail))
+        """Deliver a :class:`WireMessage` (or a bytes-like wire image) as
+        a frame of the fields :func:`fields_of` reads."""
+        return cls(*fields_of(msg, marshaller))
 
     def __repr__(self) -> str:
         return (f"Frame({self.kind}, #{self.msg_id}, {self.src}->{self.dst}, "
                 f"{self.target}.{self.verb})")
 
 
-def reply_value(msg):
-    """A *pure* successful reply's value, shared as it stands (deeply
-    immutable, it is every delivery's own); :data:`FRAMED` for any other
-    :class:`WireMessage`, which :meth:`Frame.decode_message` delivers."""
+def fields_of(msg, marshaller: Marshaller) -> tuple:
+    """A delivered message's eight fields, ``(kind, msg_id, src, dst,
+    target, verb, body, headers)`` — the one reader of a carried message,
+    for a :class:`WireMessage` or a bytes-like wire image (wrapped by
+    :meth:`WireMessage.wrap`).
+
+    A carried message skips the decoder entirely: the sender proved its
+    fields plain data and the message carries them, pristine — every
+    delivery (the first, a retransmission, a duplicate from the replay
+    cache) gets its own copy of every container, made here and nowhere
+    else: of a plain message's snapshot, the two empty dicts of a pure
+    one, whose fields are shared because nothing in them can change, or
+    an envelope's dict and empty dict (a pure or envelope reply needs no
+    fields: :func:`reply_value`).  A message that carries nothing is
+    decoded — its head as wire bytes are, or, with raw segments, by the
+    segment-aware decoder, which hands raw payloads back without
+    copying.  The decoder is the only path for bytes from a peer.
+    """
+    if msg.__class__ is not WireMessage:
+        msg = WireMessage.wrap(msg)
     carried = msg.carried
-    if carried is None or carried[7] is not False or carried[0] != REPLY:
+    if carried is not None:
+        _MEMO_STATS.frames_carried += 1
+        # ``last``: a pure message's pair flag, an envelope's
+        # ``(headers, pair)``, a plain one's headers.
+        kind, msg_id, src, dst, target, verb, body, last = carried
+        if last.__class__ is bool:
+            return (kind, msg_id, src, dst, target, verb,
+                    (body, {}) if last else body, {})
+        if last.__class__ is tuple:     # an envelope's (headers, pair)
+            headers, pair = last
+            return (kind, msg_id, src, dst, target, verb,
+                    (body, {}) if pair else body.copy(), headers.copy())
+        return (kind, msg_id, src, dst, target, verb,
+                _plain_copy(body), _plain_copy(last) if last else {})
+    if not msg.segments:
+        return _checked(marshaller.decode_frame_fields(msg.head))
+    return _checked(marshaller.decode_frame_message(msg))
+
+
+def _checked(fields) -> tuple:
+    """Decoded fields, checked — the peer may have sent anything, so each
+    field is held to what the layers above do with it: the id and the
+    four names are hashed and compared, a request's body is unpacked as
+    ``(args, kwargs)``, an exception's as ``(class name, message,
+    detail)``."""
+    if fields.__class__ is not list or len(fields) != 8:
+        raise ProtocolError("malformed frame")
+    kind, msg_id, src, dst, target, verb, body, headers = fields
+    if kind.__class__ is not str or headers.__class__ is not dict:
+        raise ProtocolError("malformed frame")
+    if kind not in FRAME_KINDS:
+        raise ProtocolError(f"unknown frame kind {kind!r}")
+    if msg_id.__class__ is not int or not all(
+            name.__class__ is str for name in (src, dst, target, verb)):
+        raise ProtocolError("malformed frame: id or names mistyped")
+    if kind in (REQUEST, ONEWAY):
+        if body is not None and not (
+                body.__class__ in _SEQUENCES and len(body) == 2
+                and body[0].__class__ in _SEQUENCES
+                and body[1].__class__ is dict):
+            raise ProtocolError(
+                f"malformed {kind} body: not (args, kwargs)")
+    elif kind == EXCEPTION and not (
+            body.__class__ in _SEQUENCES and len(body) == 3
+            and body[0].__class__ is str and body[1].__class__ is str):
+        raise ProtocolError(
+            "malformed exc body: not (class name, message, detail)")
+    return tuple(fields)
+
+
+def reply_value(msg):
+    """A successful reply's value, read from the fields its message
+    carries: a *pure* one's shared as it stands (deeply immutable, it is
+    every delivery's own), an *envelope* reply's — a pure body dict,
+    empty headers — as a fresh ``dict.copy()`` per delivery.
+    :data:`FRAMED` for any other :class:`WireMessage`, whose fields
+    :func:`fields_of` reads."""
+    carried = msg.carried
+    if carried is None or carried[0] != REPLY:
         return FRAMED
-    _MEMO_STATS.frames_carried += 1
-    return carried[6]
+    last = carried[7]
+    if last is False:
+        _MEMO_STATS.frames_carried += 1
+        return carried[6]
+    if last.__class__ is tuple and last[1] is False:
+        _MEMO_STATS.frames_carried += 1
+        return carried[6].copy()
+    return FRAMED

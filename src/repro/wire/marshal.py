@@ -433,54 +433,45 @@ def _pure_dict_size(value) -> int | None:
     a dict, or a tuple holding one, is not pure.  The walk takes no
     snapshot; the message carries the dict's shallow copy, which is a
     full one because every value in it is immutable.  It sizes as
-    :func:`_pure_size` does, keys and values in the encoder's order.
+    :func:`_pure_size` does, keys and values in the encoder's order.  A
+    string is its memo entry or, on a miss, :func:`_str_wire`'s, which
+    counts the miss; every other lookup is a hit, counted once at the end.
     """
     str_enc = _STR_ENC
-    hits = 0
+    stats = _MEMO_STATS
+    missed = stats.str_enc_misses
+    looked = len(value)         # every key is a string's lookup
     size = 5
     for key, item in value.items():
         if key.__class__ is not str:
             return None
-        enc = str_enc.get(key)
-        if enc is None:
-            enc = _str_wire(key)
-        else:
-            hits += 1
-        size += len(enc)
+        size += len(str_enc.get(key) or _str_wire(key))
         cls = item.__class__
         if cls is str:
-            enc = str_enc.get(item)
-            if enc is None:
-                enc = _str_wire(item)
-            else:
-                hits += 1
-            size += len(enc)
+            size += len(str_enc.get(item) or _str_wire(item))
+            looked += 1
         elif cls is int:
             size += 9 if -(2**63) <= item < 2**63 \
                 else 5 + _bigint_width(item)
         elif cls is tuple:
             # A spec — a key, a term and leader — is a flat run of strings
-            # and small ints, sized where it sits; anything else is a call.
+            # and small ints, sized where it sits; anything else is a call,
+            # which counts its own lookups.
             inner = 5
-            run_hits = 0
             for part in item:
                 pcls = part.__class__
                 if pcls is str:
-                    enc = str_enc.get(part)
-                    if enc is None:
-                        enc = _str_wire(part)
-                    else:
-                        run_hits += 1
-                    inner += len(enc)
+                    inner += len(str_enc.get(part) or _str_wire(part))
+                    looked += 1
                 elif pcls is int and -(2**63) <= part < 2**63:
                     inner += 9
                 else:
+                    before = stats.str_enc_misses
                     inner = _pure_size(item)
                     if inner is None:
                         return None
+                    missed += stats.str_enc_misses - before
                     break
-            else:
-                hits += run_hits
             size += inner
         elif cls is float:
             size += 9
@@ -490,7 +481,7 @@ def _pure_dict_size(value) -> int | None:
             size += 5 + len(item)
         else:
             return None
-    _MEMO_STATS.str_enc_hits += hits
+    stats.str_enc_hits += looked - (stats.str_enc_misses - missed)
     return size
 
 
@@ -697,7 +688,29 @@ class Marshaller:
         """
         if headers.__class__ is dict and kind in FRAME_KINDS:
             carried = None
-            if not headers:
+            if headers:
+                # An envelope: an ``(args, {})`` request with pure args and
+                # pure headers.  The dict travels as a shallow copy.
+                if body.__class__ is tuple and len(body) == 2 \
+                        and body[0].__class__ is tuple \
+                        and body[1].__class__ is dict and not body[1]:
+                    nbytes = _pure_size(body[0])
+                    size = None if nbytes is None \
+                        else _pure_dict_size(headers)
+                    if size is not None:
+                        nbytes += size + 10     # the pair's tuple, dict
+                        carried = (kind, msg_id, src, dst, target, verb,
+                                   body[0], (headers.copy(), True))
+            elif body.__class__ is dict:
+                # An envelope too: a pure body dict (a reply wrapper) with
+                # empty headers, travelling as a shallow copy.  A dict is
+                # never pure itself, so it skips the pure walk.
+                nbytes = _pure_dict_size(body)
+                if nbytes is not None:
+                    nbytes += 5                 # the empty headers
+                    carried = (kind, msg_id, src, dst, target, verb,
+                               body.copy(), ({}, False))
+            else:
                 # A request/oneway body ``(args, {})`` is pure when its
                 # args tuple is: every receiver gets a fresh kwargs dict,
                 # so no mutable object is ever shared.
@@ -710,27 +723,6 @@ class Marshaller:
                     nbytes += 15 if pair else 5
                     carried = (kind, msg_id, src, dst, target, verb,
                                body[0] if pair else body, pair)
-            if carried is None:
-                # An envelope: an ``(args, {})`` request with pure args and
-                # pure headers, or a pure body dict (a reply wrapper) with
-                # empty headers.  The dict travels as a shallow copy.
-                if headers:
-                    if body.__class__ is tuple and len(body) == 2 \
-                            and body[0].__class__ is tuple \
-                            and body[1].__class__ is dict and not body[1]:
-                        nbytes = _pure_size(body[0])
-                        size = None if nbytes is None \
-                            else _pure_dict_size(headers)
-                        if size is not None:
-                            nbytes += size + 10     # the pair's tuple, dict
-                            carried = (kind, msg_id, src, dst, target, verb,
-                                       body[0], (headers.copy(), True))
-                elif body.__class__ is dict:
-                    nbytes = _pure_dict_size(body)
-                    if nbytes is not None:
-                        nbytes += 5                 # the empty headers
-                        carried = (kind, msg_id, src, dst, target, verb,
-                                   body.copy(), ({}, False))
             if carried is None:
                 try:
                     snap_body, nbytes = _plain_sized(body)
@@ -800,8 +792,8 @@ class Marshaller:
         """Decode a frame image encoded by :meth:`encode_frame_fields`.
 
         Returns whatever value the image holds — a peer may send a frame
-        of any shape, and :meth:`Frame._checked` is what refuses one that
-        is not eight fields.  Counted in ``frames_decoded``.
+        of any shape, and :func:`repro.wire.frames.fields_of` is what
+        refuses one that is not eight fields.  Counted in ``frames_decoded``.
         """
         _MEMO_STATS.frames_decoded += 1
         return self._decode_image(data)

@@ -7,10 +7,11 @@ forms the frame needs (see ``wire/marshal.py``):
 
 * **its fields** (``carried``) — a frame of plain data is sized, not
   written: ``head`` is ``None``, and the message carries the fields,
-  pristine.  No delivery ever gets them: :meth:`Frame.decode_message
-  <repro.wire.frames.Frame.decode_message>` hands each one (the first
-  delivery, a retransmission, a duplicate answered from the replay
-  cache) its own copy of every container;
+  pristine.  No delivery ever gets them: :func:`~repro.wire.frames.
+  fields_of` (or, for a pure or envelope reply, :func:`~repro.wire.
+  frames.reply_value`) hands each one (the first delivery, a
+  retransmission, a duplicate answered from the replay cache) its own
+  copy of every container;
 * **an image** — the contiguous *head* plus zero-copy payload
   *segments*, for a frame the receiver must decode (one that holds a
   reference, or anything else the decoder must rebuild).  The
@@ -48,16 +49,16 @@ class WireMessage:
             encoder would write.  Marshal charges and network transit
             times read it, so they are bit-identical to the copying path.
         carried: the frame's fields when they are *plain data* (and
-            ``head`` is ``None``), never handed out (see
-            :meth:`Frame.decode_message <repro.wire.frames.Frame.
-            decode_message>`, their one reader).  A pure message's are
+            ``head`` is ``None``), never handed out (their readers are
+            :func:`~repro.wire.frames.fields_of` and, for a reply's value,
+            :func:`~repro.wire.frames.reply_value`).  A pure message's are
             ``(kind, msg_id, src, dst, target, verb, body, pair)``, shared
             with the sender because they are deeply immutable: its headers
             are empty, and when ``pair`` is true ``body`` is the args
-            tuple of an ``(args, {})`` body.  An envelope's last field
-            is ``(headers, pair)``: the dict it carries (the headers, or
-            with ``pair`` false the body) is a shallow copy made when the
-            frame was sent, which is a snapshot because its values are
+            tuple of an ``(args, {})`` body.  An envelope's last field is
+            ``(headers, pair)``: the dict it carries (the headers, or with
+            ``pair`` false the body) is a shallow copy made when the frame
+            was sent, which is a snapshot because its values are
             immutable.  A plain one's are the eight fields ``(kind,
             msg_id, src, dst, target, verb, body, headers)``, every
             container a copy made when the frame was sent.  The last

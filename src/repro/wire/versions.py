@@ -189,10 +189,10 @@ def parse(shapes: dict, headers: dict, body=()) -> None:
         shape = shapes.get(name)
         if shape is None:
             continue
-        if type(shape) is not tuple:
-            if type(shape) is str:
+        if shape.__class__ is not tuple:
+            if shape.__class__ is str:
                 shape, spec = (shape,), (spec,)
-            elif type(shape) is list:
+            elif shape.__class__ is list:
                 if not isinstance(spec, SPEC_TYPES):
                     raise ProtocolError(f"malformed {name} items {spec!r}")
                 for item in spec:
@@ -213,34 +213,49 @@ def parse(shapes: dict, headers: dict, body=()) -> None:
                 shape, body_shape, *rules = declared
                 parse({name: body_shape}, {name: body})
                 spec = spec[1:]
-        if not isinstance(spec, SPEC_TYPES) or len(spec) != len(shape):
+        # A tuple spec, as every caller here builds one, is told by its
+        # class; a field that holds continues, and only one that does not
+        # reaches the raise.
+        if spec.__class__ is not tuple and not isinstance(spec, SPEC_TYPES) \
+                or len(spec) != len(shape):
             raise ProtocolError(f"malformed {name} envelope {spec!r}")
         i = 0
         for kind in shape:          # not zip: this loop runs on every call
             value = spec[i]
             i += 1
             if kind is COUNT:
-                ok = type(value) is int and value >= 0
-            elif kind is KEY or kind is KEYS:
-                ok = kind is KEY or isinstance(value, SPEC_TYPES)
+                if value.__class__ is int and value >= 0:
+                    continue
+            elif kind is KEY:
                 try:
-                    hash(value if kind is KEY else tuple(value))
+                    hash(value)
+                    continue
                 except TypeError:
-                    ok = False
+                    pass
+            elif kind is KEYS:
+                if isinstance(value, SPEC_TYPES):
+                    try:
+                        hash(tuple(value))
+                        continue
+                    except TypeError:
+                        pass
             elif kind is VERB:
-                ok = isinstance(value, str)
+                if isinstance(value, str):
+                    continue
             elif kind is ARGS:
-                ok = isinstance(value, SPEC_TYPES)
+                if isinstance(value, SPEC_TYPES):
+                    continue
             elif kind is KWARGS:
-                ok = isinstance(value, dict) and all(
-                    isinstance(key, str) for key in value)
+                if isinstance(value, dict) and all(
+                        isinstance(key, str) for key in value):
+                    continue
             elif kind is DATA:
-                ok = isinstance(value, dict)
+                if isinstance(value, dict):
+                    continue
             else:
                 parse({name: kind}, {name: value})
                 continue
-            if not ok:
-                raise ProtocolError(f"malformed {name} envelope {spec!r}")
+            raise ProtocolError(f"malformed {name} envelope {spec!r}")
     for rule in rules:
         rule(body)
 

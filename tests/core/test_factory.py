@@ -18,7 +18,7 @@ class TestFactories:
 
     def test_per_system_registration_is_isolated(self):
         class Custom(Proxy):
-            policy_name = "custom-local"
+            proxy_policy_name = "custom-local"
 
         system_a = repro.make_system(seed=1)
         system_b = repro.make_system(seed=1)
@@ -28,7 +28,7 @@ class TestFactories:
 
     def test_register_policy_requires_name(self):
         class Nameless(Proxy):
-            policy_name = ""
+            proxy_policy_name = ""
 
         with pytest.raises(ConfigurationError):
             register_policy(Nameless)

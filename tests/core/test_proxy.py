@@ -2,8 +2,12 @@
 
 import pytest
 
+import repro.simtest.workload  # noqa: F401 -- registers the canaries
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
+from repro.core.factory import global_policies
+from repro.core.service import Service
+from repro.iface.interface import operation
 from repro.kernel.errors import ConfigurationError, InterfaceError, RpcTimeout
 
 
@@ -151,7 +155,7 @@ class TestLifecycleHooks:
         installs = []
 
         class Probe(Proxy):
-            policy_name = "probe-install"
+            proxy_policy_name = "probe-install"
 
             def proxy_install(self):
                 installs.append(self.proxy_ref.key)
@@ -170,7 +174,7 @@ class TestLifecycleHooks:
         discards = []
 
         class Probe(Proxy):
-            policy_name = "probe-discard"
+            proxy_policy_name = "probe-discard"
 
             def proxy_discard(self):
                 discards.append(True)
@@ -182,3 +186,36 @@ class TestLifecycleHooks:
         proxy = space.bind_ref(ref)
         space.discard(proxy)
         assert discards == [True]
+
+
+class Shadowed(Service):
+    """Declares verbs spelled like what were a proxy class's own names."""
+
+    @operation
+    def on_export(self, n):
+        return n + 1
+
+    @operation
+    def policy_name(self):
+        return "served"
+
+
+@pytest.mark.parametrize("policy", sorted(global_policies()))
+def test_no_policy_name_shadows_a_verb(pair, policy, monkeypatch):
+    # A proxy's own names are ``proxy_*``: every verb of its interface
+    # reaches the policy's ``invoke``, whatever class the policy is.
+    system, server, client = pair
+    config = {"layers": ["tracing"]} if policy == "composite" else None
+    ref = get_space(server).export(Shadowed(), policy=policy, config=config)
+    proxy = get_space(client).bind_ref(ref)
+    invoked = []
+
+    def invoke(verb, args, kwargs):
+        invoked.append((verb, args))
+        return "invoked"
+
+    monkeypatch.setattr(proxy, "invoke", invoke)
+    assert proxy.on_export(1) == "invoked"
+    assert proxy.policy_name() == "invoked"
+    assert invoked == [("on_export", (1,)), ("policy_name", ())]
+    assert not {"on_export", "policy_name"} & set(dir(type(proxy)))

@@ -97,7 +97,7 @@ class TestInterface:
         with pytest.raises(InterfaceError):
             Interface("I", [Operation("a"), Operation("a")])
 
-    @pytest.mark.parametrize("verb", ["_y", "proxy_x", "__call__"])
+    @pytest.mark.parametrize("verb", ["_y", "proxy_x", "__call__", "invoke"])
     def test_a_verb_in_the_proxys_namespace_is_refused(self, verb):
         # No proxy could call it: ``Proxy.__getattr__`` keeps ``_*`` and
         # ``proxy_*`` for itself.

@@ -281,12 +281,13 @@ class TestRequestFrame:
     def test_headers_are_copied_and_the_frame_is_the_keyword_built_one(
             self, rpc_pair, monkeypatch):
         from repro.resilience.deadline import DEADLINE_HEADER, Deadline
+        from repro.rpc import dispatcher
         from repro.wire.frames import REPLY, REQUEST, Frame
         from repro.wire.marshal import Marshaller
         system, server, client, store, ref = rpc_pair
         sent, decoded = [], []
         encode = Marshaller.encode_frame_message
-        decode = Frame.decode_message.__func__
+        read = dispatcher.fields_of
 
         def spy_encode(self, *fields):
             # Every frame crosses the marshaller; a successful reply is
@@ -294,12 +295,14 @@ class TestRequestFrame:
             sent.append(fields)
             return encode(self, *fields)
 
-        def spy_decode(cls, data, marshaller):
-            decoded.append(decode(cls, data, marshaller))
-            return decoded[-1]
+        def spy_read(data, marshaller):
+            # The server reads the request's fields; no frame is built.
+            fields = read(data, marshaller)
+            decoded.append(Frame(*fields))
+            return fields
 
         monkeypatch.setattr(Marshaller, "encode_frame_message", spy_encode)
-        monkeypatch.setattr(Frame, "decode_message", classmethod(spy_decode))
+        monkeypatch.setattr(dispatcher, "fields_of", spy_read)
         mine = {"x.tag": ["a", 1]}
         deadline = Deadline.after(client.now, 5.0)
         assert system.rpc.call(client, ref, "put", ["k", 7], {},

@@ -1,10 +1,12 @@
-"""The round trip builds a frame only where one is received.
+"""The round trip reads a message where it lands.
 
-A served one-way builds no reply; a successful reply is encoded from its
-fields; a *pure* one reaches the caller as its value, with no frame built
-around it.  Everything else the caller receives — a plain reply (copied
-per delivery), an exception, an admission shed, an envelope's reply
-wrapper — is still delivered as a frame.
+The server reads a request's or a one-way's fields, with no frame built
+around them; a served one-way builds no reply; a successful reply is
+encoded from its fields.  A *pure* reply reaches the caller as its value,
+and an *envelope* reply (a quorum or shard reply wrapper) as a fresh copy
+of its dict — neither through a frame.  Everything else the caller
+receives — a plain reply (copied per delivery), an exception, an
+admission shed — is still delivered as a frame.
 """
 
 from __future__ import annotations
@@ -19,24 +21,30 @@ from repro.kernel.admission import install_admission
 from repro.kernel.errors import InterfaceError, Overloaded
 from repro.kernel.network import Delivery
 from repro.resilience.retry import RetryPolicy
+from repro.rpc import dispatcher
 from repro.rpc.transport import Transport
 from repro.simtest.runner import SimCase
 from repro.simtest.workload import deploy
-from repro.wire.frames import EXCEPTION, K_OVERLOAD, ONEWAY, REPLY, Frame
+from repro.wire import frames
+from repro.wire.frames import (EXCEPTION, K_OVERLOAD, ONEWAY, REPLY,
+                               REQUEST, Frame, reply_value)
 from repro.wire.marshal import Marshaller
 
 
 @pytest.fixture
 def received(monkeypatch):
-    """Every frame a receiver builds from a message."""
+    """Every message a receiver reads as its fields — a server's request,
+    a caller's framed reply — each shown as the frame of those fields."""
     seen = []
-    decode = Frame.decode_message.__func__
+    read = frames.fields_of
 
-    def watched(cls, msg, marshaller):
-        seen.append(decode(cls, msg, marshaller))
-        return seen[-1]
+    def watched(msg, marshaller):
+        fields = read(msg, marshaller)
+        seen.append(Frame(*fields))
+        return fields
 
-    monkeypatch.setattr(Frame, "decode_message", classmethod(watched))
+    monkeypatch.setattr(frames, "fields_of", watched)
+    monkeypatch.setattr(dispatcher, "fields_of", watched)
     return seen
 
 
@@ -59,22 +67,29 @@ def test_a_served_oneway_builds_no_reply(pair, monkeypatch):
     ref = get_space(server).export(store)
     built, encoded = [], []
     init, encode = Frame.__init__, Marshaller.encode_frame_message
+    read = dispatcher.fields_of
 
     def spy_init(self, kind, *rest, **fields):
         built.append(kind)
         init(self, kind, *rest, **fields)
+
+    def spy_read(msg, marshaller):
+        fields = read(msg, marshaller)
+        built.append(fields[0])
+        return fields
 
     def spy_encode(self, kind, *rest):
         encoded.append(kind)
         return encode(self, kind, *rest)
 
     monkeypatch.setattr(Frame, "__init__", spy_init)
+    monkeypatch.setattr(dispatcher, "fields_of", spy_read)
     monkeypatch.setattr(Marshaller, "encode_frame_message", spy_encode)
     system.rpc.send_oneway(client, ref, "put", ("k", 1))     # succeeds
     system.rpc.send_oneway(client, ref, "undeclared")        # fails
     assert store.data == {"k": 1}
     assert server.handler.__self__.stats["oneways"] == 2
-    # Each one-way is built by its sender and by its receiver, and
+    # Each one-way is built by its sender and read by its receiver, and
     # encoded once; neither outcome becomes a reply.
     assert built == [ONEWAY] * 4
     assert encoded == [ONEWAY] * 2
@@ -147,14 +162,26 @@ def test_a_shed_reply_is_framed_with_its_hint(star, received):
     assert reply.headers[K_OVERLOAD] == err.value.retry_after
 
 
-def test_an_enveloped_reply_is_framed(received):
+def test_an_enveloped_reply_reaches_the_caller_without_a_frame(
+        received, monkeypatch):
     deployment = deploy(SimCase(seed=5, policy="replicated", service="kv",
                                 ops=8, clients=1, faults=()))
     (_, ctx, proxy), = deployment.clients
     proxy.put("k0", 7)
+    replies = []
+    transmit_reply = Transport.transmit_reply
+
+    def sent_back(self, src, dst, data, at):
+        if dst == ctx.context_id:
+            replies.append(data)
+        return transmit_reply(self, src, dst, data, at)
+
+    monkeypatch.setattr(Transport, "transmit_reply", sent_back)
     del received[:]
     assert proxy.get("k0") == 7
-    replies = _framed_at(received, ctx)
     assert replies, "a quorum read's replies are reply wrappers"
-    assert all(frame.kind == REPLY and frame.body.__class__ is dict
-               for frame in replies)
+    assert all(reply_value(data).__class__ is dict for data in replies)
+    assert _framed_at(received, ctx) == []
+    # The replicas read each quorum request's fields, envelope included.
+    assert received and all(frame.kind == REQUEST and frame.headers
+                            for frame in received)

@@ -23,7 +23,9 @@ property is stated against them:
 An envelope — a ``str``-keyed dict of pure values as the headers of an
 ``(args, {})`` request, or as a reply's body — is pure too: sized
 without a snapshot and carried as the dict's shallow copy, each delivery
-getting its own dict.  A dict anywhere below the top of a frame is not.
+getting its own dict; an envelope reply reaches its caller as that dict
+(``reply_value``), equal to the body decoded from the image.  A dict
+anywhere below the top of a frame is not.
 
 New in this PR: at the parent the carried arm stopped at the first
 ``dict``, so none of this was reachable; the isolation half fails on a
@@ -46,7 +48,7 @@ import repro
 from repro.core.export import get_space
 from repro.core.service import Service
 from repro.iface.interface import operation
-from repro.wire.frames import ONEWAY, REPLY, REQUEST, Frame
+from repro.wire.frames import ONEWAY, REPLY, REQUEST, Frame, reply_value
 from repro.wire.marshal import (
     PLAIN,
     RAW_THRESHOLD,
@@ -598,3 +600,49 @@ def test_a_dict_is_pure_only_at_the_top_of_a_frame(frame, carried):
     assert msg.nbytes == len(image) == len(frame.encode(m))
     assert typed_frame(Frame.decode_message(msg, m)) \
         == typed_frame(Frame.decode(image, m))
+
+
+@pytest.mark.parametrize("body", [
+    {"q.v": 3, "q.val": ("a", None, -0.0), "q.tl": (2, 0)},
+    {"q.v": 0, "q.exc": ("KeyError", "'k'")},
+    {"s.v": 1.0, "s.m": (3, True, b"r")},
+    {},
+])
+def test_an_envelope_reply_is_the_body_its_image_decodes(body):
+    m = _marshaller()
+    frame = Frame(REPLY, 5, "s0/main", "c0/main", body=dict(body))
+    msg = frame.encode_message(m)
+    sent = typed(frame.body)
+    assert typed(Frame.decode(msg.to_bytes(), m).body) == sent
+    scramble(frame.body)            # the service's wrapper changes
+    first = reply_value(msg)
+    assert typed(first) == sent
+    scramble(first)                 # the caller uses what it got
+    again = reply_value(msg)        # a retransmission
+    assert typed(again) == sent and again is not first
+
+
+def test_an_envelope_reply_is_a_fresh_dict_per_delivery():
+    system = repro.make_system(seed=7)
+    server = system.add_node("s0").create_context("main")
+    client = system.add_node("c0").create_context("main")
+    wrapper = {"q.v": 1, "q.val": ("a", 2.0, True), "q.tl": (1, 0)}
+    ref = get_space(server).export(Echo(wrapper))
+    request = Frame(REQUEST, 1, client.context_id, server.context_id,
+                    ref.oid, "read", ((), {}))
+    data = request.encode_message(system.transport.encoder_for(client))
+    first, _ = server.handler(data, client.now)
+    sent = typed(Frame.decode(first.to_bytes(),
+                              system.transport.decoder_for(client)).body)
+    assert sent == typed(wrapper)
+    scramble(wrapper)               # the service's object changes
+    delivered = []
+    for message in (first, first):  # the first delivery, a retransmission
+        delivered.append(reply_value(message))
+        assert typed(delivered[-1]) == sent
+        scramble(delivered[-1])     # the caller uses what it got
+    second, _ = server.handler(data, client.now)     # a duplicate
+    assert server.handler.__self__.stats["duplicates"] == 1
+    delivered.append(reply_value(second))
+    assert typed(delivered[-1]) == sent
+    assert len({id(value) for value in delivered}) == 3

@@ -30,12 +30,6 @@ class TestFrame:
         assert back.body == (("key",), {})
         assert back.headers == {"h": 1}
 
-    def test_exception_to(self):
-        request = Frame(REQUEST, 3, "a/m", "b/m", verb="op")
-        exc = request.exception_to("KeyError", "nope", detail=(1, 2))
-        assert exc.kind == EXCEPTION
-        assert exc.body == ("KeyError", "nope", (1, 2))
-
     def test_oneway_roundtrip(self):
         frame = Frame(ONEWAY, 1, "a/m", "b/m", target="t", verb="notify",
                       body=((), {}))
@@ -56,8 +50,8 @@ class TestFrame:
 
 
 class TestReplyValue:
-    """A pure successful reply reaches its caller without a frame; every
-    other message is delivered as one."""
+    """A pure successful reply, and an envelope reply, reach their caller
+    without a frame; every other message is delivered as one."""
 
     def test_a_pure_reply_is_its_value_and_is_counted_carried(self):
         msg = PLAIN.encode_frame_message(REPLY, 3, "b/m", "a/m", "", "",
@@ -66,9 +60,21 @@ class TestReplyValue:
         assert reply_value(msg) == ("r", 1)
         assert marshal_memo_stats()["frames_carried"] == before + 1
 
+    def test_an_envelope_reply_reaches_the_caller_without_a_frame(self):
+        wrapper = {"q.v": 2, "q.val": ("v", 1), "q.tl": (1, 0)}
+        msg = PLAIN.encode_frame_message(REPLY, 3, "b/m", "a/m", "", "",
+                                         wrapper, {})
+        before = marshal_memo_stats()["frames_carried"]
+        first = reply_value(msg)
+        assert first == wrapper and first.__class__ is dict
+        assert first is not wrapper
+        assert marshal_memo_stats()["frames_carried"] == before + 1
+        # Each delivery is its own dict.
+        assert reply_value(msg) is not first
+
     @pytest.mark.parametrize("kind, body", [
         (REPLY, ["plain", {"n": 1}]),             # plain: copied per delivery
-        (REPLY, {"w": 1}),                        # a reply wrapper
+        (REPLY, {"w": [1]}),                      # a dict, not pure
         (REPLY, ((1,), {})),                      # a pure pair
         (REPLY, bytearray(70000)),                # mutable bulk: written
         (EXCEPTION, ("KeyError", "k", None)),
