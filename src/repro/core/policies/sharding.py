@@ -104,9 +104,14 @@ class ShardedProxy(Proxy):
                                 rebalances=0, splits=0,
                                 shard_moves=0, handoff_failures=0,
                                 map_syncs=0)
+        self._key_index = self._shard_key_index()
         if self.proxy_config.get("shards") is not None:
             # Broken deployments fail at construction, not first call.
             self._shard_params()
+
+    def proxy_install(self) -> None:
+        """Re-read the shard key index: a late handshake may ship it."""
+        self._key_index = self._shard_key_index()
 
     # -- configuration ------------------------------------------------------------
 
@@ -128,7 +133,7 @@ class ShardedProxy(Proxy):
             len(specs), config.get("ring"),
             config.get("vnodes", shards.DEFAULT_VNODES),
             config.get("ring_epoch", 1), config.get("shard_key", 0))
-        return epoch, ring, [list(spec) for spec in specs]
+        return epoch, ring, specs
 
     def _shard_state(self) -> shards.ShardState:
         """The routing state, resolved lazily."""
@@ -137,21 +142,16 @@ class ShardedProxy(Proxy):
             self._state = shards.ShardState(-1, epoch, ring, specs)
         return self._state
 
-    def _shard_key(self, args: tuple) -> Any:
-        """The shard key of one operation.
+    def _shard_key_index(self) -> int | None:
+        """The argument index that carries an operation's shard key.
 
-        ``shard_key`` names the argument index that carries it (like the
-        replicated policy's ``version_key``); ``None`` — or an operation
-        without that argument (``size()``, ``stats()``) — routes as the
-        whole object.
+        ``shard_key`` names it (like the replicated policy's
+        ``version_key``); ``None`` — or an operation without that
+        argument (``size()``, ``stats()``) — routes as the whole object.
+        Fixed between install and upgrade, so read once for both.
         """
         index = self.proxy_config.get("shard_key", 0)
-        if index is None:
-            return shards.WHOLE_OBJECT
-        index = int(index)
-        if len(args) > index:
-            return args[index]
-        return shards.WHOLE_OBJECT
+        return None if index is None else int(index)
 
     # -- canary override points (see simtest's staleshard) ------------------------
 
@@ -163,7 +163,7 @@ class ShardedProxy(Proxy):
         """The epoch stamped on envelopes (canaries spoof this)."""
         return route.epoch
 
-    def _adopt_map(self, ring_map: list) -> bool:
+    def _adopt_map(self, ring_map) -> bool:
         """Fold a fence redirect's (or sync's) newer map into the state."""
         return self._shard_state().adopt(*ring_map)
 
@@ -171,20 +171,25 @@ class ShardedProxy(Proxy):
 
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["invocations"] += 1
-        state = self._shard_state()
-        h = shards.stable_hash(self._shard_key(args))
+        state = self._state
+        if state is None:
+            state = self._shard_state()
+        index = self._key_index
+        h = shards.stable_hash(
+            args[index] if index is not None and len(args) > index
+            else shards.WHOLE_OBJECT)
         for _ in range(ROUTE_ATTEMPTS):
             route = self._routing_state(state)
             index = route.owner_of(h)
-            spec = route.shards[index]
-            enveloped = spec[4] == "stub" and (len(route.shards) > 1
-                                               or route.epoch > 1)
+            ref = route.refs[index]
+            enveloped = ref.policy == "stub" and (len(route.refs) > 1
+                                                  or route.epoch > 1)
             try:
                 if not enveloped:
-                    result = self._plain_call(spec, verb, args, kwargs)
+                    result = self._plain_call(ref, verb, args, kwargs)
                 else:
                     reply = self._enveloped_call(
-                        spec, verb, args, kwargs,
+                        ref, verb, args, kwargs,
                         {shards.H_EPOCH: (self._route_epoch(route),),
                          shards.H_KEY: h})
                     if shards.K_FENCED in reply:
@@ -221,27 +226,26 @@ class ShardedProxy(Proxy):
                       forward: ObjectRef) -> None:
         """A shard object migrated mid-call: rebind that slot and retry."""
         self.proxy_stats["rebinds"] += 1
-        old = route.shards[index]
-        self._subs.pop(old[1], None)
-        route.shards[index] = list(forward.fields())
+        self._subs.pop(route.refs[index].oid, None)
+        route.rebind(index, forward.fields())
 
-    def _sub(self, spec: list) -> Proxy:
+    def _sub(self, ref: ObjectRef) -> Proxy:
         """The bound sub-proxy for one shard, wherever the shard lives."""
-        sub = self._subs.get(spec[1])
+        sub = self._subs.get(ref.oid)
         if sub is None:
-            sub = self.proxy_context.space.proxy_for(ObjectRef(*spec))
-            self._subs[spec[1]] = sub
+            sub = self.proxy_context.space.proxy_for(ref)
+            self._subs[ref.oid] = sub
         return sub
 
-    def _plain_call(self, spec: list, verb: str, args: tuple,
+    def _plain_call(self, ref: ObjectRef, verb: str, args: tuple,
                     kwargs: dict) -> Any:
         """Un-enveloped invocation: single-shard fast path (byte-identical
         to a stub client) and non-stub shard policies (replicated groups)."""
-        if spec[0] == self.proxy_context.context_id:
+        if ref.context_id == self.proxy_context.context_id:
             self.proxy_stats["shard_local"] += 1
-        return self._sub(spec).invoke(verb, args, kwargs)
+        return self._sub(ref).invoke(verb, args, kwargs)
 
-    def _enveloped_call(self, spec: list, verb: str, args: tuple,
+    def _enveloped_call(self, ref: ObjectRef, verb: str, args: tuple,
                         kwargs: dict, headers: dict) -> dict:
         """One enveloped shard call; returns the reply wrapper.
 
@@ -250,27 +254,24 @@ class ShardedProxy(Proxy):
         without frames (only the ``shard_local`` count knows).
         """
         context = self.proxy_context
-        if spec[0] == context.context_id:
+        if ref.context_id == context.context_id:
             self.proxy_stats["shard_local"] += 1
-        return self.proxy_protocol.call(context, ObjectRef(*spec), verb,
-                                        args, kwargs, headers=headers)
+        return self.proxy_protocol.call(context, ref, verb, args, kwargs,
+                                        headers=headers)
 
-    def _control_call(self, spec: list, control: tuple,
+    def _control_call(self, ref: ObjectRef, control: tuple,
                       body_args: tuple = ()) -> dict:
         """A verb-less ring-control call to one shard (or the group)."""
-        return self._enveloped_call(spec, "", tuple(body_args), {},
+        return self._enveloped_call(ref, "", tuple(body_args), {},
                                     {shards.H_CONTROL: control})
 
     # -- ring maintenance ---------------------------------------------------------
 
-    def _group_spec(self) -> list:
-        return list(self.proxy_ref.fields())
-
     def _sync_targets(self, state: shards.ShardState) -> list:
         """Every map holder: the stub shards plus the group entry."""
-        targets = [spec for spec in state.shards if spec[4] == "stub"]
-        group = self._group_spec()
-        if all(spec[1] != group[1] for spec in targets):
+        targets = [ref for ref in state.refs if ref.policy == "stub"]
+        group = self.proxy_ref
+        if all(ref.oid != group.oid for ref in targets):
             targets.append(group)
         return targets
 
@@ -284,10 +285,10 @@ class ShardedProxy(Proxy):
         """
         self.proxy_stats["map_syncs"] += 1
         best = state.map()
-        behind: list[list] = []
-        for spec in self._sync_targets(state):
+        behind: list[ObjectRef] = []
+        for ref in self._sync_targets(state):
             try:
-                reply = self._control_call(spec, ("map",))
+                reply = self._control_call(ref, ("map",))
             except DistributionError:
                 continue
             seen = reply.get(shards.K_MAP)
@@ -296,20 +297,22 @@ class ShardedProxy(Proxy):
             if seen[0] > best[0]:
                 best = seen
             elif seen[0] < best[0]:
-                behind.append(spec)
+                behind.append(ref)
         if best[0] > state.epoch:
             self._adopt_map(best)
             # Everyone polled before the newer map surfaced may be behind.
-            behind = [spec for spec in self._sync_targets(state)]
-        for spec in behind:
+            behind = self._sync_targets(state)
+        for ref in behind:
             try:
-                self._control_call(spec, ("commit",), (best,))
+                self._control_call(ref, ("commit",), (best,))
             except DistributionError:
                 continue
         return state.map()
 
-    def proxy_shard_map(self, sync: bool = True) -> list:
-        """The current ``[epoch, ring, shards]`` map.
+    def proxy_shard_map(self, sync: bool = True) -> tuple:
+        """The current ``(epoch, ring, shards)`` map: the epoch's pure
+        tuple, shared with the proxy's routing state (nothing in it can
+        change; a newer epoch is a new tuple).
 
         ``sync`` runs the anti-entropy sweep first (one control round trip
         per holder); pass ``False`` to read the proxy's own view — right
@@ -337,10 +340,10 @@ class ShardedProxy(Proxy):
             return state.map()    # nowhere to move to
         self._sync_map(state)
         point = state.epoch % len(state.ring)
-        source = int(state.ring[point][1])
+        source = state.ring[point][1]
         target = (source + 1) % len(state.shards)
-        if state.shards[source][4] != "stub" \
-                or state.shards[target][4] != "stub":
+        if state.refs[source].policy != "stub" \
+                or state.refs[target].policy != "stub":
             return state.map()    # replicated shards keep a static ring
         if self._handoff(state, source, point, target):
             self.proxy_stats["rebalances"] += 1
@@ -349,18 +352,20 @@ class ShardedProxy(Proxy):
     def _handoff(self, state: shards.ShardState, source: int, point: int,
                  target: int) -> bool:
         """Ask ``source`` to hand ring point ``point``'s arc to ``target``
-        and adopt the map that comes back; true when the arc moved (a
-        fence or an unreachable source makes it a no-op)."""
+        and adopt the map that comes back; true when the arc moved — when
+        that map is newer than the epoch sent (a fence, an unreachable
+        source or an arc already at ``target`` makes it a no-op)."""
+        sent = state.epoch
         try:
-            reply = self._control_call(
-                state.shards[source],
-                ("handoff", point, target, state.epoch))
+            reply = self._control_call(state.refs[source],
+                                       ("handoff", point, target, sent))
         except DistributionError:
             self.proxy_stats["handoff_failures"] += 1
             return False
         fenced = reply.get(shards.K_FENCED)
-        self._adopt_map(reply[shards.K_MAP] if fenced is None else fenced)
-        return fenced is None
+        ring_map = reply[shards.K_MAP] if fenced is None else fenced
+        self._adopt_map(ring_map)
+        return fenced is None and ring_map[0] > sent
 
     def proxy_split(self, source: int, target: int,
                     sync: bool = True) -> int:
@@ -373,7 +378,7 @@ class ShardedProxy(Proxy):
         the handoffs themselves are still epoch-fenced, so a stale view
         costs a fenced no-op arc at worst, while the sweep's serial round
         trips run the caller's clock ahead of the traffic it is splitting
-        around.
+        around.  A split of a shard onto itself is a configuration error.
         """
         state = self._shard_state()
         if not (0 <= source < len(state.shards)
@@ -381,10 +386,14 @@ class ShardedProxy(Proxy):
             raise ConfigurationError(
                 f"split {source}->{target} outside "
                 f"0..{len(state.shards) - 1}")
+        if source == target:
+            raise ConfigurationError(
+                f"split {source}->{target}: a shard cannot split onto "
+                "itself")
         if sync:
             self._sync_map(state)
         points = [i for i, entry in enumerate(state.ring)
-                  if int(entry[1]) == source]
+                  if entry[1] == source]
         # Every other arc moves; the source keeps the rest.
         moved = sum(self._handoff(state, source, point, target)
                     for point in points[1::2])
@@ -406,21 +415,21 @@ class ShardedProxy(Proxy):
         if not 0 <= index < len(state.shards):
             raise ConfigurationError(
                 f"shard {index} outside 0..{len(state.shards) - 1}")
-        spec = state.shards[index]
-        if spec[4] != "stub":
+        ref = state.refs[index]
+        if ref.policy != "stub":
             raise ConfigurationError(
                 "only stub shards are movable; a replicated shard migrates "
                 "through its own group machinery")
-        new_ref = migrate(self.proxy_context, ObjectRef(*spec),
-                          dst_context_id)
+        new_ref = migrate(self.proxy_context, ref, dst_context_id)
         if new_ref is None:
             raise DistributionError(
                 f"shard {index} could not be migrated to "
                 f"{dst_context_id!r}")
-        self._subs.pop(spec[1], None)
-        new_map = state.map()
-        new_map[0] = state.epoch + 1
-        new_map[2][index] = list(new_ref.fields())
+        self._subs.pop(ref.oid, None)
+        epoch, ring, specs = state.map()
+        specs = list(specs)
+        specs[index] = new_ref.fields()
+        new_map = (epoch + 1, ring, tuple(specs))
         self._adopt_map(new_map)
         # The freshly migrated entry has no shard state yet: its commit
         # installs one (index inferred from the map); then fan the map out.

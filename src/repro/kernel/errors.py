@@ -101,9 +101,10 @@ class StaleShardRing(DistributionError):
     instead of silently served from the wrong partition.
 
     Attributes:
-        ring_map: the shard's current ``[epoch, ring, shards]`` map (see
-            :class:`~repro.wire.shards.ShardState`), or ``None`` when the
-            exception crossed a transport that kept no detail.
+        ring_map: the shard's current ``(epoch, ring, shards)`` map —
+            the epoch's pure tuple (see :class:`~repro.wire.shards.
+            ShardState`) — or ``None`` when the exception crossed a
+            transport that kept no detail.
     """
 
     def __init__(self, message: str, ring_map=None):

@@ -64,8 +64,8 @@ one, absorb an arc fragment, or run the source side of an arc transfer.
 
 Reply wrappers: ``{"s.val": result}`` on success (plus ``"s.map"`` when
 healing a stale caller), ``{"s.f": map}`` when fenced, ``{"s.map":
-map}`` from controls — where ``map`` is the marshallable ``[epoch,
-ring, shards]`` triple of :meth:`ShardState.map`.
+map}`` from controls — where ``map`` is the pure ``(epoch, ring,
+shards)`` tuple of :meth:`ShardState.map`, shared and never copied.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ from bisect import bisect_left
 from typing import Any, Callable
 
 from ..kernel.errors import ConfigurationError, ProtocolError
+from .refs import ObjectRef
 from .versions import COUNT, DATA, KEYS, VERB, parse
 
 #: Request header: the caller's ring epoch.
@@ -91,7 +92,7 @@ H_KEY = "s.k"
 K_VALUE = "s.val"
 #: Reply key: fenced — the caller's epoch is stale; value is the map.
 K_FENCED = "s.f"
-#: Reply key: the shard's current ``[epoch, ring, shards]`` map.  On a
+#: Reply key: the shard's current ``(epoch, ring, shards)`` map.  On a
 #: verb reply (next to :data:`K_VALUE`) it is the in-band heal of a
 #: stale-but-correctly-routed caller.
 K_MAP = "s.map"
@@ -176,24 +177,37 @@ class ShardState:
 
     Installed on every shard's export entry (``index`` = its position)
     and on the group entry (``index`` = -1); the sharded proxy holds one
-    too (also -1) as its routing cache.  ``shards`` is a list of plain
-    field lists ``[context_id, oid, interface, epoch, policy]`` — the
-    same swizzle-free form :meth:`~repro.migration.mover.MoverService.
-    migrate_to` uses — so the whole map marshals as-is.
+    too (also -1) as its routing cache.  The view is derived once per
+    epoch (:meth:`_reindex`): ``ring`` is a tuple of ``(point, owner)``
+    pairs, ``shards`` a tuple of reference field tuples ``(context_id,
+    oid, interface, epoch, policy)`` — the swizzle-free form
+    :meth:`~repro.migration.mover.MoverService.migrate_to` uses — and
+    ``refs`` their :class:`~repro.wire.refs.ObjectRef`, one per shard.
+    Nothing writes them in place: a newer map (:meth:`adopt`) or a moved
+    shard (:meth:`rebind`) derives a new view.  The ``(epoch, ring,
+    shards)`` map is pure data, so it travels shared, never copied.
     """
 
-    __slots__ = ("index", "epoch", "ring", "shards", "_points", "_owners")
+    __slots__ = ("index", "epoch", "ring", "shards", "refs", "_map",
+                 "_points", "_owners")
 
-    def __init__(self, index: int, epoch: int, ring: list, shards: list):
+    def __init__(self, index: int, epoch: int, ring, shards):
         self.index = index
-        self.epoch = int(epoch)
-        self.ring = [list(entry) for entry in ring]
-        self.shards = [list(spec) for spec in shards]
-        self._reindex()
+        self._reindex(int(epoch), ring, shards)
 
-    def _reindex(self) -> None:
-        self._points = [entry[0] for entry in self.ring]
-        self._owners = [entry[1] for entry in self.ring]
+    def _reindex(self, epoch: int, ring, shards) -> None:
+        """Derive the epoch's view: the map, one reference per shard, and
+        the bisect columns — the one place any of them is built."""
+        self.epoch = epoch
+        self.ring = ring = tuple(map(tuple, ring))
+        self.shards = shards = tuple(map(tuple, shards))
+        try:
+            self.refs = tuple(ObjectRef(*spec) for spec in shards)
+        except TypeError:
+            self.refs = ()      # a routing-only view: owners, no homes
+        self._map = (epoch, ring, shards)
+        self._points = [entry[0] for entry in ring]
+        self._owners = [entry[1] for entry in ring]
 
     def owner_of(self, h: int) -> int:
         """The shard index owning hash ``h`` (first point clockwise)."""
@@ -209,20 +223,23 @@ class ShardState:
             self._points[-1]
         return lo, hi
 
-    def map(self) -> list:
-        """The marshallable ``[epoch, ring, shards]`` triple."""
-        return [self.epoch, [list(entry) for entry in self.ring],
-                [list(spec) for spec in self.shards]]
+    def map(self) -> tuple:
+        """The epoch's ``(epoch, ring, shards)`` map, built of tuples."""
+        return self._map
 
-    def adopt(self, epoch: int, ring: list, shards: list) -> bool:
+    def adopt(self, epoch: int, ring, shards) -> bool:
         """Replace the view iff ``epoch`` is strictly newer."""
         if epoch <= self.epoch:
             return False
-        self.epoch = epoch
-        self.ring = [list(entry) for entry in ring]
-        self.shards = [list(spec) for spec in shards]
-        self._reindex()
+        self._reindex(epoch, ring, shards)
         return True
+
+    def rebind(self, index: int, fields) -> None:
+        """Shard ``index`` now lives where the reference ``fields`` say
+        (a migration forward): same epoch, a new view."""
+        shards = list(self.shards)
+        shards[index] = fields
+        self._reindex(self.epoch, self.ring, shards)
 
 
 def _sorted_ring(body) -> None:
@@ -239,7 +256,7 @@ def _sorted_ring(body) -> None:
 
 
 #: A shard's reference fields ``[context_id, oid, interface, epoch,
-#: policy]``, and the ``[epoch, ring, shards]`` map a commit carries.
+#: policy]``, and the ``(epoch, ring, shards)`` map a commit carries.
 SHARD_SPEC = (VERB, VERB, VERB, COUNT, VERB)
 RING_MAP = (COUNT, [(COUNT, COUNT)], [SHARD_SPEC])
 
@@ -370,9 +387,9 @@ def _serve_handoff(entry, state: ShardState, control,
     keys = [key for key in entry.obj.shard_keys()
             if in_arc(stable_hash(key), lo, hi)]
     fragment = entry.obj.shard_fragment(keys)
-    new_ring = [list(e) for e in state.ring]
-    new_ring[point_index][1] = target
-    new_map = [state.epoch + 1, new_ring, [list(s) for s in state.shards]]
+    new_ring = list(state.ring)
+    new_ring[point_index] = (new_ring[point_index][0], target)
+    new_map = (state.epoch + 1, tuple(new_ring), state.shards)
     peer = state.shards[target]
     # Install at the target first: a DistributionError here propagates and
     # aborts the handoff before any commit — the map never names an owner

@@ -191,6 +191,8 @@ def parse(shapes: dict, headers: dict, body=()) -> None:
             continue
         if shape.__class__ is not tuple:
             if shape.__class__ is str:
+                if shape is COUNT and spec.__class__ is int and spec >= 0:
+                    continue        # a bare count that holds, where it sits
                 shape, spec = (shape,), (spec,)
             elif shape.__class__ is list:
                 if not isinstance(spec, SPEC_TYPES):

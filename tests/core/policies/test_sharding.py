@@ -261,6 +261,7 @@ class TestRebalance:
             operator.put(f"k{i}", i)
         state = shards.ShardState(-1, *operator.proxy_shard_map(sync=False))
         key = _keys_by_owner(state, {0})[0]
+        assert stale.get(key) == int(key[1:])     # routed by the first map
         new_ref = operator.proxy_move_shard(0, spare.context_id)
         assert new_ref.context_id == spare.context_id
         assert operator.proxy_stats["shard_moves"] == 1
@@ -268,6 +269,32 @@ class TestRebalance:
         # A client still holding the pre-move map follows the forward (or
         # the fence) to the new home and reads the same data.
         assert stale.get(key) == int(key[1:])
+        assert stale.proxy_stats["rebinds"] == 1
+        # Its route was rebuilt: the next read goes straight to the new
+        # home, and its map names it.
+        stats = dict(stale.proxy_stats)
+        assert stale.get(key) == int(key[1:])
+        assert stale.proxy_stats["rebinds"] == 1
+        assert stale.proxy_stats["shard_redirects"] == \
+            stats["shard_redirects"]
+        assert stale.proxy_shard_map(sync=False)[2][0] == new_ref.fields()
+
+    def test_a_split_onto_itself_is_refused_and_counts_nothing(self):
+        # The source answers a handoff onto its own shard with its map
+        # unchanged: no arc moved, so no split may be reported.
+        _sys, ctxs, (client, _), _x = _system(3)
+        operator = _bind(client, shard(ctxs, KVStore))
+        for i in range(40):
+            operator.put(f"k{i}", i)
+        before = operator.proxy_shard_map(sync=False)
+        for index in range(3):
+            with pytest.raises(ConfigurationError, match="onto itself"):
+                operator.proxy_split(index, index)
+            state = operator._shard_state()
+            point = [owner for _, owner in state.ring].index(index)
+            assert not operator._handoff(state, index, point, index)
+        assert operator.proxy_stats["splits"] == 0
+        assert operator.proxy_shard_map(sync=False) == before
 
 
 class TestLocalityIsTheProtocolsBusiness:

@@ -23,7 +23,10 @@ a shard's fence and heal are one step (replicated put 164, sharded 52
 before).  A carried message is read as its fields: the server builds no
 request frame, and an envelope reply, sized without a pure walk first,
 reaches the caller as its dict (stub get 35, replicated 114, sharded 51,
-put 159, caching put 68, stub put 35, one-way 21 before).
+put 159, caching put 68, stub put 35, one-way 21 before).  A shard route
+is derived once per ring epoch: a routed call reads its shard's reference
+and key index where they are stored, and a map travels pure (sharded get
+46, put 46, rebalance sweep 725 before).
 """
 
 import gc
@@ -36,18 +39,24 @@ import pytest
 from repro.simtest.runner import SimCase
 from repro.simtest.workload import deploy
 from repro.wire.marshal import clear_memos
+from repro.wire.refs import ObjectRef
 
 # Lower a budget when the count falls; never raise one without a line in
 # DESIGN.md ("The shell ledger") saying what the extra calls bought.
 # 3.12+ inlines comprehensions, so a count can only be lower there.
-BUDGET = {"stub": 34, "replicated": 100, "sharded": 46,
+BUDGET = {"stub": 34, "replicated": 100, "sharded": 43,
           "caching": 3, "composite": 4}
-#: A warm quorum write: the assign at the primary plus its replica apply.
-PUT_BUDGET = {"replicated": 138}
+#: A warm quorum write: the assign at the primary plus its replica apply;
+#: a routed write.
+PUT_BUDGET = {"replicated": 138, "sharded": 43}
 #: One plain one-way, sent and served.
 ONEWAY_BUDGET = 20
 #: A put of a value no frame carried before: nothing is memoised per value.
 FRESH_PUT_BUDGET = {"stub": 34, "caching": 66}
+#: One warm rebalance sweep: the map-sync poll of every holder, then the
+#: handoff with its install and commit legs.  Each sweep moves another
+#: arc, so readings differ by a few calls; the largest is budgeted.
+SWEEP_BUDGET = 676
 
 #: Frames that stand in front of a value fixed at construction, or that
 #: only forward: a size, a message id, a snapshot's hand-over, the clock's
@@ -172,6 +181,29 @@ def test_the_enveloped_path_picks_and_parses_once(policy):
     for names in _warm_get_calls(policy):
         assert not (BANNED | ENVELOPE_BANNED).intersection(names), \
             sorted(names)
+
+
+def test_a_warm_rebalance_sweep_stays_within_its_call_budget():
+    _, proxy = _deployment("sharded")
+    readings = _readings(proxy.proxy_rebalance)
+    assert max(len(names) for names in readings) <= SWEEP_BUDGET
+    for names in readings:      # every map-bearing reply is read as a dict
+        assert not BANNED.intersection(names), sorted(names)
+
+
+def test_a_warm_routed_call_builds_no_reference(monkeypatch):
+    _, proxy = _deployment("sharded")
+    built = []
+    init = ObjectRef.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ObjectRef, "__init__", spy)
+    proxy.get("k0")
+    proxy.put("k0", 1)
+    assert built == []
 
 
 @pytest.mark.parametrize("policy", ["caching", "composite"])

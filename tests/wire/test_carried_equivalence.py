@@ -48,7 +48,9 @@ import repro
 from repro.core.export import get_space
 from repro.core.service import Service
 from repro.iface.interface import operation
-from repro.wire.frames import ONEWAY, REPLY, REQUEST, Frame, reply_value
+from repro.wire import shards
+from repro.wire.frames import (EXCEPTION, FRAMED, ONEWAY, REPLY, REQUEST,
+                               Frame, reply_value)
 from repro.wire.marshal import (
     PLAIN,
     RAW_THRESHOLD,
@@ -646,3 +648,47 @@ def test_an_envelope_reply_is_a_fresh_dict_per_delivery():
     delivered.append(reply_value(second))
     assert typed(delivered[-1]) == sent
     assert len({id(value) for value in delivered}) == 3
+
+
+# -- shard maps: pure, so shared with the sender ------------------------------
+
+def _map_bearing(kind, ring_map):
+    """A frame carrying ``ring_map`` as the sharded policy's peers send
+    one, and where the map sits in what its receiver is handed."""
+    if kind == "s.map":
+        return (Frame(REPLY, 5, "s0/main", "c0/main",
+                      body={shards.K_MAP: ring_map}),
+                lambda body: body[shards.K_MAP])
+    if kind == "s.f":
+        return (Frame(REPLY, 5, "s0/main", "c0/main",
+                      body={shards.K_FENCED: ring_map}),
+                lambda body: body[shards.K_FENCED])
+    if kind == "StaleShardRing":
+        return (Frame(EXCEPTION, 5, "s0/main", "c0/main",
+                      body=("StaleShardRing", "re-route", ring_map)),
+                lambda frame: frame.body[2])
+    return (_request(((ring_map,), {}), {shards.H_CONTROL: ("commit",)}),
+            lambda frame: frame.body[0][0])
+
+
+@pytest.mark.parametrize("kind", ["s.map", "s.f", "StaleShardRing",
+                                  "commit"])
+def test_a_shard_map_is_carried_as_its_image_decodes(kind):
+    m = _marshaller()
+    ring_map = shards.ShardState(-1, 3, shards.default_ring(2), [
+        ("s0/main", "o0", "KVStore", 0, "stub"),
+        ("s1/main", "o1", "KVStore", 1, "stub")]).map()
+    frame, where = _map_bearing(kind, ring_map)
+    msg = frame.encode_message(m)
+    image = msg.to_bytes()
+    assert msg.nbytes == len(image) == len(frame.encode(m))
+    decoded = Frame.decode(image, m)
+    if frame.kind == REPLY:
+        # A map-bearing reply reaches the caller as its dict, no frame.
+        delivered = reply_value(msg)
+        assert delivered is not FRAMED
+        assert typed(delivered) == typed(decoded.body)
+    else:
+        delivered = Frame.decode_message(msg, m)
+        assert typed_frame(delivered) == typed_frame(decoded)
+    assert where(delivered) is ring_map

@@ -215,7 +215,11 @@ def envelopes(draw, wire, name, kind, ring_map):
         parts[name] = [kind] + parts[name]
         shapes[name] = ("control",) + shapes[name]
     if kind == "commit":             # the ring rule: the shard's own ring
-        parts[BODY] = [[draw(VALID[versions.COUNT])] + ring_map[1:]]
+        # Built of lists, as every part is, so any field can be forged.
+        _, ring, specs = ring_map
+        parts[BODY] = [[draw(VALID[versions.COUNT]),
+                        [list(entry) for entry in ring],
+                        [list(spec) for spec in specs]]]
     return parts, shapes, verb, args
 
 
