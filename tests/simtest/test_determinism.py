@@ -46,31 +46,66 @@ def test_build_case_is_a_pure_function_of_its_arguments():
     assert a == b and a.faults == b.faults
 
 
-def test_determinism_lint_is_clean_on_this_repo():
+def _arch_lint():
     spec = importlib.util.spec_from_file_location(
-        "determinism_lint", REPO_ROOT / "tools" / "determinism_lint.py")
+        "arch_lint", REPO_ROOT / "tools" / "arch_lint.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.lint(REPO_ROOT) == []
+    return module
+
+
+def test_determinism_lint_is_clean_on_this_repo():
+    module = _arch_lint()
+    assert module.check(REPO_ROOT, rules=[module.DETERMINISM]) == []
+
+
+def _plant(module, root, plant, text):
+    path = root / plant
+    path.parent.mkdir(parents=True)
+    path.write_text(text, encoding="utf-8")
+    return module.refusals(module.DETERMINISM, root, [plant])
 
 
 def test_determinism_lint_catches_a_plant(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "determinism_lint", REPO_ROOT / "tools" / "determinism_lint.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _arch_lint()
     # The bench layer reads no wall clock either: only the two kernel
     # modules may touch the primitives they wrap.
     for plant in ("src/pkg/bad.py", "src/repro/bench/timing.py"):
         root = tmp_path / plant.replace("/", "_")
-        path = root / plant
-        path.parent.mkdir(parents=True)
-        path.write_text(
+        problems = _plant(
+            module, root, plant,
             "import random, time\n"
             "def jitter():\n"
             "    return random.random() + time.time()\n"
             "def fine():\n"
-            "    return random.Random(42).random()  # seeded: allowed\n",
-            encoding="utf-8")
-        problems = module.lint(root)
+            "    return random.Random(42).random()  # seeded: allowed\n")
         assert len(problems) == 1 and f"{plant}:3" in problems[0], plant
+
+
+@pytest.mark.parametrize("text", [
+    # A draw imported bare is a draw: the import is refused.
+    "import os\n"
+    "def pick(items):\n"
+    "    from random import choice\n"
+    "    return choice(items)\n",
+    # An aliased module is read through its alias.
+    "import time as t\n"
+    "def stamp():\n"
+    "    return t.time()\n",
+    "import os\n"
+    "import sys\n"
+    "from time import perf_counter\n",
+    "from datetime import datetime as moment\n"
+    "def stamp():\n"
+    "    return moment.now()\n",
+], ids=["from-import", "module-alias", "bare-import", "class-alias"])
+def test_determinism_lint_catches_an_aliased_plant(tmp_path, text):
+    plant = "src/pkg/bad.py"
+    problems = _plant(_arch_lint(), tmp_path, plant, text)
+    assert len(problems) == 1 and f"{plant}:3" in problems[0], problems
+
+
+def test_the_kernel_wrappers_may_read_what_they_wrap(tmp_path):
+    plant = "src/repro/kernel/clock.py"
+    assert _plant(_arch_lint(), tmp_path, plant,
+                  "import time\nnow = time.perf_counter()\n") == []
