@@ -139,12 +139,13 @@ def cmd_bench(args) -> int:
 def cmd_simtest(args) -> int:
     """Deterministic sim-chaos with a linearizability verdict.
 
-    Three modes: ``--replay FILE`` re-runs a recorded case verbatim,
-    ``--seeds N`` sweeps a seed battery across policies, and the default
-    runs one ``--seed``.  Exit status 1 on any violation, on any case the
-    checker could not settle within its budget (``unknown``; both kinds
-    are named on stdout), or on an unmet replay expectation — so CI can
-    gate on it directly.
+    Three modes: ``--replay FILE...`` re-runs recorded cases verbatim,
+    one line per file, ``--seeds N`` sweeps a seed battery across
+    policies, and the default runs one ``--seed``.  Exit status 1 on any
+    violation, on any case the checker could not settle within its budget
+    (``unknown``; both kinds are named on stdout), or on any unmet replay
+    expectation — so CI can gate on it directly.  ``--json`` replays one
+    file only (exit 2 otherwise): its report is the whole output.
     """
     from .simtest import build_case, run_battery, run_case
     from .simtest.runner import replay, report_json
@@ -153,20 +154,26 @@ def cmd_simtest(args) -> int:
     minimize = not args.no_minimize
     consistency = args.consistency or "linearizable"
     if args.replay is not None:
-        with open(args.replay, encoding="utf-8") as handle:
-            data = json.load(handle)
-        # An explicit --consistency overrides the corpus record's pin.
-        report = replay(data, minimize=minimize,
-                        consistency=args.consistency)
-        expect = data.get("expect")
-        if args.json:
-            print(report_json(report))
-        else:
-            print(f"replay {args.replay}: verdict={report.verdict}"
-                  + (f" expect={expect}" if expect else ""))
-        if expect is not None:
-            return 0 if report.verdict == expect else 1
-        return 0 if report.verdict == "ok" else 1
+        if args.json and len(args.replay) > 1:
+            print("--json replays one file; got "
+                  f"{len(args.replay)}", file=sys.stderr)
+            return 2
+        unmet = 0
+        for path in args.replay:
+            with open(path, encoding="utf-8") as handle:
+                data = json.load(handle)
+            # An explicit --consistency overrides the corpus record's pin.
+            report = replay(data, minimize=minimize,
+                            consistency=args.consistency)
+            expect = data.get("expect")
+            if args.json:
+                print(report_json(report))
+            else:
+                print(f"replay {path}: verdict={report.verdict}"
+                      + (f" expect={expect}" if expect else ""))
+            unmet += report.verdict != (expect if expect is not None
+                                        else "ok")
+        return 1 if unmet else 0
 
     policies = (list(SHIPPED_POLICIES) if args.policy == "all"
                 else [args.policy])
@@ -306,7 +313,8 @@ def main(argv: list[str] | None = None) -> int:
         help="checker mode to grade against (default: linearizable, or "
              "the mode a replayed corpus record pins)")
     sim_parser.add_argument("--replay", default=None, metavar="FILE",
-                            help="re-run a recorded case JSON verbatim")
+                            nargs="+",
+                            help="re-run recorded case JSON files verbatim")
     sim_parser.add_argument("--no-minimize", action="store_true",
                             help="skip shrinking violating cases")
     sim_parser.set_defaults(func=cmd_simtest)

@@ -309,12 +309,23 @@ class ObjectSpace:
             del table[proxy.proxy_ref.key]
         proxy.proxy_discard()
 
+    def close(self) -> None:
+        """Release this space when its system closes (:meth:`Context.close
+        <repro.kernel.context.Context.close>` calls it): every proxy in the
+        table releases what it holds (:meth:`Proxy.proxy_release`) and the
+        dispatcher drops its marshallers.  Unlike :meth:`discard`, nothing
+        is sent: the system is over, so no server is told."""
+        for proxy in self.context.proxies.values():
+            proxy.proxy_release()
+        self.dispatcher.close()
+
     def sweep(self, unused_for: float) -> int:
         """Garbage-collect proxies idle for at least ``unused_for`` seconds.
 
-        Returns the number of proxies discarded.  The context-manager proxy
-        of the name-service context is never collected (it is the bootstrap
-        path).
+        Returns the number of proxies discarded.  No context-manager proxy
+        is ever collected, whichever context it reaches: one is the
+        bootstrap path to the name service, and every other one the path
+        installation handshakes and pings take.
         """
         now = self.context.clock.now
         victims = [proxy for proxy in self.context.proxies.values()

@@ -110,6 +110,11 @@ class CachingProxy(Proxy):
         self._callback_obj = None
         self._ttl = self._effective_ttl()
 
+    def proxy_release(self) -> None:
+        """Drop the callback export, which points back at this proxy."""
+        super().proxy_release()
+        self._callback_obj = None
+
     # -- invocation ----------------------------------------------------------------
 
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:

@@ -87,6 +87,12 @@ class CompositeProxy(Proxy):
             layer.proxy_discard()
         self._stack = None
 
+    def proxy_release(self) -> None:
+        """Release every layer too: none sits in the context's table."""
+        super().proxy_release()
+        for layer in self._stack or []:
+            layer.proxy_release()
+
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["invocations"] += 1
         stack = self._stack

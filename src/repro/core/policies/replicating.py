@@ -244,14 +244,20 @@ class ReplicatedProxy(Proxy):
     def _read(self, replicas: list, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["reads"] += 1
         last_error: Exception | None = None
-        for index in self._read_order_indices(len(replicas)):
-            try:
-                return replicas[index].invoke(verb, args, kwargs)
-            except DistributionError as exc:
-                self.proxy_stats["read_failovers"] += 1
-                last_error = exc
-        raise last_error if last_error is not None else DistributionError(
-            f"no replica answered {verb!r}")
+        try:
+            for index in self._read_order_indices(len(replicas)):
+                try:
+                    return replicas[index].invoke(verb, args, kwargs)
+                except DistributionError as exc:
+                    self.proxy_stats["read_failovers"] += 1
+                    last_error = exc
+            raise last_error if last_error is not None else DistributionError(
+                f"no replica answered {verb!r}")
+        finally:
+            # A kept exception's traceback holds this frame, and the frame
+            # the exception: drop it on every exit, or each caught failure
+            # leaves a cycle that pins the proxy and its whole system.
+            last_error = None
 
     def _write(self, replicas: list, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["writes"] += 1
@@ -260,40 +266,43 @@ class ReplicatedProxy(Proxy):
         result: Any = None
         last_error: Exception | None = None
         app_error: BaseException | None = None
-        for replica in replicas:
-            try:
-                outcome = replica.invoke(verb, args, kwargs)
-            except RemoteError as exc:
-                # An application exception of an unreconstructible type:
-                # the replica executed the operation and raised.
-                if app_error is None:
-                    app_error = exc
-                continue
-            except DistributionError as exc:
-                last_error = exc
-                continue
-            except ReproError:
-                raise    # a kernel/harness problem, not a write outcome
-            except Exception as exc:
-                # A reconstructed application exception.  Aborting here
-                # would leave the remaining replicas without the write —
-                # silent divergence — so complete the fan-out first and
-                # re-raise after the group has converged.
-                if app_error is None:
-                    app_error = exc
-                continue
-            if acknowledged == 0:
-                result = outcome
-            acknowledged += 1
-        if app_error is not None:
-            self.proxy_stats["app_errors"] += 1
-            raise app_error
-        if acknowledged < quorum:
-            self.proxy_stats["write_failures"] += 1
-            raise DistributionError(
-                f"write {verb!r} reached {acknowledged}/{len(replicas)} "
-                f"replicas, quorum is {quorum}") from last_error
-        return result
+        try:
+            for replica in replicas:
+                try:
+                    outcome = replica.invoke(verb, args, kwargs)
+                except RemoteError as exc:
+                    # An application exception of an unreconstructible type:
+                    # the replica executed the operation and raised.
+                    if app_error is None:
+                        app_error = exc
+                    continue
+                except DistributionError as exc:
+                    last_error = exc
+                    continue
+                except ReproError:
+                    raise    # a kernel/harness problem, not a write outcome
+                except Exception as exc:
+                    # A reconstructed application exception.  Aborting here
+                    # would leave the remaining replicas without the write —
+                    # silent divergence — so complete the fan-out first and
+                    # re-raise after the group has converged.
+                    if app_error is None:
+                        app_error = exc
+                    continue
+                if acknowledged == 0:
+                    result = outcome
+                acknowledged += 1
+            if app_error is not None:
+                self.proxy_stats["app_errors"] += 1
+                raise app_error
+            if acknowledged < quorum:
+                self.proxy_stats["write_failures"] += 1
+                raise DistributionError(
+                    f"write {verb!r} reached {acknowledged}/{len(replicas)} "
+                    f"replicas, quorum is {quorum}") from last_error
+            return result
+        finally:
+            last_error = app_error = None   # see _read
 
     # -- the quorum protocol: envelopes -------------------------------------------
 
@@ -438,50 +447,53 @@ class ReplicatedProxy(Proxy):
         last_error: Exception | None = None
         assigned = acknowledged = 0
         wterm = self._term
-        for _ in range(ASSIGN_ATTEMPTS):
-            reply = self._assign(replicas, verb, args, kwargs, key)
-            assigned = int(reply[versions.K_VERSION])
-            wterm = int(reply.get(versions.K_VTERM, self._term))
-            leader = self._leader
-            # One envelope for the whole fan-out: a call only reads it.
-            headers = {versions.H_APPLY: (key, assigned),
-                       versions.H_TERM: (wterm, leader)} if self._elected \
-                else {versions.H_APPLY: (key, assigned)}
-            acknowledged = 1
-            for index in range(len(replicas)):
-                if index == leader:
-                    continue
-                try:
-                    ack = self._versioned_call(index, verb, args, kwargs,
-                                               headers)
-                except DistributionError as exc:
-                    last_error = exc
-                    continue
-                if self._fenced(ack) or versions.K_EXC in ack:
-                    continue    # deposed, or a diverged execution: no ack
-                if versions.K_DIVERGED in ack:
-                    repaired = self._resync(index, leader, key)
-                elif int(ack[versions.K_VERSION]) >= assigned:
-                    acknowledged += 1
-                    continue
-                else:
-                    repaired = self._repair(
-                        index, leader, key,
-                        (int(ack.get(versions.K_VTERM, 0)),
-                         int(ack[versions.K_VERSION])))
-                if repaired >= assigned:
-                    self.proxy_stats["write_repairs"] += 1
-                    acknowledged += 1
-            if acknowledged >= write_quorum:
-                return reply.get(versions.K_VALUE)
-            if self._term > wterm:
-                continue    # deposed mid-fan-out: retry at the new leader
-            break
-        self.proxy_stats["write_failures"] += 1
-        raise DistributionError(
-            f"write {verb!r} at version {assigned} (term {wterm}) of "
-            f"{key!r} reached {acknowledged}/{len(replicas)} replicas, "
-            f"quorum is {write_quorum}") from last_error
+        try:
+            for _ in range(ASSIGN_ATTEMPTS):
+                reply = self._assign(replicas, verb, args, kwargs, key)
+                assigned = int(reply[versions.K_VERSION])
+                wterm = int(reply.get(versions.K_VTERM, self._term))
+                leader = self._leader
+                # One envelope for the whole fan-out: a call only reads it.
+                headers = {versions.H_APPLY: (key, assigned),
+                           versions.H_TERM: (wterm, leader)} if self._elected \
+                    else {versions.H_APPLY: (key, assigned)}
+                acknowledged = 1
+                for index in range(len(replicas)):
+                    if index == leader:
+                        continue
+                    try:
+                        ack = self._versioned_call(index, verb, args, kwargs,
+                                                   headers)
+                    except DistributionError as exc:
+                        last_error = exc
+                        continue
+                    if self._fenced(ack) or versions.K_EXC in ack:
+                        continue    # deposed, or a diverged execution: no ack
+                    if versions.K_DIVERGED in ack:
+                        repaired = self._resync(index, leader, key)
+                    elif int(ack[versions.K_VERSION]) >= assigned:
+                        acknowledged += 1
+                        continue
+                    else:
+                        repaired = self._repair(
+                            index, leader, key,
+                            (int(ack.get(versions.K_VTERM, 0)),
+                             int(ack[versions.K_VERSION])))
+                    if repaired >= assigned:
+                        self.proxy_stats["write_repairs"] += 1
+                        acknowledged += 1
+                if acknowledged >= write_quorum:
+                    return reply.get(versions.K_VALUE)
+                if self._term > wterm:
+                    continue    # deposed mid-fan-out: retry at the new leader
+                break
+            self.proxy_stats["write_failures"] += 1
+            raise DistributionError(
+                f"write {verb!r} at version {assigned} (term {wterm}) of "
+                f"{key!r} reached {acknowledged}/{len(replicas)} replicas, "
+                f"quorum is {write_quorum}") from last_error
+        finally:
+            last_error = None   # see _read
 
     def _assign(self, replicas: list, verb: str, args: tuple,
                 kwargs: dict, key) -> dict:
@@ -494,41 +506,44 @@ class ReplicatedProxy(Proxy):
         whenever a majority is reachable.
         """
         last_error: Exception | None = None
-        for _ in range(ASSIGN_ATTEMPTS):
-            try:
-                reply = self._versioned_call(
-                    self._leader, verb, args, kwargs,
-                    {versions.H_ASSIGN: (key,),
-                     versions.H_TERM: (self._term, self._leader)}
-                    if self._elected else {versions.H_ASSIGN: (key,)})
-            except RemoteError:
-                self.proxy_stats["app_errors"] += 1
-                raise
-            except DistributionError as exc:
-                if not self._elected:
-                    # No version was assigned that we know of (a lost
-                    # reply still makes this a "maybe").
-                    self.proxy_stats["write_failures"] += 1
+        try:
+            for _ in range(ASSIGN_ATTEMPTS):
+                try:
+                    reply = self._versioned_call(
+                        self._leader, verb, args, kwargs,
+                        {versions.H_ASSIGN: (key,),
+                         versions.H_TERM: (self._term, self._leader)}
+                        if self._elected else {versions.H_ASSIGN: (key,)})
+                except RemoteError:
+                    self.proxy_stats["app_errors"] += 1
                     raise
-                last_error = exc
-                self._failover(replicas)
-                continue
-            except ReproError:
-                raise
-            except Exception:
-                self.proxy_stats["app_errors"] += 1
-                raise
-            if self._fenced(reply):
-                continue
-            if versions.K_EXPIRED in reply:
-                if not self._renew_lease(replicas):
+                except DistributionError as exc:
+                    if not self._elected:
+                        # No version was assigned that we know of (a lost
+                        # reply still makes this a "maybe").
+                        self.proxy_stats["write_failures"] += 1
+                        raise
+                    last_error = exc
                     self._failover(replicas)
-                continue
-            return reply
-        self.proxy_stats["write_failures"] += 1
-        raise DistributionError(
-            f"write {verb!r} found no assignable leader in "
-            f"{ASSIGN_ATTEMPTS} attempts") from last_error
+                    continue
+                except ReproError:
+                    raise
+                except Exception:
+                    self.proxy_stats["app_errors"] += 1
+                    raise
+                if self._fenced(reply):
+                    continue
+                if versions.K_EXPIRED in reply:
+                    if not self._renew_lease(replicas):
+                        self._failover(replicas)
+                    continue
+                return reply
+            self.proxy_stats["write_failures"] += 1
+            raise DistributionError(
+                f"write {verb!r} found no assignable leader in "
+                f"{ASSIGN_ATTEMPTS} attempts") from last_error
+        finally:
+            last_error = None   # see _read
 
     def _failover(self, replicas: list) -> None:
         """Elect a new leader; no majority is the pending write's failure."""
@@ -567,27 +582,30 @@ class ReplicatedProxy(Proxy):
         order = self._read_order_indices(len(replicas))
         answers: dict[int, dict] = {}
         last_error: Exception | None = None
-        for index in order:
-            if len(answers) >= read_quorum:
-                break
-            try:
-                reply = self._versioned_call(
-                    index, verb, args, kwargs,
-                    {versions.H_READ: (key,),
-                     versions.H_TERM: (self._term, self._leader)}
-                    if self._elected else {versions.H_READ: (key,)})
-            except DistributionError as exc:
-                self.proxy_stats["read_failovers"] += 1
-                last_error = exc
-                continue
-            self._adopt_newer(reply)
-            answers[index] = reply
-        if len(answers) < read_quorum:
-            self.proxy_stats["read_failures"] += 1
-            raise DistributionError(
-                f"read {verb!r} of {key!r} reached {len(answers)}/"
-                f"{len(replicas)} replicas, read quorum is "
-                f"{read_quorum}") from last_error
+        try:
+            for index in order:
+                if len(answers) >= read_quorum:
+                    break
+                try:
+                    reply = self._versioned_call(
+                        index, verb, args, kwargs,
+                        {versions.H_READ: (key,),
+                         versions.H_TERM: (self._term, self._leader)}
+                        if self._elected else {versions.H_READ: (key,)})
+                except DistributionError as exc:
+                    self.proxy_stats["read_failovers"] += 1
+                    last_error = exc
+                    continue
+                self._adopt_newer(reply)
+                answers[index] = reply
+            if len(answers) < read_quorum:
+                self.proxy_stats["read_failures"] += 1
+                raise DistributionError(
+                    f"read {verb!r} of {key!r} reached {len(answers)}/"
+                    f"{len(replicas)} replicas, read quorum is "
+                    f"{read_quorum}") from last_error
+        finally:
+            last_error = None   # see _read
         held = {index: (int(reply.get(versions.K_VTERM, 0)),
                         int(reply[versions.K_VERSION]))
                 for index, reply in answers.items()}
@@ -687,67 +705,71 @@ class ReplicatedProxy(Proxy):
         clock = self.proxy_context.clock
         self.proxy_stats["elections"] += 1
         last_error: Exception | None = None
-        for _ in range(ELECTION_ROUNDS):
-            statuses: dict[int, dict] = {}
-            for index in range(count):
-                try:
-                    statuses[index] = self._control_call(index, ("status",),
-                                                         ())
-                except DistributionError as exc:
-                    last_error = exc
-            if len(statuses) < majority:
-                raise DistributionError(
-                    f"election: {len(statuses)}/{count} replicas reachable, "
-                    f"majority is {majority}") from last_error
-            best = max(statuses.values(),
-                       key=lambda s: int(s[versions.K_TERM][0]))
-            top_term = int(best[versions.K_TERM][0])
-            if top_term > self._term:
-                # A rival proxy already elected a newer leader: adopt it.
-                self._adopt(top_term, int(best[versions.K_TERM][1]))
-                return
-            target = top_term + 1
-            # Candidacy rank: total logged entries, ties to the lowest index.
-            candidate = max(statuses, key=lambda i: (
-                sum(v for _, v in _digest_of(statuses[i]).values()), -i))
-            self.proxy_stats["terms_started"] += 1
-            grants: dict[int, dict] = {}
-            hints: list[float] = []
-            for index in sorted(statuses):
-                try:
-                    reply = self._control_call(
-                        index, ("vote", target, candidate), ())
-                except DistributionError as exc:
-                    last_error = exc
-                    continue
-                if reply.get(versions.K_GRANT):
-                    grants[index] = reply
-                    continue
-                self._adopt_newer(reply)
-                hint = reply.get(versions.K_EXPIRY)
-                if hint is not None:
-                    hints.append(float(hint))
-            if len(grants) >= majority:
-                try:
-                    self._sync_candidate(candidate, target, grants)
-                except DistributionError as exc:
-                    last_error = exc
-                    continue
-                if self._announce(replicas, target, candidate):
-                    self._term, self._leader = target, candidate
-                    self.proxy_stats["elections_won"] += 1
+        try:
+            for _ in range(ELECTION_ROUNDS):
+                statuses: dict[int, dict] = {}
+                for index in range(count):
+                    try:
+                        statuses[index] = self._control_call(
+                            index, ("status",), ())
+                    except DistributionError as exc:
+                        last_error = exc
+                if len(statuses) < majority:
+                    raise DistributionError(
+                        f"election: {len(statuses)}/{count} replicas "
+                        f"reachable, majority is {majority}") from last_error
+                best = max(statuses.values(),
+                           key=lambda s: int(s[versions.K_TERM][0]))
+                top_term = int(best[versions.K_TERM][0])
+                if top_term > self._term:
+                    # A rival proxy already elected a newer leader: adopt it.
+                    self._adopt(top_term, int(best[versions.K_TERM][1]))
                     return
-                continue
-            future = [hint for hint in hints if hint > clock.now]
-            if future:
-                # Wait out the shortest outstanding lease promise; this
-                # wait plus the election round-trips is the write
-                # unavailability the lease TTL bounds.
-                self.proxy_stats["election_waits"] += 1
-                clock.advance_to(min(future) + 1e-6)
-        raise DistributionError(
-            f"election gave up after {ELECTION_ROUNDS} rounds") \
-            from last_error
+                target = top_term + 1
+                # Candidacy rank: total logged entries, ties to the lowest
+                # index.
+                candidate = max(statuses, key=lambda i: (
+                    sum(v for _, v in _digest_of(statuses[i]).values()), -i))
+                self.proxy_stats["terms_started"] += 1
+                grants: dict[int, dict] = {}
+                hints: list[float] = []
+                for index in sorted(statuses):
+                    try:
+                        reply = self._control_call(
+                            index, ("vote", target, candidate), ())
+                    except DistributionError as exc:
+                        last_error = exc
+                        continue
+                    if reply.get(versions.K_GRANT):
+                        grants[index] = reply
+                        continue
+                    self._adopt_newer(reply)
+                    hint = reply.get(versions.K_EXPIRY)
+                    if hint is not None:
+                        hints.append(float(hint))
+                if len(grants) >= majority:
+                    try:
+                        self._sync_candidate(candidate, target, grants)
+                    except DistributionError as exc:
+                        last_error = exc
+                        continue
+                    if self._announce(replicas, target, candidate):
+                        self._term, self._leader = target, candidate
+                        self.proxy_stats["elections_won"] += 1
+                        return
+                    continue
+                future = [hint for hint in hints if hint > clock.now]
+                if future:
+                    # Wait out the shortest outstanding lease promise; this
+                    # wait plus the election round-trips is the write
+                    # unavailability the lease TTL bounds.
+                    self.proxy_stats["election_waits"] += 1
+                    clock.advance_to(min(future) + 1e-6)
+            raise DistributionError(
+                f"election gave up after {ELECTION_ROUNDS} rounds") \
+                from last_error
+        finally:
+            last_error = None   # see _read
 
     def _announce(self, replicas: list, term: int, leader: int) -> bool:
         """Announce ``(term, leader)`` group-wide; the winner must accept."""

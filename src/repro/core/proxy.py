@@ -81,6 +81,13 @@ class Proxy:
     def proxy_discard(self) -> None:
         """Called when the proxy is dropped from its context's table."""
 
+    def proxy_release(self) -> None:
+        """Called when the proxy's system closes: drop what points back at
+        the proxy (its bound operations) so reference counting frees it.
+        Nothing may be sent.  A policy holding another such cycle releases
+        it here too."""
+        self.proxy_invalidate_ops()
+
     def proxy_upgrade(self, config: dict) -> None:
         """Fold in configuration from a late installation handshake.
 

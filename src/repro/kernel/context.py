@@ -64,6 +64,17 @@ class Context:
         #: budget (repro.resilience.deadline).
         self.current_deadline: Any = None
 
+    def close(self) -> None:
+        """Release what the layers above attached (called by
+        :meth:`System.close <repro.kernel.system.System.close>`): the
+        object space closes itself, then every slot is emptied."""
+        if self.space is not None:
+            self.space.close()
+        self.handler = self.encoder_hook = self.decoder_hook = None
+        self.space = self.current_deadline = None
+        self.exports.clear()
+        self.proxies.clear()
+
     @property
     def system(self):
         """The owning :class:`~repro.kernel.system.System`."""

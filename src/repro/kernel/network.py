@@ -84,6 +84,11 @@ class Network:
         self._nodes[node.name] = node
         self._groups[node.name] = 0
 
+    def close(self) -> None:
+        """Forget every node (:meth:`System.close <repro.kernel.system.
+        System.close>`): a node points back at its system."""
+        self._nodes.clear()
+
     def node(self, name: str):
         """Look up a registered node by name."""
         try:

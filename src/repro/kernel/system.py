@@ -5,11 +5,25 @@ trace, the network, and the set of nodes.  Higher layers attach themselves to
 well-known slots:
 
 * ``transport`` — context-to-context messaging (:mod:`repro.rpc.transport`),
+* ``rpc`` — the request/reply protocol (:mod:`repro.rpc.protocol`),
 * ``codebase`` — the proxy-factory registry (:mod:`repro.core.factory`),
-* ``name_service`` — the bootstrap name service proxy (:mod:`repro.naming`).
+* ``name_service`` — the bootstrap name service proxy (:mod:`repro.naming`),
+* ``breakers`` — the circuit-breaker registry
+  (:mod:`repro.resilience.breaker`), ``None`` until one is installed,
+* ``latency`` — the per-link RTT tracker (:mod:`repro.resilience.latency`),
+  ``None`` until one is installed.
 
 Most users never build a ``System`` by hand; :func:`repro.make_system` wires
 a complete stack.
+
+A system is one large reference cycle: nodes, contexts and the layers'
+attachments all point back at it.  :meth:`System.close` ends it — terminal
+and idempotent — by cutting those back-edges, so reference counting frees
+the whole system once its last outside reference goes, with no work left
+for the cyclic collector.  Each context releases what was attached to it
+(its object space closes itself), the transport drops its marshallers, and
+the slots are emptied.  Closing sends nothing, traces nothing and charges
+no virtual time.
 """
 
 from __future__ import annotations
@@ -47,11 +61,36 @@ class System:
         #: round-trip samples into it only once it exists, and adaptive
         #: retry policies consult it for per-link patience.
         self.latency = None
+        self.closed = False
+
+    def close(self) -> None:
+        """End the system: release every context and empty every slot.
+
+        Terminal and idempotent (see the module docstring).  Afterwards no
+        node or context can be looked up or added; the trace and the seeds
+        stay readable.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        for ctx in self._contexts.values():
+            ctx.close()
+        if self.transport is not None:
+            self.transport.close()
+        for node in self.nodes.values():
+            node.contexts.clear()
+        self._contexts.clear()
+        self.nodes.clear()
+        self.network.close()
+        self.transport = self.rpc = self.codebase = self.name_service = None
+        self.breakers = self.latency = None
 
     # -- topology ------------------------------------------------------------
 
     def add_node(self, name: str) -> Node:
         """Create a node and attach it to the network."""
+        if self.closed:
+            raise ConfigurationError("the system is closed")
         if name in self.nodes:
             raise ConfigurationError(f"node {name!r} already exists")
         node = Node(self, name)

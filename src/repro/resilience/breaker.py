@@ -30,6 +30,7 @@ with the heartbeat :class:`~repro.failures.detector.FailureDetector`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 CLOSED = "closed"
@@ -201,6 +202,10 @@ class BreakerRegistry:
         # repro.metrics can be.  Registries are only built at runtime.
         from ..metrics.counters import CounterSet
         self.counters = CounterSet()
+        # Bound to the trace and counters, not to the registry: a breaker
+        # holding the registry would make every registry a cycle.
+        self._on_transition = partial(_record_transition, system.trace,
+                                      self.counters)
 
     # -- lookup ------------------------------------------------------------
 
@@ -217,7 +222,7 @@ class BreakerRegistry:
         if breaker is None:
             params = {**self.defaults, **overrides}
             breaker = CircuitBreaker(caller=caller_id, target=target_id,
-                                     on_transition=self._record_transition,
+                                     on_transition=self._on_transition,
                                      **params)
             self._breakers[key] = breaker
         return breaker
@@ -288,20 +293,20 @@ class BreakerRegistry:
                 reset += 1
         return reset
 
-    # -- internals ---------------------------------------------------------
-
-    def _record_transition(self, breaker: CircuitBreaker, old_state: str,
-                           new_state: str, now: float) -> None:
-        self.system.trace.emit(now, "breaker", breaker.caller, breaker.target,
-                               f"{old_state}->{new_state}")
-        self.counters.incr("breaker.transitions")
-        self.counters.incr(f"breaker.{new_state}")
-
     def __len__(self) -> int:
         return len(self._breakers)
 
     def __repr__(self) -> str:
         return f"BreakerRegistry({len(self._breakers)} breakers)"
+
+
+def _record_transition(trace, counters, breaker: CircuitBreaker,
+                       old_state: str, new_state: str, now: float) -> None:
+    """A registry's transition callback: one trace event, two counts."""
+    trace.emit(now, "breaker", breaker.caller, breaker.target,
+               f"{old_state}->{new_state}")
+    counters.incr("breaker.transitions")
+    counters.incr(f"breaker.{new_state}")
 
 
 def ensure_breakers(system, **defaults) -> BreakerRegistry:

@@ -173,41 +173,47 @@ class ResilientProxy(Proxy):
             # the slow path (and redoes the primary with the full budget).
         last_error: DistributionError | None = None
         admitted = 0
-        for index, candidate in enumerate(candidates):
-            if deadline is not None and deadline.expired(ctx.clock.now):
-                break
-            # configure(), not between(): the pair's breaker usually
-            # predates this proxy (handshake traffic created it with
-            # registry defaults), and the policy's knobs must win.
-            breaker = registry.configure(
-                ctx.context_id, candidate.proxy_ref.context_id, **knobs)
-            if not breaker.allow(ctx.clock.now):
-                # Fast fail: the refusal costs one local check, not a
-                # retry budget — that asymmetry is the breaker's value.
-                ctx.charge(ctx.system.costs.local_call)
-                self.proxy_stats["fast_fails"] += 1
-                continue
-            admitted += 1
-            if index > 0:
-                self.proxy_stats["failovers"] += 1
-            try:
-                result = candidate.proxy_remote(
-                    verb, args, kwargs, retry=self.proxy_retry,
-                    deadline=deadline)
-            except DistributionError as exc:
-                if isinstance(exc, Overloaded):
-                    # The destination shed the call at admission; the shed
-                    # is definitely-not-executed, so failover is safe even
-                    # for writes — but count it so operators can tell
-                    # "server said no" apart from "server went away".
-                    self.proxy_stats["overloads"] += 1
-                last_error = exc
-                continue
-            if readonly:
-                self._remember(verb, args, kwargs, result)
-            return result
-        return self._degrade(verb, args, kwargs, readonly,
-                             last_error, admitted)
+        try:
+            for index, candidate in enumerate(candidates):
+                if deadline is not None and deadline.expired(ctx.clock.now):
+                    break
+                # configure(), not between(): the pair's breaker usually
+                # predates this proxy (handshake traffic created it with
+                # registry defaults), and the policy's knobs must win.
+                breaker = registry.configure(
+                    ctx.context_id, candidate.proxy_ref.context_id, **knobs)
+                if not breaker.allow(ctx.clock.now):
+                    # Fast fail: the refusal costs one local check, not a
+                    # retry budget — that asymmetry is the breaker's value.
+                    ctx.charge(ctx.system.costs.local_call)
+                    self.proxy_stats["fast_fails"] += 1
+                    continue
+                admitted += 1
+                if index > 0:
+                    self.proxy_stats["failovers"] += 1
+                try:
+                    result = candidate.proxy_remote(
+                        verb, args, kwargs, retry=self.proxy_retry,
+                        deadline=deadline)
+                except DistributionError as exc:
+                    if isinstance(exc, Overloaded):
+                        # The destination shed the call at admission; the shed
+                        # is definitely-not-executed, so failover is safe even
+                        # for writes — but count it so operators can tell
+                        # "server said no" apart from "server went away".
+                        self.proxy_stats["overloads"] += 1
+                    last_error = exc
+                    continue
+                if readonly:
+                    self._remember(verb, args, kwargs, result)
+                return result
+            return self._degrade(verb, args, kwargs, readonly,
+                                 last_error, admitted)
+        finally:
+            # A kept exception's traceback holds this frame, and the frame
+            # the exception: drop it on every exit, or the cycle pins the
+            # proxy and its whole system.
+            last_error = None
 
     # -- hedged reads --------------------------------------------------------
 
@@ -331,7 +337,10 @@ class ResilientProxy(Proxy):
             self.proxy_stats["fallbacks"] += 1
             return self.proxy_fallback(verb, args, kwargs)
         if last_error is not None:
-            raise last_error
+            try:
+                raise last_error
+            finally:
+                last_error = None   # see invoke
         if admitted == 0:
             raise CircuitOpen(
                 f"{verb!r} on {self.proxy_ref}: every candidate refused "

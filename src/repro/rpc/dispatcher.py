@@ -316,6 +316,11 @@ class Dispatcher:
                 ctx.line.occupy(start, end - start)
             ctx.clock.now = end if end > resume_at else resume_at
 
+    def close(self) -> None:
+        """Drop the cached marshallers, whose hooks lead back to the object
+        space that closes this dispatcher when the system closes."""
+        self._encoder = self._decoder = None
+
     # -- internals ---------------------------------------------------------------
 
     def serve(self, oid: str, verb: str, args: tuple, kwargs: dict,

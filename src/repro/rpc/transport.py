@@ -51,6 +51,13 @@ class Transport:
         self._node_names: dict[str, str] = {}
         system.transport = self
 
+    def close(self) -> None:
+        """Drop every cached marshaller (:meth:`System.close <repro.kernel.
+        system.System.close>`): each holds a context's swizzle hook, which
+        leads back to its object space and the system."""
+        self._encoders.clear()
+        self._decoders.clear()
+
     # -- marshalling with per-context hooks -----------------------------------
 
     def encoder_for(self, context) -> Marshaller:

@@ -158,7 +158,9 @@ def execute(case: SimCase) -> tuple[History, object]:
 
     The deployment rides along because grading can need more than the
     history: the bank policies carry a post-run atomicity audit
-    (``deployment.grade``) that inspects the healed system.
+    (``deployment.grade``) that inspects the healed system.  The caller
+    owns the live system; :func:`run_case` closes it once its report is
+    built.
     """
     deployment = deploy(case)
     history = drive(deployment, case, case.schedule())
@@ -228,6 +230,7 @@ def _violates(case: SimCase, max_nodes: int,
     history, deployment = execute(case)
     _, verdict, _ = _grade(case, history, deployment, _slowest(history),
                            max_nodes, consistency)
+    deployment.system.close()
     return verdict == "violation"
 
 
@@ -261,6 +264,9 @@ def run_case(case: SimCase, minimize: bool = True,
                "rpc_calls": rpc.get("calls", 0),
                "rpc_retries": rpc.get("retries", 0),
                "rpc_timeouts": rpc.get("timeouts", 0)})
+    # The report holds only data: the system is over, and closing it lets
+    # reference counting free it (the cyclic collector need not find it).
+    system.close()
     if verdict == "violation" and minimize:
         minimized = minimize_case(
             case, lambda c: _violates(c, budget, consistency))

@@ -1,5 +1,6 @@
 """Tests for the replicated proxy: routing, quorums, failover."""
 
+import gc
 import random
 
 import pytest
@@ -126,6 +127,34 @@ class TestFailover:
         with pytest.raises(DistributionError):
             proxy.put("k", 2)
         assert proxy.proxy_stats["write_failures"] == 1
+
+    def test_failed_quorum_write_keeps_its_cause_and_leaves_no_cycle(
+            self, quorum_group):
+        # The fan-out kept each replica's timeout to chain it as the cause;
+        # the kept exception must not pin the frame that kept it.
+        system, server, clients = quorum_group
+        proxy = repro.bind(clients[0], "qkv")
+        proxy.put("k", 1)
+        clients[1].node.crash()
+        clients[2].node.crash()     # only the sequencer acks: 1 < W=2
+
+        def failed_write():
+            try:
+                proxy.put("k", 2)
+            except DistributionError as exc:
+                return exc
+
+        gc.collect()
+        gc.disable()
+        try:
+            error = failed_write()
+            assert "quorum is 2" in str(error)
+            assert isinstance(error.__cause__, DistributionError)
+            del error
+            system.close()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_recovery_after_restart(self, group):
         system, server, clients = group

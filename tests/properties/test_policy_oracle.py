@@ -38,6 +38,20 @@ ops = st.lists(
 )
 
 
+def _regional(contexts, factory):
+    """Built as the simtest ``regional`` deployment builds it: the home
+    region (``east``) holds a write quorum, and the remote client sits
+    ``west`` with the third replica."""
+    for ctx, region in zip(contexts, ("east", "east", "west", "east",
+                                      "west")):
+        ctx.node.region = region
+    return replicate(contexts[:3], factory, write_quorum=2, read_quorum=2,
+                     version_key="arg0", read_policy="regional",
+                     policy="regional",
+                     extra_config={"regions": [ctx.node.region
+                                               for ctx in contexts[:3]]})
+
+
 #: Group deployments: ``name -> deploy(contexts, factory) -> (ref, beside)``
 #: where ``beside`` is the context hosting the group's member 1 (a replica
 #: or shard).
@@ -57,6 +71,7 @@ GROUPS = {
     "resilient": lambda c, f: (resilient_group(c[:3], f), c[1]),
     "composite": lambda c, f: (
         replicate(c[:3], f, write_quorum=2, extra_layers=["caching"]), c[1]),
+    "regional": lambda c, f: (_regional(c, f), c[1]),
 }
 
 

@@ -170,3 +170,23 @@ class TestCli:
         for row in payload["scenarios"]:
             assert set(row) == {"scenario", "cases", "ok", "digest"}
             assert len(row["digest"]) == 64
+
+    def test_replay_takes_many_files_and_fails_on_any_unmet(
+            self, capsys, tmp_path):
+        import json
+        import pathlib
+        corpus = pathlib.Path(__file__).parent / "simtest" / "regressions"
+        kept = corpus / "stub-kv-seed5-full-menu.json"
+        record = json.loads(kept.read_text(encoding="utf-8"))
+        record["expect"] = "violation"     # the case replays "ok"
+        wrong = tmp_path / "wrong-expect.json"
+        wrong.write_text(json.dumps(record), encoding="utf-8")
+        argv = ["simtest", "--no-minimize", "--replay", str(kept), str(wrong)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"replay {kept}: verdict=ok expect=ok",
+                         f"replay {wrong}: verdict=ok expect=violation"]
+        assert main(argv[:-1]) == 0       # the met expectation alone
+        capsys.readouterr()
+        assert main(argv + ["--json"]) == 2
+        assert "one file" in capsys.readouterr().err
