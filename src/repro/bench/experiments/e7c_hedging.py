@@ -5,7 +5,7 @@ under stress.  This companion measures the two *latency-side* policies on
 top of that stack — both client-side distribution policy in the paper's
 sense, shipped inside the proxy by the service:
 
-* **hedging** (:class:`~repro.resilience.retry.HedgePolicy`): a read is
+* **hedging** (the ``resilient`` policy's ``hedge`` switch): a read is
   issued as a single-attempt promise; after a per-link p95-ish delay a
   backup request races it to the nearest breaker-admitted replica, and the
   first answer wins.  Under loss this converts "wait out a retransmission
@@ -99,7 +99,7 @@ def _build(seed: int, hedged: bool):
         retry=ADAPTIVE_RETRY if hedged else RETRY,
         call_budget=CALL_BUDGET,
         breaker=BREAKER,
-        hedge=True if hedged else None)
+        hedge=hedged)
     register(contexts[0], "kv", ref)
     client = contexts[-1]
     proxy = bind(client, "kv")

@@ -35,6 +35,7 @@ class RegionalProxy(ReplicatedProxy):
     """Replicated proxy with region-aware, breaker-admitted read ordering."""
 
     proxy_policy_name = "regional"
+    proxy_read_policies = ReplicatedProxy.proxy_read_policies + ("regional",)
 
     def _read_order_indices(self, count: int) -> list[int]:
         if self.proxy_config.get("read_policy", "regional") != "regional":

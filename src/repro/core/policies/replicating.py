@@ -4,8 +4,8 @@ The service is deployed as N copies in different contexts; the proxy the
 service ships routes each operation.  The module holds **one quorum
 protocol** run under **one of two sequencers**, plus the **unversioned
 write-all** contract; which of them a group speaks is the service's
-private choice, read once from the configuration it ships (``versioned``
-/ ``read_quorum`` / ``elect``) and invisible to the client.  The proxy
+private choice, read once from the configuration it ships
+(``read_quorum`` / ``elect``) and invisible to the client.  The proxy
 holds a **bound proxy per replica** (:meth:`ObjectSpace.proxy_for
 <repro.core.export.ObjectSpace.proxy_for>`) — for a copy hosted by the
 caller's own context too — and every operation reaches a replica through
@@ -13,7 +13,7 @@ its export entry; a co-located copy is the nearest one, nothing more.
 The group's own entry holds no object, so the context that exports it
 binds this same proxy.
 
-**The quorum protocol** (``read_quorum`` set, or ``versioned=True``):
+**The quorum protocol** (``read_quorum`` set):
 Gifford-style weighted voting over per-key operation logs
 (:mod:`repro.wire.versions`).
 
@@ -24,8 +24,8 @@ Gifford-style weighted voting over per-key operation logs
   version.  An application exception surfaces at the sequencer, before
   any fan-out, so a raising write never diverges the group.
 * A **read** collects versioned answers from ``read_quorum`` (R) replicas
-  in ``read_policy`` order (``"nearest"`` by transit time,
-  ``"roundrobin"``, or ``"primary"``), returns the **newest**,
+  in ``read_policy`` order (``"nearest"`` by transit time, or
+  ``"roundrobin"``), returns the **newest**,
   read-repairs the stale answerers, and — before returning — confirms the
   winner on at least W copies (ABD-style promotion), so an overlapped
   configuration (``R + W > N``) is linearizable under crashes, partitions
@@ -60,7 +60,7 @@ Gifford-style weighted voting over per-key operation logs
   exposing it, and :meth:`ReplicatedProxy.proxy_anti_entropy` sweeps the
   leader's missing suffixes out to lagging replicas.
 
-**Unversioned write-all** (neither key set — the 1986-era contract and
+**Unversioned write-all** (no ``read_quorum`` — the 1986-era contract and
 the default): no log, no envelope, the wire image of plain ``stub``
 calls.  Reads go to one replica in ``read_policy`` order, failing over on
 a distribution error; writes go to *all* replicas, synchronously, and
@@ -99,13 +99,18 @@ ELECTION_ROUNDS = 4
 def _protocol(config: dict) -> tuple[bool, bool]:
     """``(versioned, elected)`` — the one place a group's protocol and
     sequencer are chosen, for :func:`replicate` and the proxy alike."""
-    versioned = bool(config.get("versioned")) or "read_quorum" in config
+    versioned = "read_quorum" in config
     elected = bool(config.get("elect"))
     if elected and not versioned:
         raise ConfigurationError(
             "elect=True requires the versioned quorum protocol "
-            "(pass read_quorum or versioned=True)")
+            "(pass read_quorum)")
     return versioned, elected
+
+
+def _unknown_read_policy(read_policy, known: tuple) -> str:
+    return (f"unknown read_policy {read_policy!r} "
+            f"(known: {', '.join(known)})")
 
 
 def _digest_of(reply: dict) -> dict:
@@ -119,6 +124,8 @@ class ReplicatedProxy(Proxy):
     """Route reads to R replicas and writes through the sequencer to all."""
 
     proxy_policy_name = "replicated"
+    #: The ``read_policy`` values this policy ranks replicas by.
+    proxy_read_policies = ("nearest", "roundrobin")
 
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)
@@ -170,8 +177,11 @@ class ReplicatedProxy(Proxy):
             start = self._rr_counter % count
             self._rr_counter += 1
             return indices[start:] + indices[:start]
-        if policy == "primary":
-            return indices
+        if policy != "nearest":
+            # Checked here too, not only at deploy: a bound proxy's
+            # configuration may be edited after bind.
+            raise ConfigurationError(
+                _unknown_read_policy(policy, self.proxy_read_policies))
         network = self.proxy_context.system.network
         my_node = self.proxy_context.node.name
 
@@ -907,7 +917,6 @@ def replicate(contexts: list, factory: Callable[[], object],
               interface=None, read_policy: str = "nearest",
               write_quorum: int | None = None,
               read_quorum: int | None = None,
-              versioned: bool = False,
               version_key: str | None = None,
               extra_layers: list[str] | None = None,
               elect: bool = False,
@@ -924,11 +933,11 @@ def replicate(contexts: list, factory: Callable[[], object],
     binds the returned reference — in the first context too — receives a
     :class:`ReplicatedProxy`.
 
-    ``read_quorum`` (or ``versioned=True``) switches the group to the
-    quorum protocol (module docstring); ``version_key="arg0"``
-    partitions the version log by the operations' first argument.  Quorum
-    bounds are validated here as well as at call time, so a broken
-    deployment fails at deploy.
+    ``read_quorum`` switches the group to the quorum protocol (module
+    docstring); ``version_key="arg0"`` partitions the version log by the
+    operations' first argument.  Quorum bounds and ``read_policy`` (one
+    of the policy's ``proxy_read_policies``) are validated here as well as
+    at call time, so a broken deployment fails at deploy.
 
     ``elect=True`` (quorum protocol only) swaps the static sequencer for
     the elected one: every replica gets an
@@ -952,6 +961,10 @@ def replicate(contexts: list, factory: Callable[[], object],
     if not contexts:
         raise ValueError("replicate() needs at least one context")
     count = len(contexts)
+    known = contexts[0].system.codebase.factories.get(
+        policy, ReplicatedProxy).proxy_read_policies
+    if read_policy not in known:
+        raise ConfigurationError(_unknown_read_policy(read_policy, known))
     for label, quorum in (("write_quorum", write_quorum),
                           ("read_quorum", read_quorum)):
         if quorum is not None and not 1 <= int(quorum) <= count:
@@ -970,8 +983,6 @@ def replicate(contexts: list, factory: Callable[[], object],
         config["write_quorum"] = int(write_quorum)
     if read_quorum is not None:
         config["read_quorum"] = int(read_quorum)
-    if versioned:
-        config["versioned"] = True
     if version_key is not None:
         config["version_key"] = version_key
     if elect:

@@ -21,9 +21,11 @@ from typing import Any
 
 from ..iface.interface import Interface
 from ..kernel.context import Context
-from ..kernel.errors import (ConfigurationError, InterfaceError, ObjectMoved,
-                             RpcTimeout)
+from ..kernel.errors import InterfaceError, ObjectMoved, RpcTimeout
 from ..wire.refs import ObjectRef
+
+#: Migration redirects one call follows before giving up.
+MAX_FORWARDS = 4
 
 
 class Proxy:
@@ -60,7 +62,6 @@ class Proxy:
         self.proxy_opcache = {}
         self.proxy_interface = interface
         self.proxy_config = dict(config or {})
-        _max_forwards(self.proxy_config)
         self.proxy_protocol = context.system.rpc
         self.proxy_stats = {"invocations": 0, "remote_calls": 0, "rebinds": 0}
         self.proxy_last_used = context.clock.now
@@ -97,9 +98,7 @@ class Proxy:
         An upgrade may change operation-relevant configuration, so the
         operation caches are dropped.
         """
-        merged = {**config, **self.proxy_config}
-        _max_forwards(merged)
-        self.proxy_config = merged
+        self.proxy_config = {**config, **self.proxy_config}
         self.proxy_invalidate_ops()
         self.proxy_install()
 
@@ -162,7 +161,7 @@ class Proxy:
         """Perform one operation.  Policies override this.
 
         The base behaviour is transparent forwarding, following at most
-        ``proxy_config["max_forwards"]`` (default 4) migration redirects.
+        :data:`MAX_FORWARDS` migration redirects.
         """
         self.proxy_stats["invocations"] += 1
         return self.proxy_remote(verb, args, kwargs)
@@ -186,7 +185,7 @@ class Proxy:
         if op is None:
             op = self.proxy_operation(verb)
         # The redirect budget only matters once an ObjectMoved actually
-        # arrives, so it is read then, off the no-migration path.
+        # arrives, so it is set then, off the no-migration path.
         forwards_left = None
         while True:
             self.proxy_stats["remote_calls"] += 1
@@ -203,7 +202,7 @@ class Proxy:
                     raise
                 self.proxy_rebind(moved.forward)
             if forwards_left is None:
-                forwards_left = _max_forwards(self.proxy_config)
+                forwards_left = MAX_FORWARDS
             if forwards_left == 0:
                 raise RpcTimeout(
                     f"{verb!r} on {self.proxy_ref}: too many migration "
@@ -248,16 +247,6 @@ class Proxy:
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.proxy_ref} "
                 f"in {self.proxy_context.context_id!r})")
-
-
-def _max_forwards(config: dict) -> int:
-    """The redirect budget ``config`` sets: a non-bool ``int >= 0``
-    (default 4), checked at bind, upgrade and the first redirect."""
-    value = config.get("max_forwards", 4)
-    if value.__class__ is not int or value < 0:
-        raise ConfigurationError(
-            f"'max_forwards' must be an int >= 0, not {value!r}")
-    return value
 
 
 class _BoundProxyOperation:

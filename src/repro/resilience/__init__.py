@@ -6,7 +6,8 @@ packaged so services can ship them inside the proxies they choose:
 
 * :class:`RetryPolicy` — the pluggable retransmission schedule behind
   :meth:`repro.rpc.protocol.RpcProtocol.call` (fixed = the 1984 discipline,
-  exponential-with-jitter = the modern one);
+  exponential-with-jitter = the modern one), honouring a shedding server's
+  retry-after hint;
 * :class:`Deadline` — an absolute virtual-time budget that travels in frame
   headers, stopping nested call chains from retrying past the root caller's
   patience;
@@ -15,10 +16,9 @@ packaged so services can ship them inside the proxies they choose:
 * :class:`LinkEstimator` / :class:`LatencyTracker` — Jacobson RTT EWMAs per
   caller→target link, fed by RPC outcomes, behind adaptive retry patience,
   hedge delays, and derived deadline budgets;
-* :class:`HedgePolicy` — the hedged-request schedule consumed by the
-  ``resilient`` policy's read path;
 * :class:`ResilientProxy` / :func:`resilient_group` — the policy that
-  composes all of the above with read failover and graceful degradation.
+  composes all of the above with read failover, hedged reads and graceful
+  degradation.
 
 Attributes resolve lazily (PEP 562): the RPC layer imports
 ``repro.resilience.deadline`` while ``repro`` itself is still initialising,
@@ -46,7 +46,6 @@ _EXPORTS = {
     "ResilientProxy": "policy",
     "resilient_group": "policy",
     "DEFAULT_RETRY": "retry",
-    "HedgePolicy": "retry",
     "RetryPolicy": "retry",
 }
 

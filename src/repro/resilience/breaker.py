@@ -14,9 +14,9 @@ State machine (per caller-context → target-context pair):
 * **OPEN** — calls are refused locally (:class:`~repro.kernel.errors.
   CircuitOpen` costs a local check, not a retry budget) until
   ``reset_timeout`` virtual seconds have passed.
-* **HALF_OPEN** — after the cooldown, up to ``half_open_probes`` trial
-  calls are let through; a success closes the breaker, a failure reopens
-  it (and restarts the cooldown).
+* **HALF_OPEN** — after the cooldown, one trial call (the probe) is let
+  through; a success closes the breaker, a failure reopens it (and
+  restarts the cooldown).
 
 The :class:`BreakerRegistry` hangs off the :class:`~repro.kernel.system.
 System` (``system.breakers``); once installed, the RPC protocol feeds every
@@ -41,8 +41,6 @@ HALF_OPEN = "half_open"
 DEFAULT_FAILURE_THRESHOLD = 5
 #: Virtual seconds an OPEN breaker waits before probing again.
 DEFAULT_RESET_TIMEOUT = 0.25
-#: Trial calls admitted while HALF_OPEN.
-DEFAULT_HALF_OPEN_PROBES = 1
 
 
 @dataclass
@@ -54,7 +52,6 @@ class CircuitBreaker:
         target: destination context id.
         failure_threshold: consecutive failures that trip the breaker.
         reset_timeout: cooldown before an OPEN breaker admits a probe.
-        half_open_probes: trial calls admitted while HALF_OPEN.
         on_transition: callback ``(breaker, old_state, new_state, now)``.
     """
 
@@ -62,12 +59,11 @@ class CircuitBreaker:
     target: str = ""
     failure_threshold: int = DEFAULT_FAILURE_THRESHOLD
     reset_timeout: float = DEFAULT_RESET_TIMEOUT
-    half_open_probes: int = DEFAULT_HALF_OPEN_PROBES
     on_transition: Callable | None = None
     _state: str = field(default=CLOSED, repr=False)
     _failures: int = field(default=0, repr=False)
     _opened_at: float = field(default=0.0, repr=False)
-    _probes_in_flight: int = field(default=0, repr=False)
+    _probing: bool = field(default=False, repr=False)
     stats: dict = field(default_factory=lambda: {
         "successes": 0, "failures": 0, "fast_fails": 0,
         "trips": 0, "resets": 0})
@@ -97,8 +93,7 @@ class CircuitBreaker:
         if state == CLOSED:
             return True
         if state == HALF_OPEN:
-            probes = 0 if self._state == OPEN else self._probes_in_flight
-            return probes < self.half_open_probes
+            return self._state == OPEN or not self._probing
         return False
 
     # -- the gate ----------------------------------------------------------
@@ -107,8 +102,8 @@ class CircuitBreaker:
         """Whether a call may proceed at ``now``.
 
         An OPEN breaker whose cooldown has elapsed transitions to HALF_OPEN
-        here and admits up to ``half_open_probes`` trials; refused calls are
-        counted as ``fast_fails``.
+        here and admits one probe; refused calls are counted as
+        ``fast_fails``.
         """
         state = self.state(now)
         if state == CLOSED:
@@ -116,9 +111,9 @@ class CircuitBreaker:
         if state == HALF_OPEN:
             if self._state == OPEN:  # cooldown just elapsed: transition now
                 self._transition(HALF_OPEN, now)
-                self._probes_in_flight = 0
-            if self._probes_in_flight < self.half_open_probes:
-                self._probes_in_flight += 1
+                self._probing = False
+            if not self._probing:
+                self._probing = True
                 return True
         self.stats["fast_fails"] += 1
         return False
@@ -131,14 +126,14 @@ class CircuitBreaker:
         self._failures = 0
         if self._state == HALF_OPEN:
             self.stats["resets"] += 1
-            self._probes_in_flight = 0
+            self._probing = False
             self._transition(CLOSED, now)
 
     def record_failure(self, now: float) -> None:
         """One call to the target failed (timeout / deadline / transport)."""
         self.stats["failures"] += 1
         if self._state == HALF_OPEN:
-            self._probes_in_flight = 0
+            self._probing = False
             self._trip(now)
         elif self._state == CLOSED:
             self._failures += 1
@@ -157,7 +152,7 @@ class CircuitBreaker:
     def reset(self, now: float) -> None:
         """Force-close (e.g. the detector saw the target recover)."""
         self._failures = 0
-        self._probes_in_flight = 0
+        self._probing = False
         if self._state != CLOSED:
             self.stats["resets"] += 1
             self._transition(CLOSED, now)
@@ -190,12 +185,10 @@ class BreakerRegistry:
     """
 
     def __init__(self, system, failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
-                 reset_timeout: float = DEFAULT_RESET_TIMEOUT,
-                 half_open_probes: int = DEFAULT_HALF_OPEN_PROBES):
+                 reset_timeout: float = DEFAULT_RESET_TIMEOUT):
         self.system = system
         self.defaults = {"failure_threshold": failure_threshold,
-                         "reset_timeout": reset_timeout,
-                         "half_open_probes": half_open_probes}
+                         "reset_timeout": reset_timeout}
         self._breakers: dict[tuple[str, str], CircuitBreaker] = {}
         # Imported here, not at module top: this module loads while the
         # repro package is still initialising (via rpc.dispatcher), before
@@ -213,9 +206,8 @@ class BreakerRegistry:
                 **overrides) -> CircuitBreaker:
         """The breaker for one caller→target pair (created on first use).
 
-        ``overrides`` (``failure_threshold``/``reset_timeout``/
-        ``half_open_probes``) apply only at creation; an existing breaker
-        keeps its configuration.
+        ``overrides`` (``failure_threshold``/``reset_timeout``) apply only
+        at creation; an existing breaker keeps its configuration.
         """
         key = (caller_id, target_id)
         breaker = self._breakers.get(key)
@@ -235,11 +227,13 @@ class BreakerRegistry:
         A policy's shipped knobs must beat the registry defaults, and the
         breaker for a pair often exists before the policy first consults it
         (any earlier RPC outcome on the pair — handshakes, name-service
-        lookups — creates it with defaults).
+        lookups — creates it with defaults).  Only the knobs the registry
+        has defaults for may be set: a breaker's state and identity are not
+        configuration.
         """
-        breaker = self.between(caller_id, target_id, **params)
+        breaker = self.between(caller_id, target_id)
         for name, value in params.items():
-            if not hasattr(breaker, name):
+            if name not in self.defaults:
                 raise TypeError(f"CircuitBreaker has no knob {name!r}")
             setattr(breaker, name, value)
         return breaker

@@ -75,21 +75,10 @@ class Deadline:
 
     @staticmethod
     def from_headers(headers: dict | None) -> "Deadline | None":
-        """Recover a deadline from frame headers (``None`` when absent);
-        a value that is not a time — not an ``int`` or ``float`` (a bool is
-        neither), NaN, an ``int`` no float holds — raises
-        :class:`ProtocolError`.  ±inf is a time: never, or always late."""
-        if not headers:
-            return None
-        expires_at = headers.get(DEADLINE_HEADER)
-        if expires_at is None:
-            return None
-        try:
-            if type(expires_at) in (int, float) and expires_at == expires_at:
-                return Deadline(float(expires_at))
-        except OverflowError:
-            pass
-        raise ProtocolError(f"malformed deadline header {expires_at!r}")
+        """Recover a deadline from frame headers (``None`` when absent,
+        :class:`ProtocolError` when malformed: :func:`header_time`)."""
+        expires_at = header_time(headers, DEADLINE_HEADER)
+        return None if expires_at is None else Deadline(expires_at)
 
     def to_headers(self, headers: dict) -> dict:
         """Stamp this deadline into a frame-header dict; returns it."""
@@ -98,3 +87,21 @@ class Deadline:
 
     def __repr__(self) -> str:
         return f"Deadline(expires_at={self.expires_at:.6f})"
+
+
+def header_time(headers: dict | None, key: str) -> float | None:
+    """The virtual time a frame header carries under ``key`` (``None``
+    when absent).  A value that is not a time — not an ``int`` or
+    ``float`` (a bool is neither), NaN, an ``int`` no float holds — raises
+    :class:`ProtocolError`.  ±inf is a time: never, or always late."""
+    if not headers:
+        return None
+    value = headers.get(key)
+    if value is None:
+        return None
+    try:
+        if type(value) in (int, float) and value == value:
+            return float(value)
+    except OverflowError:
+        pass
+    raise ProtocolError(f"malformed {key!r} header {value!r}")

@@ -6,7 +6,9 @@ LAN link waits 20 ms to detect a loss it could have detected in 3, while a
 WAN link gets retransmitted into while the first request is still in
 flight.  The classic fix is Jacobson's TCP estimator (SIGCOMM '88): track a
 smoothed RTT and its mean deviation per link, and derive the
-retransmission timeout as ``srtt + k·rttvar``.
+retransmission timeout as ``srtt + K·rttvar``.  The gains and ``K`` are
+RFC 6298's values; they, the warm-up and the timeout floor are module
+constants every link shares.
 
 Per the proxy principle this is client-side distribution policy, so it
 lives in the resilience layer, keyed exactly like the breaker registry —
@@ -29,16 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Jacobson's gains: srtt moves by 1/8 of the error, rttvar by 1/4.
-DEFAULT_ALPHA = 0.125
-DEFAULT_BETA = 0.25
-#: Deviation multiplier in the timeout: rto = srtt + k * rttvar.
-DEFAULT_K = 4.0
+#: Jacobson's gains (RFC 6298): srtt moves by 1/8 of the error, rttvar
+#: by 1/4.
+ALPHA = 0.125
+BETA = 0.25
+#: Deviation multiplier in the timeout: rto = srtt + K * rttvar.
+K = 4.0
 #: Samples a link needs before its estimate is trusted over the fallback.
-DEFAULT_WARMUP = 4
+WARMUP = 4
 #: Floor under any derived timeout (a clock-tick analogue; keeps a
 #: same-node link from deriving a timeout below its own jitter).
-DEFAULT_MIN_TIMEOUT = 5e-4
+MIN_TIMEOUT = 5e-4
 
 
 @dataclass
@@ -48,11 +51,6 @@ class LinkEstimator:
     Attributes:
         caller: calling context id (bookkeeping only).
         target: destination context id.
-        alpha: smoothing gain of the mean (``srtt``).
-        beta: smoothing gain of the deviation (``rttvar``).
-        k: deviation multiplier in :meth:`rto`.
-        warmup: samples required before :meth:`mature` turns true.
-        min_timeout: floor under :meth:`rto` and :meth:`hedge_delay`.
         srtt: smoothed round-trip time (seconds; 0 before any sample).
         rttvar: smoothed mean deviation of the RTT.
         samples: number of RTTs observed.
@@ -60,11 +58,6 @@ class LinkEstimator:
 
     caller: str = ""
     target: str = ""
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    k: float = DEFAULT_K
-    warmup: int = DEFAULT_WARMUP
-    min_timeout: float = DEFAULT_MIN_TIMEOUT
     srtt: float = field(default=0.0)
     rttvar: float = field(default=0.0)
     samples: int = field(default=0)
@@ -82,19 +75,21 @@ class LinkEstimator:
             self.srtt = rtt
             self.rttvar = rtt / 2.0
         else:
-            self.rttvar = ((1.0 - self.beta) * self.rttvar
-                           + self.beta * abs(self.srtt - rtt))
-            self.srtt = (1.0 - self.alpha) * self.srtt + self.alpha * rtt
+            self.rttvar = ((1.0 - BETA) * self.rttvar
+                           + BETA * abs(self.srtt - rtt))
+            self.srtt = (1.0 - ALPHA) * self.srtt + ALPHA * rtt
         self.samples += 1
 
     @property
     def mature(self) -> bool:
-        """Whether the link has seen enough samples to trust the estimate."""
-        return self.samples >= self.warmup
+        """Whether the link has seen :data:`WARMUP` samples, enough to
+        trust the estimate."""
+        return self.samples >= WARMUP
 
     def rto(self) -> float:
-        """Retransmission timeout for this link: ``srtt + k·rttvar``."""
-        return max(self.min_timeout, self.srtt + self.k * self.rttvar)
+        """Retransmission timeout for this link: ``srtt + K·rttvar``, no
+        lower than :data:`MIN_TIMEOUT`."""
+        return max(MIN_TIMEOUT, self.srtt + K * self.rttvar)
 
     def hedge_delay(self) -> float:
         """A p95-ish wait before launching a backup request.
@@ -108,7 +103,7 @@ class LinkEstimator:
         (half the smoothed RTT) keeps the trigger above ordinary jitter.
         """
         margin = max(2.0 * self.rttvar, 0.5 * self.srtt)
-        return max(self.min_timeout, self.srtt + margin)
+        return max(MIN_TIMEOUT, self.srtt + margin)
 
     def __repr__(self) -> str:
         return (f"LinkEstimator({self.caller!r}->{self.target!r}, "
@@ -127,13 +122,8 @@ class LatencyTracker:
     is mature, so systems that never warm a link keep the global behaviour.
     """
 
-    def __init__(self, system, alpha: float = DEFAULT_ALPHA,
-                 beta: float = DEFAULT_BETA, k: float = DEFAULT_K,
-                 warmup: int = DEFAULT_WARMUP,
-                 min_timeout: float = DEFAULT_MIN_TIMEOUT):
+    def __init__(self, system):
         self.system = system
-        self.defaults = {"alpha": alpha, "beta": beta, "k": k,
-                         "warmup": warmup, "min_timeout": min_timeout}
         self._links: dict[tuple[str, str], LinkEstimator] = {}
         self.samples_total = 0
 
@@ -144,8 +134,7 @@ class LatencyTracker:
         key = (caller_id, target_id)
         estimator = self._links.get(key)
         if estimator is None:
-            estimator = LinkEstimator(caller=caller_id, target=target_id,
-                                      **self.defaults)
+            estimator = LinkEstimator(caller=caller_id, target=target_id)
             self._links[key] = estimator
         return estimator
 
@@ -211,15 +200,10 @@ class LatencyTracker:
                 f"{self.samples_total} samples)")
 
 
-def ensure_latency(system, **defaults) -> LatencyTracker:
-    """Get or install the system's latency tracker.
-
-    ``defaults`` apply only when the tracker is created here; an existing
-    tracker keeps its configuration (same contract as
-    :func:`~repro.resilience.breaker.ensure_breakers`).
-    """
+def ensure_latency(system) -> LatencyTracker:
+    """Get or install the system's latency tracker."""
     tracker = system.latency
     if tracker is None:
-        tracker = LatencyTracker(system, **defaults)
+        tracker = LatencyTracker(system)
         system.latency = tracker
     return tracker

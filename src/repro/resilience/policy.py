@@ -27,24 +27,24 @@ never wrote.  Per operation the proxy
    any operation can fall back to a user-installed ``proxy_fallback`` hook
    before the error finally propagates.
 
-Configuration (all marshallable, shipped by the exporter):
+Configuration (all marshallable, shipped by the exporter, and checked at
+bind: a key or value the policy does not admit is a
+:class:`~repro.kernel.errors.ConfigurationError`):
 
-* ``retry`` — dict for :meth:`RetryPolicy.from_config` (default:
-  exponential, 4 attempts, multiplier 2.0, jitter 0.1); add
+* ``retry`` — dict of :meth:`RetryPolicy.exponential`'s arguments
+  (default: 4 attempts, multiplier 2.0, jitter 0.1); add
   ``"adaptive": true`` to pace retransmissions by the link's observed RTT
   instead of the global ``costs.rpc_timeout``;
 * ``call_budget`` — per-call deadline budget in virtual seconds (optional;
   when omitted and a latency tracker is installed, a default budget is
-  derived from the link's RTO once it is warm — disable with
-  ``"adaptive_budget": false``);
-* ``hedge`` — ``true`` or a dict for :meth:`HedgePolicy.from_config`
-  (default off): hedge read-only operations after the per-link delay (or
-  an explicit ``{"delay": seconds}``);
+  derived from the link's RTO once it is warm);
+* ``hedge`` — ``true`` hedges read-only operations after the per-link
+  delay (default off);
 * ``replicas`` — list of :class:`~repro.wire.refs.ObjectRef` read-failover
   candidates (optional), each bound with :meth:`ObjectSpace.proxy_for
   <repro.core.export.ObjectSpace.proxy_for>`;
 * ``breaker`` — dict of :class:`~repro.resilience.breaker.BreakerRegistry`
-  defaults (``failure_threshold``/``reset_timeout``/``half_open_probes``);
+  knobs (``failure_threshold``/``reset_timeout``);
 * ``stale_reads`` — serve cached reads when all candidates fail
   (default true).
 
@@ -61,6 +61,7 @@ from ..core.factory import register_policy
 from ..core.proxy import Proxy
 from ..kernel.errors import (
     CircuitOpen,
+    ConfigurationError,
     DistributionError,
     ObjectMoved,
     Overloaded,
@@ -69,7 +70,52 @@ from ..wire.refs import ObjectRef
 from .breaker import ensure_breakers
 from .deadline import Deadline
 from .latency import ensure_latency
-from .retry import HedgePolicy, RetryPolicy
+from .retry import RetryPolicy
+
+
+def _flag(value) -> bool:
+    return value.__class__ is bool
+
+
+def _count(value) -> bool:
+    return value.__class__ is int and value >= 1
+
+
+def _number(value) -> bool:
+    return value.__class__ in (int, float)
+
+
+#: What a shipped configuration may set, each key with the values it
+#: admits: the ``retry`` and ``breaker`` dicts' keys, then the scalars.
+_RETRY_KEYS = {"attempts": _count,
+               "multiplier": lambda value: _number(value) and value >= 1.0,
+               "jitter": lambda value: _number(value) and 0 <= value < 1.0,
+               "adaptive": _flag}
+_BREAKER_KEYS = {"failure_threshold": _count,
+                 "reset_timeout": lambda value: _number(value) and value >= 0}
+_SCALAR_KEYS = {"call_budget": lambda value: _number(value) and value > 0,
+                "hedge": _flag,
+                "stale_reads": _flag}
+
+
+def _check_config(config: dict) -> None:
+    """Refuse a shipped value this policy does not admit, with
+    :class:`ConfigurationError`: a ``retry`` or ``breaker`` key it does not
+    know, or any value its key's check refuses."""
+    for key, check in _SCALAR_KEYS.items():
+        if key in config and not check(config[key]):
+            raise ConfigurationError(
+                f"resilient {key!r} admits no {config[key]!r}")
+    for name, admits in (("retry", _RETRY_KEYS), ("breaker", _BREAKER_KEYS)):
+        shipped = config.get(name, {})
+        if shipped.__class__ is not dict:
+            raise ConfigurationError(
+                f"resilient {name!r} must be a dict, not {shipped!r}")
+        for key, value in shipped.items():
+            check = admits.get(key)
+            if check is None or not check(value):
+                raise ConfigurationError(
+                    f"resilient {name!r} admits no {key!r} = {value!r}")
 
 
 @register_policy
@@ -82,7 +128,7 @@ class ResilientProxy(Proxy):
         super().__init__(context, ref, interface, config)
         self._replicas: list | None = None
         self._retry: RetryPolicy | None = None
-        self._hedge: HedgePolicy | None = None
+        self._hedge = False
         self._stale: dict = {}
         #: Last-resort hook: ``fallback(verb, args, kwargs) -> value``,
         #: consulted after every candidate and the stale cache failed.
@@ -94,11 +140,12 @@ class ResilientProxy(Proxy):
     # -- lifecycle ----------------------------------------------------------
 
     def proxy_install(self) -> None:
-        self._retry = RetryPolicy.from_config(self.proxy_config.get("retry"))
-        self._hedge = HedgePolicy.from_config(self.proxy_config.get("hedge"))
-        ensure_breakers(self.proxy_context.system,
-                        **self.proxy_config.get("breaker", {}))
-        if self._retry.adaptive or self._hedge is not None:
+        config = self.proxy_config
+        _check_config(config)
+        self._retry = RetryPolicy.from_config(config.get("retry"))
+        self._hedge = config.get("hedge", False)
+        ensure_breakers(self.proxy_context.system, **config.get("breaker", {}))
+        if self._retry.adaptive or self._hedge:
             # Both knobs need per-link RTT state; installing the tracker
             # here means every call this system makes from now on feeds it.
             ensure_latency(self.proxy_context.system)
@@ -128,8 +175,7 @@ class ResilientProxy(Proxy):
         # a tracker is installed and the link is warm — the worst-case wall
         # time of the whole retry schedule paced by the Jacobson RTO.
         tracker = ctx.system.latency
-        if tracker is None or not self.proxy_config.get("adaptive_budget",
-                                                        True):
+        if tracker is None:
             return None
         budget = tracker.budget(ctx.context_id, self.proxy_ref.context_id,
                                 self.proxy_retry)
@@ -163,7 +209,7 @@ class ResilientProxy(Proxy):
         registry = self._breakers()
         ctx = self.proxy_context
         knobs = self.proxy_config.get("breaker", {})
-        if readonly and self._hedge is not None:
+        if readonly and self._hedge:
             hedged = self._try_hedged(verb, args, kwargs, deadline,
                                       candidates[1:], registry, knobs)
             if hedged is not None:
@@ -313,10 +359,9 @@ class ResilientProxy(Proxy):
         return best
 
     def _hedge_delay(self) -> float:
-        """The backup-launch delay: explicit, else per-link p95-ish."""
+        """The backup-launch delay: per-link p95-ish, or half the global
+        ``rpc_timeout`` while the link is cold."""
         ctx = self.proxy_context
-        if self._hedge.delay is not None:
-            return self._hedge.delay
         fallback = ctx.system.costs.rpc_timeout / 2.0
         tracker = ctx.system.latency
         if tracker is None:
@@ -368,7 +413,7 @@ def resilient_group(contexts: list, factory: Callable[[], object],
                     call_budget: float | None = None,
                     breaker: dict | None = None,
                     stale_reads: bool = True,
-                    hedge: bool | dict | None = None) -> ObjectRef:
+                    hedge: bool = False) -> ObjectRef:
     """Deploy a primary plus read replicas under the ``resilient`` policy.
 
     One instance from ``factory`` runs in each of ``contexts``; the first is
@@ -397,7 +442,7 @@ def resilient_group(contexts: list, factory: Callable[[], object],
         config["call_budget"] = call_budget
     if breaker is not None:
         config["breaker"] = breaker
-    if hedge is not None:
+    if hedge is not False:
         config["hedge"] = hedge
     return get_space(contexts[0]).export(primary, interface=interface,
                                          policy="resilient", config=config)

@@ -8,13 +8,19 @@ retransmission-timer interval.
 
 Two standard shapes:
 
-* :meth:`RetryPolicy.fixed` — every attempt waits the same base patience;
-  this is the classic 1984 discipline and the protocol-wide default (it
-  keeps a lightly loaded system maximally responsive).
+* ``RetryPolicy()`` — every attempt waits the same base patience; this is
+  the classic 1984 discipline and the protocol-wide default
+  (:data:`DEFAULT_RETRY`; it keeps a lightly loaded system maximally
+  responsive).
 * :meth:`RetryPolicy.exponential` — intervals grow by ``multiplier`` per
   attempt with proportional jitter, the modern discipline that stops a
   lossy or overloaded destination from being hammered in lockstep by every
   client at once.
+
+Either way, a call a server sheds at admission with a retry-after hint
+(:mod:`repro.kernel.admission`) waits until exactly the hinted virtual time
+before retransmitting instead of running the schedule: the server knows
+when it will have capacity.
 
 Jitter is drawn from a **seeded** stream (:mod:`repro.kernel.randomness`),
 so a retry schedule is exactly reproducible: same seed, same backoff, same
@@ -38,28 +44,17 @@ class RetryPolicy:
         jitter: proportional jitter amplitude in [0, 1): each interval is
             scaled by a factor drawn uniformly from ``[1 - jitter,
             1 + jitter]``.  0 disables the draw entirely.
-        max_interval: cap on any single interval (seconds; ``None`` = no cap).
         adaptive: derive the base patience from the link's observed RTT
             (Jacobson RTO via ``system.latency``) instead of the global
             ``costs.rpc_timeout``; a no-op until a
             :class:`~repro.resilience.latency.LatencyTracker` is installed
             and the link is warm.
-        honor_retry_after: when a server sheds a call at admission with a
-            retry-after hint (:mod:`repro.kernel.admission`), wait until
-            exactly the hinted virtual time before retransmitting instead
-            of running the backoff schedule — the server knows when it
-            will have capacity; backing off further just wastes budget,
-            and retrying sooner just gets shed again.  Disabled, the
-            rejection surfaces immediately as
-            :class:`~repro.kernel.errors.Overloaded`.
     """
 
     attempts: int | None = None
     multiplier: float = 1.0
     jitter: float = 0.0
-    max_interval: float | None = None
     adaptive: bool = False
-    honor_retry_after: bool = True
 
     def __post_init__(self):
         if self.attempts is not None and self.attempts < 1:
@@ -85,8 +80,6 @@ class RetryPolicy:
         (cost-model timeout plus size-scaled transit); the policy shapes it.
         """
         wait = patience * (self.multiplier ** attempt)
-        if self.max_interval is not None:
-            wait = min(wait, self.max_interval)
         if self.jitter > 0.0 and rng is not None:
             wait *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return wait
@@ -99,18 +92,12 @@ class RetryPolicy:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def fixed(cls, attempts: int | None = None) -> "RetryPolicy":
-        """The legacy schedule: identical patience-paced attempts."""
-        return cls(attempts=attempts)
-
-    @classmethod
     def exponential(cls, attempts: int = 4, multiplier: float = 2.0,
                     jitter: float = 0.1,
-                    max_interval: float | None = None,
                     adaptive: bool = False) -> "RetryPolicy":
         """Exponential backoff with proportional jitter."""
         return cls(attempts=attempts, multiplier=multiplier, jitter=jitter,
-                   max_interval=max_interval, adaptive=adaptive)
+                   adaptive=adaptive)
 
     @classmethod
     def from_config(cls, config: dict | None,
@@ -119,58 +106,13 @@ class RetryPolicy:
 
         ``None`` yields ``default`` (or the exponential policy when no
         default is given) so resilience-aware proxies back off out of the
-        box; an explicit dict overrides field by field.
+        box; an explicit dict overrides :meth:`exponential`'s arguments.
         """
         if config is None:
             return default if default is not None else cls.exponential()
-        return cls(attempts=config.get("attempts", 4),
-                   multiplier=config.get("multiplier", 2.0),
-                   jitter=config.get("jitter", 0.1),
-                   max_interval=config.get("max_interval"),
-                   adaptive=config.get("adaptive", False),
-                   honor_retry_after=config.get("retry_after", True))
+        return cls.exponential(**config)
 
 
 #: The protocol-wide default: the classic fixed-interval discipline.
-DEFAULT_RETRY = RetryPolicy.fixed()
+DEFAULT_RETRY = RetryPolicy()
 
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """A hedged-request schedule: when to launch the backup.
-
-    A hedged read issues the primary request, waits ``delay`` (or the
-    per-link p95-ish delay from ``system.latency`` when ``delay`` is
-    ``None``), and — if no answer has arrived — launches one backup request
-    to the nearest breaker-admitted replica, taking whichever answer lands
-    first.  Only read-only operations hedge: the backup goes to a
-    *different* object (a replica), so the replay cache's at-most-once
-    guarantee covers retransmissions of each leg but not cross-replica
-    writes.
-
-    Attributes:
-        delay: explicit backup delay in virtual seconds; ``None`` derives
-            a p95-ish delay from the link's observed RTT (falling back to
-            half the global ``rpc_timeout`` while the link is cold).
-    """
-
-    delay: float | None = None
-
-    def __post_init__(self):
-        if self.delay is not None and self.delay < 0.0:
-            raise ValueError(f"hedge delay must be >= 0, got {self.delay!r}")
-
-    @classmethod
-    def from_config(cls, config) -> "HedgePolicy | None":
-        """Build a hedge policy from a marshallable config value.
-
-        ``None``/``False`` disables hedging; ``True`` enables it with the
-        adaptive per-link delay; a dict overrides field by field.
-        """
-        if config is None or config is False:
-            return None
-        if config is True:
-            return cls()
-        if isinstance(config, HedgePolicy):
-            return config
-        return cls(delay=config.get("delay"))

@@ -34,7 +34,7 @@ from ..kernel.errors import (
     RpcTimeout,
     StaleShardRing,
 )
-from ..resilience.deadline import Deadline
+from ..resilience.deadline import Deadline, header_time
 from ..resilience.retry import DEFAULT_RETRY, RetryPolicy
 from ..wire.frames import (EXCEPTION, FRAMED, K_OVERLOAD, ONEWAY, REPLY,
                            REQUEST, Frame, reply_value)
@@ -221,9 +221,9 @@ class RpcProtocol:
                 value = reply_value(reply_data)
                 if value is FRAMED:
                     reply = self.transport.decode_frame(reply_data, src)
-                    hint = reply.headers.get(K_OVERLOAD) if reply.headers \
-                        else None
-                    if hint is not None and policy.honor_retry_after:
+                    hint = header_time(reply.headers, K_OVERLOAD) \
+                        if reply.headers else None
+                    if hint is not None:
                         # Shed at admission, with when capacity returns;
                         # never cached, so a retransmission is re-admitted.
                         # The server answered: the breaker sees a success.
@@ -345,9 +345,8 @@ class RpcProtocol:
             if name == "StaleShardRing":
                 raise StaleShardRing(message, ring_map=detail)
             if name == "Overloaded":
-                hint = reply.headers.get(K_OVERLOAD) if reply.headers \
-                    else None
-                raise Overloaded(message, retry_after=hint)
+                raise Overloaded(message, retry_after=header_time(
+                    reply.headers, K_OVERLOAD))
             raise remote_exception(name, message)
         raise kernel_errors.ProtocolError(f"unexpected reply kind {reply.kind!r}")
 

@@ -261,6 +261,42 @@ class TestQuorumValidation:
             proxy.put("k", "ghost")
 
 
+class TestReadPolicyValidation:
+    """A read order is one the group's policy knows.
+
+    Regression: a misspelt ``read_policy`` (``"nearst"``), or ``regional``
+    on a plain ``replicated`` group, was silently read as ``nearest``.
+    """
+
+    @pytest.mark.parametrize("read_policy", ["nearst", "regional", "primary"])
+    def test_deploy_rejects_an_unknown_read_policy(self, star, read_policy):
+        system, server, clients = star
+        with pytest.raises(ConfigurationError, match="read_policy"):
+            replicate([server, clients[1], clients[2]], KVStore,
+                      read_policy=read_policy)
+
+    def test_regional_groups_also_know_the_regional_order(self, star):
+        system, server, clients = star
+        contexts = [server, clients[1], clients[2]]
+        replicate(contexts, KVStore, read_policy="regional", policy="regional")
+        with pytest.raises(ConfigurationError, match="read_policy"):
+            replicate(contexts, KVStore, read_policy="nearst",
+                      policy="regional")
+
+    @pytest.mark.parametrize("read_policy", ["nearst", "regional"])
+    @pytest.mark.parametrize("deployment", ["group", "quorum_group"])
+    def test_first_read_rejects_an_edited_read_policy(self, request,
+                                                      deployment,
+                                                      read_policy):
+        # E9 and these tests edit the order after bind, past deploy's check.
+        system, server, clients = request.getfixturevalue(deployment)
+        name = "kv" if deployment == "group" else "qkv"
+        proxy = repro.bind(clients[0], name)
+        proxy.proxy_config["read_policy"] = read_policy
+        with pytest.raises(ConfigurationError, match="read_policy"):
+            proxy.get("k")
+
+
 class TestPartialWriteFanout:
     """Regression: an application exception from an early replica used to
     abort the write-all loop, leaving later replicas without the write
@@ -471,7 +507,6 @@ class TestOneProtocolTwoSequencers:
         # while a partition forces a write-repair and a read-repair.
         system, server, clients = quorum_group
         proxy = repro.bind(clients[0], "qkv")
-        proxy.proxy_config["read_policy"] = "primary"
         seen = []
         call = system.rpc.call
 

@@ -69,6 +69,9 @@ GROUPS = {
     "sharded-replicated": lambda c, f: (
         shard([c[:2], c[2:4]], f, replicate_with={"write_quorum": 2}), c[2]),
     "resilient": lambda c, f: (resilient_group(c[:3], f), c[1]),
+    "hedged": lambda c, f: (
+        resilient_group(c[:3], f, retry={"adaptive": True}, hedge=True),
+        c[1]),
     "composite": lambda c, f: (
         replicate(c[:3], f, write_quorum=2, extra_layers=["caching"]), c[1]),
     "regional": lambda c, f: (_regional(c, f), c[1]),
@@ -121,7 +124,7 @@ def run_script(proxy, script) -> list:
 
 @pytest.mark.parametrize("policy",
                          ["stub", "caching", "batching", "migrating",
-                          "replicated"])
+                          "replicated", "leased", "tracing"])
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(script=ops)

@@ -1,5 +1,7 @@
 """Tests for circuit breakers and their registry (repro.resilience.breaker)."""
 
+import pytest
+
 from repro.resilience.breaker import (
     CLOSED,
     HALF_OPEN,
@@ -11,8 +13,7 @@ from repro.resilience.breaker import (
 
 
 def make_breaker(**kwargs):
-    params = {"failure_threshold": 3, "reset_timeout": 1.0,
-              "half_open_probes": 1}
+    params = {"failure_threshold": 3, "reset_timeout": 1.0}
     params.update(kwargs)
     return CircuitBreaker(caller="a/main", target="b/main", **params)
 
@@ -111,6 +112,19 @@ class TestRegistry:
                                      failure_threshold=2, reset_timeout=0.5)
         assert breaker.failure_threshold == 2
         assert breaker.reset_timeout == 0.5
+
+    @pytest.mark.parametrize("name, value", [
+        ("_state", OPEN), ("caller", 7), ("half_open_probes", 2)])
+    def test_configure_sets_only_knobs(self, system, name, value):
+        # Regression: configure() set any attribute a shipped config named,
+        # so {"_state": "open"} pinned a client's breaker open.
+        registry = BreakerRegistry(system)
+        breaker = registry.between("a/main", "b/main")
+        with pytest.raises(TypeError, match=name):
+            registry.configure("a/main", "b/main", **{name: value})
+        assert breaker.state(0.0) == CLOSED
+        assert breaker.caller == "a/main"
+        assert not hasattr(breaker, "half_open_probes")
 
     def test_outcome_feed_counts_and_trips(self, system):
         registry = BreakerRegistry(system, failure_threshold=2)

@@ -1,13 +1,13 @@
-"""Tests for hedged reads (repro.resilience.policy + retry.HedgePolicy)."""
+"""Tests for hedged reads (repro.resilience.policy, ``hedge=True``)."""
 
 import pytest
 
 from repro.apps.kv import KVStore
+from repro.core.export import get_space
 from repro.kernel.network import LinkSpec
 from repro.naming.bootstrap import bind, register
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.policy import resilient_group
-from repro.resilience.retry import HedgePolicy
 
 BREAKER = {"failure_threshold": 2, "reset_timeout": 5.0}
 RETRY = {"attempts": 3, "multiplier": 2.0, "jitter": 0.0, "adaptive": True}
@@ -43,24 +43,23 @@ def slow_primary_link(system, client, primary):
 
 
 class TestHedgePolicy:
-    def test_none_and_false_disable(self):
-        assert HedgePolicy.from_config(None) is None
-        assert HedgePolicy.from_config(False) is None
+    """The shipped ``hedge`` switch: off unless ``true``, and then the
+    backup waits the link's own p95-ish delay."""
 
-    def test_true_enables_the_adaptive_delay(self):
-        policy = HedgePolicy.from_config(True)
-        assert policy is not None and policy.delay is None
+    def test_none_and_false_disable(self, star):
+        system, server, clients = star
+        for config in ({}, {"hedge": False}):
+            ref = get_space(server).export(seeded_store(), policy="resilient",
+                                           config=config)
+            assert get_space(clients[2]).bind_ref(ref)._hedge is False
 
-    def test_dict_sets_an_explicit_delay(self):
-        assert HedgePolicy.from_config({"delay": 0.004}).delay == 0.004
-
-    def test_instances_pass_through(self):
-        policy = HedgePolicy(delay=0.001)
-        assert HedgePolicy.from_config(policy) is policy
-
-    def test_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            HedgePolicy(delay=-0.001)
+    def test_true_enables_the_adaptive_delay(self, hedged):
+        system, group, client, proxy = hedged
+        assert proxy._hedge is True
+        link = system.latency.peek(client.context_id,
+                                   proxy.proxy_ref.context_id)
+        assert link.mature
+        assert proxy._hedge_delay() == link.hedge_delay()
 
 
 class TestHedgedReads:
@@ -146,16 +145,6 @@ class TestHedgedReads:
             "the backup leg went to the replica next to the caller, " \
             "through its export entry"
 
-    def test_explicit_delay_overrides_the_adaptive_one(self, star):
-        system, server, clients = star
-        group = [server, clients[0]]
-        ref = resilient_group(group, seeded_store, retry=RETRY,
-                              breaker=BREAKER, hedge={"delay": 0.007})
-        register(server, "kv", ref)
-        proxy = bind(clients[2], "kv")
-        proxy.get("k")
-        assert proxy._hedge_delay() == 0.007
-
 
 class TestWouldAllow:
     def test_closed_allows_without_side_effects(self):
@@ -171,8 +160,7 @@ class TestWouldAllow:
             "a survey is not a refused call"
 
     def test_half_open_probe_is_not_consumed(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0,
-                                 half_open_probes=1)
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0)
         breaker.record_failure(0.0)
         assert breaker.would_allow(2.0)
         assert breaker.would_allow(2.0), \

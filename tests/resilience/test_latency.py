@@ -5,8 +5,8 @@ import pytest
 import repro
 from repro.apps.kv import KVStore
 from repro.naming.bootstrap import bind, register
-from repro.resilience.latency import (LatencyTracker, LinkEstimator,
-                                      ensure_latency)
+from repro.resilience.latency import (MIN_TIMEOUT, WARMUP, LatencyTracker,
+                                      LinkEstimator, ensure_latency)
 from repro.resilience.retry import RetryPolicy
 
 
@@ -32,10 +32,10 @@ class TestLinkEstimator:
         assert est.rto() == pytest.approx(0.010 + 4.0 * 0.005)
 
     def test_rto_never_drops_below_the_floor(self):
-        est = LinkEstimator(min_timeout=0.002)
+        est = LinkEstimator()
         for _ in range(50):
             est.observe(1e-6)
-        assert est.rto() == 0.002
+        assert est.rto() == MIN_TIMEOUT
 
     def test_stable_link_converges_to_a_tight_rto(self):
         est = LinkEstimator()
@@ -56,9 +56,9 @@ class TestLinkEstimator:
         assert est.hedge_delay() < est.rto() * 2
 
     def test_maturity_needs_warmup_samples(self):
-        est = LinkEstimator(warmup=3)
+        est = LinkEstimator()
         assert not est.mature
-        for _ in range(3):
+        for _ in range(WARMUP):
             est.observe(0.01)
         assert est.mature
 
@@ -79,24 +79,27 @@ class TestLatencyTracker:
         assert tracker.samples_total == 2
 
     def test_patience_falls_back_until_mature(self, system):
-        tracker = LatencyTracker(system, warmup=2)
+        tracker = LatencyTracker(system)
         assert tracker.patience("a", "b", 0.02) == 0.02
-        tracker.observe("a", "b", 0.004)
+        for _ in range(WARMUP - 1):
+            tracker.observe("a", "b", 0.004)
         assert tracker.patience("a", "b", 0.02) == 0.02
         tracker.observe("a", "b", 0.004)
         assert tracker.patience("a", "b", 0.02) < 0.02
 
     def test_hedge_delay_falls_back_until_mature(self, system):
-        tracker = LatencyTracker(system, warmup=1)
+        tracker = LatencyTracker(system)
         assert tracker.hedge_delay("a", "b", 0.01) == 0.01
-        tracker.observe("a", "b", 0.002)
+        for _ in range(WARMUP):
+            tracker.observe("a", "b", 0.002)
         assert tracker.hedge_delay("a", "b", 0.01) < 0.01
 
     def test_budget_is_the_schedule_paced_by_the_rto(self, system):
-        tracker = LatencyTracker(system, warmup=1)
+        tracker = LatencyTracker(system)
         policy = RetryPolicy(attempts=3, multiplier=2.0)
         assert tracker.budget("a", "b", policy) is None
-        tracker.observe("a", "b", 0.010)
+        for _ in range(WARMUP):
+            tracker.observe("a", "b", 0.010)
         rto = tracker.peek("a", "b").rto()
         assert tracker.budget("a", "b", policy) == \
             pytest.approx(policy.total_wait(rto))
@@ -110,10 +113,9 @@ class TestLatencyTracker:
 
     def test_ensure_latency_installs_once(self, system):
         assert system.latency is None
-        tracker = ensure_latency(system, warmup=7)
+        tracker = ensure_latency(system)
         assert system.latency is tracker
-        assert ensure_latency(system, warmup=99) is tracker
-        assert tracker.defaults["warmup"] == 7
+        assert ensure_latency(system) is tracker
 
 
 class TestProtocolFeed:
@@ -144,7 +146,7 @@ class TestProtocolFeed:
         below the global ``rpc_timeout``-derived patience."""
         system, server, client, proxy = kv
         tracker = ensure_latency(system)
-        for _ in range(tracker.defaults["warmup"]):
+        for _ in range(WARMUP):
             proxy.get("k")
         link_patience = tracker.patience(
             client.context_id, proxy.proxy_ref.context_id,

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.apps.kv import KVStore
-from repro.kernel.errors import CircuitOpen, DistributionError
+from repro.core.export import get_space
+from repro.kernel.errors import (CircuitOpen, ConfigurationError,
+                                 DistributionError)
 from repro.naming.bootstrap import bind, register
+from repro.resilience.breaker import ensure_breakers
 from repro.resilience.policy import ResilientProxy, resilient_group
 
 BREAKER = {"failure_threshold": 2, "reset_timeout": 5.0}
@@ -191,3 +194,72 @@ class TestDeadlineBudget:
         system, group, client, proxy = deployed
         assert proxy.proxy_retry.attempts == 2
         assert proxy.proxy_retry.multiplier == 2.0
+
+
+def bind_group(star, **options):
+    """Deploy a two-member resilient group with ``options`` and bind it
+    from client2."""
+    system, server, clients = star
+    ref = resilient_group([server, clients[0]], seeded_store, **options)
+    return get_space(clients[2]).bind_ref(ref)
+
+
+class TestShippedConfigIsCheckedAtBind:
+    """A shipped value the policy does not admit is refused at bind.
+
+    Regressions: ``{"attempts": 2.5}`` bound and then failed the first
+    call with a ``TypeError``; ``call_budget="0.1"`` was silently coerced
+    and a budget <= 0 surfaced as a ``CircuitOpen`` no breaker raised; an
+    unknown breaker key was a ``TypeError`` out of the registry.
+    """
+
+    @pytest.mark.parametrize("retry", [
+        {"attempts": 2.5}, {"attempts": "3"}, {"attempts": True},
+        {"attempts": 0}, {"attempts": None}, {"multiplier": 0.5},
+        {"multiplier": "2"}, {"jitter": 1.0}, {"jitter": -0.1},
+        {"adaptive": 1}, {"max_interval": 0.5}, {"retry_after": False}])
+    def test_a_malformed_retry_schedule(self, star, retry):
+        with pytest.raises(ConfigurationError, match="retry"):
+            bind_group(star, retry=retry)
+
+    @pytest.mark.parametrize("budget", ["x", "0.1", 0, -1.0, True,
+                                        float("nan")])
+    def test_a_malformed_call_budget(self, star, budget):
+        with pytest.raises(ConfigurationError, match="call_budget"):
+            bind_group(star, call_budget=budget)
+
+    @pytest.mark.parametrize("breaker", [
+        {"bogus": 1}, {"half_open_probes": 2}, {"failure_threshold": "3"},
+        {"failure_threshold": 0}, {"failure_threshold": 2.0},
+        {"reset_timeout": -1.0}, {"reset_timeout": "1"}])
+    def test_a_malformed_breaker(self, star, breaker):
+        with pytest.raises(ConfigurationError, match="breaker"):
+            bind_group(star, breaker=breaker)
+
+    @pytest.mark.parametrize("hedge", [{"delay": 0.007}, 1, "yes"])
+    def test_hedge_is_a_bool(self, star, hedge):
+        with pytest.raises(ConfigurationError, match="hedge"):
+            bind_group(star, hedge=hedge)
+
+    def test_stale_reads_is_a_bool(self, star):
+        with pytest.raises(ConfigurationError, match="stale_reads"):
+            bind_group(star, stale_reads="no")
+
+    @pytest.mark.parametrize("breaker", [{"_state": "open"}, {"caller": 7},
+                                         {"failure_threshold": "3"}])
+    def test_an_existing_registry_takes_only_knobs(self, star, breaker):
+        # Once a registry exists, the breaker config reaches configure()
+        # on every call: state and identity must not be settable there.
+        system = star[0]
+        ensure_breakers(system)
+        with pytest.raises(ConfigurationError, match="breaker"):
+            bind_group(star, breaker=breaker)
+
+    def test_admitted_values_bind(self, star):
+        proxy = bind_group(star, retry={"attempts": 3, "multiplier": 1,
+                                        "jitter": 0, "adaptive": True},
+                           call_budget=1, hedge=True, stale_reads=False,
+                           breaker={"failure_threshold": 1,
+                                    "reset_timeout": 0})
+        assert proxy.proxy_retry.attempts == 3
+        assert proxy.get("k") == "seeded"

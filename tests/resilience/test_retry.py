@@ -10,7 +10,7 @@ from repro.resilience.retry import DEFAULT_RETRY, RetryPolicy
 
 class TestFixed:
     def test_every_interval_is_the_base_patience(self):
-        policy = RetryPolicy.fixed()
+        policy = RetryPolicy()
         for attempt in range(9):
             assert policy.interval(attempt, 0.02) == pytest.approx(0.02)
 
@@ -19,7 +19,7 @@ class TestFixed:
             1 + DEFAULT_COSTS.rpc_max_retries
 
     def test_explicit_attempts_win(self):
-        assert RetryPolicy.fixed(attempts=3).budget(DEFAULT_COSTS) == 3
+        assert RetryPolicy(attempts=3).budget(DEFAULT_COSTS) == 3
 
     def test_no_rng_draw_when_jitter_is_zero(self):
         """The default policy must not touch the stream — the legacy retry
@@ -35,10 +35,6 @@ class TestExponential:
         policy = RetryPolicy(attempts=4, multiplier=2.0)
         waits = [policy.interval(a, 0.01) for a in range(4)]
         assert waits == pytest.approx([0.01, 0.02, 0.04, 0.08])
-
-    def test_max_interval_caps_the_growth(self):
-        policy = RetryPolicy(attempts=6, multiplier=2.0, max_interval=0.03)
-        assert policy.interval(5, 0.01) == pytest.approx(0.03)
 
     def test_jitter_stays_within_its_band(self):
         policy = RetryPolicy(attempts=4, multiplier=2.0, jitter=0.1)
@@ -87,11 +83,9 @@ class TestFromConfig:
 
     def test_dict_overrides_field_by_field(self):
         policy = RetryPolicy.from_config(
-            {"attempts": 6, "multiplier": 3.0, "jitter": 0.0,
-             "max_interval": 0.5})
+            {"attempts": 6, "multiplier": 3.0, "jitter": 0.0})
         assert (policy.attempts, policy.multiplier) == (6, 3.0)
         assert policy.jitter == 0.0
-        assert policy.max_interval == 0.5
 
     def test_adaptive_defaults_off(self):
         assert RetryPolicy.from_config(None).adaptive is False

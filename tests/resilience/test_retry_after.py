@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro.apps.kv import KVStore
 from repro.kernel.admission import install_admission
-from repro.kernel.errors import Overloaded
+from repro.kernel.errors import Overloaded, ProtocolError
 from repro.naming.bootstrap import bind, install_name_service, register
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryPolicy
@@ -75,19 +75,6 @@ class TestRetryAfter:
             "no waiting toward a hint the deadline forbids"
         assert system.rpc.stats["retry_after_waits"] == 0
 
-    def test_honoring_can_be_disabled(self):
-        system, alice, bob, kv_a, kv_b = _shedding_system(seed=11)
-        system.rpc.retry_policy = RetryPolicy(attempts=4,
-                                              honor_retry_after=False)
-        kv_a.put("x", 1)
-        before = bob.clock.now
-        with pytest.raises(Overloaded) as err:
-            kv_b.put("x", 2)
-        assert err.value.retry_after is not None
-        assert bob.clock.now - before < 0.05, \
-            "no hint wait and no backoff grind: surface the shed at once"
-        assert system.rpc.stats["retry_after_waits"] == 0
-
     def test_attempts_budget_caps_honored_waits(self):
         # burst=1, rate=1: every other call sheds.  attempts=2 allows one
         # honored wait per call, so every call eventually lands.
@@ -97,8 +84,14 @@ class TestRetryAfter:
             kv_b.put("k", value)
         assert kv_b.get("k") == 3
 
-    def test_from_config_round_trip(self):
-        policy = RetryPolicy.from_config({"retry_after": False})
-        assert policy.honor_retry_after is False
-        assert RetryPolicy.from_config({}).honor_retry_after is True
-        assert RetryPolicy.from_config(None).honor_retry_after is True
+    @pytest.mark.parametrize("hint", ["soon", True, float("nan"), [1.0]],
+                             ids=["text", "bool", "nan", "list"])
+    def test_a_forged_hint_is_a_protocol_error(self, monkeypatch, hint):
+        # Regression: "soon" escaped as a TypeError from the clock, and
+        # True was waited as virtual time 1.0.
+        system, alice, bob, kv_a, kv_b = _shedding_system(seed=11)
+        admission = system.context(kv_b.proxy_ref.context_id).node.admission
+        monkeypatch.setattr(admission, "admit", lambda target, now: hint)
+        with pytest.raises(ProtocolError, match="o.ra"):
+            kv_b.put("x", 2)
+        assert system.rpc.stats["retry_after_waits"] == 0

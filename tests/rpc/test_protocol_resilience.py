@@ -37,7 +37,7 @@ class TestRetryEngine:
         before = client.clock.now
         with pytest.raises(RpcTimeout):
             system.rpc.call(client, proxy.proxy_ref, "read",
-                            retry=RetryPolicy.fixed(attempts=2))
+                            retry=RetryPolicy(attempts=2))
         assert system.rpc.stats["retries"] - retries_before == 1
         # Two fixed-interval attempts: roughly twice the base patience, far
         # below the default nine-attempt budget.
@@ -156,7 +156,7 @@ class TestBreakerFeed:
         server.node.crash()
         with pytest.raises(RpcTimeout):
             system.rpc.call(client, proxy.proxy_ref, "read",
-                            retry=RetryPolicy.fixed(attempts=1))
+                            retry=RetryPolicy(attempts=1))
         assert registry.counters.get("rpc.failures") == 1
         breaker = registry.between(client.context_id, server.context_id)
         assert breaker.consecutive_failures == 1
