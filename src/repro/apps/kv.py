@@ -82,10 +82,3 @@ class CachedKVStore(KVStore):
 
     default_policy = "caching"
     default_config = {"invalidation": True}
-
-
-class MigratingKVStore(KVStore):
-    """The same store, shipped with the migrating proxy."""
-
-    default_policy = "migrating"
-    default_config = {"migrate_after": 4}

@@ -1,4 +1,4 @@
-"""Rendering experiment results as aligned ASCII tables and series.
+"""Rendering experiment results as aligned ASCII tables.
 
 The bench harness prints the same rows EXPERIMENTS.md reports; keeping the
 renderer tiny and dependency-free means the tables look identical in pytest
@@ -46,23 +46,6 @@ def render_table(rows: list[dict], title: str = "",
     out.append(line(list(columns)))
     out.append(line(["-" * width for width in widths]))
     out.extend(line(row) for row in cells)
-    return "\n".join(out)
-
-
-def render_series(rows: list[dict], x: str, y: str, title: str = "",
-                  width: int = 48) -> str:
-    """Render one (x, y) series as a labelled ASCII bar chart."""
-    if not rows:
-        return f"{title}\n  (no points)" if title else "(no points)"
-    points = [(row[x], float(row[y])) for row in rows if y in row]
-    top = max((value for _, value in points), default=0.0)
-    out = []
-    if title:
-        out.append(title)
-    label_width = max(len(fmt(px)) for px, _ in points)
-    for px, py in points:
-        bar = "#" * (int(round(width * py / top)) if top > 0 else 0)
-        out.append(f"  {fmt(px).rjust(label_width)} | {bar} {fmt(py)}")
     return "\n".join(out)
 
 

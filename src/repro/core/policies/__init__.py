@@ -11,7 +11,6 @@ codebase:
 ``replicated``  read-one/write-all routing over a replica group
 ``regional``    replication with region-aware, breaker-admitted reads
 ``sharded``     consistent-hash routing over a partitioned key space
-``tracing``     client-side latency metering, reported to a collector
 ``leased``      maintains a GC lease on the target (repro.core.leases)
 ``composite``   stacks several of the above behind one proxy face
 ``resilient``   backoff + deadlines + breakers + failover (repro.resilience)
@@ -38,7 +37,6 @@ from .regional import RegionalProxy
 from .replicating import ReplicatedProxy, replicate
 from .sharding import ShardedProxy, shard
 from .stub import ForwardingProxy
-from .tracing import TraceCollector, TracingProxy
 from ..leases import LeasedProxy
 from ...resilience.policy import ResilientProxy, resilient_group
 
@@ -47,7 +45,6 @@ __all__ = [
     "CacheControl", "CachingProxy", "CompositeProxy", "DEFAULT_BATCH_SIZE",
     "DEFAULT_MIGRATE_AFTER", "DEFAULT_TTL", "ForwardingProxy", "LeasedProxy",
     "MigratingProxy", "RegionalProxy", "ReplicatedProxy", "ResilientProxy",
-    "ShardedProxy",
-    "TraceCollector", "TracingProxy", "invalidated_values", "replicate",
-    "resilient_group", "shard",
+    "ShardedProxy", "invalidated_values", "replicate", "resilient_group",
+    "shard",
 ]

@@ -1,6 +1,6 @@
 """The ``composite`` policy: stacking proxy intelligences.
 
-Policies compose: a cache in front of a replica group, tracing around a
+Policies compose: a cache in front of a replica group, or in front of a
 migrating proxy.  The composite proxy instantiates each named layer and
 chains them with ``proxy_next``, so a call entering the outermost layer
 flows down the stack and only the innermost layer talks to the protocol.

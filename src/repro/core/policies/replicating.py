@@ -76,6 +76,7 @@ client-facing reference.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 from ...kernel.errors import (
@@ -95,12 +96,17 @@ ASSIGN_ATTEMPTS = 4
 #: Candidacy rounds one election call may drive before giving up.
 ELECTION_ROUNDS = 4
 
+#: The ``version_key`` values a group admits (``None``: not configured).
+VERSION_KEYS = (None, "arg0", "object")
+
 
 def _protocol(config: dict) -> tuple[bool, bool]:
     """``(versioned, elected)`` — the one place a group's protocol and
     sequencer are chosen, for :func:`replicate` and the proxy alike."""
     versioned = "read_quorum" in config
-    elected = bool(config.get("elect"))
+    elected = config.get("elect", False)
+    if elected.__class__ is not bool:
+        raise ConfigurationError(f"elect admits no {elected!r}")
     if elected and not versioned:
         raise ConfigurationError(
             "elect=True requires the versioned quorum protocol "
@@ -111,6 +117,13 @@ def _protocol(config: dict) -> tuple[bool, bool]:
 def _unknown_read_policy(read_policy, known: tuple) -> str:
     return (f"unknown read_policy {read_policy!r} "
             f"(known: {', '.join(known)})")
+
+
+def _bad_quorum(label: str, quorum, count: int) -> ConfigurationError:
+    """The error for a quorum that is no ``int`` (a ``bool`` is none) in
+    ``1..count``."""
+    return ConfigurationError(f"{label}={quorum!r} outside 1..{count} for "
+                              f"a {count}-replica group")
 
 
 def _digest_of(reply: dict) -> dict:
@@ -206,18 +219,17 @@ class ReplicatedProxy(Proxy):
         a distribution outcome: zero (or negative) would let a write that
         reached *no* replica "succeed", and more than ``count`` can never
         be met.  Same bounds for ``read_quorum`` (quorum protocol only).
+        A quorum that is no ``int`` (a float, a string, a ``bool``) is
+        refused too, never truncated.
         """
-        write_quorum = int(self.proxy_config.get("write_quorum", count))
-        if not 1 <= write_quorum <= count:
-            raise ConfigurationError(
-                f"write_quorum={write_quorum} outside 1..{count} for a "
-                f"{count}-replica group")
-        read_quorum = int(self.proxy_config.get("read_quorum",
-                                                count - write_quorum + 1))
-        if not 1 <= read_quorum <= count:
-            raise ConfigurationError(
-                f"read_quorum={read_quorum} outside 1..{count} for a "
-                f"{count}-replica group")
+        write_quorum = self.proxy_config.get("write_quorum", count)
+        if write_quorum.__class__ is not int or \
+                not 1 <= write_quorum <= count:
+            raise _bad_quorum("write_quorum", write_quorum, count)
+        read_quorum = self.proxy_config.get("read_quorum",
+                                            count - write_quorum + 1)
+        if read_quorum.__class__ is not int or not 1 <= read_quorum <= count:
+            raise _bad_quorum("read_quorum", read_quorum, count)
         return write_quorum, read_quorum
 
     def _version_key(self, args: tuple) -> Any:
@@ -226,10 +238,13 @@ class ReplicatedProxy(Proxy):
         ``version_key="arg0"`` partitions the log by the first argument
         (right for keyed services — KV, locks); the default ``"object"``
         serialises every write of the object under one log, which is always
-        safe.
+        safe.  Any other value is refused.
         """
-        if self.proxy_config.get("version_key") == "arg0" and args:
+        version_key = self.proxy_config.get("version_key")
+        if version_key == "arg0" and args:
             return args[0]
+        if version_key not in VERSION_KEYS:
+            raise ConfigurationError(f"version_key admits no {version_key!r}")
         return "*"
 
     # -- invocation ---------------------------------------------------------------------
@@ -935,9 +950,11 @@ def replicate(contexts: list, factory: Callable[[], object],
 
     ``read_quorum`` switches the group to the quorum protocol (module
     docstring); ``version_key="arg0"`` partitions the version log by the
-    operations' first argument.  Quorum bounds and ``read_policy`` (one
-    of the policy's ``proxy_read_policies``) are validated here as well as
-    at call time, so a broken deployment fails at deploy.
+    operations' first argument (``"object"``, the default, keeps one log).
+    Quorums (``int`` in ``1..N``), ``version_key``, ``elect`` (a ``bool``)
+    and ``read_policy`` (one of the policy's ``proxy_read_policies``) are
+    validated here as well as at call time, and ``lease_ttl`` (a finite
+    number > 0) here, so a broken deployment fails at deploy.
 
     ``elect=True`` (quorum protocol only) swaps the static sequencer for
     the elected one: every replica gets an
@@ -967,10 +984,17 @@ def replicate(contexts: list, factory: Callable[[], object],
         raise ConfigurationError(_unknown_read_policy(read_policy, known))
     for label, quorum in (("write_quorum", write_quorum),
                           ("read_quorum", read_quorum)):
-        if quorum is not None and not 1 <= int(quorum) <= count:
-            raise ConfigurationError(
-                f"{label}={quorum} outside 1..{count} for a "
-                f"{count}-replica group")
+        if quorum is not None and (quorum.__class__ is not int
+                                   or not 1 <= quorum <= count):
+            raise _bad_quorum(label, quorum, count)
+    if version_key not in VERSION_KEYS:
+        raise ConfigurationError(f"version_key admits no {version_key!r}")
+    if elect.__class__ is not bool:
+        raise ConfigurationError(f"elect admits no {elect!r}")
+    if lease_ttl is not None and not (
+            lease_ttl.__class__ in (int, float) and lease_ttl > 0
+            and math.isfinite(lease_ttl)):
+        raise ConfigurationError(f"lease_ttl admits no {lease_ttl!r}")
     replica_refs = []
     for ctx in contexts:
         obj = factory()
@@ -980,9 +1004,9 @@ def replicate(contexts: list, factory: Callable[[], object],
                                                   policy="stub"))
     config: dict = {"replicas": replica_refs, "read_policy": read_policy}
     if write_quorum is not None:
-        config["write_quorum"] = int(write_quorum)
+        config["write_quorum"] = write_quorum
     if read_quorum is not None:
-        config["read_quorum"] = int(read_quorum)
+        config["read_quorum"] = read_quorum
     if version_key is not None:
         config["version_key"] = version_key
     if elect:

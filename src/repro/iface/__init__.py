@@ -5,13 +5,12 @@ from .conformance import (
     check_implements,
     conformance_gaps,
     conforms,
-    implementation_interface,
     operation_compatible,
 )
 from .interface import Interface, Operation, is_operation, operation
 
 __all__ = [
     "Interface", "Operation", "check_conforms", "check_implements",
-    "conformance_gaps", "conforms", "implementation_interface",
-    "is_operation", "operation", "operation_compatible",
+    "conformance_gaps", "conforms", "is_operation", "operation",
+    "operation_compatible",
 ]

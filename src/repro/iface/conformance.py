@@ -63,11 +63,6 @@ def check_conforms(candidate: Interface, requirement: Interface) -> None:
             + "; ".join(gaps))
 
 
-def implementation_interface(obj: object) -> Interface:
-    """The interface an object actually implements (its ``@operation`` methods)."""
-    return Interface.of(type(obj))
-
-
 def check_implements(obj: object, declared: Interface) -> None:
     """Raise unless ``obj`` structurally implements ``declared``.
 

@@ -11,7 +11,6 @@ Operation metadata matters to smart proxies:
 
 * ``readonly`` — the operation does not mutate the object; caching proxies
   may answer it from a cache and replicating proxies from any replica.
-* ``idempotent`` — safe to retransmit without at-most-once dedup.
 * ``oneway`` — no reply expected; fire-and-forget.
 * ``invalidates`` — keys of cached entries this operation invalidates
   (``"*"`` means all); used by the caching policy's write handling.
@@ -43,7 +42,6 @@ class Operation:
         name: operation name (the verb used on the wire).
         params: positional parameter names, excluding the receiver.
         readonly: see module docstring.
-        idempotent: see module docstring.
         oneway: see module docstring.
         invalidates: see module docstring.
         compute: virtual CPU seconds one execution costs on the server
@@ -53,7 +51,6 @@ class Operation:
     name: str
     params: tuple[str, ...] = ()
     readonly: bool = False
-    idempotent: bool = False
     oneway: bool = False
     invalidates: tuple[str, ...] = ()
     compute: float = 0.0
@@ -128,16 +125,15 @@ class Interface:
 
 
 def operation(func: Callable | None = None, *, readonly: bool = False,
-              idempotent: bool = False, oneway: bool = False,
-              invalidates: tuple[str, ...] = (), compute: float = 0.0):
+              oneway: bool = False, invalidates: tuple[str, ...] = (),
+              compute: float = 0.0):
     """Mark a method as part of its class's exported interface.
 
     Usable bare (``@operation``) or with keyword arguments
     (``@operation(readonly=True)``).
     """
-    meta = {"readonly": readonly, "idempotent": idempotent or readonly,
-            "oneway": oneway, "invalidates": tuple(invalidates),
-            "compute": compute}
+    meta = {"readonly": readonly, "oneway": oneway,
+            "invalidates": tuple(invalidates), "compute": compute}
 
     def mark(fn: Callable) -> Callable:
         setattr(fn, _OPERATION_ATTR, meta)

@@ -16,10 +16,7 @@ from .errors import (
     EncapsulationViolation,
     InterfaceError,
     MarshalError,
-    MessageLost,
-    NodeDown,
     ObjectMoved,
-    PartitionedError,
     ProtocolError,
     ReproError,
     RpcTimeout,
@@ -30,15 +27,14 @@ from .node import Node
 from .params import DEFAULT_COSTS, CostModel
 from .randomness import SeedSequence
 from .system import System
-from .topology import Region, build_regions, build_ring, build_star
+from .topology import Region, build_regions
 from .trace import Trace, TraceEvent, TraceSummary
 
 __all__ = [
     "BindError", "BusyLine", "Clock", "ConfigurationError", "ConformanceError",
     "Context", "CostModel", "DEFAULT_COSTS", "DanglingReference", "Delivery",
     "DistributionError", "EncapsulationViolation", "InterfaceError", "LinkSpec",
-    "MarshalError", "MessageLost", "Network", "Node", "NodeDown", "ObjectMoved",
-    "PartitionedError", "ProtocolError", "Region", "ReproError", "RpcTimeout",
-    "SeedSequence", "SimulationError", "System", "Trace", "TraceEvent",
-    "TraceSummary", "build_regions", "build_ring", "build_star",
+    "MarshalError", "Network", "Node", "ObjectMoved", "ProtocolError",
+    "Region", "ReproError", "RpcTimeout", "SeedSequence", "SimulationError",
+    "System", "Trace", "TraceEvent", "TraceSummary", "build_regions",
 ]

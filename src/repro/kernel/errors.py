@@ -36,18 +36,6 @@ class DistributionError(ReproError):
     """Base class for failures caused by distribution itself."""
 
 
-class NodeDown(DistributionError):
-    """The destination node is crashed or unreachable."""
-
-
-class PartitionedError(DistributionError):
-    """Source and destination are on opposite sides of a network partition."""
-
-
-class MessageLost(DistributionError):
-    """A message was dropped by the (simulated) network."""
-
-
 class RpcTimeout(DistributionError):
     """No reply arrived within the protocol's retry budget."""
 

@@ -37,10 +37,6 @@ class SeedSequence:
         digest = hashlib.sha256(f"{self.master_seed}:{name}".encode()).digest()
         return int.from_bytes(digest[:8], "big")
 
-    def fork(self, name: str) -> "SeedSequence":
-        """Derive a child sequence, for subsystems that mint their own streams."""
-        return SeedSequence(self.derive_seed(name))
-
     def streams_used(self) -> tuple[str, ...]:
         """Names of every stream drawn so far, sorted (determinism audit).
 

@@ -132,17 +132,6 @@ class System:
             return 0.0
         return max(ctx.clock.now for ctx in self._contexts.values())
 
-    def synchronize_clocks(self) -> float:
-        """Advance every context clock to the global maximum and return it.
-
-        Workload drivers call this between phases so that activities that
-        idled do not appear to live in the past.
-        """
-        now = self.max_time()
-        for ctx in self._contexts.values():
-            ctx.clock.advance_to(now)
-        return now
-
     def __repr__(self) -> str:
         return (f"System(nodes={sorted(self.nodes)}, "
                 f"contexts={len(self._contexts)}, t={self.max_time():.6f})")

@@ -1,8 +1,8 @@
-"""Topology builders: common network shapes in one call.
+"""Topology builders: a multi-region WAN in one call.
 
-The experiments mostly hand-build their topologies; these helpers are for
-library users modelling something bigger — multi-region WANs, rings,
-uniform clusters — without writing link-spec loops.
+Most experiments hand-build their topologies; :func:`build_regions` tags
+nodes with regions and sets the WAN links between them without
+link-spec loops.
 """
 
 from __future__ import annotations
@@ -12,35 +12,6 @@ from dataclasses import dataclass, field
 from .context import Context
 from .network import LinkSpec
 from .system import System
-
-
-def build_star(system: System, hub_name: str, leaf_names: list[str],
-               context_name: str = "main") -> tuple[Context, list[Context]]:
-    """A hub node plus leaves; returns ``(hub_context, leaf_contexts)``."""
-    hub = system.add_node(hub_name).create_context(context_name)
-    leaves = [system.add_node(name).create_context(context_name)
-              for name in leaf_names]
-    return hub, leaves
-
-
-def build_ring(system: System, count: int, context_name: str = "main",
-               neighbour_latency: float | None = None) -> list[Context]:
-    """``count`` nodes in a ring: adjacent pairs get a fast link.
-
-    Non-adjacent pairs keep the default (slower) cost model, approximating
-    multi-hop forwarding without modelling routing.
-    """
-    contexts = [system.add_node(f"ring{i}").create_context(context_name)
-                for i in range(count)]
-    costs = system.costs
-    fast = LinkSpec(
-        latency=(neighbour_latency if neighbour_latency is not None
-                 else costs.remote_latency / 4),
-        byte_cost=costs.byte_cost)
-    for index, ctx in enumerate(contexts):
-        neighbour = contexts[(index + 1) % count]
-        system.network.set_link(ctx.node.name, neighbour.node.name, fast)
-    return contexts
 
 
 @dataclass

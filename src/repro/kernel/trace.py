@@ -3,8 +3,9 @@
 Every message the simulated system carries is recorded as a
 :class:`TraceEvent`.  Integration tests assert on trace *shapes* (who talked
 to whom, in what order, with how many messages) — this is how the paper's
-architecture figures are reproduced executably — and the metrics layer
-aggregates the same events into counts and byte totals.
+architecture figures are reproduced executably — and
+:class:`TraceSummary` aggregates the same events into counts and byte
+totals.
 """
 
 from __future__ import annotations
@@ -42,53 +43,24 @@ class TraceEvent(NamedTuple):
 class Trace:
     """An append-only event log with simple query helpers."""
 
-    def __init__(self, capacity: int | None = None):
+    def __init__(self):
         self.events: list[TraceEvent] = []
-        self.capacity = capacity
         self._marks: list[int] = []
-        #: Live listeners called with each recorded event (metrics taps,
-        #: debug consoles).  The emit hot path pays one truth test while the
-        #: list is empty — see :meth:`subscribe`.
-        self.subscribers: list[Callable[[TraceEvent], None]] = []
-
-    def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
-        """Register a live listener; it sees every event recorded from now on."""
-        self.subscribers.append(listener)
-
-    def unsubscribe(self, listener: Callable[[TraceEvent], None]) -> None:
-        """Remove a previously registered listener (no-op if absent)."""
-        try:
-            self.subscribers.remove(listener)
-        except ValueError:
-            pass
 
     def record(self, event: TraceEvent) -> None:
-        """Append one event (drops silently once ``capacity`` is reached)."""
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            return
+        """Append one event."""
         self.events.append(event)
-        if self.subscribers:
-            for listener in self.subscribers:
-                listener(event)
 
     def emit(self, time: float, kind: str, src: str, dst: str,
              label: str = "", size: int = 0) -> None:
         """Build and record a :class:`TraceEvent`: once per message.
 
-        Checks capacity *before* constructing the event, so a saturated
-        bounded trace costs one comparison per message rather than one
-        allocation.  The event is built in C (``tuple.__new__``, all six
-        fields): the generated constructor's arity check and defaults are
-        settled by this signature.
+        The event is built in C (``tuple.__new__``, all six fields): the
+        generated constructor's arity check and defaults are settled by
+        this signature.
         """
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            return
-        event = tuple.__new__(
-            TraceEvent, (time, kind, src, dst, label, size))
-        self.events.append(event)
-        if self.subscribers:
-            for listener in self.subscribers:
-                listener(event)
+        self.events.append(tuple.__new__(
+            TraceEvent, (time, kind, src, dst, label, size)))
 
     # -- querying ----------------------------------------------------------
 

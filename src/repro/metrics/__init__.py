@@ -1,17 +1,11 @@
 """Metrics: latency recording, counters, windowed message accounting."""
 
-from .counters import (
-    CounterSet,
-    MessageWindow,
-    WindowReport,
-    marshal_memo_stats,
-    reset_marshal_memo_stats,
-)
+from .counters import CounterSet, MessageWindow, WindowReport
 from .latency import LatencyRecorder, LatencySummary, percentile
 from .report import SystemSnapshot, render, report, snapshot
 
 __all__ = [
     "CounterSet", "LatencyRecorder", "LatencySummary", "MessageWindow",
-    "SystemSnapshot", "WindowReport", "marshal_memo_stats", "percentile",
-    "render", "report", "reset_marshal_memo_stats", "snapshot",
+    "SystemSnapshot", "WindowReport", "percentile", "render", "report",
+    "snapshot",
 ]

@@ -88,23 +88,3 @@ class MessageWindow:
             elapsed=self.system.max_time() - self._t0,
             by_label=summary.by_label,
         )
-
-
-# -- marshaller memo instrumentation ----------------------------------------
-
-def marshal_memo_stats() -> dict:
-    """Hit/miss/eviction counters and current sizes of the wire-layer
-    encode/decode memos (:mod:`repro.wire.marshal`).
-
-    Surfaced here so operational dashboards read cache behaviour through
-    the metrics package like every other counter, without importing wire
-    internals.  Pure counters — reading them never touches the caches.
-    """
-    from ..wire.marshal import memo_stats
-    return memo_stats()
-
-
-def reset_marshal_memo_stats() -> None:
-    """Zero the marshaller memo counters (the caches themselves survive)."""
-    from ..wire.marshal import reset_memo_stats
-    reset_memo_stats()

@@ -76,18 +76,6 @@ class LatencySummary:
             total=total,
         )
 
-    def as_row(self) -> dict:
-        """The summary as a flat dict (milliseconds), for table rendering."""
-        return {
-            "series": self.label,
-            "n": self.count,
-            "mean_ms": self.mean * 1e3,
-            "p50_ms": self.p50 * 1e3,
-            "p95_ms": self.p95 * 1e3,
-            "p99_ms": self.p99 * 1e3,
-            "max_ms": self.maximum * 1e3,
-        }
-
 
 def percentile(ordered: list[float], pct: float) -> float:
     """Nearest-rank percentile of an already-sorted sample list."""

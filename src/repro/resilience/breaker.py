@@ -202,20 +202,15 @@ class BreakerRegistry:
 
     # -- lookup ------------------------------------------------------------
 
-    def between(self, caller_id: str, target_id: str,
-                **overrides) -> CircuitBreaker:
-        """The breaker for one caller→target pair (created on first use).
-
-        ``overrides`` (``failure_threshold``/``reset_timeout``) apply only
-        at creation; an existing breaker keeps its configuration.
-        """
+    def between(self, caller_id: str, target_id: str) -> CircuitBreaker:
+        """The breaker for one caller→target pair (created on first use,
+        with the registry defaults; see :meth:`configure`)."""
         key = (caller_id, target_id)
         breaker = self._breakers.get(key)
         if breaker is None:
-            params = {**self.defaults, **overrides}
             breaker = CircuitBreaker(caller=caller_id, target=target_id,
                                      on_transition=self._on_transition,
-                                     **params)
+                                     **self.defaults)
             self._breakers[key] = breaker
         return breaker
 

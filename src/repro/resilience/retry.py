@@ -100,16 +100,15 @@ class RetryPolicy:
                    adaptive=adaptive)
 
     @classmethod
-    def from_config(cls, config: dict | None,
-                    default: "RetryPolicy | None" = None) -> "RetryPolicy":
+    def from_config(cls, config: dict | None) -> "RetryPolicy":
         """Build a policy from a marshallable config dict.
 
-        ``None`` yields ``default`` (or the exponential policy when no
-        default is given) so resilience-aware proxies back off out of the
-        box; an explicit dict overrides :meth:`exponential`'s arguments.
+        ``None`` yields the exponential policy, so resilience-aware proxies
+        back off out of the box; an explicit dict overrides
+        :meth:`exponential`'s arguments.
         """
         if config is None:
-            return default if default is not None else cls.exponential()
+            return cls.exponential()
         return cls.exponential(**config)
 
 

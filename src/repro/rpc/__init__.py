@@ -1,13 +1,7 @@
 """RPC substrate: transport, dispatcher, request/reply protocol, stubs."""
 
 from .dispatcher import Dispatcher, ExportEntry, ensure_dispatcher
-from .lightweight import (
-    fast_path_available,
-    lrpc_disabled,
-    lrpc_enabled,
-    same_context,
-    same_node,
-)
+from .lightweight import lrpc_disabled
 from .promises import Promise, call_async, gather, pipeline_calls
 from .protocol import RemoteError, RpcProtocol
 from .stubs import RemoteStub
@@ -16,6 +10,5 @@ from .transport import Transport
 __all__ = [
     "Dispatcher", "ExportEntry", "Promise", "RemoteError", "RemoteStub",
     "RpcProtocol", "Transport", "call_async", "ensure_dispatcher",
-    "fast_path_available", "gather", "lrpc_disabled", "lrpc_enabled",
-    "pipeline_calls", "same_context", "same_node",
+    "gather", "lrpc_disabled", "pipeline_calls",
 ]

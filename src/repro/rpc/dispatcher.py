@@ -407,14 +407,6 @@ class Dispatcher:
             self.context, ObjectRef(*shard_spec), "", tuple(body_args), {},
             headers={shards.H_CONTROL: control})
 
-    def forget_caller(self, context_id: str) -> int:
-        """Drop replay entries for one caller (used when a caller context
-        is torn down); returns how many entries were evicted."""
-        stale = [key for key in self._replay if key[0] == context_id]
-        for key in stale:
-            del self._replay[key]
-        return len(stale)
-
 
 def ensure_dispatcher(context: Context, transport) -> Dispatcher:
     """Get or create the dispatcher of a context."""

@@ -2,31 +2,13 @@
 
 The observation the LRPC work made — most invocations in practice are local —
 is implemented in :class:`~repro.rpc.protocol.RpcProtocol` as the
-same-context fast path.  This module provides the predicates and the
-experiment toggle used by E8.
+same-context fast path.  This module provides the experiment toggle used by
+E8.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-
-from ..kernel.context import Context
-from ..wire.refs import ObjectRef
-
-
-def same_context(context: Context, ref: ObjectRef) -> bool:
-    """Whether ``ref``'s target lives in ``context`` itself."""
-    return ref.context_id == context.context_id
-
-
-def same_node(context: Context, ref: ObjectRef) -> bool:
-    """Whether ``ref``'s target lives on the same node as ``context``."""
-    return ref.node_name == context.node.name
-
-
-def fast_path_available(protocol, context: Context, ref: ObjectRef) -> bool:
-    """Whether a call through ``protocol`` would take the LRPC fast path."""
-    return protocol.lrpc_enabled and same_context(context, ref)
 
 
 @contextmanager
@@ -38,17 +20,6 @@ def lrpc_disabled(protocol):
     """
     previous = protocol.lrpc_enabled
     protocol.lrpc_enabled = False
-    try:
-        yield protocol
-    finally:
-        protocol.lrpc_enabled = previous
-
-
-@contextmanager
-def lrpc_enabled(protocol):
-    """Temporarily enable the fast path (symmetric with :func:`lrpc_disabled`)."""
-    previous = protocol.lrpc_enabled
-    protocol.lrpc_enabled = True
     try:
         yield protocol
     finally:

@@ -911,8 +911,3 @@ class Marshaller:
 
 #: A hook-free marshaller, for layers that must see raw refs (naming, GC).
 PLAIN = Marshaller()
-
-
-def wire_size(value: Any) -> int:
-    """Byte size of ``value`` on the wire (hook-free encoding)."""
-    return len(PLAIN.encode(value))

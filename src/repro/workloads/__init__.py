@@ -12,7 +12,6 @@ from .arrivals import (
 )
 from .distributions import (
     HotspotSampler,
-    SingleKeySampler,
     UniformSampler,
     ZipfSampler,
     key_name,
@@ -29,8 +28,7 @@ from .sessions import (
 
 __all__ = [
     "DiurnalShape", "HotspotSampler", "OpMix", "OpenLoopResult", "RunResult",
-    "Session", "SingleKeySampler", "SpikeShape", "UniformSampler",
-    "ZipfSampler", "dsm_session", "key_name", "merge_arrivals", "payload",
-    "poisson_arrivals", "proxy_session", "run_interleaved", "run_open_loop",
-    "shaped_arrivals",
+    "Session", "SpikeShape", "UniformSampler", "ZipfSampler", "dsm_session",
+    "key_name", "merge_arrivals", "payload", "poisson_arrivals",
+    "proxy_session", "run_interleaved", "run_open_loop", "shaped_arrivals",
 ]

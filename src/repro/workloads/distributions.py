@@ -78,17 +78,6 @@ class HotspotSampler:
         return key_name(self.rng.randrange(self.num_keys))
 
 
-class SingleKeySampler:
-    """Always the same key — maximal contention (E4's worst case)."""
-
-    def __init__(self, index: int = 0):
-        self.index = index
-
-    def sample(self) -> str:
-        """The one key."""
-        return key_name(self.index)
-
-
 def payload(size: int, fill: str = "x") -> str:
     """A value string of roughly ``size`` bytes."""
     return fill * max(0, size)

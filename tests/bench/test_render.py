@@ -5,7 +5,6 @@ import pytest
 from repro.bench.render import (
     crossover_x,
     fmt,
-    render_series,
     render_table,
     who_wins,
 )
@@ -51,16 +50,6 @@ class TestRenderTable:
 
     def test_empty_rows(self):
         assert "no rows" in render_table([], "T")
-
-
-class TestRenderSeries:
-    def test_bars_scale(self):
-        text = render_series(ROWS, "x", "a_ms")
-        lines = text.splitlines()
-        assert lines[0].count("#") > lines[2].count("#")
-
-    def test_empty(self):
-        assert "no points" in render_series([], "x", "y")
 
 
 class TestShapeHelpers:

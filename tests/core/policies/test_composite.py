@@ -222,20 +222,3 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             get_space(server).export(store, policy="composite",
                                      config={"layers": ["martian"]})
-
-    def test_tracing_over_caching(self, pair):
-        system, server, client = pair
-        store = KVStore()
-        get_space(server).export(
-            store, policy="composite",
-            config={"layers": ["tracing", "caching"],
-                    "layer_configs": {"tracing": {"report_every": 1000},
-                                      "caching": {"invalidation": True}}})
-        repro.register(server, "kv", store)
-        proxy = repro.bind(client, "kv")
-        proxy.put("k", 1)
-        for _ in range(4):
-            assert proxy.get("k") == 1
-        assert proxy.proxy_layers == ["TracingProxy", "CachingProxy"]
-        tracer = proxy._build_stack()[0]
-        assert tracer.proxy_trace["get"]["count"] == 4

@@ -297,6 +297,96 @@ class TestReadPolicyValidation:
             proxy.get("k")
 
 
+class TestMalformedGroupConfiguration:
+    """A malformed group configuration is refused, never coerced.
+
+    Regression: ``write_quorum=2.5`` (or ``"2"``) deployed as W=2 and
+    ``True`` as W=1; ``read_quorum=2.9`` as R=2; a misspelt
+    ``version_key`` silently fell back to the one-object log; ``elect="no"``
+    deployed an elected group; and ``lease_ttl=0`` (or negative, or NaN)
+    deployed a group whose every write failed after the renewal rounds.
+    """
+
+    @staticmethod
+    def _deploy(star, **config):
+        system, server, clients = star
+        return replicate([server, clients[1], clients[2]], KVStore, **config)
+
+    @pytest.mark.parametrize("quorum", [2.5, "2", True])
+    def test_deploy_rejects_a_write_quorum_that_is_no_int(self, star, quorum):
+        with pytest.raises(ConfigurationError, match="write_quorum"):
+            self._deploy(star, write_quorum=quorum)
+
+    @pytest.mark.parametrize("quorum", [2.9, True])
+    def test_deploy_rejects_a_read_quorum_that_is_no_int(self, star, quorum):
+        with pytest.raises(ConfigurationError, match="read_quorum"):
+            self._deploy(star, write_quorum=2, read_quorum=quorum)
+
+    @pytest.mark.parametrize("version_key", ["arg_0", "key"])
+    def test_deploy_rejects_an_unknown_version_key(self, star, version_key):
+        with pytest.raises(ConfigurationError, match="version_key"):
+            self._deploy(star, write_quorum=2, read_quorum=2,
+                         version_key=version_key)
+
+    @pytest.mark.parametrize("elect", ["no", 1])
+    def test_deploy_rejects_an_elect_that_is_no_bool(self, star, elect):
+        with pytest.raises(ConfigurationError, match="elect"):
+            self._deploy(star, write_quorum=2, read_quorum=2, elect=elect)
+
+    @pytest.mark.parametrize("ttl", [0, -1.0, float("nan"), float("inf"),
+                                     "5", True])
+    def test_deploy_rejects_a_lease_ttl_that_is_no_positive_number(
+            self, star, ttl):
+        with pytest.raises(ConfigurationError, match="lease_ttl"):
+            self._deploy(star, write_quorum=2, read_quorum=2, elect=True,
+                         lease_ttl=ttl)
+
+    def test_well_formed_configurations_still_deploy(self, star):
+        # Positive control: every admitted form deploys and serves.
+        system, server, clients = star
+        for index, config in enumerate([
+                {"write_quorum": 2, "read_quorum": 2, "version_key": "arg0",
+                 "elect": True, "lease_ttl": 5},
+                {"write_quorum": 3, "read_quorum": 1,
+                 "version_key": "object", "elect": False, "lease_ttl": 0.5},
+                {"write_quorum": None, "read_quorum": None,
+                 "version_key": None, "lease_ttl": None}]):
+            ref = self._deploy(star, **config)
+            repro.register(server, f"g{index}", ref)
+            proxy = repro.bind(clients[0], f"g{index}")
+            assert proxy.put("k", index) is True
+            assert proxy.get("k") == index
+
+    @pytest.mark.parametrize("key,value", [("write_quorum", 2.5),
+                                           ("write_quorum", True),
+                                           ("read_quorum", "2")])
+    def test_first_use_rejects_an_edited_quorum_that_is_no_int(
+            self, quorum_group, key, value):
+        # Bound configurations may be edited after bind, past deploy.
+        system, server, clients = quorum_group
+        proxy = repro.bind(clients[0], "qkv")
+        proxy.proxy_config[key] = value
+        with pytest.raises(ConfigurationError, match=key):
+            proxy.put("k", 1)
+
+    def test_first_use_rejects_an_edited_unknown_version_key(
+            self, quorum_group):
+        system, server, clients = quorum_group
+        proxy = repro.bind(clients[0], "qkv")
+        proxy.proxy_config["version_key"] = "key"
+        with pytest.raises(ConfigurationError, match="version_key"):
+            proxy.put("k", 1)
+
+    @pytest.mark.parametrize("elect", ["no", 0])
+    def test_first_use_rejects_an_edited_elect_that_is_no_bool(
+            self, quorum_group, elect):
+        system, server, clients = quorum_group
+        proxy = repro.bind(clients[0], "qkv")
+        proxy.proxy_config["elect"] = elect
+        with pytest.raises(ConfigurationError, match="elect"):
+            proxy.put("k", 1)
+
+
 class TestPartialWriteFanout:
     """Regression: an application exception from an early replica used to
     abort the write-all loop, leaving later replicas without the write

@@ -159,7 +159,7 @@ def test_no_policy_name_shadows_a_verb(pair, policy, monkeypatch):
     # A proxy's own names are ``proxy_*``: every verb of its interface
     # reaches the policy's ``invoke``, whatever class the policy is.
     system, server, client = pair
-    config = {"layers": ["tracing"]} if policy == "composite" else None
+    config = {"layers": ["stub"]} if policy == "composite" else None
     ref = get_space(server).export(Shadowed(), policy=policy, config=config)
     proxy = get_space(client).bind_ref(ref)
     invoked = []

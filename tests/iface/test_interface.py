@@ -35,10 +35,6 @@ class TestOperationDecorator:
                 return 1
         assert is_operation(Bare.op)
 
-    def test_readonly_implies_idempotent(self):
-        iface = Interface.of(Sample)
-        assert iface.operation("look").idempotent
-
     def test_metadata_carried(self):
         iface = Interface.of(Sample)
         poke = iface.operation("poke")

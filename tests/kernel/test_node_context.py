@@ -91,14 +91,6 @@ class TestSystem:
     def test_max_time_empty(self, system):
         assert system.max_time() == 0.0
 
-    def test_synchronize_clocks(self, system):
-        a = system.add_node("a").create_context("m")
-        b = system.add_node("b").create_context("m")
-        a.charge(2.0)
-        now = system.synchronize_clocks()
-        assert now == 2.0
-        assert b.now == 2.0
-
     def test_contexts_listing(self, system):
         system.add_node("a").create_context("m")
         system.add_node("b").create_context("m")

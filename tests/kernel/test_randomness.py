@@ -31,15 +31,5 @@ class TestSeedSequence:
         second = SeedSequence(3)
         assert second.stream("late").random() == late
 
-    def test_fork_is_stable(self):
-        a = SeedSequence(5).fork("child").stream("s").random()
-        b = SeedSequence(5).fork("child").stream("s").random()
-        assert a == b
-
-    def test_fork_differs_from_parent(self):
-        parent = SeedSequence(5)
-        child = parent.fork("child")
-        assert parent.stream("s").random() != child.stream("s").random()
-
     def test_derive_seed_stable(self):
         assert SeedSequence(9).derive_seed("n") == SeedSequence(9).derive_seed("n")

@@ -79,16 +79,6 @@ def test_fingerprint_pieces_join_where_the_per_event_digest_does():
     assert Trace().fingerprint() == hashlib.sha256().hexdigest()
 
 
-def test_a_bounded_trace_at_capacity_drops_and_tells_no_subscriber():
-    trace = Trace(capacity=1)
-    seen = []
-    trace.subscribe(seen.append)
-    trace.emit(0.0, "send", "a/m", "b/m", "req:get", 10)
-    trace.emit(0.1, "send", "b/m", "a/m", "rep", 5)
-    assert trace.events == seen == [
-        TraceEvent(0.0, "send", "a/m", "b/m", "req:get", 10)]
-
-
 def _net(seed=5):
     system = repro.make_system(seed=seed)
     for name in "abc":

@@ -4,35 +4,8 @@ import pytest
 
 import repro
 from repro.apps.kv import KVStore
-from repro.kernel.topology import (
-    build_regions,
-    build_ring,
-    build_star,
-)
+from repro.kernel.topology import build_regions
 from repro.naming.bootstrap import install_name_service
-
-
-class TestStar:
-    def test_shapes(self, system):
-        hub, leaves = build_star(system, "hub", ["a", "b", "c"])
-        assert hub.context_id == "hub/main"
-        assert len(leaves) == 3
-        assert {ctx.node.name for ctx in leaves} == {"a", "b", "c"}
-
-
-class TestRing:
-    def test_neighbours_are_fast(self, system):
-        build_ring(system, 5)
-        network = system.network
-        near = network.transit_time("ring0", "ring1", 0)
-        far = network.transit_time("ring0", "ring2", 0)
-        assert near < far
-
-    def test_ring_wraps(self, system):
-        build_ring(system, 4)
-        network = system.network
-        assert network.transit_time("ring3", "ring0", 0) < \
-            network.transit_time("ring3", "ring1", 0)
 
 
 class TestSites:

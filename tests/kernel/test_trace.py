@@ -63,11 +63,6 @@ class TestTrace:
         trace.emit(0.0, "send", "x", "y")
         assert len(trace.since()) == 1
 
-    def test_capacity_cap(self):
-        trace = Trace(capacity=2)
-        _fill(trace)
-        assert len(trace) == 2
-
     def test_clear(self):
         trace = Trace()
         _fill(trace)

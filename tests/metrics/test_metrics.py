@@ -38,11 +38,6 @@ class TestLatencySummary:
         assert summary.count == 0
         assert summary.mean == 0.0
 
-    def test_as_row_is_in_milliseconds(self):
-        row = LatencySummary.of("s", [0.002]).as_row()
-        assert row["mean_ms"] == pytest.approx(2.0)
-        assert row["series"] == "s"
-
 
 class TestLatencyRecorder:
     def test_record_and_summarise(self):

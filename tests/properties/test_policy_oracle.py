@@ -78,13 +78,16 @@ GROUPS = {
 }
 
 
-def build(policy: str, placement: str = "remote"):
+def build(policy: str, placement: str = "remote", lrpc: bool = True):
     """``(system, proxy, stores)``: ``policy`` deployed over KV stores —
     every one of them listed in ``stores`` — and bound by a client sitting
     on its own node (``"remote"``), in the context hosting the group's
     member 1 (``"beside"``), or in the context the group reference names
-    (``"home"``)."""
+    (``"home"``).  With ``lrpc`` off, a same-context call takes the framed
+    path like any other."""
     system = repro.make_system(seed=7)
+    if not lrpc:
+        system.rpc.lrpc_enabled = False
     contexts = [system.add_node(f"n{i}").create_context("m") for i in range(5)]
     install_name_service(contexts[0])
     stores: list[KVStore] = []
@@ -122,14 +125,21 @@ def run_script(proxy, script) -> list:
     return observations
 
 
-@pytest.mark.parametrize("policy",
-                         ["stub", "caching", "batching", "migrating",
-                          "replicated", "leased", "tracing"])
+def with_lrpc_off(policies: list[str]) -> list:
+    """``(policy, lrpc)`` cases: each policy with the LRPC fast path on
+    (id ``policy``) and off (id ``policy-lrpc_off``)."""
+    return [pytest.param(policy, True, id=policy) for policy in policies] + [
+        pytest.param(policy, False, id=f"{policy}-lrpc_off")
+        for policy in policies]
+
+
+@pytest.mark.parametrize("policy,lrpc", with_lrpc_off(
+    ["stub", "caching", "batching", "migrating", "replicated", "leased"]))
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(script=ops)
-def test_policy_matches_oracle(policy, script):
-    system, proxy, _stores = build(policy)
+def test_policy_matches_oracle(policy, lrpc, script):
+    system, proxy, _stores = build(policy, lrpc=lrpc)
     for observed, expected in run_script(proxy, script):
         assert observed == expected
     repro.assert_principle(system)
@@ -179,11 +189,11 @@ def test_keys_reach_every_shard(count):
     assert owners == set(range(count))
 
 
-@pytest.mark.parametrize("policy", sorted(GROUPS))
+@pytest.mark.parametrize("policy,lrpc", with_lrpc_off(sorted(GROUPS)))
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(script=ops)
-def test_group_matches_oracle_wherever_the_client_sits(policy, script):
+def test_group_matches_oracle_wherever_the_client_sits(policy, lrpc, script):
     """Every placement: a client next to a member, or in the group's own
     home context, observes the oracle like a remote one — and leaves every
     member object in the state the remote client's run of the same script
@@ -191,7 +201,7 @@ def test_group_matches_oracle_wherever_the_client_sits(policy, script):
     that made it)."""
     finals = {}
     for placement in ("remote", "beside", "home"):
-        system, proxy, stores = build(policy, placement)
+        system, proxy, stores = build(policy, placement, lrpc)
         for observed, expected in run_script(proxy, script):
             assert observed == expected
         repro.assert_principle(system)

@@ -99,10 +99,10 @@ class TestStateMachine:
 class TestRegistry:
     def test_between_creates_once_and_keeps_configuration(self, system):
         registry = BreakerRegistry(system, failure_threshold=4)
-        first = registry.between("a/main", "b/main", failure_threshold=2)
-        again = registry.between("a/main", "b/main", failure_threshold=9)
+        first = registry.between("a/main", "b/main")
+        again = registry.between("a/main", "b/main")
         assert first is again
-        assert first.failure_threshold == 2, "overrides apply at creation only"
+        assert first.failure_threshold == 4, "the registry default applies"
         assert len(registry) == 1
 
     def test_configure_overrides_an_existing_breaker(self, system):

@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.apps.kv import KVStore
-from repro.naming.bootstrap import bind, register
+from repro.naming.bootstrap import register
 from repro.resilience.latency import (MIN_TIMEOUT, WARMUP, LatencyTracker,
                                       LinkEstimator, ensure_latency)
 from repro.resilience.retry import RetryPolicy

@@ -77,10 +77,6 @@ class TestFromConfig:
         assert policy.multiplier == 2.0
         assert policy.attempts == 4
 
-    def test_none_yields_the_given_default(self):
-        policy = RetryPolicy.from_config(None, default=DEFAULT_RETRY)
-        assert policy is DEFAULT_RETRY
-
     def test_dict_overrides_field_by_field(self):
         policy = RetryPolicy.from_config(
             {"attempts": 6, "multiplier": 3.0, "jitter": 0.0})

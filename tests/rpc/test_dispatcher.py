@@ -9,8 +9,8 @@ from repro.core.export import get_space
 from repro.core.service import Service
 from repro.iface.interface import operation
 from repro.kernel.errors import MarshalError, ObjectMoved, ProtocolError
-from repro.metrics import marshal_memo_stats
 from repro.wire.frames import REQUEST, Frame
+from repro.wire.marshal import memo_stats
 
 
 @pytest.fixture
@@ -65,7 +65,7 @@ class TestAtMostOnce:
         ref = get_space(server).export(journal)
         dispatcher = server.handler.__self__
         decoder = system.transport.decoder_for(client)
-        decoded = marshal_memo_stats()["frames_decoded"]
+        decoded = memo_stats()["frames_decoded"]
         bulk = b"\x07" * 8192              # a bulk leaf in the snapshot
         for msg_id, blob in ((3, b""), (4, bulk)):
             want = [list(journal.lines), blob]
@@ -80,7 +80,7 @@ class TestAtMostOnce:
             assert second.to_bytes() == image
             assert Frame.decode_message(second, decoder).body == want
             assert Frame.decode_message(first, decoder).body == want
-        assert marshal_memo_stats()["frames_decoded"] == decoded
+        assert memo_stats()["frames_decoded"] == decoded
 
     def test_distinct_ids_execute_separately(self, served):
         system, server, client, counter, ref, dispatcher = served
@@ -109,13 +109,6 @@ class TestAtMostOnce:
         for msg_id in range(1, 6):
             send_raw(system, client, ref, "incr", msg_id=msg_id)
         assert len(dispatcher._replay) == 3
-
-    def test_forget_caller(self, served):
-        system, server, client, counter, ref, dispatcher = served
-        send_raw(system, client, ref, "incr", msg_id=1)
-        send_raw(system, client, ref, "incr", msg_id=2)
-        evicted = dispatcher.forget_caller(client.context_id)
-        assert evicted == 2
 
 
 def _serve_image(kind, headers):

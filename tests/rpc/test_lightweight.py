@@ -1,5 +1,5 @@
-"""Tests for the LRPC predicates and toggles, and for what the fast path
-may not change: which guards, hooks and errors serve a call."""
+"""Tests for the LRPC toggle, and for what the fast path may not change:
+which guards, hooks and errors serve a call."""
 
 import random
 
@@ -19,38 +19,8 @@ from repro.kernel.errors import (
 )
 from repro.persistence import PersistenceManager
 from repro.resilience.deadline import DEADLINE_HEADER, Deadline
-from repro.rpc.lightweight import (
-    fast_path_available,
-    lrpc_disabled,
-    lrpc_enabled,
-    same_context,
-    same_node,
-)
+from repro.rpc.lightweight import lrpc_disabled
 from repro.rpc.transport import Transport
-
-
-class TestPredicates:
-    def test_same_context(self, pair):
-        system, server, client = pair
-        ref = get_space(server).export(KVStore())
-        assert same_context(server, ref)
-        assert not same_context(client, ref)
-
-    def test_same_node_across_contexts(self, pair):
-        system, server, client = pair
-        sibling = server.node.create_context("second")
-        ref = get_space(server).export(KVStore())
-        assert same_node(sibling, ref)
-        assert not same_node(client, ref)
-
-    def test_fast_path_availability_tracks_toggle(self, pair):
-        system, server, client = pair
-        ref = get_space(server).export(KVStore())
-        assert fast_path_available(system.rpc, server, ref)
-        assert not fast_path_available(system.rpc, client, ref)
-        with lrpc_disabled(system.rpc):
-            assert not fast_path_available(system.rpc, server, ref)
-        assert fast_path_available(system.rpc, server, ref)
 
 
 class TestToggles:
@@ -61,14 +31,6 @@ class TestToggles:
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        assert system.rpc.lrpc_enabled
-
-    def test_nested_toggles(self, pair):
-        system, server, client = pair
-        with lrpc_disabled(system.rpc):
-            with lrpc_enabled(system.rpc):
-                assert system.rpc.lrpc_enabled
-            assert not system.rpc.lrpc_enabled
         assert system.rpc.lrpc_enabled
 
 

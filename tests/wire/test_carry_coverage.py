@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics import marshal_memo_stats
 from repro.simtest.runner import SimCase
 from repro.simtest.workload import BANK_POLICIES, SHIPPED_POLICIES, deploy
 from repro.wire.frames import Frame
-from repro.wire.marshal import Marshaller, clear_memos
+from repro.wire.marshal import Marshaller, clear_memos, memo_stats
 
 OPS = 60
 KEYS = ("k0", "k1", "k2", "k3")
@@ -57,7 +56,7 @@ def test_no_steady_state_frame_is_decoded_for_real(policy, sent):
     proxy.put("k0", 0)
     proxy.get("k0")
     other.get("k0")
-    before = marshal_memo_stats()
+    before = memo_stats()
     del sent[:]
     model = {"k0": 0}
     for index in range(OPS):
@@ -68,7 +67,7 @@ def test_no_steady_state_frame_is_decoded_for_real(policy, sent):
             model[key] = [index, {"n": index}]
         else:
             assert client.get(key) == model.get(key)
-    after = marshal_memo_stats()
+    after = memo_stats()
     moved = {key: after[key] - before[key]
              for key in ("frames_carried", "frames_decoded")}
     assert moved["frames_decoded"] == 0, moved

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.kernel.errors import ProtocolError
-from repro.metrics import marshal_memo_stats
 from repro.wire.frames import (
     EXCEPTION,
     FRAMED,
@@ -13,7 +12,7 @@ from repro.wire.frames import (
     Frame,
     reply_value,
 )
-from repro.wire.marshal import PLAIN
+from repro.wire.marshal import PLAIN, memo_stats
 
 
 class TestFrame:
@@ -56,19 +55,19 @@ class TestReplyValue:
     def test_a_pure_reply_is_its_value_and_is_counted_carried(self):
         msg = PLAIN.encode_frame_message(REPLY, 3, "b/m", "a/m", "", "",
                                          ("r", 1), {})
-        before = marshal_memo_stats()["frames_carried"]
+        before = memo_stats()["frames_carried"]
         assert reply_value(msg) == ("r", 1)
-        assert marshal_memo_stats()["frames_carried"] == before + 1
+        assert memo_stats()["frames_carried"] == before + 1
 
     def test_an_envelope_reply_reaches_the_caller_without_a_frame(self):
         wrapper = {"q.v": 2, "q.val": ("v", 1), "q.tl": (1, 0)}
         msg = PLAIN.encode_frame_message(REPLY, 3, "b/m", "a/m", "", "",
                                          wrapper, {})
-        before = marshal_memo_stats()["frames_carried"]
+        before = memo_stats()["frames_carried"]
         first = reply_value(msg)
         assert first == wrapper and first.__class__ is dict
         assert first is not wrapper
-        assert marshal_memo_stats()["frames_carried"] == before + 1
+        assert memo_stats()["frames_carried"] == before + 1
         # Each delivery is its own dict.
         assert reply_value(msg) is not first
 
@@ -83,6 +82,6 @@ class TestReplyValue:
     def test_anything_else_is_framed(self, kind, body):
         msg = PLAIN.encode_frame_message(kind, 3, "b/m", "a/m", "", "",
                                          body, {})
-        before = marshal_memo_stats()["frames_carried"]
+        before = memo_stats()["frames_carried"]
         assert reply_value(msg) is FRAMED
-        assert marshal_memo_stats()["frames_carried"] == before
+        assert memo_stats()["frames_carried"] == before

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.errors import MarshalError
-from repro.wire.marshal import PLAIN, Marshaller, wire_size
+from repro.wire.marshal import PLAIN, Marshaller
 from repro.wire.refs import ObjectRef
 
 
@@ -106,15 +106,6 @@ class TestHooks:
     def test_hooks_do_not_touch_plain_values(self):
         enc = Marshaller(encoder_hook=lambda v: None)
         assert PLAIN.decode(enc.encode({"a": [1, 2]})) == {"a": [1, 2]}
-
-
-class TestWireSize:
-    def test_size_matches_encoding(self):
-        value = {"key": "x" * 100}
-        assert wire_size(value) == len(PLAIN.encode(value))
-
-    def test_bigger_payload_bigger_size(self):
-        assert wire_size("x" * 1000) > wire_size("x" * 10)
 
 
 # -- property-based round-trip ------------------------------------------------

@@ -2,15 +2,13 @@
 
 The memo is process-global, so it must be bounded (FIFO eviction at
 ``_MEMO_MAX_ENTRIES``) and observable — the hit/size counters surface
-through :func:`repro.wire.marshal.memo_stats` and are re-exported by
-:mod:`repro.metrics`.
+through :func:`repro.wire.marshal.memo_stats`.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.metrics import marshal_memo_stats, reset_marshal_memo_stats
 from repro.wire import marshal
 from repro.wire.marshal import (
     Marshaller,
@@ -78,14 +76,6 @@ def test_clear_empties_every_memo():
     clear_memos()
     stats = memo_stats()
     assert stats["str_enc_size"] == 0
-
-
-def test_metrics_reexport_is_the_same_snapshot():
-    plain = Marshaller()
-    plain.encode("via-metrics")
-    assert marshal_memo_stats() == memo_stats()
-    reset_marshal_memo_stats()
-    assert memo_stats()["str_enc_misses"] == 0
 
 
 def test_reading_stats_never_warms_the_caches():

@@ -9,7 +9,6 @@ from repro.apps.kv import KVStore
 from repro.kernel.errors import ConfigurationError
 from repro.workloads.distributions import (
     HotspotSampler,
-    SingleKeySampler,
     UniformSampler,
     ZipfSampler,
     key_name,
@@ -49,10 +48,6 @@ class TestSamplers:
         draws = [sampler.sample() for _ in range(1000)]
         hot = sum(1 for key in draws if key < key_name(5))
         assert hot > 800
-
-    def test_single_key(self):
-        sampler = SingleKeySampler(3)
-        assert {sampler.sample() for _ in range(10)} == {key_name(3)}
 
     def test_empty_universe_rejected(self):
         with pytest.raises(ConfigurationError):
