@@ -169,14 +169,21 @@ class CachingProxy(Proxy):
         An entry is touched when any invalidated value appears among the
         cached call's arguments.  Returns the number of entries dropped.
         """
+        cache = self._cache
         if "*" in values:
-            dropped = len(self._cache)
-            self._cache.clear()
+            dropped = len(cache)
+            cache.clear()
         else:
-            victims = [key for key in self._cache
-                       if any(value in key[1:] for value in values)]
+            # One test per key and value; a key's verb alone touches none.
+            victims = []
+            for key in cache:
+                for value in values:
+                    if value in key and (value != key[0]
+                                         or key.count(value) > 1):
+                        victims.append(key)
+                        break
             for key in victims:
-                del self._cache[key]
+                del cache[key]
             dropped = len(victims)
         self.proxy_stats["invalidations"] += dropped
         return dropped

@@ -995,13 +995,9 @@ def replicate(contexts: list, factory: Callable[[], object],
             lease_ttl.__class__ in (int, float) and lease_ttl > 0
             and math.isfinite(lease_ttl)):
         raise ConfigurationError(f"lease_ttl admits no {lease_ttl!r}")
-    replica_refs = []
-    for ctx in contexts:
-        obj = factory()
-        if interface is None:
-            interface = Interface.of(type(obj))
-        replica_refs.append(get_space(ctx).export(obj, interface=interface,
-                                                  policy="stub"))
+    # Checked before any export, so a refusal leaves no replica behind;
+    # ``replicas`` stays the first key (the wire image), filled after.
+    replica_refs: list = []
     config: dict = {"replicas": replica_refs, "read_policy": read_policy}
     if write_quorum is not None:
         config["write_quorum"] = write_quorum
@@ -1014,6 +1010,12 @@ def replicate(contexts: list, factory: Callable[[], object],
     if extra_config:
         config.update(extra_config)
     elected = _protocol(config)[1]
+    for ctx in contexts:
+        obj = factory()
+        if interface is None:
+            interface = Interface.of(type(obj))
+        replica_refs.append(get_space(ctx).export(obj, interface=interface,
+                                                  policy="stub"))
     entries = [get_space(ctx).entry(ref.oid)
                for ctx, ref in zip(contexts, replica_refs)]
     group_ref = get_space(contexts[0]).export_group(

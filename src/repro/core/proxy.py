@@ -60,7 +60,8 @@ class Proxy:
         #: Resolved-``Operation`` cache (verb → Operation), filled lazily by
         #: :meth:`proxy_operation`; cleared with the bound-operation cache.
         self.proxy_opcache = {}
-        self.proxy_interface = interface
+        # Not through the setter: a new proxy has no operations to drop.
+        self._proxy_interface = interface
         self.proxy_config = dict(config or {})
         self.proxy_protocol = context.system.rpc
         self.proxy_stats = {"invocations": 0, "remote_calls": 0, "rebinds": 0}

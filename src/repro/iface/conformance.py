@@ -13,6 +13,8 @@ cared about this: run-time type errors clash with distribution transparency).
 
 from __future__ import annotations
 
+from types import FunctionType
+
 from ..kernel.errors import ConformanceError
 from .interface import Interface, Operation, is_operation, _positional_params
 
@@ -71,8 +73,22 @@ def check_implements(obj: object, declared: Interface) -> None:
     (with a non-callable, or a callable of another arity) and a method
     replaced since the last export.  What it does not redo per export is
     reflection: an ``@operation`` function remembers its own signature
-    (:func:`~repro.iface.interface._positional_params`).
+    (:func:`~repro.iface.interface._positional_params`).  Nor is the walk
+    redone while ``declared`` holds a verdict for the class (the functions
+    verified on an unshadowed instance), the class resolves each to the
+    identical object, the instance shadows none, and the class keeps
+    ``object.__getattribute__``.
     """
+    klass = type(obj)
+    verified = declared.verified.get(klass)
+    shadow = getattr(obj, "__dict__", {})
+    plain = klass.__getattribute__ is object.__getattribute__
+    if verified is not None and plain:
+        for name, member in verified:
+            if getattr(klass, name, None) is not member or name in shadow:
+                break
+        else:
+            return
     gaps = []
     for name, required in declared.operations.items():
         member = getattr(obj, name, None)
@@ -91,3 +107,8 @@ def check_implements(obj: object, declared: Interface) -> None:
         raise ConformanceError(
             f"{type(obj).__name__!r} does not implement {declared.name!r}: "
             + "; ".join(gaps))
+    members = tuple((name, getattr(klass, name, None))
+                    for name in declared.operations)
+    if plain and shadow.keys().isdisjoint(declared.operations) and all(
+            member.__class__ is FunctionType for _, member in members):
+        declared.verified[klass] = members

@@ -61,6 +61,8 @@ class Interface:
 
     def __init__(self, name: str, operations: list[Operation]):
         self.name = name
+        #: class → the operations ``check_implements`` verified on it.
+        self.verified: dict[type, tuple] = {}
         self.operations: dict[str, Operation] = {}
         for op in operations:
             if op.name.startswith(("_", "proxy_")) or op.name == "invoke":

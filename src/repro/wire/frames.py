@@ -18,7 +18,7 @@ from typing import Any
 
 from ..kernel.errors import ProtocolError
 from .marshal import (EXCEPTION, FRAME_KINDS, MREPLY, ONEWAY, REPLY, REQUEST,
-                      _MEMO_STATS, Marshaller, _plain_copy)
+                      _MEMO_STATS, Marshaller, _plain_copy, _ref_copy)
 from .segments import WireMessage
 
 __all__ = ["EXCEPTION", "FRAMED", "FRAME_KINDS", "Frame", "K_OVERLOAD",
@@ -111,10 +111,11 @@ def fields_of(msg, marshaller: Marshaller) -> tuple:
     else: of a plain message's snapshot, the two empty dicts of a pure
     one, whose fields are shared because nothing in them can change, or
     an envelope's dict and empty dict (a pure or envelope reply needs no
-    fields: :func:`reply_value`).  A message that carries nothing is
-    decoded — its head as wire bytes are, or, with raw segments, by the
-    segment-aware decoder, which hands raw payloads back without
-    copying.  The decoder is the only path for bytes from a peer.
+    fields: :func:`reply_value`); with references, ``marshaller``'s
+    decoder hook meets each ref in the decoder's order.  A message that
+    carries nothing is decoded — its head as wire bytes are, or, with raw
+    segments, by the segment-aware decoder, which hands raw payloads back
+    without copying.  The decoder is the only path for bytes from a peer.
     """
     if msg.__class__ is not WireMessage:
         msg = WireMessage.wrap(msg)
@@ -122,7 +123,8 @@ def fields_of(msg, marshaller: Marshaller) -> tuple:
     if carried is not None:
         _MEMO_STATS.frames_carried += 1
         # ``last``: a pure message's pair flag, an envelope's
-        # ``(headers, pair)``, a plain one's headers.
+        # ``(headers, pair)``, a plain one's headers, ``[headers]`` with
+        # references.
         kind, msg_id, src, dst, target, verb, body, last = carried
         if last.__class__ is bool:
             return (kind, msg_id, src, dst, target, verb,
@@ -131,6 +133,10 @@ def fields_of(msg, marshaller: Marshaller) -> tuple:
             headers, pair = last
             return (kind, msg_id, src, dst, target, verb,
                     (body, {}) if pair else body.copy(), headers.copy())
+        if last.__class__ is list:      # with references: [headers]
+            hook = marshaller.decoder_hook
+            return (kind, msg_id, src, dst, target, verb,
+                    _ref_copy(body, hook), _ref_copy(last[0], hook))
         return (kind, msg_id, src, dst, target, verb,
                 _plain_copy(body), _plain_copy(last) if last else {})
     if not msg.segments:

@@ -28,9 +28,10 @@ surfaced via :mod:`repro.metrics`).  Nothing on the decode side is
 memoised.
 
 The decoder is the reference path, not a fast one.  Since the carry
-(below) a receiver unmarshals only a frame that holds a reference, and
-whatever a peer crafts — so it is one recursive walk with one arm per
-tag, whose jobs are turning refs into proxies and refusing hostile input:
+(below) a receiver unmarshals only a frame holding a set, a subclass or a
+``bytearray``, and whatever a peer crafts — so it is one recursive walk
+with one arm per tag, whose jobs are turning refs into proxies and
+refusing hostile input:
 truncation, non-utf-8 text, unhashable keys and set members, trailing
 bytes, unconsumed raw segments, unknown tags and nesting deeper than
 :data:`_MAX_DEPTH` all raise :class:`MarshalError`.
@@ -38,23 +39,23 @@ bytes, unconsumed raw segments, unknown tags and nesting deeper than
 Two message-level fast paths sit on top (both byte-transparent on the
 wire — see ``wire/segments.py`` and DESIGN.md's zero-copy subsection):
 
-* **the carry** — a frame whose headers and body are *plain data* (exact
-  built-in leaves, and ``list``/``tuple``/``str``-keyed ``dict`` of
-  plain data: what no hook can touch) is not written at all: one walk
-  counts the bytes the encoder would write, and the message carries the
-  fields and that size.  A *pure* frame — empty headers, a
-  deeply-immutable body (exact tuples of immutable leaves) — is sized by
-  :func:`_pure_size` and carries its fields as they are, since nothing
-  in them can change.  An *envelope* — a ``str``-keyed dict of pure
-  values as the headers of an ``(args, {})`` request with pure args, or
-  as a reply's body with empty headers — is pure too: sized by
-  :func:`_pure_dict_size`, it carries the dict's shallow copy, and each
-  delivery gets a fresh dict.  Any other plain frame is proved plain,
-  snapshotted and sized by :func:`_plain_sized`, and every delivery gets
-  its own copy of the snapshot.  Either way no decoder runs, and the
-  bytes are written only if someone asks for the image.  Anything else
-  — a reference, a subclass, a set, a ``bytearray`` — is encoded and
-  decoded.
+* **the carry** — a frame of *plain data* is not written at all: one
+  walk counts the bytes the encoder would write, and the message carries
+  the fields and that size.  Plain data is the exact built-in leaves,
+  ``list``/``tuple``/``str``-keyed ``dict`` of plain data, and
+  references: an exact :class:`ObjectRef`, or what the encoder hook
+  makes of a proxy or an export (called where the writer calls it).  A
+  *pure* frame — empty headers, a body of exact tuples of immutable
+  leaves — carries its fields as they are (:func:`_pure_size`); an
+  *envelope* — a ``str``-keyed dict of pure values as an ``(args, {})``
+  request's headers or a reply's body — carries the dict's shallow copy
+  (:func:`_pure_dict_size`); any other is snapshotted by
+  :func:`_plain_sized`, and every delivery gets its own copy, each ref
+  handed to the receiver's decoder hook in the decoder's order
+  (:func:`_ref_copy`).  No decoder runs; the bytes are written only if
+  someone asks for the image.  Anything else — a subclass, a set, a
+  ``bytearray``, a ref the writer would not write as sent — is encoded
+  and decoded.
 * **raw segments** — on that written path, a
   ``bytes``/``bytearray``/``memoryview`` payload of at least
   :data:`RAW_THRESHOLD` bytes encodes as a 5-byte marker (same overhead
@@ -274,27 +275,28 @@ def _str_wire(value: str) -> bytes:
     return cached
 
 
-def _plain_sized(value):
-    """``(snapshot, wire size)`` of a *plain* value; raises
-    :class:`_NotPlain` otherwise.
+def _plain_sized(value, encoder_hook=None):
+    """``(snapshot, wire size, refs)`` of a *plain* value, ``refs`` the
+    number of references in it; raises :class:`_NotPlain` otherwise.
 
-    Plain data is what no hook can ever see: the immutable leaves, and
-    ``list``/``tuple``/``str``-keyed ``dict`` of plain data, all of exact
-    built-in type (subclasses, sets, ``bytearray``, ``ObjectRef`` and
-    application objects take the hook-first encoder and the real
-    decoder).  One walk proves, copies and sizes: leaves and flat tuples
-    of leaves are shared, every other container is fresh, so the
-    snapshot equals — types included — what the decoder would build from
-    the bytes; the size is the byte count the encoder would write, by
-    its layout: ``None``/``bool`` 1, ``int``/``float`` 9 (a big int 5
-    plus :func:`_bigint_width`), ``bytes`` 5 plus its length, a string
-    its memoised wire form (:func:`_str_wire`), a container 5 plus its
+    Plain data is the immutable leaves and ``list``/``tuple``/``str``-
+    keyed ``dict`` of plain data, all of exact built-in type, and refs:
+    an exact :class:`ObjectRef`, or a value outside :data:`_HOOK_EXEMPT`
+    that ``encoder_hook``, called where and in the order the writer
+    calls it, replaces with one.  One walk proves, copies and sizes:
+    leaves, refs and flat tuples of leaves are shared, every other
+    container is fresh, so the snapshot equals — types included — what
+    the decoder would build from the bytes; the size is the byte count
+    the encoder would write, by its layout: ``None``/``bool`` 1,
+    ``int``/``float`` 9 (a big int 5 plus :func:`_bigint_width`),
+    ``bytes`` 5 plus its length, a string its memoised wire form
+    (:func:`_str_wire`), a ref 25 plus its names, a container 5 plus its
     items.  An empty dict, and a flat run of strings and small ints (an
     args tuple, a list of keys), are sized and copied where they sit;
     any other container is one call.
     """
     str_enc = _STR_ENC
-    hits = 0
+    hits = refs = 0
     cls = value.__class__
     keyed = cls is dict
     if keyed:
@@ -351,7 +353,8 @@ def _plain_sized(value):
                 elif icls is int and -(2**63) <= item < 2**63:
                     inner += 9
                 else:
-                    val, inner = _plain_sized(val)
+                    val, inner, more = _plain_sized(val, encoder_hook)
+                    refs += more
                     break
             else:
                 hits += run_hits
@@ -360,23 +363,41 @@ def _plain_sized(value):
             size += inner
         elif vcls is dict:
             if val:
-                val, inner = _plain_sized(val)
+                val, inner, more = _plain_sized(val, encoder_hook)
                 size += inner
+                refs += more
             else:
                 val = {}
                 size += 5
         else:
-            raise _NotPlain
+            if vcls is not ObjectRef:
+                if encoder_hook is None or vcls in _HOOK_EXEMPT:
+                    raise _NotPlain
+                val = encoder_hook(val)
+                if val.__class__ is not ObjectRef:
+                    raise _NotPlain
+            # A ref is 25 bytes and its names' UTF-8.  One the writer would
+            # not write as sent (a name not str, an epoch no i64) is written.
+            epoch = val.epoch
+            if epoch.__class__ is not int or not -(2**63) <= epoch < 2**63:
+                raise _NotPlain
+            size += 25
+            for name in (val.context_id, val.oid, val.interface, val.policy):
+                if name.__class__ is not str:
+                    raise _NotPlain
+                size += len(name) if name.isascii() \
+                    else len(name.encode("utf-8"))
+            refs += 1
         if keyed:
             snapshot[key] = val
         else:
             snapshot.append(val)
     _MEMO_STATS.str_enc_hits += hits
     if cls is tuple:
-        return tuple(snapshot), size
+        return tuple(snapshot), size, refs
     if keyed or cls is list:
-        return snapshot, size
-    return snapshot[0], size
+        return snapshot, size, refs
+    return snapshot[0], size, refs
 
 
 def _pure_size(value) -> int | None:
@@ -540,6 +561,26 @@ def _plain_copy(value):
     raise _NotPlain
 
 
+def _ref_copy(value, decoder_hook):
+    """A delivery of a snapshot that holds references: every container
+    fresh, leaves shared, and each ref handed to ``decoder_hook`` (when
+    there is one) in the order the decoder would meet it."""
+    leaves = _IMMUTABLE_LEAVES
+    cls = value.__class__
+    if cls is ObjectRef:
+        return value if decoder_hook is None else decoder_hook(value)
+    if cls in leaves:
+        return value
+    items = []
+    for val in value.values() if cls is dict else value:
+        if val.__class__ not in leaves:
+            val = _ref_copy(val, decoder_hook)
+        items.append(val)
+    if cls is dict:
+        return dict(zip(value, items))
+    return items if cls is list else tuple(items)
+
+
 class Marshaller:
     """Encodes and decodes wire values, applying optional swizzle hooks."""
 
@@ -662,25 +703,15 @@ class Marshaller:
         """Encode one frame into a :class:`WireMessage`.
 
         Every outcome has the honest wire size (``nbytes``, counted once,
-        here), and only the last one has bytes:
-
-        * a *pure* frame (empty headers, deeply-immutable body) → the
-          size (:func:`_pure_size`) and the fields themselves, shared:
-          ``(kind, msg_id, src, dst, target, verb, body, pair)``, where
-          a request's ``(args, {})`` body is carried as ``args`` and
-          ``pair`` is true;
-        * an *envelope* (an ``(args, {})`` request with pure args and
-          pure headers, or a pure body dict with empty headers) → the
-          size (:func:`_pure_dict_size`) and ``(kind, msg_id, src, dst,
-          target, verb, body, (headers, pair))``, the dict a shallow
-          copy: a request's ``body`` is ``args`` and ``pair`` is true, a
-          reply wrapper's ``body`` is the dict and ``headers`` empty;
-        * headers and body both *plain* → the size and a snapshot of the
-          eight fields (:func:`_plain_sized`, one walk, now — as the
-          bytes would have been);
-        * anything else → decoded for real at the receiver: the head is
-          exactly what :meth:`encode_frame_fields` produces, or — with
-          bulk payloads — the segments hold the payload objects uncopied.
+        here), and only a frame the carry cannot take has bytes.  A
+        *pure* frame (:func:`_pure_size`), an *envelope*
+        (:func:`_pure_dict_size`) and any other *plain* one
+        (:func:`_plain_sized`: one walk, now — as the bytes would have
+        been, the encoder hook called as the writer calls it) carry their
+        fields as :attr:`WireMessage.carried` lays them out.  Anything
+        else is decoded for real at the receiver: the head is exactly
+        what :meth:`encode_frame_fields` produces, or — with bulk
+        payloads — the segments hold the payload objects uncopied.
 
         A sized message's image is written by :meth:`WireMessage.to_bytes`
         if anyone asks.  A frame of an unknown kind is never sized: it is
@@ -724,19 +755,20 @@ class Marshaller:
                     carried = (kind, msg_id, src, dst, target, verb,
                                body[0] if pair else body, pair)
             if carried is None:
+                hook = self.encoder_hook
                 try:
-                    snap_body, nbytes = _plain_sized(body)
-                    if headers:
-                        snap_headers, size = _plain_sized(headers)
-                        nbytes += size
-                    else:
-                        snap_headers = {}
-                        nbytes += 5
+                    snap_body, nbytes, refs = _plain_sized(body, hook)
+                    snap_headers, size, more = _plain_sized(
+                        headers, hook) if headers else ({}, 5, 0)
+                    nbytes += size
+                    refs += more
                 except _NotPlain:
                     pass
                 else:
+                    # With references, the headers ride in a list.
                     carried = (kind, msg_id, src, dst, target, verb,
-                               snap_body, snap_headers)
+                               snap_body,
+                               [snap_headers] if refs else snap_headers)
             if carried is not None:
                 # The eight-field list: its header, the id, five strings.
                 nbytes += 5 + (9 if -(2**63) <= msg_id < 2**63

@@ -5,16 +5,16 @@ wire size (``nbytes``, counted once, when the frame is encoded — the
 number the cost model and the trace consume) plus whichever of two
 forms the frame needs (see ``wire/marshal.py``):
 
-* **its fields** (``carried``) — a frame of plain data is sized, not
-  written: ``head`` is ``None``, and the message carries the fields,
-  pristine.  No delivery ever gets them: :func:`~repro.wire.frames.
-  fields_of` (or, for a pure or envelope reply, :func:`~repro.wire.
-  frames.reply_value`) hands each one (the first delivery, a
-  retransmission, a duplicate answered from the replay cache) its own
-  copy of every container;
+* **its fields** (``carried``) — a frame of plain data, references
+  included, is sized, not written: ``head`` is ``None``, and the message
+  carries the fields, pristine.  No delivery ever gets them:
+  :func:`~repro.wire.frames.fields_of` (or, for a pure or envelope
+  reply, :func:`~repro.wire.frames.reply_value`) hands each one (the
+  first delivery, a retransmission, a duplicate answered from the replay
+  cache) its own copy of every container;
 * **an image** — the contiguous *head* plus zero-copy payload
-  *segments*, for a frame the receiver must decode (one that holds a
-  reference, or anything else the decoder must rebuild).  The
+  *segments*, for a frame the receiver must decode (one holding a set, a
+  subclass or a ``bytearray``: what the decoder must rebuild).  The
   marshaller's bulk path does not copy large
   ``bytes``/``bytearray``/``memoryview`` payloads into the encoded
   stream: it writes a 5-byte raw marker (tag + u32 length — the same
@@ -61,8 +61,9 @@ class WireMessage:
             was sent, which is a snapshot because its values are
             immutable.  A plain one's are the eight fields ``(kind,
             msg_id, src, dst, target, verb, body, headers)``, every
-            container a copy made when the frame was sent.  The last
-            field's type tells the three apart.  ``None`` when the frame
+            container a copy made when the frame was sent; with
+            references the headers ride as ``[headers]``.  The last
+            field's type tells the four apart.  ``None`` when the frame
             must be decoded.
     """
 
@@ -95,7 +96,7 @@ class WireMessage:
         markers).  Decodable by the plain byte-stream decoder.
 
         A sized message's image is written now, by the encoder, from the
-        fields it carries: plain data is hook-exempt, so the hook-free
+        fields it carries: they are hook-exempt, so the hook-free
         marshaller writes the bytes the sender's would have."""
         head = self.head
         if head is None:
@@ -107,6 +108,8 @@ class WireMessage:
                 last, pair = last
                 if pair:
                     body = (body, {})
+            elif last.__class__ is list:        # with references: [headers]
+                last = last[0]
             return PLAIN.encode_frame_fields(kind, msg_id, src, dst, target,
                                              verb, body, last)
         if not self.segments:

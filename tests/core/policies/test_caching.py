@@ -86,6 +86,21 @@ class TestOwnWrites:
             assert proxy.get("b") == 2
         assert window.report.messages == 0, "b must still be cached"
 
+    def test_invalidation_matches_arguments_not_the_verb(self, pair):
+        system, server, client = pair
+        deploy(server, {"invalidation": False, "ttl": None})
+        proxy = repro.bind(client, "kv")
+        for key in ("get", "a", "b", 1):
+            proxy.get(key)
+        assert proxy.proxy_cache_size == 4
+        # "get" is every key's verb, but only one key's argument.
+        assert proxy.proxy_cache_invalidate(("get",)) == 1
+        assert proxy.proxy_cache_invalidate(("zz", "get")) == 0
+        assert proxy.proxy_cache_invalidate(("zz", 1.0, "b")) == 2
+        assert sorted(proxy._cache) == [("get", "a")]
+        assert proxy.proxy_cache_invalidate(("*",)) == 1
+        assert proxy.proxy_cache_size == 0
+
     def test_delete_invalidates(self, pair):
         system, server, client = pair
         deploy(server, {"invalidation": False, "ttl": None})

@@ -333,6 +333,24 @@ class TestMalformedGroupConfiguration:
         with pytest.raises(ConfigurationError, match="elect"):
             self._deploy(star, write_quorum=2, read_quorum=2, elect=elect)
 
+    @pytest.mark.parametrize("config", [
+        {"elect": True},
+        {"read_quorum": 2, "extra_config": {"elect": "yes"}},
+        {"extra_config": {"elect": True}},
+    ], ids=["elect-unversioned", "extra-elect-no-bool",
+            "extra-elect-unversioned"])
+    def test_a_refused_deployment_exports_no_replica(self, star, config):
+        # Regression: the replicas were exported before the protocol was
+        # checked, so each context kept one after the refusal.
+        system, server, clients = star
+        contexts = [server, clients[1], clients[2]]
+        before = [sorted(ctx.exports) for ctx in contexts]
+        with pytest.raises(ConfigurationError, match="elect"):
+            replicate(contexts, KVStore, **config)
+        assert [sorted(ctx.exports) for ctx in contexts] == before
+        assert not any(isinstance(entry.obj, KVStore) for ctx in contexts
+                       for entry in ctx.exports.values())
+
     @pytest.mark.parametrize("ttl", [0, -1.0, float("nan"), float("inf"),
                                      "5", True])
     def test_deploy_rejects_a_lease_ttl_that_is_no_positive_number(

@@ -16,6 +16,7 @@ import pytest
 import repro
 from repro.apps.kv import KVStore
 from repro.core.export import ContextManager
+from repro.iface import conformance
 from repro.iface.conformance import check_implements
 from repro.iface.interface import (
     Interface,
@@ -147,10 +148,32 @@ def _method_replaced_after_a_first_export(ctx):
                            "interface declares 2")
 
 
+def _shadow_after_a_verdict(ctx):
+    Store = _store_class()
+    repro.export(ctx, Store())      # passes; the verdict is recorded
+    obj = Store()
+    obj.put = lambda key: True
+    return obj, None, ("method 'put' takes 1 parameters, "
+                       "interface declares 2")
+
+
+def _getattribute_override_after_a_verdict(ctx):
+    Store = _store_class()
+    repro.export(ctx, Store())
+
+    def __getattribute__(self, name):
+        if name == "put":
+            return 5
+        return object.__getattribute__(self, name)
+    Store.__getattribute__ = __getattribute__
+    return Store(), None, "missing method 'put'"
+
+
 @pytest.mark.parametrize("gap", [
     _missing_method, _non_callable_shadow,
     _callable_shadow_of_another_arity, _undecorated_method,
-    _method_replaced_after_a_first_export,
+    _method_replaced_after_a_first_export, _shadow_after_a_verdict,
+    _getattribute_override_after_a_verdict,
 ], ids=lambda gap: gap.__name__.strip("_"))
 def test_every_gap_is_still_found_on_every_export(gap, pair):
     system, server, client = pair
@@ -159,6 +182,28 @@ def test_every_gap_is_still_found_on_every_export(gap, pair):
         repro.export(server, obj, interface=declared)
     assert str(caught.value) == (
         "'Store' does not implement 'Store': " + message)
+
+
+def test_a_verdict_on_the_interface_skips_the_per_operation_walk(
+        monkeypatch):
+    Store = _store_class()
+    declared = Interface.of(Store)
+    check_implements(Store(), declared)
+    assert declared.verified[Store] == (("get", Store.get),
+                                        ("put", Store.put))
+    walked = []
+    monkeypatch.setattr(conformance, "_positional_params", walked.append)
+    check_implements(Store(), declared)
+    assert walked == []
+
+
+def test_a_shadowing_instance_records_no_verdict():
+    Store = _store_class()
+    obj = Store()
+    obj.get = lambda key: key       # right arity: the export passes
+    declared = Interface.of(Store)
+    check_implements(obj, declared)
+    assert Store not in declared.verified
 
 
 class TestWhoIsReflectedOnAfresh:

@@ -26,16 +26,22 @@ reaches the caller as its dict (stub get 35, replicated 114, sharded 51,
 put 159, caching put 68, stub put 35, one-way 21 before).  A shard route
 is derived once per ring epoch: a routed call reads its shard's reference
 and key index where they are stored, and a map travels pure (sharded get
-46, put 46, rebalance sweep 725 before).
+46, put 46, rebalance sweep 725 before).  A reference travels carried and
+a new proxy sets its interface without the invalidation walk: a handshake
+bind writes and parses no frame (replicated 289, composite 304, caching
+396, stub 82 before).  The retransmission and replay-cache budgets are the
+counts they were given at, 44 and 52.
 """
 
 import gc
 import itertools
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.export import ObjectSpace, get_space
 from repro.simtest.runner import SimCase
 from repro.simtest.workload import deploy
 from repro.wire.marshal import clear_memos
@@ -57,6 +63,16 @@ FRESH_PUT_BUDGET = {"stub": 34, "caching": 66}
 #: handoff with its install and commit legs.  Each sweep moves another
 #: arc, so readings differ by a few calls; the largest is budgeted.
 SWEEP_BUDGET = 676
+
+#: A handshake bind from a fresh context: the ``describe`` round trip and
+#: the proxy (with a replica proxy per member, or the cache's register).
+BIND_BUDGET = {"replicated": 118, "composite": 131, "caching": 227,
+               "stub": 76}
+#: A stub get whose first request is lost: the timeout, the retransmission.
+RETRANSMIT_BUDGET = 44
+#: A stub get whose first reply is lost: the retransmission is a duplicate,
+#: answered from the server's replay cache.
+DUPLICATE_BUDGET = 52
 
 #: Frames that stand in front of a value fixed at construction, or that
 #: only forward: a size, a message id, a snapshot's hand-over, the clock's
@@ -210,3 +226,48 @@ def test_a_warm_routed_call_builds_no_reference(monkeypatch):
 def test_a_cache_hit_reads_only_attributes(policy):
     for names in _warm_get_calls(policy):
         assert not HIT_BANNED.intersection(names), sorted(names)
+
+
+#: The writer and the decoder: a reference travels carried, so a bind
+#: writes and parses no frame.
+WRITTEN = {"encode_frame_fields", "_encode_into", "decode_frame_fields",
+           "_decode_from"}
+
+
+@pytest.mark.parametrize("policy", sorted(BIND_BUDGET))
+def test_a_handshake_bind_stays_within_its_call_budget(policy):
+    ctx, proxy = _deployment(policy)
+    system = ctx.system
+    spaces = iter([get_space(system.add_node(f"fresh{i}")
+                             .create_context("main")) for i in range(9)])
+    readings = _readings(partial(ObjectSpace.bind_ref, ref=proxy.proxy_ref,
+                                 handshake=True), spaces)
+    assert _count(readings) <= BIND_BUDGET[policy]
+    for names in readings:
+        assert not WRITTEN.intersection(names), sorted(names)
+
+
+def _lossy(ctx, draws):
+    """The stub deployment's network loses the legs ``draws`` marks: each
+    message draws the next value, and a draw of 0 is a loss.  The draws
+    are a C iterator, so they add no counted call."""
+    network = ctx.system.network
+    network.set_default_loss(0.5)
+    network._rng = SimpleNamespace(random=iter(draws * 9).__next__)
+
+
+def test_a_retransmission_stays_within_its_call_budget():
+    ctx, proxy = _deployment("stub")
+    _lossy(ctx, [0.0, 0.9, 0.9])        # the request is lost once
+    readings = _readings(partial(proxy.get, "k0"))
+    assert _count(readings) <= RETRANSMIT_BUDGET
+    assert proxy.proxy_protocol.stats["retries"] >= 9
+
+
+def test_a_duplicate_from_the_replay_cache_stays_within_its_call_budget():
+    ctx, proxy = _deployment("stub")
+    server = ctx.system.context(proxy.proxy_ref.context_id)
+    _lossy(ctx, [0.9, 0.0, 0.9, 0.9])   # the reply is lost once
+    readings = _readings(partial(proxy.get, "k0"))
+    assert _count(readings) <= DUPLICATE_BUDGET
+    assert server.handler.__self__.stats["duplicates"] == 9

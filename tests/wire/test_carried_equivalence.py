@@ -84,6 +84,10 @@ class Bag(dict):
 Point = namedtuple("Point", "x y")
 
 
+class SubRef(ObjectRef):
+    pass
+
+
 def _marshaller() -> Marshaller:
     """Both swizzle hooks installed, as in a live context."""
     return Marshaller(encoder_hook=_object_space_hook,
@@ -401,8 +405,8 @@ def test_plain_copy_refuses_what_a_hook_could_see(value):
 
 @pytest.mark.parametrize("value", _PLAIN_SHAPES)
 def test_the_sizing_walk_counts_what_the_encoder_writes(value):
-    snapshot, size = _plain_sized(value)
-    assert size == len(PLAIN.encode(value))
+    snapshot, size, refs = _plain_sized(value)
+    assert size == len(PLAIN.encode(value)) and refs == 0
     assert typed(snapshot) == typed(value)
     before = typed(snapshot)
     scramble(value)
@@ -411,6 +415,13 @@ def test_the_sizing_walk_counts_what_the_encoder_writes(value):
 
 @pytest.mark.parametrize("value", _NOT_PLAIN)
 def test_the_sizing_walk_refuses_what_a_hook_could_see(value):
+    if value.__class__ is ObjectRef:
+        # An exact reference is carried: shared, and sized as the writer
+        # writes it.
+        snapshot, size, refs = _plain_sized(value)
+        assert snapshot is value and refs == 1
+        assert size == len(PLAIN.encode(value))
+        return
     with pytest.raises(_NotPlain):
         _plain_sized(value)
 
@@ -427,19 +438,25 @@ def _request(body, headers=None, msg_id=5):
     ((("k",), {}), {"q.r": ["c0/main"], "q.t": [3, 7]}, True),  # enveloped
     (((["k"],), {}), {}, True),                       # the invalidation
     ((("k",), {"kw": [1]}), {"s.e": [4], "s.k": 99}, True),
-    (((ObjectRef("n0/main", "o", "I", 0, "stub"),), {}), {}, False),
+    (((SubRef("n0/main", "o", "I", 0, "stub"),), {}), {}, False),
     ((("k",), {}), {"q.r": [Text("c0/main")]}, False),
     ((("k",), {}), {1: 2}, False),
     (((bytearray(_BULK),), {}), {}, False),
+    (((ObjectRef("n0/main", "o", "I", 0, "stub"),), {}), {}, True),
 ])
 def test_only_plain_frames_are_carried(body, headers, carried):
-    msg = _request(body, headers).encode_message(Marshaller())
+    frame = _request(body, headers)
+    msg = frame.encode_message(Marshaller())
     before = memo_stats()
-    Frame.decode_message(msg, Marshaller())
+    delivered = Frame.decode_message(msg, Marshaller())
     after = memo_stats()
     assert after["frames_carried"] - before["frames_carried"] == carried
     assert after["frames_decoded"] - before["frames_decoded"] == (
         not carried)
+    # Carried or not, the receiver gets what the image decodes to.
+    assert msg.nbytes == len(frame.encode(Marshaller()))
+    assert typed_frame(delivered) \
+        == typed_frame(Frame.decode(msg.to_bytes(), Marshaller()))
 
 
 def test_headers_that_are_not_a_dict_are_never_carried():
@@ -692,3 +709,125 @@ def test_a_shard_map_is_carried_as_its_image_decodes(kind):
         delivered = Frame.decode_message(msg, m)
         assert typed_frame(delivered) == typed_frame(decoded)
     assert where(delivered) is ring_map
+
+
+# -- references: carried as the writer writes them ----------------------------
+
+class Widget(Service):
+    @operation(readonly=True)
+    def ping(self):
+        return "pong"
+
+
+_REF_TOKENS = ("ref", "proxy", "export", "subref", "textref", "boolepoch")
+
+_ref_token = st.tuples(st.sampled_from(_REF_TOKENS), st.integers(0, 2))
+#: Half the leaves are tokens, so a body and its headers often both hold
+#: references (the decoder hook's order across them is checked).
+_ref_body = _nested(st.booleans().flatmap(
+    lambda token: _ref_token if token else _plain_leaf))
+
+
+class _RefWorld:
+    """A sender context holding proxies for a peer's exports, and a fresh
+    set of unexported service objects per example."""
+
+    def __init__(self):
+        self.system = repro.make_system(seed=3)
+        self.sender = self.system.add_node("n0").create_context("main")
+        peer = self.system.add_node("n1").create_context("main")
+        self.space = get_space(self.sender)
+        remote = [get_space(peer).export(Widget()) for _ in range(3)]
+        self.proxies = [self.space.bind_ref(ref, handshake=False)
+                        for ref in remote]
+        self.fresh = [Widget() for _ in range(3)]
+
+    def build(self, value):
+        """``value`` with every token made the object it names."""
+        if value.__class__ is tuple and len(value) == 2 \
+                and value[0] in _REF_TOKENS and value[1].__class__ is int:
+            token, i = value
+            if token == "ref":
+                return ObjectRef(f"n{i}/main", f"oid{i}", "IThing", i)
+            if token == "proxy":
+                return self.proxies[i]
+            if token == "export":
+                return self.fresh[i]
+            if token == "subref":
+                return SubRef("n0/main", f"oid{i}", "IThing", i)
+            if token == "textref":
+                return ObjectRef(Text("n0/main"), f"oid{i}", "IThing", i)
+            return ObjectRef("n0/main", f"oid{i}", "IThing", bool(i % 2))
+        if value.__class__ in (list, tuple):
+            return value.__class__(self.build(item) for item in value)
+        if value.__class__ is dict:
+            return {key: self.build(item) for key, item in value.items()}
+        return value
+
+
+def _tokens(value):
+    """The tokens :meth:`_RefWorld.build` will replace in ``value``."""
+    if value.__class__ is tuple and len(value) == 2 \
+            and value[0] in _REF_TOKENS and value[1].__class__ is int:
+        yield value[0]
+    elif value.__class__ in (list, tuple):
+        for item in value:
+            yield from _tokens(item)
+    elif value.__class__ is dict:
+        for item in value.values():
+            yield from _tokens(item)
+
+
+def _recording():
+    seen = []
+
+    def hook(ref):
+        seen.append(ref)
+        return ("proxy-for", ref.oid)
+    return Marshaller(decoder_hook=hook), seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=st.lists(_ref_body, max_size=3), headers=st.dictionaries(
+    st.sampled_from(["q.r", "d"]), _ref_body, max_size=2),
+    reply=st.booleans(), written=st.booleans())
+def test_a_frame_with_references_is_carried_as_it_is_written(
+        args, headers, reply, written):
+    world = _RefWorld()
+    body = world.build(tuple(args))
+    if written:
+        body += ({1, 2},)   # a set: the walk falls back to the writer
+    frame = Frame(REPLY, 5, "n0/main", "n1/main", body=body,
+                  headers=world.build(headers)) if reply \
+        else _request((body, {}), world.build(headers))
+    encoder = world.system.transport.encoder_for(world.sender)
+    exports = world.space.stats["auto_exports"]
+    msg = frame.encode_message(encoder)
+    # Each fresh object is exported once, however often the hook saw it.
+    fresh = {id(obj) for obj in world.fresh
+             if id(obj) in world.space._exported_ids}
+    assert world.space.stats["auto_exports"] - exports == len(fresh)
+    image = frame.encode(encoder)
+    assert world.space.stats["auto_exports"] - exports == len(fresh)
+    assert len(msg.to_bytes()) == len(image)
+    assert msg.carried is None or msg.to_bytes() == image
+    # The size is the written image's: the swizzled fields, re-encoded.
+    swizzled = Frame.decode(image, PLAIN)
+    assert msg.nbytes == len(PLAIN.encode([
+        swizzled.kind, swizzled.msg_id, swizzled.src, swizzled.dst,
+        swizzled.target, swizzled.verb, swizzled.body, swizzled.headers]))
+    carried_m, carried_seen = _recording()
+    decoded_m, decoded_seen = _recording()
+    delivered = Frame.decode_message(msg, carried_m)
+    expected = Frame.decode(image, decoded_m)
+    assert typed_frame(delivered) == typed_frame(expected)
+    assert carried_seen == decoded_seen
+    # A second delivery (a retransmission) meets the same refs again.
+    assert typed_frame(Frame.decode_message(msg, carried_m)) \
+        == typed_frame(expected)
+    assert carried_seen == decoded_seen * 2
+    # Carried unless the writer must see it: a set, or a ref it would
+    # not write as sent (a subclass, a str subclass name, a bool epoch).
+    odd = {"subref", "textref", "boolepoch"}.intersection(
+        _tokens((args, headers)))
+    assert (msg.carried is None) == bool(written or odd)

@@ -332,6 +332,14 @@ RULES = (
          "A map is the epoch's stored tuple, not a list built per read.",
          ("src/repro/wire/shards.py",), Grep(r"return \[self\.epoch"),
          "return [self.epoch, [list(entry) for entry in self.ring],"),
+    Rule("A swizzle hook is called only by the marshaller's two walks "
+         "and the carried copy", 45,
+         "A reference becomes a ref on the way out and a proxy on the way "
+         "in, at the writer, the sizing walk, the decoder and the carried "
+         "copy, each in the decoder's order; no other code swizzles.",
+         ("src/repro",), Grep(r"(encoder|decoder)_hook\("),
+         "fields = [ctx.decoder_hook(ref) for ref in refs]",
+         allowed=4, include="*.py"),
     Rule("A bench record has no wall column", 29,
          "Every bench record is exact and gated by diff; host wall time is "
          "benchmarks/perf's alone.",
