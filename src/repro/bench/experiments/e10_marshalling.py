@@ -101,11 +101,11 @@ def run(ops: int = OPS, seed: int = 41) -> list[dict]:
     return rows
 
 
-# -- gated bench: the zero-copy bulk path (BENCH_e10.json) -------------------
+# -- gated bench: bulk payloads (BENCH_e10.json) -----------------------------
 
-#: Payload sweep for the gated bench — 1 KiB to 1 MiB, bracketing
-#: RAW_THRESHOLD (4 KiB) so the record shows both the inline and the
-#: zero-copy regime.
+#: Payload sweep for the gated bench — 1 KiB to 1 MiB.  A bulk ``bytes``
+#: body is pure at every size, so the frame is sized and carried, never
+#: written.
 BENCH_SIZES = (1024, 4096, 16384, 65536, 262144, 1048576)
 BENCH_OPS = 200
 _E2E_SIZES = (4096, 65536, 1048576)
@@ -148,10 +148,10 @@ def _e2e_row(size: int, ops: int, seed: int) -> dict:
     """Drive ``ops`` bulk invocations through the full simulated stack,
     twice.
 
-    The virtual-time fields are a zero-copy *transparency* check: they
+    The virtual-time fields are a *transparency* check on the carry: they
     are deterministic, so the two runs must agree and the CI gate fails
-    if the bulk path ever changes what the cost model observes (sizes,
-    timings)."""
+    if carrying a bulk body ever changes what the cost model observes
+    (sizes, timings)."""
 
     def _one_run() -> dict:
         system, server, (client,) = star(seed=seed, clients=1)
@@ -179,9 +179,9 @@ def _e2e_row(size: int, ops: int, seed: int) -> dict:
 def bench_payload(ops: int = BENCH_OPS, seed: int = 41) -> dict:
     """The machine-readable BENCH_e10.json record.
 
-    Wire rows check the legacy recursive codec against the zero-copy
-    message path on the same frames (same wire length, lossless
-    delivery); e2e rows put bulk payloads through the whole simulated
+    Wire rows check the legacy recursive codec against the message path
+    (a sized frame carrying its fields) on the same frames (same wire
+    length, lossless delivery); e2e rows put bulk payloads through the whole simulated
     stack (``seed`` seeds them).  Every field is deterministic, so CI
     compares the record with the committed one exactly.  ``ops`` is
     carried into the record as given; no row depends on it (a wire row

@@ -159,7 +159,8 @@ class ObjectSpace:
                  config: dict, oid: str | None = None,
                  epoch: int = 0) -> ExportEntry:
         """Mint the reference and table entry of one export, then run the
-        policy's server-side installation."""
+        policy's server-side installation.  An installation that refuses
+        the export takes the entry back out of the tables."""
         self.system.codebase.register_interface(interface)
         if policy not in self.system.codebase.factories:
             raise ConfigurationError(f"unknown proxy policy {policy!r}")
@@ -172,14 +173,23 @@ class ObjectSpace:
                         epoch, policy)
         entry = ExportEntry(obj=obj, interface=interface, ref=ref,
                             policy_name=policy, policy_config=config)
-        self.context.exports[oid] = entry
-        if obj is not None:
-            self._exported_ids.setdefault(id(obj), oid)
-        self.stats["exports"] += 1
+        exports = self.context.exports
+        revoked = exports.get(oid)
+        exports[oid] = entry
         hook = getattr(self.system.codebase.factories[policy],
                        "proxy_on_export", None)
         if hook is not None:
-            hook(self, entry)
+            try:
+                hook(self, entry)
+            except Exception:
+                if revoked is None:
+                    del exports[oid]
+                else:
+                    exports[oid] = revoked
+                raise
+        if obj is not None:
+            self._exported_ids.setdefault(id(obj), oid)
+        self.stats["exports"] += 1
         return entry
 
     def unexport(self, ref_or_obj: Any) -> None:

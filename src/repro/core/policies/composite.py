@@ -26,14 +26,22 @@ from ..factory import register_policy
 from ..proxy import Proxy
 
 
-def _layer_names(config: dict) -> list[str]:
+def _layer_factories(codebase, config: dict) -> list[tuple[str, type]]:
+    """Each layer's name and factory, outermost first; every name is
+    checked before any layer is built or installed."""
     layers = config.get("layers") or []
     if not layers:
         raise ConfigurationError(
             "composite policy needs a non-empty 'layers' list")
     if "composite" in layers:
         raise ConfigurationError("composite layers cannot nest composites")
-    return list(layers)
+    factories = []
+    for name in layers:
+        factory = codebase.factories.get(name)
+        if factory is None:
+            raise ConfigurationError(f"unknown layer policy {name!r}")
+        factories.append((name, factory))
+    return factories
 
 
 def _layer_config(config: dict, name: str) -> dict:
@@ -61,12 +69,8 @@ class CompositeProxy(Proxy):
         if self._stack is not None:
             return self._stack
         codebase = self.proxy_context.system.codebase
-        names = _layer_names(self.proxy_config)
         layers: list[Proxy] = []
-        for name in names:
-            factory = codebase.factories.get(name)
-            if factory is None:
-                raise ConfigurationError(f"unknown layer policy {name!r}")
+        for name, factory in _layer_factories(codebase, self.proxy_config):
             layer = factory(self.proxy_context, self.proxy_ref,
                             self.proxy_interface,
                             _layer_config(self.proxy_config, name))
@@ -107,12 +111,10 @@ class CompositeProxy(Proxy):
 
     @classmethod
     def proxy_on_export(cls, space, entry) -> None:
-        """Run every layer's server-side installation."""
-        codebase = space.system.codebase
-        for name in _layer_names(entry.policy_config):
-            factory = codebase.factories.get(name)
-            if factory is None:
-                raise ConfigurationError(f"unknown layer policy {name!r}")
+        """Run every layer's server-side installation, once every layer
+        is known."""
+        for _, factory in _layer_factories(space.system.codebase,
+                                           entry.policy_config):
             hook = getattr(factory, "proxy_on_export", None)
             if hook is not None:
                 hook(space, entry)

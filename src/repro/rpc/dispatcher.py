@@ -293,15 +293,11 @@ class Dispatcher:
                 reply_kind, msg_id, dst, src, "", "", body, {})
             ctx.charge(costs.marshal_fixed
                        + reply_data.nbytes * costs.marshal_byte_cost)
-            if reply_data.carried is None:
-                # Mutable zero-copy segments the service still owns are
-                # snapshotted: the wire and the replay cache carry what was
-                # sent, not what the buffer later becomes.
-                reply_data = reply_data.freeze()
             if self.at_most_once and (reply_kind == REPLY
                                       or body[0] != "ProtocolError"):
                 # The message as sent: every delivery copies what it
-                # carries, so a duplicate means what was sent.
+                # carries, and a written image is already a ``bytes``
+                # copy, so a duplicate means what was sent.
                 self._replay[dedup_key] = reply_data
                 while len(self._replay) > self.replay_capacity:
                     self._replay.popitem(last=False)

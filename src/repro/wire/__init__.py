@@ -1,9 +1,8 @@
 """Wire substrate: object references, marshalling, and message frames."""
 
 from .frames import EXCEPTION, ONEWAY, REPLY, REQUEST, Frame
-from .marshal import PLAIN, DecoderHook, EncoderHook, Marshaller
+from .marshal import PLAIN, DecoderHook, EncoderHook, Marshaller, WireMessage
 from .refs import ObjectRef, OidMinter
-from .segments import WireMessage
 
 __all__ = [
     "EXCEPTION", "Frame", "Marshaller", "ONEWAY",

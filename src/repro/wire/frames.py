@@ -18,8 +18,8 @@ from typing import Any
 
 from ..kernel.errors import ProtocolError
 from .marshal import (EXCEPTION, FRAME_KINDS, MREPLY, ONEWAY, REPLY, REQUEST,
-                      _MEMO_STATS, Marshaller, _plain_copy, _ref_copy)
-from .segments import WireMessage
+                      _MEMO_STATS, Marshaller, WireMessage, _plain_copy,
+                      _ref_copy)
 
 __all__ = ["EXCEPTION", "FRAMED", "FRAME_KINDS", "Frame", "K_OVERLOAD",
            "MREPLY", "ONEWAY", "REPLY", "REQUEST", "fields_of",
@@ -74,10 +74,10 @@ class Frame:
 
     def encode_message(self, marshaller: Marshaller):
         """Encode via the message fast path: returns a
-        :class:`~repro.wire.segments.WireMessage` (a sized frame for
-        plain data, zero-copy segments for the rest) whose ``nbytes`` is
-        the honest wire size, so everything charged by length is
-        unchanged."""
+        :class:`~repro.wire.marshal.WireMessage` (a sized frame carrying
+        its fields for plain data, a contiguous image for the rest) whose
+        ``nbytes`` is the honest wire size, so everything charged by
+        length is unchanged."""
         return marshaller.encode_frame_message(
             self.kind, self.msg_id, self.src, self.dst,
             self.target, self.verb, self.body, self.headers)
@@ -113,9 +113,8 @@ def fields_of(msg, marshaller: Marshaller) -> tuple:
     an envelope's dict and empty dict (a pure or envelope reply needs no
     fields: :func:`reply_value`); with references, ``marshaller``'s
     decoder hook meets each ref in the decoder's order.  A message that
-    carries nothing is decoded — its head as wire bytes are, or, with raw
-    segments, by the segment-aware decoder, which hands raw payloads back
-    without copying.  The decoder is the only path for bytes from a peer.
+    carries nothing is decoded: its head is a contiguous wire image.  The
+    decoder is the only path for bytes from a peer.
     """
     if msg.__class__ is not WireMessage:
         msg = WireMessage.wrap(msg)
@@ -139,9 +138,7 @@ def fields_of(msg, marshaller: Marshaller) -> tuple:
                     _ref_copy(body, hook), _ref_copy(last[0], hook))
         return (kind, msg_id, src, dst, target, verb,
                 _plain_copy(body), _plain_copy(last) if last else {})
-    if not msg.segments:
-        return _checked(marshaller.decode_frame_fields(msg.head))
-    return _checked(marshaller.decode_frame_message(msg))
+    return _checked(marshaller.decode_frame_fields(msg.head))
 
 
 def _checked(fields) -> tuple:

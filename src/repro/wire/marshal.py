@@ -33,36 +33,28 @@ The decoder is the reference path, not a fast one.  Since the carry
 with one arm per tag, whose jobs are turning refs into proxies and
 refusing hostile input:
 truncation, non-utf-8 text, unhashable keys and set members, trailing
-bytes, unconsumed raw segments, unknown tags and nesting deeper than
-:data:`_MAX_DEPTH` all raise :class:`MarshalError`.
+bytes, unknown tags and nesting deeper than :data:`_MAX_DEPTH` all raise
+:class:`MarshalError`.
 
-Two message-level fast paths sit on top (both byte-transparent on the
-wire — see ``wire/segments.py`` and DESIGN.md's zero-copy subsection):
-
-* **the carry** — a frame of *plain data* is not written at all: one
-  walk counts the bytes the encoder would write, and the message carries
-  the fields and that size.  Plain data is the exact built-in leaves,
-  ``list``/``tuple``/``str``-keyed ``dict`` of plain data, and
-  references: an exact :class:`ObjectRef`, or what the encoder hook
-  makes of a proxy or an export (called where the writer calls it).  A
-  *pure* frame — empty headers, a body of exact tuples of immutable
-  leaves — carries its fields as they are (:func:`_pure_size`); an
-  *envelope* — a ``str``-keyed dict of pure values as an ``(args, {})``
-  request's headers or a reply's body — carries the dict's shallow copy
-  (:func:`_pure_dict_size`); any other is snapshotted by
-  :func:`_plain_sized`, and every delivery gets its own copy, each ref
-  handed to the receiver's decoder hook in the decoder's order
-  (:func:`_ref_copy`).  No decoder runs; the bytes are written only if
-  someone asks for the image.  Anything else — a subclass, a set, a
-  ``bytearray``, a ref the writer would not write as sent — is encoded
-  and decoded.
-* **raw segments** — on that written path, a
-  ``bytes``/``bytearray``/``memoryview`` payload of at least
-  :data:`RAW_THRESHOLD` bytes encodes as a 5-byte marker (same overhead
-  as the inline bytes tag, so wire sizes and therefore virtual timings
-  are unchanged) while the payload object rides a segment list,
-  uncopied.  Exact built-in types only: subclasses keep the hook-first
-  copying path, so swizzle semantics are untouched.
+One message-level fast path sits on top, byte-transparent on the wire
+(see DESIGN.md's carry table): **the carry** — a frame of *plain data*
+is not written at all: one walk counts the bytes the encoder would
+write, and the message (:class:`WireMessage`) carries the fields and
+that size.  Plain data is the exact built-in leaves,
+``list``/``tuple``/``str``-keyed ``dict`` of plain data, and references:
+an exact :class:`ObjectRef`, or what the encoder hook makes of a proxy
+or an export (called where the writer calls it).  A *pure* frame —
+empty headers, a body of exact tuples of immutable leaves — carries its
+fields as they are (:func:`_pure_size`); an *envelope* — a
+``str``-keyed dict of pure values as an ``(args, {})`` request's headers
+or a reply's body — carries the dict's shallow copy
+(:func:`_pure_dict_size`); any other is snapshotted by
+:func:`_plain_sized`, and every delivery gets its own copy, each ref
+handed to the receiver's decoder hook in the decoder's order
+(:func:`_ref_copy`).  No decoder runs; the bytes are written only if
+someone asks for the image.  Anything else — a subclass, a set, a
+``bytearray``, a non-``str`` key, a ref the writer would not write as
+sent — is written contiguously and decoded at the receiver.
 """
 
 from __future__ import annotations
@@ -72,7 +64,6 @@ from typing import Any, Callable
 
 from ..kernel.errors import MarshalError, ProtocolError
 from .refs import ObjectRef
-from .segments import WireMessage
 
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
@@ -92,7 +83,6 @@ _TAG_DICT = b"d"
 _TAG_SET = b"S"
 _TAG_FROZENSET = b"Z"
 _TAG_REF = b"R"
-_TAG_RAW = b"r"
 
 # Integer tag values for the decoder (indexing bytes yields ints).
 _ORD_NONE = _TAG_NONE[0]
@@ -109,16 +99,8 @@ _ORD_DICT = _TAG_DICT[0]
 _ORD_SET = _TAG_SET[0]
 _ORD_FROZENSET = _TAG_FROZENSET[0]
 _ORD_REF = _TAG_REF[0]
-_ORD_RAW = _TAG_RAW[0]
 _CONTAINER_TAGS = frozenset(
     {_ORD_LIST, _ORD_TUPLE, _ORD_DICT, _ORD_SET, _ORD_FROZENSET})
-
-#: Bulk payloads at least this long take the zero-copy raw-segment path
-#: when encoding through :meth:`Marshaller.encode_frame_message`.  Below
-#: it the inline bytes encoding is byte-identical to the legacy path.
-#: The marker costs exactly as many wire bytes as the inline tag (1 tag
-#: + 4 length), so the threshold is invisible to the cost model.
-RAW_THRESHOLD = 4096
 
 #: Deepest container nesting the decoder follows (the frame list is one
 #: level).  Wire input comes from a peer: past this bound the walk raises
@@ -581,6 +563,83 @@ def _ref_copy(value, decoder_hook):
     return items if cls is list else tuple(items)
 
 
+class WireMessage:
+    """One frame in transit, never mutated once built: its honest wire
+    size, and the fields it carries or its contiguous image (the carry's
+    choice, :meth:`Marshaller.encode_frame_message`).
+
+    Attributes:
+        head: the frame's wire image, as :meth:`Marshaller.
+            encode_frame_fields` writes it; ``None`` for a sized message.
+        nbytes: honest wire size — ``len(head)``, or for a sized message
+            the byte count the encoder would write.  Marshal charges and
+            network transit times read it, counted once, when the frame
+            is encoded.
+        carried: the frame's fields when they are *plain data* (and
+            ``head`` is ``None``), never handed out.  A pure message's are
+            ``(kind, msg_id, src, dst, target, verb, body, pair)``, shared
+            with the sender because they are deeply immutable: its headers
+            are empty, and when ``pair`` is true ``body`` is the args
+            tuple of an ``(args, {})`` body.  An envelope's last field is
+            ``(headers, pair)``: the dict it carries (the headers, or with
+            ``pair`` false the body) is a shallow copy made when the frame
+            was sent, which is a snapshot because its values are
+            immutable.  A plain one's are the eight fields ``(kind,
+            msg_id, src, dst, target, verb, body, headers)``, every
+            container a copy made when the frame was sent; with
+            references the headers ride as ``[headers]``.  The last
+            field's type tells the four apart.  ``None`` when the frame
+            must be decoded.
+    """
+
+    __slots__ = ("head", "nbytes", "carried")
+
+    def __init__(self, head: bytes | None, nbytes: int,
+                 carried: tuple | None = None):
+        self.head = head
+        self.nbytes = nbytes
+        self.carried = carried
+
+    @classmethod
+    def wrap(cls, image) -> WireMessage:
+        """A wire image handed in as bytes, as a message: a ``bytes``,
+        ``bytearray`` or ``memoryview`` image is copied to ``bytes`` and
+        its length is its size; anything else raises
+        :class:`ProtocolError`."""
+        if not isinstance(image, (bytes, bytearray, memoryview)):
+            raise ProtocolError(
+                f"not a wire image: {type(image).__name__!r}")
+        image = bytes(image)
+        return cls(image, len(image))
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def to_bytes(self) -> bytes:
+        """The contiguous wire image, decodable by the byte-stream decoder.
+
+        A sized message's image is written now, by the encoder, from the
+        fields it carries: they are hook-exempt, so the hook-free
+        marshaller writes the bytes the sender's would have."""
+        if self.head is not None:
+            return self.head
+        kind, msg_id, src, dst, target, verb, body, last = self.carried
+        if last.__class__ is bool:          # a pure message's pair flag
+            body, last = ((body, {}) if last else body), {}
+        elif last.__class__ is tuple:       # an envelope's (headers, pair)
+            last, pair = last
+            if pair:
+                body = (body, {})
+        elif last.__class__ is list:        # with references: [headers]
+            last = last[0]
+        return PLAIN.encode_frame_fields(kind, msg_id, src, dst, target,
+                                         verb, body, last)
+
+    def __repr__(self) -> str:
+        form = "written" if self.carried is None else "carried"
+        return f"WireMessage({self.nbytes} bytes, {form})"
+
+
 class Marshaller:
     """Encodes and decodes wire values, applying optional swizzle hooks."""
 
@@ -588,14 +647,6 @@ class Marshaller:
                  decoder_hook: DecoderHook | None = None):
         self.encoder_hook = encoder_hook
         self.decoder_hook = decoder_hook
-        # Per-message codec state.  ``_segs`` collects (offset, payload)
-        # pairs while a message encode is in flight (None otherwise —
-        # plain ``encode`` never emits raw markers, keeping its output
-        # byte-identical to the legacy format).  ``_split`` holds the
-        # inbound segment tuple while a message decode is in flight.
-        self._segs: list | None = None
-        self._split: tuple | None = None
-        self._split_idx = 0
 
     # -- encoding ------------------------------------------------------------
 
@@ -610,11 +661,10 @@ class Marshaller:
 
         The hook sees first every value whose exact type is not
         hook-exempt (:data:`_HOOK_EXEMPT`).  A subclass of a built-in type
-        the hook declines is written as its base type, and a bulk payload
-        takes a raw segment only when its type is exact.
+        the hook declines is written as its base type.
         """
-        exempt = value.__class__ in _HOOK_EXEMPT
-        if not exempt and self.encoder_hook is not None:
+        if value.__class__ not in _HOOK_EXEMPT \
+                and self.encoder_hook is not None:
             replacement = self.encoder_hook(value)
             if replacement is not None:
                 value = replacement
@@ -639,19 +689,10 @@ class Marshaller:
         elif isinstance(value, str):
             out += _str_wire(value)
         elif isinstance(value, (bytes, bytearray, memoryview)):
-            size = value.nbytes if value.__class__ is memoryview \
-                else len(value)
-            if exempt and self._segs is not None and size >= RAW_THRESHOLD:
-                # Zero-copy bulk path: the 5-byte marker costs what the
-                # inline tag does; the payload object is parked uncopied.
-                out += _TAG_RAW
-                out += _U32.pack(size)
-                self._segs.append((len(out), value))
-            else:
-                raw = bytes(value)
-                out += _TAG_BYTES
-                out += _U32.pack(len(raw))
-                out += raw
+            raw = bytes(value)
+            out += _TAG_BYTES
+            out += _U32.pack(len(raw))
+            out += raw
         elif isinstance(value, ObjectRef):
             out += _TAG_REF
             for field in (value.context_id, value.oid, value.interface,
@@ -709,9 +750,8 @@ class Marshaller:
         (:func:`_plain_sized`: one walk, now — as the bytes would have
         been, the encoder hook called as the writer calls it) carry their
         fields as :attr:`WireMessage.carried` lays them out.  Anything
-        else is decoded for real at the receiver: the head is exactly
-        what :meth:`encode_frame_fields` produces, or — with bulk
-        payloads — the segments hold the payload objects uncopied.
+        else is written contiguously and decoded at the receiver: the
+        head is exactly what :meth:`encode_frame_fields` produces.
 
         A sized message's image is written by :meth:`WireMessage.to_bytes`
         if anyone asks.  A frame of an unknown kind is never sized: it is
@@ -782,37 +822,15 @@ class Marshaller:
                 except KeyError:
                     for text in (kind, src, dst, target, verb):
                         nbytes += len(_str_wire(text))
-                return WireMessage(None, (), nbytes, carried)
-        self._segs = segs = []
-        try:
-            head = self.encode_frame_fields(kind, msg_id, src, dst,
-                                            target, verb, body, headers)
-        finally:
-            self._segs = None
-        segments = tuple(segs)
-        nbytes = len(head)
-        for _, payload in segments:
-            nbytes += payload.nbytes if payload.__class__ is memoryview \
-                else len(payload)
-        return WireMessage(head, segments, nbytes)
+                return WireMessage(None, nbytes, carried)
+        head = self.encode_frame_fields(kind, msg_id, src, dst, target,
+                                        verb, body, headers)
+        return WireMessage(head, len(head))
 
+    # Dead: benchmarks/perf/perf_spans.py (LAYER_MAP) wraps it by name.
     def decode_frame_message(self, msg: WireMessage):
-        """Decode a :class:`WireMessage` produced by
-        :meth:`encode_frame_message`, as :meth:`decode_frame_fields` does
-        its head, taking raw payloads from the segments uncopied.
-        """
-        self._split = msg.segments
-        self._split_idx = 0
-        try:
-            fields = self.decode_frame_fields(msg.head)
-            if self._split_idx != len(msg.segments):
-                raise MarshalError(
-                    f"{len(msg.segments) - self._split_idx} raw "
-                    f"segments unconsumed after decode")
-        finally:
-            self._split = None
-            self._split_idx = 0
-        return fields
+        """Decode a written :class:`WireMessage`'s head."""
+        return self.decode_frame_fields(msg.head)
 
     # -- decoding ------------------------------------------------------------
 
@@ -868,30 +886,6 @@ class Marshaller:
                 return _utf8(raw), offset
             if tag == _ORD_BYTES:
                 return _chunk(data, offset, "bytes")
-            if tag == _ORD_RAW:
-                split = self._split
-                if split is None:
-                    # Contiguous wire image (``WireMessage.to_bytes``):
-                    # the payload sits inline after its marker, exactly
-                    # like the bytes tag.
-                    return _chunk(data, offset, "raw segment")
-                (length,) = _U32.unpack_from(data, offset)
-                idx = self._split_idx
-                if idx >= len(split):
-                    raise MarshalError(
-                        "raw marker without a matching segment")
-                self._split_idx = idx + 1
-                seg = split[idx][1]
-                if seg.__class__ is not bytes:
-                    # Mutable payloads (bytearray/memoryview) materialise
-                    # exactly once, here, so the receiver never aliases a
-                    # buffer the sender could still write.
-                    seg = bytes(seg)
-                if len(seg) != length:
-                    raise MarshalError(
-                        f"raw segment length mismatch: marker says "
-                        f"{length}, segment has {len(seg)}")
-                return seg, offset + 4
             if tag == _ORD_REF:
                 fields = []
                 for _ in range(4):

@@ -222,3 +222,34 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             get_space(server).export(store, policy="composite",
                                      config={"layers": ["martian"]})
+
+    @pytest.mark.parametrize("layers", [["nope"], ["caching", "nope"], []],
+                             ids=["unknown", "unknown-under-caching",
+                                  "empty"])
+    def test_a_refused_export_leaves_nothing_behind(self, pair, layers):
+        # At the parent the entry was registered before the composite met
+        # the unknown layer, so the KVStore stayed exported (and under
+        # caching, so did its invalidation control).
+        system, server, client = pair
+        space = get_space(server)
+        store = KVStore()
+        exports, ids = dict(server.exports), dict(space._exported_ids)
+        with pytest.raises(ConfigurationError):
+            space.export(store, policy="composite",
+                         config={"layers": layers})
+        assert server.exports == exports
+        assert space._exported_ids == ids
+        # The refusal did not taint the object: it exports as usual.
+        ref = space.export(store)
+        assert space.ref_of(store) == ref
+
+    def test_a_refused_export_keeps_the_revoked_entry_it_replaces(self, pair):
+        system, server, client = pair
+        space = get_space(server)
+        ref = space.export(KVStore(), oid="kv")
+        space.unexport(ref)
+        revoked = server.exports["kv"]
+        with pytest.raises(ConfigurationError):
+            space.export(KVStore(), policy="composite",
+                         config={"layers": ["nope"]}, oid="kv")
+        assert server.exports["kv"] is revoked

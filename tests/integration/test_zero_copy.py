@@ -13,7 +13,9 @@ from repro.core.export import get_space
 from repro.core.service import Service
 from repro.iface.interface import operation
 from repro.metrics.counters import MessageWindow
-from repro.wire.marshal import RAW_THRESHOLD
+
+#: A bulk payload size (4 KiB).
+BULK = 4096
 
 
 class Keeper(Service):
@@ -34,14 +36,13 @@ class TestZeroCopyIdentity:
         keeper = Keeper()
         ref = get_space(server).export(keeper)
         proxy = get_space(client).bind_ref(ref)
-        blob = b"\x33" * (RAW_THRESHOLD * 4)
+        blob = b"\x33" * (BULK * 4)
         assert proxy.keep(blob) == len(blob)
         assert keeper.last is blob
 
     def test_small_payloads_still_identity_share_via_carry(self, pair):
-        # Below the raw threshold the carried fast path still shares the
-        # immutable args tuple — identity is a pure-frame property, not
-        # a size property.
+        # A small payload is shared as a bulk one is: identity is a
+        # pure-frame property, not a size property.
         system, server, client = pair
         keeper = Keeper()
         ref = get_space(server).export(keeper)
@@ -51,13 +52,13 @@ class TestZeroCopyIdentity:
         assert keeper.last is blob
 
     def test_wire_accounting_matches_the_inline_encoding(self, pair):
-        # Zero-copy must be invisible to the cost model: bytes on the
-        # wire scale with the payload exactly as the inline path charged.
+        # The carry is invisible to the cost model: bytes on the wire
+        # scale with the payload exactly as the inline encoding does.
         system, server, client = pair
         keeper = Keeper()
         ref = get_space(server).export(keeper)
         proxy = get_space(client).bind_ref(ref)
-        small, large = 1000, 1000 + RAW_THRESHOLD * 8
+        small, large = 1000, 1000 + BULK * 8
         proxy.keep(b"w" * 8)  # warm the bind path
         with MessageWindow(system) as first:
             proxy.keep(b"a" * small)
@@ -66,13 +67,13 @@ class TestZeroCopyIdentity:
         assert second.report.bytes - first.report.bytes == large - small
 
     def test_mutable_payloads_are_not_identity_shared(self, pair):
-        # A bytearray is mutable: it may ride as a zero-copy segment but
-        # must NOT surface as the caller's object on the server side.
+        # A bytearray is mutable: its frame is written, and it must NOT
+        # surface as the caller's object on the server side.
         system, server, client = pair
         keeper = Keeper()
         ref = get_space(server).export(keeper)
         proxy = get_space(client).bind_ref(ref)
-        owned = bytearray(b"\x44" * (RAW_THRESHOLD * 2))
+        owned = bytearray(b"\x44" * (BULK * 2))
         proxy.keep(owned)
         assert keeper.last is not owned
         assert bytes(keeper.last) == bytes(owned)

@@ -82,6 +82,41 @@ class TestAtMostOnce:
             assert Frame.decode_message(first, decoder).body == want
         assert memo_stats()["frames_decoded"] == decoded
 
+    def test_a_written_reply_is_replayed_as_sent(self, pair):
+        # A reply the carry cannot take is written: a bulk bytearray, or
+        # bulk bytes beside a set.  The service overwrites its buffer
+        # after each reply; a duplicate still answers what was sent.
+        system, server, client = pair
+
+        class Buffer(Service):
+            def __init__(self):
+                self.buf = bytearray(b"\x11" * 4096)
+
+            @operation
+            def raw(self) -> bytearray:
+                return self.buf
+
+            @operation
+            def beside_a_set(self) -> tuple:
+                return (bytes(self.buf), {1})
+
+        service = Buffer()
+        ref = get_space(server).export(service)
+        dispatcher = server.handler.__self__
+        decoder = system.transport.decoder_for(client)
+        for msg_id, verb in ((1, "raw"), (2, "beside_a_set")):
+            sent = bytes(service.buf)
+            want = sent if verb == "raw" else (sent, {1})
+            first, _ = send_raw(system, client, ref, verb, msg_id=msg_id)
+            assert first.carried is None        # written, not sized
+            image = first.to_bytes()
+            service.buf[:] = bytes([msg_id + 0x20]) * len(service.buf)
+            second, _ = send_raw(system, client, ref, verb, msg_id=msg_id)
+            assert dispatcher.stats["duplicates"] == msg_id
+            assert second.nbytes == first.nbytes == len(image)
+            assert second.to_bytes() == image
+            assert Frame.decode_message(second, decoder).body == want
+
     def test_distinct_ids_execute_separately(self, served):
         system, server, client, counter, ref, dispatcher = served
         send_raw(system, client, ref, "incr", msg_id=1)

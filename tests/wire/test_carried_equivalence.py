@@ -53,7 +53,6 @@ from repro.wire.frames import (EXCEPTION, FRAMED, ONEWAY, REPLY, REQUEST,
                                Frame, reply_value)
 from repro.wire.marshal import (
     PLAIN,
-    RAW_THRESHOLD,
     Marshaller,
     _NotPlain,
     _plain_copy,
@@ -131,8 +130,10 @@ def scramble(value) -> None:
 
 # -- generated frames ---------------------------------------------------------
 
-_sizes = st.one_of(st.integers(0, 12),
-                   st.integers(RAW_THRESHOLD - 1, RAW_THRESHOLD + 1))
+#: A bulk payload size (4 KiB).
+BULK = 4096
+
+_sizes = st.one_of(st.integers(0, 12), st.integers(BULK - 1, BULK + 1))
 _plain_leaf = st.one_of(
     st.none(), st.booleans(),
     st.sampled_from([0, 1, -1, 2**70, -2**70, 2**63, -2**63 - 1]),
@@ -355,7 +356,7 @@ def test_a_duplicate_from_the_replay_cache_is_what_was_sent(value):
 
 # -- the walk, exit by exit ---------------------------------------------------
 
-_BULK = b"\x42" * RAW_THRESHOLD
+_BULK = b"\x42" * BULK
 
 
 _PLAIN_SHAPES = [

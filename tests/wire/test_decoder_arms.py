@@ -3,8 +3,8 @@
 The decoder is one recursive walk with one arm per tag.  Generated values
 reach each arm — ``None``/``bool``, i64 and big ints, floats, non-ASCII
 strings, bytes, ``ObjectRef``, lists, tuples, dicts, sets and frozensets,
-nested — and frames reach the raw-segment arm both ways (segments beside
-the head, and payloads inline in the contiguous image).  For each:
+nested — and frames carry bulk ``bytes`` leaves of 4 KiB, written
+inline in the contiguous image.  For each:
 
 * the whole image decodes to the value, **exact types at every depth**;
 * every proper prefix, and the image plus one byte, is refused with
@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 
 from repro.kernel.errors import MarshalError, ProtocolError
 from repro.wire.frames import REPLY, Frame
-from repro.wire.marshal import PLAIN, RAW_THRESHOLD, Marshaller
+from repro.wire.marshal import PLAIN, Marshaller
 from repro.wire.refs import ObjectRef
-from repro.wire.segments import WireMessage
 
 from test_carried_equivalence import typed, typed_frame
 
@@ -79,16 +78,9 @@ def _check_frame(body, headers) -> None:
     frame = Frame(REPLY, 7, "s0/main", "c0/main", "", "", body, headers)
     expected = typed_frame(frame)
     msg = frame.encode_message(m)
-    image = msg.to_bytes()          # raw payloads inline after markers
-    # Nothing carried, so the decoder runs; bulk leaves come from the
-    # segments, uncopied.  A sized message has no head: its image is one.
-    head, segments = (image, ()) if msg.head is None \
-        else (msg.head, msg.segments)
-    split = WireMessage(head, segments, msg.nbytes)
-    assert typed_frame(Frame.decode_message(split, m)) == expected
-    for cut in _cuts(head):
-        _refused(lambda cut: Frame.decode_message(
-            WireMessage(cut, segments, msg.nbytes), m), cut)
+    image = msg.to_bytes()      # a sized message's image is written now
+    assert len(image) == msg.nbytes
+    assert typed_frame(Frame.decode_message(msg, m)) == expected
     assert typed_frame(Frame.decode(image, m)) == expected
     assert typed_frame(Frame.decode_message(image, m)) == expected
     for cut in _cuts(image):
@@ -109,9 +101,9 @@ def test_a_frame_decodes_whole_and_refuses_every_cut(body, headers):
 @given(value=_values, in_headers=st.booleans())
 def test_a_raw_segment_decodes_whole_and_refuses_every_cut(value,
                                                             in_headers):
-    bulk = b"\x5a" * RAW_THRESHOLD
-    # A set is not plain data, so the frame is encoded, and its bulk leaf
-    # rides a segment (a plain frame is sized, not written).
+    bulk = b"\x5a" * 4096
+    # A set is not plain data, so the frame is written, its bulk leaf
+    # inline (a plain frame is sized, not written).
     odd = frozenset({1})
     if in_headers:
         _check_frame(None, {"s.k": [bulk, value], "n": odd})

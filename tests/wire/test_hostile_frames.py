@@ -23,8 +23,7 @@ import pytest
 
 from repro.kernel.errors import MarshalError, ProtocolError
 from repro.wire.frames import Frame
-from repro.wire.marshal import _MAX_DEPTH, PLAIN, Marshaller
-from repro.wire.segments import WireMessage
+from repro.wire.marshal import _MAX_DEPTH, PLAIN, Marshaller, WireMessage
 
 from test_carried_equivalence import typed, typed_frame
 
@@ -81,10 +80,10 @@ def test_hostile_frame_raises_a_typed_error(name):
     with pytest.raises(error) as caught:
         Frame.decode(data, Marshaller())
     assert "garbage: -" not in str(caught.value)   # no negative counts
-    # The message path (a segment-less WireMessage with nothing carried)
+    # The message path (a written WireMessage, nothing carried)
     # runs the same decoder and must refuse the same way.
     with pytest.raises(error):
-        Frame.decode_message(WireMessage(data, (), len(data)), Marshaller())
+        Frame.decode_message(WireMessage(data, len(data)), Marshaller())
 
 
 @pytest.mark.parametrize("data", [
@@ -182,7 +181,7 @@ def test_a_type_confused_frame_is_refused_at_the_handler(pair, name):
     if name.startswith("exc-"):
         fields[0] = "exc"
     image = PLAIN.encode(fields)
-    for data in (image, WireMessage(image, (), len(image))):
+    for data in (image, WireMessage(image, len(image))):
         with pytest.raises(ProtocolError):
             server.handler(data, client.now)
     assert store.size() == 0            # nothing executed
@@ -192,6 +191,45 @@ def test_a_type_confused_frame_is_refused_at_the_handler(pair, name):
     reply, _ = server.handler(good, client.now)
     assert Frame.decode(reply.to_bytes(), PLAIN).body is True
     assert store.get("k") == "v"
+
+
+def _retag_bytes(image: bytes) -> bytes:
+    """``image`` with its one ``b"x"`` leaf tagged ``r``: the bulk tag
+    the wire no longer has."""
+    leaf = b"b" + _u32(1) + b"x"
+    assert image.count(leaf) == 1
+    return image.replace(leaf, b"r" + _u32(1) + b"x")
+
+
+def test_the_retired_raw_tag_fails_closed(pair):
+    # At the parent the decoder still read an ``r`` leaf inline, as the
+    # bytes tag: the forged frame decoded with body b"x", and at the
+    # handler it was served and remembered.
+    from repro.apps.kv import KVStore
+    from repro.core.export import get_space
+    from repro.wire.frames import fields_of
+
+    forged = _retag_bytes(Frame("rep", 1, "a", "b", body=b"x").encode(PLAIN))
+    with pytest.raises(MarshalError, match="unknown wire tag"):
+        Frame.decode(forged, Marshaller())
+    with pytest.raises(MarshalError, match="unknown wire tag"):
+        fields_of(forged, Marshaller())
+
+    system, server, client = pair
+    store = KVStore()
+    ref = get_space(server).export(store)
+    dispatcher = server.handler.__self__
+    fields = ["req", 1, client.context_id, ref.context_id, ref.oid, "put",
+              (("k", b"x"), {}), {}]
+    image = PLAIN.encode(fields)
+    with pytest.raises(MarshalError, match="unknown wire tag"):
+        server.handler(_retag_bytes(image), client.now)
+    assert store.size() == 0            # nothing executed
+    assert not dispatcher._replay       # nothing remembered
+    # The image with its ``b`` tag is served.
+    reply, _ = server.handler(image, client.now)
+    assert Frame.decode(reply.to_bytes(), PLAIN).body is True
+    assert store.get("k") == b"x"
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,12 @@
-"""Hypothesis round-trip fuzz: raw-segment framing and multi-reply frames.
+"""Hypothesis round-trip fuzz: bulk payloads and multi-reply frames.
 
 The naive reference encoder (``test_marshal_fastpath.naive_encode``) is
-the executable wire specification.  The zero-copy message path must
-relate to it exactly as designed:
+the executable wire specification.  The message path must relate to it
+exactly as designed:
 
-* payload bytes **below** ``RAW_THRESHOLD`` — the message's contiguous
-  image is byte-identical to the reference encoding;
-* payload bytes **at or above** the threshold — the image differs only
-  by the raw markers (same total length, still decodable by the plain
-  decoder, lossless round-trip through both decode paths);
+* payload bytes of any size, below and above 4 KiB — the message's
+  contiguous image is byte-identical to the reference encoding, and the
+  frame round-trips losslessly through both decode paths;
 * swizzle hooks keep falling through: exact-built-in payloads are hook
   exempt on both paths, marker classes swizzle identically on both.
 
@@ -23,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.wire.frames import Frame, MREPLY, ONEWAY, REQUEST
-from repro.wire.marshal import Marshaller, RAW_THRESHOLD
+from repro.wire.marshal import Marshaller
 
 from test_marshal_fastpath import (
     Exportable,
@@ -31,10 +29,13 @@ from test_marshal_fastpath import (
     naive_encode,
 )
 
-# Sizes straddling the raw threshold, including both fence posts.
+#: A bulk payload size (4 KiB).
+BULK = 4096
+
+# Small sizes, sizes straddling 4 KiB, and bulk ones.
 _SMALL = st.integers(min_value=0, max_value=64)
-_NEAR = st.integers(min_value=RAW_THRESHOLD - 2, max_value=RAW_THRESHOLD + 2)
-_BULK = st.integers(min_value=RAW_THRESHOLD, max_value=RAW_THRESHOLD * 4)
+_NEAR = st.integers(min_value=BULK - 2, max_value=BULK + 2)
+_BULK = st.integers(min_value=BULK, max_value=BULK * 4)
 _ANY_SIZE = st.one_of(_SMALL, _NEAR, _BULK)
 
 _payload_bytes = _ANY_SIZE.flatmap(
@@ -64,16 +65,6 @@ def _image(msg) -> bytes:
     return msg if msg.__class__ is bytes else msg.to_bytes()
 
 
-def _has_bulk(value) -> bool:
-    if value.__class__ in (bytes, bytearray):
-        return len(value) >= RAW_THRESHOLD
-    if value.__class__ in (list, tuple, set, frozenset):
-        return any(_has_bulk(item) for item in value)
-    if value.__class__ is dict:
-        return any(_has_bulk(v) for v in value.values())
-    return False
-
-
 @settings(max_examples=150, deadline=None)
 @given(args=st.lists(_body_value, max_size=3), msg_id=st.integers(0, 2**31))
 def test_message_path_vs_reference_encoder(args, msg_id):
@@ -84,17 +75,13 @@ def test_message_path_vs_reference_encoder(args, msg_id):
     image = _image(msg)
     # The honest length always matches the reference encoding.
     assert len(msg) == len(reference)
-    assert len(image) == len(reference)
-    if not _has_bulk(frame.body):
-        # No raw markers in play: byte identity, not just equivalence.
-        assert image == reference
-    # Lossless through the segment-aware decoder…
+    assert image == reference
+    # Lossless through the message decoder…
     direct = Frame.decode_message(msg, Marshaller())
     assert direct.body == frame.body
     assert _fields(direct)[:6] == _fields(frame)[:6]
-    # …and through the plain byte-stream decoder on the spliced image.
-    spliced = Frame.decode(image, Marshaller())
-    assert spliced.body == frame.body
+    # …and through the plain byte-stream decoder on the image.
+    assert Frame.decode(image, Marshaller()).body == frame.body
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,9 +134,9 @@ def test_multi_reply_frames_round_trip(subs):
 @given(inner_size=st.one_of(_SMALL, _BULK),
        arrive=st.floats(min_value=0, max_value=100, allow_nan=False))
 def test_multi_reply_carrying_bulk_sub_images(inner_size, arrive):
-    # A batched sub-frame that itself used the zero-copy path: its
-    # contiguous image (raw markers inline) must survive the batch
-    # round-trip untouched, so the receiver replays the exact bytes.
+    # A batched sub-frame's contiguous image, bulk or small, must
+    # survive the batch round-trip untouched, so the receiver replays
+    # the exact bytes.
     inner = Frame(ONEWAY, 3, "s0/main", "c0/main", target="cb",
                   verb="notify", body=((b"\x7e" * inner_size,), {}))
     image = _image(inner.encode_message(Marshaller()))

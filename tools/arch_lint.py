@@ -347,6 +347,12 @@ RULES = (
          Grep(r"CalibrationBracket|calibration_rate|norm_(ops|fast|rate)"
               r"|wall_clock|perf_gate"),
          "from ..timing import wall_clock"),
+    Rule("A written frame is one contiguous image", 46,
+         "Every frame the product sends is carried; one the carry cannot "
+         "take is written whole, so no raw segments ride beside a head.",
+         ("src/repro",),
+         Grep(r"RAW_THRESHOLD|_TAG_RAW|_ORD_RAW|\.segments\b|\.freeze\("),
+         "reply_data = reply_data.freeze()"),
 )
 
 
