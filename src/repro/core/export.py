@@ -90,6 +90,7 @@ class ObjectSpace:
         self.strict = strict
         self.minter = OidMinter(context.context_id)
         self._exported_ids: dict[int, str] = {}
+        #: The verdicts of classes without their own derived interface.
         self._exportable_types: dict[type, bool] = {}
         self.stats = {"exports": 0, "auto_exports": 0, "binds": 0,
                       "handshakes": 0, "unswizzles": 0, "violations": 0}
@@ -388,6 +389,10 @@ class ObjectSpace:
         return self.bind_ref(ref, handshake=False)
 
     def _is_exportable_type(self, klass: type) -> bool:
+        """Whether ``klass`` declares operations: a class that carries its
+        own derived interface does; any other is scanned once per space."""
+        if klass.__dict__.get("__repro_interface__") is not None:
+            return True
         known = self._exportable_types.get(klass)
         if known is None:
             known = any(is_operation(getattr(klass, name, None))

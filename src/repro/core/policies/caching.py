@@ -151,15 +151,11 @@ class CachingProxy(Proxy):
     def _effective_ttl(self) -> float | None:
         """``None`` (no expiry) or virtual seconds ``>= 0``; with no ``ttl``
         key, no expiry once registered, else :data:`DEFAULT_TTL`.  Anything
-        else raises here, at bind or upgrade, not at the first hit."""
+        else is refused at export, and raises here, at bind or upgrade, not
+        at the first hit."""
         if "ttl" not in self.proxy_config:
             return None if self._control is not None else DEFAULT_TTL
-        ttl = self.proxy_config["ttl"]
-        if ttl is None or (isinstance(ttl, (int, float))
-                           and not isinstance(ttl, bool) and ttl >= 0):
-            return ttl
-        raise ConfigurationError(
-            f"caching 'ttl' must be None or a number >= 0, not {ttl!r}")
+        return _checked_ttl(self.proxy_config["ttl"])
 
     # -- invalidation ------------------------------------------------------------------
 
@@ -197,13 +193,26 @@ class CachingProxy(Proxy):
 
     @classmethod
     def proxy_on_export(cls, space, entry) -> None:
-        """Install the invalidation control next to the exported object."""
+        """Install the invalidation control next to the exported object,
+        once the configured ``ttl`` is one every proxy will accept."""
+        if "ttl" in entry.policy_config:
+            _checked_ttl(entry.policy_config["ttl"])
         if not entry.policy_config.get("invalidation", True):
             return
         control = CacheControl()
         control_ref = space.export(control)
         entry.policy_config["control"] = control_ref
         entry.mutation_hooks.append(CacheCoherence(control, entry.interface))
+
+
+def _checked_ttl(ttl):
+    """A configured ``ttl``: ``None`` (no expiry) or virtual seconds
+    ``>= 0``; anything else raises :class:`ConfigurationError`."""
+    if ttl is None or (isinstance(ttl, (int, float))
+                       and not isinstance(ttl, bool) and ttl >= 0):
+        return ttl
+    raise ConfigurationError(
+        f"caching 'ttl' must be None or a number >= 0, not {ttl!r}")
 
 
 class CacheCallback:

@@ -44,6 +44,19 @@ def _layer_factories(codebase, config: dict) -> list[tuple[str, type]]:
     return factories
 
 
+def check_group_policy(codebase, policy: str,
+                       extra_layers: list[str] | None) -> None:
+    """Resolve a group's policy and every layer stacked in front of it
+    (what :meth:`ObjectSpace.export_group <repro.core.export.ObjectSpace.
+    export_group>` will install) without building or exporting anything:
+    a deploy checks them before its first export, so a refusal leaves
+    nothing behind."""
+    if policy not in codebase.factories:
+        raise ConfigurationError(f"unknown proxy policy {policy!r}")
+    if extra_layers:
+        _layer_factories(codebase, {"layers": [*extra_layers, policy]})
+
+
 def _layer_config(config: dict, name: str) -> dict:
     """One layer's configuration: every shared key — the deployment's
     choices (quorums, ``elect``, rings) and what ``proxy_on_export`` hooks

@@ -975,11 +975,13 @@ def replicate(contexts: list, factory: Callable[[], object],
     """
     from ...iface.interface import Interface
     from ..export import get_space
+    from .composite import check_group_policy
     if not contexts:
         raise ValueError("replicate() needs at least one context")
     count = len(contexts)
-    known = contexts[0].system.codebase.factories.get(
-        policy, ReplicatedProxy).proxy_read_policies
+    codebase = contexts[0].system.codebase
+    check_group_policy(codebase, policy, extra_layers)
+    known = codebase.factories[policy].proxy_read_policies
     if read_policy not in known:
         raise ConfigurationError(_unknown_read_policy(read_policy, known))
     for label, quorum in (("write_quorum", write_quorum),

@@ -486,17 +486,22 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
     Configuration is validated here as well as at proxy construction, so
     a broken deployment fails at deploy: no contexts, a bad ring
     (duplicate points, out-of-range owners), a non-positive epoch or
-    vnode count, or a negative ``shard_key`` all raise
-    :class:`ConfigurationError`.
+    vnode count, a negative ``shard_key``, or a ``policy`` or
+    ``extra_layers`` name no factory answers to all raise
+    :class:`ConfigurationError` — before any shard or mover is exported.
     """
     from ...iface.interface import Interface
     from ...migration.mover import ensure_mover
     from ..export import get_space
+    from .composite import check_group_policy
     from .replicating import replicate
     if not contexts:
         raise ConfigurationError("shard() needs at least one context")
     ring_epoch, ring = _ring_params(len(contexts), ring, vnodes, ring_epoch,
                                     shard_key)
+    home = contexts[0] if not isinstance(contexts[0], (list, tuple)) \
+        else contexts[0][0]
+    check_group_policy(home.system.codebase, policy, extra_layers)
     specs: list[list] = []
     stub_entries: dict = {}    # shard index → its stub export entry
     for index, item in enumerate(contexts):
@@ -526,8 +531,6 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
         "vnodes": int(vnodes),
         "shard_key": None if shard_key is None else int(shard_key),
     }
-    home = contexts[0] if not isinstance(contexts[0], (list, tuple)) \
-        else contexts[0][0]
     group_entry = get_space(home).export_group(
         interface, policy, config, extra_layers, stub_entries.values())
     # Arm every stub shard entry — and the group entry — with its ring

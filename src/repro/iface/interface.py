@@ -132,8 +132,12 @@ def operation(func: Callable | None = None, *, readonly: bool = False,
     """Mark a method as part of its class's exported interface.
 
     Usable bare (``@operation``) or with keyword arguments
-    (``@operation(readonly=True)``).
+    (``@operation(readonly=True)``).  ``compute`` must be a number
+    ``>= 0``: it is charged to the serving context's clock as it stands.
     """
+    if compute.__class__ not in (int, float) or not compute >= 0:
+        raise InterfaceError(
+            f"operation compute must be a number >= 0, not {compute!r}")
     meta = {"readonly": readonly, "oneway": oneway,
             "invalidates": tuple(invalidates), "compute": compute}
 

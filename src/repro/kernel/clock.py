@@ -29,10 +29,13 @@ class Clock:
 
     def __init__(self, start: float = 0.0):
         #: Current virtual time in seconds.  A plain attribute (not a
-        #: property): it is read on every hop of the invoke path, and all
-        #: writes go through the methods below, which enforce monotonicity
-        #: — except the dispatcher's rebase of a serving context to a
-        #: request's start and back, a slot write of a float.
+        #: property): it is read on every hop of the invoke path.  Writes
+        #: go through the methods below, which enforce monotonicity —
+        #: except on the round trip (``RpcProtocol``, ``Dispatcher``),
+        #: which writes the slot itself: the dispatcher's rebase of a
+        #: serving context to a request's start and back, and charges of
+        #: costs that are non-negative by construction (``CostModel``,
+        #: ``operation(compute=...)``).
         self.now = float(start)
 
     def advance(self, delta: float) -> float:
@@ -74,7 +77,8 @@ class BusyLine:
     def __init__(self):
         #: Virtual time at which the line becomes free (plain attribute for
         #: the same hot-path reason as :attr:`Clock.now`; writes go through
-        #: :meth:`occupy` and :meth:`reset`).
+        #: :meth:`occupy` and :meth:`reset`, or the dispatcher's inline
+        #: copy of :meth:`occupy`).
         self.busy_until = 0.0
         self.total_busy = 0.0
         self.jobs = 0

@@ -12,7 +12,9 @@ All times are seconds of virtual time; all sizes are bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,11 @@ class CostModel:
             (~20 ms: a mid-1980s winchester disk).
         disk_byte_cost: per-byte transfer cost of the stable store
             (1e-6 s/B ≈ 1 MB/s).
+
+    Every term is a number ``>= 0``, checked when the model is built
+    (:meth:`with_overrides` builds one too): the layers that charge a cost
+    write the clock without :meth:`Clock.advance <repro.kernel.clock.
+    Clock.advance>`'s check, so a negative charge is refused here.
     """
 
     local_call: float = 2e-6
@@ -55,6 +62,14 @@ class CostModel:
     rpc_max_retries: int = 8
     disk_latency: float = 2e-2
     disk_byte_cost: float = 1e-6
+
+    def __post_init__(self):
+        for term in fields(self):
+            value = getattr(self, term.name)
+            if value.__class__ not in (int, float) or not value >= 0:
+                raise ConfigurationError(
+                    f"cost {term.name!r} must be a number >= 0, not "
+                    f"{value!r}")
 
     def with_overrides(self, **kwargs) -> "CostModel":
         """Return a copy with the given fields replaced."""

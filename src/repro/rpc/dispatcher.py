@@ -57,7 +57,7 @@ from ..kernel.errors import (
 from ..resilience.deadline import DEADLINE_HEADER, Deadline
 from ..wire import WireMessage, shards, versions
 from ..wire.frames import (EXCEPTION, K_OVERLOAD, ONEWAY, REPLY, REQUEST,
-                           Frame, fields_of)
+                           fields_of)
 from ..wire.refs import ObjectRef
 
 
@@ -118,7 +118,8 @@ class ExportEntry:
         a group entry.  The declared compute is charged to the serving
         ``context`` together with whatever the arrival path adds
         (``arrival_cost``: a same-context call's ``local_call``) — one
-        charge, so the clock sees one addition.
+        charge, so the clock sees one addition: a slot write, since only
+        a positive total is added.
         """
         if self.obj is None:
             raise EncapsulationViolation(
@@ -131,7 +132,7 @@ class ExportEntry:
                                  f"declares no operation {verb!r}")
         cost = arrival_cost + op.compute
         if cost > 0:
-            context.charge(cost)
+            context.clock.now += cost
 
     def run(self, verb: str, args: tuple, kwargs: dict):
         """The operation itself, then — unless it is ``readonly`` — every
@@ -213,22 +214,24 @@ class Dispatcher:
                 retry_at = admission.admit(target, arrive)
                 if retry_at is not None:
                     self.stats["sheds"] += 1
-                    reply = Frame(
-                        EXCEPTION, msg_id, dst, src,
-                        body=("Overloaded", f"{verb!r} shed at admission "
-                              f"on {ctx.node.name!r}", None),
-                        headers={K_OVERLOAD: retry_at})
                     # Deliberately not remembered: the operation never
                     # executed, so a retransmission must be re-admitted
                     # (and may then succeed) rather than served the
                     # stale refusal.
-                    return self.transport.encode_frame(reply, ctx), arrive
+                    return self._refusal(
+                        msg_id, dst, src,
+                        ("Overloaded", f"{verb!r} shed at admission on "
+                         f"{ctx.node.name!r}", None),
+                        {K_OVERLOAD: retry_at}), arrive
                 admitted_target = target
         # Slot writes of floats; maxima compared in line (max() is a call).
-        busy, resume_at = ctx.line.busy_until, ctx.clock.now
+        # Every cost is non-negative (CostModel refuses others when built),
+        # so a charge is ``Clock.advance`` without its check.
+        clock = ctx.clock
+        busy, resume_at = ctx.line.busy_until, clock.now
         start = busy if busy > arrive else arrive
         resume_at = start if start > resume_at else resume_at
-        ctx.clock.now = start
+        clock.now = start
         if admitted_target is not None and admission.service_time > 0.0:
             # The modelled per-request work: this is what makes admitted
             # calls queue and drain in virtual time on the context busy
@@ -236,8 +239,8 @@ class Dispatcher:
             ctx.charge(admission.service_time)
         costs = self._costs     # unmarshal is charged on the busy line
         try:
-            ctx.charge(costs.marshal_fixed
-                       + data.nbytes * costs.marshal_byte_cost)
+            clock.now += costs.marshal_fixed \
+                + data.nbytes * costs.marshal_byte_cost
             if fields is None:
                 kind, msg_id, src, dst, target, verb, body, headers = \
                     fields_of(data, decoder)
@@ -250,19 +253,19 @@ class Dispatcher:
                 dedup_key = (src, msg_id)
                 if self.at_most_once and dedup_key in self._replay:
                     self.stats["duplicates"] += 1
-                    ctx.charge(costs.dispatch_cost)
-                    return self._replay[dedup_key], ctx.clock.now
-            ctx.charge(costs.dispatch_cost)
+                    clock.now += costs.dispatch_cost
+                    return self._replay[dedup_key], clock.now
+            clock.now += costs.dispatch_cost
             deadline = Deadline.from_headers(headers) \
                 if kind == REQUEST and DEADLINE_HEADER in headers else None
-            if deadline is not None and deadline.expired(ctx.clock.now):
+            if deadline is not None and deadline.expired(clock.now):
                 # The caller's budget is spent: running the operation can
                 # help no one, so skip it and tell the caller why.
                 self.stats["deadline_rejects"] += 1
-                reply = Frame(EXCEPTION, msg_id, dst, src, body=(
+                return self._refusal(msg_id, dst, src, (
                     "DeadlineExceeded",
-                    f"budget spent before dispatch of {verb!r}", None))
-                return self.transport.encode_frame(reply, ctx), ctx.clock.now
+                    f"budget spent before dispatch of {verb!r}", None),
+                    {}), clock.now
             args, kwargs = body if body else ((), {})
             # Parked on the context: nested calls inherit the budget.
             enclosing = ctx.current_deadline
@@ -283,7 +286,7 @@ class Dispatcher:
                 ctx.current_deadline = enclosing
             if kind == ONEWAY:
                 return None     # served like a request; no reply is built
-            self._system.trace.emit(ctx.clock.now, "invoke", src,
+            self._system.trace.emit(clock.now, "invoke", src,
                                     ctx.context_id, verb)
             # The reply is encoded from its fields: no reply frame is built.
             encoder = self._encoder
@@ -291,8 +294,8 @@ class Dispatcher:
                 encoder = self._encoder = self.transport.encoder_for(ctx)
             reply_data = encoder.encode_frame_message(
                 reply_kind, msg_id, dst, src, "", "", body, {})
-            ctx.charge(costs.marshal_fixed
-                       + reply_data.nbytes * costs.marshal_byte_cost)
+            clock.now += costs.marshal_fixed \
+                + reply_data.nbytes * costs.marshal_byte_cost
             if self.at_most_once and (reply_kind == REPLY
                                       or body[0] != "ProtocolError"):
                 # The message as sent: every delivery copies what it
@@ -301,16 +304,41 @@ class Dispatcher:
                 self._replay[dedup_key] = reply_data
                 while len(self._replay) > self.replay_capacity:
                     self._replay.popitem(last=False)
-            return reply_data, ctx.clock.now
+            return reply_data, clock.now
         finally:
-            end = ctx.clock.now
+            end = clock.now
             if admitted_target is not None:
                 # Release the queue slot at the call's busy-line end —
                 # the slot drains when the work does, not at dispatch.
                 admission.finish(admitted_target, end)
             if end > start:
-                ctx.line.occupy(start, end - start)
-            ctx.clock.now = end if end > resume_at else resume_at
+                # ``BusyLine.occupy(start, end - start)``, its float
+                # operations in its order: a nested call back into this
+                # context may have moved the line past ``start``.
+                line = ctx.line
+                duration = end - start
+                busy = line.busy_until
+                line.busy_until = (busy if busy > start else start) \
+                    + duration
+                line.total_busy += duration
+                line.jobs += 1
+            clock.now = end if end > resume_at else resume_at
+
+    def _refusal(self, msg_id: int, dst: str, src: str, body: tuple,
+                 headers: dict):
+        """An exception reply for a request that executed nothing (a shed,
+        a spent deadline), encoded from its fields and charged like any
+        reply."""
+        ctx = self.context
+        encoder = self._encoder
+        if encoder is None or encoder.encoder_hook is not ctx.encoder_hook:
+            encoder = self._encoder = self.transport.encoder_for(ctx)
+        data = encoder.encode_frame_message(EXCEPTION, msg_id, dst, src, "",
+                                            "", body, headers)
+        costs = self._costs
+        ctx.clock.now += costs.marshal_fixed \
+            + data.nbytes * costs.marshal_byte_cost
+        return data
 
     def close(self) -> None:
         """Drop the cached marshallers, whose hooks lead back to the object

@@ -94,7 +94,13 @@ class RpcProtocol:
         # context index only ever grows, so a dict read finds any context.
         self._costs = system.costs
         self._network = system.network
+        self._trace = system.trace
         self._contexts = system._contexts
+        # The transport's per-context encoders, checked against the hook
+        # per use; the legs' trace labels and node names.
+        self._encoders = self.transport._encoders
+        self._labels: dict[tuple[str, str], str] = {}
+        self._node_names: dict[str, str] = {}
         self.lrpc_enabled = True
         #: Send time of the most recent call's first attempt (promise layer).
         self.last_sent_at: float | None = None
@@ -158,13 +164,25 @@ class RpcProtocol:
             return self._local_call(src, ref, verb, args, kwargs, headers,
                                     deadline)
         policy = retry or self.retry_policy
-        # A copy: the deadline is written into the frame's dict only.
-        frame = Frame(REQUEST, next(self._msg_ids[src.context_id]),
-                      src.context_id, ref.context_id, ref.oid, verb,
-                      (tuple(args), kwargs), dict(headers) if headers else {})
+        # A copy: the deadline is written into the request's dict only.
+        headers = dict(headers) if headers else {}
         if deadline is not None:
-            deadline.to_headers(frame.headers)
-        data = self.transport.encode_frame(frame, src)
+            deadline.to_headers(headers)
+        # The request is encoded from its fields with the sender's hooks
+        # (no frame is built), and its marshalling charged to the sender.
+        src_id = src.context_id
+        encoder = self._encoders.get(src_id)
+        if encoder is None or encoder.encoder_hook is not src.encoder_hook:
+            encoder = self.transport.encoder_for(src)
+        data = encoder.encode_frame_message(
+            REQUEST, next(self._msg_ids[src_id]), src_id, ref.context_id,
+            ref.oid, verb, (tuple(args), kwargs), headers)
+        costs = self._costs
+        clock = src.clock
+        # Costs are non-negative (CostModel refuses others when built): a
+        # slot write is ``Clock.advance`` without its check.
+        clock.now += costs.marshal_fixed \
+            + data.nbytes * costs.marshal_byte_cost
         if policy is self._budget_policy:
             attempts = self._budget_attempts
         else:
@@ -201,23 +219,27 @@ class RpcProtocol:
                 wait_until = None
             # A lost leg, or a callee whose node is down (even if the
             # message was in flight at the crash), is the timeout path.
-            delivery = self.transport.transmit(frame, data, sent_at)
-            dst = self._contexts.get(ref.context_id)
-            outcome = None
-            if delivery.delivered and dst is not None \
-                    and dst.handler is not None and dst.node.alive:
-                outcome = dst.handler(data, delivery.arrive_time)
+            outcome = self._deliver(REQUEST, verb, src_id, ref, data,
+                                    sent_at)
             if outcome is not None:
+                # The reply leg: traced as sent, then the network (both
+                # node names were cached by the request leg).
                 reply_data, ready = outcome
-                back = self.transport.transmit_reply(
-                    ref.context_id, src.context_id, reply_data, ready)
+                nbytes = reply_data.nbytes
+                self._trace.emit(ready, "send", ref.context_id, src_id,
+                                 "rep", nbytes)
+                names = self._node_names
+                back = self._network.transmit(
+                    names[ref.context_id], names[src_id], nbytes, ready)
             if outcome is not None and back.delivered:
                 # Birrell-Nelson: the retransmission timer detects *loss*,
                 # not slow servers (a live server's acks keep the caller
                 # waiting), so a reply is accepted whenever it arrives.
-                src.clock.advance_to(back.arrive_time)
-                src.charge(self._costs.marshal_fixed
-                           + reply_data.nbytes * self._costs.marshal_byte_cost)
+                arrive = back.arrive_time
+                if arrive > clock.now:
+                    clock.now = arrive
+                clock.now += costs.marshal_fixed \
+                    + reply_data.nbytes * costs.marshal_byte_cost
                 value = reply_value(reply_data)
                 if value is FRAMED:
                     reply = self.transport.decode_frame(reply_data, src)
@@ -238,7 +260,8 @@ class RpcProtocol:
                             return self._accept(src, ref, reply)
                         # Wait until the hinted time, not the backoff.
                         self.stats["retry_after_waits"] += 1
-                        src.clock.advance_to(hint)
+                        if hint > clock.now:
+                            clock.now = hint
                         continue
                 if tracker is not None:
                     # Karn's rule analogue: only successful attempts are
@@ -259,8 +282,9 @@ class RpcProtocol:
                                                        self._retry_rng)
                 if deadline is not None:
                     wait_until = deadline.clamp(wait_until)
-            src.clock.advance_to(wait_until)
-            if deadline is not None and deadline.expired(src.clock.now):
+            if wait_until > clock.now:
+                clock.now = wait_until
+            if deadline is not None and deadline.expired(clock.now):
                 self.stats["deadline_exceeded"] += 1
                 self._feed_breaker(src, ref, success=False)
                 raise DeadlineExceeded(
@@ -307,17 +331,49 @@ class RpcProtocol:
             except Exception:    # best effort, like the framed one-way
                 pass
             return
-        frame = Frame(ONEWAY, next(self._msg_ids[src.context_id]),
-                      src.context_id, ref.context_id, ref.oid, verb,
-                      (tuple(args), kwargs), {})
-        data = self.transport.encode_frame(frame, src)
-        delivery = self.transport.transmit(frame, data, src.clock.now)
+        src_id = src.context_id
+        encoder = self._encoders.get(src_id)
+        if encoder is None or encoder.encoder_hook is not src.encoder_hook:
+            encoder = self.transport.encoder_for(src)
+        data = encoder.encode_frame_message(
+            ONEWAY, next(self._msg_ids[src_id]), src_id, ref.context_id,
+            ref.oid, verb, (tuple(args), kwargs), {})
+        costs = self._costs
+        src.clock.now += costs.marshal_fixed \
+            + data.nbytes * costs.marshal_byte_cost
+        self._deliver(ONEWAY, verb, src_id, ref, data, src.clock.now)
+
+    def _deliver(self, kind: str, verb: str, src_id: str, ref: ObjectRef,
+                 data, at: float):
+        """The request leg, one attempt, shared by :meth:`call` and
+        :meth:`send_oneway`: traced as sent (whatever becomes of it),
+        carried by the network, and — when it arrives at a live context —
+        handled there.  Returns the handler's ``(reply, ready)`` outcome,
+        or ``None`` for a lost message, a down or unknown callee and a
+        one-way.  Drops are traced by the network itself.
+        """
+        key = (kind, verb)
+        label = self._labels.get(key)
+        if label is None:
+            label = self._labels[key] = f"{kind}:{verb}" if verb else kind
+        dst_id = ref.context_id
+        nbytes = data.nbytes
+        self._trace.emit(at, "send", src_id, dst_id, label, nbytes)
+        names = self._node_names
+        src_node = names.get(src_id)
+        if src_node is None:
+            src_node = names[src_id] = src_id.split("/", 1)[0]
+        dst_node = names.get(dst_id)
+        if dst_node is None:
+            dst_node = names[dst_id] = dst_id.split("/", 1)[0]
+        delivery = self._network.transmit(src_node, dst_node, nbytes, at)
         if delivery.delivered:
-            dst = self._contexts.get(ref.context_id)
-            # As in ``call``: a down node executes nothing, in flight or not.
+            dst = self._contexts.get(dst_id)
+            # A down node executes nothing, in flight or not.
             if dst is not None and dst.handler is not None \
                     and dst.node.alive:
-                dst.handler(data, delivery.arrive_time)
+                return dst.handler(data, delivery.arrive_time)
+        return None
 
     def _feed_breaker(self, src: Context, ref: ObjectRef,
                       success: bool) -> None:

@@ -1,25 +1,30 @@
-"""Transport: context-to-context frame carriage.
+"""Transport: the per-context marshallers of context-to-context carriage.
 
-Sits between the RPC protocol and the kernel network.  Encoding happens with
-the *sender's* marshalling hooks and decoding with the *receiver's* — this is
-where the proxy principle's reference swizzling physically occurs: an
-exported object leaves its home context as an :class:`ObjectRef` and
-materialises in the destination context as a proxy.
+Encoding happens with the *sender's* marshalling hooks and decoding with
+the *receiver's* — this is where the proxy principle's reference swizzling
+physically occurs: an exported object leaves its home context as an
+:class:`ObjectRef` and materialises in the destination context as a proxy.
 
-The transport charges marshalling CPU to the sender and records every
-transmission in the system trace.  Unmarshalling CPU is charged where the
-receiving activity's time cursor is known: the dispatcher charges a
-request (``Dispatcher.handle``), the RPC client its reply
+The round trip itself is written where its work is done, with no hop
+through here: :class:`~repro.rpc.protocol.RpcProtocol` encodes a request
+from its fields with the sender's encoder, charges the marshalling, and
+sends each leg — the request leg (shared by ``call`` and ``send_oneway``)
+and the reply leg — as a ``send`` trace event, then
+:meth:`Network.transmit <repro.kernel.network.Network.transmit>`; the
+dispatcher encodes a reply from its fields.  Unmarshalling CPU is charged
+where the receiving activity's time cursor is known: the dispatcher
+charges a request (``Dispatcher.handle``), the RPC client its reply
 (``RpcProtocol.call``).  Every frame travels as a
-:class:`~repro.wire.WireMessage` whose ``nbytes`` — counted once,
-when it is encoded — is the size every charge and every transit reads.
+:class:`~repro.wire.WireMessage` whose ``nbytes`` — counted once, when it
+is encoded — is the size every charge and every transit reads.
 
 Hot path: a :class:`~repro.wire.marshal.Marshaller` is stateless apart from
 its hooks, so the transport keeps one encoder and one decoder per context
-instead of allocating a fresh pair for every frame.  The cache is validated
-against the context's *current* hook on every use (hooks are installed once,
-when the object space attaches, which may be after the first frame), so a
-stale marshaller can never be applied.
+instead of allocating a fresh pair for every frame; the protocol and every
+dispatcher read them from here.  The cache is validated against the
+context's *current* hook on every use (hooks are installed once, when the
+object space attaches, which may be after the first frame), so a stale
+marshaller can never be applied.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from ..wire.marshal import Marshaller
 class Transport:
     """Frame carriage over the simulated network.
 
-    Hit path: ``encode_frame``/``decode_frame`` look the context's
+    Hit path: the protocol and ``decode_frame`` look the context's
     marshaller up and check it against the context's current hook in line.
     Miss path (a context's first frame, the first after a hook changed):
     ``encoder_for``/``decoder_for`` build and remember it.  A dispatcher
@@ -78,6 +83,7 @@ class Transport:
             self._decoders[context.context_id] = marshaller
         return marshaller
 
+    # Dead: benchmarks/perf/perf_spans.py (LAYER_MAP) wraps it by name.
     def encode_frame(self, frame: Frame, src_ctx=None):
         """Encode ``frame`` with the sending context's hooks, charging CPU.
 
@@ -119,6 +125,7 @@ class Transport:
 
     # -- transmission ----------------------------------------------------------
 
+    # Dead: benchmarks/perf/perf_spans.py (LAYER_MAP) wraps it by name.
     def transmit(self, frame: Frame, data, at: float):
         """Send an encoded frame; returns the kernel `Delivery`.
 
@@ -154,6 +161,7 @@ class Transport:
             self._labels[key] = label
         self._trace.emit(at, "send", frame.src, frame.dst, label, nbytes)
 
+    # Dead: benchmarks/perf/perf_spans.py (LAYER_MAP) wraps it by name.
     def transmit_reply(self, src: str, dst: str, data, at: float):
         """Send an encoded reply back to the caller.
 

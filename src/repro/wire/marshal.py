@@ -60,7 +60,7 @@ sent — is written contiguously and decoded at the receiver.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..kernel.errors import MarshalError, ProtocolError
 from .refs import ObjectRef
@@ -563,10 +563,11 @@ def _ref_copy(value, decoder_hook):
     return items if cls is list else tuple(items)
 
 
-class WireMessage:
-    """One frame in transit, never mutated once built: its honest wire
-    size, and the fields it carries or its contiguous image (the carry's
-    choice, :meth:`Marshaller.encode_frame_message`).
+class WireMessage(NamedTuple):
+    """One frame in transit, immutable: its honest wire size, and the
+    fields it carries or its contiguous image (the carry's choice,
+    :meth:`Marshaller.encode_frame_message`).  A named tuple, built in C
+    (``tuple.__new__``) once per frame sent.
 
     Attributes:
         head: the frame's wire image, as :meth:`Marshaller.
@@ -592,13 +593,9 @@ class WireMessage:
             must be decoded.
     """
 
-    __slots__ = ("head", "nbytes", "carried")
-
-    def __init__(self, head: bytes | None, nbytes: int,
-                 carried: tuple | None = None):
-        self.head = head
-        self.nbytes = nbytes
-        self.carried = carried
+    head: bytes | None
+    nbytes: int
+    carried: tuple | None = None
 
     @classmethod
     def wrap(cls, image) -> WireMessage:
@@ -610,7 +607,7 @@ class WireMessage:
             raise ProtocolError(
                 f"not a wire image: {type(image).__name__!r}")
         image = bytes(image)
-        return cls(image, len(image))
+        return tuple.__new__(cls, (image, len(image), None))
 
     def __len__(self) -> int:
         return self.nbytes
@@ -822,10 +819,10 @@ class Marshaller:
                 except KeyError:
                     for text in (kind, src, dst, target, verb):
                         nbytes += len(_str_wire(text))
-                return WireMessage(None, nbytes, carried)
+                return tuple.__new__(WireMessage, (None, nbytes, carried))
         head = self.encode_frame_fields(kind, msg_id, src, dst, target,
                                         verb, body, headers)
-        return WireMessage(head, len(head))
+        return tuple.__new__(WireMessage, (head, len(head), None))
 
     # Dead: benchmarks/perf/perf_spans.py (LAYER_MAP) wraps it by name.
     def decode_frame_message(self, msg: WireMessage):

@@ -132,19 +132,39 @@ class TestTtl:
 
     @pytest.mark.parametrize("ttl", ["5", -1.0, float("nan")])
     def test_a_malformed_ttl_is_refused_at_bind(self, pair, ttl):
+        # Export refuses it (below), so the shipped configuration is
+        # spoiled after export: a proxy checks what it is given.
         system, server, client = pair
-        deploy(server, {"invalidation": False, "ttl": ttl})
+        space = get_space(server)
+        store = deploy(server, {"invalidation": False, "ttl": 1.0})
+        space.entry(space.ref_of(store).oid).policy_config["ttl"] = ttl
         with pytest.raises(ConfigurationError, match="ttl"):
             repro.bind(client, "kv")
 
     def test_a_malformed_shipped_ttl_is_refused_at_upgrade(self, pair):
         system, server, client = pair
-        ref = get_space(server).export(
-            KVStore(), policy="caching",
-            config={"invalidation": False, "ttl": True})
+        space = get_space(server)
+        ref = space.export(KVStore(), policy="caching",
+                           config={"invalidation": False, "ttl": 1.0})
+        space.entry(ref.oid).policy_config["ttl"] = True
         proxy = get_space(client).bind_ref(ref, handshake=False)
         with pytest.raises(ConfigurationError, match="ttl"):
             get_space(client).upgrade(proxy)
+
+    @pytest.mark.parametrize("invalidation", [True, False])
+    @pytest.mark.parametrize("ttl", [-1, "x", float("nan"), True])
+    def test_a_malformed_ttl_is_refused_at_export(self, pair, ttl,
+                                                  invalidation):
+        # At the parent the export succeeded and left the store (and with
+        # invalidation its CacheControl) exported; every bind then failed.
+        system, server, client = pair
+        space = get_space(server)
+        exports, ids = dict(server.exports), dict(space._exported_ids)
+        with pytest.raises(ConfigurationError, match="ttl"):
+            space.export(KVStore(), policy="caching",
+                         config={"ttl": ttl, "invalidation": invalidation})
+        assert server.exports == exports
+        assert space._exported_ids == ids
 
 
 class TestTtlRefresh:

@@ -114,6 +114,24 @@ class TestDeployment:
                     for entry in ctx.exports.values()}
         assert all(id(instance) in exported for instance in instances)
 
+    @pytest.mark.parametrize("deploy", [
+        lambda c: shard(c, KVStore, extra_layers=["nope"]),
+        lambda c: shard(c, KVStore, policy="nope"),
+        lambda c: shard(c, KVStore, extra_layers=["composite"]),
+        lambda c: shard([c[:2], c[2:]], KVStore, extra_layers=["nope"]),
+        lambda c: replicate(c, KVStore, extra_layers=["nope"]),
+        lambda c: replicate(c, KVStore, policy="nope"),
+    ], ids=["shard-layer", "shard-policy", "shard-nested-composite",
+            "shard-of-groups-layer", "replicate-layer", "replicate-policy"])
+    def test_a_refused_deploy_leaves_every_context_as_it_was(self, deploy):
+        # At the parent every stub shard (and its mover) or replica was
+        # exported before the group entry met the unknown name, and stayed.
+        _sys, ctxs, _clients, _x = _system(4)
+        before = [dict(get_space(ctx).context.exports) for ctx in ctxs]
+        with pytest.raises(ConfigurationError):
+            deploy(ctxs)
+        assert [ctx.exports for ctx in ctxs] == before
+
     @pytest.mark.parametrize("policy, control", [
         ("replicated", [("proxy_anti_entropy", ())]),
         ("sharded", [("proxy_rebalance", ()), ("proxy_shard_map", ()),

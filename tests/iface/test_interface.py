@@ -44,6 +44,24 @@ class TestOperationDecorator:
         assert iface.operation("notify").oneway
 
 
+    @pytest.mark.parametrize("compute", [-1e-6, "1e-6", None, True,
+                                         float("nan")])
+    def test_a_compute_that_is_not_a_cost_is_refused_where_declared(
+            self, compute):
+        # At the parent a negative compute was declared, then skipped or
+        # subtracted from an arrival's charge at every call.
+        with pytest.raises(InterfaceError, match="compute"):
+            operation(compute=compute)
+
+    @pytest.mark.parametrize("compute", [0, 0.0, 2e-6, 1])
+    def test_a_non_negative_compute_is_declared(self, compute):
+        @operation(compute=compute)
+        def work(self):
+            pass
+
+        assert is_operation(work)
+
+
 class TestInterfaceOf:
     def test_derives_operations_only(self):
         iface = Interface.of(Sample)

@@ -5,6 +5,7 @@ import pytest
 import repro
 from repro.apps.kv import KVStore
 from repro.core.export import get_space
+from repro.kernel.errors import ConfigurationError
 from repro.kernel.params import DEFAULT_COSTS, CostModel
 
 
@@ -19,6 +20,25 @@ class TestCostModel:
         costs = DEFAULT_COSTS.with_overrides(remote_latency=5e-3)
         assert costs.remote_latency == 5e-3
         assert costs.byte_cost == DEFAULT_COSTS.byte_cost
+
+    @pytest.mark.parametrize("term", ["marshal_fixed", "marshal_byte_cost",
+                                      "dispatch_cost", "local_call",
+                                      "remote_latency", "rpc_max_retries"])
+    @pytest.mark.parametrize("value", [-1e-9, -1, "1e-5", None,
+                                       float("nan")])
+    def test_a_term_that_is_not_a_cost_is_refused_when_built(self, term,
+                                                             value):
+        # At the parent both built, and a negative charge raised only when
+        # a message first paid it.
+        with pytest.raises(ConfigurationError, match=term):
+            CostModel(**{term: value})
+        with pytest.raises(ConfigurationError, match=term):
+            DEFAULT_COSTS.with_overrides(**{term: value})
+
+    def test_zero_costs_are_costs(self):
+        free = DEFAULT_COSTS.with_overrides(marshal_fixed=0.0,
+                                            dispatch_cost=0, byte_cost=0.0)
+        assert free.marshal_fixed == 0.0 and free.dispatch_cost == 0
 
     def test_cost_model_is_frozen(self):
         with pytest.raises(Exception):

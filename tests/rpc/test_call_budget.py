@@ -29,8 +29,12 @@ and key index where they are stored, and a map travels pure (sharded get
 46, put 46, rebalance sweep 725 before).  A reference travels carried and
 a new proxy sets its interface without the invalidation walk: a handshake
 bind writes and parses no frame (replicated 289, composite 304, caching
-396, stub 82 before).  The retransmission and replay-cache budgets are the
-counts they were given at, 44 and 52.
+396, stub 82 before).  A round trip calls only the layers that do work:
+no request frame, no transport hop, no message constructor and no clock
+method — a charge is a slot write — and a class with its own interface is
+exportable without a scan (stub get 34, replicated 100, sharded 43, put
+138 and 43, one-way 20, fresh put 34 and 66, sweep 676, bind 118, 131,
+227 and 76, retransmission 44, duplicate 52 before).
 """
 
 import gc
@@ -44,35 +48,36 @@ import pytest
 from repro.core.export import ObjectSpace, get_space
 from repro.simtest.runner import SimCase
 from repro.simtest.workload import deploy
+from repro.wire.frames import Frame
 from repro.wire.marshal import clear_memos
 from repro.wire.refs import ObjectRef
 
 # Lower a budget when the count falls; never raise one without a line in
 # DESIGN.md ("The shell ledger") saying what the extra calls bought.
 # 3.12+ inlines comprehensions, so a count can only be lower there.
-BUDGET = {"stub": 34, "replicated": 100, "sharded": 43,
+BUDGET = {"stub": 21, "replicated": 74, "sharded": 30,
           "caching": 3, "composite": 4}
 #: A warm quorum write: the assign at the primary plus its replica apply;
 #: a routed write.
-PUT_BUDGET = {"replicated": 138, "sharded": 43}
+PUT_BUDGET = {"replicated": 99, "sharded": 30}
 #: One plain one-way, sent and served.
-ONEWAY_BUDGET = 20
+ONEWAY_BUDGET = 12
 #: A put of a value no frame carried before: nothing is memoised per value.
-FRESH_PUT_BUDGET = {"stub": 34, "caching": 66}
+FRESH_PUT_BUDGET = {"stub": 21, "caching": 44}
 #: One warm rebalance sweep: the map-sync poll of every holder, then the
 #: handoff with its install and commit legs.  Each sweep moves another
 #: arc, so readings differ by a few calls; the largest is budgeted.
-SWEEP_BUDGET = 676
+SWEEP_BUDGET = 568
 
 #: A handshake bind from a fresh context: the ``describe`` round trip and
 #: the proxy (with a replica proxy per member, or the cache's register).
-BIND_BUDGET = {"replicated": 118, "composite": 131, "caching": 227,
-               "stub": 76}
+BIND_BUDGET = {"replicated": 103, "composite": 115, "caching": 142,
+               "stub": 64}
 #: A stub get whose first request is lost: the timeout, the retransmission.
-RETRANSMIT_BUDGET = 44
+RETRANSMIT_BUDGET = 30
 #: A stub get whose first reply is lost: the retransmission is a duplicate,
 #: answered from the server's replay cache.
-DUPLICATE_BUDGET = 52
+DUPLICATE_BUDGET = 34
 
 #: Frames that stand in front of a value fixed at construction, or that
 #: only forward: a size, a message id, a snapshot's hand-over, the clock's
@@ -80,12 +85,16 @@ DUPLICATE_BUDGET = 52
 #: encoder (every frame of a warm call is pure or plain data, which is
 #: sized, not written) — and the round trip's plumbing: an attempt, a
 #: dispatch step, a reply frame built only to be encoded, a frame built
-#: from a carried message (its fields are read where it lands).
+#: from a carried message (its fields are read where it lands) — and the
+#: hops that only forwarded or wrote one float: the transport's encode and
+#: reply send, a message's constructor, the clock's and busy line's methods.
 BANNED = {"context_id", "_feed_breaker", "_accept", "encoder_for",
           "decoder_for", "<lambda>", "__len__", "_mint", "mint", "take",
           "image", "reset", "context", "encode_message",
           "encode_frame_fields", "_encode_into", "_attempt", "_handle_at",
-          "_dispatch", "reply_to", "decode_frame", "decode_message"}
+          "_dispatch", "reply_to", "decode_frame", "decode_message",
+          "encode_frame", "transmit_reply", "__new__", "advance",
+          "advance_to", "occupy"}
 #: What the enveloped arm picked or parsed more than once — and the plain
 #: walks: an envelope and a reply wrapper are pure, so nothing snapshots
 #: or copies them.
@@ -205,6 +214,22 @@ def test_a_warm_rebalance_sweep_stays_within_its_call_budget():
     assert max(len(names) for names in readings) <= SWEEP_BUDGET
     for names in readings:      # every map-bearing reply is read as a dict
         assert not BANNED.intersection(names), sorted(names)
+
+
+def test_a_warm_round_trip_builds_no_frame(monkeypatch):
+    ctx, proxy = _deployment("stub")
+    built = []
+    init = Frame.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Frame, "__init__", spy)
+    proxy.get("k0")
+    proxy.put("k0", 1)
+    ctx.system.rpc.send_oneway(ctx, proxy.proxy_ref, "put", ("k0", 2))
+    assert built == []
 
 
 def test_a_warm_routed_call_builds_no_reference(monkeypatch):

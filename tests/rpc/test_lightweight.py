@@ -20,7 +20,7 @@ from repro.kernel.errors import (
 from repro.persistence import PersistenceManager
 from repro.resilience.deadline import DEADLINE_HEADER, Deadline
 from repro.rpc.lightweight import lrpc_disabled
-from repro.rpc.transport import Transport
+from repro.wire.marshal import Marshaller
 
 
 class TestToggles:
@@ -131,14 +131,15 @@ class TestSameContextServedLikeFrames:
                 return system.rpc.call(server, backend, "get", (key,))
 
         seen, sent = [], []
-        encode = Transport.encode_frame
+        encode = Marshaller.encode_frame_message
 
-        def spy(self, frame, src_ctx=None):
-            if frame.verb == "get":
-                sent.append(frame.headers.get(DEADLINE_HEADER))
-            return encode(self, frame, src_ctx)
+        def spy(self, kind, msg_id, src, dst, target, verb, body, headers):
+            if verb == "get":
+                sent.append(headers.get(DEADLINE_HEADER))
+            return encode(self, kind, msg_id, src, dst, target, verb, body,
+                          headers)
 
-        monkeypatch.setattr(Transport, "encode_frame", spy)
+        monkeypatch.setattr(Marshaller, "encode_frame_message", spy)
         ref = get_space(server).export(Relay())
         system.rpc.lrpc_enabled = lrpc
         deadline = Deadline(server.now + 5.0)

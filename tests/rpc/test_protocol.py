@@ -332,16 +332,16 @@ class TestMessageIds:
 
     @staticmethod
     def _sent_ids(monkeypatch):
-        from repro.rpc.transport import Transport
+        from repro.wire.marshal import Marshaller
         sent = []
-        encode = Transport.encode_frame
+        encode = Marshaller.encode_frame_message
 
-        def spy(self, frame, src_ctx=None):
-            if frame.kind in ("req", "one"):
-                sent.append((frame.src, frame.msg_id))
-            return encode(self, frame, src_ctx)
+        def spy(self, kind, msg_id, src, *rest):
+            if kind in ("req", "one"):
+                sent.append((src, msg_id))
+            return encode(self, kind, msg_id, src, *rest)
 
-        monkeypatch.setattr(Transport, "encode_frame", spy)
+        monkeypatch.setattr(Marshaller, "encode_frame_message", spy)
         return sent
 
     def test_ids_are_unique_and_increasing(self, rpc_pair, monkeypatch):

@@ -12,6 +12,7 @@ from repro.naming.bootstrap import bind, register
 from repro.resilience.breaker import ensure_breakers
 from repro.resilience.deadline import DEADLINE_HEADER, Deadline
 from repro.resilience.retry import RetryPolicy
+from repro.wire.marshal import Marshaller
 
 
 class Sink(Service):
@@ -104,26 +105,22 @@ class TestDeadlines:
         finally:
             client.current_deadline = None
 
-    def test_deadline_travels_in_the_frame_headers(self, pair):
+    def test_deadline_travels_in_the_frame_headers(self, pair, monkeypatch):
         system, server, client = pair
         register(server, "ctr", Counter())
         proxy = bind(client, "ctr")
         seen = {}
-        transport = system.rpc.transport
-        original = transport.transmit
+        encode = Marshaller.encode_frame_message
 
-        def spy(frame, data, at):
-            if frame.verb:
-                seen[frame.verb] = dict(frame.headers)
-            return original(frame, data, at)
+        def spy(self, kind, msg_id, src, dst, target, verb, body, headers):
+            if verb:
+                seen[verb] = dict(headers)
+            return encode(self, kind, msg_id, src, dst, target, verb, body,
+                          headers)
 
-        transport.transmit = spy
-        try:
-            deadline = Deadline.after(client.clock.now, 1.0)
-            system.rpc.call(client, proxy.proxy_ref, "read",
-                            deadline=deadline)
-        finally:
-            transport.transmit = original
+        monkeypatch.setattr(Marshaller, "encode_frame_message", spy)
+        deadline = Deadline.after(client.clock.now, 1.0)
+        system.rpc.call(client, proxy.proxy_ref, "read", deadline=deadline)
         assert seen["read"][DEADLINE_HEADER] == deadline.expires_at
 
     def test_server_skips_dispatch_of_expired_requests(self, pair):
@@ -183,14 +180,14 @@ class TestOnewayLiveness:
         proxy.push()
         assert sink.received == 1
 
-        transport = system.rpc.transport
-        original = transport.transmit
-        transport.transmit = lambda frame, data, at: Delivery(True, at + 1e-4)
+        network = system.network
+        network.transmit = lambda src, dst, nbytes, at: \
+            Delivery(True, at + 1e-4)
         try:
             server.node.crash()
             proxy.push()   # delivered by the patched network, but…
         finally:
-            transport.transmit = original
+            del network.transmit
         assert sink.received == 1, \
             "a crashed context must not execute a delivered one-way frame"
 
@@ -202,11 +199,11 @@ class TestOnewayLiveness:
         proxy.proxy_ref = proxy.proxy_ref.__class__(
             "ghost/main", proxy.proxy_ref.oid, proxy.proxy_ref.interface,
             proxy.proxy_ref.epoch, proxy.proxy_ref.policy)
-        transport = system.rpc.transport
-        original = transport.transmit
-        transport.transmit = lambda frame, data, at: Delivery(True, at + 1e-4)
+        network = system.network
+        network.transmit = lambda src, dst, nbytes, at: \
+            Delivery(True, at + 1e-4)
         try:
             proxy.push()   # must not raise, must not execute
         finally:
-            transport.transmit = original
+            del network.transmit
         assert sink.received == 0

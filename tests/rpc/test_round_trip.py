@@ -22,7 +22,6 @@ from repro.kernel.errors import InterfaceError, Overloaded
 from repro.kernel.network import Delivery
 from repro.resilience.retry import RetryPolicy
 from repro.rpc import dispatcher
-from repro.rpc.transport import Transport
 from repro.simtest.runner import SimCase
 from repro.simtest.workload import deploy
 from repro.wire import frames
@@ -89,9 +88,10 @@ def test_a_served_oneway_builds_no_reply(pair, monkeypatch):
     system.rpc.send_oneway(client, ref, "undeclared")        # fails
     assert store.data == {"k": 1}
     assert server.handler.__self__.stats["oneways"] == 2
-    # Each one-way is built by its sender and read by its receiver, and
-    # encoded once; neither outcome becomes a reply.
-    assert built == [ONEWAY] * 4
+    # Each one-way is encoded once from its fields, with no frame built
+    # on either side, and read by its receiver; neither outcome becomes a
+    # reply.
+    assert built == [ONEWAY] * 2
     assert encoded == [ONEWAY] * 2
 
 
@@ -110,19 +110,24 @@ def test_a_plain_reply_and_its_duplicate_each_reach_the_caller_as_a_copy(
     journal = Journal()
     ref = get_space(server).export(journal)
     replies = []
-    transmit_reply = Transport.transmit_reply
+    serve, transmit = server.handler, system.network.transmit
 
-    def lossy(self, src, dst, data, at):
-        replies.append(data)
-        if len(replies) == 1:      # the first reply leg is lost
-            return Delivery(False, 0.0, "loss")
-        return transmit_reply(self, src, dst, data, at)
+    def handled(data, arrive):
+        outcome = serve(data, arrive)
+        replies.append(outcome[0])
+        return outcome
 
-    monkeypatch.setattr(Transport, "transmit_reply", lossy)
+    def lossy(src, dst, nbytes, at):
+        if src == server.node.name and len(replies) == 1:
+            return Delivery(False, 0.0, "loss")    # the first reply leg
+        return transmit(src, dst, nbytes, at)
+
+    monkeypatch.setattr(system.network, "transmit", lossy)
+    monkeypatch.setattr(server, "handler", handled)
     # The retransmission is answered from the replay cache: the message
     # as it was sent.
     duplicate = system.rpc.call(client, ref, "tail")
-    assert server.handler.__self__.stats["duplicates"] == 1
+    assert serve.__self__.stats["duplicates"] == 1
     assert replies[1] is replies[0]
     assert duplicate == ["first"] and duplicate is not journal.lines
     duplicate.append("the caller's")
@@ -169,14 +174,15 @@ def test_an_enveloped_reply_reaches_the_caller_without_a_frame(
     (_, ctx, proxy), = deployment.clients
     proxy.put("k0", 7)
     replies = []
-    transmit_reply = Transport.transmit_reply
+    encode = Marshaller.encode_frame_message
 
-    def sent_back(self, src, dst, data, at):
+    def sent_back(self, kind, msg_id, src, dst, *rest):
+        data = encode(self, kind, msg_id, src, dst, *rest)
         if dst == ctx.context_id:
             replies.append(data)
-        return transmit_reply(self, src, dst, data, at)
+        return data
 
-    monkeypatch.setattr(Transport, "transmit_reply", sent_back)
+    monkeypatch.setattr(Marshaller, "encode_frame_message", sent_back)
     del received[:]
     assert proxy.get("k0") == 7
     assert replies, "a quorum read's replies are reply wrappers"

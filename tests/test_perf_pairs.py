@@ -55,6 +55,17 @@ def test_a_spread_wider_than_the_bound_is_unresolved_not_unchanged():
         == "within bound"
 
 
+def test_both_checkouts_are_compiled_before_the_first_pair(tmp_path):
+    # Bytecode is written whatever PYTHONDONTWRITEBYTECODE says, so no run
+    # recompiles a module it imports.
+    for part in ("src/pkg", "benchmarks/perf"):
+        (tmp_path / part).mkdir(parents=True)
+        (tmp_path / part / "mod.py").write_text("VALUE = 1\n")
+    perf_pairs.compile_checkout(tmp_path)
+    for part in ("src/pkg", "benchmarks/perf"):
+        assert list((tmp_path / part / "__pycache__").glob("mod.*.pyc"))
+
+
 def test_a_single_pair_is_its_own_quartiles():
     assert perf_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
     assert _verdict(HIGHER, [100.0], [103.0]) == "within bound"

@@ -353,6 +353,12 @@ RULES = (
          ("src/repro",),
          Grep(r"RAW_THRESHOLD|_TAG_RAW|_ORD_RAW|\.segments\b|\.freeze\("),
          "reply_data = reply_data.freeze()"),
+    Rule("A request is encoded from its fields", 47,
+         "A round trip builds no frame to encode: the caller writes its "
+         "request, the dispatcher its reply or refusal, from the fields.",
+         ("src/repro/rpc/protocol.py", "src/repro/rpc/dispatcher.py"),
+         Grep(r"\bFrame\("),
+         "frame = Frame(REQUEST, msg_id, src.context_id, ref.context_id)"),
 )
 
 

@@ -8,6 +8,9 @@ in its own interpreter, and every number printed is one that command
 reported.  No estimator lives here — only the order of the runs and the
 arithmetic of the rule:
 
+* both checkouts are byte-compiled first: where bytecode is not written
+  on import (``PYTHONDONTWRITEBYTECODE``), a side whose modules' bytecode
+  is stale would recompile them in every run's import and be timed for it;
 * pairs alternate which side runs first (odd pairs the parent, even pairs
   the change), each pair on a fresh ``--seed`` shared by its two runs;
 * one row per run, then per end-to-end metric of ``BENCHMARK.json``: each
@@ -38,6 +41,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import statistics
 import subprocess
@@ -59,6 +63,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
               f"{done.returncode}\n{done.stderr[-2000:]}", file=sys.stderr)
         sys.exit(2)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def compile_checkout(checkout: Path) -> None:
+    """Write current bytecode for everything a run imports from
+    ``checkout``: its package and its benchmark."""
+    for part in ("src", "benchmarks"):
+        compileall.compile_dir(str(checkout / part), quiet=1)
 
 
 def quartiles(values: list) -> tuple[float, float, float]:
@@ -163,9 +174,13 @@ def main(argv: list | None = None) -> int:
         parser.error(f"--claim {args.claim!r} is not an end-to-end metric")
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     bad = 0
+    parent_dir = args.parent_dir.resolve()
+    change_dir = args.change_dir.resolve()
+    for checkout in (parent_dir, change_dir):
+        compile_checkout(checkout)
     for workload in args.workload:
-        runs = measure(args.parent_dir.resolve(), args.change_dir.resolve(),
-                       workload, args.pairs, seconds, args.seed)
+        runs = measure(parent_dir, change_dir, workload, args.pairs, seconds,
+                       args.seed)
         bad += report(spec, workload, runs, args.claim)
     return 1 if bad else 0
 
