@@ -77,6 +77,7 @@ client-facing reference.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Any, Callable
 
 from ...kernel.errors import (
@@ -126,6 +127,10 @@ def _bad_quorum(label: str, quorum, count: int) -> ConfigurationError:
                               f"a {count}-replica group")
 
 
+#: A replica proxy's current context id, read in C (no call per replica).
+_context_id = attrgetter("proxy_ref.context_id")
+
+
 def _digest_of(reply: dict) -> dict:
     """``{key: (last_term, version)}`` from a digest-carrying reply."""
     return {entry[0]: (int(entry[1]), int(entry[2]))
@@ -143,6 +148,7 @@ class ReplicatedProxy(Proxy):
     def __init__(self, context, ref, interface, config=None):
         super().__init__(context, ref, interface, config)
         self._replicas: list[Proxy] | None = None
+        self._network = None    # ranks the replicas, once they resolve
         self._rr_counter = 0
         #: The group's protocol, chosen when the replica list resolves.
         self._versioned = self._elected = False
@@ -179,30 +185,24 @@ class ReplicatedProxy(Proxy):
                 raise ConfigurationError(
                     "replicated policy configured with no replicas")
             self._versioned, self._elected = _protocol(self.proxy_config)
+            self._network = self.proxy_context.system.network
             bind = self.proxy_context.space.proxy_for
             self._replicas = [bind(item) for item in shipped]
         return self._replicas
 
     def _read_order_indices(self, count: int) -> list[int]:
-        indices = list(range(count))
         policy = self.proxy_config.get("read_policy", "nearest")
         if policy == "roundrobin":
             start = self._rr_counter % count
             self._rr_counter += 1
-            return indices[start:] + indices[:start]
+            return [*range(start, count), *range(start)]
         if policy != "nearest":
             # Checked here too, not only at deploy: a bound proxy's
             # configuration may be edited after bind.
             raise ConfigurationError(
                 _unknown_read_policy(policy, self.proxy_read_policies))
-        network = self.proxy_context.system.network
-        my_node = self.proxy_context.node.name
-
-        def distance(index: int) -> float:
-            return network.transit_time(
-                my_node, self._replicas[index].proxy_ref.node_name, 64)
-
-        return sorted(indices, key=distance)
+        return self._network.rank(self.proxy_context.node.name,
+                                  map(_context_id, self._replicas), 64)
 
     # -- configuration ------------------------------------------------------------
 
@@ -232,32 +232,28 @@ class ReplicatedProxy(Proxy):
             raise _bad_quorum("read_quorum", read_quorum, count)
         return write_quorum, read_quorum
 
-    def _version_key(self, args: tuple) -> Any:
-        """The version-log key of one operation.
-
-        ``version_key="arg0"`` partitions the log by the first argument
-        (right for keyed services — KV, locks); the default ``"object"``
-        serialises every write of the object under one log, which is always
-        safe.  Any other value is refused.
-        """
-        version_key = self.proxy_config.get("version_key")
-        if version_key == "arg0" and args:
-            return args[0]
-        if version_key not in VERSION_KEYS:
-            raise ConfigurationError(f"version_key admits no {version_key!r}")
-        return "*"
-
     # -- invocation ---------------------------------------------------------------------
 
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:
         self.proxy_stats["invocations"] += 1
-        replicas = self._resolve_replicas()
-        readonly = self.proxy_operation(verb).readonly
+        replicas = self._replicas
+        if replicas is None:
+            replicas = self._resolve_replicas()
+        op = self.proxy_opcache.get(verb)
+        readonly = (op or self.proxy_operation(verb)).readonly
         if not self._versioned:
             serve = self._read if readonly else self._write
             return serve(replicas, verb, args, kwargs)
         write_quorum, read_quorum = self._quorum_params(len(replicas))
-        key = self._version_key(args)
+        # The log key: the first argument (keyed services: KV, locks), or
+        # one log for the object (``"object"``, the default: always safe).
+        version_key = self.proxy_config.get("version_key")
+        if version_key == "arg0" and args:
+            key = args[0]
+        elif version_key in VERSION_KEYS:
+            key = "*"
+        else:
+            raise ConfigurationError(f"version_key admits no {version_key!r}")
         if readonly:
             return self._quorum_read(replicas, verb, args, kwargs, key,
                                      write_quorum, read_quorum)
@@ -330,21 +326,12 @@ class ReplicatedProxy(Proxy):
             last_error = app_error = None   # see _read
 
     # -- the quorum protocol: envelopes -------------------------------------------
-
-    def _versioned_call(self, index: int, verb: str, args: tuple,
-                        kwargs: dict, headers: dict) -> dict:
-        """One enveloped replica call; returns the reply wrapper.
-
-        Where the replica lives is the protocol's business: one co-located
-        with the caller is served by the same dispatcher step, without
-        frames.  The envelope is addressed to the replica's binding but
-        issued here, not through ``proxy_remote``: a replica that moved
-        away must surface as ``ObjectMoved`` to the quorum walk (one more
-        unreachable copy), not be followed.
-        """
-        return self.proxy_protocol.call(
-            self.proxy_context, self._replicas[index].proxy_ref, verb, args,
-            kwargs, headers=headers)
+    #
+    # Every enveloped call is issued through ``proxy_protocol.call``, to the
+    # replica proxy's current reference, not through ``proxy_remote``: a
+    # replica that moved away surfaces as ``ObjectMoved`` to the quorum walk
+    # (one more unreachable copy), and is not followed.  One co-located with
+    # the caller is served by the same dispatcher step, without frames.
 
     def _control_call(self, index: int, control: tuple, body_args: tuple,
                       extra_headers: dict | None = None) -> dict:
@@ -352,7 +339,9 @@ class ReplicatedProxy(Proxy):
         headers = {versions.H_CONTROL: control}
         if extra_headers:
             headers.update(extra_headers)
-        return self._versioned_call(index, "", tuple(body_args), {}, headers)
+        return self.proxy_protocol.call(
+            self.proxy_context, self._replicas[index].proxy_ref, "",
+            tuple(body_args), {}, headers=headers)
 
     def _term_header(self, term: int | None = None,
                      leader: int | None = None) -> dict:
@@ -487,12 +476,14 @@ class ReplicatedProxy(Proxy):
                     if index == leader:
                         continue
                     try:
-                        ack = self._versioned_call(index, verb, args, kwargs,
-                                                   headers)
+                        ack = self.proxy_protocol.call(
+                            self.proxy_context, replicas[index].proxy_ref,
+                            verb, args, kwargs, headers=headers)
                     except DistributionError as exc:
                         last_error = exc
                         continue
-                    if self._fenced(ack) or versions.K_EXC in ack:
+                    if versions.K_FENCED in ack and self._fenced(ack) \
+                            or versions.K_EXC in ack:
                         continue    # deposed, or a diverged execution: no ack
                     if versions.K_DIVERGED in ack:
                         repaired = self._resync(index, leader, key)
@@ -534,10 +525,11 @@ class ReplicatedProxy(Proxy):
         try:
             for _ in range(ASSIGN_ATTEMPTS):
                 try:
-                    reply = self._versioned_call(
-                        self._leader, verb, args, kwargs,
-                        {versions.H_ASSIGN: (key,),
-                         versions.H_TERM: (self._term, self._leader)}
+                    reply = self.proxy_protocol.call(
+                        self.proxy_context, replicas[self._leader].proxy_ref,
+                        verb, args, kwargs, headers={
+                            versions.H_ASSIGN: (key,),
+                            versions.H_TERM: (self._term, self._leader)}
                         if self._elected else {versions.H_ASSIGN: (key,)})
                 except RemoteError:
                     self.proxy_stats["app_errors"] += 1
@@ -556,7 +548,7 @@ class ReplicatedProxy(Proxy):
                 except Exception:
                     self.proxy_stats["app_errors"] += 1
                     raise
-                if self._fenced(reply):
+                if versions.K_FENCED in reply and self._fenced(reply):
                     continue
                 if versions.K_EXPIRED in reply:
                     if not self._renew_lease(replicas):
@@ -605,75 +597,92 @@ class ReplicatedProxy(Proxy):
         """
         self.proxy_stats["reads"] += 1
         order = self._read_order_indices(len(replicas))
-        answers: dict[int, dict] = {}
+        call = self.proxy_protocol.call
+        context = self.proxy_context
+        headers = {versions.H_READ: (key,),
+                   versions.H_TERM: (self._term, self._leader)} \
+            if self._elected else {versions.H_READ: (key,)}
+        # Each answerer's ``(term, version)``, in answering order.
+        held: dict[int, tuple[int, int]] = {}
+        newest = winner = winner_index = None
+        agreed = True
         last_error: Exception | None = None
         try:
             for index in order:
-                if len(answers) >= read_quorum:
+                if len(held) >= read_quorum:
                     break
                 try:
-                    reply = self._versioned_call(
-                        index, verb, args, kwargs,
-                        {versions.H_READ: (key,),
-                         versions.H_TERM: (self._term, self._leader)}
-                        if self._elected else {versions.H_READ: (key,)})
+                    reply = call(context, replicas[index].proxy_ref, verb,
+                                 args, kwargs, headers=headers)
                 except DistributionError as exc:
                     self.proxy_stats["read_failovers"] += 1
                     last_error = exc
                     continue
-                self._adopt_newer(reply)
-                answers[index] = reply
-            if len(answers) < read_quorum:
+                pair = reply.get(versions.K_TERM)
+                if pair is not None and int(pair[0]) > self._term:
+                    self._adopt(pair[0], pair[1])   # stamped on the rest
+                    if self._elected:
+                        headers = {versions.H_READ: (key,), versions.H_TERM:
+                                   (self._term, self._leader)}
+                pair = (int(reply.get(versions.K_VTERM, 0)),
+                        int(reply[versions.K_VERSION]))
+                held[index] = pair
+                if newest is None or pair > newest:
+                    agreed = newest is None
+                    newest, winner, winner_index = pair, reply, index
+                elif pair != newest:
+                    agreed = False
+            if len(held) < read_quorum:
                 self.proxy_stats["read_failures"] += 1
                 raise DistributionError(
-                    f"read {verb!r} of {key!r} reached {len(answers)}/"
+                    f"read {verb!r} of {key!r} reached {len(held)}/"
                     f"{len(replicas)} replicas, read quorum is "
                     f"{read_quorum}") from last_error
         finally:
             last_error = None   # see _read
-        held = {index: (int(reply.get(versions.K_VTERM, 0)),
-                        int(reply[versions.K_VERSION]))
-                for index, reply in answers.items()}
-        newest = max(held.values())
-        winner_index = next(i for i in order if held.get(i) == newest)
-        confirmed = {i for i, pair in held.items() if pair == newest}
-
-        def promote(index: int, have=(0, 0), allow_resync=True) -> int:
-            """Repair ``index`` up to the winner; confirm it if it got there."""
-            reached = self._repair(index, winner_index, key, have,
-                                   allow_resync)
-            if reached >= newest[1]:
-                self.proxy_stats["read_repairs"] += 1
-                confirmed.add(index)
-            return reached
-
-        for index in answers:
-            if held[index] < newest:    # read-repair the stale answerer
-                promote(index, held[index])
-        for index in order:
-            if len(confirmed) >= write_quorum:
-                break
-            if index not in answers:
-                promote(index)
-        if len(confirmed) < write_quorum:
-            self.proxy_stats["read_failures"] += 1
-            raise DistributionError(
-                f"read {verb!r} saw version {newest[1]} (term {newest[0]}) "
-                f"of {key!r} on only {len(confirmed)} replicas, write "
-                f"quorum is {write_quorum}")
         leader = self._leader
-        if self._elected and leader not in confirmed \
-                and leader < len(replicas):
-            if promote(leader, allow_resync=False) == -2:
-                # The leader holds different, newer-term entries at these
-                # versions: the winner is already superseded.  Fail — a
-                # failed read moves no state, and the anti-entropy sweep
-                # resyncs the stragglers from the leader.
+        if not agreed or len(held) < write_quorum or (
+                self._elected and leader not in held
+                and leader < len(replicas)):
+            # A stale answer, W unmet or a silent leader: repair state.
+            confirmed = {i for i, pair in held.items() if pair == newest}
+
+            def promote(index: int, have=(0, 0), allow_resync=True) -> int:
+                """Repair ``index`` up to the winner; confirm it there."""
+                reached = self._repair(index, winner_index, key, have,
+                                       allow_resync)
+                if reached >= newest[1]:
+                    self.proxy_stats["read_repairs"] += 1
+                    confirmed.add(index)
+                return reached
+
+            for index, pair in held.items():
+                if pair < newest:    # read-repair the stale answerer
+                    promote(index, pair)
+            for index in order:
+                if len(confirmed) >= write_quorum:
+                    break
+                if index not in held:
+                    promote(index)
+            if len(confirmed) < write_quorum:
                 self.proxy_stats["read_failures"] += 1
                 raise DistributionError(
-                    f"read {verb!r} of {key!r}: winner at {newest} is "
-                    f"superseded by the leader's log")
-        winner = answers[winner_index]
+                    f"read {verb!r} saw version {newest[1]} (term "
+                    f"{newest[0]}) of {key!r} on only {len(confirmed)} "
+                    f"replicas, write quorum is {write_quorum}")
+            leader = self._leader
+            if self._elected and leader not in confirmed \
+                    and leader < len(replicas):
+                if promote(leader, allow_resync=False) == -2:
+                    # The leader holds different, newer-term entries at
+                    # these versions: the winner is already superseded.
+                    # Fail — a failed read moves no state, and the
+                    # anti-entropy sweep resyncs the stragglers from the
+                    # leader.
+                    self.proxy_stats["read_failures"] += 1
+                    raise DistributionError(
+                        f"read {verb!r} of {key!r}: winner at {newest} is "
+                        f"superseded by the leader's log")
         failure = winner.get(versions.K_EXC)
         if failure is not None:
             raise remote_exception(failure[0], failure[1])
@@ -981,7 +990,10 @@ def replicate(contexts: list, factory: Callable[[], object],
     count = len(contexts)
     codebase = contexts[0].system.codebase
     check_group_policy(codebase, policy, extra_layers)
-    known = codebase.factories[policy].proxy_read_policies
+    group_class = codebase.factories[policy]
+    if not issubclass(group_class, ReplicatedProxy):
+        raise ConfigurationError(f"policy {policy!r} serves no replica group")
+    known = group_class.proxy_read_policies
     if read_policy not in known:
         raise ConfigurationError(_unknown_read_policy(read_policy, known))
     for label, quorum in (("write_quorum", write_quorum),

@@ -18,7 +18,7 @@ partition check is skipped entirely while no partition is active.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigurationError
 from .params import CostModel
@@ -162,6 +162,27 @@ class Network:
         if spec is None:
             spec = self._default_spec
         return spec.latency * self.latency_factor + nbytes * spec.byte_cost
+
+    def rank(self, src: str, dst_ids: Iterable[str],
+             nbytes: int) -> list[int]:
+        """Indices of the context ids ``dst_ids`` by :meth:`transit_time`
+        from node ``src`` (its sums, written as it writes them), nearest
+        first and ties by index: read afresh, so every change counts."""
+        costs, spec, factor = self.costs, self._default_spec, \
+            self.latency_factor
+        local = costs.ipc_latency + nbytes * costs.ipc_byte_cost
+        default = spec.latency * factor + nbytes * spec.byte_cost
+        links = self._links
+        times = []
+        for dst_id in dst_ids:
+            dst = dst_id.split("/", 1)[0]
+            if src == dst:
+                times.append(local)
+            elif links and (spec := links.get((src, dst))) is not None:
+                times.append(spec.latency * factor + nbytes * spec.byte_cost)
+            else:
+                times.append(default)
+        return sorted(range(len(times)), key=times.__getitem__)
 
     def transmit(self, src: str, dst: str, nbytes: int, at: float) -> Delivery:
         """Attempt delivery of one message; never raises for network faults.

@@ -429,12 +429,9 @@ def resilient_group(contexts: list, factory: Callable[[], object],
     from ..iface.interface import Interface
     if not contexts:
         raise ValueError("resilient_group() needs at least one context")
-    primary = factory()
-    if interface is None:
-        interface = Interface.of(type(primary))
-    replica_refs = [get_space(ctx).export(factory(), interface=interface,
-                                          policy="stub")
-                    for ctx in contexts[1:]]
+    # Checked as a bind checks it, before any export; ``replicas`` stays the
+    # first key and is filled after.
+    replica_refs: list = []
     config: dict = {"replicas": replica_refs, "stale_reads": stale_reads}
     if retry is not None:
         config["retry"] = retry
@@ -444,5 +441,12 @@ def resilient_group(contexts: list, factory: Callable[[], object],
         config["breaker"] = breaker
     if hedge is not False:
         config["hedge"] = hedge
+    _check_config(config)
+    primary = factory()
+    if interface is None:
+        interface = Interface.of(type(primary))
+    replica_refs.extend(get_space(ctx).export(factory(), interface=interface,
+                                              policy="stub")
+                        for ctx in contexts[1:])
     return get_space(contexts[0]).export(primary, interface=interface,
                                          policy="resilient", config=config)

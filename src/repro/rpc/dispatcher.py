@@ -405,12 +405,14 @@ class Dispatcher:
                 # call's; versioned reads and replica applies fold theirs
                 # into the reply wrapper.
                 now = ctx.clock.now
-                if wire.H_CONTROL not in headers:
+                if wire.H_CONTROL in headers:
+                    invoke = partial(entry.perform, ctx)   # a push's replay
+                else:
                     entry.admit(ctx, verb)
+                    invoke = None
                 return wire.serve_envelope(
                     entry, verb, args, kwargs, headers, now=now,
-                    invoke=partial(entry.perform, ctx),
-                    call_peer=self._call_peer)
+                    invoke=invoke, call_peer=self._call_peer)
             return entry.run(verb, args, kwargs)
         except Exception as exc:
             self.stats["exceptions"] += 1

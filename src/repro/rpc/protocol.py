@@ -164,10 +164,12 @@ class RpcProtocol:
             return self._local_call(src, ref, verb, args, kwargs, headers,
                                     deadline)
         policy = retry or self.retry_policy
-        # A copy: the deadline is written into the request's dict only.
-        headers = dict(headers) if headers else {}
         if deadline is not None:
+            # Into a copy: otherwise the caller's dict is encoded as it is.
+            headers = dict(headers) if headers else {}
             deadline.to_headers(headers)
+        elif headers is None:
+            headers = {}
         # The request is encoded from its fields with the sender's hooks
         # (no frame is built), and its marshalling charged to the sender.
         src_id = src.context_id

@@ -287,11 +287,6 @@ class ReplicaLog:
         log = self._logs.get(key)
         return len(log) if log else 0
 
-    def last_term(self, key) -> int:
-        """The term of the key's last entry (0 for an empty log)."""
-        log = self._logs.get(key)
-        return log[-1][4] if log else 0
-
     def term_at(self, key, n: int) -> int:
         """The term of the entry that produced version ``n`` (0 if absent)."""
         log = self._logs.get(key)
@@ -378,16 +373,18 @@ def serve_read(entry, key, verb: str, args, kwargs) -> dict:
     of the answer and the replica's current ``(term, leader)`` so the
     caller can adopt a newer leadership opportunistically.
     """
-    log = entry.replica_log or replica_log(entry)
+    # The key's log, read once: its length is the version, its last
+    # entry's term the answer's (a read appends nothing).
+    log = (entry.replica_log or replica_log(entry))._logs.get(key)
     try:
-        reply = {K_VERSION: log.version(key),
+        reply = {K_VERSION: len(log) if log else 0,
                  K_VALUE: entry.run(verb, args, kwargs)}
     except Exception as exc:
-        reply = {K_VERSION: log.version(key),
+        reply = {K_VERSION: len(log) if log else 0,
                  K_EXC: (type(exc).__name__, str(exc))}
     state = entry.election
     if state is not None:
-        reply[K_VTERM] = log.last_term(key)
+        reply[K_VTERM] = log[-1][4] if log else 0
         reply[K_TERM] = (state.term, state.leader)
     return reply
 
@@ -418,7 +415,8 @@ def serve_assign(entry, key, verb: str, args, kwargs,
             return {K_EXPIRED: True, K_TERM: (state.term, state.leader)}
         term = state.term
     result = entry.run(verb, args, kwargs)    # raises: nothing is logged
-    n = log.version(key) + 1
+    held = log._logs.get(key)
+    n = len(held) + 1 if held else 1
     log.append(key, n, verb, args, kwargs, term)
     reply = {K_VERSION: n, K_VALUE: result}
     if state is not None:
@@ -442,7 +440,8 @@ def _apply_entry(entry, invoke: Callable[[str, tuple, dict], Any], key,
     """
     log = entry.replica_log or replica_log(entry)
     state = entry.election
-    current = log.version(key)
+    held = log._logs.get(key)
+    current = len(held) if held else 0
     if n <= current:
         if state is not None and log.term_at(key, n) != term:
             state.counters.incr("divergences")
@@ -451,7 +450,7 @@ def _apply_entry(entry, invoke: Callable[[str, tuple, dict], Any], key,
     if n > current + 1:
         reply = {K_VERSION: current, K_STALE: True}
         if state is not None:
-            reply[K_VTERM] = log.last_term(key)
+            reply[K_VTERM] = held[-1][4] if held else 0
         return reply
     try:
         invoke(verb, args, kwargs)

@@ -2,6 +2,7 @@
 
 import gc
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -12,14 +13,17 @@ from repro.apps.locks import LockService
 from repro.core.export import get_space
 from repro.core.policies.replicating import ReplicatedProxy, replicate
 from repro.core.service import Service
-from repro.failures.injectors import begin_partition
+from repro.failures.injectors import (begin_partition, degraded_link,
+                                      latency_spike)
 from repro.iface.interface import operation
 from repro.kernel.errors import (
     ConfigurationError,
     DistributionError,
     ObjectMoved,
 )
+from repro.kernel.network import LinkSpec
 from repro.metrics.counters import MessageWindow
+from repro.migration.mover import ensure_mover, migrate
 from repro.wire import versions
 
 
@@ -283,6 +287,15 @@ class TestReadPolicyValidation:
             replicate(contexts, KVStore, read_policy="nearst",
                       policy="regional")
 
+    @pytest.mark.parametrize("policy", ["stub", "caching", "sharded"])
+    def test_deploy_names_a_policy_that_is_no_replica_groups(self, star,
+                                                             policy):
+        # At the parent: AttributeError, the class has no read policies.
+        system, server, clients = star
+        with pytest.raises(ConfigurationError, match=repr(policy)):
+            replicate([server, clients[1], clients[2]], KVStore,
+                      policy=policy)
+
     @pytest.mark.parametrize("read_policy", ["nearst", "regional"])
     @pytest.mark.parametrize("deployment", ["group", "quorum_group"])
     def test_first_read_rejects_an_edited_read_policy(self, request,
@@ -491,6 +504,42 @@ class TestVersionedQuorum:
         assert values == [2, 2, 2], "a repaired read must return the newest"
         assert proxy.proxy_stats["read_repairs"] >= 1
 
+    @staticmethod
+    def _slow_server(system, server, reader):
+        """Rank the server's replica (0, the sequencer) last from ``reader``:
+        an R=2 read is answered by replicas 1 and 2."""
+        system.network.set_link(reader.node.name, server.node.name, LinkSpec(
+            latency=1.0, byte_cost=system.costs.byte_cost))
+
+    def test_only_a_stale_answer_is_read_repaired(self, quorum_group):
+        system, server, clients = quorum_group
+        proxy = repro.bind(clients[0], "qkv")
+        proxy.put("k", 1)
+        clients[2].node.crash()     # replica 2 misses version 2
+        proxy.put("k", 2)
+        clients[2].node.restart()
+        self._slow_server(system, server, clients[0])
+        assert proxy.get("k") == 2      # replica 2 answers stale ...
+        assert proxy.proxy_stats["read_repairs"] == 1
+        assert proxy.get("k") == 2      # ... and agrees once repaired
+        assert proxy.proxy_stats["read_repairs"] == 1
+
+    def test_an_elected_leader_that_did_not_answer_is_promoted(self, star):
+        system, server, clients = star
+        ref = replicate([server, clients[1], clients[2]], KVStore,
+                        write_quorum=2, read_quorum=2, version_key="arg0",
+                        elect=True)
+        repro.register(server, "ekv", ref)
+        proxy = repro.bind(clients[0], "ekv")
+        proxy.put("k", 1)
+        assert proxy.get("k") == 1      # the leader answered: no repair
+        assert proxy.proxy_stats["read_repairs"] == 0
+        self._slow_server(system, server, clients[0])
+        with MessageWindow(system) as window:
+            assert proxy.get("k") == 1  # 1 and 2 agree; the leader is not
+        assert proxy.proxy_stats["read_repairs"] == 1   # among them
+        assert window.report.messages == 8, "two reads, a pull, a push"
+
     def test_write_fails_below_quorum(self, quorum_group):
         system, server, clients = quorum_group
         proxy = repro.bind(clients[0], "qkv")
@@ -543,6 +592,99 @@ class TestVersionedQuorum:
         proxy.put("k", 1)
         proxy.get("k")
         repro.assert_principle(system)
+
+
+def _nearest_first(proxy):
+    """The ``"nearest"`` read order as its definition states it: replica
+    indices by transit time from the reader, ties by index."""
+    network = proxy.proxy_context.system.network
+    here = proxy.proxy_context.node.name
+    replicas = proxy._replicas
+    return sorted(range(len(replicas)), key=lambda i: network.transit_time(
+        here, replicas[i].proxy_ref.node_name, 64))
+
+
+@contextmanager
+def _unchanged(system, reader, replicas):
+    yield
+
+
+@contextmanager
+def _far_replica_made_nearest(system, reader, replicas):
+    # After bind: the last replica, tied with the others, becomes nearest.
+    system.network.set_link(reader, replicas[2], LinkSpec(
+        latency=system.costs.remote_latency / 4,
+        byte_cost=system.costs.byte_cost))
+    yield
+
+
+def _spiked(after):
+    """A spike reorders two links that trade latency for bytes: fast
+    wire, slow propagation (to replica 0) against the reverse (to 1)."""
+    @contextmanager
+    def scenario(system, reader, replicas):
+        latency = system.costs.remote_latency
+        system.network.set_link(reader, replicas[0], LinkSpec(
+            latency=2 * latency, byte_cost=0.0))
+        system.network.set_link(reader, replicas[1], LinkSpec(
+            latency=latency, byte_cost=1.5 * latency / 64))
+        with latency_spike(system, 10.0):
+            if not after:
+                yield
+        if after:
+            yield
+    return scenario
+
+
+def _degraded(after):
+    @contextmanager
+    def scenario(system, reader, replicas):
+        with degraded_link(system, reader, replicas[0], latency=1.0):
+            if not after:
+                yield
+        if after:
+            yield
+    return scenario
+
+
+class TestNearestReadOrder:
+    """``"nearest"`` is recomputed on every read, with no memo: whatever
+    changed a distance since the last read orders the next one."""
+
+    @pytest.mark.parametrize("scenario, expected", [
+        (_unchanged, [0, 1, 2]), (_far_replica_made_nearest, [2, 0, 1]),
+        (_spiked(after=False), [2, 1, 0]), (_spiked(after=True), [2, 0, 1]),
+        (_degraded(after=False), [1, 2, 0]),
+        (_degraded(after=True), [0, 1, 2])],
+        ids=["unchanged", "set-link", "spike-during", "spike-after",
+             "degraded-during", "degraded-after"])
+    def test_the_order_is_the_transit_time_ranking(self, quorum_group,
+                                                   scenario, expected):
+        system, server, clients = quorum_group
+        proxy = repro.bind(clients[0], "qkv")
+        proxy.put("k", 1)
+        before = proxy._read_order_indices(3)
+        assert before == _nearest_first(proxy) == [0, 1, 2]
+        nodes = [ctx.node.name for ctx in (server, clients[1], clients[2])]
+        with scenario(system, clients[0].node.name, nodes):
+            assert proxy._read_order_indices(3) == _nearest_first(proxy) \
+                == expected
+            assert proxy.get("k") == 1
+
+    def test_a_replica_rebound_by_object_moved_is_ranked_where_it_is(
+            self, quorum_group):
+        system, server, clients = quorum_group
+        proxy = repro.bind(clients[0], "qkv")
+        proxy.put("k", 1)
+        replica = proxy._replicas[2]
+        system.codebase.register_class(KVStore)
+        ensure_mover(get_space(clients[2]))
+        assert migrate(clients[0], replica.proxy_ref) is not None
+        assert replica.get("k") == 1      # follows the forward, rebinds
+        assert replica.proxy_ref.context_id == clients[0].context_id
+        # The moved copy is now co-located with the reader: nearest.
+        assert proxy._read_order_indices(3) == _nearest_first(proxy) \
+            == [2, 0, 1]
 
 
 _KV_VERBS = ("put", "get", "delete", "contains")
@@ -652,6 +794,14 @@ class TestOneProtocolTwoSequencers:
             assert not election_keys & item.keys(), item
 
 
+def _enveloped_get(proxy, index):
+    """A versioned ``get("k")`` to one replica, issued as the quorum read
+    issues it: to the replica proxy's reference, not through it."""
+    return proxy.proxy_protocol.call(
+        proxy.proxy_context, proxy._replicas[index].proxy_ref, "get", ("k",),
+        {}, headers={versions.H_READ: ["k"]})
+
+
 class TestLocalityIsTheProtocolsBusiness:
     """A replica co-located with its caller is served by the same
     dispatcher step as a remote one: ``RpcProtocol.call`` decides how the
@@ -682,8 +832,7 @@ class TestLocalityIsTheProtocolsBusiness:
         entry = clients[1].exports[ref.oid]
         entry.moved_to = ref.moved_to(clients[0].context_id)
         with pytest.raises(ObjectMoved):
-            proxy._versioned_call(1, "get", ("k",), {},
-                                  {versions.H_READ: ["k"]})
+            _enveloped_get(proxy, 1)
         # The read treats it like any unreachable replica, instead of
         # answering from the object the migration left behind.
         assert proxy.get("k") == 1
@@ -697,8 +846,7 @@ class TestLocalityIsTheProtocolsBusiness:
         compute = proxy.proxy_interface.operation("get").compute
         assert compute > 0
         before = clients[1].clock.now
-        reply = proxy._versioned_call(1, "get", ("k",), {},
-                                      {versions.H_READ: ["k"]})
+        reply = _enveloped_get(proxy, 1)
         assert reply[versions.K_VALUE] == 1
         assert clients[1].clock.now - before == pytest.approx(
             system.costs.local_call + compute)

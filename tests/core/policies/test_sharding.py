@@ -121,8 +121,11 @@ class TestDeployment:
         lambda c: shard([c[:2], c[2:]], KVStore, extra_layers=["nope"]),
         lambda c: replicate(c, KVStore, extra_layers=["nope"]),
         lambda c: replicate(c, KVStore, policy="nope"),
+        lambda c: replicate(c, KVStore, policy="stub"),
+        lambda c: replicate(c, KVStore, policy="sharded"),
     ], ids=["shard-layer", "shard-policy", "shard-nested-composite",
-            "shard-of-groups-layer", "replicate-layer", "replicate-policy"])
+            "shard-of-groups-layer", "replicate-layer", "replicate-policy",
+            "replicate-stub-policy", "replicate-sharded-policy"])
     def test_a_refused_deploy_leaves_every_context_as_it_was(self, deploy):
         # At the parent every stub shard (and its mover) or replica was
         # exported before the group entry met the unknown name, and stayed.

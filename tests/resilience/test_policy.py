@@ -255,6 +255,26 @@ class TestShippedConfigIsCheckedAtBind:
         with pytest.raises(ConfigurationError, match="breaker"):
             bind_group(star, breaker=breaker)
 
+    @pytest.mark.parametrize("options", [
+        {"retry": {"bogus": 1}}, {"breaker": {"threshold": -1}},
+        {"hedge": "yes"}], ids=["retry", "breaker", "hedge"])
+    def test_a_refused_deploy_exports_nothing(self, star, options):
+        # At the parent all three members were exported, then every bind
+        # was refused.
+        system, server, clients = star
+        contexts = [server, clients[0], clients[1]]
+        before = [dict(ctx.exports) for ctx in contexts]
+        with pytest.raises(ConfigurationError, match=next(iter(options))):
+            resilient_group(contexts, seeded_store, **options)
+        assert [ctx.exports for ctx in contexts] == before
+
+    def test_a_config_edited_after_deploy_is_refused_at_bind(self, star):
+        system, server, clients = star
+        ref = resilient_group([server, clients[0]], seeded_store)
+        server.exports[ref.oid].policy_config["hedge"] = "yes"
+        with pytest.raises(ConfigurationError, match="hedge"):
+            get_space(clients[2]).bind_ref(ref)
+
     def test_admitted_values_bind(self, star):
         proxy = bind_group(star, retry={"attempts": 3, "multiplier": 1,
                                         "jitter": 0, "adaptive": True},
