@@ -27,7 +27,7 @@ staleness for fully local reads (E21 measures both sides of that trade).
 from __future__ import annotations
 
 from ..factory import register_policy
-from .replicating import ReplicatedProxy
+from .replicating import ReplicatedProxy, _context_id
 
 
 @register_policy
@@ -38,27 +38,26 @@ class RegionalProxy(ReplicatedProxy):
     proxy_read_policies = ReplicatedProxy.proxy_read_policies + ("regional",)
 
     def _read_order_indices(self, count: int) -> list[int]:
-        if self.proxy_config.get("read_policy", "regional") != "regional":
+        config = self.proxy_config
+        if config.get("read_policy", "regional") != "regional":
             return super()._read_order_indices(count)
-        self._resolve_replicas()
-        regions = self.proxy_config.get("regions") or []
         context = self.proxy_context
+        replicas = self._replicas or self._resolve_replicas()
+        regions = config.get("regions") or ()
         my_region = context.node.region
-        network = context.system.network
-        my_node = context.node.name
-        registry = getattr(context.system, "breakers", None)
+        registry = self.proxy_protocol.system.breakers
         now = context.clock.now
-
-        def rank(index: int) -> tuple:
+        ranks = []
+        for index, replica in enumerate(replicas):
+            # Surveyed in index order: a breaker is created on first use.
+            refused = registry is not None and not registry.between(
+                context.context_id,
+                replica.proxy_ref.context_id).would_allow(now)
             region = regions[index] if index < len(regions) else ""
-            foreign = 0 if (region and region == my_region) else 1
-            ref = self._replicas[index].proxy_ref
-            refused = 0
-            if registry is not None:
-                breaker = registry.between(context.context_id,
-                                           ref.context_id)
-                refused = 0 if breaker.would_allow(now) else 1
-            transit = network.transit_time(my_node, ref.node_name, 64)
-            return (refused, foreign, transit, index)
-
-        return sorted(range(count), key=rank)
+            ranks.append((refused, not (region and region == my_region)))
+        # Nearest first, ties by index (one ranking call), then stably by
+        # ``(refused, foreign)``: the order of ``(refused, foreign,
+        # transit, index)``.
+        return sorted(self._network.rank(context.node.name,
+                                         map(_context_id, replicas), 64),
+                      key=ranks.__getitem__)

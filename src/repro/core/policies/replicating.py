@@ -461,10 +461,14 @@ class ReplicatedProxy(Proxy):
         last_error: Exception | None = None
         assigned = acknowledged = 0
         wterm = self._term
+        # Read once for the whole fan-out, not per follower.
+        call, context = self.proxy_protocol.call, self.proxy_context
+        fenced, failed, diverged, version = versions.K_FENCED, \
+            versions.K_EXC, versions.K_DIVERGED, versions.K_VERSION
         try:
             for _ in range(ASSIGN_ATTEMPTS):
                 reply = self._assign(replicas, verb, args, kwargs, key)
-                assigned = int(reply[versions.K_VERSION])
+                assigned = int(reply[version])
                 wterm = int(reply.get(versions.K_VTERM, self._term))
                 leader = self._leader
                 # One envelope for the whole fan-out: a call only reads it.
@@ -476,25 +480,23 @@ class ReplicatedProxy(Proxy):
                     if index == leader:
                         continue
                     try:
-                        ack = self.proxy_protocol.call(
-                            self.proxy_context, replicas[index].proxy_ref,
-                            verb, args, kwargs, headers=headers)
+                        ack = call(context, replicas[index].proxy_ref, verb,
+                                   args, kwargs, headers=headers)
                     except DistributionError as exc:
                         last_error = exc
                         continue
-                    if versions.K_FENCED in ack and self._fenced(ack) \
-                            or versions.K_EXC in ack:
+                    if fenced in ack and self._fenced(ack) or failed in ack:
                         continue    # deposed, or a diverged execution: no ack
-                    if versions.K_DIVERGED in ack:
+                    if diverged in ack:
                         repaired = self._resync(index, leader, key)
-                    elif int(ack[versions.K_VERSION]) >= assigned:
+                    elif int(ack[version]) >= assigned:
                         acknowledged += 1
                         continue
                     else:
                         repaired = self._repair(
                             index, leader, key,
                             (int(ack.get(versions.K_VTERM, 0)),
-                             int(ack[versions.K_VERSION])))
+                             int(ack[version])))
                     if repaired >= assigned:
                         self.proxy_stats["write_repairs"] += 1
                         acknowledged += 1
@@ -522,14 +524,15 @@ class ReplicatedProxy(Proxy):
         whenever a majority is reachable.
         """
         last_error: Exception | None = None
+        call, context = self.proxy_protocol.call, self.proxy_context
         try:
             for _ in range(ASSIGN_ATTEMPTS):
+                leader = self._leader
                 try:
-                    reply = self.proxy_protocol.call(
-                        self.proxy_context, replicas[self._leader].proxy_ref,
-                        verb, args, kwargs, headers={
-                            versions.H_ASSIGN: (key,),
-                            versions.H_TERM: (self._term, self._leader)}
+                    reply = call(
+                        context, replicas[leader].proxy_ref, verb, args,
+                        kwargs, headers={versions.H_ASSIGN: (key,),
+                                         versions.H_TERM: (self._term, leader)}
                         if self._elected else {versions.H_ASSIGN: (key,)})
                 except RemoteError:
                     self.proxy_stats["app_errors"] += 1

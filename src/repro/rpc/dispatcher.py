@@ -58,6 +58,7 @@ from ..resilience.deadline import DEADLINE_HEADER, Deadline
 from ..wire import WireMessage, shards, versions
 from ..wire.frames import (EXCEPTION, K_OVERLOAD, ONEWAY, REPLY, REQUEST,
                            fields_of)
+from ..wire.marshal import _MEMO_STATS
 from ..wire.refs import ObjectRef
 
 
@@ -199,7 +200,17 @@ class Dispatcher:
         decoder = self._decoder
         if decoder is None or decoder.decoder_hook is not ctx.decoder_hook:
             decoder = self._decoder = self.transport.decoder_for(ctx)
-        fields = None
+        carried = data.carried
+        if carried is not None and carried[7].__class__ is tuple \
+                and carried[7][1]:
+            # An envelope request, read here, once, for admission and
+            # dispatch alike: its ``(args, {})`` body and a copy of its
+            # headers dict.  ``fields_of`` reads every other message.
+            _MEMO_STATS.frames_carried += 1
+            kind, msg_id, src, dst, target, verb, body, last = carried
+            body, headers, read = (body, {}), last[0].copy(), True
+        else:
+            read = False
         admitted_target = None
         admission = ctx.node.admission
         if admission is not None:
@@ -207,8 +218,10 @@ class Dispatcher:
             # busy-line wait: a full server refuses on arrival, not after
             # the backlog it bounds.  Dedup runs first, so a retransmission
             # of an executed request is never shed.  Rejection is free.
-            fields = kind, msg_id, src, dst, target, verb, body, headers = \
-                fields_of(data, decoder)
+            if not read:
+                kind, msg_id, src, dst, target, verb, body, headers = \
+                    fields_of(data, decoder)
+                read = True
             if kind == REQUEST and not (
                     self.at_most_once and (src, msg_id) in self._replay):
                 retry_at = admission.admit(target, arrive)
@@ -241,7 +254,7 @@ class Dispatcher:
         try:
             clock.now += costs.marshal_fixed \
                 + data.nbytes * costs.marshal_byte_cost
-            if fields is None:
+            if not read:
                 kind, msg_id, src, dst, target, verb, body, headers = \
                     fields_of(data, decoder)
             if kind == ONEWAY:

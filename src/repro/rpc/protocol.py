@@ -36,8 +36,9 @@ from ..kernel.errors import (
 )
 from ..resilience.deadline import Deadline, header_time
 from ..resilience.retry import DEFAULT_RETRY, RetryPolicy
-from ..wire.frames import (EXCEPTION, FRAMED, K_OVERLOAD, ONEWAY, REPLY,
-                           REQUEST, Frame, reply_value)
+from ..wire.frames import (EXCEPTION, K_OVERLOAD, ONEWAY, REPLY, REQUEST,
+                           Frame)
+from ..wire.marshal import _MEMO_STATS
 from ..wire.refs import ObjectRef
 from .dispatcher import ensure_dispatcher
 from .transport import Transport
@@ -242,8 +243,21 @@ class RpcProtocol:
                     clock.now = arrive
                 clock.now += costs.marshal_fixed \
                     + reply_data.nbytes * costs.marshal_byte_cost
-                value = reply_value(reply_data)
-                if value is FRAMED:
+                # A successful reply is read here, from the fields its
+                # message carries: a pure one's value as it stands (deeply
+                # immutable, every delivery's own), an envelope reply's
+                # body dict (its headers empty) as a copy per delivery.
+                # Any other reply is delivered as a frame.
+                carried = reply_data.carried
+                last = carried[7] if carried is not None \
+                    and carried[0] == REPLY else None
+                if last is False:
+                    _MEMO_STATS.frames_carried += 1
+                    value, reply = carried[6], None
+                elif last.__class__ is tuple and last[1] is False:
+                    _MEMO_STATS.frames_carried += 1
+                    value, reply = carried[6].copy(), None
+                else:
                     reply = self.transport.decode_frame(reply_data, src)
                     hint = header_time(reply.headers, K_OVERLOAD) \
                         if reply.headers else None
@@ -272,7 +286,7 @@ class RpcProtocol:
                                     src.clock.now - sent_at)
                 if self.system.breakers is not None:
                     self._feed_breaker(src, ref, success=True)
-                if value is not FRAMED:
+                if reply is None:
                     return value
                 return reply.body if reply.kind == REPLY \
                     else self._accept(src, ref, reply)

@@ -8,6 +8,7 @@ from repro.core.policies.regional import RegionalProxy
 from repro.core.policies.replicating import replicate
 from repro.failures.injectors import begin_crash
 from repro.kernel.errors import DistributionError
+from repro.kernel.network import LinkSpec
 from repro.kernel.topology import build_regions
 from repro.naming.bootstrap import install_name_service
 from repro.resilience.breaker import ensure_breakers
@@ -73,6 +74,74 @@ class TestReadOrder:
                          proxy._read_order_indices(3)[0])
         assert (first, second) != (2, 2), \
             "roundrobin must rotate instead of pinning the near replica"
+
+
+def _ranked(proxy) -> list[int]:
+    """The read order as the ``(refused, foreign, transit, index)`` key
+    ranks it, surveyed replica by replica."""
+    context = proxy.proxy_context
+    regions = proxy.proxy_config.get("regions") or []
+    registry = context.system.breakers
+    network = context.system.network
+    now = context.clock.now
+
+    def rank(index: int) -> tuple:
+        region = regions[index] if index < len(regions) else ""
+        foreign = 0 if (region and region == context.node.region) else 1
+        ref = proxy._replicas[index].proxy_ref
+        refused = 0
+        if registry is not None:
+            breaker = registry.between(context.context_id, ref.context_id)
+            refused = 0 if breaker.would_allow(now) else 1
+        transit = network.transit_time(context.node.name, ref.node_name, 64)
+        return (refused, foreign, transit, index)
+
+    return sorted(range(len(proxy._replicas)), key=rank)
+
+
+class TestRankedReadOrder:
+    """The order is one network ranking, stably re-sorted by
+    ``(refused, foreign)``: the order of the full key, whatever state the
+    breakers are in, from either region, and after a link changes."""
+
+    @pytest.mark.parametrize("breakers", [None, "closed", "open",
+                                          "half-open", "probing"])
+    def test_the_order_is_the_full_keys(self, system, regions, breakers):
+        east, west = regions
+        deploy(east, west, write_quorum=2)
+        registry = None if breakers is None else ensure_breakers(
+            system, failure_threshold=1, reset_timeout=1.0)
+        callers = [east.contexts[0], east.contexts[2], west.contexts[1],
+                   west.contexts[2]]
+        proxies = [repro.bind(ctx, "kv") for ctx in callers]
+        for proxy in proxies:
+            proxy.put("k", 1)       # resolves the replica list
+        if breakers not in (None, "closed"):
+            for proxy in proxies:
+                ctx = proxy.proxy_context
+                for index in (0, 2):    # one replica in each region
+                    breaker = registry.between(
+                        ctx.context_id,
+                        proxy._replicas[index].proxy_ref.context_id)
+                    breaker.record_failure(ctx.clock.now)
+                    if breakers != "open":
+                        ctx.clock.advance(2.0)
+                    if breakers == "probing":
+                        assert breaker.allow(ctx.clock.now)
+                    # Only a half-open breaker with no probe out admits.
+                    assert breaker.would_allow(ctx.clock.now) == \
+                        (breakers == "half-open")
+        orders = set()
+        for proxy in proxies:
+            orders.add(tuple(proxy._read_order_indices(3)))
+            assert proxy._read_order_indices(3) == _ranked(proxy)
+        # A cheap WAN link reorders the foreign replicas by transit.
+        system.network.set_link("west-1", "east-1", LinkSpec(1e-6, 0.0))
+        system.network.set_link("east-2", "west-0", LinkSpec(1e-6, 0.0))
+        for proxy in proxies:
+            assert proxy._read_order_indices(3) == _ranked(proxy)
+            orders.add(tuple(proxy._read_order_indices(3)))
+        assert len(orders) >= 2     # the callers do not all agree
 
 
 class TestBreakerAdmission:

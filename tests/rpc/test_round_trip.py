@@ -1,12 +1,14 @@
 """The round trip reads a message where it lands.
 
 The server reads a request's or a one-way's fields, with no frame built
-around them; a served one-way builds no reply; a successful reply is
-encoded from its fields.  A *pure* reply reaches the caller as its value,
-and an *envelope* reply (a quorum or shard reply wrapper) as a fresh copy
-of its dict — neither through a frame.  Everything else the caller
-receives — a plain reply (copied per delivery), an exception, an
-admission shed — is still delivered as a frame.
+around them (``Dispatcher.handle`` reads an envelope request itself,
+``fields_of`` any other); a served one-way builds no reply; a successful
+reply is encoded from its fields.  A *pure* reply reaches the caller as
+its value, and an *envelope* reply (a quorum or shard reply wrapper) as a
+fresh copy of its dict — both read by ``RpcProtocol.call``, neither
+through a frame.  Everything else the caller receives — a plain reply
+(copied per delivery), an exception, an admission shed — is still
+delivered as a frame.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from repro.resilience.retry import RetryPolicy
 from repro.rpc import dispatcher
 from repro.simtest.runner import SimCase
 from repro.simtest.workload import deploy
-from repro.wire import frames
-from repro.wire.frames import (EXCEPTION, K_OVERLOAD, ONEWAY, REPLY,
-                               REQUEST, Frame, reply_value)
+from repro.wire import frames, versions
+from repro.wire.frames import EXCEPTION, K_OVERLOAD, ONEWAY, REPLY, Frame
 from repro.wire.marshal import Marshaller
 
 
@@ -182,12 +183,22 @@ def test_an_enveloped_reply_reaches_the_caller_without_a_frame(
             replies.append(data)
         return data
 
+    served = []
+    serve = dispatcher.Dispatcher.serve
+
+    def routed(self, oid, verb, args, kwargs, headers=None, **rest):
+        served.append(headers)
+        return serve(self, oid, verb, args, kwargs, headers, **rest)
+
     monkeypatch.setattr(Marshaller, "encode_frame_message", sent_back)
+    monkeypatch.setattr(dispatcher.Dispatcher, "serve", routed)
     del received[:]
     assert proxy.get("k0") == 7
     assert replies, "a quorum read's replies are reply wrappers"
-    assert all(reply_value(data).__class__ is dict for data in replies)
+    # Each is carried as its dict, and read by the caller as one.
+    assert all(data.carried[6].__class__ is dict
+               and data.carried[7] == ({}, False) for data in replies)
     assert _framed_at(received, ctx) == []
-    # The replicas read each quorum request's fields, envelope included.
-    assert received and all(frame.kind == REQUEST and frame.headers
-                            for frame in received)
+    # The replicas read each quorum request's fields, envelope included
+    # (where it lands: ``Dispatcher.handle`` reads an envelope itself).
+    assert served and all(versions.H_READ in headers for headers in served)

@@ -281,3 +281,63 @@ def test_the_table_serves_its_shapes_and_refuses_any_other_kind(
         _call(system, ctx, ref, forged, verb, args)
     assert (_state(entry.obj, entry, dispatcher),
             _votes(entry.election)) == before
+
+
+# -- an elected group's writes carry a term -----------------------------------
+#
+# An elected group's proxy stamps every write with its ``(term, leader)``
+# belief.  A write envelope without one used to be served as if fenced by
+# nothing: a reset emptied a follower, an apply or a push logged a version
+# under term 0, and an assign was served at the leader.  It is refused
+# before anything changes, and the refusal is not remembered.
+
+#: ``(replica index, headers, verb, args)``: each write step, term-less.
+UNTERMED = [
+    (1, {"q.c": ("reset",)}, "", ()),
+    (1, {"q.a": ("k0", 2)}, "put", ("k0", 9)),
+    (1, {"q.c": ("push", "k0")}, "", ([[2, "put", ["k0", 9], {}]],)),
+    (0, {"q.w": ("k0",)}, "put", ("k0", 9)),
+]
+
+
+@pytest.fixture
+def elected():
+    """A deployed elected three-replica group holding ``k0 = 7``:
+    ``(system, client context, replica references)``."""
+    from repro.simtest.runner import SimCase
+    from repro.simtest.workload import deploy
+    deployment = deploy(SimCase(seed=5, policy="replicated", service="kv",
+                                ops=8, clients=1, faults=()))
+    (_, ctx, proxy), = deployment.clients
+    proxy.put("k0", 7)
+    return ctx.system, ctx, [each.proxy_ref for each in proxy._replicas]
+
+
+def _replica_state(entry, dispatcher):
+    return copy.deepcopy((
+        entry.obj.data, entry.replica_log.digest(),
+        entry.replica_log.suffix("k0", 0),
+        [(key, reply.to_bytes())
+         for key, reply in dispatcher._replay.items()]))
+
+
+@pytest.mark.parametrize("caller", ["remote", "local"])
+@pytest.mark.parametrize("index,headers,verb,args", UNTERMED,
+                         ids=["reset", "apply", "push", "assign"])
+def test_an_elected_write_without_a_term_is_refused_and_changes_nothing(
+        elected, caller, index, headers, verb, args):
+    system, client, refs = elected
+    ref = refs[index]
+    server = system.context(ref.context_id)
+    entry = get_space(server).entry(ref.oid)
+    dispatcher = server.handler.__self__
+    before = _replica_state(entry, dispatcher)
+    ctx = client if caller == "remote" else server
+    with pytest.raises(ProtocolError):
+        system.rpc.call(ctx, ref, verb, args, headers=headers)
+    assert _replica_state(entry, dispatcher) == before
+    # The same envelope with a stale term is fenced.
+    assert system.rpc.call(ctx, ref, verb, args,
+                           headers={**headers, "q.t": (0, 0)}) \
+        == {"q.f": (1, 0)}
+    assert _replica_state(entry, dispatcher)[:3] == before[:3]
