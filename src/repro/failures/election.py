@@ -92,11 +92,13 @@ class ElectionState:
     # -- helpers -------------------------------------------------------------
 
     def is_leader(self) -> bool:
-        """Whether this replica believes itself the current leader."""
+        """Whether this replica believes itself the current leader
+        (``versions.serve_assign`` reads the two slots itself)."""
         return self.leader == self.index
 
     def lease_valid(self, now: float) -> bool:
-        """Whether the current lease promise still binds at ``now``."""
+        """Whether the current lease promise still binds at ``now``
+        (``versions.serve_assign`` compares the slot itself)."""
         return now < self.lease_expiry
 
     def leader_suspected(self) -> bool:

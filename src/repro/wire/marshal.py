@@ -589,8 +589,9 @@ class WireMessage(NamedTuple):
             msg_id, src, dst, target, verb, body, headers)``, every
             container a copy made when the frame was sent; with
             references the headers ride as ``[headers]``.  The last
-            field's type tells the four apart.  ``None`` when the frame
-            must be decoded.
+            field's type tells the four apart; each form has one reader
+            (:mod:`repro.wire.frames` names them).  ``None`` when the
+            frame must be decoded.
     """
 
     head: bytes | None
