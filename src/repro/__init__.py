@@ -30,7 +30,6 @@ from . import core  # noqa: F401  (re-exported below)
 from .core import policies as _policies  # noqa: F401  registers built-ins
 from .core.export import ObjectSpace, get_space
 from .core.factory import Codebase, register_policy
-from .core.leases import ensure_lease_service, expire_leases
 from .core.policies import replicate
 from .core.principle import assert_principle, audit
 from .core.proxy import Proxy, is_proxy
@@ -67,11 +66,11 @@ __all__ = [
     "ObjectRef", "ObjectSpace", "Operation", "PersistenceManager", "Promise",
     "Proxy", "RpcProtocol", "Service", "System", "Transport",
     "assert_principle", "audit", "bind", "call_async", "crash_node",
-    "ensure_lease_service", "ensure_mover", "expire_leases", "export",
-    "export_view", "gather", "get_space", "install_name_service", "is_proxy",
-    "make_system", "migrate", "operation", "pipeline_calls", "readonly_view",
-    "recover_context", "register", "register_policy", "replicate",
-    "resolve", "restrict", "stable_store", "unregister",
+    "ensure_mover", "export", "export_view", "gather", "get_space",
+    "install_name_service", "is_proxy", "make_system", "migrate",
+    "operation", "pipeline_calls", "readonly_view", "recover_context",
+    "register", "register_policy", "replicate", "resolve", "restrict",
+    "stable_store", "unregister",
 ]
 
 

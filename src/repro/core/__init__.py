@@ -2,21 +2,14 @@
 
 from .export import CTXMGR_OID, ContextManager, ObjectSpace, get_space
 from .factory import Codebase, global_policies, register_policy
-from .leases import (
-    LEASES_OID,
-    LeaseService,
-    ensure_lease_service,
-    expire_leases,
-)
 from .principle import AuditReport, assert_principle, audit
 from .proxy import Proxy, is_proxy
 from .service import Service
 from .views import export_view, readonly_view, restrict
 
 __all__ = [
-    "AuditReport", "CTXMGR_OID", "Codebase", "ContextManager", "LEASES_OID",
-    "LeaseService", "ObjectSpace", "Proxy", "Service", "assert_principle",
-    "audit", "ensure_lease_service", "expire_leases", "export_view",
+    "AuditReport", "CTXMGR_OID", "Codebase", "ContextManager", "ObjectSpace",
+    "Proxy", "Service", "assert_principle", "audit", "export_view",
     "get_space", "global_policies", "is_proxy", "readonly_view",
     "register_policy", "restrict",
 ]

@@ -11,7 +11,6 @@ codebase:
 ``replicated``  read-one/write-all routing over a replica group
 ``regional``    replication with region-aware, breaker-admitted reads
 ``sharded``     consistent-hash routing over a partitioned key space
-``leased``      maintains a GC lease on the target (repro.core.leases)
 ``composite``   stacks several of the above behind one proxy face
 ``resilient``   backoff + deadlines + breakers + failover (repro.resilience)
 ========== ===============================================================
@@ -37,13 +36,12 @@ from .regional import RegionalProxy
 from .replicating import ReplicatedProxy, replicate
 from .sharding import ShardedProxy, shard
 from .stub import ForwardingProxy
-from ..leases import LeasedProxy
 from ...resilience.policy import ResilientProxy, resilient_group
 
 __all__ = [
     "BatchControl", "BatchingProxy", "CacheCallback", "CacheCoherence",
     "CacheControl", "CachingProxy", "CompositeProxy", "DEFAULT_BATCH_SIZE",
-    "DEFAULT_MIGRATE_AFTER", "DEFAULT_TTL", "ForwardingProxy", "LeasedProxy",
+    "DEFAULT_MIGRATE_AFTER", "DEFAULT_TTL", "ForwardingProxy",
     "MigratingProxy", "RegionalProxy", "ReplicatedProxy", "ResilientProxy",
     "ShardedProxy", "invalidated_values", "replicate", "resilient_group",
     "shard",

@@ -30,10 +30,7 @@ and a ``handoff`` control at the departing owner extracts the arc's
 keys, installs them at the new owner *first*, then commits the epoch
 bump (see :mod:`repro.wire.shards` for the safety argument).
 :meth:`ShardedProxy.proxy_split` moves half a hot shard's arcs to a
-designated target — the E19 hot-shard scenario — and
-:meth:`ShardedProxy.proxy_move_shard` relocates a whole shard *object*
-to another context through :mod:`repro.migration`'s mover, then commits
-a map naming the new home.
+designated target — the E19 hot-shard scenario.
 
 **Composition.**  ``resilient``-over-``sharded`` stacks through the
 composite policy (``extra_layers=["resilient"]``), and a shard may
@@ -56,7 +53,6 @@ from typing import Any, Callable
 from ...kernel.errors import (
     ConfigurationError,
     DistributionError,
-    ObjectMoved,
     StaleShardRing,
 )
 from ...wire import shards
@@ -64,7 +60,7 @@ from ...wire.refs import ObjectRef
 from ..factory import register_policy
 from ..proxy import Proxy
 
-#: Re-route bound per call (fence redirects, migration forwards).
+#: Re-route bound per call (fence redirects).
 ROUTE_ATTEMPTS = 4
 
 
@@ -102,8 +98,7 @@ class ShardedProxy(Proxy):
         self.proxy_stats.update(shard_routes=0, shard_local=0,
                                 shard_redirects=0, shard_heals=0,
                                 rebalances=0, splits=0,
-                                shard_moves=0, handoff_failures=0,
-                                map_syncs=0)
+                                handoff_failures=0, map_syncs=0)
         self._key_index = self._shard_key_index()
         if self.proxy_config.get("shards") is not None:
             # Broken deployments fail at construction, not first call.
@@ -211,23 +206,11 @@ class ShardedProxy(Proxy):
                 else:
                     self._sync_map(state)
                 continue
-            except ObjectMoved as exc:
-                if exc.forward is None:
-                    raise
-                self._note_forward(route, index, exc.forward)
-                continue
             self.proxy_stats["shard_routes"] += 1
             return result
         raise DistributionError(
             f"sharded call {verb!r} exhausted {ROUTE_ATTEMPTS} routing "
             f"attempts (ring epoch {state.epoch})")
-
-    def _note_forward(self, route: shards.ShardState, index: int,
-                      forward: ObjectRef) -> None:
-        """A shard object migrated mid-call: rebind that slot and retry."""
-        self.proxy_stats["rebinds"] += 1
-        self._subs.pop(route.refs[index].oid, None)
-        route.rebind(index, forward.fields())
 
     def _sub(self, ref: ObjectRef) -> Proxy:
         """The bound sub-proxy for one shard, wherever the shard lives."""
@@ -401,69 +384,13 @@ class ShardedProxy(Proxy):
             self.proxy_stats["splits"] += 1
         return moved
 
-    def proxy_move_shard(self, index: int, dst_context_id: str) -> ObjectRef:
-        """Relocate one shard *object* to another context.
-
-        Rebalancing moves arcs between existing shards; this moves the
-        shard itself (capacity change, node drain) by reusing
-        :mod:`repro.migration`'s mover, then commits a map naming the new
-        home — epoch-bumped, so stale routes fence into it.  Calls racing
-        the move follow the migration forwarding chain meanwhile.
-        """
-        from ...migration.mover import migrate
-        state = self._shard_state()
-        if not 0 <= index < len(state.shards):
-            raise ConfigurationError(
-                f"shard {index} outside 0..{len(state.shards) - 1}")
-        ref = state.refs[index]
-        if ref.policy != "stub":
-            raise ConfigurationError(
-                "only stub shards are movable; a replicated shard migrates "
-                "through its own group machinery")
-        new_ref = migrate(self.proxy_context, ref, dst_context_id)
-        if new_ref is None:
-            raise DistributionError(
-                f"shard {index} could not be migrated to "
-                f"{dst_context_id!r}")
-        self._subs.pop(ref.oid, None)
-        epoch, ring, specs = state.map()
-        specs = list(specs)
-        specs[index] = new_ref.fields()
-        new_map = (epoch + 1, ring, tuple(specs))
-        self._adopt_map(new_map)
-        # The freshly migrated entry has no shard state yet: its commit
-        # installs one (index inferred from the map); then fan the map out.
-        for target in self._sync_targets(state):
-            try:
-                self._control_call(target, ("commit",), (new_map,))
-            except DistributionError:
-                continue
-        self.proxy_stats["shard_moves"] += 1
-        return new_ref
-
-    def proxy_publish(self, registry, name: str) -> None:
-        """(Re-)publish the ring through a naming service.
-
-        ``registry`` is a bound :class:`~repro.naming.service.NameService`
-        proxy (or the object): ``name`` maps to the group reference and
-        ``name + ".ring"`` to the current map, so late joiners bootstrap
-        from the directory instead of redirecting their way to the truth.
-        """
-        state = self._shard_state()
-        self._sync_map(state)
-        registry.unregister(name)
-        registry.register(name, self.proxy_ref)
-        registry.unregister(f"{name}.ring")
-        registry.register(f"{name}.ring", state.map())
-
 
 def shard(contexts: list, factory: Callable[[], object], interface=None,
           shard_key: int | None = 0, vnodes: int = shards.DEFAULT_VNODES,
           ring: list | None = None, ring_epoch: int = 1,
           extra_layers: list[str] | None = None,
           replicate_with: dict | None = None,
-          policy: str = "sharded", registry=None,
-          name: str | None = None) -> ObjectRef:
+          policy: str = "sharded") -> ObjectRef:
     """Deploy a sharded group and return the client-facing reference.
 
     One instance from ``factory`` is exported (under the plain ``stub``
@@ -480,18 +407,15 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
     for durability, composed.  ``extra_layers`` stacks policies in front
     (e.g. ``["resilient"]``); ``policy`` overrides the registered policy
     name (the simtest canary deploys a broken subclass this way).
-    ``registry``/``name`` publish the group and its ring through
-    :mod:`repro.naming`.
 
     Configuration is validated here as well as at proxy construction, so
     a broken deployment fails at deploy: no contexts, a bad ring
     (duplicate points, out-of-range owners), a non-positive epoch or
     vnode count, a negative ``shard_key``, or a ``policy`` or
     ``extra_layers`` name no factory answers to all raise
-    :class:`ConfigurationError` — before any shard or mover is exported.
+    :class:`ConfigurationError` — before any shard is exported.
     """
     from ...iface.interface import Interface
-    from ...migration.mover import ensure_mover
     from ..export import get_space
     from .composite import check_group_policy
     from .replicating import replicate
@@ -519,10 +443,6 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
             space = get_space(item)
             ref = space.export(obj, interface=interface, policy="stub")
             stub_entries[index] = space.entry(ref.oid)
-            # Movability: each stub context gets a mover, and the class is
-            # registered so proxy_move_shard's migrate_in can rebuild it.
-            ensure_mover(space)
-            space.system.codebase.register_class(type(obj))
         specs.append(list(ref.fields()))
     config: dict = {
         "shards": specs,
@@ -539,8 +459,4 @@ def shard(contexts: list, factory: Callable[[], object], interface=None,
     for index, entry in stub_entries.items():
         entry.sharding = shards.ShardState(index, ring_epoch, ring, specs)
     group_entry.sharding = shards.ShardState(-1, ring_epoch, ring, specs)
-    if registry is not None:
-        label = name or f"sharded:{interface.name}"
-        registry.register(label, group_entry.ref)
-        registry.register(f"{label}.ring", group_entry.sharding.map())
     return group_entry.ref

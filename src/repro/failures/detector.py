@@ -48,11 +48,10 @@ class FailureDetector:
     """Ping-based suspicion tracking over a set of peers.
 
     When a :class:`~repro.resilience.breaker.BreakerRegistry` is attached
-    (``breakers``), suspicion flows both ways: starting to suspect a peer
+    (``breakers``), the verdicts drive it: starting to suspect a peer
     force-opens every breaker toward it (other callers fail fast without
-    paying their own detection latency), a successful probe of a suspected
-    peer force-closes them, and :meth:`consult_breakers` folds already-open
-    breakers back into suspicion without spending a probe.
+    paying their own detection latency), and a successful probe of a
+    suspected peer force-closes them.
     """
 
     def __init__(self, context: Context,
@@ -112,28 +111,6 @@ class FailureDetector:
                 state.last_seen = self.context.clock.now
             statuses[state.context_id] = self.status(state.context_id)
         return statuses
-
-    def consult_breakers(self) -> list[str]:
-        """Fold open circuits into suspicion without spending probes.
-
-        Any watched peer some caller's breaker is currently OPEN toward is
-        suspected immediately — the breaker has already paid the detection
-        latency this detector would otherwise have to pay in missed pings.
-        Returns the peers newly suspected.  No-op without a registry.
-        """
-        if self.breakers is None:
-            return []
-        now = self.context.clock.now
-        newly = []
-        for state in self._peers.values():
-            if state.misses >= self.suspicion_threshold:
-                continue
-            if self.breakers.open_toward(state.context_id, now):
-                state.misses = self.suspicion_threshold
-                state.suspected_at = now
-                self.stats["suspicions"] += 1
-                newly.append(state.context_id)
-        return newly
 
     def status(self, context_id: str) -> str:
         """Current classification of one peer."""

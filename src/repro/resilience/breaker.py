@@ -22,9 +22,10 @@ The :class:`BreakerRegistry` hangs off the :class:`~repro.kernel.system.
 System` (``system.breakers``); once installed, the RPC protocol feeds every
 call outcome into it, so *all* traffic — not just the resilient proxy's —
 keeps the failure picture fresh.  Transitions are recorded as ``"breaker"``
-trace events and metrics counters, and the registry exchanges suspicion
-with the heartbeat :class:`~repro.failures.detector.FailureDetector`
-(``trip_target`` / ``open_toward``).
+trace events and metrics counters, and the heartbeat
+:class:`~repro.failures.detector.FailureDetector` opens and closes every
+breaker toward a peer it starts or stops suspecting (``trip_target`` /
+``reset_target``).
 """
 
 from __future__ import annotations
@@ -253,12 +254,6 @@ class BreakerRegistry:
         self.between(caller_id, target_id).record_failure(now)
 
     # -- failure-detector exchange -----------------------------------------
-
-    def open_toward(self, target_id: str, now: float) -> list[str]:
-        """Caller contexts whose breaker to ``target_id`` is currently open."""
-        return sorted(caller for (caller, target), breaker
-                      in self._breakers.items()
-                      if target == target_id and breaker.state(now) == OPEN)
 
     def trip_target(self, target_id: str, now: float) -> int:
         """Force-open every breaker toward a suspected target context.

@@ -183,9 +183,9 @@ class ShardState:
     oid, interface, epoch, policy)`` — the swizzle-free form
     :meth:`~repro.migration.mover.MoverService.migrate_to` uses — and
     ``refs`` their :class:`~repro.wire.refs.ObjectRef`, one per shard.
-    Nothing writes them in place: a newer map (:meth:`adopt`) or a moved
-    shard (:meth:`rebind`) derives a new view.  The ``(epoch, ring,
-    shards)`` map is pure data, so it travels shared, never copied.
+    Nothing writes them in place: a newer map (:meth:`adopt`) derives a
+    new view.  The ``(epoch, ring, shards)`` map is pure data, so it
+    travels shared, never copied.
     """
 
     __slots__ = ("index", "epoch", "ring", "shards", "refs", "_map",
@@ -233,13 +233,6 @@ class ShardState:
             return False
         self._reindex(epoch, ring, shards)
         return True
-
-    def rebind(self, index: int, fields) -> None:
-        """Shard ``index`` now lives where the reference ``fields`` say
-        (a migration forward): same epoch, a new view."""
-        shards = list(self.shards)
-        shards[index] = fields
-        self._reindex(self.epoch, self.ring, shards)
 
 
 def _sorted_ring(body) -> None:
@@ -324,19 +317,14 @@ def serve_control(entry, control, body_args,
     """
     kind = control[0]
     state = entry.sharding
+    if state is None:
+        # Every control reads or writes ring state: an entry without one
+        # (an unsharded export) has nothing a ring control may touch.
+        raise ProtocolError(f"{kind} control on an unsharded entry")
     if kind == "map":
-        if state is None:
-            raise ProtocolError("map control on an unsharded entry")
         return {K_MAP: state.map()}
     if kind == "commit":
-        epoch, ring, shards = body_args[0]
-        if state is None:
-            # A freshly migrated shard entry: infer our index from the
-            # map (our own oid must appear in it) and install the state.
-            index = _own_index(entry, shards)
-            state = entry.sharding = ShardState(index, epoch, ring, shards)
-        else:
-            state.adopt(epoch, ring, shards)
+        state.adopt(*body_args[0])
         if state.index < 0:
             # The group entry doubles as the bootstrap directory: keep its
             # shipped configuration current so late-binding clients start
@@ -350,19 +338,9 @@ def serve_control(entry, control, body_args,
         entry.obj.shard_absorb(body_args[0])
         return {K_VALUE: True}
     # "handoff": the table declares no other kind.
-    if state is None:
-        raise ProtocolError("handoff control on an unsharded entry")
     if call_peer is None:
         raise ProtocolError("handoff needs a nested-call thunk")
     return _serve_handoff(entry, state, control, call_peer)
-
-
-def _own_index(entry, shards: list) -> int:
-    """This entry's shard index in a map (a group entry gets -1)."""
-    for index, spec in enumerate(shards):
-        if spec[1] == entry.ref.oid:
-            return index
-    return -1
 
 
 def _serve_handoff(entry, state: ShardState, control,

@@ -2,13 +2,10 @@
 and open-loop arrival processes."""
 
 from .arrivals import (
-    DiurnalShape,
     OpenLoopResult,
-    SpikeShape,
     merge_arrivals,
     poisson_arrivals,
     run_open_loop,
-    shaped_arrivals,
 )
 from .distributions import (
     HotspotSampler,
@@ -27,8 +24,8 @@ from .sessions import (
 )
 
 __all__ = [
-    "DiurnalShape", "HotspotSampler", "OpMix", "OpenLoopResult", "RunResult",
-    "Session", "SpikeShape", "UniformSampler", "ZipfSampler", "dsm_session",
-    "key_name", "merge_arrivals", "payload", "poisson_arrivals",
-    "proxy_session", "run_interleaved", "run_open_loop", "shaped_arrivals",
+    "HotspotSampler", "OpMix", "OpenLoopResult", "RunResult", "Session",
+    "UniformSampler", "ZipfSampler", "dsm_session", "key_name",
+    "merge_arrivals", "payload", "poisson_arrivals", "proxy_session",
+    "run_interleaved", "run_open_loop",
 ]

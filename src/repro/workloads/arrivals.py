@@ -13,13 +13,9 @@ ones finished, and every latency is measured from the *scheduled* arrival.
 A drowning server therefore shows up as it should — per-op latency that
 grows with the backlog — instead of as a politely reduced throughput.
 
-Three generators (all drawing from seeded streams, so a schedule is a pure
-function of its seed):
-
-* :func:`poisson_arrivals` — homogeneous Poisson at a fixed rate,
-* :class:`DiurnalShape` / :class:`SpikeShape` — time-varying rate curves,
-* :func:`shaped_arrivals` — an inhomogeneous process from any rate curve,
-  by thinning a Poisson process at the curve's peak rate.
+:func:`poisson_arrivals` generates a homogeneous Poisson schedule at a
+fixed rate from a seeded stream, so a schedule is a pure function of its
+seed.
 
 :func:`run_open_loop` drives one or more client *lanes* (pools sharing an
 arrival stream and an issue function) through a merged schedule, assigning
@@ -51,79 +47,6 @@ def poisson_arrivals(rate: float, count: int, rng: random.Random,
     for _ in range(count):
         now += -log(1.0 - rng.random()) / rate
         times.append(now)
-    return times
-
-
-class DiurnalShape:
-    """A raised-cosine day/night rate curve (one period = one "day").
-
-    Rate swings sinusoidally between ``base_rate`` (the trough, at t=0)
-    and ``peak_rate`` (the crest, half a period in).
-    """
-
-    def __init__(self, base_rate: float, peak_rate: float,
-                 period: float) -> None:
-        if not 0 < base_rate <= peak_rate:
-            raise ConfigurationError(
-                f"need 0 < base_rate <= peak_rate, got "
-                f"{base_rate} / {peak_rate}")
-        if period <= 0:
-            raise ConfigurationError(f"period must be > 0, got {period}")
-        self.base_rate = base_rate
-        self.peak_rate = peak_rate
-        self.period = period
-
-    def __call__(self, t: float) -> float:
-        from math import cos, pi
-        swing = (self.peak_rate - self.base_rate) / 2.0
-        return self.base_rate + swing * (1.0 - cos(2.0 * pi * t / self.period))
-
-
-class SpikeShape:
-    """A flash crowd: ``base_rate`` with a ``spike_rate`` burst window."""
-
-    def __init__(self, base_rate: float, spike_rate: float,
-                 at: float, duration: float) -> None:
-        if not 0 < base_rate <= spike_rate:
-            raise ConfigurationError(
-                f"need 0 < base_rate <= spike_rate, got "
-                f"{base_rate} / {spike_rate}")
-        if duration <= 0:
-            raise ConfigurationError(f"duration must be > 0, got {duration}")
-        self.base_rate = base_rate
-        self.spike_rate = spike_rate
-        self.at = at
-        self.duration = duration
-
-    def __call__(self, t: float) -> float:
-        if self.at <= t < self.at + self.duration:
-            return self.spike_rate
-        return self.base_rate
-
-
-def shaped_arrivals(shape: Callable[[float], float], peak_rate: float,
-                    count: int, rng: random.Random,
-                    start: float = 0.0) -> list[float]:
-    """``count`` arrivals from a time-varying rate curve, by thinning.
-
-    Candidates are generated at the constant ``peak_rate`` and each kept
-    with probability ``shape(t) / peak_rate`` (Lewis–Shedler thinning), so
-    ``peak_rate`` must dominate the curve everywhere.  Both draws come
-    from the one seeded ``rng``, keeping the schedule deterministic.
-    """
-    if peak_rate <= 0:
-        raise ConfigurationError(f"peak rate must be > 0, got {peak_rate}")
-    times = []
-    now = start
-    while len(times) < count:
-        now += -log(1.0 - rng.random()) / peak_rate
-        rate = shape(now - start)
-        if rate > peak_rate:
-            raise ConfigurationError(
-                f"shape rate {rate} at t={now - start:.3f} exceeds the "
-                f"thinning peak {peak_rate}")
-        if rng.random() < rate / peak_rate:
-            times.append(now)
     return times
 
 

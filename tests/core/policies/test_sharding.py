@@ -10,8 +10,6 @@ from repro.core.policies.replicating import replicate
 from repro.core.policies.sharding import ShardedProxy, shard
 from repro.iface.interface import Interface
 from repro.kernel.errors import ConfigurationError, DistributionError
-from repro.migration.mover import ensure_mover
-from repro.naming.bootstrap import install_name_service, name_service_proxy
 from repro.wire import shards
 
 
@@ -138,9 +136,7 @@ class TestDeployment:
     @pytest.mark.parametrize("policy, control", [
         ("replicated", [("proxy_anti_entropy", ())]),
         ("sharded", [("proxy_rebalance", ()), ("proxy_shard_map", ()),
-                     ("proxy_split", (0, 0)),
-                     ("proxy_move_shard", (0, "c1/main")),
-                     ("proxy_publish", (None, "kv"))]),
+                     ("proxy_split", (0, 0))]),
     ], ids=["replicated", "sharded"])
     def test_member_less_configuration_is_one_error(self, policy, control):
         # A group reference has no object behind it to serve the call
@@ -271,35 +267,6 @@ class TestRebalance:
         for i in range(100):
             assert operator.get(f"k{i}") == i
 
-    def test_move_shard_relocates_the_object(self):
-        system, ctxs, (client, _), (spare,) = _system(
-            2, extra_nodes=("spare",))
-        ensure_mover(get_space(spare))
-        ref = shard(ctxs, KVStore)
-        operator = _bind(client, ref)
-        stale = _bind(system.add_node("late").create_context("main"), ref)
-        for i in range(40):
-            operator.put(f"k{i}", i)
-        state = shards.ShardState(-1, *operator.proxy_shard_map(sync=False))
-        key = _keys_by_owner(state, {0})[0]
-        assert stale.get(key) == int(key[1:])     # routed by the first map
-        new_ref = operator.proxy_move_shard(0, spare.context_id)
-        assert new_ref.context_id == spare.context_id
-        assert operator.proxy_stats["shard_moves"] == 1
-        assert operator.get(key) == int(key[1:])
-        # A client still holding the pre-move map follows the forward (or
-        # the fence) to the new home and reads the same data.
-        assert stale.get(key) == int(key[1:])
-        assert stale.proxy_stats["rebinds"] == 1
-        # Its route was rebuilt: the next read goes straight to the new
-        # home, and its map names it.
-        stats = dict(stale.proxy_stats)
-        assert stale.get(key) == int(key[1:])
-        assert stale.proxy_stats["rebinds"] == 1
-        assert stale.proxy_stats["shard_redirects"] == \
-            stats["shard_redirects"]
-        assert stale.proxy_shard_map(sync=False)[2][0] == new_ref.fields()
-
     def test_a_split_onto_itself_is_refused_and_counts_nothing(self):
         # The source answers a handoff onto its own shard with its map
         # unchanged: no arc moved, so no split may be reported.
@@ -420,21 +387,3 @@ class TestComposition:
         with pytest.raises(DistributionError):
             proxy.get(keys[1])
 
-
-class TestNaming:
-    def test_publish_and_bind_through_the_registry(self):
-        system, ctxs, (client, opctx), _x = _system(2)
-        install_name_service(ctxs[0])
-        registry = name_service_proxy(ctxs[0])
-        shard(ctxs, KVStore, registry=registry, name="kv")
-        proxy = repro.bind(client, "kv")
-        assert isinstance(proxy, ShardedProxy)
-        proxy.put("k", "v")
-        assert proxy.get("k") == "v"
-        ring_map = name_service_proxy(client).lookup("kv.ring")
-        assert ring_map[0] == 1
-        operator = repro.bind(opctx, "kv")
-        assert operator.proxy_rebalance() is not None
-        operator.proxy_publish(name_service_proxy(opctx), "kv")
-        ring_map = name_service_proxy(client).lookup("kv.ring")
-        assert ring_map[0] == 2

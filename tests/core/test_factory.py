@@ -14,7 +14,7 @@ class TestFactories:
     def test_builtins_registered_globally(self):
         names = set(global_policies())
         assert {"stub", "caching", "batching", "migrating", "replicated",
-                "leased", "composite"} <= names
+                "composite"} <= names
 
     def test_per_system_registration_is_isolated(self):
         class Custom(Proxy):

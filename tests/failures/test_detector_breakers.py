@@ -80,19 +80,3 @@ class TestDetectorBreakerExchange:
         assert detector.status(peer.context_id) == ALIVE
         breaker = registry.between("other/main", peer.context_id)
         assert breaker.state(server.clock.now) == CLOSED
-
-    def test_consult_breakers_folds_open_circuits_into_suspicion(self, star):
-        system, server, peer, detector, registry = \
-            self._watched_with_breakers(star)
-        breaker = registry.between("other/main", peer.context_id)
-        breaker.trip(server.clock.now)
-        newly = detector.consult_breakers()
-        assert newly == [peer.context_id]
-        assert detector.status(peer.context_id) == SUSPECTED
-        assert detector.consult_breakers() == [], "already suspected"
-
-    def test_consult_breakers_without_a_registry_is_a_noop(self, star):
-        system, server, clients = star
-        detector = FailureDetector(server)
-        detector.watch(clients[0].context_id)
-        assert detector.consult_breakers() == []

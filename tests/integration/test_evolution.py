@@ -113,10 +113,10 @@ class TestComponentIntroduction:
         kv.put("bootstrap", True)
 
         # Later, a team ships an entirely new service type.
-        from repro.apps.documents import DocumentStore
-        repro.register(clients[1], "docs", DocumentStore())
-        docs = repro.bind(clients[0], "docs")
-        docs.create_document("readme")
-        docs.edit_section("readme", "intro", "new component online", 0, "ops")
-        assert docs.word_count("readme") == 3
+        from repro.apps.queue import WorkQueue
+        repro.register(clients[1], "tasks", WorkQueue())
+        tasks = repro.bind(clients[0], "tasks")
+        tasks.submit("new component online")
+        assert tasks.take("ops") == [1, "new component online"]
+        assert tasks.depth() == 0
         repro.assert_principle(system)

@@ -134,7 +134,7 @@ def with_lrpc_off(policies: list[str]) -> list:
 
 
 @pytest.mark.parametrize("policy,lrpc", with_lrpc_off(
-    ["stub", "caching", "batching", "migrating", "replicated", "leased"]))
+    ["stub", "caching", "batching", "migrating", "replicated"]))
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(script=ops)

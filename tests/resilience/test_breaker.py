@@ -150,10 +150,11 @@ class TestRegistry:
         registry.between("b/main", "t/main")
         registry.between("a/main", "other/main")
         assert registry.trip_target("t/main", 0.0) == 2
-        assert registry.open_toward("t/main", 0.1) == ["a/main", "b/main"]
-        assert registry.open_toward("other/main", 0.1) == []
+        assert registry.snapshot(0.1) == {("a/main", "t/main"): OPEN,
+                                          ("b/main", "t/main"): OPEN,
+                                          ("a/main", "other/main"): CLOSED}
         assert registry.reset_target("t/main", 0.2) == 2
-        assert registry.open_toward("t/main", 0.3) == []
+        assert set(registry.snapshot(0.3).values()) == {CLOSED}
 
     def test_snapshot_reports_every_pair(self, system):
         registry = BreakerRegistry(system, failure_threshold=1)

@@ -111,6 +111,56 @@ def test_a_forged_envelope_is_refused_typed_and_changes_nothing(
     assert _state(store, entry, dispatcher) == before
 
 
+# -- a ring control on an unsharded export ------------------------------------
+#
+# A plain export carries no ring state, so no ring control may touch it.
+# Served, a well-formed ``commit`` would install one (as a group entry) and
+# write the map into the entry's shipped configuration, after which every
+# plain call raises ``StaleShardRing``; an ``install`` would rewrite the
+# store past its interface.  Both are refused, and change nothing.
+
+#: ``(headers, args)``: each well-formed control that writes.
+UNSHARDED = [
+    ({"s.c": ("commit",)}, ((2, ((5, 0),), (SPEC,)),)),
+    ({"s.c": ("install", ("k",))}, ({"z": 9},)),
+]
+
+
+@pytest.fixture
+def unsharded(pair):
+    """A plain KV export holding ``k`` and ``j``, with no ring state."""
+    system, server, client = pair
+    store = KVStore()
+    ref = get_space(server).export(store)
+    for key, value in (("k", 1), ("j", 2)):
+        system.rpc.call(client, ref, "put", (key, value))
+    return system, server, client, store, ref, get_space(server).entry(
+        ref.oid)
+
+
+def _plain_state(store, entry, dispatcher):
+    return copy.deepcopy((
+        store.data, entry.sharding, entry.policy_config,
+        [(key, reply.to_bytes())
+         for key, reply in dispatcher._replay.items()]))
+
+
+@pytest.mark.parametrize("caller", ["remote", "local"])
+@pytest.mark.parametrize("headers,args", UNSHARDED,
+                         ids=["commit", "install"])
+def test_a_ring_control_on_an_unsharded_export_is_refused(
+        unsharded, caller, headers, args):
+    system, server, client, store, ref, entry = unsharded
+    dispatcher = server.handler.__self__
+    before = _plain_state(store, entry, dispatcher)
+    ctx = client if caller == "remote" else server
+    with pytest.raises(ProtocolError):
+        system.rpc.call(ctx, ref, "", args, headers=headers)
+    assert _plain_state(store, entry, dispatcher) == before
+    assert entry.sharding is None
+    assert system.rpc.call(client, ref, "get", ("k",)) == 1
+
+
 class Picky(KVStore):
     @operation(invalidates=("key",))
     def pop(self, key):

@@ -231,7 +231,8 @@ class TestServeControl:
         assert state.epoch == 5
 
     def test_install_is_discard_first_and_idempotent(self):
-        entry = FakeEntry(FakeStore({"a": "old", "b": "keep"}))
+        _entry, state = TestServeVerb()._entry()
+        entry = FakeEntry(FakeStore({"a": "old", "b": "keep"}), state)
         reply = serve(entry, {shards.H_CONTROL: ["install", ["a"]]},
                       args=({"a": "new"},))
         assert reply == {shards.K_VALUE: True}

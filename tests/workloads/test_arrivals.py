@@ -12,12 +12,9 @@ from repro.kernel.admission import install_admission
 from repro.kernel.errors import ConfigurationError
 from repro.resilience.retry import RetryPolicy
 from repro.workloads.arrivals import (
-    DiurnalShape,
-    SpikeShape,
     merge_arrivals,
     poisson_arrivals,
     run_open_loop,
-    shaped_arrivals,
 )
 
 
@@ -37,35 +34,6 @@ class TestPoisson:
         times = poisson_arrivals(100.0, 4000, random.Random(2))
         mean_gap = times[-1] / len(times)
         assert mean_gap == pytest.approx(1.0 / 100.0, rel=0.1)
-
-
-class TestShapes:
-    def test_diurnal_oscillates_between_base_and_peak(self):
-        shape = DiurnalShape(base_rate=10.0, peak_rate=100.0, period=1.0)
-        samples = [shape(t / 100.0) for t in range(200)]
-        assert min(samples) >= 10.0 - 1e-9
-        assert max(samples) <= 100.0 + 1e-9
-        assert shape(0.5) == pytest.approx(100.0)   # mid-period peak
-
-    def test_spike_is_rectangular(self):
-        shape = SpikeShape(base_rate=5.0, spike_rate=80.0, at=1.0,
-                           duration=0.25)
-        assert shape(0.5) == 5.0
-        assert shape(1.1) == 80.0
-        assert shape(1.3) == 5.0
-
-    def test_thinning_respects_the_shape(self):
-        shape = SpikeShape(base_rate=20.0, spike_rate=200.0, at=0.5,
-                           duration=0.5)
-        times = shaped_arrivals(shape, 200.0, 400, random.Random(4))
-        inside = sum(1 for t in times if 0.5 <= t < 1.0)
-        outside = sum(1 for t in times if t < 0.5)
-        # Ten-fold rate contrast: the spike window must be far denser.
-        assert inside > 3 * outside
-
-    def test_shape_exceeding_peak_rate_is_refused(self):
-        with pytest.raises(ConfigurationError):
-            shaped_arrivals(lambda t: 50.0, 10.0, 10, random.Random(0))
 
 
 class TestMerge:
