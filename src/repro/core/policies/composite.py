@@ -1,9 +1,12 @@
 """The ``composite`` policy: stacking proxy intelligences.
 
 Policies compose: a cache in front of a replica group, or in front of a
-migrating proxy.  The composite proxy instantiates each named layer and
-chains them with ``proxy_next``, so a call entering the outermost layer
-flows down the stack and only the innermost layer talks to the protocol.
+migrating proxy.  The composite proxy builds its stack at first use and
+compiles it there: each layer's ``proxy_remote`` becomes the next layer's
+``invoke`` and the composite's own ``invoke`` the outermost layer's, so an
+operation enters the outer layer directly, flows down the stack, and only
+the innermost layer talks to the protocol.  Discarding or releasing the
+composite un-compiles it; the next call builds the stack again.
 
 Configuration::
 
@@ -90,9 +93,11 @@ class CompositeProxy(Proxy):
             layers.append(layer)
         for outer, inner in zip(layers, layers[1:]):
             outer.proxy_next = inner
+            outer.proxy_remote = inner.invoke
         for layer in layers:
             layer.proxy_install()
         self._stack = layers
+        self.invoke = layers[0].invoke
         return layers
 
     def proxy_install(self) -> None:
@@ -103,19 +108,22 @@ class CompositeProxy(Proxy):
         for layer in self._stack or []:
             layer.proxy_discard()
         self._stack = None
+        self.__dict__.pop("invoke", None)
 
     def proxy_release(self) -> None:
         """Release every layer too: none sits in the context's table."""
         super().proxy_release()
         for layer in self._stack or []:
             layer.proxy_release()
+        self.__dict__.pop("invoke", None)
 
     def invoke(self, verb: str, args: tuple, kwargs: dict) -> Any:
+        """The first call only: build the stack, which compiles it (every
+        later call enters the outermost layer's ``invoke``), and enter
+        it.  The composite counts these calls; its outer layer counts
+        them all."""
         self.proxy_stats["invocations"] += 1
-        stack = self._stack
-        if stack is None:
-            stack = self._build_stack()
-        return stack[0].invoke(verb, args, kwargs)
+        return self._build_stack()[0].invoke(verb, args, kwargs)
 
     @property
     def proxy_layers(self) -> list[str]:

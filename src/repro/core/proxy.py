@@ -67,8 +67,9 @@ class Proxy:
         self.proxy_stats = {"invocations": 0, "remote_calls": 0, "rebinds": 0}
         self.proxy_last_used = context.clock.now
         self.proxy_handshaken = False
-        #: When set, this proxy forwards through another proxy (its next
-        #: layer) instead of the RPC protocol — see policies.composite.
+        #: When set, this proxy is stacked on another (its next layer),
+        #: whose ``invoke`` is then this proxy's ``proxy_remote`` — see
+        #: policies.composite.
         self.proxy_next: "Proxy | None" = None
 
     # -- lifecycle hooks ------------------------------------------------------
@@ -171,17 +172,14 @@ class Proxy:
                      retry=None, deadline=None) -> Any:
         """Forward to the current binding, rebinding on ``ObjectMoved``.
 
-        When this proxy is stacked on another layer (``proxy_next``), the
-        call flows down the stack instead of hitting the protocol directly.
+        A stacked layer (``proxy_next`` set) never runs it: the composite
+        sets the layer's ``proxy_remote`` to the next layer's ``invoke``.
 
         ``retry`` and ``deadline`` (:mod:`repro.resilience`) override the
         protocol's retransmission schedule and cap the call's total wait;
         both pass straight through to :meth:`RpcProtocol.call` (they do not
         apply to one-way sends or stacked layers, which pace themselves).
         """
-        if self.proxy_next is not None:
-            self.proxy_stats["remote_calls"] += 1
-            return self.proxy_next.invoke(verb, args, kwargs)
         op = self.proxy_opcache.get(verb)
         if op is None:
             op = self.proxy_operation(verb)

@@ -238,9 +238,13 @@ class ResilientProxy(Proxy):
                 if index > 0:
                     self.proxy_stats["failovers"] += 1
                 try:
-                    result = candidate.proxy_remote(
-                        verb, args, kwargs, retry=self.proxy_retry,
-                        deadline=deadline)
+                    if candidate.proxy_next is not None:
+                        # Stacked: the next layer paces itself.
+                        result = candidate.proxy_remote(verb, args, kwargs)
+                    else:
+                        result = candidate.proxy_remote(
+                            verb, args, kwargs, retry=self.proxy_retry,
+                            deadline=deadline)
                 except DistributionError as exc:
                     if isinstance(exc, Overloaded):
                         # The destination shed the call at admission; the shed

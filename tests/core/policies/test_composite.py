@@ -142,6 +142,83 @@ class TestCrossClientCoherence:
         assert mirrored == 2
 
 
+class TestCompiledStack:
+    """The first call builds the stack and compiles it: the composite's
+    ``invoke`` becomes the outer layer's.  Discarding or releasing the
+    composite un-compiles it."""
+
+    @staticmethod
+    def _control(system, proxy):
+        ref = proxy.proxy_ref
+        entry = get_space(system.context(ref.context_id)).entry(ref.oid)
+        return entry.mutation_hooks[0]._control
+
+    def test_an_operation_bound_before_the_first_call_runs_compiled(
+            self, cached_replicas):
+        system, server, clients = cached_replicas
+        proxy = repro.bind(clients[0], "kv")
+        get, put = proxy.get, proxy.put     # no stack built yet
+        assert "invoke" not in vars(proxy)
+        put("k", 1)
+        cache = proxy._build_stack()[0]
+        assert vars(proxy)["invoke"] == cache.invoke
+        assert get("k") == 1                # the miss fills the cache
+        with MessageWindow(system) as window:
+            assert get("k") == 1
+        assert window.report.messages == 0
+        assert cache.proxy_stats["invocations"] == 3
+        assert cache.proxy_stats["hits"] == 1
+        # Only the call that built the stack entered the composite itself.
+        assert proxy.proxy_stats["invocations"] == 1
+
+    def test_a_discarded_composite_rebuilds_and_stays_coherent(
+            self, cached_replicas):
+        system, server, clients = cached_replicas
+        proxy = repro.bind(clients[0], "kv")
+        proxy.put("k", 1)
+        control = self._control(system, proxy)
+        assert control.subscribers == 1
+        stack = proxy._stack
+        proxy.proxy_discard()
+        assert control.subscribers == 0
+        assert "invoke" not in vars(proxy) and proxy._stack is None
+        assert proxy.get("k") == 1          # rebuilds, re-registers
+        assert proxy._stack is not stack
+        assert control.subscribers == 1
+        assert proxy.get("k") == 1          # a hit on the new stack
+        writer = repro.bind(clients[1], "kv")
+        writer.put("k", 2)
+        assert proxy.get("k") == 2
+
+    def test_release_drops_the_compiled_entry(self, cached_replicas):
+        system, server, clients = cached_replicas
+        proxy = repro.bind(clients[0], "kv")
+        proxy.put("k", 1)
+        assert proxy.get("k") == 1
+        cache = proxy._stack[0]
+        proxy.proxy_release()
+        assert "invoke" not in vars(proxy)
+        assert "get" not in vars(proxy)     # no bound operation either
+        assert cache._callback_obj is None
+
+    def test_a_composite_in_steady_use_survives_a_sweep(
+            self, cached_replicas):
+        system, server, clients = cached_replicas
+        ctx = clients[0]
+        proxy = repro.bind(ctx, "kv")
+        proxy.put("k", 1)
+        assert proxy.get("k") == 1
+        ctx.clock.advance(10.0)
+        assert proxy.get("k") == 1          # a hit stamps the composite
+        get_space(ctx).sweep(unused_for=5.0)
+        assert ctx.proxies[proxy.proxy_ref.key] is proxy
+        with MessageWindow(system) as window:
+            assert proxy.get("k") == 1
+        assert window.report.messages == 0
+        get_space(ctx).sweep(unused_for=0.0)
+        assert proxy.proxy_ref.key not in ctx.proxies
+
+
 class TestResilientOverCaching:
     """Resilience stacked outside a cache: config must thread through the
     composite to the right layer, and cache hits must bypass the wire."""

@@ -48,7 +48,11 @@ to the log list it read, the caller reads a reply's value and the server
 an envelope request's fields where each lands, and a regional read ranks
 in one call (replicated put 87, get 50, regional get 61, sharded 30 and
 put 30, stub get 21, fresh put 21 and 44, sweep 568, bind 103, 115, 142
-and 64, retransmission 30, duplicate 34 before).
+and 64, retransmission 30, duplicate 34 before).  A composite is compiled
+once: an operation enters its outer layer, a layer the next one's
+``invoke``, a hit charges by a slot write, and the coherence hook walks
+the callbacks itself (caching hit 3, composite hit 4, composite miss 27,
+composite put 129, caching put 43 and fresh put 43 before).
 """
 
 import gc
@@ -70,14 +74,18 @@ from repro.wire.refs import ObjectRef
 # DESIGN.md ("The shell ledger") saying what the extra calls bought.
 # 3.12+ inlines comprehensions, so a count can only be lower there.
 BUDGET = {"stub": 20, "replicated": 46, "regional": 46, "sharded": 28,
-          "caching": 3, "composite": 4}
+          "caching": 2, "composite": 2}
 #: A warm quorum write: the assign at the elected leader plus its two
-#: replica applies; a routed write.
-PUT_BUDGET = {"replicated": 65, "sharded": 28}
+#: replica applies; a routed write; a cached write and its invalidation
+#: one-way, and under the composite, the same in front of the quorum.
+PUT_BUDGET = {"replicated": 65, "sharded": 28, "caching": 41,
+              "composite": 121}
+#: A composite get its cache misses: the outer layer, then the quorum read.
+MISS_BUDGET = 25
 #: One plain one-way, sent and served.
 ONEWAY_BUDGET = 12
 #: A put of a value no frame carried before: nothing is memoised per value.
-FRESH_PUT_BUDGET = {"stub": 20, "caching": 43}
+FRESH_PUT_BUDGET = {"stub": 20, "caching": 41}
 #: One warm rebalance sweep: the map-sync poll of every holder, then the
 #: handoff with its install and commit legs.  Each sweep moves another
 #: arc, so readings differ by a few calls; the largest is budgeted.
@@ -126,9 +134,10 @@ AGREED_READ_BANNED = {"distance", "transit_time", "node_name", "<dictcomp>",
 WRITE_BANNED = {"_fence_write", "fence", "adopt", "is_leader", "lease_valid",
                 "reply_value", "fields_of"}
 #: What a cache hit re-derived although it is fixed between install and
-#: upgrade: the TTL, the cost model, the operation, the composite's stack.
+#: upgrade: the TTL, the cost model, the operation, the composite's stack
+#: — and the clock's method in front of the hit's one addition.
 HIT_BANNED = {"_read", "_effective_ttl", "system", "proxy_interface",
-              "operation", "_build_stack"}
+              "operation", "_build_stack", "advance"}
 
 
 def _deployment(policy):
@@ -293,6 +302,26 @@ def test_a_warm_routed_call_builds_no_reference(monkeypatch):
 def test_a_cache_hit_reads_only_attributes(policy):
     for names in _warm_get_calls(policy):
         assert not HIT_BANNED.intersection(names), sorted(names)
+        # A compiled composite enters its cache layer directly.
+        assert names == ["__call__", "invoke"]
+
+
+def test_a_composite_miss_stays_within_its_call_budget():
+    _, proxy = _deployment("composite")
+    cache = proxy._build_stack()[0]
+
+    def dropped():
+        # Outside the reading: the cache forgets "k0" before each get.
+        while True:
+            cache.proxy_cache_invalidate(("*",))
+            yield "k0"
+
+    misses = cache.proxy_stats["misses"]
+    readings = _readings(proxy.get, dropped())
+    assert _count(readings) <= MISS_BUDGET
+    assert cache.proxy_stats["misses"] == misses + 9
+    for names in readings:      # the cache layer, then the quorum layer
+        assert names[:3] == ["__call__", "invoke", "invoke"], names
 
 
 #: The writer and the decoder: a reference travels carried, so a bind
